@@ -12,13 +12,10 @@ import os
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .config import ConfigError, cfg_float, cfg_int, cfg_int_list, cfg_str, cfg_str_list, load_config
 from .data import DataError, write_dataset_csvs
 from .distill import DistillConfig, distill
 from .experiment import (
-    ARMS,
     ExperimentConfig,
     arm_settings,
     build_arch,
@@ -29,10 +26,6 @@ from .experiment import (
 from .federation import FederationError, pretrain, pretrain_examples
 from .metrics import UndefinedMetricError, auc, precision
 from .model import ShapeError, forward_batch, load_params, save_params
-
-
-class CliError(RuntimeError):
-    pass
 
 
 def _load(args) -> tuple:
@@ -134,7 +127,7 @@ def cmd_federate(args) -> int:
         "uploaded_scalars_per_client": result.uploaded_per_client,
     }
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
+        json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
     save_params(result.server.params, os.path.join(cfg.out_dir, "server.npz"))
     _say(args, f"{result.arm}: test AUC {result.test_auc * 100:.2f}e-2, "
@@ -146,8 +139,7 @@ def cmd_ablate(args) -> int:
     raw, cfg = _load(args)
     arms = cfg_str_list(raw, "ablate.arms", ["fedpa", "no_adapter", "user_only", "group_only"])
     for arm in arms:
-        if arm not in ARMS:
-            raise CliError(f"unknown arm {arm!r}; valid: {', '.join(ARMS)}")
+        arm_settings(cfg, arm)  # rejects an unknown arm before any arm runs
     ds, _ = prepare_dataset(cfg)
     pretrained = None
     rows = []
@@ -219,7 +211,7 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (CliError, ConfigError, DataError, FederationError, ShapeError,
+    except (ConfigError, DataError, FederationError, ShapeError,
             UndefinedMetricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

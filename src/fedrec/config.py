@@ -45,8 +45,7 @@ def _get(cfg: Dict[str, str], key: str, default, required: bool):
 
 
 def cfg_str(cfg, key, default: Optional[str] = None, required: bool = False) -> Optional[str]:
-    v = _get(cfg, key, default, required)
-    return v
+    return _get(cfg, key, default, required)
 
 
 def cfg_int(cfg, key, default: Optional[int] = None, required: bool = False) -> Optional[int]:

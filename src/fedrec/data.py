@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST = "pretrain", "fed-train", "fed-val", "fed-test"
-SPLIT_TAGS = (PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST)
+
+INTERACTION_COLUMNS = ("user_id", "item_id", "timestamp", "label")
 
 # A user needs at least this many interactions for the 6:2:2 split to leave a
 # nonempty test shard; users below it are dropped.
@@ -88,12 +89,6 @@ class Dataset:
                 raise DataError(f"interaction label {row.label} not in {{0,1}}")
         return self
 
-    def has_negative_labels(self) -> bool:
-        return any(r.label == 0 for r in self.interactions)
-
-    def interactions_of(self, uid: int, split: Optional[str] = None) -> List[Interaction]:
-        return [r for r in self.interactions if r.user == uid and (split is None or r.split == split)]
-
 
 @dataclass
 class GroupAssignment:
@@ -129,7 +124,7 @@ class SynthConfig:
     pref_spread: float = 0.8
 
 
-def _read_csv(path: str, id_col: str, schema_hint: Optional[AttributeSchema] = None):
+def _read_csv(path: str, id_col: str):
     """Read an id + integer-attribute CSV; returns (attr names, {id: values})."""
     records = {}
     with open(path, newline="") as fh:
@@ -172,7 +167,11 @@ def load_dataset(
     user_schema: Optional[AttributeSchema] = None,
     item_schema: Optional[AttributeSchema] = None,
 ) -> Dataset:
-    """Load the three CSV files; cardinalities are inferred when no schema is given."""
+    """Load the three CSV files; cardinalities are inferred when no schema is given.
+
+    The interactions file has the columns user_id,item_id,timestamp and an
+    optional label; without the label column every row is a positive (1).
+    """
     u_names, users = _read_csv(users_path, "user_id")
     i_names, items = _read_csv(items_path, "item_id")
     if user_schema is None:
@@ -187,16 +186,20 @@ def load_dataset(
             header = next(reader)
         except StopIteration:
             raise DataError(f"{interactions_path}: empty file") from None
-        if header != ["user_id", "item_id", "timestamp", "label"]:
+        if tuple(header) not in (INTERACTION_COLUMNS, INTERACTION_COLUMNS[:3]):
             raise DataError(f"{interactions_path}: bad header {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{interactions_path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                )
             try:
-                uid, iid, ts, label = (int(x) for x in row)
+                uid, iid, ts, *label = (int(x) for x in row)
             except ValueError:
                 raise DataError(f"{interactions_path}:{lineno}: non-integer field in {row!r}") from None
-            interactions.append(Interaction(uid, iid, ts, label))
+            interactions.append(Interaction(uid, iid, ts, label[0] if label else 1))
 
     return Dataset(user_schema, item_schema, users, items, interactions).validate()
 
@@ -370,6 +373,6 @@ def write_dataset_csvs(dataset: Dataset, users_path: str, items_path: str, inter
             w.writerow([iid, *dataset.items[iid]])
     with open(interactions_path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["user_id", "item_id", "timestamp", "label"])
+        w.writerow(INTERACTION_COLUMNS)
         for r in dataset.interactions:
             w.writerow([r.user, r.item, r.ts, r.label])

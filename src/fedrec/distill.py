@@ -3,21 +3,12 @@ smaller student (different embedding dim and/or MLP widths)."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .metrics import auc, precision
-from .model import (
-    Arch,
-    ParamSet,
-    backward_batch,
-    bce_loss,
-    count_params,
-    forward_batch,
-    init_params,
-    sgd_step,
-)
+from .model import ParamSet, count_params, forward_batch, init_params, sgd_epoch
 
 
 class DistillError(ValueError):
@@ -80,22 +71,14 @@ def distill(
         )
 
     teacher_probs, _ = forward_batch(teacher, UA, VA)
+    target = distill_targets(teacher_probs, labels, config.alpha)
     history = DistillHistory([], [])
     rng = np.random.default_rng([config.seed, 13])
-    n = len(UA)
     for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            target = distill_targets(
-                teacher_probs[idx], None if labels is None else labels[idx], config.alpha
-            )
-            probs, cache = forward_batch(student, UA[idx], VA[idx], want_cache=True)
-            epoch_loss += bce_loss(probs, target) * len(idx)
-            grads = backward_batch(student, cache, target)
-            student = sgd_step(student, grads, config.lr)
-        history.train_loss.append(epoch_loss / n)
+        student, loss = sgd_epoch(
+            student, UA, VA, target, None, config.batch_size, config.lr, rng, want_loss=True
+        )
+        history.train_loss.append(loss)
         if holdout is not None:
             h_ua, h_va = holdout
             sp, _ = forward_batch(student, h_ua, h_va)

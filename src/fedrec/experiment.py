@@ -1,10 +1,9 @@
 """Config-driven experiment assembly shared by the CLI and the test suite."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import difflib
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from .config import (
     ConfigError,
@@ -33,16 +32,65 @@ from .federation import (
     RoundReport,
     ServerState,
     build_clients,
-    count_params,
     evaluate_global,
     pretrain,
     run_federated,
     warm_start,
 )
-from .model import GATE_LEARNED, GATE_UNIFORM, PRIVATE, SHARED, Arch, ParamSet, init_params
+from .model import GATE_LEARNED, GATE_UNIFORM, PRIVATE, SHARED, Arch, ParamSet, count_params, init_params
 from .privacy import NoiseConfig
 
 ARMS = ("fedpa", "no_adapter", "user_only", "group_only", "no_warm", "no_gate_uniform")
+
+
+def _ints(raw, key, default):
+    return tuple(cfg_int_list(raw, key, default))
+
+
+def _strs(raw, key, default):
+    return tuple(cfg_str_list(raw, key, default))
+
+
+# Config-file key -> (ExperimentConfig field, accessor).
+FIELD_KEYS = {
+    "data.source": ("source", cfg_str),
+    "data.users": ("users_path", cfg_str),
+    "data.items": ("items_path", cfg_str),
+    "data.interactions": ("interactions_path", cfg_str),
+    "split.pretrain_fraction": ("pretrain_fraction", cfg_float),
+    "neg.ratio": ("neg_ratio", cfg_int),
+    "group.attrs": ("group_attrs", _strs),
+    "arch.embed_dim": ("embed_dim", cfg_int),
+    "arch.mlp_hidden": ("mlp_hidden", _ints),
+    "arch.adapter_rank": ("adapter_rank", cfg_int),
+    "arch.gate_hidden": ("gate_hidden", cfg_int),
+    "arch.adapter_layers": ("adapter_layers", cfg_str),
+    "pretrain.epochs": ("pre_epochs", cfg_int),
+    "pretrain.lr": ("pre_lr", cfg_float),
+    "pretrain.batch": ("pre_batch", cfg_int),
+    "fed.arm": ("arm", cfg_str),
+    "fed.rounds": ("rounds", cfg_int),
+    "fed.fraction": ("client_fraction", cfg_float),
+    "fed.local_epochs": ("local_epochs", cfg_int),
+    "fed.lr": ("fed_lr", cfg_float),
+    "fed.batch": ("fed_batch", cfg_int),
+    "fed.eval_every": ("eval_every", cfg_int),
+    "ldp.enabled": ("ldp_enabled", cfg_bool),
+    "ldp.intensity": ("ldp_intensity", cfg_float),
+    "seed": ("seed", cfg_int),
+    "out": ("out_dir", cfg_str),
+}
+# Key `synth.<field>` -> accessor for that SynthConfig field.
+SYNTH_KEYS = {
+    "n_users": cfg_int, "n_items": cfg_int, "user_attrs": _ints, "item_attrs": _ints,
+    "beta": cfg_float, "interactions_per_user": cfg_int, "base": cfg_float, "pref_spread": cfg_float,
+}
+# Keys that only CLI commands read (cli.py).
+CLI_KEYS = (
+    "distill.teacher", "distill.embed_dim", "distill.mlp_hidden", "distill.epochs", "distill.lr",
+    "distill.batch", "distill.alpha", "eval.checkpoint", "fed.init", "ablate.arms",
+)
+CONFIG_KEYS = frozenset([*FIELD_KEYS, *(f"synth.{k}" for k in SYNTH_KEYS), *CLI_KEYS])
 
 
 @dataclass
@@ -86,48 +134,24 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "."
 
+    def __post_init__(self):
+        if self.ldp_intensity > 0 and not self.ldp_enabled:
+            raise ConfigError(
+                f"ldp.intensity = {self.ldp_intensity} has no effect with ldp.enabled = false"
+            )
+
     @classmethod
     def from_dict(cls, raw: Dict[str, str]) -> "ExperimentConfig":
+        """Config from parsed `key = value` pairs; keys outside CONFIG_KEYS are rejected."""
+        for key in raw:
+            if key not in CONFIG_KEYS:
+                close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
+                hint = f"; did you mean {close[0]!r}?" if close else ""
+                raise ConfigError(f"unknown config key {key!r}{hint}")
         base = cls()
-        synth = SynthConfig(
-            n_users=cfg_int(raw, "synth.n_users", base.synth.n_users),
-            n_items=cfg_int(raw, "synth.n_items", base.synth.n_items),
-            user_attrs=tuple(cfg_int_list(raw, "synth.user_attrs", base.synth.user_attrs)),
-            item_attrs=tuple(cfg_int_list(raw, "synth.item_attrs", base.synth.item_attrs)),
-            beta=cfg_float(raw, "synth.beta", base.synth.beta),
-            interactions_per_user=cfg_int(raw, "synth.interactions_per_user", base.synth.interactions_per_user),
-            base=cfg_float(raw, "synth.base", base.synth.base),
-            pref_spread=cfg_float(raw, "synth.pref_spread", base.synth.pref_spread),
-        )
-        return cls(
-            source=cfg_str(raw, "data.source", base.source),
-            users_path=cfg_str(raw, "data.users"),
-            items_path=cfg_str(raw, "data.items"),
-            interactions_path=cfg_str(raw, "data.interactions"),
-            synth=synth,
-            pretrain_fraction=cfg_float(raw, "split.pretrain_fraction", base.pretrain_fraction),
-            neg_ratio=cfg_int(raw, "neg.ratio", base.neg_ratio),
-            group_attrs=tuple(cfg_str_list(raw, "group.attrs", base.group_attrs)),
-            embed_dim=cfg_int(raw, "arch.embed_dim", base.embed_dim),
-            mlp_hidden=tuple(cfg_int_list(raw, "arch.mlp_hidden", base.mlp_hidden)),
-            adapter_rank=cfg_int(raw, "arch.adapter_rank", base.adapter_rank),
-            gate_hidden=cfg_int(raw, "arch.gate_hidden", base.gate_hidden),
-            adapter_layers=cfg_str(raw, "arch.adapter_layers", base.adapter_layers),
-            pre_epochs=cfg_int(raw, "pretrain.epochs", base.pre_epochs),
-            pre_lr=cfg_float(raw, "pretrain.lr", base.pre_lr),
-            pre_batch=cfg_int(raw, "pretrain.batch", base.pre_batch),
-            arm=cfg_str(raw, "fed.arm", base.arm),
-            rounds=cfg_int(raw, "fed.rounds", base.rounds),
-            client_fraction=cfg_float(raw, "fed.fraction", base.client_fraction),
-            local_epochs=cfg_int(raw, "fed.local_epochs", base.local_epochs),
-            fed_lr=cfg_float(raw, "fed.lr", base.fed_lr),
-            fed_batch=cfg_int(raw, "fed.batch", base.fed_batch),
-            eval_every=cfg_int(raw, "fed.eval_every", base.eval_every),
-            ldp_enabled=cfg_bool(raw, "ldp.enabled", base.ldp_enabled),
-            ldp_intensity=cfg_float(raw, "ldp.intensity", base.ldp_intensity),
-            seed=cfg_int(raw, "seed", base.seed),
-            out_dir=cfg_str(raw, "out", base.out_dir),
-        )
+        synth = {k: get(raw, f"synth.{k}", getattr(base.synth, k)) for k, get in SYNTH_KEYS.items()}
+        fields = {f: get(raw, key, getattr(base, f)) for key, (f, get) in FIELD_KEYS.items()}
+        return cls(synth=SynthConfig(**synth), **fields)
 
     def fed_config(self) -> FedConfig:
         return FedConfig(
@@ -179,7 +203,7 @@ def arm_settings(cfg: ExperimentConfig, arm: str) -> Tuple[dict, str, bool]:
     elif arm == "group_only":
         overrides["use_user_adapter"] = False
     elif arm == "no_warm":
-        policy, warm = "fedpa_no_warm", False
+        warm = False
     elif arm == "no_gate_uniform":
         overrides["gate_mode"] = GATE_UNIFORM
     return overrides, policy, warm

@@ -36,12 +36,10 @@ from .model import (
     Arch,
     ParamSet,
     ShapeError,
-    backward_batch,
-    bce_loss,
-    count_params,
     forward_batch,
     init_params,
-    sgd_step,
+    init_user_adapter,
+    sgd_epoch,
 )
 from .privacy import NoiseConfig, noise_upload
 
@@ -67,7 +65,6 @@ _PRESET_RULES = {
     ),
     "full": (("*", SHARED),),
 }
-_PRESET_RULES["fedpa_no_warm"] = _PRESET_RULES["fedpa"]
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ class PartitionPolicy:
 class Shard:
     items: np.ndarray   # (n, |item attrs|) int attribute values
     labels: np.ndarray  # (n,) float {0,1}
-    sampled_with_replacement: bool = False
 
     def __len__(self):
         return len(self.labels)
@@ -157,13 +153,12 @@ class RoundReport:
             "skipped": self.skipped,
             "seconds": round(self.seconds, 6),
         }
-        return json.dumps(rec, sort_keys=True)
+        return json.dumps(rec, sort_keys=True, allow_nan=False)
 
 
 @dataclass
 class ServerState:
     params: ParamSet
-    round: int = 0
     reports: List[RoundReport] = field(default_factory=list)
 
 
@@ -193,8 +188,8 @@ class EvalSummary:
 
 def _rows_to_arrays(dataset: Dataset, rows: Sequence[Tuple[int, int, int]]):
     """(user, item, label) triples -> UA, VA, y arrays."""
-    UA = np.array([dataset.users[u] for u, _, _ in rows], dtype=np.int64).reshape(len(rows), -1)
-    VA = np.array([dataset.items[i] for _, i, _ in rows], dtype=np.int64).reshape(len(rows), -1)
+    UA = np.array([dataset.users[u] for u, _, _ in rows], dtype=np.int64).reshape(-1, len(dataset.user_schema))
+    VA = np.array([dataset.items[i] for _, i, _ in rows], dtype=np.int64).reshape(-1, len(dataset.item_schema))
     y = np.array([l for _, _, l in rows], dtype=float)
     return UA, VA, y
 
@@ -227,14 +222,10 @@ def _client_shard(dataset: Dataset, rows: List[Interaction], native_negs: bool,
                   item_universe, neg_ratio: int, rng) -> Shard:
     if native_negs:
         triples = [(r.user, r.item, r.label) for r in rows]
-        flag = False
     else:
-        triples, flag = sample_negatives(rows, item_universe, neg_ratio, rng)
-    if not triples:
-        n_iattr = len(dataset.item_schema)
-        return Shard(np.zeros((0, n_iattr), dtype=np.int64), np.zeros(0), flag)
+        triples, _ = sample_negatives(rows, item_universe, neg_ratio, rng)
     _, VA, y = _rows_to_arrays(dataset, triples)
-    return Shard(VA, y, flag)
+    return Shard(VA, y)
 
 
 def build_clients(
@@ -255,7 +246,6 @@ def build_clients(
         r.label == 0 for r in dataset.interactions if r.split in (FED_TRAIN, FED_VAL, FED_TEST)
     )
     item_universe = sorted(dataset.items)
-    private_names = [n for n in init_params(arch, 0).tensors if n.startswith("adapter/user/")]
 
     clients = []
     for uid in sorted(by_user):
@@ -264,22 +254,13 @@ def build_clients(
             split_key: _client_shard(dataset, by_user[uid][tag], native_negs, item_universe, neg_ratio, rng)
             for split_key, tag in (("train", FED_TRAIN), ("val", FED_VAL), ("test", FED_TEST))
         }
-        prng = np.random.default_rng([seed, uid, 2])
-        private = {}
-        dims = arch.layer_dims
-        for l in arch.adapter_layer_ids:
-            if arch.use_user_adapter:
-                k, d, r = dims[l + 1], dims[l], arch.layer_rank(l)
-                private[f"adapter/user/{l}/A"] = prng.normal(0.0, 0.02, size=(k, r))
-                private[f"adapter/user/{l}/B"] = np.zeros((r, d))
-        assert set(private) == set(private_names)
         clients.append(
             ClientState(
                 uid=uid,
                 user_attrs=np.array(dataset.users[uid], dtype=np.int64),
                 groups=assignment.groups_of(uid) if assignment.maps else {},
                 shards=shards,
-                private=private,
+                private=init_user_adapter(arch, np.random.default_rng([seed, uid, 2])),
             )
         )
     return clients
@@ -306,17 +287,9 @@ def pretrain(
     ps = init_params(base, seed)
     losses: List[float] = []
     rng = np.random.default_rng([seed, 11])
-    n = len(y)
     for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            probs, cache = forward_batch(ps, UA[idx], VA[idx], want_cache=True)
-            epoch_loss += bce_loss(probs, y[idx]) * len(idx)
-            grads = backward_batch(ps, cache, y[idx])
-            ps = sgd_step(ps, grads, lr)
-        losses.append(epoch_loss / n)
+        ps, loss = sgd_epoch(ps, UA, VA, y, None, batch_size, lr, rng, want_loss=True)
+        losses.append(loss)
     return ps, losses
 
 
@@ -385,12 +358,7 @@ def client_local_train(
     UA = client.user_matrix(n)
     rng = np.random.default_rng([seed, round_index, client.uid, 1])
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            probs, cache = forward_batch(ps, UA[idx], shard.items[idx], client.groups, want_cache=True)
-            grads = backward_batch(ps, cache, shard.labels[idx])
-            ps = sgd_step(ps, grads, cfg.lr)
+        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.batch_size, cfg.lr, rng)
 
     client.private = {k: ps.tensors[k] for k in client.private}
     tensors = {n_: ps.tensors[n_] for n_ in _upload_names(ps, client)}
@@ -415,13 +383,7 @@ def aggregate(uploads: Sequence[Upload], server: ServerState) -> ServerState:
         vals = [u.tensors[name] for u in live if name in u.tensors]
         if vals:
             updates[name] = np.mean(np.stack(vals), axis=0)
-    return ServerState(server.params.with_tensors(updates), server.round, server.reports)
-
-
-def _client_model(server_ps: ParamSet, client: ClientState) -> ParamSet:
-    if client.private:
-        return server_ps.with_tensors(client.private)
-    return server_ps
+    return ServerState(server.params.with_tensors(updates), server.reports)
 
 
 def evaluate_global(
@@ -438,7 +400,7 @@ def evaluate_global(
         if len(shard) == 0:
             continue
         n_seen += 1
-        ps = _client_model(server_ps, c)
+        ps = server_ps.with_tensors(c.private)
         probs, _ = forward_batch(ps, c.user_matrix(len(shard)), shard.items, c.groups or None)
         try:
             aucs.append(auc(probs, shard.labels))
@@ -468,7 +430,8 @@ def run_federated(
 ) -> Tuple[ServerState, List[ClientState], List[RoundReport]]:
     """The round loop: select -> broadcast -> local train -> (noise) ->
     aggregate -> evaluate. Deterministic given (inputs, seed) regardless of
-    client execution order."""
+    client execution order. Raises FederationError when aggregation leaves a
+    shared tensor non-finite."""
     server = ServerState(server_ps)
     frozen_names = [n for n, t in server_ps.tags.items() if t == FROZEN]
     frozen_ref = {n: server_ps.tensors[n] for n in frozen_names}
@@ -491,10 +454,19 @@ def run_federated(
         )
         if live:
             server = aggregate(uploads, server)
+            try:
+                server.params.check_finite()
+            except ShapeError as exc:
+                who = next(
+                    (u.uid for u in live if not all(np.isfinite(t).all() for t in u.tensors.values())), None
+                )
+                raise FederationError(
+                    f"round {r}: training diverged after aggregation ({exc}); "
+                    f"first client with a non-finite upload: {who}"
+                ) from None
         else:
             log.warning("round %d: no usable uploads, skipping aggregation", r)
             report.skipped = True
-        server.round = r + 1
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
                 ev = evaluate_global(server.params, clients, "val")

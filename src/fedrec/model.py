@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .data import AttributeSchema, DataError
+from .data import AttributeSchema
 
 FROZEN, PRIVATE, SHARED = "frozen", "private", "shared"
 TAGS = (FROZEN, PRIVATE, SHARED)
@@ -118,9 +118,6 @@ class ParamSet:
         if set(self.tags) != set(self.tensors):
             raise ShapeError("tags must cover exactly the tensor names")
 
-    def clone(self) -> "ParamSet":
-        return ParamSet(self.arch, {n: t.copy() for n, t in self.tensors.items()}, dict(self.tags))
-
     def with_tensors(self, updates: Dict[str, np.ndarray]) -> "ParamSet":
         unknown = set(updates) - set(self.tensors)
         if unknown:
@@ -161,17 +158,10 @@ def init_params(arch: Arch, seed) -> ParamSet:
         k, d = dims[l + 1], dims[l]
         t[f"mlp/{l}/W"] = _glorot(rng, (k, d))
         t[f"mlp/{l}/b"] = np.zeros(k)
-    for l in arch.adapter_layer_ids:
-        k, d, r = dims[l + 1], dims[l], arch.layer_rank(l)
-        if arch.use_user_adapter:
-            t[f"adapter/user/{l}/A"] = rng.normal(0.0, 0.02, size=(k, r))
-            t[f"adapter/user/{l}/B"] = np.zeros((r, d))
+    t.update(init_user_adapter(arch, rng))
     for attr, card in arch.group_cards().items():
         for g in range(card):
-            for l in arch.adapter_layer_ids:
-                k, d, r = dims[l + 1], dims[l], arch.layer_rank(l)
-                t[f"adapter/group/{attr}/{g}/{l}/A"] = rng.normal(0.0, 0.02, size=(k, r))
-                t[f"adapter/group/{attr}/{g}/{l}/B"] = np.zeros((r, d))
+            t.update(_init_adapter(arch, f"adapter/group/{attr}/{g}", rng))
     if arch.gate_mode == GATE_LEARNED and arch.n_branches > 1:
         h, B = arch.gate_hidden, arch.n_branches
         for l in arch.adapter_layer_ids:
@@ -179,6 +169,22 @@ def init_params(arch: Arch, seed) -> ParamSet:
             t[f"gate/{l}/W1"] = _glorot(rng, (h, d))
             t[f"gate/{l}/W2"] = np.zeros((B, h))
     return ParamSet(arch, t)
+
+
+def _init_adapter(arch: Arch, prefix: str, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+    """Pair `<prefix>/<l>/A|B` for every adapted layer l: W_a ~ N(0, 0.02), W_b = 0."""
+    t: Dict[str, np.ndarray] = {}
+    for l in arch.adapter_layer_ids:
+        k, d, r = arch.layer_dims[l + 1], arch.layer_dims[l], arch.layer_rank(l)
+        t[f"{prefix}/{l}/A"] = rng.normal(0.0, 0.02, size=(k, r))
+        t[f"{prefix}/{l}/B"] = np.zeros((r, d))
+    return t
+
+
+def init_user_adapter(arch: Arch, rng: np.random.Generator) -> Dict[str, np.ndarray]:
+    """The user-level adapter tensors (none without a user adapter), drawn in
+    the same order by init_params and by each client's private stream."""
+    return _init_adapter(arch, "adapter/user", rng) if arch.use_user_adapter else {}
 
 
 def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None, pattern: str = "*") -> int:
@@ -228,35 +234,48 @@ def embed_item(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
     )
 
 
+def _embed_columns(arch: Arch, UA: np.ndarray, VA: np.ndarray) -> List[Tuple[str, np.ndarray]]:
+    """(embedding table, row index per example) for each d-wide slot of a
+    layer-0 input row: user attributes in schema order, then item attributes."""
+    return [(f"user_emb/{name}", UA[:, j]) for j, name in enumerate(arch.user_schema.names)] + [
+        (f"item_emb/{name}", VA[:, j]) for j, name in enumerate(arch.item_schema.names)
+    ]
+
+
 def _embed_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray) -> np.ndarray:
-    cols = []
-    for j, name in enumerate(ps.arch.user_schema.names):
-        cols.append(ps.tensors[f"user_emb/{name}"][UA[:, j]])
-    for j, name in enumerate(ps.arch.item_schema.names):
-        cols.append(ps.tensors[f"item_emb/{name}"][VA[:, j]])
-    return np.concatenate(cols, axis=1)
+    return np.concatenate([ps.tensors[key][rows] for key, rows in _embed_columns(ps.arch, UA, VA)], axis=1)
 
 
 @dataclass
 class _LayerCache:
+    """Forward intermediates of one layer.
+
+    V lists the branch outputs (n, k) in gate-column order: the common MLP
+    branch first, then the user adapter if the arch has one, then one group
+    adapter per grouping attribute. Adapter branch V[j] (j >= 1) has the
+    bottleneck T[j - 1] = X @ W_b.T (n, r) and the tensor-name prefix
+    P[j - 1], `adapter/user/<l>` or `adapter/group/<attr>/<g>/<l>`. A layer
+    without adapters has V = [Z], empty T and P, and no gate fields.
+    """
+
     X: np.ndarray                      # layer input (n, d)
     Z: np.ndarray                      # fused pre-activation (n, k)
-    C: np.ndarray                      # common branch (n, k)
-    gated: bool
+    V: List[np.ndarray]                # branch outputs, common first
+    T: List[np.ndarray] = field(default_factory=list)  # adapter bottlenecks
+    P: List[str] = field(default_factory=list)         # adapter name prefixes
     G: Optional[np.ndarray] = None     # branch weights (n, B)
     Z1: Optional[np.ndarray] = None    # gate hidden pre-activation (n, h)
     S: Optional[np.ndarray] = None     # relu(Z1)
-    Tu: Optional[np.ndarray] = None    # user adapter bottleneck (n, r)
-    Vu: Optional[np.ndarray] = None    # user branch (n, k)
-    Tg: Optional[Dict[str, np.ndarray]] = None
-    Vg: Optional[Dict[str, np.ndarray]] = None
+
+    @property
+    def gated(self) -> bool:
+        return self.G is not None
 
 
 @dataclass
 class ForwardCache:
     UA: np.ndarray
     VA: np.ndarray
-    groups: Optional[Dict[str, int]]
     layers: List[_LayerCache]
     probs: np.ndarray
 
@@ -265,23 +284,18 @@ def _layer_branches(ps: ParamSet, l: int, X: np.ndarray, groups: Optional[Dict[s
     arch = ps.arch
     t = ps.tensors
     C = X @ t[f"mlp/{l}/W"].T + t[f"mlp/{l}/b"]
+    cache = _LayerCache(X=X, Z=C, V=[C])
     if l not in arch.adapter_layer_ids:
-        return C, None
-    cache = _LayerCache(X=X, Z=C, C=C, gated=True, Tg={}, Vg={})
-    branches = [C]
+        return C, cache
     if arch.use_user_adapter:
-        cache.Tu = X @ t[f"adapter/user/{l}/B"].T
-        cache.Vu = cache.Tu @ t[f"adapter/user/{l}/A"].T
-        branches.append(cache.Vu)
+        cache.P.append(f"adapter/user/{l}")
     for attr in arch.group_attrs:
         if groups is None or attr not in groups:
             raise ShapeError(f"group index for attribute {attr!r} required")
-        g = groups[attr]
-        Tg = X @ t[f"adapter/group/{attr}/{g}/{l}/B"].T
-        Vg = Tg @ t[f"adapter/group/{attr}/{g}/{l}/A"].T
-        cache.Tg[attr] = Tg
-        cache.Vg[attr] = Vg
-        branches.append(Vg)
+        cache.P.append(f"adapter/group/{attr}/{groups[attr]}/{l}")
+    for p in cache.P:
+        cache.T.append(X @ t[p + "/B"].T)
+        cache.V.append(cache.T[-1] @ t[p + "/A"].T)
 
     B = arch.n_branches
     if arch.gate_mode == GATE_LEARNED:
@@ -294,7 +308,7 @@ def _layer_branches(ps: ParamSet, l: int, X: np.ndarray, groups: Optional[Dict[s
         cache.G = np.zeros((X.shape[0], B))
         cache.G[:, 0] = 1.0
     Z = np.zeros_like(C)
-    for j, v in enumerate(branches):
+    for j, v in enumerate(cache.V):
         Z += cache.G[:, j : j + 1] * v
     cache.Z = Z
     return Z, cache
@@ -321,14 +335,12 @@ def forward_batch(
     layers: List[_LayerCache] = []
     for l in range(ps.arch.n_layers):
         Z, cache = _layer_branches(ps, l, X, groups)
-        if cache is None:
-            cache = _LayerCache(X=X, Z=Z, C=Z, gated=False)
         layers.append(cache)
         X = _relu(Z) if l < ps.arch.n_layers - 1 else _sigmoid(Z)
     probs = X[:, 0]
     if not want_cache:
         return probs, None
-    return probs, ForwardCache(UA=UA, VA=VA, groups=groups, layers=layers, probs=probs)
+    return probs, ForwardCache(UA=UA, VA=VA, layers=layers, probs=probs)
 
 
 def predict(
@@ -368,11 +380,8 @@ def backward_batch(ps: ParamSet, cache: ForwardCache, labels: np.ndarray) -> Dic
     grads: Dict[str, np.ndarray] = {}
 
     def add(name, val):
-        if ps.tags[name] == FROZEN:
-            return
-        if name in grads:
-            grads[name] += val
-        else:
+        # every tensor name occurs once per pass, so nothing accumulates
+        if ps.tags[name] != FROZEN:
             grads[name] = val
 
     # sigmoid + BCE at the top: dL/dz_last = (p - y) / n
@@ -385,73 +394,36 @@ def backward_batch(ps: ParamSet, cache: ForwardCache, labels: np.ndarray) -> Dic
             dC = dZ
             dX = dC @ W
         else:
-            B = arch.n_branches
             G = c.G
-            branches = [c.C]
-            if arch.use_user_adapter:
-                branches.append(c.Vu)
-            for attr in arch.group_attrs:
-                branches.append(c.Vg[attr])
-
             dX = np.zeros_like(X)
             if arch.gate_mode == GATE_LEARNED:
-                dG = np.stack([np.sum(v * dZ, axis=1) for v in branches], axis=1)
+                dG = np.stack([np.sum(v * dZ, axis=1) for v in c.V], axis=1)
                 dA = G * (dG - np.sum(G * dG, axis=1, keepdims=True))
-                W2 = t[f"gate/{l}/W2"]
                 add(f"gate/{l}/W2", dA.T @ c.S)
-                dS = dA @ W2
-                dZ1 = dS * (c.Z1 > 0)
+                dZ1 = (dA @ t[f"gate/{l}/W2"]) * (c.Z1 > 0)
                 add(f"gate/{l}/W1", dZ1.T @ X)
                 dX += dZ1 @ t[f"gate/{l}/W1"]
-
-            j = 0
-            dC = G[:, j : j + 1] * dZ
-            j += 1
-            if arch.use_user_adapter:
-                dVu = G[:, j : j + 1] * dZ
-                j += 1
-                Wa = t[f"adapter/user/{l}/A"]
-                add(f"adapter/user/{l}/A", dVu.T @ c.Tu)
-                dTu = dVu @ Wa
-                add(f"adapter/user/{l}/B", dTu.T @ X)
-                dX += dTu @ t[f"adapter/user/{l}/B"]
-            for attr in arch.group_attrs:
-                g = cache.groups[attr]
-                dVg = G[:, j : j + 1] * dZ
-                j += 1
-                Wa = t[f"adapter/group/{attr}/{g}/{l}/A"]
-                add(f"adapter/group/{attr}/{g}/{l}/A", dVg.T @ c.Tg[attr])
-                dTg = dVg @ Wa
-                add(f"adapter/group/{attr}/{g}/{l}/B", dTg.T @ X)
-                dX += dTg @ t[f"adapter/group/{attr}/{g}/{l}/B"]
+            dC = G[:, :1] * dZ
+            for j, (T, p) in enumerate(zip(c.T, c.P), start=1):
+                dV = G[:, j : j + 1] * dZ
+                add(p + "/A", dV.T @ T)
+                dT = dV @ t[p + "/A"]
+                add(p + "/B", dT.T @ X)
+                dX += dT @ t[p + "/B"]
             dX += dC @ W
 
         add(f"mlp/{l}/W", dC.T @ X)
         add(f"mlp/{l}/b", dC.sum(axis=0))
-        if not c.gated:
-            pass
         if l > 0:
             dZ = dX * (cache.layers[l - 1].Z > 0)
-        else:
-            dX0 = dX
 
-    # embedding tables
+    # embedding tables; dX is now the gradient of the layer-0 input
     d = arch.embed_dim
-    off = 0
-    for j, name in enumerate(arch.user_schema.names):
-        key = f"user_emb/{name}"
+    for j, (key, rows) in enumerate(_embed_columns(arch, cache.UA, cache.VA)):
         if ps.tags[key] != FROZEN:
             gtab = np.zeros_like(t[key])
-            np.add.at(gtab, cache.UA[:, j], dX0[:, off : off + d])
+            np.add.at(gtab, rows, dX[:, j * d : (j + 1) * d])
             grads[key] = gtab
-        off += d
-    for j, name in enumerate(arch.item_schema.names):
-        key = f"item_emb/{name}"
-        if ps.tags[key] != FROZEN:
-            gtab = np.zeros_like(t[key])
-            np.add.at(gtab, cache.VA[:, j], dX0[:, off : off + d])
-            grads[key] = gtab
-        off += d
     return grads
 
 
@@ -462,43 +434,43 @@ def sgd_step(ps: ParamSet, grads: Dict[str, np.ndarray], lr: float) -> ParamSet:
     return ps.with_tensors({n: ps.tensors[n] - lr * g for n, g in grads.items()})
 
 
+def sgd_epoch(
+    ps: ParamSet,
+    UA: np.ndarray,
+    VA: np.ndarray,
+    y: np.ndarray,
+    groups: Optional[Dict[str, int]],
+    batch_size: int,
+    lr: float,
+    rng: np.random.Generator,
+    want_loss: bool = False,
+) -> Tuple[ParamSet, Optional[float]]:
+    """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
+    cut into batches of `batch_size`, one forward/backward/update per batch.
+
+    Returns (updated ParamSet, epoch loss). With `want_loss` the epoch loss is
+    the row-weighted mean of each batch's BCE before its update; otherwise it
+    is None and bce_loss is never called.
+    """
+    n = len(y)
+    order = rng.permutation(n)
+    loss = 0.0
+    for start in range(0, n, batch_size):
+        idx = order[start : start + batch_size]
+        probs, cache = forward_batch(ps, UA[idx], VA[idx], groups, want_cache=True)
+        if want_loss:
+            loss += bce_loss(probs, y[idx]) * len(idx)
+        ps = sgd_step(ps, backward_batch(ps, cache, y[idx]), lr)
+    return ps, (loss / n if want_loss else None)
+
+
 # ---------------------------------------------------------------------------
 # Serialization (bit-exact round trip)
 # ---------------------------------------------------------------------------
 
 
-def _arch_to_dict(arch: Arch) -> dict:
-    return {
-        "user_schema": {"names": list(arch.user_schema.names), "cards": list(arch.user_schema.cards)},
-        "item_schema": {"names": list(arch.item_schema.names), "cards": list(arch.item_schema.cards)},
-        "embed_dim": arch.embed_dim,
-        "mlp_hidden": list(arch.mlp_hidden),
-        "adapter_rank": arch.adapter_rank,
-        "gate_hidden": arch.gate_hidden,
-        "adapter_layers": arch.adapter_layers,
-        "use_user_adapter": arch.use_user_adapter,
-        "group_attrs": list(arch.group_attrs),
-        "gate_mode": arch.gate_mode,
-    }
-
-
-def _arch_from_dict(d: dict) -> Arch:
-    return Arch(
-        user_schema=AttributeSchema(tuple(d["user_schema"]["names"]), tuple(d["user_schema"]["cards"])),
-        item_schema=AttributeSchema(tuple(d["item_schema"]["names"]), tuple(d["item_schema"]["cards"])),
-        embed_dim=d["embed_dim"],
-        mlp_hidden=tuple(d["mlp_hidden"]),
-        adapter_rank=d["adapter_rank"],
-        gate_hidden=d["gate_hidden"],
-        adapter_layers=d["adapter_layers"],
-        use_user_adapter=d["use_user_adapter"],
-        group_attrs=tuple(d["group_attrs"]),
-        gate_mode=d["gate_mode"],
-    )
-
-
 def save_params(ps: ParamSet, path: str):
-    meta = json.dumps({"arch": _arch_to_dict(ps.arch), "tags": ps.tags}, sort_keys=True)
+    meta = json.dumps({"arch": asdict(ps.arch), "tags": ps.tags}, sort_keys=True)
     np.savez(path, __meta__=np.frombuffer(meta.encode(), dtype=np.uint8), **ps.tensors)
 
 
@@ -506,4 +478,10 @@ def load_params(path: str) -> ParamSet:
     with np.load(path) as z:
         meta = json.loads(bytes(z["__meta__"]).decode())
         tensors = {n: z[n] for n in z.files if n != "__meta__"}
-    return ParamSet(_arch_from_dict(meta["arch"]), tensors, dict(meta["tags"]))
+    # JSON stored the Arch's tuples as lists and its schemas as dicts of lists
+    arch = Arch(**{
+        k: AttributeSchema(tuple(v["names"]), tuple(v["cards"])) if isinstance(v, dict)
+        else tuple(v) if isinstance(v, list) else v
+        for k, v in meta["arch"].items()
+    })
+    return ParamSet(arch, tensors, dict(meta["tags"]))

@@ -21,10 +21,6 @@ class NoiseConfig:
             raise ValueError(f"noise intensity {self.intensity} < 0")
 
 
-# Standard sweep values for the noise-intensity experiments.
-SWEEP_INTENSITIES = (0.1, 0.2, 0.3, 0.4, 0.5)
-
-
 def laplace_sample(lam: float, rng: np.random.Generator) -> float:
     """One zero-mean Laplace(scale=lam) draw via the inverse CDF."""
     return float(laplace_noise(lam, (), rng))

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
 from fedrec.cli import main
 from fedrec.config import ConfigError, cfg_bool, cfg_int, cfg_int_list, parse_config_text
+from fedrec.experiment import ExperimentConfig
 
 BASE_CFG = """
 # small synthetic world for CLI smoke tests
@@ -59,6 +61,20 @@ class TestConfigParser:
             cfg_int(cfg, "missing", required=True)
         with pytest.raises(ConfigError):
             cfg_int(cfg, "flag")
+
+
+class TestConfigKeys:
+    def test_unknown_key_rejected_with_suggestion(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "fed.round = 7\n")
+        assert run("federate", "--config", cfg, "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "unknown config key 'fed.round'" in err and "did you mean 'fed.rounds'" in err
+
+    def test_ldp_intensity_needs_ldp_enabled(self):
+        with pytest.raises(ConfigError, match="ldp.enabled = false"):
+            ExperimentConfig.from_dict({"ldp.intensity": "0.2"})
+        cfg = ExperimentConfig.from_dict({"ldp.intensity": "0.2", "ldp.enabled": "true"})
+        assert cfg.noise_config().intensity == 0.2
 
 
 class TestSynth:
@@ -159,6 +175,14 @@ class TestFederate:
         cfg2.write_text(BASE_CFG + "fed.arm = bogus\n")
         assert run("federate", "--config", str(cfg2), "--quiet") == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_fails_naming_round(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "fed.lr = 1e6\n")
+        out = str(tmp_path / "out")
+        assert run("federate", "--config", cfg, "--out", out, "--quiet") == 1
+        assert re.search(r"error: round \d+: training diverged", capsys.readouterr().err)
+        assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
 class TestDistill:

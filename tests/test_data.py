@@ -10,6 +10,7 @@ from fedrec.data import (
     AttributeSchema,
     DataError,
     Dataset,
+    GroupAssignment,
     Interaction,
     SynthConfig,
     assign_groups,
@@ -20,6 +21,8 @@ from fedrec.data import (
     synth_generate,
     write_dataset_csvs,
 )
+from fedrec.federation import build_clients
+from fedrec.model import Arch
 
 
 def write(path, text):
@@ -74,6 +77,24 @@ class TestLoadDataset:
         users, items, _ = csv_paths
         inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp,label\n0,5,1,1\n0,x,2,1\n")
         with pytest.raises(DataError, match=":3"):
+            load_dataset(users, items, inter)
+
+    def test_three_column_file_is_all_positives(self, tmp_path):
+        users = write(tmp_path / "users.csv", "user_id,age\n0,1\n")
+        items = write(tmp_path / "items.csv", "item_id,cat\n" + "".join(f"{i},{i % 2}\n" for i in range(10)))
+        inter = write(tmp_path / "inter.csv",
+                      "user_id,item_id,timestamp\n" + "".join(f"0,{i},{i}\n" for i in range(6)))
+        ds = load_dataset(users, items, inter)
+        assert [r.label for r in ds.interactions] == [1] * 6
+        ds, _ = split_per_user_chronological(ds)
+        (client,) = build_clients(ds, GroupAssignment({}), Arch(ds.user_schema, ds.item_schema), seed=0)
+        labels = client.shards["train"].labels
+        assert np.sum(labels == 1) == 4 and np.sum(labels == 0) == 16  # 4 sampled per positive
+
+    def test_row_longer_than_header_rejected(self, tmp_path, csv_paths):
+        users, items, _ = csv_paths
+        inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp\n0,5,1\n0,5,2,0\n")
+        with pytest.raises(DataError, match=":3: expected 3 fields"):
             load_dataset(users, items, inter)
 
     def test_attribute_value_over_cardinality(self, csv_paths):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from fedrec.model import (
     load_params,
     predict,
     save_params,
+    sgd_epoch,
     sgd_step,
 )
 from fedrec.model import _layer_branches
@@ -355,7 +357,45 @@ class TestProperties:
         assert ps.names("gate/*") == []
 
 
+class TestSgdEpoch:
+    def test_matches_per_batch_loop(self):
+        # the per-batch loop that pretrain, distill and client training
+        # each used to inline, kept as the oracle
+        arch = small_arch()
+        ps = randomized_params(init_params(arch, 1), 1)
+        UA, VA, y, groups = random_batch(arch, 37, 1)
+        got, loss = sgd_epoch(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), want_loss=True)
+        order = np.random.default_rng(5).permutation(37)
+        want, total = ps, 0.0
+        for start in range(0, 37, 8):
+            idx = order[start : start + 8]
+            probs, cache = forward_batch(want, UA[idx], VA[idx], groups, want_cache=True)
+            total += bce_loss(probs, y[idx]) * len(idx)
+            want = sgd_step(want, backward_batch(want, cache, y[idx]), 0.1)
+        assert loss == total / 37
+        for n in want.tensors:
+            assert np.array_equal(got.tensors[n], want.tensors[n]), n
+        _, no_loss = sgd_epoch(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5))
+        assert no_loss is None
+
+
 class TestSerialization:
+    def test_metadata_format_pinned(self, tmp_path):
+        # the layout every checkpoint so far was written in; load_params reads it
+        ps = init_params(small_arch(), 0)
+        arch_json = (
+            '{"adapter_layers": "all", "adapter_rank": 2, "embed_dim": 4, "gate_hidden": 3, '
+            '"gate_mode": "learned", "group_attrs": ["ua0"], "item_schema": {"cards": [4, 3], '
+            '"names": ["ia0", "ia1"]}, "mlp_hidden": [6, 3], "use_user_adapter": true, '
+            '"user_schema": {"cards": [3, 2], "names": ["ua0", "ua1"]}}'
+        )
+        path = str(tmp_path / "ckpt.npz")
+        save_params(ps, path)
+        with np.load(path) as z:
+            meta = bytes(z["__meta__"]).decode()
+        assert meta == f'{{"arch": {arch_json}, "tags": {json.dumps(ps.tags, sort_keys=True)}}}'
+        assert load_params(path).arch == ps.arch
+
     def test_round_trip_bit_exact(self, tmp_path):
         ps = randomized_params(init_params(small_arch(), 5), 5)
         path = str(tmp_path / "ckpt.npz")
