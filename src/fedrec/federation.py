@@ -1,5 +1,6 @@
 """Federated orchestration: parameter partition, centralized pretraining,
-client-local training, selective upload/aggregation and round loop.
+local training of a round's clients as one stacked cohort, selective
+upload/aggregation and round loop.
 
 Each user is one client. Under the `fedpa` policy the item embeddings and MLP
 stay frozen at their warm-start values, the user-level adapter is private to
@@ -44,6 +45,10 @@ from .model import (
 from .privacy import NoiseConfig, noise_upload
 
 log = logging.getLogger(__name__)
+
+GROUP_PREFIX = "adapter/group/"
+# group name under which a cohort ParamSet holds each client's own group adapters
+OWN_GROUP = "own"
 
 
 class FederationError(RuntimeError):
@@ -332,7 +337,7 @@ def _upload_names(ps: ParamSet, client: ClientState) -> List[str]:
     for n, tag in ps.tags.items():
         if tag != SHARED:
             continue
-        if n.startswith("adapter/group/"):
+        if n.startswith(GROUP_PREFIX):
             _, _, attr, g, _rest = n.split("/", 4)
             if client.groups.get(attr) != int(g):
                 continue
@@ -340,29 +345,100 @@ def _upload_names(ps: ParamSet, client: ClientState) -> List[str]:
     return sorted(names)
 
 
-def client_local_train(
-    client: ClientState,
+def _cohort_name(name: str) -> str:
+    """A tensor's name in a cohort ParamSet, where each group adapter pair is
+    the client's own group's, under the group name OWN_GROUP."""
+    if not name.startswith(GROUP_PREFIX):
+        return name
+    _, _, attr, _g, rest = name.split("/", 4)
+    return f"{GROUP_PREFIX}{attr}/{OWN_GROUP}/{rest}"
+
+
+def _cohort_params(global_ps: ParamSet, clients: Sequence[ClientState], stack_shared: bool) -> ParamSet:
+    """The clients' models as one ParamSet. Stacked on a leading client axis:
+    each client's private tensors, its own group's adapter pair and, with
+    `stack_shared` (for training), a copy of every other non-frozen tensor.
+    Every other tensor stays unstacked and broadcasts."""
+    tensors: Dict[str, np.ndarray] = {}
+    tags: Dict[str, str] = {}
+    for name, t in global_ps.tensors.items():
+        tag = global_ps.tags[name]
+        own = _cohort_name(name)
+        if own != name:
+            if own in tags:
+                if tags[own] != tag:
+                    raise FederationError(f"group adapters {own!r} carry different partition tags")
+                continue
+            _, _, attr, _g, rest = name.split("/", 4)
+            tensors[own] = np.stack(
+                [global_ps.tensors[f"{GROUP_PREFIX}{attr}/{c.groups[attr]}/{rest}"] for c in clients]
+            )
+        elif name in clients[0].private:
+            tensors[own] = np.stack([c.private[name] for c in clients])
+        elif stack_shared and tag != FROZEN:
+            tensors[own] = np.repeat(t[None], len(clients), axis=0)
+        else:
+            tensors[own] = t
+        tags[own] = tag
+    return ParamSet(global_ps.arch, tensors, tags)
+
+
+def _cohort_groups(arch: Arch) -> Optional[Dict[str, str]]:
+    return {attr: OWN_GROUP for attr in arch.group_attrs} or None
+
+
+def _stack_shards(clients: Sequence[ClientState], split: str):
+    """The clients' `split` shards padded to the longest and stacked: UA
+    (C, N, |user attrs|), VA (C, N, |item attrs|), y (C, N), and each
+    client's count of valid rows (C,). Padding rows hold value 0 and label 0."""
+    counts = np.array([len(c.shards[split]) for c in clients])
+    C, N = len(clients), int(counts.max())
+    VA = np.zeros((C, N, clients[0].shards[split].items.shape[1]), dtype=np.int64)
+    y = np.zeros((C, N))
+    for i, c in enumerate(clients):
+        shard = c.shards[split]
+        VA[i, : len(shard)] = shard.items
+        y[i, : len(shard)] = shard.labels
+    UA = np.repeat(np.stack([c.user_attrs for c in clients])[:, None, :], N, axis=1)
+    return UA, VA, y, counts
+
+
+def local_train(
+    clients: Sequence[ClientState],
     global_ps: ParamSet,
     cfg: FedConfig,
     round_index: int,
     seed: int,
-) -> Upload:
-    """Overlay global shared+frozen tensors, run E local epochs of SGD on the
-    private and shared tensors, persist private tensors, return the upload."""
-    shard = client.shards["train"]
-    if len(shard) == 0:
-        return Upload(client.uid, {}, 0, dict(client.groups), skipped=True)
+) -> List[Upload]:
+    """E local epochs of SGD for a round's participants, trained as one
+    stacked cohort; the results are those of training each client alone.
 
-    ps = global_ps.with_tensors({k: v.copy() for k, v in client.private.items()})
-    n = len(shard)
-    UA = client.user_matrix(n)
-    rng = np.random.default_rng([seed, round_index, client.uid, 1])
+    Each client starts from the global shared and frozen tensors and its own
+    private ones, trains the private and shared tensors on its train shard
+    with its RNG stream [seed, round, uid, 1], keeps its private tensors and
+    uploads the shared tensors it trained. A client with an empty train shard
+    gets a skipped upload. Uploads come back in `clients` order."""
+    uploads = [Upload(c.uid, {}, 0, dict(c.groups), skipped=True) for c in clients]
+    live = [i for i, c in enumerate(clients) if len(c.shards["train"])]
+    if not live:
+        return uploads
+    cohort = [clients[i] for i in live]
+    ps = _cohort_params(global_ps, cohort, stack_shared=True)
+    UA, VA, y, counts = _stack_shards(cohort, "train")
+    rngs = [np.random.default_rng([seed, round_index, c.uid, 1]) for c in cohort]
+    groups = _cohort_groups(global_ps.arch)
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.batch_size, cfg.lr, rng)
+        ps, _ = sgd_epoch(ps, UA, VA, y, groups, cfg.batch_size, cfg.lr, rngs, counts=counts)
 
-    client.private = {k: ps.tensors[k] for k in client.private}
-    tensors = {n_: ps.tensors[n_] for n_ in _upload_names(ps, client)}
-    return Upload(client.uid, tensors, n, dict(client.groups))
+    names: Dict[tuple, List[Tuple[str, str]]] = {}  # per group membership
+    for j, (i, c) in enumerate(zip(live, cohort)):
+        c.private = {k: ps.tensors[k][j] for k in c.private}
+        key = tuple(sorted(c.groups.items()))
+        if key not in names:
+            names[key] = [(n, _cohort_name(n)) for n in _upload_names(global_ps, c)]
+        tensors = {n: ps.tensors[own][j] for n, own in names[key]}
+        uploads[i] = Upload(c.uid, tensors, int(counts[j]), dict(c.groups))
+    return uploads
 
 
 def aggregate(uploads: Sequence[Upload], server: ServerState) -> ServerState:
@@ -390,32 +466,32 @@ def evaluate_global(
     server_ps: ParamSet, clients: Sequence[ClientState], split: str
 ) -> EvalSummary:
     """Per-client metrics on `split` shards, unweighted mean over clients with
-    a defined metric. Raises if no client yields a defined AUC."""
+    a defined metric. Raises if no client yields a defined AUC. All clients
+    are scored by one forward pass on their stacked shards."""
     if split not in ("train", "val", "test"):
         raise ValueError(f"bad split {split!r}")
+    scored = [c for c in clients if len(c.shards[split])]
     aucs, precs = [], []
-    n_seen = 0
-    for c in clients:
-        shard = c.shards[split]
-        if len(shard) == 0:
-            continue
-        n_seen += 1
-        ps = server_ps.with_tensors(c.private)
-        probs, _ = forward_batch(ps, c.user_matrix(len(shard)), shard.items, c.groups or None)
-        try:
-            aucs.append(auc(probs, shard.labels))
-        except UndefinedMetricError:
-            pass
-        try:
-            precs.append(precision(probs, shard.labels))
-        except UndefinedMetricError:
-            pass
+    if scored:
+        ps = _cohort_params(server_ps, scored, stack_shared=False)
+        UA, VA, _, _ = _stack_shards(scored, split)
+        probs, _ = forward_batch(ps, UA, VA, _cohort_groups(server_ps.arch))
+        for c, p in zip(scored, probs):
+            shard = c.shards[split]
+            try:
+                aucs.append(auc(p[: len(shard)], shard.labels))
+            except UndefinedMetricError:
+                pass
+            try:
+                precs.append(precision(p[: len(shard)], shard.labels))
+            except UndefinedMetricError:
+                pass
     if not aucs:
         raise UndefinedMetricError(f"AUC undefined for every client on split {split!r}")
     return EvalSummary(
         mean_auc=float(np.mean(aucs)),
         mean_precision=float(np.mean(precs)) if precs else None,
-        n_clients=n_seen,
+        n_clients=len(scored),
         n_auc_valid=len(aucs),
         n_precision_valid=len(precs),
     )
@@ -439,34 +515,38 @@ def run_federated(
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
         participants = select_clients(clients, cfg.client_fraction, r, seed)
-        uploads = [client_local_train(c, server.params, cfg, r, seed) for c in participants]
-        if noise_cfg is not None and noise_cfg.enabled:
-            uploads = [
-                noise_upload(u, noise_cfg, np.random.default_rng([seed, r, u.uid, 2]))
-                for u in uploads
-            ]
-        live = [u for u in uploads if not u.skipped]
-        report = RoundReport(
-            round=r,
-            n_participants=len(live),
-            uploaded_per_client=live[0].n_scalars if live else 0,
-            seconds=0.0,
-        )
-        if live:
-            server = aggregate(uploads, server)
-            try:
-                server.params.check_finite()
-            except ShapeError as exc:
-                who = next(
-                    (u.uid for u in live if not all(np.isfinite(t).all() for t in u.tensors.values())), None
-                )
-                raise FederationError(
-                    f"round {r}: training diverged after aggregation ({exc}); "
-                    f"first client with a non-finite upload: {who}"
-                ) from None
-        else:
-            log.warning("round %d: no usable uploads, skipping aggregation", r)
-            report.skipped = True
+        # a diverging round overflows; check_finite below stops it with an
+        # error naming the round, so numpy's warnings would only come first
+        with np.errstate(over="ignore", invalid="ignore"):
+            uploads = local_train(participants, server.params, cfg, r, seed)
+            if noise_cfg is not None and noise_cfg.enabled:
+                uploads = [
+                    noise_upload(u, noise_cfg, np.random.default_rng([seed, r, u.uid, 2]))
+                    for u in uploads
+                ]
+            live = [u for u in uploads if not u.skipped]
+            report = RoundReport(
+                round=r,
+                n_participants=len(live),
+                uploaded_per_client=live[0].n_scalars if live else 0,
+                seconds=0.0,
+            )
+            if live:
+                server = aggregate(uploads, server)
+                try:
+                    server.params.check_finite()
+                except ShapeError as exc:
+                    who = next(
+                        (u.uid for u in live if not all(np.isfinite(t).all() for t in u.tensors.values())),
+                        None,
+                    )
+                    raise FederationError(
+                        f"round {r}: training diverged after aggregation ({exc}); "
+                        f"first client with a non-finite upload: {who}"
+                    ) from None
+            else:
+                log.warning("round %d: no usable uploads, skipping aggregation", r)
+                report.skipped = True
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
                 ev = evaluate_global(server.params, clients, "val")

@@ -11,13 +11,18 @@ Parameters live in a flat name -> float64 array map (ParamSet). Names:
     gate/<l>/W1|W2                   gate mapping (h, d) / (n_branches, h)
 
 Every tensor carries a partition tag (frozen / private / shared).
+
+A ParamSet may also hold a cohort of clients: a tensor then either carries a
+leading client axis (C, ...) or, when every client uses the same value, stays
+as is and broadcasts. Forward, backward and SGD are written once over leading
+axes, so a single model runs them without a client axis.
 """
 from __future__ import annotations
 
 import fnmatch
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -214,9 +219,9 @@ def _sigmoid(x):
 
 
 def _softmax(a):
-    z = a - a.max(axis=1, keepdims=True)
+    z = a - a.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def embed_user(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
@@ -237,13 +242,26 @@ def embed_item(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
 def _embed_columns(arch: Arch, UA: np.ndarray, VA: np.ndarray) -> List[Tuple[str, np.ndarray]]:
     """(embedding table, row index per example) for each d-wide slot of a
     layer-0 input row: user attributes in schema order, then item attributes."""
-    return [(f"user_emb/{name}", UA[:, j]) for j, name in enumerate(arch.user_schema.names)] + [
-        (f"item_emb/{name}", VA[:, j]) for j, name in enumerate(arch.item_schema.names)
+    return [(f"user_emb/{name}", UA[..., j]) for j, name in enumerate(arch.user_schema.names)] + [
+        (f"item_emb/{name}", VA[..., j]) for j, name in enumerate(arch.item_schema.names)
     ]
 
 
+def _flat_rows(table: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(2-d table, row index) for a lookup. A cohort's stacked (C, p, d) table
+    is read as one (C * p, d) table, where row r of client c is c * p + r."""
+    if table.ndim == 2:
+        return table, rows
+    C, p, d = table.shape
+    return table.reshape(C * p, d), rows + p * np.arange(C)[:, None]
+
+
 def _embed_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray) -> np.ndarray:
-    return np.concatenate([ps.tensors[key][rows] for key, rows in _embed_columns(ps.arch, UA, VA)], axis=1)
+    cols = []
+    for key, rows in _embed_columns(ps.arch, UA, VA):
+        table, flat = _flat_rows(ps.tensors[key], rows)
+        cols.append(table[flat])
+    return np.concatenate(cols, axis=-1)
 
 
 @dataclass
@@ -258,13 +276,13 @@ class _LayerCache:
     without adapters has V = [Z], empty T and P, and no gate fields.
     """
 
-    X: np.ndarray                      # layer input (n, d)
-    Z: np.ndarray                      # fused pre-activation (n, k)
+    X: np.ndarray                      # layer input (..., n, d)
+    Z: np.ndarray                      # fused pre-activation (..., n, k)
     V: List[np.ndarray]                # branch outputs, common first
     T: List[np.ndarray] = field(default_factory=list)  # adapter bottlenecks
     P: List[str] = field(default_factory=list)         # adapter name prefixes
-    G: Optional[np.ndarray] = None     # branch weights (n, B)
-    Z1: Optional[np.ndarray] = None    # gate hidden pre-activation (n, h)
+    G: Optional[np.ndarray] = None     # branch weights (..., n, B)
+    Z1: Optional[np.ndarray] = None    # gate hidden pre-activation (..., n, h)
     S: Optional[np.ndarray] = None     # relu(Z1)
 
     @property
@@ -283,7 +301,9 @@ class ForwardCache:
 def _layer_branches(ps: ParamSet, l: int, X: np.ndarray, groups: Optional[Dict[str, int]]):
     arch = ps.arch
     t = ps.tensors
-    C = X @ t[f"mlp/{l}/W"].T + t[f"mlp/{l}/b"]
+    b = t[f"mlp/{l}/b"]
+    # a cohort's (C, k) bias broadcasts over each client's rows
+    C = X @ t[f"mlp/{l}/W"].mT + (b if b.ndim == 1 else b[:, None, :])
     cache = _LayerCache(X=X, Z=C, V=[C])
     if l not in arch.adapter_layer_ids:
         return C, cache
@@ -294,22 +314,22 @@ def _layer_branches(ps: ParamSet, l: int, X: np.ndarray, groups: Optional[Dict[s
             raise ShapeError(f"group index for attribute {attr!r} required")
         cache.P.append(f"adapter/group/{attr}/{groups[attr]}/{l}")
     for p in cache.P:
-        cache.T.append(X @ t[p + "/B"].T)
-        cache.V.append(cache.T[-1] @ t[p + "/A"].T)
+        cache.T.append(X @ t[p + "/B"].mT)
+        cache.V.append(cache.T[-1] @ t[p + "/A"].mT)
 
     B = arch.n_branches
     if arch.gate_mode == GATE_LEARNED:
-        cache.Z1 = X @ t[f"gate/{l}/W1"].T
+        cache.Z1 = X @ t[f"gate/{l}/W1"].mT
         cache.S = _relu(cache.Z1)
-        cache.G = _softmax(cache.S @ t[f"gate/{l}/W2"].T)
+        cache.G = _softmax(cache.S @ t[f"gate/{l}/W2"].mT)
     elif arch.gate_mode == GATE_UNIFORM:
-        cache.G = np.full((X.shape[0], B), 1.0 / B)
+        cache.G = np.full(X.shape[:-1] + (B,), 1.0 / B)
     else:  # GATE_COMMON: one-hot on the common branch
-        cache.G = np.zeros((X.shape[0], B))
-        cache.G[:, 0] = 1.0
+        cache.G = np.zeros(X.shape[:-1] + (B,))
+        cache.G[..., 0] = 1.0
     Z = np.zeros_like(C)
     for j, v in enumerate(cache.V):
-        Z += cache.G[:, j : j + 1] * v
+        Z += cache.G[..., j : j + 1] * v
     cache.Z = Z
     return Z, cache
 
@@ -323,21 +343,22 @@ def forward_batch(
 ):
     """Full forward pass on a batch; returns (probs, cache).
 
-    UA (n, |user attrs|) and VA (n, |item attrs|) are integer attribute value
-    matrices. `groups` fixes the group-adapter selection for the whole batch
-    (one client's batch); required iff the arch has group branches.
+    UA (..., n, |user attrs|) and VA (..., n, |item attrs|) are integer
+    attribute value matrices; a cohort's batch has a leading client axis.
+    `groups` names the group adapter each attribute's branch reads (one
+    client's batch); required iff the arch has group branches.
     """
     UA = np.asarray(UA)
     VA = np.asarray(VA)
-    if UA.ndim != 2 or VA.ndim != 2 or UA.shape[0] != VA.shape[0]:
-        raise ShapeError("UA/VA must be 2-d with equal row counts")
+    if UA.ndim < 2 or UA.shape[:-1] != VA.shape[:-1]:
+        raise ShapeError("UA/VA must be (..., n, attrs) with equal leading shapes")
     X = _embed_batch(ps, UA, VA)
     layers: List[_LayerCache] = []
     for l in range(ps.arch.n_layers):
         Z, cache = _layer_branches(ps, l, X, groups)
         layers.append(cache)
         X = _relu(Z) if l < ps.arch.n_layers - 1 else _sigmoid(Z)
-    probs = X[:, 0]
+    probs = X[..., 0]
     if not want_cache:
         return probs, None
     return probs, ForwardCache(UA=UA, VA=VA, layers=layers, probs=probs)
@@ -368,24 +389,31 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def backward_batch(ps: ParamSet, cache: ForwardCache, labels: np.ndarray) -> Dict[str, np.ndarray]:
+def backward_batch(
+    ps: ParamSet, cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None
+) -> Dict[str, np.ndarray]:
     """Analytic gradients of mean BCE w.r.t. every non-frozen tensor used in
     the forward pass. Frozen tensors still propagate but get no gradient entry.
     Labels may be soft targets in [0, 1].
+
+    A cohort's batch passes `valid` (C, n): its padding rows are False, and
+    each client's mean runs over its own valid rows, so a client without any
+    gets exactly zero gradients.
     """
     arch = ps.arch
     t = ps.tensors
     y = np.asarray(labels, dtype=float)
-    n = y.shape[0]
+
+    def live(name):
+        return ps.tags[name] != FROZEN
+
     grads: Dict[str, np.ndarray] = {}
-
-    def add(name, val):
-        # every tensor name occurs once per pass, so nothing accumulates
-        if ps.tags[name] != FROZEN:
-            grads[name] = val
-
     # sigmoid + BCE at the top: dL/dz_last = (p - y) / n
-    dZ = ((cache.probs - y) / n)[:, None]
+    if valid is None:
+        dZ = ((cache.probs - y) / y.shape[-1])[..., None]
+    else:
+        n = np.maximum(valid.sum(axis=-1, keepdims=True), 1)
+        dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
     for l in range(arch.n_layers - 1, -1, -1):
         c = cache.layers[l]
         X = c.X
@@ -397,32 +425,39 @@ def backward_batch(ps: ParamSet, cache: ForwardCache, labels: np.ndarray) -> Dic
             G = c.G
             dX = np.zeros_like(X)
             if arch.gate_mode == GATE_LEARNED:
-                dG = np.stack([np.sum(v * dZ, axis=1) for v in c.V], axis=1)
-                dA = G * (dG - np.sum(G * dG, axis=1, keepdims=True))
-                add(f"gate/{l}/W2", dA.T @ c.S)
+                dG = np.stack([np.sum(v * dZ, axis=-1) for v in c.V], axis=-1)
+                dA = G * (dG - np.sum(G * dG, axis=-1, keepdims=True))
+                if live(f"gate/{l}/W2"):
+                    grads[f"gate/{l}/W2"] = dA.mT @ c.S
                 dZ1 = (dA @ t[f"gate/{l}/W2"]) * (c.Z1 > 0)
-                add(f"gate/{l}/W1", dZ1.T @ X)
+                if live(f"gate/{l}/W1"):
+                    grads[f"gate/{l}/W1"] = dZ1.mT @ X
                 dX += dZ1 @ t[f"gate/{l}/W1"]
-            dC = G[:, :1] * dZ
+            dC = G[..., :1] * dZ
             for j, (T, p) in enumerate(zip(c.T, c.P), start=1):
-                dV = G[:, j : j + 1] * dZ
-                add(p + "/A", dV.T @ T)
+                dV = G[..., j : j + 1] * dZ
+                if live(p + "/A"):
+                    grads[p + "/A"] = dV.mT @ T
                 dT = dV @ t[p + "/A"]
-                add(p + "/B", dT.T @ X)
+                if live(p + "/B"):
+                    grads[p + "/B"] = dT.mT @ X
                 dX += dT @ t[p + "/B"]
             dX += dC @ W
 
-        add(f"mlp/{l}/W", dC.T @ X)
-        add(f"mlp/{l}/b", dC.sum(axis=0))
+        if live(f"mlp/{l}/W"):
+            grads[f"mlp/{l}/W"] = dC.mT @ X
+        if live(f"mlp/{l}/b"):
+            grads[f"mlp/{l}/b"] = dC.sum(axis=-2)
         if l > 0:
             dZ = dX * (cache.layers[l - 1].Z > 0)
 
     # embedding tables; dX is now the gradient of the layer-0 input
     d = arch.embed_dim
     for j, (key, rows) in enumerate(_embed_columns(arch, cache.UA, cache.VA)):
-        if ps.tags[key] != FROZEN:
+        if live(key):
             gtab = np.zeros_like(t[key])
-            np.add.at(gtab, rows, dX[:, j * d : (j + 1) * d])
+            table, flat = _flat_rows(gtab, rows)  # a view of gtab
+            np.add.at(table, flat, dX[..., j * d : (j + 1) * d])
             grads[key] = gtab
     return grads
 
@@ -442,25 +477,42 @@ def sgd_epoch(
     groups: Optional[Dict[str, int]],
     batch_size: int,
     lr: float,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
     want_loss: bool = False,
+    counts: Optional[np.ndarray] = None,
 ) -> Tuple[ParamSet, Optional[float]]:
     """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
     cut into batches of `batch_size`, one forward/backward/update per batch.
 
-    Returns (updated ParamSet, epoch loss). With `want_loss` the epoch loss is
-    the row-weighted mean of each batch's BCE before its update; otherwise it
-    is None and bce_loss is never called.
+    Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
+    only) the epoch loss is the row-weighted mean of each batch's BCE before
+    its update; otherwise it is None and bce_loss is never called.
+
+    A cohort of C clients (`ps` stacked on a leading client axis) passes its
+    train shards padded to N rows and stacked, UA (C, N, a), VA (C, N, a') and
+    y (C, N), with `counts` (C,) valid rows per client and `rng` one Generator
+    per client. Client c's rows run in `rng[c].permutation(counts[c])` order,
+    its padding rows last, so each step trains every client on the batch it
+    would get alone; a client with no valid rows left in a step is unchanged.
     """
-    n = len(y)
-    order = rng.permutation(n)
+    if counts is None:
+        order = rng.permutation(len(y))
+    else:
+        C, N = y.shape
+        # flat row c * N + j of the stacked shards
+        order = np.arange(C * N).reshape(C, N)
+        for c, (g, n_c) in enumerate(zip(rng, counts)):
+            order[c, :n_c] = c * N + g.permutation(n_c)
+        UA, VA, y = UA.reshape(C * N, -1), VA.reshape(C * N, -1), y.reshape(C * N)
+    n = order.shape[-1]
     loss = 0.0
     for start in range(0, n, batch_size):
-        idx = order[start : start + batch_size]
+        idx = order[..., start : start + batch_size]
         probs, cache = forward_batch(ps, UA[idx], VA[idx], groups, want_cache=True)
         if want_loss:
             loss += bce_loss(probs, y[idx]) * len(idx)
-        ps = sgd_step(ps, backward_batch(ps, cache, y[idx]), lr)
+        valid = None if counts is None else np.arange(start, start + idx.shape[-1]) < counts[:, None]
+        ps = sgd_step(ps, backward_batch(ps, cache, y[idx], valid), lr)
     return ps, (loss / n if want_loss else None)
 
 

@@ -1,7 +1,8 @@
 """Shared test utilities: independent oracles and fixtures."""
 import numpy as np
 
-from fedrec.model import bce_loss, forward_batch
+from fedrec.federation import Upload, _upload_names
+from fedrec.model import bce_loss, forward_batch, sgd_epoch
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
@@ -45,3 +46,23 @@ def randomized_params(ps, seed, scale=0.05):
     """Perturb every tensor so adapters and gates are away from their zero init."""
     rng = np.random.default_rng(seed)
     return ps.with_tensors({n: t + rng.normal(0.0, scale, t.shape) for n, t in ps.tensors.items()})
+
+
+def client_local_train(client, global_ps, cfg, round_index, seed):
+    """Per-client oracle for federation.local_train: overlay the client's
+    private tensors on the global ones, run E local epochs of SGD on its own
+    train shard, persist the private tensors, return the upload."""
+    shard = client.shards["train"]
+    if len(shard) == 0:
+        return Upload(client.uid, {}, 0, dict(client.groups), skipped=True)
+
+    ps = global_ps.with_tensors({k: v.copy() for k, v in client.private.items()})
+    n = len(shard)
+    UA = client.user_matrix(n)
+    rng = np.random.default_rng([seed, round_index, client.uid, 1])
+    for _ in range(cfg.local_epochs):
+        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.batch_size, cfg.lr, rng)
+
+    client.private = {k: ps.tensors[k] for k in client.private}
+    tensors = {n_: ps.tensors[n_] for n_ in _upload_names(ps, client)}
+    return Upload(client.uid, tensors, n, dict(client.groups))

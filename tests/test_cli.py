@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -183,6 +185,29 @@ class TestFederate:
         assert run("federate", "--config", cfg, "--out", out, "--quiet") == 1
         assert re.search(r"error: round \d+: training diverged", capsys.readouterr().err)
         assert not os.path.exists(os.path.join(out, "summary.json"))
+
+
+    def test_divergence_error_comes_without_numpy_warnings(self, tmp_path):
+        # A9's config at a diverging learning rate, in a fresh interpreter so
+        # that numpy's warnings reach stderr as they would for a user
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "synth.n_users = 24\nsynth.n_items = 20\nsynth.user_attrs = 3,2\n"
+            "synth.item_attrs = 4\nsynth.interactions_per_user = 30\n"
+            "group.attrs = ua0\narch.embed_dim = 4\narch.mlp_hidden = 6\n"
+            "arch.gate_hidden = 3\npretrain.epochs = 2\nfed.rounds = 3\n"
+            "fed.batch = 8\nseed = 1\nfed.lr = 1e6\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedrec.cli", "federate", "--config", str(cfg),
+             "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "error: round 1: training diverged" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestDistill:

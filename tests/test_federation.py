@@ -19,8 +19,8 @@ from fedrec.federation import (
     Upload,
     aggregate,
     build_clients,
-    client_local_train,
     evaluate_global,
+    local_train,
     pretrain,
     pretrain_examples,
     run_federated,
@@ -205,7 +205,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         cfg = FedConfig(local_epochs=1, lr=0.05, batch_size=8)
-        up = client_local_train(c, server.params, cfg, 0, seed=0)
+        (up,) = local_train([c], server.params, cfg, 0, seed=0)
         names = set(up.tensors)
         assert all(server.params.tags[n] == SHARED for n in names)
         for n in names:
@@ -222,7 +222,7 @@ class TestClientLocalTrain:
         c = clients[0]
         before = {k: v.copy() for k, v in c.private.items()}
         cfg = FedConfig(local_epochs=0, lr=0.05, batch_size=8)
-        up = client_local_train(c, server.params, cfg, 0, seed=0)
+        (up,) = local_train([c], server.params, cfg, 0, seed=0)
         for n, t in up.tensors.items():
             assert np.array_equal(t, server.params.tensors[n])
         for n in before:
@@ -242,7 +242,7 @@ class TestClientLocalTrain:
         probs, cache = forward_batch(ps, UA[order], c.shards["train"].items[order],
                                      c.groups, want_cache=True)
         expected = sgd_step(ps, backward_batch(ps, cache, c.shards["train"].labels[order]), 0.1)
-        up = client_local_train(c, server.params, cfg, 0, seed=0)
+        (up,) = local_train([c], server.params, cfg, 0, seed=0)
         for name, t in up.tensors.items():
             assert np.allclose(t, expected.tensors[name], atol=1e-14), name
         for name, t in c.private.items():
@@ -252,7 +252,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         c.shards["train"] = Shard(np.zeros((0, 1), dtype=np.int64), np.zeros(0))
-        up = client_local_train(c, server.params, FedConfig(), 0, 0)
+        (up,) = local_train([c], server.params, FedConfig(), 0, 0)
         assert up.skipped and up.tensors == {} and up.n_examples == 0
 
 

@@ -4,7 +4,8 @@ import pathlib
 
 from fedrec.experiment import CLI_KEYS
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fedrec"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fedrec"
 
 
 def unused_imports(path):
@@ -27,6 +28,70 @@ def unused_imports(path):
 def test_no_unused_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
     assert found == []
+
+
+def top_level_nodes(tree):
+    """(name, definition node) for each top-level function, class and
+    assigned constant of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+def foreign_names(tree):
+    """Names a test or benchmark module binds at top level to something of
+    its own (a definition, or an import from outside fedrec): its reads of
+    such a name are not reads of a package symbol of the same name."""
+    names = {name for name, _ in top_level_nodes(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not (node.module or "").startswith("fedrec"):
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def references(tree, skip=None, foreign=frozenset()):
+    """Names a syntax tree reads, variables (except `foreign` ones) and
+    attributes, leaving out the subtree `skip`. A name spelled in a string,
+    as the benchmark's tracer spells the functions it wraps, is no read."""
+    hidden = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in hidden:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in foreign:
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_symbols():
+    """`file: name` for every top-level symbol of src/fedrec that nothing in
+    src/, tests/ or perfbench/ reads outside its own definition."""
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
+    refs = {
+        p: references(t, foreign=frozenset() if SRC in p.parents else foreign_names(t))
+        for p, t in trees.items()
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        elsewhere = set().union(*(r for q, r in refs.items() if q != path))
+        for name, node in top_level_nodes(trees[path]):
+            if name not in elsewhere and name not in references(trees[path], skip=node):
+                found.append(f"{path.name}: {name}")
+    return found
+
+
+def test_no_unused_top_level_symbols():
+    assert unused_symbols() == []
 
 
 def test_cli_reads_exactly_the_declared_cli_keys():
