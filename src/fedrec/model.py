@@ -15,14 +15,16 @@ Every tensor carries a partition tag (frozen / private / shared).
 A ParamSet may also hold a cohort of clients: a tensor then either carries a
 leading client axis (C, ...) or, when every client uses the same value, stays
 as is and broadcasts. Forward, backward and SGD are written once over leading
-axes, so a single model runs them without a client axis.
+axes, so a single model runs them without a client axis. A step reads every
+tensor name, embedding offset and trainable flag it needs from a layout plan
+(`_plan`) that `sgd_epoch` builds once per epoch.
 """
 from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, replace
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -129,7 +131,14 @@ class ParamSet:
             raise ShapeError(f"unknown tensor names {sorted(unknown)}")
         merged = dict(self.tensors)
         merged.update(updates)
-        return ParamSet(self.arch, merged, dict(self.tags))
+        return self._replaced(merged)
+
+    def _replaced(self, tensors: Dict[str, np.ndarray]) -> "ParamSet":
+        """This ParamSet's arch and tags over `tensors`, which the caller
+        guarantees carries exactly this ParamSet's names."""
+        out = ParamSet.__new__(ParamSet)
+        out.arch, out.tensors, out.tags = self.arch, tensors, self.tags
+        return out
 
     def names(self, pattern: str = "*") -> List[str]:
         return sorted(n for n in self.tensors if fnmatch.fnmatchcase(n, pattern))
@@ -210,12 +219,10 @@ def _relu(x):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; both forms below equal the logistic function
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def _softmax(a):
@@ -239,48 +246,137 @@ def embed_item(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
     )
 
 
-def _embed_columns(arch: Arch, UA: np.ndarray, VA: np.ndarray) -> List[Tuple[str, np.ndarray]]:
-    """(embedding table, row index per example) for each d-wide slot of a
-    layer-0 input row: user attributes in schema order, then item attributes."""
-    return [(f"user_emb/{name}", UA[..., j]) for j, name in enumerate(arch.user_schema.names)] + [
-        (f"item_emb/{name}", VA[..., j]) for j, name in enumerate(arch.item_schema.names)
-    ]
+# ---------------------------------------------------------------------------
+# Layout plan: every name, offset and liveness a step reads, decided once
+# ---------------------------------------------------------------------------
 
 
-def _flat_rows(table: np.ndarray, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(2-d table, row index) for a lookup. A cohort's stacked (C, p, d) table
-    is read as one (C * p, d) table, where row r of client c is c * p + r."""
-    if table.ndim == 2:
-        return table, rows
-    C, p, d = table.shape
-    return table.reshape(C * p, d), rows + p * np.arange(C)[:, None]
+@dataclass(frozen=True)
+class _EmbedPlan:
+    """Where the d-wide slots of a layer-0 input row read.
+
+    Slot s (user attributes in schema order, then item attributes) reads
+    table names[s]. The tables' rows, stacked end to end, form one (R, d)
+    source, where row r of slot s is source row base[..., s] + r; a cohort's
+    stacked (C, p, d) table gives client c's copy its own base, which is
+    then (C, 1, slots). The gradient of every live table is one np.bincount
+    over the flat source index (source row * d + column) of each live slot
+    element; `grads` lists each live table's (name, start, stop, shape) in
+    that flat count.
+    """
+
+    names: Tuple[str, ...]
+    n_user: int                        # user attribute slots, the first ones
+    cards: np.ndarray                  # rows of each slot's table
+    base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
+    cols: np.ndarray                   # arange(d)
+    live: Union[slice, np.ndarray]     # slots whose table takes a gradient
+    grads: Tuple[Tuple[str, int, int, Tuple[int, ...]], ...]
+    size: int                          # flat length the gradient count covers
+
+    def check(self, UA: np.ndarray, VA: np.ndarray):
+        """Raise unless UA and VA have one column per user and item slot and
+        every attribute value indexes a row of its slot's table."""
+        if UA.shape[-1] != self.n_user or UA.shape[-1] + VA.shape[-1] != len(self.names):
+            raise ShapeError("UA/VA must have one column per user/item attribute")
+        for first, A in ((0, UA), (self.n_user, VA)):
+            bad = (A < 0) | (A >= self.cards[first : first + A.shape[-1]])
+            if bad.any():
+                s = first + int(np.nonzero(bad)[-1][0])
+                raise ShapeError(f"attribute value out of range for table {self.names[s]!r}")
 
 
-def _embed_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray) -> np.ndarray:
-    cols = []
-    for key, rows in _embed_columns(ps.arch, UA, VA):
-        table, flat = _flat_rows(ps.tensors[key], rows)
-        cols.append(table[flat])
-    return np.concatenate(cols, axis=-1)
+@dataclass(frozen=True)
+class _LayerPlan:
+    """Tensor names of one MLP layer and the ones that take a gradient.
+
+    `adapters` holds each adapter branch's (W_a, W_b) names in gate-column
+    order after the common branch: the user adapter if the arch has one,
+    then one group adapter per grouping attribute. A layer without adapters
+    has none and no gate.
+    """
+
+    W: str
+    b: str
+    adapters: Tuple[Tuple[str, str], ...]
+    gate: Optional[Tuple[str, str]]    # (W1, W2) of a learned gate
+    gate_mode: str
+    live: FrozenSet[str]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    embed: _EmbedPlan
+    layers: Tuple[_LayerPlan, ...]
+
+
+def _plan(ps: ParamSet, groups: Optional[Dict[str, int]]) -> _Plan:
+    """The layout plan of `ps` (arch, tags, cohort shape) with the group
+    adapters named by `groups`."""
+    arch, t = ps.arch, ps.tensors
+    live = {n for n, tag in ps.tags.items() if tag != FROZEN}
+
+    names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
+        f"item_emb/{a}" for a in arch.item_schema.names
+    )
+    d = arch.embed_dim
+    starts = np.cumsum([0] + [t[n].size for n in names])  # flat, in source order
+    base = starts[:-1] // d
+    stacked = [t[n] for n in names if t[n].ndim == 3]
+    if stacked:  # client c's copy of a stacked (C, p, d) table starts c * p rows later
+        strides = np.array([t[n].shape[1] if t[n].ndim == 3 else 0 for n in names])
+        base = base + np.arange(stacked[0].shape[0])[:, None, None] * strides
+    on = [s for s, n in enumerate(names) if n in live]
+    live_slots = np.array(on, dtype=np.intp)
+    if on and on == list(range(on[0], on[-1] + 1)):
+        live_slots = slice(on[0], on[-1] + 1)  # selects a view, not a copy
+    embed = _EmbedPlan(
+        names=names,
+        n_user=len(arch.user_schema),
+        cards=np.array([t[n].shape[-2] for n in names]),
+        base=base,
+        cols=np.arange(d),
+        live=live_slots,
+        grads=tuple((names[s], int(starts[s]), int(starts[s + 1]), t[names[s]].shape) for s in on),
+        size=int(starts[on[-1] + 1]) if on else 0,
+    )
+
+    layers = []
+    for l in range(arch.n_layers):
+        prefixes = []
+        if l in arch.adapter_layer_ids:
+            if arch.use_user_adapter:
+                prefixes.append(f"adapter/user/{l}")
+            for attr in arch.group_attrs:
+                if groups is None or attr not in groups:
+                    raise ShapeError(f"group index for attribute {attr!r} required")
+                prefixes.append(f"adapter/group/{attr}/{groups[attr]}/{l}")
+        adapters = tuple((p + "/A", p + "/B") for p in prefixes)
+        gate = (f"gate/{l}/W1", f"gate/{l}/W2") if adapters and arch.gate_mode == GATE_LEARNED else None
+        W, b = f"mlp/{l}/W", f"mlp/{l}/b"
+        used = {W, b, *(n for pair in adapters for n in pair), *(gate or ())}
+        layers.append(_LayerPlan(W, b, adapters, gate, arch.gate_mode, frozenset(live & used)))
+    return _Plan(embed, tuple(layers))
+
+
+# ---------------------------------------------------------------------------
+# Forward / backward
+# ---------------------------------------------------------------------------
 
 
 @dataclass
 class _LayerCache:
     """Forward intermediates of one layer.
 
-    V lists the branch outputs (n, k) in gate-column order: the common MLP
-    branch first, then the user adapter if the arch has one, then one group
-    adapter per grouping attribute. Adapter branch V[j] (j >= 1) has the
-    bottleneck T[j - 1] = X @ W_b.T (n, r) and the tensor-name prefix
-    P[j - 1], `adapter/user/<l>` or `adapter/group/<attr>/<g>/<l>`. A layer
-    without adapters has V = [Z], empty T and P, and no gate fields.
+    V lists the branch outputs (n, k) in gate-column order, the common MLP
+    branch first, then the layer plan's adapter branches; adapter branch
+    V[j] (j >= 1) has the bottleneck T[j - 1] = X @ W_b.T (n, r). A layer
+    without adapters has V = [Z], no T and no gate fields.
     """
 
     X: np.ndarray                      # layer input (..., n, d)
-    Z: np.ndarray                      # fused pre-activation (..., n, k)
     V: List[np.ndarray]                # branch outputs, common first
-    T: List[np.ndarray] = field(default_factory=list)  # adapter bottlenecks
-    P: List[str] = field(default_factory=list)         # adapter name prefixes
+    T: Sequence[np.ndarray] = ()       # adapter bottlenecks
     G: Optional[np.ndarray] = None     # branch weights (..., n, B)
     Z1: Optional[np.ndarray] = None    # gate hidden pre-activation (..., n, h)
     S: Optional[np.ndarray] = None     # relu(Z1)
@@ -292,45 +388,36 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
-    UA: np.ndarray
-    VA: np.ndarray
+    rows: np.ndarray                   # source row of each input slot (..., n, slots)
     layers: List[_LayerCache]
     probs: np.ndarray
+    plan: _Plan
 
 
-def _layer_branches(ps: ParamSet, l: int, X: np.ndarray, groups: Optional[Dict[str, int]]):
-    arch = ps.arch
-    t = ps.tensors
-    b = t[f"mlp/{l}/b"]
+def _layer_branches(lp: _LayerPlan, t: Dict[str, np.ndarray], X: np.ndarray):
+    """(fused pre-activation Z, intermediates) of one layer on input X."""
+    b = t[lp.b]
     # a cohort's (C, k) bias broadcasts over each client's rows
-    C = X @ t[f"mlp/{l}/W"].mT + (b if b.ndim == 1 else b[:, None, :])
-    cache = _LayerCache(X=X, Z=C, V=[C])
-    if l not in arch.adapter_layer_ids:
-        return C, cache
-    if arch.use_user_adapter:
-        cache.P.append(f"adapter/user/{l}")
-    for attr in arch.group_attrs:
-        if groups is None or attr not in groups:
-            raise ShapeError(f"group index for attribute {attr!r} required")
-        cache.P.append(f"adapter/group/{attr}/{groups[attr]}/{l}")
-    for p in cache.P:
-        cache.T.append(X @ t[p + "/B"].mT)
-        cache.V.append(cache.T[-1] @ t[p + "/A"].mT)
-
-    B = arch.n_branches
-    if arch.gate_mode == GATE_LEARNED:
-        cache.Z1 = X @ t[f"gate/{l}/W1"].mT
+    C = X @ t[lp.W].mT
+    C += b if b.ndim == 1 else b[:, None, :]
+    if not lp.adapters:
+        return C, _LayerCache(X, [C])
+    T = [X @ t[B].mT for _, B in lp.adapters]
+    cache = _LayerCache(X, [C] + [h @ t[A].mT for h, (A, _) in zip(T, lp.adapters)], T)
+    n_branches = len(cache.V)
+    if lp.gate is not None:
+        W1, W2 = lp.gate
+        cache.Z1 = X @ t[W1].mT
         cache.S = _relu(cache.Z1)
-        cache.G = _softmax(cache.S @ t[f"gate/{l}/W2"].mT)
-    elif arch.gate_mode == GATE_UNIFORM:
-        cache.G = np.full(X.shape[:-1] + (B,), 1.0 / B)
+        cache.G = _softmax(cache.S @ t[W2].mT)
+    elif lp.gate_mode == GATE_UNIFORM:
+        cache.G = np.full(X.shape[:-1] + (n_branches,), 1.0 / n_branches)
     else:  # GATE_COMMON: one-hot on the common branch
-        cache.G = np.zeros(X.shape[:-1] + (B,))
+        cache.G = np.zeros(X.shape[:-1] + (n_branches,))
         cache.G[..., 0] = 1.0
     Z = np.zeros_like(C)
     for j, v in enumerate(cache.V):
         Z += cache.G[..., j : j + 1] * v
-    cache.Z = Z
     return Z, cache
 
 
@@ -340,28 +427,44 @@ def forward_batch(
     VA: np.ndarray,
     groups: Optional[Dict[str, int]] = None,
     want_cache: bool = False,
+    plan: Optional[_Plan] = None,
 ):
     """Full forward pass on a batch; returns (probs, cache).
 
     UA (..., n, |user attrs|) and VA (..., n, |item attrs|) are integer
     attribute value matrices; a cohort's batch has a leading client axis.
     `groups` names the group adapter each attribute's branch reads (one
-    client's batch); required iff the arch has group branches.
+    client's batch); required iff the arch has group branches. A caller that
+    passes the layout `plan` of `ps` and `groups` has checked every
+    attribute value against its table (sgd_epoch does, once per epoch).
     """
     UA = np.asarray(UA)
     VA = np.asarray(VA)
     if UA.ndim < 2 or UA.shape[:-1] != VA.shape[:-1]:
         raise ShapeError("UA/VA must be (..., n, attrs) with equal leading shapes")
-    X = _embed_batch(ps, UA, VA)
+    if plan is None:
+        plan = _plan(ps, groups)
+        plan.embed.check(UA, VA)
+    t = ps.tensors
+    emb = plan.embed
+    # one gather of every slot's row from the tables stacked end to end
+    rows = np.concatenate((UA, VA), axis=-1) + emb.base
+    source = np.concatenate([t[n].reshape(-1, len(emb.cols)) for n in emb.names])
+    X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
     layers: List[_LayerCache] = []
-    for l in range(ps.arch.n_layers):
-        Z, cache = _layer_branches(ps, l, X, groups)
-        layers.append(cache)
-        X = _relu(Z) if l < ps.arch.n_layers - 1 else _sigmoid(Z)
+    top = len(plan.layers) - 1
+    for l, lp in enumerate(plan.layers):
+        Z, cache = _layer_branches(lp, t, X)
+        if want_cache:
+            layers.append(cache)
+        # without a cache, inference holds one layer's arrays at a time
+        del X, cache
+        X = _relu(Z) if l < top else _sigmoid(Z)
+        del Z
     probs = X[..., 0]
     if not want_cache:
         return probs, None
-    return probs, ForwardCache(UA=UA, VA=VA, layers=layers, probs=probs)
+    return probs, ForwardCache(rows=rows, layers=layers, probs=probs, plan=plan)
 
 
 def predict(
@@ -385,7 +488,7 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
         raise ShapeError("empty batch")
     if p.shape != y.shape:
         raise ShapeError("predictions/labels length mismatch")
-    p = np.clip(p, EPS_CLAMP, 1.0 - EPS_CLAMP)
+    p = np.minimum(np.maximum(p, EPS_CLAMP), 1.0 - EPS_CLAMP)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
@@ -400,13 +503,8 @@ def backward_batch(
     each client's mean runs over its own valid rows, so a client without any
     gets exactly zero gradients.
     """
-    arch = ps.arch
     t = ps.tensors
     y = np.asarray(labels, dtype=float)
-
-    def live(name):
-        return ps.tags[name] != FROZEN
-
     grads: Dict[str, np.ndarray] = {}
     # sigmoid + BCE at the top: dL/dz_last = (p - y) / n
     if valid is None:
@@ -414,59 +512,76 @@ def backward_batch(
     else:
         n = np.maximum(valid.sum(axis=-1, keepdims=True), 1)
         dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
-    for l in range(arch.n_layers - 1, -1, -1):
-        c = cache.layers[l]
+    for l in range(len(cache.layers) - 1, -1, -1):
+        lp, c = cache.plan.layers[l], cache.layers[l]
         X = c.X
-        W = t[f"mlp/{l}/W"]
+        W = t[lp.W]
         if not c.gated:
             dC = dZ
             dX = dC @ W
         else:
             G = c.G
             dX = np.zeros_like(X)
-            if arch.gate_mode == GATE_LEARNED:
+            if lp.gate is not None:
+                W1, W2 = lp.gate
                 dG = np.stack([np.sum(v * dZ, axis=-1) for v in c.V], axis=-1)
                 dA = G * (dG - np.sum(G * dG, axis=-1, keepdims=True))
-                if live(f"gate/{l}/W2"):
-                    grads[f"gate/{l}/W2"] = dA.mT @ c.S
-                dZ1 = (dA @ t[f"gate/{l}/W2"]) * (c.Z1 > 0)
-                if live(f"gate/{l}/W1"):
-                    grads[f"gate/{l}/W1"] = dZ1.mT @ X
-                dX += dZ1 @ t[f"gate/{l}/W1"]
+                if W2 in lp.live:
+                    grads[W2] = dA.mT @ c.S
+                dZ1 = (dA @ t[W2]) * (c.Z1 > 0)
+                if W1 in lp.live:
+                    grads[W1] = dZ1.mT @ X
+                dX += dZ1 @ t[W1]
             dC = G[..., :1] * dZ
-            for j, (T, p) in enumerate(zip(c.T, c.P), start=1):
+            for j, (T, (A, B)) in enumerate(zip(c.T, lp.adapters), start=1):
                 dV = G[..., j : j + 1] * dZ
-                if live(p + "/A"):
-                    grads[p + "/A"] = dV.mT @ T
-                dT = dV @ t[p + "/A"]
-                if live(p + "/B"):
-                    grads[p + "/B"] = dT.mT @ X
-                dX += dT @ t[p + "/B"]
+                if A in lp.live:
+                    grads[A] = dV.mT @ T
+                dT = dV @ t[A]
+                if B in lp.live:
+                    grads[B] = dT.mT @ X
+                dX += dT @ t[B]
             dX += dC @ W
 
-        if live(f"mlp/{l}/W"):
-            grads[f"mlp/{l}/W"] = dC.mT @ X
-        if live(f"mlp/{l}/b"):
-            grads[f"mlp/{l}/b"] = dC.sum(axis=-2)
-        if l > 0:
-            dZ = dX * (cache.layers[l - 1].Z > 0)
+        if lp.W in lp.live:
+            grads[lp.W] = dC.mT @ X
+        if lp.b in lp.live:
+            grads[lp.b] = dC.sum(axis=-2)
+        if l > 0:  # X = relu(previous Z), positive exactly where that Z is
+            dZ = dX * (X > 0)
 
-    # embedding tables; dX is now the gradient of the layer-0 input
-    d = arch.embed_dim
-    for j, (key, rows) in enumerate(_embed_columns(arch, cache.UA, cache.VA)):
-        if live(key):
-            gtab = np.zeros_like(t[key])
-            table, flat = _flat_rows(gtab, rows)  # a view of gtab
-            np.add.at(table, flat, dX[..., j * d : (j + 1) * d])
-            grads[key] = gtab
+    # one scatter: dX is now the gradient of the layer-0 input
+    grads.update(_embed_grads(cache.plan.embed, cache.rows, dX))
     return grads
+
+
+def _embed_grads(emb: _EmbedPlan, rows: np.ndarray, dX: np.ndarray) -> Dict[str, np.ndarray]:
+    """Gradient of each live embedding table from the layer-0 input gradient
+    dX (..., n, slots * d), `rows` the source row of each slot: every element's
+    gradient added at its flat source index, in batch order as a row-by-row
+    loop would add them."""
+    if not emb.grads:
+        return {}
+    d = len(emb.cols)
+    flat = np.bincount(
+        ((rows[..., emb.live] * d)[..., None] + emb.cols).ravel(),
+        weights=dX.reshape(rows.shape + (d,))[..., emb.live, :].ravel(),
+        minlength=emb.size,
+    )
+    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in emb.grads}
 
 
 def sgd_step(ps: ParamSet, grads: Dict[str, np.ndarray], lr: float) -> ParamSet:
     """theta <- theta - lr * g for every tensor in the gradient set."""
     if lr <= 0:
         raise ShapeError(f"learning rate {lr} must be > 0")
-    return ps.with_tensors({n: ps.tensors[n] - lr * g for n, g in grads.items()})
+    tensors = dict(ps.tensors)
+    try:
+        for n, g in grads.items():
+            tensors[n] = ps.tensors[n] - lr * g
+    except KeyError as e:
+        raise ShapeError(f"unknown tensor name {e.args[0]!r}") from None
+    return ps._replaced(tensors)
 
 
 def sgd_epoch(
@@ -495,6 +610,9 @@ def sgd_epoch(
     its padding rows last, so each step trains every client on the batch it
     would get alone; a client with no valid rows left in a step is unchanged.
     """
+    plan = _plan(ps, groups)
+    plan.embed.check(UA, VA)
+    valid = None
     if counts is None:
         order = rng.permutation(len(y))
     else:
@@ -504,15 +622,18 @@ def sgd_epoch(
         for c, (g, n_c) in enumerate(zip(rng, counts)):
             order[c, :n_c] = c * N + g.permutation(n_c)
         UA, VA, y = UA.reshape(C * N, -1), VA.reshape(C * N, -1), y.reshape(C * N)
+        valid = np.arange(N) < counts[:, None]
+    # the epoch's rows in order; each batch is a slice
+    UA, VA, y = UA[order], VA[order], y[order]
     n = order.shape[-1]
     loss = 0.0
     for start in range(0, n, batch_size):
-        idx = order[..., start : start + batch_size]
-        probs, cache = forward_batch(ps, UA[idx], VA[idx], groups, want_cache=True)
+        rows = slice(start, start + batch_size)
+        yb = y[..., rows]
+        probs, cache = forward_batch(ps, UA[..., rows, :], VA[..., rows, :], groups, want_cache=True, plan=plan)
         if want_loss:
-            loss += bce_loss(probs, y[idx]) * len(idx)
-        valid = None if counts is None else np.arange(start, start + idx.shape[-1]) < counts[:, None]
-        ps = sgd_step(ps, backward_batch(ps, cache, y[idx], valid), lr)
+            loss += bce_loss(probs, yb) * len(yb)
+        ps = sgd_step(ps, backward_batch(ps, cache, yb, None if valid is None else valid[:, rows]), lr)
     return ps, (loss / n if want_loss else None)
 
 

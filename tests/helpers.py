@@ -2,7 +2,7 @@
 import numpy as np
 
 from fedrec.federation import Upload, _upload_names
-from fedrec.model import bce_loss, forward_batch, sgd_epoch
+from fedrec.model import FROZEN, bce_loss, forward_batch, sgd_epoch
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
@@ -46,6 +46,47 @@ def randomized_params(ps, seed, scale=0.05):
     """Perturb every tensor so adapters and gates are away from their zero init."""
     rng = np.random.default_rng(seed)
     return ps.with_tensors({n: t + rng.normal(0.0, scale, t.shape) for n, t in ps.tensors.items()})
+
+
+def _slot_rows(ps, UA, VA):
+    """(embedding table name, row index per example) for each d-wide slot
+    of a layer-0 input row: user attributes, then item attributes."""
+    return [(f"user_emb/{name}", UA[..., j]) for j, name in enumerate(ps.arch.user_schema.names)] + [
+        (f"item_emb/{name}", VA[..., j]) for j, name in enumerate(ps.arch.item_schema.names)
+    ]
+
+
+def _flat_rows(table, rows):
+    """(2-d table, row index) for a lookup. A cohort's stacked (C, p, d) table
+    is read as one (C * p, d) table, where row r of client c is c * p + r."""
+    if table.ndim == 2:
+        return table, rows
+    C, p, d = table.shape
+    return table.reshape(C * p, d), rows + p * np.arange(C)[:, None]
+
+
+def embed_reference(ps, UA, VA):
+    """Per-table oracle for the model's fused gather: each slot's table
+    indexed on its own, the slots concatenated."""
+    cols = []
+    for key, rows in _slot_rows(ps, UA, VA):
+        table, flat = _flat_rows(ps.tensors[key], rows)
+        cols.append(table[flat])
+    return np.concatenate(cols, axis=-1)
+
+
+def embed_grads_reference(ps, UA, VA, dX):
+    """Per-table np.add.at oracle for the model's fused scatter: the gradient
+    of each non-frozen embedding table from the layer-0 input gradient dX."""
+    d = ps.arch.embed_dim
+    grads = {}
+    for j, (key, rows) in enumerate(_slot_rows(ps, UA, VA)):
+        if ps.tags[key] != FROZEN:
+            gtab = np.zeros_like(ps.tensors[key])
+            table, flat = _flat_rows(gtab, rows)  # a view of gtab
+            np.add.at(table, flat, dX[..., j * d : (j + 1) * d])
+            grads[key] = gtab
+    return grads
 
 
 def client_local_train(client, global_ps, cfg, round_index, seed):

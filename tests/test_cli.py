@@ -2,10 +2,13 @@ import csv
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrec.cli import main
 from fedrec.config import ConfigError, cfg_bool, cfg_int, cfg_int_list, parse_config_text
@@ -63,6 +66,31 @@ class TestConfigParser:
             cfg_int(cfg, "missing", required=True)
         with pytest.raises(ConfigError):
             cfg_int(cfg, "flag")
+
+
+CONFIG_KEY = st.from_regex(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)?", fullmatch=True)
+# anything but a comment mark or a line break; '=' may recur in a value
+CONFIG_VALUE = st.text(alphabet=string.ascii_letters + string.digits + " \t,.=-_/:", max_size=12)
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        entries=st.dictionaries(CONFIG_KEY, CONFIG_VALUE, max_size=8),
+        layout=st.lists(st.sampled_from(["plain", "spaced", "comment", "blank_before"]), min_size=8),
+    )
+    def test_rendered_file_parses_back(self, entries, layout):
+        lines = []
+        for (key, value), style in zip(entries.items(), layout):
+            if style == "blank_before":
+                lines += ["", "# a comment line"]
+            sep = " = " if style == "spaced" else "="
+            lines.append(f"{key}{sep}{value}" + ("  # note" if style == "comment" else ""))
+        parsed = parse_config_text("\n".join(lines) + "\n")
+        assert parsed == {k: v.strip() for k, v in entries.items()}
+        assert list(parsed) == list(entries)
+        # and once more through its own rendering
+        assert parse_config_text("".join(f"{k} = {v}\n" for k, v in parsed.items())) == parsed
 
 
 class TestConfigKeys:

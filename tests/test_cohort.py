@@ -164,6 +164,20 @@ def test_group_adapters_with_mixed_tags_rejected():
         local_train(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
 
 
+def test_stacked_forward_without_cache_equals_cached():
+    ps, clients = uniform_world()
+    cohort = copy.deepcopy(clients[:5])
+    for c in cohort:  # distinct, live user adapters
+        c.private = {n: t + 0.1 * (c.uid + 1) for n, t in c.private.items()}
+    stacked = _cohort_params(ps, cohort, stack_shared=True)
+    UA, VA, _, _ = _stack_shards(cohort, "val")
+    groups = _cohort_groups(ps.arch)
+    cached, _ = forward_batch(stacked, UA, VA, groups, want_cache=True)
+    probs, cache = forward_batch(stacked, UA, VA, groups)
+    assert cache is None and probs.shape == UA.shape[:2]
+    assert np.array_equal(probs, cached)
+
+
 class TestCohortProperties:
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())

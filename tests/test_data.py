@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from fedrec.data import (
     FED_TEST,
     FED_TRAIN,
     FED_VAL,
+    MIN_FED_INTERACTIONS,
     PRETRAIN,
     AttributeSchema,
     DataError,
@@ -180,6 +185,73 @@ class TestChronologicalSplit:
         ds = split_pretrain_federated(ten_user_dataset(), 0.5, seed=1)
         ds, _ = split_per_user_chronological(ds)
         assert all(r.split in (PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST) for r in ds.interactions)
+
+
+# one user's interactions: (item, timestamp, label), few values so ties are common
+INTERACTIONS = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 1)), max_size=14
+)
+
+
+class TestSplitProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        per_user=st.lists(INTERACTIONS, min_size=1, max_size=5),
+        pretrain_users=st.sets(st.integers(0, 4)),
+    )
+    def test_conserves_rows_and_respects_chronology(self, per_user, pretrain_users):
+        su, si = AttributeSchema(("g",), (1,)), AttributeSchema(("c",), (1,))
+        inter = [
+            Interaction(u, item, ts, label, PRETRAIN if u in pretrain_users else None)
+            for u, rows in enumerate(per_user) for item, ts, label in rows
+        ]
+        users = {u: (0,) for u in range(len(per_user))}
+        ds = Dataset(su, si, users, {i: (0,) for i in range(6)}, inter).validate()
+        out, report = split_per_user_chronological(ds)
+
+        def key(r):
+            return (r.user, r.item, r.ts, r.label)
+
+        fed = {u for u in users if u not in pretrain_users}
+        # a user without federated interactions has nothing to drop
+        short = {u for u in fed if 0 < len(per_user[u]) < MIN_FED_INTERACTIONS}
+        assert report.dropped_user_ids == sorted(short)
+        # every row kept exactly once, unless its federated user was dropped
+        assert sorted(map(key, out.interactions)) == sorted(key(r) for r in inter if r.user not in short)
+        assert all(r.split == PRETRAIN for r in out.interactions if r.user in pretrain_users)
+        for u in fed - short:
+            if not per_user[u]:
+                continue
+            n = len(per_user[u])
+            order = {FED_TRAIN: 0, FED_VAL: 1, FED_TEST: 2}
+            tagged = [(order[r.split], (r.ts, r.item)) for r in out.interactions if r.user == u]
+            n_train = math.ceil(0.6 * n)
+            n_val = max(1, min(math.ceil(0.2 * n), n - n_train - 1))
+            assert [sum(t == k for t, _ in tagged) for k in range(3)] == [n_train, n_val, n - n_train - n_val]
+            # chronological: (timestamp, item) never decreases from train to val to test
+            for a, when_a in tagged:
+                for b, when_b in tagged:
+                    if a < b:
+                        assert when_a <= when_b
+
+
+class TestSampleNegativesProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=INTERACTIONS,
+        universe=st.integers(1, 9),
+        ratio=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_negatives_avoid_every_interacted_item(self, rows, universe, ratio, seed):
+        train = [Interaction(0, item, ts, label) for item, ts, label in rows]
+        samples, _ = sample_negatives(train, range(universe), ratio, np.random.default_rng(seed))
+        interacted = {r.item for r in train}
+        negatives = [i for _, i, label in samples if label == 0]
+        assert all(0 <= i < universe and i not in interacted for i in negatives)
+        assert [i for _, i, label in samples if label == 1] == [r.item for r in train if r.label == 1]
+        pool = set(range(universe)) - interacted
+        assert len(negatives) == (ratio * sum(r.label for r in train) if pool else 0)
 
 
 class TestAssignGroups:

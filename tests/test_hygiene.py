@@ -30,6 +30,23 @@ def test_no_unused_imports():
     assert found == []
 
 
+def ufunc_at_calls(path):
+    """`file:line: call` for every unbuffered ufunc scatter such as np.add.at."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
+    ]
+
+
+def test_no_ufunc_at_scatter():
+    # the model scatters embedding gradients with one np.bincount, several
+    # times faster than np.add.at at its shapes; the per-table np.add.at
+    # scatter lives on only as the oracle in tests/helpers.py
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in ufunc_at_calls(path)] == []
+
+
 def top_level_nodes(tree):
     """(name, definition node) for each top-level function, class and
     assigned constant of a module."""

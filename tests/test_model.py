@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrec.data import AttributeSchema
 from fedrec.model import (
@@ -25,8 +28,14 @@ from fedrec.model import (
     sgd_epoch,
     sgd_step,
 )
-from fedrec.model import _layer_branches
-from helpers import max_rel_error, numeric_grad, randomized_params
+from fedrec.model import _embed_grads, _layer_branches, _plan
+from helpers import (
+    embed_grads_reference,
+    embed_reference,
+    max_rel_error,
+    numeric_grad,
+    randomized_params,
+)
 
 
 def small_arch(**kw):
@@ -75,6 +84,122 @@ class TestEmbedding:
             embed_item(ps, [0, 3])
 
 
+def layer0(ps, X):
+    """(Z, cache) of layer 0 of the one-layer fixture on input X."""
+    return _layer_branches(_plan(ps, {"ua": 0}).layers[0], ps.tensors, X)
+
+
+def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
+    """A ParamSet of embedding tables only (one output layer on top) with the
+    given slots frozen, the `stacked` slots carrying a leading axis of C
+    clients, and a batch of n rows (per client, with C) as UA, VA."""
+    us = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
+    it = AttributeSchema(tuple(f"i{j}" for j in range(len(item_cards))), tuple(item_cards))
+    ps = init_params(Arch(us, it, embed_dim=d, mlp_hidden=(), gate_mode="none"), seed)
+    rng = np.random.default_rng(seed)
+    names = [f"user_emb/{a}" for a in us.names] + [f"item_emb/{a}" for a in it.names]
+    tensors, tags = dict(ps.tensors), dict(ps.tags)
+    for s, name in enumerate(names):
+        if s in frozen:
+            tags[name] = FROZEN
+        if C and s in stacked:
+            tensors[name] = rng.normal(size=(C,) + tensors[name].shape)
+    lead = (C, n) if C else (n,)
+    UA = rng.integers(0, us.cards, size=lead + (len(us),))
+    VA = rng.integers(0, it.cards, size=lead + (len(it),))
+    return ParamSet(ps.arch, tensors, tags), UA, VA
+
+
+def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
+    _, cache = forward_batch(ps, UA, VA, want_cache=True)
+    X = cache.layers[0].X
+    assert np.array_equal(X, embed_reference(ps, UA, VA))
+    dX = np.random.default_rng(seed).normal(size=X.shape)
+    got = _embed_grads(cache.plan.embed, cache.rows, dX)
+    want = embed_grads_reference(ps, UA, VA, dX)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].shape == ps.tensors[name].shape
+        assert np.array_equal(got[name], want[name]), name
+
+
+class TestFusedEmbedding:
+    """The one gather and one np.bincount scatter against the per-table
+    lookup and np.add.at oracle in helpers.py, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_table_oracle(self, data):
+        user_cards = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="user cards")
+        item_cards = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="item cards")
+        slots = range(len(user_cards) + len(item_cards))
+        frozen = data.draw(st.sets(st.sampled_from(slots)), label="frozen slots")
+        C = data.draw(st.sampled_from([0, 1, 3]), label="clients")
+        stacked = data.draw(st.sets(st.sampled_from(slots)), label="stacked slots")
+        d = data.draw(st.integers(1, 3), label="d")
+        n = data.draw(st.integers(1, 12), label="rows")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        ps, UA, VA = embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed)
+        assert_fused_embedding_matches_per_table(ps, UA, VA, seed)
+
+    @pytest.mark.parametrize("C", [0, 4])
+    def test_frozen_slot_between_live_ones_with_repeated_rows(self, C):
+        # slot 1 frozen between live slots 0 and 2; 40 rows over 2-row
+        # tables repeat every row many times; a cohort stacks the live
+        # tables and broadcasts the frozen one
+        ps, UA, VA = embedding_world((2, 2), (2,), 3, {1}, {0, 2}, C, 40, 7)
+        plan = _plan(ps, None)
+        assert isinstance(plan.embed.live, np.ndarray)
+        assert [n for n, *_ in plan.embed.grads] == ["user_emb/u0", "item_emb/i0"]
+        assert_fused_embedding_matches_per_table(ps, UA, VA, 7)
+
+    def test_out_of_range_attribute_names_the_table(self):
+        ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
+        for bad in (3, -1):
+            UA[2, 1] = bad
+            with pytest.raises(ShapeError, match="user_emb/u1"):
+                forward_batch(ps, UA, VA)
+            with pytest.raises(ShapeError, match="user_emb/u1"):
+                sgd_epoch(ps, UA, VA, np.zeros(5), None, 2, 0.1, np.random.default_rng(0))
+
+    def test_wrong_column_count_rejected(self):
+        ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
+        with pytest.raises(ShapeError, match="one column per"):
+            forward_batch(ps, UA[:, :1], VA)
+
+
+class TestForwardWithoutCache:
+    @pytest.mark.parametrize("gate_mode", ["learned", "uniform", "common", "none"])
+    def test_probs_equal_cached_call(self, gate_mode):
+        arch = small_arch(gate_mode=gate_mode)
+        ps = randomized_params(init_params(arch, 2), 3, scale=0.5)
+        UA, VA, _, groups = random_batch(arch, 30, 4)
+        cached, _ = forward_batch(ps, UA, VA, groups, want_cache=True)
+        probs, cache = forward_batch(ps, UA, VA, groups)
+        assert cache is None
+        assert np.array_equal(probs, cached)
+
+    def test_holds_one_layer_at_a_time(self):
+        # a wide batch through four equal-width layers: inference peaks at
+        # about one layer's input and output, not at every layer's
+        arch = small_arch(mlp_hidden=(64, 64, 64), group_attrs=(), use_user_adapter=False,
+                          gate_mode="none")
+        ps = init_params(arch, 0)
+        UA, VA, _, _ = random_batch(arch, 4000, 1, single_user=False)
+
+        def peak(want_cache):
+            tracemalloc.start()
+            result = forward_batch(ps, UA, VA, want_cache=want_cache)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del result
+            return top
+
+        layer = 4000 * 64 * 8  # one (n, 64) float64 activation
+        assert peak(True) > 6 * layer
+        assert peak(False) < 3 * layer
+
+
 class TestLayerForward:
     def fixture_ps(self, gate_mode="learned"):
         # d=2, k=2, r=1, B=3 one-layer-under-test fixture
@@ -101,7 +226,7 @@ class TestLayerForward:
         # branch/gate equations
         ps = self.fixture_ps()
         X = np.array([[0.3, -0.4]])
-        Z, cache = _layer_branches(ps, 0, X, {"ua": 0})
+        Z, cache = layer0(ps, X)
         assert np.allclose(cache.G[0], [0.3377763879921221, 0.33508495696657087,
                                         0.3271386550413071], atol=1e-15)
         assert np.allclose(Z[0], [0.053208278642114984, -0.07414676696394966], atol=1e-15)
@@ -125,7 +250,7 @@ class TestLayerForward:
             "gate/0/W2": np.zeros((3, 2)),
         })
         X = np.array([[0.3, -0.4], [1.0, 2.0]])
-        Z, cache = _layer_branches(ps, 0, X, {"ua": 0})
+        Z, cache = layer0(ps, X)
         common = X @ ps.tensors["mlp/0/W"].T + ps.tensors["mlp/0/b"]
         assert np.array_equal(Z, common * (1.0 / 3.0))
         assert np.allclose(cache.G, 1.0 / 3.0, atol=1e-15)
@@ -133,7 +258,7 @@ class TestLayerForward:
     def test_one_hot_common_gate_reduces_to_base_layer(self):
         ps = self.fixture_ps(gate_mode=GATE_COMMON)
         X = np.array([[0.3, -0.4]])
-        Z, _ = _layer_branches(ps, 0, X, {"ua": 0})
+        Z, _ = layer0(ps, X)
         common = X @ ps.tensors["mlp/0/W"].T + ps.tensors["mlp/0/b"]
         assert np.array_equal(Z, common)
 
