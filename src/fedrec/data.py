@@ -279,12 +279,12 @@ def sample_negatives(
     item_universe: Sequence[int],
     ratio: int,
     rng: np.random.Generator,
-) -> Tuple[List[Tuple[int, int, int]], bool]:
+) -> List[Tuple[int, int, int]]:
     """Draw `ratio` negatives per positive from items the user never touched.
 
-    Returns (samples, with_replacement_flag). Each positive draws its
-    negatives without replacement; when the non-interacted pool is smaller
-    than `ratio`, sampling falls back to with-replacement and the flag is set.
+    Returns (user, item, label) samples: each positive, then its negatives.
+    Each positive draws its negatives without replacement; when the
+    non-interacted pool is smaller than `ratio`, with replacement.
     """
     if ratio < 0:
         raise DataError(f"negative ratio {ratio} < 0")
@@ -293,21 +293,14 @@ def sample_negatives(
     pool = np.array(sorted(set(item_universe) - interacted), dtype=np.int64)
 
     samples: List[Tuple[int, int, int]] = []
-    with_replacement = False
     for r in positives:
         samples.append((r.user, r.item, 1))
-        if ratio == 0:
+        if ratio == 0 or len(pool) == 0:
             continue
-        if len(pool) >= ratio:
-            negs = rng.choice(pool, size=ratio, replace=False)
-        elif len(pool) > 0:
-            negs = rng.choice(pool, size=ratio, replace=True)
-            with_replacement = True
-        else:
-            continue
+        negs = rng.choice(pool, size=ratio, replace=len(pool) < ratio)
         for iid in negs:
             samples.append((r.user, int(iid), 0))
-    return samples, with_replacement
+    return samples
 
 
 def synth_generate(config: SynthConfig, seed: int) -> Dataset:

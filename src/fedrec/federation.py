@@ -29,7 +29,7 @@ from .data import (
     Interaction,
     sample_negatives,
 )
-from .metrics import UndefinedMetricError, auc, precision
+from .metrics import NonFiniteScoreError, UndefinedMetricError, score_rows
 from .model import (
     FROZEN,
     PRIVATE,
@@ -218,7 +218,7 @@ def pretrain_examples(dataset: Dataset, seed: int, neg_ratio: int = 4):
             by_user.setdefault(r.user, []).append(r)
         for uid in sorted(by_user):
             rng = np.random.default_rng([seed, uid, 3])
-            samples, _ = sample_negatives(by_user[uid], item_universe, neg_ratio, rng)
+            samples = sample_negatives(by_user[uid], item_universe, neg_ratio, rng)
             triples.extend(samples)
     return _rows_to_arrays(dataset, triples)
 
@@ -228,7 +228,7 @@ def _client_shard(dataset: Dataset, rows: List[Interaction], native_negs: bool,
     if native_negs:
         triples = [(r.user, r.item, r.label) for r in rows]
     else:
-        triples, _ = sample_negatives(rows, item_universe, neg_ratio, rng)
+        triples = sample_negatives(rows, item_universe, neg_ratio, rng)
     _, VA, y = _rows_to_arrays(dataset, triples)
     return Shard(VA, y)
 
@@ -466,31 +466,31 @@ def evaluate_global(
     server_ps: ParamSet, clients: Sequence[ClientState], split: str
 ) -> EvalSummary:
     """Per-client metrics on `split` shards, unweighted mean over clients with
-    a defined metric. Raises if no client yields a defined AUC. All clients
-    are scored by one forward pass on their stacked shards."""
+    a defined metric, in client order. Raises UndefinedMetricError if no
+    client yields a defined AUC, and FederationError naming the first client
+    with a non-finite score. All clients are scored by one forward pass and
+    one `score_rows` call on their stacked shards."""
     if split not in ("train", "val", "test"):
         raise ValueError(f"bad split {split!r}")
     scored = [c for c in clients if len(c.shards[split])]
-    aucs, precs = [], []
+    aucs = precs = np.empty(0)
     if scored:
         ps = _cohort_params(server_ps, scored, stack_shared=False)
-        UA, VA, _, _ = _stack_shards(scored, split)
+        UA, VA, y, counts = _stack_shards(scored, split)
         probs, _ = forward_batch(ps, UA, VA, _cohort_groups(server_ps.arch))
-        for c, p in zip(scored, probs):
-            shard = c.shards[split]
-            try:
-                aucs.append(auc(p[: len(shard)], shard.labels))
-            except UndefinedMetricError:
-                pass
-            try:
-                precs.append(precision(p[: len(shard)], shard.labels))
-            except UndefinedMetricError:
-                pass
-    if not aucs:
+        try:
+            rows = score_rows(probs, y, counts)
+        except NonFiniteScoreError as exc:
+            raise FederationError(
+                f"client {scored[exc.row].uid} has a non-finite score on split {split!r}"
+            ) from None
+        aucs = rows.auc[rows.auc_defined]
+        precs = rows.precision[rows.precision_defined]
+    if not aucs.size:
         raise UndefinedMetricError(f"AUC undefined for every client on split {split!r}")
     return EvalSummary(
         mean_auc=float(np.mean(aucs)),
-        mean_precision=float(np.mean(precs)) if precs else None,
+        mean_precision=float(np.mean(precs)) if precs.size else None,
         n_clients=len(scored),
         n_auc_valid=len(aucs),
         n_precision_valid=len(precs),
@@ -554,6 +554,8 @@ def run_federated(
                 report.val_precision = ev.mean_precision
             except UndefinedMetricError:
                 pass
+            except FederationError as exc:  # a diverged private adapter
+                raise FederationError(f"round {r}: training diverged; {exc}") from None
         report.seconds = time.perf_counter() - t0
         server.reports.append(report)
 

@@ -3,6 +3,12 @@
 The noise scale ("intensity") is the Laplace scale parameter b, so the noise
 variance is 2 b^2. No clipping or epsilon accounting is performed; this is
 parameter-value noising, not a calibrated DP mechanism.
+
+Draw order: `noise_upload` makes one `laplace_noise` draw of the upload's
+total scalar count and hands it out to the tensors in upload order, each
+taking the next `size` values in C (row-major) order. Because consecutive
+`uniform` draws from a generator equal one concatenated draw, that is the
+same noise as one draw per tensor in upload order.
 """
 from __future__ import annotations
 
@@ -19,11 +25,6 @@ class NoiseConfig:
     def __post_init__(self):
         if self.intensity < 0:
             raise ValueError(f"noise intensity {self.intensity} < 0")
-
-
-def laplace_sample(lam: float, rng: np.random.Generator) -> float:
-    """One zero-mean Laplace(scale=lam) draw via the inverse CDF."""
-    return float(laplace_noise(lam, (), rng))
 
 
 def laplace_noise(lam: float, shape, rng: np.random.Generator) -> np.ndarray:
@@ -47,5 +48,9 @@ def noise_upload(upload, config: NoiseConfig, rng: np.random.Generator):
     """
     if not config.enabled:
         return upload
-    noised = {n: t + laplace_noise(config.intensity, t.shape, rng) for n, t in upload.tensors.items()}
+    draws = laplace_noise(config.intensity, sum(t.size for t in upload.tensors.values()), rng)
+    noised, start = {}, 0
+    for n, t in upload.tensors.items():
+        noised[n] = t + draws[start : start + t.size].reshape(t.shape)
+        start += t.size
     return replace(upload, tensors=noised)

@@ -1,8 +1,12 @@
 """Shared test utilities: independent oracles and fixtures."""
+from dataclasses import replace
+
 import numpy as np
+from scipy.stats import rankdata
 
 from fedrec.federation import Upload, _upload_names
 from fedrec.model import FROZEN, bce_loss, forward_batch, sgd_epoch
+from fedrec.privacy import laplace_noise
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
@@ -40,6 +44,46 @@ def brute_force_auc(scores, labels):
         for q in neg:
             total += 1.0 if p > q else 0.5 if p == q else 0.0
     return total / (len(pos) * len(neg))
+
+
+def rankdata_auc(scores, labels):
+    """Rank-sum AUC from scipy's average ranks, or None on a single-class batch."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels)
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    if n_pos == 0 or n_neg == 0:
+        return None
+    pos_rank_sum = float(rankdata(s)[y == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def masked_precision(scores, labels):
+    """TP / (TP + FP) with predicted-positive = score > 0.5, or None when no
+    score passes 0.5."""
+    s = np.asarray(scores, dtype=float)
+    predicted = s > 0.5
+    if not predicted.any():
+        return None
+    return float(np.sum((np.asarray(labels) == 1) & predicted) / np.sum(predicted))
+
+
+def score_rows_reference(scores, labels, counts):
+    """Per-row oracle for metrics.score_rows: (AUC or None, precision or
+    None) of each row's first counts[c] entries."""
+    return [
+        (rankdata_auc(s[:k], y[:k]), masked_precision(s[:k], y[:k]))
+        for s, y, k in zip(scores, labels, counts)
+    ]
+
+
+def noise_upload_per_tensor(upload, config, rng):
+    """Per-tensor oracle for privacy.noise_upload: one laplace_noise draw
+    per tensor, in upload order."""
+    if not config.enabled:
+        return upload
+    noised = {n: t + laplace_noise(config.intensity, t.shape, rng) for n, t in upload.tensors.items()}
+    return replace(upload, tensors=noised)
 
 
 def randomized_params(ps, seed, scale=0.05):

@@ -245,7 +245,7 @@ class TestSampleNegativesProperties:
     )
     def test_negatives_avoid_every_interacted_item(self, rows, universe, ratio, seed):
         train = [Interaction(0, item, ts, label) for item, ts, label in rows]
-        samples, _ = sample_negatives(train, range(universe), ratio, np.random.default_rng(seed))
+        samples = sample_negatives(train, range(universe), ratio, np.random.default_rng(seed))
         interacted = {r.item for r in train}
         negatives = [i for _, i, label in samples if label == 0]
         assert all(0 <= i < universe and i not in interacted for i in negatives)
@@ -279,27 +279,42 @@ class TestSampleNegatives:
     def positives(self):
         return [Interaction(0, 0, 0, 1), Interaction(0, 1, 1, 1)]
 
+    @staticmethod
+    def negatives_per_positive(samples):
+        """Each positive's sampled negative items; a positive precedes its negatives."""
+        groups = []
+        for _, item, label in samples:
+            if label == 1:
+                groups.append([])
+            else:
+                groups[-1].append(item)
+        return groups
+
     def test_ratio_4(self):
-        samples, flag = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(0))
+        samples = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(0))
         assert len(samples) == 2 + 8
         assert sum(1 for _, _, l in samples if l == 1) == 2
-        assert not flag
+        # a large pool: each positive's negatives are drawn without replacement
+        assert all(len(set(negs)) == 4 for negs in self.negatives_per_positive(samples))
         interacted = {0, 1}
         assert all(i not in interacted for _, i, l in samples if l == 0)
 
     def test_ratio_0(self):
-        samples, _ = sample_negatives(self.positives(), range(20), 0, np.random.default_rng(0))
+        samples = sample_negatives(self.positives(), range(20), 0, np.random.default_rng(0))
         assert [l for _, _, l in samples] == [1, 1]
 
     def test_deterministic(self):
-        a, _ = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
-        b, _ = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
+        a = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
+        b = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
         assert a == b
 
-    def test_insufficient_pool_flags_replacement(self):
-        samples, flag = sample_negatives(self.positives(), range(4), 4, np.random.default_rng(0))
-        assert flag
+    def test_insufficient_pool_draws_with_replacement(self):
+        # two non-interacted items for four negatives per positive
+        samples = sample_negatives(self.positives(), range(4), 4, np.random.default_rng(0))
         assert len(samples) == 2 + 8
+        negs = self.negatives_per_positive(samples)
+        assert all(set(n) <= {2, 3} for n in negs)
+        assert any(len(set(n)) < len(n) for n in negs)
 
 
 class TestSynthGenerate:

@@ -380,6 +380,13 @@ class TestEvaluateGlobal:
         ev = evaluate_global(ps, [client(0, [0, 1], [0, 1]), empty], "val")
         assert ev.n_clients == 1
 
+    def test_non_finite_score_names_the_client(self):
+        ps, client = eval_fixture()
+        ps = ps.with_tensors({"item_emb/v": np.array([[0.0], [np.nan]])})
+        clients = [client(3, [0, 0], [0, 1]), client(7, [0, 1], [0, 1])]
+        with pytest.raises(FederationError, match="client 7 .*non-finite"):
+            evaluate_global(ps, clients, "val")
+
     def test_bad_split(self):
         ps, client = eval_fixture()
         with pytest.raises(ValueError):

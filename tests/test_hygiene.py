@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 import ast
 import pathlib
+import sys
 
 from fedrec.experiment import CLI_KEYS
 
@@ -28,6 +29,30 @@ def unused_imports(path):
 def test_no_unused_imports():
     found = [hit for path in sorted(SRC.glob("*.py")) for hit in unused_imports(path)]
     assert found == []
+
+
+def third_party_imports(path):
+    """`file:line: module` for every import of a module that is neither
+    numpy, the standard library nor the package itself."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            top = module.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ("numpy", "fedrec"):
+                hits.append(f"{path.name}:{node.lineno}: {module}")
+    return hits
+
+
+def test_only_numpy_and_stdlib_imports():
+    # scipy and the rest are test-only dependencies (the `test` extra)
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in third_party_imports(path)] == []
 
 
 def ufunc_at_calls(path):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrec.federation import Upload
-from fedrec.privacy import NoiseConfig, laplace_noise, laplace_sample, noise_upload
+from fedrec.privacy import NoiseConfig, laplace_noise, noise_upload
+from helpers import noise_upload_per_tensor
 
 
 class TestLaplaceNoise:
@@ -35,8 +38,8 @@ class TestLaplaceNoise:
             laplace_noise(-0.1, (3,), np.random.default_rng(0))
 
     def test_scalar_draw(self):
-        v = laplace_sample(0.5, np.random.default_rng(4))
-        assert isinstance(v, float) and np.isfinite(v)
+        v = laplace_noise(0.5, (), np.random.default_rng(4))
+        assert v.shape == () and np.isfinite(v)
 
     def test_independent_streams_differ(self):
         a = laplace_noise(0.2, (50,), np.random.default_rng([7, 0]))
@@ -89,3 +92,25 @@ class TestNoiseUpload:
                                np.random.default_rng([11, uid]))
             noised.append(out.tensors["a"])
         assert np.allclose(np.mean(noised, axis=0), base, atol=0.02)
+
+
+SHAPES = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=6)
+
+
+class TestOneDrawNoise:
+    @settings(max_examples=150, deadline=None)
+    @given(SHAPES, st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 1.5]))
+    def test_equals_per_tensor_oracle(self, shapes, seed, lam):
+        # names out of sorted order: the draw follows the upload's order
+        tensors = {f"t{len(shapes) - i}": np.full(shape, float(i)) for i, shape in enumerate(shapes)}
+        up = make_upload(0, tensors)
+        cfg = NoiseConfig(lam, enabled=True)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = noise_upload(up, cfg, rng)
+        want = noise_upload_per_tensor(up, cfg, rng_ref)
+        assert list(got.tensors) == list(want.tensors)
+        for name, t in want.tensors.items():
+            assert got.tensors[name].shape == t.shape
+            assert got.tensors[name].tobytes() == t.tobytes()
+        # both consumed the same number of draws
+        assert rng.random() == rng_ref.random()
