@@ -7,7 +7,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import auc, precision
 from .model import ParamSet, count_params, forward_batch, init_params, sgd_epoch
 
 
@@ -85,12 +84,3 @@ def distill(
             tp, _ = forward_batch(teacher, h_ua, h_va)
             history.holdout_mse.append(float(np.mean((sp - tp) ** 2)))
     return student, history
-
-
-def compare_models(
-    model_a: ParamSet, model_b: ParamSet, UA: np.ndarray, VA: np.ndarray, labels: np.ndarray
-) -> Tuple[float, float]:
-    """(AUC_A - AUC_B, Precision_A - Precision_B) on one evaluation batch."""
-    pa, _ = forward_batch(model_a, UA, VA)
-    pb, _ = forward_batch(model_b, UA, VA)
-    return auc(pa, labels) - auc(pb, labels), precision(pa, labels) - precision(pb, labels)

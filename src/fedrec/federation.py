@@ -6,6 +6,12 @@ Each user is one client. Under the `fedpa` policy the item embeddings and MLP
 stay frozen at their warm-start values, the user-level adapter is private to
 the client, and the user embeddings, group adapters and gate are shared and
 aggregated by unweighted mean.
+
+A run holds every client's state as arrays with a leading client axis
+(`ClientArrays`), and a round works on rows of them: it gathers its
+participants by index, trains them as one cohort, writes their private
+tensors back by index, and uploads one `UploadBatch` whose tensors carry the
+same client axis.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +48,8 @@ from .model import (
     init_user_adapter,
     sgd_epoch,
 )
-from .privacy import NoiseConfig, noise_upload
+from .privacy import NoiseConfig, noise_uploads
+from .streams import derive_generators
 
 log = logging.getLogger(__name__)
 
@@ -121,21 +128,88 @@ class ClientState:
     shards: Dict[str, Shard]          # keys: "train", "val", "test"
     private: Dict[str, np.ndarray]    # user-level adapter tensors
 
-    def user_matrix(self, n: int) -> np.ndarray:
-        return np.tile(self.user_attrs, (n, 1))
+
+@dataclass
+class StackedShards:
+    """One split's shards of every client, padded to the longest and stacked:
+    UA (N, L, |user attrs|), VA (N, L, |item attrs|), y (N, L), and each
+    client's count of valid rows (N,). Padding rows hold value 0 and label 0."""
+
+    UA: np.ndarray
+    VA: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+
+    def rows(self, idx: np.ndarray):
+        """(UA, VA, y, counts) of the clients at rows idx, cut to the longest
+        of their shards."""
+        counts = self.counts[idx]
+        n = int(counts.max(initial=0))
+        return self.UA[idx, :n], self.VA[idx, :n], self.y[idx, :n], counts
 
 
 @dataclass
-class Upload:
-    uid: int
+class ClientArrays:
+    """Every client's state as arrays, row i holding client i of the list it
+    was stacked from; a run stacks its clients once and updates the private
+    rows in place."""
+
+    uids: np.ndarray                  # (N,)
+    groups: np.ndarray                # (N, |arch.group_attrs|) group of each grouping attribute
+    private: Dict[str, np.ndarray]    # name -> (N, *shape)
+    shards: Dict[str, StackedShards]  # split -> shards
+
+    @classmethod
+    def stack(cls, clients: Sequence[ClientState], arch: Arch, splits: Sequence[str]) -> "ClientArrays":
+        n = len(clients)
+        users = np.array([c.user_attrs for c in clients], dtype=np.int64).reshape(n, len(arch.user_schema))
+        shards = {}
+        for split in splits:
+            counts = np.array([len(c.shards[split]) for c in clients], dtype=np.int64)
+            width = int(counts.max(initial=0))
+            VA = np.zeros((n, width, len(arch.item_schema)), dtype=np.int64)
+            y = np.zeros((n, width))
+            for i, c in enumerate(clients):
+                shard = c.shards[split]
+                VA[i, : len(shard)] = shard.items
+                y[i, : len(shard)] = shard.labels
+            UA = np.repeat(users[:, None, :], width, axis=1)
+            shards[split] = StackedShards(UA, VA, y, counts)
+        groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
+        private_names = clients[0].private if n else ()
+        return cls(
+            uids=np.array([c.uid for c in clients], dtype=np.int64),
+            groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
+            private={name: np.stack([c.private[name] for c in clients]) for name in private_names},
+            shards=shards,
+        )
+
+    def write_back(self, clients: Sequence[ClientState]):
+        """Set each client's private tensors to its rows."""
+        for i, c in enumerate(clients):
+            c.private = {name: t[i] for name, t in self.private.items()}
+
+
+@dataclass
+class UploadBatch:
+    """A round's uploads, row c of every array belonging to client uids[c].
+
+    `tensors` maps each uploaded tensor, in upload order (sorted names), to
+    a (C, *shape) array. Group adapters go under their cohort name, with
+    group OWN_GROUP; row c holds the pair of the group in row c of `groups`,
+    whose columns follow the arch's grouping attributes. Any other name,
+    a group adapter under its real group's name included, holds that
+    tensor in every row."""
+
+    uids: np.ndarray                  # (C,)
+    n_examples: np.ndarray            # (C,) train rows
+    groups: np.ndarray                # (C, |arch.group_attrs|)
     tensors: Dict[str, np.ndarray]
-    n_examples: int
-    groups: Dict[str, int]
-    skipped: bool = False
 
     @property
     def n_scalars(self) -> int:
-        return int(sum(t.size for t in self.tensors.values()))
+        """Scalars each client uploads."""
+        return int(sum(math.prod(t.shape[1:]) for t in self.tensors.values()))
 
 
 @dataclass
@@ -319,66 +393,55 @@ def warm_start(arch: Arch, base_ps: ParamSet, seed: int) -> ParamSet:
 
 def select_clients(
     clients: Sequence[ClientState], fraction: float, round_index: int, seed: int
-) -> List[ClientState]:
-    """Seeded sampling without replacement; deterministic given (seed, round)."""
+) -> np.ndarray:
+    """Positions in `clients` of the round's participants, ascending: seeded
+    sampling without replacement, deterministic given (seed, round)."""
     if not 0.0 < fraction <= 1.0:
         raise FederationError(f"client fraction {fraction} outside (0, 1]")
     n = len(clients)
     k = math.ceil(fraction * n)
     rng = np.random.default_rng([seed, round_index, 5])
-    idx = sorted(rng.choice(n, size=k, replace=False))
-    return [clients[i] for i in idx]
+    return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _upload_names(ps: ParamSet, client: ClientState) -> List[str]:
-    """Shared tensors this client trains: everything shared except group
-    adapters of groups the client does not belong to."""
-    names = []
-    for n, tag in ps.tags.items():
-        if tag != SHARED:
-            continue
-        if n.startswith(GROUP_PREFIX):
-            _, _, attr, g, _rest = n.split("/", 4)
-            if client.groups.get(attr) != int(g):
-                continue
-        names.append(n)
-    return sorted(names)
+def _group_tables(ps: ParamSet) -> Dict[str, Tuple[int, np.ndarray, str]]:
+    """Each group adapter tensor of `ps` stacked over its attribute's groups,
+    (card, *shape), under its cohort name (group OWN_GROUP), with the column
+    of its attribute in a group matrix and its partition tag."""
+    arch = ps.arch
+    tables = {}
+    for col, (attr, card) in enumerate(arch.group_cards().items()):
+        for l in arch.adapter_layer_ids:
+            for part in ("A", "B"):
+                names = [f"{GROUP_PREFIX}{attr}/{g}/{l}/{part}" for g in range(card)]
+                own = f"{GROUP_PREFIX}{attr}/{OWN_GROUP}/{l}/{part}"
+                tags = {ps.tags[n] for n in names}
+                if len(tags) != 1:
+                    raise FederationError(f"group adapters {own!r} carry different partition tags")
+                tables[own] = (col, np.stack([ps.tensors[n] for n in names]), tags.pop())
+    return tables
 
 
-def _cohort_name(name: str) -> str:
-    """A tensor's name in a cohort ParamSet, where each group adapter pair is
-    the client's own group's, under the group name OWN_GROUP."""
-    if not name.startswith(GROUP_PREFIX):
-        return name
-    _, _, attr, _g, rest = name.split("/", 4)
-    return f"{GROUP_PREFIX}{attr}/{OWN_GROUP}/{rest}"
-
-
-def _cohort_params(global_ps: ParamSet, clients: Sequence[ClientState], stack_shared: bool) -> ParamSet:
-    """The clients' models as one ParamSet. Stacked on a leading client axis:
-    each client's private tensors, its own group's adapter pair and, with
-    `stack_shared` (for training), a copy of every other non-frozen tensor.
-    Every other tensor stays unstacked and broadcasts."""
+def _cohort_params(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray, train: bool) -> ParamSet:
+    """The models of the clients at rows idx of `arrays` as one ParamSet.
+    Stacked on a leading client axis: each client's private tensors, its own
+    group's adapter pair and, for training, a copy of every other non-frozen
+    tensor. Every other tensor stays unstacked and broadcasts."""
     tensors: Dict[str, np.ndarray] = {}
     tags: Dict[str, str] = {}
     for name, t in global_ps.tensors.items():
+        if name.startswith(GROUP_PREFIX):
+            continue
         tag = global_ps.tags[name]
-        own = _cohort_name(name)
-        if own != name:
-            if own in tags:
-                if tags[own] != tag:
-                    raise FederationError(f"group adapters {own!r} carry different partition tags")
-                continue
-            _, _, attr, _g, rest = name.split("/", 4)
-            tensors[own] = np.stack(
-                [global_ps.tensors[f"{GROUP_PREFIX}{attr}/{c.groups[attr]}/{rest}"] for c in clients]
-            )
-        elif name in clients[0].private:
-            tensors[own] = np.stack([c.private[name] for c in clients])
-        elif stack_shared and tag != FROZEN:
-            tensors[own] = np.repeat(t[None], len(clients), axis=0)
+        if name in arrays.private:
+            tensors[name] = arrays.private[name][idx]
+        elif train and tag != FROZEN:
+            tensors[name] = np.repeat(t[None], len(idx), axis=0)
         else:
-            tensors[own] = t
+            tensors[name] = t
+        tags[name] = tag
+    for own, (col, table, tag) in _group_tables(global_ps).items():
+        tensors[own] = table.take(arrays.groups[idx, col], axis=0)
         tags[own] = tag
     return ParamSet(global_ps.arch, tensors, tags)
 
@@ -387,102 +450,102 @@ def _cohort_groups(arch: Arch) -> Optional[Dict[str, str]]:
     return {attr: OWN_GROUP for attr in arch.group_attrs} or None
 
 
-def _stack_shards(clients: Sequence[ClientState], split: str):
-    """The clients' `split` shards padded to the longest and stacked: UA
-    (C, N, |user attrs|), VA (C, N, |item attrs|), y (C, N), and each
-    client's count of valid rows (C,). Padding rows hold value 0 and label 0."""
-    counts = np.array([len(c.shards[split]) for c in clients])
-    C, N = len(clients), int(counts.max())
-    VA = np.zeros((C, N, clients[0].shards[split].items.shape[1]), dtype=np.int64)
-    y = np.zeros((C, N))
-    for i, c in enumerate(clients):
-        shard = c.shards[split]
-        VA[i, : len(shard)] = shard.items
-        y[i, : len(shard)] = shard.labels
-    UA = np.repeat(np.stack([c.user_attrs for c in clients])[:, None, :], N, axis=1)
-    return UA, VA, y, counts
+def _first_non_finite(tensors: Dict[str, np.ndarray], uids: np.ndarray):
+    """uids[c] of the first row c with a non-finite value in any of the
+    (C, *shape) tensors, or None."""
+    finite = np.ones(len(uids), dtype=bool)
+    for t in tensors.values():
+        finite &= np.isfinite(t.reshape(len(uids), -1)).all(axis=1)
+    return None if finite.all() else int(uids[np.argmin(finite)])
 
 
 def local_train(
-    clients: Sequence[ClientState],
+    arrays: ClientArrays,
+    idx: np.ndarray,
     global_ps: ParamSet,
     cfg: FedConfig,
     round_index: int,
     seed: int,
-) -> List[Upload]:
-    """E local epochs of SGD for a round's participants, trained as one
-    stacked cohort; the results are those of training each client alone.
+    pool: List[np.random.Generator],
+) -> UploadBatch:
+    """E local epochs of SGD for the clients at rows idx of `arrays`, trained
+    as one stacked cohort; the results are those of training each client
+    alone.
 
     Each client starts from the global shared and frozen tensors and its own
     private ones, trains the private and shared tensors on its train shard
-    with its RNG stream [seed, round, uid, 1], keeps its private tensors and
-    uploads the shared tensors it trained. A client with an empty train shard
-    gets a skipped upload. Uploads come back in `clients` order."""
-    uploads = [Upload(c.uid, {}, 0, dict(c.groups), skipped=True) for c in clients]
-    live = [i for i, c in enumerate(clients) if len(c.shards["train"])]
-    if not live:
-        return uploads
-    cohort = [clients[i] for i in live]
-    ps = _cohort_params(global_ps, cohort, stack_shared=True)
-    UA, VA, y, counts = _stack_shards(cohort, "train")
-    rngs = [np.random.default_rng([seed, round_index, c.uid, 1]) for c in cohort]
+    with its RNG stream [seed, round, uid, 1] (a Generator of `pool`, see
+    `derive_generators`), keeps its private tensors, written back into
+    `arrays`, and uploads the shared tensors it trained. A client with an
+    empty train shard uploads nothing. Rows of the batch follow idx.
+    Raises FederationError naming the first client whose private tensors
+    are no longer finite."""
+    live = idx[arrays.shards["train"].counts[idx] > 0]
+    uids = arrays.uids[live]
+    if not live.size:
+        return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], {})
+    ps = _cohort_params(global_ps, arrays, live, train=True)
+    UA, VA, y, counts = arrays.shards["train"].rows(live)
+    rngs = derive_generators(seed, round_index, uids, 1, pool)
     groups = _cohort_groups(global_ps.arch)
     for _ in range(cfg.local_epochs):
         ps, _ = sgd_epoch(ps, UA, VA, y, groups, cfg.batch_size, cfg.lr, rngs, counts=counts)
 
-    names: Dict[tuple, List[Tuple[str, str]]] = {}  # per group membership
-    for j, (i, c) in enumerate(zip(live, cohort)):
-        c.private = {k: ps.tensors[k][j] for k in c.private}
-        key = tuple(sorted(c.groups.items()))
-        if key not in names:
-            names[key] = [(n, _cohort_name(n)) for n in _upload_names(global_ps, c)]
-        tensors = {n: ps.tensors[own][j] for n, own in names[key]}
-        uploads[i] = Upload(c.uid, tensors, int(counts[j]), dict(c.groups))
-    return uploads
+    private = {name: ps.tensors[name] for name in arrays.private}
+    bad = _first_non_finite(private, uids)
+    if bad is not None:
+        raise FederationError(
+            f"round {round_index}: training diverged; first client with a non-finite private adapter: {bad}"
+        )
+    for name, t in private.items():
+        arrays.private[name][live] = t
+    shared = sorted(n for n, tag in ps.tags.items() if tag == SHARED)
+    return UploadBatch(uids, counts, arrays.groups[live], {n: ps.tensors[n] for n in shared})
 
 
-def aggregate(uploads: Sequence[Upload], server: ServerState) -> ServerState:
-    """Unweighted element-wise mean of each shared tensor over the uploads
-    containing it; group adapters therefore average over group members only.
-    Frozen and private tensors are untouched."""
-    live = [u for u in uploads if not u.skipped]
-    if not live:
+def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
+    """Unweighted element-wise mean of each uploaded tensor over the batch's
+    rows in batch order; a group adapter under its cohort name over the rows
+    of its group's members only. Tensors nobody uploaded are untouched.
+    Raises FederationError on an empty batch, or naming a client whose
+    upload holds a tensor the server does not tag shared."""
+    if not len(batch.uids):
         raise FederationError("no usable uploads this round")
-    for u in live:
-        bad = [n for n in u.tensors if server.params.tags.get(n) != SHARED]
-        if bad:
-            raise FederationError(f"upload from client {u.uid} contains non-shared tensors {bad}")
+    members = {}  # grouping attribute -> (group, member rows) of each group with members
+    for col, attr in enumerate(server.params.arch.group_attrs):
+        groups = batch.groups[:, col]
+        # np.bincount, not np.unique, which would import numpy.ma (~1.7 MB)
+        members[attr] = [(g, groups == g) for g in np.flatnonzero(np.bincount(groups))]
     updates = {}
-    for name, tag in server.params.tags.items():
-        if tag != SHARED:
-            continue
-        vals = [u.tensors[name] for u in live if name in u.tensors]
-        if vals:
-            updates[name] = np.mean(np.stack(vals), axis=0)
+    for name, rows in batch.tensors.items():
+        parts = name.split("/", 4)
+        if name.startswith(GROUP_PREFIX) and parts[3] == OWN_GROUP:
+            targets = [(f"{GROUP_PREFIX}{parts[2]}/{g}/{parts[4]}", mask) for g, mask in members[parts[2]]]
+        else:
+            targets = [(name, slice(None))]
+        for real, mask in targets:
+            if server.params.tags.get(real) != SHARED:
+                raise FederationError(
+                    f"upload from client {batch.uids[mask][0]} contains non-shared tensor {real!r}"
+                )
+            updates[real] = np.mean(rows[mask], axis=0)
     return ServerState(server.params.with_tensors(updates), server.reports)
 
 
-def evaluate_global(
-    server_ps: ParamSet, clients: Sequence[ClientState], split: str
-) -> EvalSummary:
-    """Per-client metrics on `split` shards, unweighted mean over clients with
-    a defined metric, in client order. Raises UndefinedMetricError if no
-    client yields a defined AUC, and FederationError naming the first client
-    with a non-finite score. All clients are scored by one forward pass and
-    one `score_rows` call on their stacked shards."""
-    if split not in ("train", "val", "test"):
-        raise ValueError(f"bad split {split!r}")
-    scored = [c for c in clients if len(c.shards[split])]
+def _evaluate(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
+    """evaluate_global on clients already stacked, `split` among their shards."""
+    shards = arrays.shards[split]
+    scored = np.flatnonzero(shards.counts)
     aucs = precs = np.empty(0)
-    if scored:
-        ps = _cohort_params(server_ps, scored, stack_shared=False)
-        UA, VA, y, counts = _stack_shards(scored, split)
+    if scored.size:
+        ps = _cohort_params(server_ps, arrays, scored, train=False)
+        UA, VA, y, counts = shards.rows(scored)
         probs, _ = forward_batch(ps, UA, VA, _cohort_groups(server_ps.arch))
         try:
             rows = score_rows(probs, y, counts)
         except NonFiniteScoreError as exc:
             raise FederationError(
-                f"client {scored[exc.row].uid} has a non-finite score on split {split!r}"
+                f"client {arrays.uids[scored[exc.row]]} has a non-finite score on split {split!r}"
             ) from None
         aucs = rows.auc[rows.auc_defined]
         precs = rows.precision[rows.precision_defined]
@@ -497,6 +560,19 @@ def evaluate_global(
     )
 
 
+def evaluate_global(
+    server_ps: ParamSet, clients: Sequence[ClientState], split: str
+) -> EvalSummary:
+    """Per-client metrics on `split` shards, unweighted mean over clients with
+    a defined metric, in client order. Raises UndefinedMetricError if no
+    client yields a defined AUC, and FederationError naming the first client
+    with a non-finite score. All clients are scored by one forward pass and
+    one `score_rows` call on their stacked shards."""
+    if split not in ("train", "val", "test"):
+        raise ValueError(f"bad split {split!r}")
+    return _evaluate(server_ps, ClientArrays.stack(clients, server_ps.arch, (split,)), split)
+
+
 def run_federated(
     server_ps: ParamSet,
     clients: List[ClientState],
@@ -506,40 +582,37 @@ def run_federated(
 ) -> Tuple[ServerState, List[ClientState], List[RoundReport]]:
     """The round loop: select -> broadcast -> local train -> (noise) ->
     aggregate -> evaluate. Deterministic given (inputs, seed) regardless of
-    client execution order. Raises FederationError when aggregation leaves a
-    shared tensor non-finite."""
+    client execution order. Raises FederationError when local training
+    leaves a private tensor non-finite or aggregation a shared one.
+
+    The clients are stacked into one ClientArrays for the whole run; their
+    `private` tensors are set from it once, when the run ends."""
     server = ServerState(server_ps)
     frozen_names = [n for n, t in server_ps.tags.items() if t == FROZEN]
     frozen_ref = {n: server_ps.tensors[n] for n in frozen_names}
+    arrays = ClientArrays.stack(clients, server_ps.arch, ("train", "val"))
+    pool: List[np.random.Generator] = []  # the rounds' per-client streams
 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
-        participants = select_clients(clients, cfg.client_fraction, r, seed)
-        # a diverging round overflows; check_finite below stops it with an
+        idx = select_clients(clients, cfg.client_fraction, r, seed)
+        # a diverging round overflows; the finiteness checks stop it with an
         # error naming the round, so numpy's warnings would only come first
         with np.errstate(over="ignore", invalid="ignore"):
-            uploads = local_train(participants, server.params, cfg, r, seed)
-            if noise_cfg is not None and noise_cfg.enabled:
-                uploads = [
-                    noise_upload(u, noise_cfg, np.random.default_rng([seed, r, u.uid, 2]))
-                    for u in uploads
-                ]
-            live = [u for u in uploads if not u.skipped]
+            batch = local_train(arrays, idx, server.params, cfg, r, seed, pool)
+            live = len(batch.uids)
+            if live and noise_cfg is not None and noise_cfg.enabled:
+                rngs = derive_generators(seed, r, batch.uids, 2, pool)
+                batch = replace(batch, tensors=noise_uploads(batch.tensors, noise_cfg, rngs))
             report = RoundReport(
-                round=r,
-                n_participants=len(live),
-                uploaded_per_client=live[0].n_scalars if live else 0,
-                seconds=0.0,
+                round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0
             )
             if live:
-                server = aggregate(uploads, server)
+                server = aggregate_uploads(batch, server)
                 try:
                     server.params.check_finite()
                 except ShapeError as exc:
-                    who = next(
-                        (u.uid for u in live if not all(np.isfinite(t).all() for t in u.tensors.values())),
-                        None,
-                    )
+                    who = _first_non_finite(batch.tensors, batch.uids)
                     raise FederationError(
                         f"round {r}: training diverged after aggregation ({exc}); "
                         f"first client with a non-finite upload: {who}"
@@ -549,16 +622,17 @@ def run_federated(
                 report.skipped = True
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
-                ev = evaluate_global(server.params, clients, "val")
+                ev = _evaluate(server.params, arrays, "val")
                 report.val_auc = ev.mean_auc
                 report.val_precision = ev.mean_precision
             except UndefinedMetricError:
                 pass
-            except FederationError as exc:  # a diverged private adapter
+            except FederationError as exc:  # a score that overflowed
                 raise FederationError(f"round {r}: training diverged; {exc}") from None
         report.seconds = time.perf_counter() - t0
         server.reports.append(report)
 
+    arrays.write_back(clients)
     for n in frozen_names:
         if not np.array_equal(server.params.tensors[n], frozen_ref[n]):
             raise FederationError(f"frozen tensor {n!r} changed during the run")

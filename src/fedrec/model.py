@@ -231,21 +231,6 @@ def _softmax(a):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def embed_user(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
-    """Concatenated user attribute embedding (one table lookup per attribute)."""
-    ps.arch.user_schema.validate_values(attrs, "user")
-    return np.concatenate(
-        [ps.tensors[f"user_emb/{name}"][v] for name, v in zip(ps.arch.user_schema.names, attrs)]
-    )
-
-
-def embed_item(ps: ParamSet, attrs: Sequence[int]) -> np.ndarray:
-    ps.arch.item_schema.validate_values(attrs, "item")
-    return np.concatenate(
-        [ps.tensors[f"item_emb/{name}"][v] for name, v in zip(ps.arch.item_schema.names, attrs)]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Layout plan: every name, offset and liveness a step reads, decided once
 # ---------------------------------------------------------------------------

@@ -1,11 +1,21 @@
 """Shared test utilities: independent oracles and fixtures."""
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Dict
 
 import numpy as np
 from scipy.stats import rankdata
 
-from fedrec.federation import Upload, _upload_names
-from fedrec.model import FROZEN, bce_loss, forward_batch, sgd_epoch
+from fedrec.federation import (
+    GROUP_PREFIX,
+    OWN_GROUP,
+    ClientArrays,
+    FederationError,
+    ServerState,
+    UploadBatch,
+    local_train,
+)
+from fedrec.metrics import auc, precision
+from fedrec.model import FROZEN, SHARED, bce_loss, forward_batch, sgd_epoch
 from fedrec.privacy import laplace_noise
 
 
@@ -77,12 +87,13 @@ def score_rows_reference(scores, labels, counts):
     ]
 
 
-def noise_upload_per_tensor(upload, config, rng):
-    """Per-tensor oracle for privacy.noise_upload: one laplace_noise draw
-    per tensor, in upload order."""
+def noise_upload(upload, config, rng):
+    """Per-client oracle for privacy.noise_uploads: one laplace_noise draw
+    per tensor of one client's upload, in upload order, from its own
+    Generator."""
     if not config.enabled:
         return upload
-    noised = {n: t + laplace_noise(config.intensity, t.shape, rng) for n, t in upload.tensors.items()}
+    noised = {n: t + laplace_noise(config.intensity, t.shape, [rng])[0] for n, t in upload.tensors.items()}
     return replace(upload, tensors=noised)
 
 
@@ -133,6 +144,145 @@ def embed_grads_reference(ps, UA, VA, dX):
     return grads
 
 
+@dataclass
+class Upload:
+    """One client's upload: the per-client form of a row of an UploadBatch,
+    with group adapters under their own group's names."""
+
+    uid: int
+    tensors: Dict[str, np.ndarray]
+    n_examples: int
+    groups: Dict[str, int]
+    skipped: bool = False
+
+    @property
+    def n_scalars(self) -> int:
+        return int(sum(t.size for t in self.tensors.values()))
+
+
+def upload_names(ps, client):
+    """Shared tensors this client trains: everything shared except group
+    adapters of groups the client does not belong to."""
+    names = []
+    for n, tag in ps.tags.items():
+        if tag != SHARED:
+            continue
+        if n.startswith(GROUP_PREFIX):
+            _, _, attr, g, _rest = n.split("/", 4)
+            if client.groups.get(attr) != int(g):
+                continue
+        names.append(n)
+    return sorted(names)
+
+
+def user_matrix(client, n):
+    """The client's user attribute row repeated n times."""
+    return np.tile(client.user_attrs, (n, 1))
+
+
+def aggregate(uploads, server):
+    """Per-client oracle for federation.aggregate_uploads: unweighted
+    element-wise mean of each shared tensor over the uploads containing it;
+    group adapters therefore average over group members only."""
+    live = [u for u in uploads if not u.skipped]
+    if not live:
+        raise FederationError("no usable uploads this round")
+    for u in live:
+        bad = [n for n in u.tensors if server.params.tags.get(n) != SHARED]
+        if bad:
+            raise FederationError(f"upload from client {u.uid} contains non-shared tensors {bad}")
+    updates = {}
+    for name, tag in server.params.tags.items():
+        if tag != SHARED:
+            continue
+        vals = [u.tensors[name] for u in live if name in u.tensors]
+        if vals:
+            updates[name] = np.mean(np.stack(vals), axis=0)
+    return ServerState(server.params.with_tensors(updates), server.reports)
+
+
+def real_name(name, groups, group_attrs):
+    """A batch tensor's name in one client's upload: a group adapter's
+    cohort name with OWN_GROUP replaced by the client's group; any other
+    name unchanged."""
+    parts = name.split("/", 4)
+    if not name.startswith(GROUP_PREFIX) or parts[3] != OWN_GROUP:
+        return name
+    return f"{GROUP_PREFIX}{parts[2]}/{groups[group_attrs.index(parts[2])]}/{parts[4]}"
+
+
+def uploads_of(batch, clients, arch):
+    """The batch as per-client Uploads in `clients` order; a client without
+    a row gets a skipped upload."""
+    rows = {int(uid): c for c, uid in enumerate(batch.uids)}
+    out = []
+    for client in clients:
+        c = rows.get(client.uid)
+        if c is None:
+            out.append(Upload(client.uid, {}, 0, dict(client.groups), skipped=True))
+            continue
+        tensors = {real_name(n, batch.groups[c], arch.group_attrs): t[c] for n, t in batch.tensors.items()}
+        out.append(Upload(client.uid, dict(sorted(tensors.items())), int(batch.n_examples[c]),
+                          dict(client.groups)))
+    return out
+
+
+def batch_of(uploads, arch):
+    """The live uploads as one UploadBatch in upload order. Each must carry
+    the same tensors, as a client's upload does: the adapters of its own
+    group of an attribute go under their cohort name, any other tensor
+    under its own. An upload without a group of an attribute sits in group
+    0 of it."""
+    live = [u for u in uploads if not u.skipped]
+    groups = np.array([[u.groups.get(a, 0) for a in arch.group_attrs] for u in live], dtype=np.int64)
+    tensors = {}
+    for name in live[0].tensors if live else ():
+        own = name
+        parts = name.split("/", 4)
+        if name.startswith(GROUP_PREFIX) and live[0].groups.get(parts[2]) == int(parts[3]):
+            own = f"{GROUP_PREFIX}{parts[2]}/{OWN_GROUP}/{parts[4]}"
+        tensors[own] = np.stack(
+            [u.tensors[real_name(own, groups[c], arch.group_attrs)] for c, u in enumerate(live)]
+        )
+    return UploadBatch(
+        uids=np.array([u.uid for u in live], dtype=np.int64),
+        n_examples=np.array([u.n_examples for u in live], dtype=np.int64),
+        groups=groups.reshape(len(live), len(arch.group_attrs)),
+        tensors=dict(sorted(tensors.items())),
+    )
+
+
+def train_cohort(clients, global_ps, cfg, round_index, seed):
+    """federation.local_train on all of `clients`, stacked as a run stacks
+    them; writes their private tensors back and returns the UploadBatch."""
+    arrays = ClientArrays.stack(clients, global_ps.arch, ("train",))
+    batch = local_train(arrays, np.arange(len(clients)), global_ps, cfg, round_index, seed, [])
+    arrays.write_back(clients)
+    return batch
+
+
+def embed_user(ps, attrs):
+    """Concatenated user attribute embedding (one table lookup per attribute)."""
+    ps.arch.user_schema.validate_values(attrs, "user")
+    return np.concatenate(
+        [ps.tensors[f"user_emb/{name}"][v] for name, v in zip(ps.arch.user_schema.names, attrs)]
+    )
+
+
+def embed_item(ps, attrs):
+    ps.arch.item_schema.validate_values(attrs, "item")
+    return np.concatenate(
+        [ps.tensors[f"item_emb/{name}"][v] for name, v in zip(ps.arch.item_schema.names, attrs)]
+    )
+
+
+def compare_models(model_a, model_b, UA, VA, labels):
+    """(AUC_A - AUC_B, Precision_A - Precision_B) on one evaluation batch."""
+    pa, _ = forward_batch(model_a, UA, VA)
+    pb, _ = forward_batch(model_b, UA, VA)
+    return auc(pa, labels) - auc(pb, labels), precision(pa, labels) - precision(pb, labels)
+
+
 def client_local_train(client, global_ps, cfg, round_index, seed):
     """Per-client oracle for federation.local_train: overlay the client's
     private tensors on the global ones, run E local epochs of SGD on its own
@@ -143,11 +293,11 @@ def client_local_train(client, global_ps, cfg, round_index, seed):
 
     ps = global_ps.with_tensors({k: v.copy() for k, v in client.private.items()})
     n = len(shard)
-    UA = client.user_matrix(n)
+    UA = user_matrix(client, n)
     rng = np.random.default_rng([seed, round_index, client.uid, 1])
     for _ in range(cfg.local_epochs):
         ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.batch_size, cfg.lr, rng)
 
     client.private = {k: ps.tensors[k] for k in client.private}
-    tensors = {n_: ps.tensors[n_] for n_ in _upload_names(ps, client)}
+    tensors = {n_: ps.tensors[n_] for n_ in upload_names(ps, client)}
     return Upload(client.uid, tensors, n, dict(client.groups))

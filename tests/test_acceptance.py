@@ -20,9 +20,7 @@ from fedrec.federation import (
     ClientState,
     PartitionPolicy,
     ServerState,
-    Upload,
-    _upload_names,
-    aggregate,
+    aggregate_uploads,
     pretrain,
     pretrain_examples,
 )
@@ -38,7 +36,15 @@ from fedrec.model import (
     predict,
 )
 from fedrec.privacy import laplace_noise
-from helpers import brute_force_auc, max_rel_error, numeric_grad, randomized_params
+from helpers import (
+    Upload,
+    batch_of,
+    brute_force_auc,
+    max_rel_error,
+    numeric_grad,
+    randomized_params,
+    upload_names,
+)
 
 BENCH_SEEDS = (0, 1, 2, 3, 4)
 SWEEP_SEEDS = (0, 1, 2)
@@ -158,10 +164,10 @@ def test_a3_aggregation_oracle():
         for uid, groups in enumerate(groups_of):
             client = ClientState(uid, np.zeros(2, dtype=np.int64), groups, {}, {})
             tensors = {n: rng.normal(size=ps.tensors[n].shape)
-                       for n in _upload_names(ps, client)}
+                       for n in upload_names(ps, client)}
             uploads.append(Upload(uid, tensors, 4, groups))
-        out = aggregate(uploads, server)
-        perm = aggregate([uploads[2], uploads[0], uploads[1]], server)
+        out = aggregate_uploads(batch_of(uploads, arch), server)
+        perm = aggregate_uploads(batch_of([uploads[2], uploads[0], uploads[1]], arch), server)
         for name, tag in ps.tags.items():
             if tag != SHARED:
                 continue
@@ -224,7 +230,7 @@ def test_a7_ldp_behavior(bench):
     drop_02 = mean[0.0] - mean[0.2]
     monotone_ends = mean[0.5] <= mean[0.0]
     # Laplace sampler moment checks
-    x = laplace_noise(0.2, (100_000,), np.random.default_rng(1))
+    x = laplace_noise(0.2, (100_000,), [np.random.default_rng(1)])[0]
     moments_ok = abs(float(x.mean())) < 0.005 and abs(float(x.var()) / 0.08 - 1.0) < 0.05
     curve = ", ".join(f"{lam}:{mean[lam]:.4f}" for lam in SWEEP_LAMBDAS)
     verdict("A7", monotone_ends and drop_02 < 0.05 and moments_ok,
@@ -256,7 +262,7 @@ def test_a8_communication_accounting():
     upload = user_emb + gates + len(cfg.group_attrs) * per_adapter
 
     client = ClientState(0, np.zeros(2, dtype=np.int64), {"ua0": 0, "ua1": 0}, {}, {})
-    impl_upload = sum(ps.tensors[n].size for n in _upload_names(ps, client))
+    impl_upload = sum(ps.tensors[n].size for n in upload_names(ps, client))
     base_ps = init_params(arch.base(), 0)
     impl_full = count_params(base_ps)
     ratio = impl_upload / impl_full

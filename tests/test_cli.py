@@ -215,6 +215,23 @@ class TestFederate:
         assert not os.path.exists(os.path.join(out, "summary.json"))
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_first_diverged_private_adapter(self, tmp_path, capsys):
+        # A9's world at a diverging learning rate, evaluated every third
+        # round: round 1's local training leaves private adapters non-finite,
+        # and the run stops there, naming the first of those clients
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "synth.n_users = 24\nsynth.n_items = 20\nsynth.user_attrs = 3,2\n"
+            "synth.item_attrs = 4\nsynth.interactions_per_user = 30\n"
+            "group.attrs = ua0\narch.embed_dim = 4\narch.mlp_hidden = 6\n"
+            "arch.gate_hidden = 3\npretrain.epochs = 2\nfed.rounds = 6\n"
+            "fed.batch = 8\nseed = 1\nfed.lr = 1e6\nfed.eval_every = 3\n"
+        )
+        assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert "error: round 1: training diverged; first client with a non-finite private adapter: 3" in err
+
     def test_divergence_error_comes_without_numpy_warnings(self, tmp_path):
         # A9's config at a diverging learning rate, in a fresh interpreter so
         # that numpy's warnings reach stderr as they would for a user

@@ -12,6 +12,7 @@ from fedrec import model
 from fedrec.data import GroupAssignment, SynthConfig, assign_groups
 from fedrec.experiment import ExperimentConfig, arm_settings, build_arch, prepare_dataset
 from fedrec.federation import (
+    ClientArrays,
     FedConfig,
     FederationError,
     PartitionPolicy,
@@ -19,15 +20,21 @@ from fedrec.federation import (
     Shard,
     _cohort_groups,
     _cohort_params,
-    _stack_shards,
-    aggregate,
+    aggregate_uploads,
     build_clients,
     evaluate_global,
-    local_train,
 )
 from fedrec.metrics import UndefinedMetricError, auc
 from fedrec.model import FROZEN, ParamSet, forward_batch, init_params
-from helpers import client_local_train, randomized_params
+from helpers import (
+    aggregate,
+    batch_of,
+    client_local_train,
+    randomized_params,
+    train_cohort,
+    uploads_of,
+    user_matrix,
+)
 
 SEED = 3
 # 18 train rows per client: batches of 8, 8 and 2
@@ -85,6 +92,18 @@ def uniform_world():
     return world(uniform_cfg())
 
 
+def cohort_uploads(clients, ps, cfg=FED, round_index=0):
+    """Per-client Uploads of one cohort round of `clients`."""
+    return uploads_of(train_cohort(clients, ps, cfg, round_index, SEED), clients, ps.arch)
+
+
+def stacked(clients, ps, split):
+    """The clients' cohort ParamSet for training, and their `split` shards."""
+    arrays = ClientArrays.stack(clients, ps.arch, (split,))
+    rows = np.arange(len(clients))
+    return _cohort_params(ps, arrays, rows, train=True), arrays.shards[split].rows(rows)
+
+
 def assert_uploads_match(got, want, atol):
     assert [u.uid for u in got] == [u.uid for u in want]
     for a, b in zip(got, want):
@@ -108,12 +127,13 @@ def against_oracle(ps, clients, rounds=2, atol=0.0):
     s_lone, s_cohort = ServerState(ps), ServerState(ps)
     for r in range(rounds):
         want = [client_local_train(c, s_lone.params, FED, r, SEED) for c in lone]
-        got = local_train(cohort, s_cohort.params, FED, r, SEED)
+        batch = train_cohort(cohort, s_cohort.params, FED, r, SEED)
+        got = uploads_of(batch, cohort, ps.arch)
         assert_uploads_match(got, want, atol)
         for a, b in zip(cohort, lone):
             for n in a.private:
                 close(a.private[n], b.private[n], atol, f"private {n} of client {a.uid}")
-        s_lone, s_cohort = aggregate(want, s_lone), aggregate(got, s_cohort)
+        s_lone, s_cohort = aggregate(want, s_lone), aggregate_uploads(batch, s_cohort)
     return got
 
 
@@ -146,7 +166,7 @@ class TestAgainstPerClientOracle:
         for c in clients:
             shard = c.shards["val"]
             lone = ps.with_tensors(c.private)
-            probs, _ = forward_batch(lone, c.user_matrix(len(shard)), shard.items, c.groups)
+            probs, _ = forward_batch(lone, user_matrix(c, len(shard)), shard.items, c.groups)
             try:
                 aucs.append(auc(probs, shard.labels))
             except UndefinedMetricError:
@@ -161,7 +181,7 @@ def test_group_adapters_with_mixed_tags_rejected():
     ps, clients = uniform_world()
     tags = {n: FROZEN if n.startswith("adapter/group/ua0/0/") else t for n, t in ps.tags.items()}
     with pytest.raises(FederationError, match="partition tags"):
-        local_train(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
+        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
 
 
 def test_stacked_forward_without_cache_equals_cached():
@@ -169,11 +189,10 @@ def test_stacked_forward_without_cache_equals_cached():
     cohort = copy.deepcopy(clients[:5])
     for c in cohort:  # distinct, live user adapters
         c.private = {n: t + 0.1 * (c.uid + 1) for n, t in c.private.items()}
-    stacked = _cohort_params(ps, cohort, stack_shared=True)
-    UA, VA, _, _ = _stack_shards(cohort, "val")
+    cohort_ps, (UA, VA, _, _) = stacked(cohort, ps, "val")
     groups = _cohort_groups(ps.arch)
-    cached, _ = forward_batch(stacked, UA, VA, groups, want_cache=True)
-    probs, cache = forward_batch(stacked, UA, VA, groups)
+    cached, _ = forward_batch(cohort_ps, UA, VA, groups, want_cache=True)
+    probs, cache = forward_batch(cohort_ps, UA, VA, groups)
     assert cache is None and probs.shape == UA.shape[:2]
     assert np.array_equal(probs, cached)
 
@@ -183,23 +202,23 @@ class TestCohortProperties:
     @given(data=st.data())
     def test_uploads_independent_of_cohort_order_and_split(self, data):
         ps, clients = uniform_world()
-        whole = {u.uid: u for u in local_train(copy.deepcopy(clients), ps, FED, 0, SEED)}
+        whole = {u.uid: u for u in cohort_uploads(copy.deepcopy(clients), ps)}
         perm = data.draw(st.permutations(range(len(clients))), label="order")
         cuts = sorted(data.draw(st.sets(st.integers(1, len(clients) - 1), max_size=4), label="cuts"))
         shuffled = [copy.deepcopy(clients[i]) for i in perm]
         got = []
         for lo, hi in zip([0, *cuts], [*cuts, len(shuffled)]):
-            got += local_train(shuffled[lo:hi], ps, FED, 0, SEED)
+            got += cohort_uploads(shuffled[lo:hi], ps)
         assert_uploads_match(sorted(got, key=lambda u: u.uid), [whole[c.uid] for c in clients], 0.0)
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
     def test_aggregate_invariant_to_upload_order(self, data):
         ps, clients = uniform_world()
-        uploads = local_train(copy.deepcopy(clients), ps, FED, 0, SEED)
+        uploads = cohort_uploads(copy.deepcopy(clients), ps)
         perm = data.draw(st.permutations(range(len(uploads))))
-        a = aggregate(uploads, ServerState(ps)).params
-        b = aggregate([uploads[i] for i in perm], ServerState(ps)).params
+        a = aggregate_uploads(batch_of(uploads, ps.arch), ServerState(ps)).params
+        b = aggregate_uploads(batch_of([uploads[i] for i in perm], ps.arch), ServerState(ps)).params
         for n in a.tensors:
             close(a.tensors[n], b.tensors[n], 1e-12, n)
 
@@ -223,7 +242,7 @@ class TestLocalStepClosedForm:
         monkeypatch.setattr(model, "sgd_step", counting_step)
         monkeypatch.setattr(model, "backward_batch", counting_backward)
         cfg = FedConfig(local_epochs=3, lr=0.3, batch_size=8)
-        local_train(clients, ps, cfg, 0, SEED)
+        train_cohort(clients, ps, cfg, 0, SEED)
 
         sizes = np.array([len(c.shards["train"]) for c in clients])
         per_epoch = math.ceil(sizes.max() / cfg.batch_size)
@@ -236,14 +255,13 @@ class TestLocalStepClosedForm:
         cohort = copy.deepcopy(clients[:3])
         for c in cohort:  # live user adapters (W_b starts at zero)
             c.private = {n: t + 0.1 for n, t in c.private.items()}
-        stacked = _cohort_params(ps, cohort, stack_shared=True)
-        UA, VA, y, _ = _stack_shards(cohort, "train")
+        cohort_ps, (UA, VA, y, _) = stacked(cohort, ps, "train")
         valid = np.ones(y.shape, dtype=bool)
         valid[1] = False
-        probs, cache = forward_batch(stacked, UA, VA, _cohort_groups(ps.arch), want_cache=True)
-        grads = model.backward_batch(stacked, cache, y, valid)
+        probs, cache = forward_batch(cohort_ps, UA, VA, _cohort_groups(ps.arch), want_cache=True)
+        grads = model.backward_batch(cohort_ps, cache, y, valid)
         assert grads
         for name, g in grads.items():
-            assert g.shape == stacked.tensors[name].shape and g.shape[0] == 3, name
+            assert g.shape == cohort_ps.tensors[name].shape and g.shape[0] == 3, name
             assert not np.any(g[1]), name
             assert np.any(g[0]) or np.any(g[2]), name

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from fedrec.data import SynthConfig, synth_generate
-from fedrec.distill import DistillConfig, DistillError, compare_models, distill, distill_targets
+from fedrec.distill import DistillConfig, DistillError, distill, distill_targets
 from fedrec.federation import pretrain, pretrain_examples
 from fedrec.model import Arch, count_params, forward_batch, init_params
+from helpers import compare_models
 
 
 def teacher_world(seed=0):

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedrec.data import (
     AttributeSchema,
@@ -16,11 +20,10 @@ from fedrec.federation import (
     PartitionPolicy,
     ServerState,
     Shard,
-    Upload,
-    aggregate,
+    UploadBatch,
+    aggregate_uploads,
     build_clients,
     evaluate_global,
-    local_train,
     pretrain,
     pretrain_examples,
     run_federated,
@@ -33,6 +36,7 @@ from fedrec.model import (
     PRIVATE,
     SHARED,
     Arch,
+    ParamSet,
     ShapeError,
     backward_batch,
     count_params,
@@ -41,6 +45,7 @@ from fedrec.model import (
     sgd_step,
 )
 from fedrec.privacy import NoiseConfig
+from helpers import Upload, aggregate, batch_of, train_cohort, upload_names, uploads_of, user_matrix
 
 
 def make_world(seed=0):
@@ -174,24 +179,29 @@ class TestSelectClients:
 
     def test_full_fraction_is_everyone(self):
         cs = self.fake_clients(7)
-        assert select_clients(cs, 1.0, 0, 0) == cs
+        assert list(select_clients(cs, 1.0, 0, 0)) == list(range(7))
 
     def test_half_fraction_ceil(self):
         picked = select_clients(self.fake_clients(7), 0.5, 0, 0)
         assert len(picked) == 4
-        assert [c.uid for c in picked] == sorted(c.uid for c in picked)
+        assert list(picked) == sorted(picked)
 
     def test_deterministic_per_round(self):
         cs = self.fake_clients(10)
-        a = [c.uid for c in select_clients(cs, 0.3, 2, 5)]
-        b = [c.uid for c in select_clients(cs, 0.3, 2, 5)]
-        c_ = [c.uid for c in select_clients(cs, 0.3, 3, 5)]
+        a = list(select_clients(cs, 0.3, 2, 5))
+        b = list(select_clients(cs, 0.3, 2, 5))
+        c_ = list(select_clients(cs, 0.3, 3, 5))
         assert a == b
         assert a != c_ or True  # different rounds may coincide, never required
 
     def test_bad_fraction(self):
         with pytest.raises(FederationError):
             select_clients(self.fake_clients(3), 0.0, 0, 0)
+
+
+def train_one(client, server, cfg, seed=0):
+    """One client's upload from a cohort round of that client alone."""
+    return uploads_of(train_cohort([client], server.params, cfg, 0, seed), [client], server.params.arch)
 
 
 class TestClientLocalTrain:
@@ -205,7 +215,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         cfg = FedConfig(local_epochs=1, lr=0.05, batch_size=8)
-        (up,) = local_train([c], server.params, cfg, 0, seed=0)
+        (up,) = train_one(c, server, cfg)
         names = set(up.tensors)
         assert all(server.params.tags[n] == SHARED for n in names)
         for n in names:
@@ -222,7 +232,7 @@ class TestClientLocalTrain:
         c = clients[0]
         before = {k: v.copy() for k, v in c.private.items()}
         cfg = FedConfig(local_epochs=0, lr=0.05, batch_size=8)
-        (up,) = local_train([c], server.params, cfg, 0, seed=0)
+        (up,) = train_one(c, server, cfg)
         for n, t in up.tensors.items():
             assert np.array_equal(t, server.params.tensors[n])
         for n in before:
@@ -238,11 +248,11 @@ class TestClientLocalTrain:
         ps = server.params.with_tensors({k: v.copy() for k, v in c.private.items()})
         rng = np.random.default_rng([0, 0, c.uid, 1])
         order = rng.permutation(n)
-        UA = c.user_matrix(n)
+        UA = user_matrix(c, n)
         probs, cache = forward_batch(ps, UA[order], c.shards["train"].items[order],
                                      c.groups, want_cache=True)
         expected = sgd_step(ps, backward_batch(ps, cache, c.shards["train"].labels[order]), 0.1)
-        (up,) = local_train([c], server.params, cfg, 0, seed=0)
+        (up,) = train_one(c, server, cfg)
         for name, t in up.tensors.items():
             assert np.allclose(t, expected.tensors[name], atol=1e-14), name
         for name, t in c.private.items():
@@ -252,7 +262,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         c.shards["train"] = Shard(np.zeros((0, 1), dtype=np.int64), np.zeros(0))
-        (up,) = local_train([c], server.params, FedConfig(), 0, 0)
+        (up,) = train_one(c, server, FedConfig())
         assert up.skipped and up.tensors == {} and up.n_examples == 0
 
 
@@ -266,7 +276,7 @@ class TestAggregate:
         for uid in range(3):
             tensors = {n: rng.normal(size=server.params.tensors[n].shape) for n in shared}
             uploads.append(Upload(uid, tensors, 4, {}))
-        out = aggregate(uploads, server)
+        out = aggregate_uploads(batch_of(uploads, arch), server)
         for n in shared:
             brute = sum(u.tensors[n] for u in uploads) / 3.0
             assert np.max(np.abs(out.params.tensors[n] - brute)) < 1e-12
@@ -277,7 +287,7 @@ class TestAggregate:
         shared = [n for n, t in server.params.tags.items() if t == SHARED]
         uploads = [Upload(uid, {n: server.params.tensors[n].copy() for n in shared}, 4, {})
                    for uid in range(3)]
-        out = aggregate(uploads, server)
+        out = aggregate_uploads(batch_of(uploads, arch), server)
         for n in server.params.tensors:
             assert np.allclose(out.params.tensors[n], server.params.tensors[n], atol=1e-15)
 
@@ -293,7 +303,7 @@ class TestAggregate:
             Upload(1, {name: np.full(shape, 3.0)}, 4, {"ua0": 0}),
             Upload(2, {other: np.full(shape, 9.0)}, 4, {"ua0": 1}),
         ]
-        out = aggregate(ups, server)
+        out = aggregate_uploads(batch_of(ups, arch), server)
         assert np.all(out.params.tensors[name] == 2.0)
         assert np.all(out.params.tensors[other] == 9.0)
 
@@ -304,8 +314,8 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         uploads = [Upload(uid, {n: rng.normal(size=server.params.tensors[n].shape)
                                 for n in shared}, 4, {}) for uid in range(5)]
-        a = aggregate(uploads, server)
-        b = aggregate(list(reversed(uploads)), server)
+        a = aggregate_uploads(batch_of(uploads, arch), server)
+        b = aggregate_uploads(batch_of(list(reversed(uploads)), arch), server)
         for n in shared:
             assert np.max(np.abs(a.params.tensors[n] - b.params.tensors[n])) < 1e-12
 
@@ -314,13 +324,56 @@ class TestAggregate:
         server = make_server(arch, seed=0)
         up = Upload(0, {"mlp/0/W": np.zeros_like(server.params.tensors["mlp/0/W"])}, 4, {})
         with pytest.raises(FederationError):
-            aggregate([up], server)
+            aggregate_uploads(batch_of([up], arch), server)
 
     def test_all_skipped_rejected(self):
         _, _, arch = make_world()
         server = make_server(arch, seed=0)
         with pytest.raises(FederationError):
-            aggregate([Upload(0, {}, 0, {}, skipped=True)], server)
+            aggregate_uploads(batch_of([Upload(0, {}, 0, {}, skipped=True)], arch), server)
+
+
+class TestAggregateUploads:
+    """The batched aggregation against the per-client oracle `aggregate`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_per_client_oracle(self, data):
+        # two grouping attributes (3 and 2 groups); rows in any order, and
+        # groups with no member keep their tensors
+        _, _, arch = make_world()
+        arch = replace(arch, group_attrs=("ua0", "ua1"))
+        policy = data.draw(st.sampled_from(["fedpa", "full"]), label="policy")
+        server = ServerState(PartitionPolicy.preset(policy).apply(init_params(arch, 0)))
+        groups = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=7),
+                           label="groups")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        uploads = []
+        for uid, (g0, g1) in enumerate(groups):
+            client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g0, "ua1": g1}, {}, {})
+            tensors = {n: rng.normal(size=server.params.tensors[n].shape)
+                       for n in upload_names(server.params, client)}
+            uploads.append(Upload(uid, tensors, 4, client.groups))
+        got = aggregate_uploads(batch_of(uploads, arch), server).params
+        want = aggregate(uploads, server).params
+        for name, t in want.tensors.items():
+            assert got.tensors[name].tobytes() == t.tobytes(), name
+
+    def test_non_shared_rows_rejected_naming_a_client(self):
+        _, _, arch = make_world()
+        server = make_server(arch, seed=0)
+        ps = server.params
+        private = UploadBatch(np.array([4, 7]), np.array([3, 3]), np.array([[0], [1]]),
+                              {"adapter/user/0/A": np.zeros((2, *ps.tensors["adapter/user/0/A"].shape))})
+        with pytest.raises(FederationError, match="client 4 .*'adapter/user/0/A'"):
+            aggregate_uploads(private, server)
+        # group 1's adapter frozen: only its member's row is at fault
+        frozen = "adapter/group/ua0/1/0/A"
+        server = ServerState(ParamSet(arch, ps.tensors, {**ps.tags, frozen: FROZEN}))
+        own = UploadBatch(np.array([4, 7]), np.array([3, 3]), np.array([[0], [1]]),
+                          {"adapter/group/ua0/own/0/A": np.zeros((2, *ps.tensors[frozen].shape))})
+        with pytest.raises(FederationError, match=f"client 7 .*'{frozen}'"):
+            aggregate_uploads(own, server)
 
 
 def eval_fixture():

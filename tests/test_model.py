@@ -18,8 +18,6 @@ from fedrec.model import (
     backward_batch,
     bce_loss,
     count_params,
-    embed_item,
-    embed_user,
     forward_batch,
     init_params,
     load_params,
@@ -31,7 +29,9 @@ from fedrec.model import (
 from fedrec.model import _embed_grads, _layer_branches, _plan
 from helpers import (
     embed_grads_reference,
+    embed_item,
     embed_reference,
+    embed_user,
     max_rel_error,
     numeric_grad,
     randomized_params,
