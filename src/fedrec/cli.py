@@ -50,7 +50,7 @@ def cmd_synth(args) -> int:
     paths = [os.path.join(cfg.out_dir, f) for f in ("users.csv", "items.csv", "interactions.csv")]
     write_dataset_csvs(ds, *paths)
     _say(args, f"wrote {len(ds.users)} users, {len(ds.items)} items, "
-               f"{len(ds.interactions)} interactions to {cfg.out_dir}")
+               f"{len(ds)} interactions to {cfg.out_dir}")
     return 0
 
 

@@ -6,13 +6,17 @@ touches global random state.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST = "pretrain", "fed-train", "fed-val", "fed-test"
+# A Dataset's split column holds indexes into SPLITS; 0 marks a row not yet
+# assigned to a split.
+SPLITS = (None, PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST)
+# A Dataset's per-row columns.
+COLUMNS = ("user", "item", "ts", "label", "split")
 
 INTERACTION_COLUMNS = ("user_id", "item_id", "timestamp", "label")
 
@@ -58,8 +62,10 @@ class AttributeSchema:
                 raise DataError(f"{what}: attribute {name!r} value {v} outside [0, {p})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interaction:
+    """One row of a Dataset, as `Dataset.interactions` builds it from the columns."""
+
     user: int
     item: int
     ts: int
@@ -69,25 +75,86 @@ class Interaction:
 
 @dataclass
 class Dataset:
+    """Users' and items' attribute values, and the interactions as columns:
+    entry j of `user`, `item`, `ts` and `label` (int64) is the j-th row in
+    file or generation order, and `split[j]` indexes SPLITS (0: not yet
+    assigned)."""
+
     user_schema: AttributeSchema
     item_schema: AttributeSchema
     users: Dict[int, Tuple[int, ...]]
     items: Dict[int, Tuple[int, ...]]
-    interactions: List[Interaction]
+    user: np.ndarray
+    item: np.ndarray
+    ts: np.ndarray
+    label: np.ndarray
+    split: Optional[np.ndarray] = None  # None: every row unassigned
 
-    def validate(self) -> "Dataset":
+    def __post_init__(self):
+        for name in COLUMNS[:4]:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        if self.split is None:
+            self.split = np.zeros(len(self.user), dtype=np.int8)
+        if len({len(getattr(self, name)) for name in COLUMNS}) != 1:
+            raise DataError("interaction columns differ in length")
+
+    def __len__(self):
+        return len(self.user)
+
+    @property
+    def interactions(self) -> List[Interaction]:
+        """The rows as Interaction objects, built from the columns on each read."""
+        cols = (getattr(self, name).tolist() for name in COLUMNS)
+        return [Interaction(u, i, t, l, SPLITS[s]) for u, i, t, l, s in zip(*cols)]
+
+    def rows(self, index: np.ndarray) -> "Dataset":
+        """The dataset with only the rows `index` (a boolean mask or positions)."""
+        return replace(self, **{name: getattr(self, name)[index] for name in COLUMNS})
+
+    def user_attrs(self, uids: np.ndarray) -> np.ndarray:
+        """(n, |user attrs|) attribute values of the users `uids`."""
+        return _attribute_rows(self.users, len(self.user_schema), uids)
+
+    def item_attrs(self, iids: np.ndarray) -> np.ndarray:
+        """(n, |item attrs|) attribute values of the items `iids`."""
+        return _attribute_rows(self.items, len(self.item_schema), iids)
+
+    def validate(self, origin: Optional[Tuple[str, Sequence[int]]] = None) -> "Dataset":
+        """Check attribute values and every row; the first bad row raises.
+        `origin` is (path, line of each row) for rows read from a file, and
+        makes the error name the line."""
         for uid, vals in self.users.items():
             self.user_schema.validate_values(vals, f"user {uid}")
         for iid, vals in self.items.items():
             self.item_schema.validate_values(vals, f"item {iid}")
-        for row in self.interactions:
-            if row.user not in self.users:
-                raise DataError(f"interaction references unknown user id {row.user}")
-            if row.item not in self.items:
-                raise DataError(f"interaction references unknown item id {row.item}")
-            if row.label not in (0, 1):
-                raise DataError(f"interaction label {row.label} not in {{0,1}}")
+        unknown_user = ~np.isin(self.user, np.fromiter(self.users, np.int64, len(self.users)))
+        unknown_item = ~np.isin(self.item, np.fromiter(self.items, np.int64, len(self.items)))
+        bad = unknown_user | unknown_item | (self.label != 0) & (self.label != 1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            where = f"{origin[0]}:{origin[1][j]}: " if origin else ""
+            if unknown_user[j]:
+                raise DataError(f"{where}interaction references unknown user id {self.user[j]}")
+            if unknown_item[j]:
+                raise DataError(f"{where}interaction references unknown item id {self.item[j]}")
+            raise DataError(f"{where}interaction label {self.label[j]} not in {{0,1}}")
         return self
+
+
+def _attribute_rows(records: Dict[int, Tuple[int, ...]], width: int, ids: np.ndarray) -> np.ndarray:
+    """Attribute rows of known ids, through one lookup in the sorted ids."""
+    keys = np.array(sorted(records), dtype=np.int64)
+    table = np.array([records[k] for k in keys.tolist()], dtype=np.int64).reshape(len(keys), width)
+    return table[np.searchsorted(keys, ids)]
+
+
+def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(distinct keys, bounds) of a sorted array: the entries of the k-th
+    distinct key are sorted_keys[bounds[k]:bounds[k + 1]]."""
+    first = np.ones(len(sorted_keys), dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    return sorted_keys[starts], np.append(starts, len(sorted_keys))
 
 
 @dataclass
@@ -179,7 +246,8 @@ def load_dataset(
     if item_schema is None:
         item_schema = AttributeSchema(i_names, _infer_cards(i_names, items))
 
-    interactions: List[Interaction] = []
+    cols: Tuple[List[int], ...] = ([], [], [], [])  # user, item, ts, label
+    lines: List[int] = []
     with open(interactions_path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -196,12 +264,14 @@ def load_dataset(
                     f"{interactions_path}:{lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                uid, iid, ts, *label = (int(x) for x in row)
+                values = [int(x) for x in row]
             except ValueError:
                 raise DataError(f"{interactions_path}:{lineno}: non-integer field in {row!r}") from None
-            interactions.append(Interaction(uid, iid, ts, label[0] if label else 1))
+            for col, v in zip(cols, values + [1]):  # without a label column, a positive
+                col.append(v)
+            lines.append(lineno)
 
-    return Dataset(user_schema, item_schema, users, items, interactions).validate()
+    return Dataset(user_schema, item_schema, users, items, *cols).validate((interactions_path, lines))
 
 
 def split_pretrain_federated(dataset: Dataset, pretrain_user_fraction: float, seed: int) -> Dataset:
@@ -212,57 +282,40 @@ def split_pretrain_federated(dataset: Dataset, pretrain_user_fraction: float, se
     """
     if not 0.0 < pretrain_user_fraction < 1.0:
         raise DataError(f"pretrain_user_fraction {pretrain_user_fraction} outside (0, 1)")
-    uids = sorted(dataset.users)
-    rng = np.random.default_rng(seed)
-    order = [uids[i] for i in rng.permutation(len(uids))]
+    uids = np.array(sorted(dataset.users), dtype=np.int64)
+    order = np.random.default_rng(seed).permutation(len(uids))
     k = int(round(pretrain_user_fraction * len(uids)))
     k = min(max(k, 1), len(uids) - 1)
-    pretrain_set = set(order[:k])
-    interactions = [
-        replace(r, split=PRETRAIN if r.user in pretrain_set else None) for r in dataset.interactions
-    ]
-    return replace(dataset, interactions=interactions)
+    pretrain = np.isin(dataset.user, uids[order[:k]])
+    return replace(dataset, split=np.where(pretrain, SPLITS.index(PRETRAIN), 0).astype(np.int8))
 
 
 def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, SplitReport]:
-    """6:2:2 per-user split by timestamp (ties broken by item id ascending).
+    """6:2:2 per-user split by timestamp (ties broken by item id ascending,
+    then by row order).
 
     First ceil(0.6 n) interactions go to fed-train, the next ceil(0.2 n) to
     fed-val, the remainder to fed-test. Users with fewer than
     MIN_FED_INTERACTIONS interactions are dropped and counted in the report.
+    Only unassigned rows are split; rows keep their order.
     """
-    by_user: Dict[int, List[Interaction]] = {}
-    for r in dataset.interactions:
-        if r.split is None:
-            by_user.setdefault(r.user, []).append(r)
-
-    report = SplitReport()
-    tagged: Dict[int, str] = {}  # id(interaction) -> tag
-    dropped: set = set()
-    for uid, rows in by_user.items():
-        if len(rows) < MIN_FED_INTERACTIONS:
-            report.dropped_users += 1
-            report.dropped_user_ids.append(uid)
-            dropped.add(uid)
-            continue
-        rows = sorted(rows, key=lambda r: (r.ts, r.item))
-        n = len(rows)
-        n_train = math.ceil(0.6 * n)
-        # cap val so the test shard is never empty (bites only at n = 6, 7)
-        n_val = max(1, min(math.ceil(0.2 * n), n - n_train - 1))
-        for i, r in enumerate(rows):
-            tagged[id(r)] = FED_TRAIN if i < n_train else FED_VAL if i < n_train + n_val else FED_TEST
-
-    interactions = []
-    for r in dataset.interactions:
-        if r.split is not None:
-            interactions.append(r)
-        elif r.user in dropped:
-            continue
-        else:
-            interactions.append(replace(r, split=tagged[id(r)]))
-    report.dropped_user_ids.sort()
-    return replace(dataset, interactions=interactions), report
+    free = np.flatnonzero(dataset.split == 0)
+    order = free[np.lexsort((dataset.item[free], dataset.ts[free], dataset.user[free]))]
+    uids, bounds = runs(dataset.user[order])
+    n = np.diff(bounds)
+    n_train = np.ceil(0.6 * n).astype(np.int64)
+    # cap val so the test shard is never empty (bites only at n = 6, 7)
+    n_val = np.maximum(1, np.minimum(np.ceil(0.2 * n).astype(np.int64), n - n_train - 1))
+    rank = np.arange(len(order)) - np.repeat(bounds[:-1], n)
+    split = dataset.split.copy()
+    # FED_TRAIN, FED_VAL and FED_TEST have consecutive codes
+    past_train, past_val = rank >= np.repeat(n_train, n), rank >= np.repeat(n_train + n_val, n)
+    split[order] = SPLITS.index(FED_TRAIN) + past_train + past_val
+    dropped = n < MIN_FED_INTERACTIONS
+    keep = np.ones(len(dataset), dtype=bool)
+    keep[order[np.repeat(dropped, n)]] = False
+    report = SplitReport(int(dropped.sum()), uids[dropped].tolist())
+    return replace(dataset, split=split).rows(keep), report
 
 
 def assign_groups(dataset: Dataset, grouping_attribute_names: Sequence[str]) -> GroupAssignment:
@@ -275,32 +328,28 @@ def assign_groups(dataset: Dataset, grouping_attribute_names: Sequence[str]) -> 
 
 
 def sample_negatives(
-    client_train_interactions: Sequence[Interaction],
-    item_universe: Sequence[int],
+    items: np.ndarray,
+    labels: np.ndarray,
+    item_universe: np.ndarray,
     ratio: int,
     rng: np.random.Generator,
-) -> List[Tuple[int, int, int]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Draw `ratio` negatives per positive from items the user never touched.
 
-    Returns (user, item, label) samples: each positive, then its negatives.
-    Each positive draws its negatives without replacement; when the
-    non-interacted pool is smaller than `ratio`, with replacement.
+    `items` and `labels` are one user's rows and `item_universe` the sorted
+    item ids. Returns (item, label) columns: each positive, then its
+    negatives. Each positive draws its negatives without replacement; when
+    the non-interacted pool is smaller than `ratio`, with replacement.
     """
     if ratio < 0:
         raise DataError(f"negative ratio {ratio} < 0")
-    positives = [r for r in client_train_interactions if r.label == 1]
-    interacted = {r.item for r in client_train_interactions}
-    pool = np.array(sorted(set(item_universe) - interacted), dtype=np.int64)
-
-    samples: List[Tuple[int, int, int]] = []
-    for r in positives:
-        samples.append((r.user, r.item, 1))
-        if ratio == 0 or len(pool) == 0:
-            continue
-        negs = rng.choice(pool, size=ratio, replace=len(pool) < ratio)
-        for iid in negs:
-            samples.append((r.user, int(iid), 0))
-    return samples
+    positives = items[labels == 1]
+    pool = item_universe[~np.isin(item_universe, items)]
+    if ratio == 0 or len(pool) == 0:
+        return positives, np.ones(len(positives), dtype=np.int64)
+    negs = [rng.choice(pool, size=ratio, replace=len(pool) < ratio) for _ in range(len(positives))]
+    out = np.column_stack([positives, np.reshape(negs, (len(positives), ratio))])
+    return out.ravel(), np.tile(np.r_[1, np.zeros(ratio, dtype=np.int64)], len(positives))
 
 
 def synth_generate(config: SynthConfig, seed: int) -> Dataset:
@@ -338,18 +387,22 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     rho = rng.normal(0.0, config.pref_spread, size=config.n_users)
     tau = rng.normal(0.0, 0.2, size=config.n_users)
 
-    interactions: List[Interaction] = []
+    # per user, its item draw and then one uniform per drawn item: the
+    # stream order of a draw-and-label loop over the users
+    k = min(config.interactions_per_user, config.n_items)
+    chosen = np.empty((config.n_users, k), dtype=np.int64)
+    uniform = np.empty((config.n_users, k))
     item_ids = np.arange(config.n_items)
     for uid in range(config.n_users):
-        g = users[uid][0]
-        k = min(config.interactions_per_user, config.n_items)
-        chosen = rng.choice(item_ids, size=k, replace=config.interactions_per_user > config.n_items)
-        for ts, iid in enumerate(chosen):
-            c = items[int(iid)][0]
-            logit = config.base + config.beta * ((1.0 + rho[uid]) * affinity[g, c] + tau[uid])
-            label = int(rng.random() < 1.0 / (1.0 + math.exp(-logit)))
-            interactions.append(Interaction(uid, int(iid), ts, label))
-    return Dataset(user_schema, item_schema, users, items, interactions).validate()
+        chosen[uid] = rng.choice(item_ids, size=k, replace=config.interactions_per_user > config.n_items)
+        uniform[uid] = rng.random(k)
+    g = np.array([users[uid][0] for uid in range(config.n_users)])[:, None]
+    c = np.array([items[iid][0] for iid in range(config.n_items)])[chosen]
+    logit = config.base + config.beta * ((1.0 + rho[:, None]) * affinity[g, c] + tau[:, None])
+    label = uniform < 1.0 / (1.0 + np.exp(-logit))
+    user = np.repeat(np.arange(config.n_users), k)
+    ts = np.tile(np.arange(k), config.n_users)
+    return Dataset(user_schema, item_schema, users, items, user, chosen.ravel(), ts, label.ravel()).validate()
 
 
 def write_dataset_csvs(dataset: Dataset, users_path: str, items_path: str, interactions_path: str):
@@ -367,5 +420,4 @@ def write_dataset_csvs(dataset: Dataset, users_path: str, items_path: str, inter
     with open(interactions_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(INTERACTION_COLUMNS)
-        for r in dataset.interactions:
-            w.writerow([r.user, r.item, r.ts, r.label])
+        w.writerows(zip(*(getattr(dataset, name).tolist() for name in COLUMNS[:4])))

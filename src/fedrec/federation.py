@@ -30,9 +30,10 @@ from .data import (
     FED_TRAIN,
     FED_VAL,
     PRETRAIN,
+    SPLITS,
     Dataset,
     GroupAssignment,
-    Interaction,
+    runs,
     sample_negatives,
 )
 from .metrics import NonFiniteScoreError, UndefinedMetricError, score_rows
@@ -265,46 +266,30 @@ class EvalSummary:
 # ---------------------------------------------------------------------------
 
 
-def _rows_to_arrays(dataset: Dataset, rows: Sequence[Tuple[int, int, int]]):
-    """(user, item, label) triples -> UA, VA, y arrays."""
-    UA = np.array([dataset.users[u] for u, _, _ in rows], dtype=np.int64).reshape(-1, len(dataset.user_schema))
-    VA = np.array([dataset.items[i] for _, i, _ in rows], dtype=np.int64).reshape(-1, len(dataset.item_schema))
-    y = np.array([l for _, _, l in rows], dtype=float)
-    return UA, VA, y
-
-
 def pretrain_examples(dataset: Dataset, seed: int, neg_ratio: int = 4):
-    """Training triples for the pretrain split.
+    """Training examples (UA, VA, y) for the pretrain split.
 
     When the split carries native 0-labels they are used as-is; otherwise
     `neg_ratio` negatives per positive are sampled per user.
     """
-    rows = [r for r in dataset.interactions if r.split == PRETRAIN]
-    if not rows:
+    pre = dataset.rows(dataset.split == SPLITS.index(PRETRAIN))
+    if not len(pre):
         raise FederationError("pretrain split is empty")
-    if any(r.label == 0 for r in rows):
-        triples = [(r.user, r.item, r.label) for r in rows]
+    if not pre.label.all():
+        user, item, label = pre.user, pre.item, pre.label
     else:
-        triples = []
-        item_universe = sorted(dataset.items)
-        by_user: Dict[int, List[Interaction]] = {}
-        for r in rows:
-            by_user.setdefault(r.user, []).append(r)
-        for uid in sorted(by_user):
-            rng = np.random.default_rng([seed, uid, 3])
-            samples = sample_negatives(by_user[uid], item_universe, neg_ratio, rng)
-            triples.extend(samples)
-    return _rows_to_arrays(dataset, triples)
-
-
-def _client_shard(dataset: Dataset, rows: List[Interaction], native_negs: bool,
-                  item_universe, neg_ratio: int, rng) -> Shard:
-    if native_negs:
-        triples = [(r.user, r.item, r.label) for r in rows]
-    else:
-        triples = sample_negatives(rows, item_universe, neg_ratio, rng)
-    _, VA, y = _rows_to_arrays(dataset, triples)
-    return Shard(VA, y)
+        universe = np.array(sorted(dataset.items), dtype=np.int64)
+        order = np.argsort(pre.user, kind="stable")
+        uids, bounds = runs(pre.user[order])
+        parts = [
+            sample_negatives(pre.item[order[a:b]], pre.label[order[a:b]], universe, neg_ratio,
+                             np.random.default_rng([seed, uid, 3]))
+            for uid, a, b in zip(uids.tolist(), bounds[:-1], bounds[1:])
+        ]
+        user = np.repeat(uids, [len(items) for items, _ in parts])
+        item = np.concatenate([items for items, _ in parts])
+        label = np.concatenate([labels for _, labels in parts])
+    return dataset.user_attrs(user), dataset.item_attrs(item), label.astype(float)
 
 
 def build_clients(
@@ -316,27 +301,34 @@ def build_clients(
 ) -> List[ClientState]:
     """One ClientState per federated user, with per-split shards and freshly
     initialized private adapter tensors."""
-    by_user: Dict[int, Dict[str, List[Interaction]]] = {}
-    for r in dataset.interactions:
-        if r.split in (FED_TRAIN, FED_VAL, FED_TEST):
-            by_user.setdefault(r.user, {FED_TRAIN: [], FED_VAL: [], FED_TEST: []})[r.split].append(r)
-
-    native_negs = any(
-        r.label == 0 for r in dataset.interactions if r.split in (FED_TRAIN, FED_VAL, FED_TEST)
-    )
-    item_universe = sorted(dataset.items)
+    codes = [SPLITS.index(tag) for tag in (FED_TRAIN, FED_VAL, FED_TEST)]
+    fed = dataset.rows(dataset.split >= codes[0])
+    # each user's rows, grouped by split, each group in dataset order
+    order = np.lexsort((fed.split, fed.user))
+    uids, bounds = runs(fed.user[order])
+    # where each user's train, val and test rows start and end in `order`
+    rank = np.repeat(np.arange(len(uids)), np.diff(bounds)) * len(SPLITS) + fed.split[order]
+    cuts = np.searchsorted(rank, np.arange(len(uids))[:, None] * len(SPLITS) + [*codes, len(SPLITS)])
+    native_negs = not fed.label.all()
+    if native_negs:
+        VA, y = dataset.item_attrs(fed.item[order]), fed.label[order].astype(float)
+    universe = np.array(sorted(dataset.items), dtype=np.int64)
 
     clients = []
-    for uid in sorted(by_user):
+    for j, (uid, user_attrs) in enumerate(zip(uids.tolist(), dataset.user_attrs(uids))):
         rng = np.random.default_rng([seed, uid, 1])
-        shards = {
-            split_key: _client_shard(dataset, by_user[uid][tag], native_negs, item_universe, neg_ratio, rng)
-            for split_key, tag in (("train", FED_TRAIN), ("val", FED_VAL), ("test", FED_TEST))
-        }
+        shards = {}
+        for key, a, b in zip(("train", "val", "test"), cuts[j, :-1], cuts[j, 1:]):
+            if native_negs:
+                shards[key] = Shard(VA[a:b], y[a:b])
+            else:
+                rows = order[a:b]
+                item, label = sample_negatives(fed.item[rows], fed.label[rows], universe, neg_ratio, rng)
+                shards[key] = Shard(dataset.item_attrs(item), label.astype(float))
         clients.append(
             ClientState(
                 uid=uid,
-                user_attrs=np.array(dataset.users[uid], dtype=np.int64),
+                user_attrs=user_attrs,
                 groups=assignment.groups_of(uid) if assignment.maps else {},
                 shards=shards,
                 private=init_user_adapter(arch, np.random.default_rng([seed, uid, 2])),

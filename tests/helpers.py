@@ -1,10 +1,22 @@
 """Shared test utilities: independent oracles and fixtures."""
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
 import numpy as np
 from scipy.stats import rankdata
 
+from fedrec.data import (
+    FED_TEST,
+    FED_TRAIN,
+    FED_VAL,
+    MIN_FED_INTERACTIONS,
+    SPLITS,
+    DataError,
+    Dataset,
+    SplitReport,
+    sample_negatives,
+)
 from fedrec.federation import (
     GROUP_PREFIX,
     OWN_GROUP,
@@ -301,3 +313,80 @@ def client_local_train(client, global_ps, cfg, round_index, seed):
     client.private = {k: ps.tensors[k] for k in client.private}
     tensors = {n_: ps.tensors[n_] for n_ in upload_names(ps, client)}
     return Upload(client.uid, tensors, n, dict(client.groups))
+
+
+def dataset_of(user_schema, item_schema, users, items, rows):
+    """A Dataset whose columns hold the Interaction `rows`, splits included."""
+    cols = [[getattr(r, f) for r in rows] for f in ("user", "item", "ts", "label")]
+    split = np.array([SPLITS.index(r.split) for r in rows], dtype=np.int8)
+    return Dataset(user_schema, item_schema, users, items, *cols, split=split)
+
+
+def with_split(ds, tag):
+    """`ds` with every row in split `tag`."""
+    return replace(ds, split=np.full(len(ds), SPLITS.index(tag), dtype=np.int8))
+
+
+def split_per_user_chronological_rows(rows):
+    """Row-object oracle for data.split_per_user_chronological: the split
+    Interaction rows (assigned rows as they were, dropped users' rows gone)
+    and the report."""
+    by_user = {}
+    for r in rows:
+        if r.split is None:
+            by_user.setdefault(r.user, []).append(r)
+
+    report = SplitReport()
+    tagged = {}  # id(interaction) -> tag
+    dropped = set()
+    for uid, user_rows in by_user.items():
+        if len(user_rows) < MIN_FED_INTERACTIONS:
+            report.dropped_users += 1
+            report.dropped_user_ids.append(uid)
+            dropped.add(uid)
+            continue
+        user_rows = sorted(user_rows, key=lambda r: (r.ts, r.item))
+        n = len(user_rows)
+        n_train = math.ceil(0.6 * n)
+        n_val = max(1, min(math.ceil(0.2 * n), n - n_train - 1))
+        for i, r in enumerate(user_rows):
+            tagged[id(r)] = FED_TRAIN if i < n_train else FED_VAL if i < n_train + n_val else FED_TEST
+
+    out = []
+    for r in rows:
+        if r.split is not None:
+            out.append(r)
+        elif r.user not in dropped:
+            out.append(replace(r, split=tagged[id(r)]))
+    report.dropped_user_ids.sort()
+    return out, report
+
+
+def sample_negatives_rows(train_rows, item_universe, ratio, rng):
+    """Row-object oracle for data.sample_negatives: (user, item, label)
+    samples, each positive followed by its negatives."""
+    if ratio < 0:
+        raise DataError(f"negative ratio {ratio} < 0")
+    positives = [r for r in train_rows if r.label == 1]
+    interacted = {r.item for r in train_rows}
+    pool = np.array(sorted(set(item_universe) - interacted), dtype=np.int64)
+
+    samples = []
+    for r in positives:
+        samples.append((r.user, r.item, 1))
+        if ratio == 0 or len(pool) == 0:
+            continue
+        negs = rng.choice(pool, size=ratio, replace=len(pool) < ratio)
+        for iid in negs:
+            samples.append((r.user, int(iid), 0))
+    return samples
+
+
+def sample_negatives_of(rows, item_universe, ratio, rng):
+    """data.sample_negatives on Interaction rows, as (user, item, label) triples."""
+    items = np.array([r.item for r in rows], dtype=np.int64)
+    labels = np.array([r.label for r in rows], dtype=np.int64)
+    universe = np.array(sorted(item_universe), dtype=np.int64)
+    item, label = sample_negatives(items, labels, universe, ratio, rng)
+    user = rows[0].user if rows else 0
+    return [(user, i, l) for i, l in zip(item.tolist(), label.tolist())]

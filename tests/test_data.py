@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from fedrec.data import (
     SynthConfig,
     assign_groups,
     load_dataset,
-    sample_negatives,
     split_per_user_chronological,
     split_pretrain_federated,
     synth_generate,
@@ -28,6 +28,12 @@ from fedrec.data import (
 )
 from fedrec.federation import build_clients
 from fedrec.model import Arch
+from helpers import (
+    dataset_of,
+    sample_negatives_of,
+    sample_negatives_rows,
+    split_per_user_chronological_rows,
+)
 
 
 def write(path, text):
@@ -78,6 +84,32 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="99"):
             load_dataset(users, items, inter)
 
+    def test_unknown_user_id_reports_line(self, tmp_path, csv_paths):
+        # blank lines are skipped but still counted
+        users, items, _ = csv_paths
+        inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp,label\n0,5,1,1\n\n7,5,2,1\n")
+        with pytest.raises(DataError, match=r"bad\.csv:4: interaction references unknown user id 7$"):
+            load_dataset(users, items, inter)
+
+    def test_unknown_item_id_reports_line(self, tmp_path, csv_paths):
+        users, items, _ = csv_paths
+        inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp\n\n0,5,1\n\n\n1,6,2\n")
+        with pytest.raises(DataError, match=r"bad\.csv:6: interaction references unknown item id 6$"):
+            load_dataset(users, items, inter)
+
+    def test_bad_label_reports_line(self, tmp_path, csv_paths):
+        users, items, _ = csv_paths
+        inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp,label\n0,5,1,1\n1,5,2,2\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: interaction label 2 not in \{0,1\}$"):
+            load_dataset(users, items, inter)
+
+    def test_first_bad_row_is_reported(self, tmp_path, csv_paths):
+        # a bad label on line 2 comes before an unknown user on line 3
+        users, items, _ = csv_paths
+        inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp,label\n0,5,1,3\n9,5,2,1\n")
+        with pytest.raises(DataError, match=r"bad\.csv:2: interaction label 3"):
+            load_dataset(users, items, inter)
+
     def test_malformed_row_reports_line(self, tmp_path, csv_paths):
         users, items, _ = csv_paths
         inter = write(tmp_path / "bad.csv", "user_id,item_id,timestamp,label\n0,5,1,1\n0,x,2,1\n")
@@ -115,7 +147,25 @@ def ten_user_dataset():
     users = {u: (u % 2,) for u in range(10)}
     items = {i: (i % 2,) for i in range(20)}
     inter = [Interaction(u, i % 20, ts=i, label=1) for u in range(10) for i in range(10)]
-    return Dataset(schema_u, schema_i, users, items, inter).validate()
+    return dataset_of(schema_u, schema_i, users, items, inter).validate()
+
+
+class TestColumns:
+    def test_row_view_is_built_from_the_columns(self):
+        ds = split_pretrain_federated(ten_user_dataset(), 0.5, seed=7)
+        assert "interactions" not in vars(ds)
+        rows = ds.interactions
+        assert [(r.user, r.item, r.ts, r.label) for r in rows] == \
+            list(zip(ds.user.tolist(), ds.item.tolist(), ds.ts.tolist(), ds.label.tolist()))
+        assert {r.split for r in rows} == {PRETRAIN, None}
+        # a row of the view is no handle on the dataset
+        with pytest.raises(FrozenInstanceError):
+            rows[0].split = FED_TRAIN
+
+    def test_columns_of_unequal_length_rejected(self):
+        su, si = AttributeSchema(("g",), (1,)), AttributeSchema(("c",), (1,))
+        with pytest.raises(DataError, match="length"):
+            Dataset(su, si, {0: (0,)}, {0: (0,)}, [0, 0], [0], [0], [1])
 
 
 class TestPretrainFederatedSplit:
@@ -143,7 +193,7 @@ class TestChronologicalSplit:
         users = {0: (0,)}
         items = {i: (i % 2,) for i in range(max(n_inter, 1))}
         inter = [Interaction(0, i, ts=i, label=1) for i in range(n_inter)]
-        return Dataset(su, si, users, items, inter).validate()
+        return dataset_of(su, si, users, items, inter).validate()
 
     def test_10_interactions_622(self):
         ds, rep = split_per_user_chronological(self.make(10))
@@ -166,7 +216,7 @@ class TestChronologicalSplit:
         # items 3 and 1 share the last timestamp; item 1 must sort first
         inter = [Interaction(0, i, ts=0, label=1) for i in (0, 2, 4, 5)]
         inter += [Interaction(0, 3, ts=9, label=1), Interaction(0, 1, ts=9, label=1)]
-        ds, _ = split_per_user_chronological(Dataset(su, si, {0: (0,)}, items, inter).validate())
+        ds, _ = split_per_user_chronological(dataset_of(su, si, {0: (0,)}, items, inter).validate())
         test_items = [r.item for r in ds.interactions if r.split == FED_TEST]
         assert test_items == [3]
 
@@ -206,7 +256,7 @@ class TestSplitProperties:
             for u, rows in enumerate(per_user) for item, ts, label in rows
         ]
         users = {u: (0,) for u in range(len(per_user))}
-        ds = Dataset(su, si, users, {i: (0,) for i in range(6)}, inter).validate()
+        ds = dataset_of(su, si, users, {i: (0,) for i in range(6)}, inter).validate()
         out, report = split_per_user_chronological(ds)
 
         def key(r):
@@ -235,6 +285,47 @@ class TestSplitProperties:
                         assert when_a <= when_b
 
 
+@st.composite
+def interleaved_rows(draw):
+    """Rows of up to 8 users, up to 12 each, in a drawn order, with every row
+    of a drawn set of users already tagged pretrain. Few items and timestamps,
+    so (ts, item) ties, fully tied rows and short users are common."""
+    per_user = draw(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+                                      max_size=12), max_size=8))
+    pretrain_users = draw(st.sets(st.integers(0, 7)))
+    rows = [
+        Interaction(u, item, ts, label, PRETRAIN if u in pretrain_users else None)
+        for u, user_rows in enumerate(per_user) for item, ts, label in user_rows
+    ]
+    return draw(st.permutations(rows))
+
+
+class TestColumnarEqualsRowOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=interleaved_rows())
+    def test_chronological_split(self, rows):
+        su, si = AttributeSchema(("g",), (1,)), AttributeSchema(("c",), (1,))
+        ds = dataset_of(su, si, {u: (0,) for u in range(8)}, {i: (0,) for i in range(4)}, rows)
+        out, report = split_per_user_chronological(ds)
+        want_rows, want_report = split_per_user_chronological_rows(rows)
+        assert out.interactions == want_rows
+        assert report == want_report
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 1)), max_size=12),
+        universe=st.integers(1, 9),
+        ratio=st.integers(0, 5),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sample_negatives(self, rows, universe, ratio, seed):
+        # pools from 0 to 9 items, often smaller than the ratio
+        train = [Interaction(3, item, ts, label) for item, ts, label in rows]
+        got = sample_negatives_of(train, range(universe), ratio, np.random.default_rng(seed))
+        want = sample_negatives_rows(train, range(universe), ratio, np.random.default_rng(seed))
+        assert got == want
+
+
 class TestSampleNegativesProperties:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -245,7 +336,7 @@ class TestSampleNegativesProperties:
     )
     def test_negatives_avoid_every_interacted_item(self, rows, universe, ratio, seed):
         train = [Interaction(0, item, ts, label) for item, ts, label in rows]
-        samples = sample_negatives(train, range(universe), ratio, np.random.default_rng(seed))
+        samples = sample_negatives_of(train, range(universe), ratio, np.random.default_rng(seed))
         interacted = {r.item for r in train}
         negatives = [i for _, i, label in samples if label == 0]
         assert all(0 <= i < universe and i not in interacted for i in negatives)
@@ -265,7 +356,7 @@ class TestAssignGroups:
         su = AttributeSchema(("g", "h"), (2, 3))
         si = AttributeSchema(("c",), (2,))
         users = {0: (1, 2), 1: (0, 0)}
-        ds = Dataset(su, si, users, {0: (0,)}, []).validate()
+        ds = dataset_of(su, si, users, {0: (0,)}, []).validate()
         ga = assign_groups(ds, ["g", "h"])
         assert ga.groups_of(0) == {"g": 1, "h": 2}
         assert len(ga.groups_of(0)) == 2
@@ -291,7 +382,7 @@ class TestSampleNegatives:
         return groups
 
     def test_ratio_4(self):
-        samples = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(0))
+        samples = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(0))
         assert len(samples) == 2 + 8
         assert sum(1 for _, _, l in samples if l == 1) == 2
         # a large pool: each positive's negatives are drawn without replacement
@@ -300,17 +391,17 @@ class TestSampleNegatives:
         assert all(i not in interacted for _, i, l in samples if l == 0)
 
     def test_ratio_0(self):
-        samples = sample_negatives(self.positives(), range(20), 0, np.random.default_rng(0))
+        samples = sample_negatives_of(self.positives(), range(20), 0, np.random.default_rng(0))
         assert [l for _, _, l in samples] == [1, 1]
 
     def test_deterministic(self):
-        a = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
-        b = sample_negatives(self.positives(), range(20), 4, np.random.default_rng(3))
+        a = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(3))
+        b = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(3))
         assert a == b
 
     def test_insufficient_pool_draws_with_replacement(self):
         # two non-interacted items for four negatives per positive
-        samples = sample_negatives(self.positives(), range(4), 4, np.random.default_rng(0))
+        samples = sample_negatives_of(self.positives(), range(4), 4, np.random.default_rng(0))
         assert len(samples) == 2 + 8
         negs = self.negatives_per_positive(samples)
         assert all(set(n) <= {2, 3} for n in negs)

@@ -5,15 +5,13 @@ from fedrec.data import SynthConfig, synth_generate
 from fedrec.distill import DistillConfig, DistillError, distill, distill_targets
 from fedrec.federation import pretrain, pretrain_examples
 from fedrec.model import Arch, count_params, forward_batch, init_params
-from helpers import compare_models
+from helpers import compare_models, with_split
 
 
 def teacher_world(seed=0):
     cfg = SynthConfig(n_users=30, n_items=20, user_attrs=(3,), item_attrs=(4,),
                       beta=1.0, interactions_per_user=15)
-    ds = synth_generate(cfg, seed)
-    for r in ds.interactions:
-        r.split = "pretrain"
+    ds = with_split(synth_generate(cfg, seed), "pretrain")
     arch = Arch(ds.user_schema, ds.item_schema, embed_dim=8, mlp_hidden=(16, 8),
                 gate_mode="none", use_user_adapter=False, group_attrs=())
     teacher, _ = pretrain(ds, arch, epochs=8, lr=0.3, batch_size=32, seed=seed)

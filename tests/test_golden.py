@@ -5,7 +5,10 @@ gather, one scatter, a layout plan per epoch), for the noised rounds before
 evaluation was batched and the upload noise drawn in one call, and for the
 partial-participation runs before a round's clients became rows of arrays
 held for the whole run; they pin those rewrites, and any later one, to the
-same floating-point results bit for bit. They hold for numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
+same floating-point results bit for bit. The prepared-dataset digests
+were recorded while the dataset was a list of row objects, before it became
+columns; they pin the columnar split, synthesis and example assembly to the
+same rows, arrays and negative samples. They hold for numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
 BLAS build may change the last bits of a matrix product, and with them every
 digest.
 """
@@ -15,20 +18,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrec.data import SynthConfig, synth_generate
+from fedrec.data import SynthConfig, assign_groups, synth_generate
 from fedrec.distill import DistillConfig, distill
 from fedrec.federation import (
     EvalSummary,
     ServerState,
     aggregate_uploads,
+    build_clients,
     evaluate_global,
     pretrain,
     pretrain_examples,
     run_federated,
 )
+from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset
 from fedrec.model import Arch
 from fedrec.privacy import NoiseConfig
-from helpers import train_cohort
+from helpers import train_cohort, with_split
 from test_cohort import FED, SEED, ragged_cfg, world
 
 
@@ -42,13 +47,88 @@ def digest(tensors):
     return h.hexdigest()
 
 
+def rows_digest(ds):
+    """SHA-256 over the dataset's rows in order, as `user,item,ts,label,split;`."""
+    h = hashlib.sha256()
+    for r in ds.interactions:
+        h.update(f"{r.user},{r.item},{r.ts},{r.label},{r.split};".encode())
+    return h.hexdigest()
+
+
+def arrays_digest(arrays):
+    """SHA-256 over named arrays' names, dtypes, shapes and bytes, in the given order."""
+    h = hashlib.sha256()
+    for name, a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{name}{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def file_world_cfg(tmp_path):
+    """A 3-column interactions file, so every row is a positive and negatives
+    are sampled: non-contiguous user and item ids, users' rows interleaved,
+    timestamps with ties, a fully tied (ts, item) duplicate, user 43 below
+    MIN_FED_INTERACTIONS and user 99 with a negative pool of 2 for 4 negatives
+    per positive."""
+    uids = (3, 7, 10, 11, 20, 42, 43, 99)
+    iids = (2, 5, 8, 9, 13, 21, 34, 55, 60, 61)
+    rng = np.random.default_rng(5)
+    rows = []
+    for u, n in zip(uids[:-1], (9, 12, 6, 7, 11, 8, 3)):
+        rows += [(u, int(i), int(t)) for i, t in zip(rng.choice(iids, size=n), rng.integers(0, 4, size=n))]
+    rows.append(rows[0])
+    rows += [(99, i, t % 3) for t, i in enumerate(iids[:8] + iids[:2])]
+    rows = [rows[j] for j in rng.permutation(len(rows))]
+    files = {
+        "users": ["user_id,ua0,ua1"] + [f"{u},{u % 3},{u % 2}" for u in uids],
+        "items": ["item_id,ia0"] + [f"{i},{i % 4}" for i in iids],
+        "interactions": ["user_id,item_id,timestamp"] + [f"{u},{i},{t}" for u, i, t in rows],
+    }
+    paths = {}
+    for name, lines in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("\n".join(lines) + "\n")
+    return ExperimentConfig(
+        seed=0, source="files", users_path=str(paths["users"]), items_path=str(paths["items"]),
+        interactions_path=str(paths["interactions"]), pretrain_fraction=0.25, group_attrs=("ua0",),
+        embed_dim=4, mlp_hidden=(6,), gate_hidden=3,
+    )
+
+
+def test_prepared_rows_golden():
+    # the A4 world at seed 0, and a beta-0 world that draws each user's
+    # items with replacement (more interactions per user than items)
+    a4 = ExperimentConfig(seed=0, mlp_hidden=(8,), group_attrs=("ua0",))
+    a4.synth = replace(a4.synth, pref_spread=1.5, interactions_per_user=60)
+    small = ExperimentConfig(seed=2)
+    small.synth = SynthConfig(n_users=12, n_items=6, user_attrs=(3, 2), item_attrs=(2,),
+                              beta=0.0, interactions_per_user=9, base=0.4)
+    assert [rows_digest(prepare_dataset(cfg)[0]) for cfg in (a4, small)] == PREPARED_ROWS_DIGESTS
+
+
+def test_file_world_examples_golden(tmp_path):
+    # prepared rows, pretrain examples with sampled negatives, and every
+    # client's shards, whose train negatives are sampled per positive
+    cfg = file_world_cfg(tmp_path)
+    ds, report = prepare_dataset(cfg)
+    assert report.dropped_user_ids == [43]
+    assert rows_digest(ds) == FILE_WORLD_ROWS_DIGEST
+    UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
+    assert arrays_digest([("UA", UA), ("VA", VA), ("y", y)]) == FILE_WORLD_PRETRAIN_DIGEST
+    clients = build_clients(ds, assign_groups(ds, cfg.group_attrs), build_arch(cfg, ds),
+                            cfg.seed, cfg.neg_ratio)
+    shards = [(f"{c.uid}/attrs", c.user_attrs) for c in clients]
+    shards += [(f"{c.uid}/{c.groups}/{k}/{part}", getattr(s, part))
+               for c in clients for k, s in c.shards.items() for part in ("items", "labels")]
+    assert arrays_digest(shards) == FILE_WORLD_SHARDS_DIGEST
+
+
 def base_world():
     """Pretrained (16, 8) base model on 30 synthetic users, and its data."""
     cfg = SynthConfig(n_users=30, n_items=20, user_attrs=(3, 2), item_attrs=(4, 3),
                       beta=1.0, interactions_per_user=15)
-    ds = synth_generate(cfg, 1)
-    for r in ds.interactions:
-        r.split = "pretrain"
+    ds = with_split(synth_generate(cfg, 1), "pretrain")
     arch = Arch(ds.user_schema, ds.item_schema, embed_dim=8, mlp_hidden=(16, 8),
                 gate_mode="none", use_user_adapter=False, group_attrs=())
     ps, losses = pretrain(ds, arch, epochs=4, lr=0.3, batch_size=32, seed=1)
@@ -142,3 +222,8 @@ PARTIAL_GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
 }
+PREPARED_ROWS_DIGESTS = ["99a25774905442e8ffcb4ad3960bae0431e40e45550d768e9cef318e0611f9f3",
+                         "8c5914b31b5a2075587e4d8b5625f100bda44ad78df8350a880136ac18a8412e"]
+FILE_WORLD_ROWS_DIGEST = "0752edb0a5a080b2b3f1bb990b31c26543dc84f71caac1c2401b537aa9343eb5"
+FILE_WORLD_PRETRAIN_DIGEST = "17880a63c9cb91f7b2f8b0cc75d1e810d40bcb70b1cd5cd993b3cb2811507b6c"
+FILE_WORLD_SHARDS_DIGEST = "67af774654ed1c900844211dbf24c50fcc1f773c95acf6d97e38d1b94bcf4630"

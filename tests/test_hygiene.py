@@ -72,6 +72,45 @@ def test_no_ufunc_at_scatter():
     assert [hit for path in sorted(SRC.glob("*.py")) for hit in ufunc_at_calls(path)] == []
 
 
+def row_object_uses(path):
+    """`file:line: code` for every read of an `.interactions` attribute and
+    every `Interaction(...)` call, outside the definition of the row view
+    (the `interactions` property) itself."""
+    tree = ast.parse(path.read_text(), str(path))
+    view = {
+        id(n)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "interactions"
+        for n in ast.walk(node)
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if id(node) in view:
+            continue
+        read = isinstance(node, ast.Attribute) and node.attr == "interactions" and isinstance(node.ctx, ast.Load)
+        call = isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Interaction"
+        if read or call:
+            hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_package_reads_interaction_columns_only():
+    # the dataset's rows are int64 columns; `Dataset.interactions` builds
+    # row objects for outside readers, and no code in the package uses them
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in row_object_uses(path)] == []
+
+
+def test_row_object_check_flags_a_row_loop(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class Dataset:\n    @property\n    def interactions(self):\n"
+        "        return [Interaction(u) for u in self.user]\n\n\n"
+        "def build(ds):\n    return [r.item for r in ds.interactions if r.split]\n\n\n"
+        "def one():\n    return data.Interaction(0, 1, 2, 1)\n"
+    )
+    assert set(row_object_uses(mod)) == {"mod.py:8: ds.interactions", "mod.py:12: data.Interaction(0, 1, 2, 1)"}
+
+
 def top_level_nodes(tree):
     """(name, definition node) for each top-level function, class and
     assigned constant of a module."""
