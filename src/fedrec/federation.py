@@ -9,9 +9,11 @@ aggregated by unweighted mean.
 
 A run holds every client's state as arrays with a leading client axis
 (`ClientArrays`), and a round works on rows of them: it gathers its
-participants by index, trains them as one cohort, writes their private
-tensors back by index, and uploads one `UploadBatch` whose tensors carry the
-same client axis.
+participants by index into one cohort ParamSet (`model.Layout.cohort`),
+trains it, writes their user adapters back by index, and uploads the
+cohort's shared matrix as one `UploadBatch`: noise adds one matrix to it, and
+aggregation is one row mean over its common range plus one per group segment
+over that group's members.
 """
 from __future__ import annotations
 
@@ -42,22 +44,19 @@ from .model import (
     PRIVATE,
     SHARED,
     Arch,
+    Layout,
     ParamSet,
     ShapeError,
     forward_batch,
     init_params,
     init_user_adapter,
     sgd_epoch,
+    user_adapter_specs,
 )
 from .privacy import NoiseConfig, noise_uploads
 from .streams import derive_generators
 
 log = logging.getLogger(__name__)
-
-GROUP_PREFIX = "adapter/group/"
-# group name under which a cohort ParamSet holds each client's own group adapters
-OWN_GROUP = "own"
-
 
 class FederationError(RuntimeError):
     pass
@@ -103,8 +102,7 @@ class PartitionPolicy:
         return hits[0]
 
     def apply(self, ps: ParamSet) -> ParamSet:
-        tags = {n: self.tag_of(n) for n in ps.tensors}
-        return ParamSet(ps.arch, dict(ps.tensors), tags)
+        return ParamSet(ps.arch, ps.tensors, {n: self.tag_of(n) for n in ps.tensors})
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +155,8 @@ class ClientArrays:
 
     uids: np.ndarray                  # (N,)
     groups: np.ndarray                # (N, |arch.group_attrs|) group of each grouping attribute
-    private: Dict[str, np.ndarray]    # name -> (N, *shape)
+    private: np.ndarray               # (N, P) user adapter, its tensors end to end
+    shapes: Dict[str, Tuple[int, ...]]  # the user adapter's tensors, in that order
     shards: Dict[str, StackedShards]  # split -> shards
 
     @classmethod
@@ -177,40 +176,44 @@ class ClientArrays:
             UA = np.repeat(users[:, None, :], width, axis=1)
             shards[split] = StackedShards(UA, VA, y, counts)
         groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
-        private_names = clients[0].private if n else ()
+        shapes = {name: shape for name, (shape, _) in user_adapter_specs(arch).items()}
+        private = np.zeros((n, sum(math.prod(s) for s in shapes.values())))
+        for i, c in enumerate(clients):
+            if shapes:
+                private[i] = np.concatenate([c.private[name].ravel() for name in shapes])
         return cls(
             uids=np.array([c.uid for c in clients], dtype=np.int64),
             groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
-            private={name: np.stack([c.private[name] for c in clients]) for name in private_names},
+            private=private,
+            shapes=shapes,
             shards=shards,
         )
 
     def write_back(self, clients: Sequence[ClientState]):
-        """Set each client's private tensors to its rows."""
+        """Set each client's private tensors to views of its row."""
+        cuts = np.cumsum([math.prod(shape) for shape in self.shapes.values()])[:-1]
         for i, c in enumerate(clients):
-            c.private = {name: t[i] for name, t in self.private.items()}
+            parts = np.split(self.private[i], cuts)
+            c.private = {name: t.reshape(shape) for (name, shape), t in zip(self.shapes.items(), parts)}
 
 
 @dataclass
 class UploadBatch:
-    """A round's uploads, row c of every array belonging to client uids[c].
-
-    `tensors` maps each uploaded tensor, in upload order (sorted names), to
-    a (C, *shape) array. Group adapters go under their cohort name, with
-    group OWN_GROUP; row c holds the pair of the group in row c of `groups`,
-    whose columns follow the arch's grouping attributes. Any other name,
-    a group adapter under its real group's name included, holds that
-    tensor in every row."""
+    """A round's uploads, row c of every array belonging to client uids[c]:
+    row c of `shared` is client c's shared vector in the cohort `layout`,
+    whose group segments hold the adapters of the groups in row c of
+    `groups` (columns following the arch's grouping attributes)."""
 
     uids: np.ndarray                  # (C,)
     n_examples: np.ndarray            # (C,) train rows
     groups: np.ndarray                # (C, |arch.group_attrs|)
-    tensors: Dict[str, np.ndarray]
+    shared: np.ndarray                # (C, P)
+    layout: Layout
 
     @property
     def n_scalars(self) -> int:
         """Scalars each client uploads."""
-        return int(sum(math.prod(t.shape[1:]) for t in self.tensors.values()))
+        return self.shared.shape[1]
 
 
 @dataclass
@@ -396,58 +399,47 @@ def select_clients(
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _group_tables(ps: ParamSet) -> Dict[str, Tuple[int, np.ndarray, str]]:
-    """Each group adapter tensor of `ps` stacked over its attribute's groups,
-    (card, *shape), under its cohort name (group OWN_GROUP), with the column
-    of its attribute in a group matrix and its partition tag."""
-    arch = ps.arch
-    tables = {}
-    for col, (attr, card) in enumerate(arch.group_cards().items()):
-        for l in arch.adapter_layer_ids:
-            for part in ("A", "B"):
-                names = [f"{GROUP_PREFIX}{attr}/{g}/{l}/{part}" for g in range(card)]
-                own = f"{GROUP_PREFIX}{attr}/{OWN_GROUP}/{l}/{part}"
-                tags = {ps.tags[n] for n in names}
-                if len(tags) != 1:
-                    raise FederationError(f"group adapters {own!r} carry different partition tags")
-                tables[own] = (col, np.stack([ps.tensors[n] for n in names]), tags.pop())
-    return tables
+def _cohort(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray) -> ParamSet:
+    """The models of the clients at rows idx of `arrays` as one cohort
+    ParamSet: a row per client of the global trained vectors, with the
+    client's user adapter from its private row and, per grouping attribute,
+    its own group's adapter segment; frozen stays the global vector."""
+    lay = global_ps.layout
+    try:
+        cohort = lay.cohort
+    except ShapeError as exc:
+        raise FederationError(str(exc)) from None
+    trained = np.empty((len(idx), cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
+    for tag in (PRIVATE, SHARED):
+        start, stop = cohort.start(tag), cohort.start(tag) + cohort.common[tag]
+        trained[:, start:stop] = global_ps.flat[tag][: cohort.common[tag]]
+    for col, attr in enumerate(global_ps.arch.group_attrs):
+        if attr in cohort.own:
+            tag, at = cohort.own[attr]
+            segments = lay.groups[attr]
+            width, first = cohort.segment[-1][1], lay.entries[segments[0][0]][1]
+            table = global_ps.flat[tag][first : first + len(segments) * width].reshape(len(segments), width)
+            start = cohort.start(tag) + at
+            trained[:, start : start + width] = table[arrays.groups[idx, col]]
+    trained[:, _user_columns(cohort, arrays.shapes)] = arrays.private[idx]
+    return ParamSet.from_vectors(global_ps.arch, cohort, global_ps.frozen, trained)
 
 
-def _cohort_params(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray, train: bool) -> ParamSet:
-    """The models of the clients at rows idx of `arrays` as one ParamSet.
-    Stacked on a leading client axis: each client's private tensors, its own
-    group's adapter pair and, for training, a copy of every other non-frozen
-    tensor. Every other tensor stays unstacked and broadcasts."""
-    tensors: Dict[str, np.ndarray] = {}
-    tags: Dict[str, str] = {}
-    for name, t in global_ps.tensors.items():
-        if name.startswith(GROUP_PREFIX):
-            continue
-        tag = global_ps.tags[name]
-        if name in arrays.private:
-            tensors[name] = arrays.private[name][idx]
-        elif train and tag != FROZEN:
-            tensors[name] = np.repeat(t[None], len(idx), axis=0)
-        else:
-            tensors[name] = t
-        tags[name] = tag
-    for own, (col, table, tag) in _group_tables(global_ps).items():
-        tensors[own] = table.take(arrays.groups[idx, col], axis=0)
-        tags[own] = tag
-    return ParamSet(global_ps.arch, tensors, tags)
+def _user_columns(lay: Layout, shapes: Dict[str, Tuple[int, ...]]) -> slice:
+    """The trained buffer's columns holding the user adapter, which every
+    client keeps for itself."""
+    if not shapes:
+        return slice(0, 0)
+    spans = [lay.entries[name] for name in shapes]
+    tag = spans[0][0]
+    if tag == FROZEN or any(t != tag for t, *_ in spans):
+        raise FederationError("the user adapter must carry one trained partition tag")
+    return slice(lay.start(tag) + spans[0][1], lay.start(tag) + spans[-1][2])
 
 
-def _cohort_groups(arch: Arch) -> Optional[Dict[str, str]]:
-    return {attr: OWN_GROUP for attr in arch.group_attrs} or None
-
-
-def _first_non_finite(tensors: Dict[str, np.ndarray], uids: np.ndarray):
-    """uids[c] of the first row c with a non-finite value in any of the
-    (C, *shape) tensors, or None."""
-    finite = np.ones(len(uids), dtype=bool)
-    for t in tensors.values():
-        finite &= np.isfinite(t.reshape(len(uids), -1)).all(axis=1)
+def _first_non_finite(rows: np.ndarray, uids: np.ndarray):
+    """uids[c] of the first row c with a non-finite value, or None."""
+    finite = np.isfinite(rows).all(axis=1)
     return None if finite.all() else int(uids[np.argmin(finite)])
 
 
@@ -475,53 +467,70 @@ def local_train(
     live = idx[arrays.shards["train"].counts[idx] > 0]
     uids = arrays.uids[live]
     if not live.size:
-        return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], {})
-    ps = _cohort_params(global_ps, arrays, live, train=True)
+        return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], np.zeros((0, 0)),
+                           global_ps.layout)
+    ps = _cohort(global_ps, arrays, live)
+    ps.owned = True  # a buffer of this call's own: the epochs train it in place
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(seed, round_index, uids, 1, pool)
-    groups = _cohort_groups(global_ps.arch)
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, VA, y, groups, cfg.batch_size, cfg.lr, rngs, counts=counts)
+        ps, _ = sgd_epoch(ps, UA, VA, y, None, cfg.batch_size, cfg.lr, rngs, counts=counts)
 
-    private = {name: ps.tensors[name] for name in arrays.private}
+    private = ps.trained[:, _user_columns(ps.layout, arrays.shapes)]
     bad = _first_non_finite(private, uids)
     if bad is not None:
         raise FederationError(
             f"round {round_index}: training diverged; first client with a non-finite private adapter: {bad}"
         )
-    for name, t in private.items():
-        arrays.private[name][live] = t
-    shared = sorted(n for n, tag in ps.tags.items() if tag == SHARED)
-    return UploadBatch(uids, counts, arrays.groups[live], {n: ps.tensors[n] for n in shared})
+    arrays.private[live] = private
+    return UploadBatch(uids, counts, arrays.groups[live], ps.flat[SHARED], ps.layout)
+
+
+def _mean_rows(rows: np.ndarray, scalars: List[int]) -> np.ndarray:
+    """The mean of `rows` (m, P) over its rows, bit for bit as numpy averages
+    each tensor on its own: row by row, except that a one-scalar tensor's
+    column, at `scalars`, is one contiguous reduction (summed pairwise)."""
+    out = np.mean(rows, axis=0)
+    if scalars:
+        out[scalars] = np.mean(np.ascontiguousarray(rows[:, scalars].T), axis=1)
+    return out
 
 
 def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
-    """Unweighted element-wise mean of each uploaded tensor over the batch's
-    rows in batch order; a group adapter under its cohort name over the rows
-    of its group's members only. Tensors nobody uploaded are untouched.
-    Raises FederationError on an empty batch, or naming a client whose
-    upload holds a tensor the server does not tag shared."""
+    """Unweighted element-wise mean of the uploads over the batch's rows in
+    batch order: one mean over the common range, and one per group segment
+    over the rows of that group's members. Group adapters nobody uploaded
+    are untouched. Raises FederationError on an empty batch, or naming a
+    client whose upload holds a tensor the server does not tag shared."""
     if not len(batch.uids):
         raise FederationError("no usable uploads this round")
-    members = {}  # grouping attribute -> (group, member rows) of each group with members
-    for col, attr in enumerate(server.params.arch.group_attrs):
-        groups = batch.groups[:, col]
+    ps, lay, cohort = server.params, server.params.layout, batch.layout
+    common = {n: e for n, e in cohort.entries.items() if e[0] == SHARED}
+    bad = [n for n in common if ps.tags.get(n) != SHARED]
+    if bad:
+        raise FederationError(f"upload from client {batch.uids[0]} contains non-shared tensor {bad[0]!r}")
+    if any(lay.entries[n] != e for n, e in common.items()):
+        raise FederationError("uploads do not follow the server's layout of shared tensors")
+    trained, start, n = ps.trained.copy(), lay.start(SHARED), cohort.common[SHARED]
+    trained[start : start + n] = _mean_rows(batch.shared[:, :n], [a for _, a, b, _ in common.values() if b - a == 1])
+    scalars = [a for a, b, _ in cohort.segment if b - a == 1]
+    for col, attr in enumerate(ps.arch.group_attrs):
+        tag, at = cohort.own.get(attr, (None, 0))
+        if tag != SHARED:
+            continue
+        width, groups = cohort.segment[-1][1], batch.groups[:, col]
         # np.bincount, not np.unique, which would import numpy.ma (~1.7 MB)
-        members[attr] = [(g, groups == g) for g in np.flatnonzero(np.bincount(groups))]
-    updates = {}
-    for name, rows in batch.tensors.items():
-        parts = name.split("/", 4)
-        if name.startswith(GROUP_PREFIX) and parts[3] == OWN_GROUP:
-            targets = [(f"{GROUP_PREFIX}{parts[2]}/{g}/{parts[4]}", mask) for g, mask in members[parts[2]]]
-        else:
-            targets = [(name, slice(None))]
-        for real, mask in targets:
-            if server.params.tags.get(real) != SHARED:
+        for g in np.flatnonzero(np.bincount(groups)):
+            mask = groups == g
+            names = lay.groups[attr][g]
+            bad = [name for name in names if ps.tags[name] != SHARED]
+            if bad:
                 raise FederationError(
-                    f"upload from client {batch.uids[mask][0]} contains non-shared tensor {real!r}"
+                    f"upload from client {batch.uids[mask][0]} contains non-shared tensor {bad[0]!r}"
                 )
-            updates[real] = np.mean(rows[mask], axis=0)
-    return ServerState(server.params.with_tensors(updates), server.reports)
+            first = start + lay.entries[names[0]][1]
+            trained[first : first + width] = _mean_rows(batch.shared[mask, at : at + width], scalars)
+    return ServerState(ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained), server.reports)
 
 
 def _evaluate(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
@@ -530,9 +539,8 @@ def _evaluate(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSumm
     scored = np.flatnonzero(shards.counts)
     aucs = precs = np.empty(0)
     if scored.size:
-        ps = _cohort_params(server_ps, arrays, scored, train=False)
         UA, VA, y, counts = shards.rows(scored)
-        probs, _ = forward_batch(ps, UA, VA, _cohort_groups(server_ps.arch))
+        probs, _ = forward_batch(_cohort(server_ps, arrays, scored), UA, VA)
         try:
             rows = score_rows(probs, y, counts)
         except NonFiniteScoreError as exc:
@@ -580,10 +588,10 @@ def run_federated(
     The clients are stacked into one ClientArrays for the whole run; their
     `private` tensors are set from it once, when the run ends."""
     server = ServerState(server_ps)
-    frozen_names = [n for n, t in server_ps.tags.items() if t == FROZEN]
-    frozen_ref = {n: server_ps.tensors[n] for n in frozen_names}
     arrays = ClientArrays.stack(clients, server_ps.arch, ("train", "val"))
     pool: List[np.random.Generator] = []  # the rounds' per-client streams
+    noised = noise_cfg is not None and noise_cfg.enabled
+    order = _draw_order(server_ps.layout.cohort) if noised else None
 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
@@ -593,9 +601,9 @@ def run_federated(
         with np.errstate(over="ignore", invalid="ignore"):
             batch = local_train(arrays, idx, server.params, cfg, r, seed, pool)
             live = len(batch.uids)
-            if live and noise_cfg is not None and noise_cfg.enabled:
+            if live and noised:
                 rngs = derive_generators(seed, r, batch.uids, 2, pool)
-                batch = replace(batch, tensors=noise_uploads(batch.tensors, noise_cfg, rngs))
+                batch = replace(batch, shared=noise_uploads(batch.shared, noise_cfg, rngs, order))
             report = RoundReport(
                 round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0
             )
@@ -604,7 +612,7 @@ def run_federated(
                 try:
                     server.params.check_finite()
                 except ShapeError as exc:
-                    who = _first_non_finite(batch.tensors, batch.uids)
+                    who = _first_non_finite(batch.shared, batch.uids)
                     raise FederationError(
                         f"round {r}: training diverged after aggregation ({exc}); "
                         f"first client with a non-finite upload: {who}"
@@ -625,7 +633,23 @@ def run_federated(
         server.reports.append(report)
 
     arrays.write_back(clients)
-    for n in frozen_names:
-        if not np.array_equal(server.params.tensors[n], frozen_ref[n]):
+    for n, tag in server_ps.tags.items():
+        if tag == FROZEN and not np.array_equal(server.params.tensors[n], server_ps.tensors[n]):
             raise FederationError(f"frozen tensor {n!r} changed during the run")
     return server, clients, server.reports
+
+
+def _draw_order(cohort: Layout) -> np.ndarray:
+    """The noise draw each column of a cohort's upload takes: the draws run
+    through the shared tensors in sorted name order, as when each tensor
+    was noised on its own, a group segment's tensors under group 0's names
+    (each group's names sort alike)."""
+    spans = [(n, a, b) for n, (tag, a, b, _) in cohort.entries.items() if tag == SHARED]
+    for attr, (tag, at) in cohort.own.items():
+        if tag == SHARED:
+            spans += [(n, at + a, at + b) for n, (a, b, _) in zip(cohort.groups[attr][0], cohort.segment)]
+    order, drawn = np.empty(cohort.sizes[SHARED], dtype=np.intp), 0
+    for _, a, b in sorted(spans):
+        order[a:b] = np.arange(drawn, drawn + b - a)
+        drawn += b - a
+    return order

@@ -1,7 +1,8 @@
 """Model core: embedding lookup, gated low-rank-adapter MLP, BCE loss and
 exact analytic gradients.
 
-Parameters live in a flat name -> float64 array map (ParamSet). Names:
+A ParamSet holds named float64 tensors, each with a partition tag (frozen /
+private / shared). Names:
 
     user_emb/<attr>                  (p, d) table
     item_emb/<attr>                  (p, d) table
@@ -10,21 +11,27 @@ Parameters live in a flat name -> float64 array map (ParamSet). Names:
     adapter/group/<attr>/<g>/<l>/A|B group-level pair for group g of <attr>
     gate/<l>/W1|W2                   gate mapping (h, d) / (n_branches, h)
 
-Every tensor carries a partition tag (frozen / private / shared).
+Each tag's tensors lie end to end in one float64 vector, in the order a
+`Layout` fixes, and `tensors[name]` is a reshaped view into its tag's vector.
+The private and shared vectors are the two halves of one buffer, `trained`,
+so an SGD step is one update of that buffer.
 
-A ParamSet may also hold a cohort of clients: a tensor then either carries a
-leading client axis (C, ...) or, when every client uses the same value, stays
-as is and broadcasts. Forward, backward and SGD are written once over leading
-axes, so a single model runs them without a client axis. A step reads every
-tensor name, embedding offset and trainable flag it needs from a layout plan
-(`_plan`) that `sgd_epoch` builds once per epoch.
+A ParamSet may also hold a cohort of clients: its trained buffer then has a
+row per client, (C, P), while the frozen vector stays one and broadcasts; a
+cohort's rows hold each client's own group's adapters (`Layout.cohort`).
+Forward, backward and SGD are written once over leading axes, so a single
+model runs them without a client axis. A step reads every view it needs, of
+the tensors and of their gradients, from a layout plan (`_plan`) that
+`sgd_epoch` builds once per epoch.
 """
 from __future__ import annotations
 
 import fnmatch
+import functools
 import json
-from dataclasses import asdict, dataclass, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import asdict, dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,7 +42,11 @@ TAGS = (FROZEN, PRIVATE, SHARED)
 
 GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE = "learned", "uniform", "common", "none"
 
+GROUP_PREFIX = "adapter/group/"
+
 EPS_CLAMP = 1e-12  # BCE probability clamp
+
+Shape = Tuple[int, ...]
 
 
 class ShapeError(ValueError):
@@ -113,40 +124,182 @@ class Arch:
         return {a: self.user_schema.cards[self.user_schema.index(a)] for a in self.group_attrs}
 
 
-class ParamSet:
-    """Named float64 tensors with partition tags; treated as an immutable value."""
+ZERO, NORMAL, GLOROT = "zero", "normal", "glorot"  # initializers
 
-    __slots__ = ("arch", "tensors", "tags")
+
+def _pair(arch: Arch, prefix: str) -> Dict[str, Tuple[Shape, str]]:
+    """Shape and initializer of the adapter pair `<prefix>/<l>/A|B`, (k, r)
+    and (r, d), of every adapted layer l: W_a ~ N(0, 0.02), W_b = 0."""
+    out = {}
+    for l in arch.adapter_layer_ids:
+        k, d, r = arch.layer_dims[l + 1], arch.layer_dims[l], arch.layer_rank(l)
+        out[f"{prefix}/{l}/A"], out[f"{prefix}/{l}/B"] = ((k, r), NORMAL), ((r, d), ZERO)
+    return out
+
+
+def user_adapter_specs(arch: Arch) -> Dict[str, Tuple[Shape, str]]:
+    """The user-level adapter's tensors (none without a user adapter)."""
+    return _pair(arch, "adapter/user") if arch.use_user_adapter else {}
+
+
+def _specs(arch: Arch) -> Dict[str, Tuple[Shape, str]]:
+    """Every tensor's shape and initializer, in the order init_params draws
+    them. Embeddings and MLP weights are Glorot-uniform, biases zero; every
+    adapter branch starts as the zero map, and gate W_2 is zero so the gate
+    starts uniform over branches."""
+    d, dims = arch.embed_dim, arch.layer_dims
+    out: Dict[str, Tuple[Shape, str]] = {}
+    for side, schema in (("user", arch.user_schema), ("item", arch.item_schema)):
+        for name, p in zip(schema.names, schema.cards):
+            out[f"{side}_emb/{name}"] = ((p, d), GLOROT)
+    for l in range(arch.n_layers):
+        out[f"mlp/{l}/W"], out[f"mlp/{l}/b"] = ((dims[l + 1], dims[l]), GLOROT), ((dims[l + 1],), ZERO)
+    out.update(user_adapter_specs(arch))
+    for attr, card in arch.group_cards().items():
+        for g in range(card):
+            out.update(_pair(arch, f"{GROUP_PREFIX}{attr}/{g}"))
+    for l in arch.adapter_layer_ids if arch.gate_mode == GATE_LEARNED else ():
+        out[f"gate/{l}/W1"] = ((arch.gate_hidden, dims[l]), GLOROT)
+        out[f"gate/{l}/W2"] = ((arch.n_branches, arch.gate_hidden), ZERO)
+    return out
+
+
+@dataclass(frozen=True)
+class Layout:
+    """Where each tensor of a ParamSet sits.
+
+    Each tag's tensors lie end to end in one vector: the embedding tables in
+    slot order, each layer's W and b, the user adapter and the gate, which
+    make up the tag's `common` range, then every grouping attribute's groups
+    in order, a group's adapter pairs (layer by layer, A then B) being one
+    `segment`. A cohort's layout (`cohort`) keeps the common ranges and
+    holds, per grouping attribute, one unnamed segment at `own[attr]` =
+    (tag, start): in row c, client c's own group's.
+    """
+
+    tags: Dict[str, str]                                  # name -> tag of each named tensor
+    entries: Dict[str, Tuple[str, int, int, Shape]]       # name -> (tag, start, stop, shape)
+    sizes: Dict[str, int]                                 # tag -> vector length
+    common: Dict[str, int]                                # tag -> length of its common range
+    groups: Dict[str, Tuple[Tuple[str, ...], ...]]        # attribute -> names in each group's segment
+    segment: Tuple[Tuple[int, int, Shape], ...]           # (start, stop, shape) in a segment
+    own: Dict[str, Tuple[str, int]] = field(default_factory=dict)
+
+    def start(self, tag: str) -> int:
+        """Where the tag's vector starts in the trained buffer."""
+        return self.sizes[PRIVATE] if tag == SHARED else 0
+
+    @functools.cached_property
+    def cohort(self) -> "Layout":
+        """The layout of a cohort of this model's clients. Raises ShapeError
+        unless each grouping attribute's adapters carry one trained tag."""
+        sizes, own = dict(self.common), {}
+        for attr, segments in self.groups.items():
+            tags = {self.tags[n] for names in segments for n in names}
+            if len(tags) != 1 or FROZEN in tags:
+                raise ShapeError(f"group adapters of {attr!r} carry different or frozen partition tags")
+            tag = tags.pop()
+            own[attr] = (tag, sizes[tag])
+            sizes[tag] += self.segment[-1][1]
+        grouped = {n for segments in self.groups.values() for names in segments for n in names}
+        entries = {n: e for n, e in self.entries.items() if n not in grouped}
+        return replace(self, tags={n: self.tags[n] for n in entries}, entries=entries, sizes=sizes, own=own)
+
+
+def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
+    """The layout of a model of `arch` whose tensors carry `tags`. Its
+    entries keep the order init_params draws the tensors in."""
+    specs = _specs(arch)
+    if set(tags) != set(specs):
+        raise ShapeError("tensor names differ from the arch's")
+    groups = {
+        attr: tuple(tuple(_pair(arch, f"{GROUP_PREFIX}{attr}/{g}")) for g in range(card))
+        for attr, card in arch.group_cards().items()
+        if arch.adapter_layer_ids
+    }
+    grouped = [n for segments in groups.values() for names in segments for n in names]
+    placed: Dict[str, Tuple[str, int, int, Shape]] = {}
+    sizes = dict.fromkeys(TAGS, 0)
+    for names in ([n for n in specs if n not in set(grouped)], grouped):
+        common = dict(sizes)  # in the end, the lengths before the group segments
+        for name in names:
+            tag, shape = tags[name], specs[name][0]
+            placed[name] = (tag, sizes[tag], sizes[tag] + math.prod(shape), shape)
+            sizes[tag] = placed[name][2]
+    segment, at = [], 0
+    for shape, _ in _pair(arch, "").values():
+        segment.append((at, at + math.prod(shape), shape))
+        at += math.prod(shape)
+    return Layout(dict(tags), {n: placed[n] for n in specs}, sizes, common, groups, tuple(segment))
+
+
+class ParamSet:
+    """Named float64 tensors with partition tags; treated as an immutable value.
+
+    `flat[tag]` is the tag's vector and `tensors[name]` a view into it; the
+    private and shared vectors are the halves of `trained`. A ParamSet that
+    `owned` marks is a copy an epoch trains: sgd_step updates its trained
+    buffer in place. Every other ParamSet's buffers are never written.
+    """
+
+    __slots__ = ("arch", "tags", "layout", "frozen", "trained", "flat", "tensors", "owned")
 
     def __init__(self, arch: Arch, tensors: Dict[str, np.ndarray], tags: Optional[Dict[str, str]] = None):
-        self.arch = arch
-        self.tensors = tensors
-        self.tags = tags if tags is not None else {n: SHARED for n in tensors}
-        if set(self.tags) != set(self.tensors):
+        tags = tags if tags is not None else {n: SHARED for n in tensors}
+        if set(tags) != set(tensors):
             raise ShapeError("tags must cover exactly the tensor names")
+        lay = _layout(arch, tags)
+        self._bind(arch, lay, np.empty(lay.sizes[FROZEN]), np.empty(lay.sizes[PRIVATE] + lay.sizes[SHARED]))
+        self._fill(tensors)
+
+    @classmethod
+    def from_vectors(cls, arch: Arch, layout: Layout, frozen: np.ndarray, trained: np.ndarray) -> "ParamSet":
+        """The ParamSet over these buffers, which the caller hands over."""
+        ps = cls.__new__(cls)
+        ps._bind(arch, layout, frozen, trained)
+        return ps
+
+    def _bind(self, arch: Arch, layout: Layout, frozen: np.ndarray, trained: np.ndarray):
+        self.arch, self.tags, self.layout, self.owned = arch, layout.tags, layout, False
+        self.frozen, self.trained = frozen, trained
+        n = layout.sizes[PRIVATE]
+        self.flat = {FROZEN: frozen, PRIVATE: trained[..., :n], SHARED: trained[..., n:]}
+        self.tensors = {
+            name: self.flat[tag][..., a:b].reshape(self.flat[tag].shape[:-1] + shape)
+            for name, (tag, a, b, shape) in layout.entries.items()
+        }
+
+    def _fill(self, tensors: Dict[str, np.ndarray]):
+        for name, t in tensors.items():
+            if np.shape(t) != self.tensors[name].shape:
+                raise ShapeError(f"tensor {name!r} has shape {np.shape(t)}, not {self.tensors[name].shape}")
+            self.tensors[name][...] = t
+
+    def copy(self) -> "ParamSet":
+        """This ParamSet over a copy of its trained buffer; frozen is shared."""
+        return ParamSet.from_vectors(self.arch, self.layout, self.frozen, self.trained.copy())
 
     def with_tensors(self, updates: Dict[str, np.ndarray]) -> "ParamSet":
         unknown = set(updates) - set(self.tensors)
         if unknown:
             raise ShapeError(f"unknown tensor names {sorted(unknown)}")
-        merged = dict(self.tensors)
-        merged.update(updates)
-        return self._replaced(merged)
-
-    def _replaced(self, tensors: Dict[str, np.ndarray]) -> "ParamSet":
-        """This ParamSet's arch and tags over `tensors`, which the caller
-        guarantees carries exactly this ParamSet's names."""
-        out = ParamSet.__new__(ParamSet)
-        out.arch, out.tensors, out.tags = self.arch, tensors, self.tags
+        tags = {self.tags[n] for n in updates}
+        out = ParamSet.from_vectors(
+            self.arch, self.layout, self.frozen.copy() if FROZEN in tags else self.frozen,
+            self.trained.copy() if tags - {FROZEN} else self.trained,
+        )
+        out._fill(updates)
         return out
 
     def names(self, pattern: str = "*") -> List[str]:
         return sorted(n for n in self.tensors if fnmatch.fnmatchcase(n, pattern))
 
     def check_finite(self):
-        for n, t in self.tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise ShapeError(f"tensor {n} contains non-finite values")
+        """Raise ShapeError naming a tensor that holds a non-finite value."""
+        for vec in self.flat.values():
+            if not np.isfinite(vec).all():
+                bad = next((n for n, t in self.tensors.items() if not np.isfinite(t).all()), "a group adapter")
+                raise ShapeError(f"tensor {bad} contains non-finite values")
 
 
 def _glorot(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
@@ -154,54 +307,28 @@ def _glorot(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
     return rng.uniform(-a, a, size=shape)
 
 
+def _draw(specs: Dict[str, Tuple[Shape, str]], rng: np.random.Generator) -> Dict[str, np.ndarray]:
+    """Values for `specs`, drawn from `rng` in order."""
+    return {
+        name: np.zeros(shape) if init == ZERO
+        else rng.normal(0.0, 0.02, size=shape) if init == NORMAL
+        else _glorot(rng, shape)
+        for name, (shape, init) in specs.items()
+    }
+
+
 def init_params(arch: Arch, seed) -> ParamSet:
-    """Seeded initialization.
-
-    Embeddings and MLP weights are Glorot-uniform, biases zero. Adapter W_a is
-    N(0, 0.02) with W_b zero so every adapter branch starts as the zero map;
-    gate W_2 is zero so the gate starts uniform over branches.
-    """
-    rng = np.random.default_rng(seed)
-    t: Dict[str, np.ndarray] = {}
-    for name, p in zip(arch.user_schema.names, arch.user_schema.cards):
-        t[f"user_emb/{name}"] = _glorot(rng, (p, arch.embed_dim))
-    for name, p in zip(arch.item_schema.names, arch.item_schema.cards):
-        t[f"item_emb/{name}"] = _glorot(rng, (p, arch.embed_dim))
-    dims = arch.layer_dims
-    for l in range(arch.n_layers):
-        k, d = dims[l + 1], dims[l]
-        t[f"mlp/{l}/W"] = _glorot(rng, (k, d))
-        t[f"mlp/{l}/b"] = np.zeros(k)
-    t.update(init_user_adapter(arch, rng))
-    for attr, card in arch.group_cards().items():
-        for g in range(card):
-            t.update(_init_adapter(arch, f"adapter/group/{attr}/{g}", rng))
-    if arch.gate_mode == GATE_LEARNED and arch.n_branches > 1:
-        h, B = arch.gate_hidden, arch.n_branches
-        for l in arch.adapter_layer_ids:
-            d = dims[l]
-            t[f"gate/{l}/W1"] = _glorot(rng, (h, d))
-            t[f"gate/{l}/W2"] = np.zeros((B, h))
-    return ParamSet(arch, t)
-
-
-def _init_adapter(arch: Arch, prefix: str, rng: np.random.Generator) -> Dict[str, np.ndarray]:
-    """Pair `<prefix>/<l>/A|B` for every adapted layer l: W_a ~ N(0, 0.02), W_b = 0."""
-    t: Dict[str, np.ndarray] = {}
-    for l in arch.adapter_layer_ids:
-        k, d, r = arch.layer_dims[l + 1], arch.layer_dims[l], arch.layer_rank(l)
-        t[f"{prefix}/{l}/A"] = rng.normal(0.0, 0.02, size=(k, r))
-        t[f"{prefix}/{l}/B"] = np.zeros((r, d))
-    return t
+    """Seeded initialization; see _specs."""
+    return ParamSet(arch, _draw(_specs(arch), np.random.default_rng(seed)))
 
 
 def init_user_adapter(arch: Arch, rng: np.random.Generator) -> Dict[str, np.ndarray]:
     """The user-level adapter tensors (none without a user adapter), drawn in
     the same order by init_params and by each client's private stream."""
-    return _init_adapter(arch, "adapter/user", rng) if arch.use_user_adapter else {}
+    return _draw(user_adapter_specs(arch), rng)
 
 
-def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None, pattern: str = "*") -> int:
+def count_params(ps: ParamSet, tags: Optional[Sequence[str]] = None, pattern: str = "*") -> int:
     """Total scalar count over tensors matching the tag filter and pattern."""
     wanted = set(TAGS) if tags is None else set(tags)
     return int(
@@ -232,8 +359,21 @@ def _softmax(a):
 
 
 # ---------------------------------------------------------------------------
-# Layout plan: every name, offset and liveness a step reads, decided once
+# Layout plan: every view and offset a step reads, decided once
 # ---------------------------------------------------------------------------
+
+
+class Gradient(dict):
+    """The gradients of one backward pass by tensor name, as views into
+    `flat`, one vector (or a cohort's (C, P) matrix) laid out as the
+    trained buffer. Trained tensors the pass does not use read zero there."""
+
+    __slots__ = ("flat",)
+
+
+# a tensor as the plan holds it: (view of its value, view of its gradient,
+# None for a frozen tensor)
+Param = Tuple[np.ndarray, Optional[np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -241,22 +381,26 @@ class _EmbedPlan:
     """Where the d-wide slots of a layer-0 input row read.
 
     Slot s (user attributes in schema order, then item attributes) reads
-    table names[s]. The tables' rows, stacked end to end, form one (R, d)
-    source, where row r of slot s is source row base[..., s] + r; a cohort's
-    stacked (C, p, d) table gives client c's copy its own base, which is
-    then (C, 1, slots). The gradient of every live table is one np.bincount
-    over the flat source index (source row * d + column) of each live slot
-    element; `grads` lists each live table's (name, start, stop, shape) in
-    that flat count.
+    table names[s]. Each tag's tables are the start of its vector, a
+    `piece`; the pieces' rows, stacked end to end with the trained tags'
+    first, form one (R, d) source, where row r of slot s is source row
+    base[..., s] + r. A cohort's stacked (C, E) piece holds client c's
+    copy of its tables c * E / d rows later, so base is then (C, 1, slots).
+    The gradient of the trained tables is one np.bincount over the flat
+    source index (source row * d + column) of each live slot element; the
+    count's [start, stop) range of each trained piece is the piece's
+    gradient, `grads` (start, stop, gradient view).
     """
 
     names: Tuple[str, ...]
     n_user: int                        # user attribute slots, the first ones
     cards: np.ndarray                  # rows of each slot's table
+    pieces: Tuple[np.ndarray, ...]
+    source: Optional[np.ndarray]       # the source as a view, when one unstacked piece holds every table
     base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
     cols: np.ndarray                   # arange(d)
     live: Union[slice, np.ndarray]     # slots whose table takes a gradient
-    grads: Tuple[Tuple[str, int, int, Tuple[int, ...]], ...]
+    grads: Tuple[Tuple[int, int, np.ndarray], ...]
     size: int                          # flat length the gradient count covers
 
     def check(self, UA: np.ndarray, VA: np.ndarray):
@@ -273,75 +417,116 @@ class _EmbedPlan:
 
 @dataclass(frozen=True)
 class _LayerPlan:
-    """Tensor names of one MLP layer and the ones that take a gradient.
+    """One MLP layer's tensors.
 
-    `adapters` holds each adapter branch's (W_a, W_b) names in gate-column
-    order after the common branch: the user adapter if the arch has one,
-    then one group adapter per grouping attribute. A layer without adapters
-    has none and no gate.
+    `adapters` holds each adapter branch's (W_a, W_b) in gate-column order
+    after the common branch: the user adapter if the arch has one, then one
+    group adapter per grouping attribute. A layer without adapters has none
+    and no gate.
     """
 
-    W: str
-    b: str
-    adapters: Tuple[Tuple[str, str], ...]
-    gate: Optional[Tuple[str, str]]    # (W1, W2) of a learned gate
+    W: Param
+    b: Param
+    adapters: Tuple[Tuple[Param, Param], ...]
+    gate: Optional[Tuple[Param, Param]]    # (W1, W2) of a learned gate
     gate_mode: str
-    live: FrozenSet[str]
 
 
 @dataclass(frozen=True)
 class _Plan:
     embed: _EmbedPlan
     layers: Tuple[_LayerPlan, ...]
+    grad: Gradient                     # filled by each backward pass
 
 
-def _plan(ps: ParamSet, groups: Optional[Dict[str, int]]) -> _Plan:
-    """The layout plan of `ps` (arch, tags, cohort shape) with the group
-    adapters named by `groups`."""
-    arch, t = ps.arch, ps.tensors
-    live = {n for n, tag in ps.tags.items() if tag != FROZEN}
+def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) -> _Plan:
+    """The layout plan of `ps` with the group adapters of `groups` (of each
+    row's own groups, for a cohort); without `grads`, an inference plan
+    that holds no gradient."""
+    arch, lay = ps.arch, ps.layout
+    lead = ps.trained.shape[:-1]
+    grad = Gradient()
+    grad.flat = np.zeros(ps.trained.shape if grads else 0)
 
+    def param(tag: str, a: int, b: int, shape: Shape, name: Optional[str] = None) -> Param:
+        value = ps.tensors[name] if name else ps.flat[tag][..., a:b].reshape(ps.flat[tag].shape[:-1] + shape)
+        if tag == FROZEN or not grads:
+            return value, None
+        s = lay.start(tag)
+        g = grad.flat[..., s + a : s + b].reshape(lead + shape)
+        if name is not None:
+            grad[name] = g
+        return value, g
+
+    def named(name: str) -> Param:
+        return param(*lay.entries[name], name=name)
+
+    d = arch.embed_dim
     names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
         f"item_emb/{a}" for a in arch.item_schema.names
     )
-    d = arch.embed_dim
-    starts = np.cumsum([0] + [t[n].size for n in names])  # flat, in source order
-    base = starts[:-1] // d
-    stacked = [t[n] for n in names if t[n].ndim == 3]
-    if stacked:  # client c's copy of a stacked (C, p, d) table starts c * p rows later
-        strides = np.array([t[n].shape[1] if t[n].ndim == 3 else 0 for n in names])
-        base = base + np.arange(stacked[0].shape[0])[:, None, None] * strides
-    on = [s for s, n in enumerate(names) if n in live]
+    slots = [lay.entries[n] for n in names]
+    pieces, row, rows_of, piece_grads = [], 0, {}, []
+    for tag in (PRIVATE, SHARED, FROZEN):
+        width = max((b for t, _, b, _ in slots if t == tag), default=0)  # tables lead the vector
+        if not width:
+            continue
+        piece = ps.flat[tag][..., :width]
+        rows_of[tag] = (row, width // d if piece.ndim > 1 else 0)
+        if tag != FROZEN and grads:
+            s = lay.start(tag)
+            piece_grads.append((row * d, row * d + piece.size, grad.flat[..., s : s + width]))
+        pieces.append(piece)
+        row += piece.size // d
+    base = np.array([rows_of[t][0] + a // d for t, a, _, _ in slots])
+    per_client = np.array([rows_of[t][1] for t, _, _, _ in slots])
+    if per_client.any():  # client c's copy of a stacked piece starts c * E / d rows later
+        clients = next(p.shape[0] for p in pieces if p.ndim > 1)
+        base = base + np.arange(clients)[:, None, None] * per_client
+    on = [s for s, (t, _, _, _) in enumerate(slots) if t != FROZEN]
     live_slots = np.array(on, dtype=np.intp)
     if on and on == list(range(on[0], on[-1] + 1)):
         live_slots = slice(on[0], on[-1] + 1)  # selects a view, not a copy
+    for n in names:
+        if lay.tags[n] != FROZEN:
+            named(n)
     embed = _EmbedPlan(
         names=names,
         n_user=len(arch.user_schema),
-        cards=np.array([t[n].shape[-2] for n in names]),
+        cards=np.array([shape[0] for _, _, _, shape in slots]),
+        pieces=tuple(pieces),
+        source=pieces[0].reshape(-1, d) if len(pieces) == 1 and pieces[0].ndim == 1 else None,
         base=base,
         cols=np.arange(d),
         live=live_slots,
-        grads=tuple((names[s], int(starts[s]), int(starts[s + 1]), t[names[s]].shape) for s in on),
-        size=int(starts[on[-1] + 1]) if on else 0,
+        grads=tuple(piece_grads),
+        size=piece_grads[-1][1] if piece_grads else 0,
     )
 
     layers = []
     for l in range(arch.n_layers):
-        prefixes = []
+        adapters = []
         if l in arch.adapter_layer_ids:
             if arch.use_user_adapter:
-                prefixes.append(f"adapter/user/{l}")
+                adapters.append((named(f"adapter/user/{l}/A"), named(f"adapter/user/{l}/B")))
             for attr in arch.group_attrs:
-                if groups is None or attr not in groups:
+                if attr in lay.own:  # a cohort: each row's own group's segment
+                    tag, at = lay.own[attr]
+                    j = 2 * arch.adapter_layer_ids.index(l)
+                    a, b = [param(tag, at + lo, at + hi, shape) for lo, hi, shape in lay.segment[j : j + 2]]
+                elif groups is None or attr not in groups:
                     raise ShapeError(f"group index for attribute {attr!r} required")
-                prefixes.append(f"adapter/group/{attr}/{groups[attr]}/{l}")
-        adapters = tuple((p + "/A", p + "/B") for p in prefixes)
-        gate = (f"gate/{l}/W1", f"gate/{l}/W2") if adapters and arch.gate_mode == GATE_LEARNED else None
-        W, b = f"mlp/{l}/W", f"mlp/{l}/b"
-        used = {W, b, *(n for pair in adapters for n in pair), *(gate or ())}
-        layers.append(_LayerPlan(W, b, adapters, gate, arch.gate_mode, frozenset(live & used)))
-    return _Plan(embed, tuple(layers))
+                else:
+                    prefix = f"{GROUP_PREFIX}{attr}/{groups[attr]}/{l}"
+                    if prefix + "/A" not in lay.entries:
+                        raise ShapeError(f"no group {groups[attr]} of attribute {attr!r}")
+                    a, b = named(prefix + "/A"), named(prefix + "/B")
+                adapters.append((a, b))
+        gate = None
+        if adapters and arch.gate_mode == GATE_LEARNED:
+            gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2"))
+        layers.append(_LayerPlan(named(f"mlp/{l}/W"), named(f"mlp/{l}/b"), tuple(adapters), gate, arch.gate_mode))
+    return _Plan(embed, tuple(layers), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -379,22 +564,22 @@ class ForwardCache:
     plan: _Plan
 
 
-def _layer_branches(lp: _LayerPlan, t: Dict[str, np.ndarray], X: np.ndarray):
+def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     """(fused pre-activation Z, intermediates) of one layer on input X."""
-    b = t[lp.b]
+    (W, _), (b, _) = lp.W, lp.b
     # a cohort's (C, k) bias broadcasts over each client's rows
-    C = X @ t[lp.W].mT
+    C = X @ W.mT
     C += b if b.ndim == 1 else b[:, None, :]
     if not lp.adapters:
         return C, _LayerCache(X, [C])
-    T = [X @ t[B].mT for _, B in lp.adapters]
-    cache = _LayerCache(X, [C] + [h @ t[A].mT for h, (A, _) in zip(T, lp.adapters)], T)
+    T = [X @ B.mT for _, (B, _) in lp.adapters]
+    cache = _LayerCache(X, [C] + [h @ A.mT for h, ((A, _), _) in zip(T, lp.adapters)], T)
     n_branches = len(cache.V)
     if lp.gate is not None:
-        W1, W2 = lp.gate
-        cache.Z1 = X @ t[W1].mT
+        (W1, _), (W2, _) = lp.gate
+        cache.Z1 = X @ W1.mT
         cache.S = _relu(cache.Z1)
-        cache.G = _softmax(cache.S @ t[W2].mT)
+        cache.G = _softmax(cache.S @ W2.mT)
     elif lp.gate_mode == GATE_UNIFORM:
         cache.G = np.full(X.shape[:-1] + (n_branches,), 1.0 / n_branches)
     else:  # GATE_COMMON: one-hot on the common branch
@@ -419,7 +604,8 @@ def forward_batch(
     UA (..., n, |user attrs|) and VA (..., n, |item attrs|) are integer
     attribute value matrices; a cohort's batch has a leading client axis.
     `groups` names the group adapter each attribute's branch reads (one
-    client's batch); required iff the arch has group branches. A caller that
+    client's batch); required iff the arch has group branches and `ps` is
+    not a cohort, whose rows hold their own groups' adapters. A caller that
     passes the layout `plan` of `ps` and `groups` has checked every
     attribute value against its table (sgd_epoch does, once per epoch).
     """
@@ -428,18 +614,19 @@ def forward_batch(
     if UA.ndim < 2 or UA.shape[:-1] != VA.shape[:-1]:
         raise ShapeError("UA/VA must be (..., n, attrs) with equal leading shapes")
     if plan is None:
-        plan = _plan(ps, groups)
+        plan = _plan(ps, groups, grads=want_cache)
         plan.embed.check(UA, VA)
-    t = ps.tensors
     emb = plan.embed
     # one gather of every slot's row from the tables stacked end to end
     rows = np.concatenate((UA, VA), axis=-1) + emb.base
-    source = np.concatenate([t[n].reshape(-1, len(emb.cols)) for n in emb.names])
+    source = emb.source
+    if source is None:
+        source = np.concatenate([p.reshape(-1, len(emb.cols)) for p in emb.pieces])
     X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
     layers: List[_LayerCache] = []
     top = len(plan.layers) - 1
     for l, lp in enumerate(plan.layers):
-        Z, cache = _layer_branches(lp, t, X)
+        Z, cache = _layer_branches(lp, X)
         if want_cache:
             layers.append(cache)
         # without a cache, inference holds one layer's arrays at a time
@@ -474,23 +661,26 @@ def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
     if p.shape != y.shape:
         raise ShapeError("predictions/labels length mismatch")
     p = np.minimum(np.maximum(p, EPS_CLAMP), 1.0 - EPS_CLAMP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    # the sum np.mean takes, without its fixed cost
+    return float(-(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None) / p.size))
 
 
 def backward_batch(
     ps: ParamSet, cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None
-) -> Dict[str, np.ndarray]:
+) -> Gradient:
     """Analytic gradients of mean BCE w.r.t. every non-frozen tensor used in
-    the forward pass. Frozen tensors still propagate but get no gradient entry.
+    the forward pass. Frozen tensors still propagate but get no gradient.
     Labels may be soft targets in [0, 1].
+
+    The gradients go into the plan's one gradient vector (`cache.plan.grad`,
+    which is returned), so the next backward pass of the same plan
+    overwrites them.
 
     A cohort's batch passes `valid` (C, n): its padding rows are False, and
     each client's mean runs over its own valid rows, so a client without any
     gets exactly zero gradients.
     """
-    t = ps.tensors
     y = np.asarray(labels, dtype=float)
-    grads: Dict[str, np.ndarray] = {}
     # sigmoid + BCE at the top: dL/dz_last = (p - y) / n
     if valid is None:
         dZ = ((cache.probs - y) / y.shape[-1])[..., None]
@@ -500,7 +690,7 @@ def backward_batch(
     for l in range(len(cache.layers) - 1, -1, -1):
         lp, c = cache.plan.layers[l], cache.layers[l]
         X = c.X
-        W = t[lp.W]
+        (W, gW), (_, gb) = lp.W, lp.b
         if not c.gated:
             dC = dZ
             dX = dC @ W
@@ -508,65 +698,64 @@ def backward_batch(
             G = c.G
             dX = np.zeros_like(X)
             if lp.gate is not None:
-                W1, W2 = lp.gate
+                (W1, gW1), (W2, gW2) = lp.gate
                 dG = np.stack([np.sum(v * dZ, axis=-1) for v in c.V], axis=-1)
                 dA = G * (dG - np.sum(G * dG, axis=-1, keepdims=True))
-                if W2 in lp.live:
-                    grads[W2] = dA.mT @ c.S
-                dZ1 = (dA @ t[W2]) * (c.Z1 > 0)
-                if W1 in lp.live:
-                    grads[W1] = dZ1.mT @ X
-                dX += dZ1 @ t[W1]
+                if gW2 is not None:
+                    np.matmul(dA.mT, c.S, out=gW2)
+                dZ1 = (dA @ W2) * (c.Z1 > 0)
+                if gW1 is not None:
+                    np.matmul(dZ1.mT, X, out=gW1)
+                dX += dZ1 @ W1
             dC = G[..., :1] * dZ
-            for j, (T, (A, B)) in enumerate(zip(c.T, lp.adapters), start=1):
+            for j, (T, ((A, gA), (B, gB))) in enumerate(zip(c.T, lp.adapters), start=1):
                 dV = G[..., j : j + 1] * dZ
-                if A in lp.live:
-                    grads[A] = dV.mT @ T
-                dT = dV @ t[A]
-                if B in lp.live:
-                    grads[B] = dT.mT @ X
-                dX += dT @ t[B]
+                if gA is not None:
+                    np.matmul(dV.mT, T, out=gA)
+                dT = dV @ A
+                if gB is not None:
+                    np.matmul(dT.mT, X, out=gB)
+                dX += dT @ B
             dX += dC @ W
 
-        if lp.W in lp.live:
-            grads[lp.W] = dC.mT @ X
-        if lp.b in lp.live:
-            grads[lp.b] = dC.sum(axis=-2)
+        if gW is not None:
+            np.matmul(dC.mT, X, out=gW)
+        if gb is not None:
+            np.sum(dC, axis=-2, out=gb)
         if l > 0:  # X = relu(previous Z), positive exactly where that Z is
             dZ = dX * (X > 0)
 
     # one scatter: dX is now the gradient of the layer-0 input
-    grads.update(_embed_grads(cache.plan.embed, cache.rows, dX))
-    return grads
+    _embed_grads(cache.plan.embed, cache.rows, dX)
+    return cache.plan.grad
 
 
-def _embed_grads(emb: _EmbedPlan, rows: np.ndarray, dX: np.ndarray) -> Dict[str, np.ndarray]:
-    """Gradient of each live embedding table from the layer-0 input gradient
-    dX (..., n, slots * d), `rows` the source row of each slot: every element's
-    gradient added at its flat source index, in batch order as a row-by-row
-    loop would add them."""
+def _embed_grads(emb: _EmbedPlan, rows: np.ndarray, dX: np.ndarray):
+    """Write the gradient of every trained embedding table from the layer-0
+    input gradient dX (..., n, slots * d), `rows` the source row of each
+    slot: every element's gradient added at its flat source index, in batch
+    order as a row-by-row loop would add them."""
     if not emb.grads:
-        return {}
+        return
     d = len(emb.cols)
     flat = np.bincount(
         ((rows[..., emb.live] * d)[..., None] + emb.cols).ravel(),
         weights=dX.reshape(rows.shape + (d,))[..., emb.live, :].ravel(),
         minlength=emb.size,
     )
-    return {name: flat[lo:hi].reshape(shape) for name, lo, hi, shape in emb.grads}
+    for start, stop, grad in emb.grads:
+        grad[...] = flat[start:stop].reshape(grad.shape)
 
 
-def sgd_step(ps: ParamSet, grads: Dict[str, np.ndarray], lr: float) -> ParamSet:
-    """theta <- theta - lr * g for every tensor in the gradient set."""
+def sgd_step(ps: ParamSet, grads: Gradient, lr: float) -> ParamSet:
+    """theta <- theta - lr * g: one update of the trained buffer. Updates
+    `ps` in place only when an epoch owns it (see ParamSet); any other is
+    copied first, so no caller's buffer is ever written."""
     if lr <= 0:
         raise ShapeError(f"learning rate {lr} must be > 0")
-    tensors = dict(ps.tensors)
-    try:
-        for n, g in grads.items():
-            tensors[n] = ps.tensors[n] - lr * g
-    except KeyError as e:
-        raise ShapeError(f"unknown tensor name {e.args[0]!r}") from None
-    return ps._replaced(tensors)
+    out = ps if ps.owned else ps.copy()
+    out.trained -= lr * grads.flat
+    return out
 
 
 def sgd_epoch(
@@ -583,6 +772,8 @@ def sgd_epoch(
 ) -> Tuple[ParamSet, Optional[float]]:
     """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
     cut into batches of `batch_size`, one forward/backward/update per batch.
+    The epoch trains a copy of the trained buffer in place and leaves `ps`
+    as it was, unless `ps` is owned (see ParamSet): then it trains `ps`.
 
     Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
     only) the epoch loss is the row-weighted mean of each batch's BCE before
@@ -595,6 +786,10 @@ def sgd_epoch(
     its padding rows last, so each step trains every client on the batch it
     would get alone; a client with no valid rows left in a step is unchanged.
     """
+    owned = ps.owned
+    if not owned:
+        ps = ps.copy()
+        ps.owned = True
     plan = _plan(ps, groups)
     plan.embed.check(UA, VA)
     valid = None
@@ -619,6 +814,7 @@ def sgd_epoch(
         if want_loss:
             loss += bce_loss(probs, yb) * len(yb)
         ps = sgd_step(ps, backward_batch(ps, cache, yb, None if valid is None else valid[:, rows]), lr)
+    ps.owned = owned
     return ps, (loss / n if want_loss else None)
 
 

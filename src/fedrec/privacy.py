@@ -4,18 +4,19 @@ The noise scale ("intensity") is the Laplace scale parameter b, so the noise
 variance is 2 b^2. No clipping or epsilon accounting is performed; this is
 parameter-value noising, not a calibrated DP mechanism.
 
-Draw order: `noise_uploads` noises a round's C uploads held as rows. Client
-c's Generator makes one `uniform` draw of the upload's P scalars into row c
-of a (C, P) matrix, and one inverse-CDF transform turns the whole matrix
-into noise. Row c's values go to the tensors in upload order, each taking
-the next `size` values in C (row-major) order. Because consecutive `uniform`
-draws from a generator equal one concatenated draw, that is the same noise
-as one draw per tensor in upload order from client c's own generator.
+Draw order: `noise_uploads` noises a round's C uploads, a (C, P) matrix.
+Client c's Generator makes one `uniform` draw of the upload's P scalars into
+row c of a (C, P) matrix, and one inverse-CDF transform turns the whole
+matrix into noise; an `order` index then places the draws on the columns.
+Because consecutive `uniform` draws from a generator equal one concatenated
+draw, an order that runs through the upload's tensors one after another
+gives the same noise as one draw per tensor, in that order, from client c's
+own generator.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,22 +46,18 @@ def laplace_noise(lam: float, shape, rngs: Sequence[np.random.Generator]) -> np.
 
 
 def noise_uploads(
-    tensors: Dict[str, np.ndarray], config: NoiseConfig, rngs: Sequence[np.random.Generator]
-) -> Dict[str, np.ndarray]:
+    uploads: np.ndarray, config: NoiseConfig, rngs: Sequence[np.random.Generator],
+    order: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Independent Laplace noise on every scalar of C uploads.
 
-    `tensors` maps each uploaded tensor, in upload order, to a (C, *shape)
-    array whose row c is client c's; rngs[c] draws client c's noise. Returns
-    new arrays and leaves the inputs untouched; without noise (disabled, or
-    no rows) returns `tensors` itself. Uploads only ever contain shared
-    tensors, so private tensors are never noised.
+    Row c of `uploads` (C, P) is client c's, and rngs[c] draws its noise;
+    column j takes draw order[j] of the row (draw j without `order`).
+    Returns a new matrix and leaves the input untouched; without noise
+    (disabled, or no rows) returns `uploads` itself. Uploads only ever
+    contain shared tensors, so private tensors are never noised.
     """
     if not config.enabled or not len(rngs):
-        return tensors
-    sizes = [t[0].size for t in tensors.values()]
-    draws = laplace_noise(config.intensity, sum(sizes), rngs)
-    noised, start = {}, 0
-    for (n, t), size in zip(tensors.items(), sizes):
-        noised[n] = t + draws[:, start : start + size].reshape(t.shape)
-        start += size
-    return noised
+        return uploads
+    noise = laplace_noise(config.intensity, uploads.shape[1], rngs)
+    return uploads + (noise if order is None else noise[:, order])

@@ -18,8 +18,6 @@ from fedrec.data import (
     sample_negatives,
 )
 from fedrec.federation import (
-    GROUP_PREFIX,
-    OWN_GROUP,
     ClientArrays,
     FederationError,
     ServerState,
@@ -27,23 +25,38 @@ from fedrec.federation import (
     local_train,
 )
 from fedrec.metrics import auc, precision
-from fedrec.model import FROZEN, SHARED, bce_loss, forward_batch, sgd_epoch
+from fedrec.model import (
+    FROZEN,
+    GROUP_PREFIX,
+    PRIVATE,
+    SHARED,
+    Gradient,
+    ParamSet,
+    _layout,
+    _plan,
+    bce_loss,
+    forward_batch,
+    init_params,
+    sgd_epoch,
+)
 from fedrec.privacy import laplace_noise
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
-    """Central finite-difference gradient of the batch BCE w.r.t. one tensor."""
-    t = ps.tensors[name]
+    """Central finite-difference gradient of the batch BCE w.r.t. one tensor,
+    each element moved in place in a copy of `ps`."""
+    work = ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen.copy(), ps.trained.copy())
+    plan = _plan(work, groups, grads=False)
+    plan.embed.check(UA, VA)
+    t = work.tensors[name]
     num = np.zeros_like(t)
-    it = np.nditer(t, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        tp = t.copy()
-        tp[idx] += step
-        tm = t.copy()
-        tm[idx] -= step
-        lp = bce_loss(forward_batch(ps.with_tensors({name: tp}), UA, VA, groups)[0], y)
-        lm = bce_loss(forward_batch(ps.with_tensors({name: tm}), UA, VA, groups)[0], y)
+    for idx in np.ndindex(t.shape):
+        value = t[idx]
+        t[idx] = value + step
+        lp = bce_loss(forward_batch(work, UA, VA, groups, plan=plan)[0], y)
+        t[idx] = value - step
+        lm = bce_loss(forward_batch(work, UA, VA, groups, plan=plan)[0], y)
+        t[idx] = value
         num[idx] = (lp - lm) / (2.0 * step)
     return num
 
@@ -107,6 +120,18 @@ def noise_upload(upload, config, rng):
         return upload
     noised = {n: t + laplace_noise(config.intensity, t.shape, [rng])[0] for n, t in upload.tensors.items()}
     return replace(upload, tensors=noised)
+
+
+def gradient(ps, tensors):
+    """A Gradient for `ps` holding `tensors` (name -> array) and zero
+    everywhere else of its trained buffer."""
+    g = Gradient()
+    g.flat = np.zeros(ps.trained.shape)
+    for name, t in tensors.items():
+        tag, a, b, _ = ps.layout.entries[name]
+        start = ps.layout.start(tag)
+        g.flat[..., start + a : start + b] = np.reshape(t, ps.trained.shape[:-1] + (-1,))
+    return g
 
 
 def randomized_params(ps, seed, scale=0.05):
@@ -213,14 +238,17 @@ def aggregate(uploads, server):
     return ServerState(server.params.with_tensors(updates), server.reports)
 
 
-def real_name(name, groups, group_attrs):
-    """A batch tensor's name in one client's upload: a group adapter's
-    cohort name with OWN_GROUP replaced by the client's group; any other
-    name unchanged."""
-    parts = name.split("/", 4)
-    if not name.startswith(GROUP_PREFIX) or parts[3] != OWN_GROUP:
-        return name
-    return f"{GROUP_PREFIX}{parts[2]}/{groups[group_attrs.index(parts[2])]}/{parts[4]}"
+def upload_tensors(batch, c, arch):
+    """Row c of the batch as one client's upload, name -> tensor, in name
+    order: a group segment's tensors under the names of the client's group."""
+    lay, row = batch.layout, batch.shared[c]
+    tensors = {n: row[a:b].reshape(shape) for n, (tag, a, b, shape) in lay.entries.items() if tag == SHARED}
+    for col, attr in enumerate(arch.group_attrs):
+        tag, at = lay.own.get(attr, (None, 0))
+        if tag == SHARED:
+            for name, (a, b, shape) in zip(lay.groups[attr][batch.groups[c, col]], lay.segment):
+                tensors[name] = row[at + a : at + b].reshape(shape)
+    return dict(sorted(tensors.items()))
 
 
 def uploads_of(batch, clients, arch):
@@ -233,34 +261,46 @@ def uploads_of(batch, clients, arch):
         if c is None:
             out.append(Upload(client.uid, {}, 0, dict(client.groups), skipped=True))
             continue
-        tensors = {real_name(n, batch.groups[c], arch.group_attrs): t[c] for n, t in batch.tensors.items()}
-        out.append(Upload(client.uid, dict(sorted(tensors.items())), int(batch.n_examples[c]),
+        out.append(Upload(client.uid, upload_tensors(batch, c, arch), int(batch.n_examples[c]),
                           dict(client.groups)))
     return out
 
 
 def batch_of(uploads, arch):
     """The live uploads as one UploadBatch in upload order. Each must carry
-    the same tensors, as a client's upload does: the adapters of its own
-    group of an attribute go under their cohort name, any other tensor
-    under its own. An upload without a group of an attribute sits in group
-    0 of it."""
+    the same tensors, as a client's upload does: whole adapter segments of
+    its own group of an attribute, and any other tensor under its own name.
+    The batch's layout shares exactly those tensors (every group's segment
+    of an uploaded attribute). An upload without a group of an attribute
+    sits in group 0 of it."""
     live = [u for u in uploads if not u.skipped]
     groups = np.array([[u.groups.get(a, 0) for a in arch.group_attrs] for u in live], dtype=np.int64)
-    tensors = {}
-    for name in live[0].tensors if live else ():
+    groups = groups.reshape(len(live), len(arch.group_attrs))
+    sent = set(live[0].tensors) if live else set()
+    tags = {}
+    for name in init_params(arch, 0).tensors:
         own = name
-        parts = name.split("/", 4)
-        if name.startswith(GROUP_PREFIX) and live[0].groups.get(parts[2]) == int(parts[3]):
-            own = f"{GROUP_PREFIX}{parts[2]}/{OWN_GROUP}/{parts[4]}"
-        tensors[own] = np.stack(
-            [u.tensors[real_name(own, groups[c], arch.group_attrs)] for c, u in enumerate(live)]
-        )
+        if name.startswith(GROUP_PREFIX):
+            _, _, attr, _, rest = name.split("/", 4)
+            own = f"{GROUP_PREFIX}{attr}/{live[0].groups.get(attr, 0) if live else 0}/{rest}"
+        tags[name] = SHARED if own in sent else PRIVATE
+    lay = _layout(arch, tags).cohort
+    shared = np.zeros((len(live), lay.sizes[SHARED]))
+    for c, u in enumerate(live):
+        for name, (tag, a, b, _) in lay.entries.items():
+            if tag == SHARED:
+                shared[c, a:b] = u.tensors[name].ravel()
+        for col, attr in enumerate(arch.group_attrs):
+            tag, at = lay.own.get(attr, (None, 0))
+            if tag == SHARED:
+                for name, (a, b, _) in zip(lay.groups[attr][groups[c, col]], lay.segment):
+                    shared[c, at + a : at + b] = u.tensors[name].ravel()
     return UploadBatch(
         uids=np.array([u.uid for u in live], dtype=np.int64),
         n_examples=np.array([u.n_examples for u in live], dtype=np.int64),
-        groups=groups.reshape(len(live), len(arch.group_attrs)),
-        tensors=dict(sorted(tensors.items())),
+        groups=groups,
+        shared=shared,
+        layout=lay,
     )
 
 

@@ -18,8 +18,7 @@ from fedrec.federation import (
     PartitionPolicy,
     ServerState,
     Shard,
-    _cohort_groups,
-    _cohort_params,
+    _cohort,
     aggregate_uploads,
     build_clients,
     evaluate_global,
@@ -98,10 +97,10 @@ def cohort_uploads(clients, ps, cfg=FED, round_index=0):
 
 
 def stacked(clients, ps, split):
-    """The clients' cohort ParamSet for training, and their `split` shards."""
+    """The clients' cohort ParamSet, and their `split` shards."""
     arrays = ClientArrays.stack(clients, ps.arch, (split,))
     rows = np.arange(len(clients))
-    return _cohort_params(ps, arrays, rows, train=True), arrays.shards[split].rows(rows)
+    return _cohort(ps, arrays, rows), arrays.shards[split].rows(rows)
 
 
 def assert_uploads_match(got, want, atol):
@@ -190,9 +189,8 @@ def test_stacked_forward_without_cache_equals_cached():
     for c in cohort:  # distinct, live user adapters
         c.private = {n: t + 0.1 * (c.uid + 1) for n, t in c.private.items()}
     cohort_ps, (UA, VA, _, _) = stacked(cohort, ps, "val")
-    groups = _cohort_groups(ps.arch)
-    cached, _ = forward_batch(cohort_ps, UA, VA, groups, want_cache=True)
-    probs, cache = forward_batch(cohort_ps, UA, VA, groups)
+    cached, _ = forward_batch(cohort_ps, UA, VA, want_cache=True)
+    probs, cache = forward_batch(cohort_ps, UA, VA)
     assert cache is None and probs.shape == UA.shape[:2]
     assert np.array_equal(probs, cached)
 
@@ -258,10 +256,17 @@ class TestLocalStepClosedForm:
         cohort_ps, (UA, VA, y, _) = stacked(cohort, ps, "train")
         valid = np.ones(y.shape, dtype=bool)
         valid[1] = False
-        probs, cache = forward_batch(cohort_ps, UA, VA, _cohort_groups(ps.arch), want_cache=True)
+        probs, cache = forward_batch(cohort_ps, UA, VA, want_cache=True)
         grads = model.backward_batch(cohort_ps, cache, y, valid)
-        assert grads
+        # one row per client of the trained buffer, named tensors as views
+        # into it; the own group segments are its last columns
+        assert grads and grads.flat.shape == cohort_ps.trained.shape
+        assert not np.any(grads.flat[1])
         for name, g in grads.items():
             assert g.shape == cohort_ps.tensors[name].shape and g.shape[0] == 3, name
-            assert not np.any(g[1]), name
+            assert np.shares_memory(g, grads.flat), name
             assert np.any(g[0]) or np.any(g[2]), name
+        (tag, at), = cohort_ps.layout.own.values()
+        start = cohort_ps.layout.start(tag) + at
+        own = grads.flat[:, start : start + cohort_ps.layout.segment[-1][1]]
+        assert np.any(own[0]) and np.any(own[2])

@@ -20,7 +20,6 @@ from fedrec.federation import (
     PartitionPolicy,
     ServerState,
     Shard,
-    UploadBatch,
     aggregate_uploads,
     build_clients,
     evaluate_global,
@@ -270,12 +269,13 @@ class TestAggregate:
     def test_mean_matches_brute_force(self):
         _, _, arch = make_world()
         server = make_server(arch, seed=0)
-        shared = [n for n, t in server.params.tags.items() if t == SHARED]
+        client = ClientState(0, np.zeros(2, dtype=np.int64), {"ua0": 0}, {}, {})
+        shared = upload_names(server.params, client)
         rng = np.random.default_rng(0)
         uploads = []
         for uid in range(3):
             tensors = {n: rng.normal(size=server.params.tensors[n].shape) for n in shared}
-            uploads.append(Upload(uid, tensors, 4, {}))
+            uploads.append(Upload(uid, tensors, 4, {"ua0": 0}))
         out = aggregate_uploads(batch_of(uploads, arch), server)
         for n in shared:
             brute = sum(u.tensors[n] for u in uploads) / 3.0
@@ -294,18 +294,22 @@ class TestAggregate:
     def test_group_adapters_average_over_members_only(self):
         _, _, arch = make_world()
         server = make_server(arch, seed=0)
-        name = "adapter/group/ua0/0/0/A"
-        other = "adapter/group/ua0/1/0/A"
-        shape = server.params.tensors[name].shape
-        # clients 0 and 1 in group 0, client 2 in group 1
-        ups = [
-            Upload(0, {name: np.full(shape, 1.0)}, 4, {"ua0": 0}),
-            Upload(1, {name: np.full(shape, 3.0)}, 4, {"ua0": 0}),
-            Upload(2, {other: np.full(shape, 9.0)}, 4, {"ua0": 1}),
-        ]
+        ps = server.params
+
+        def upload(uid, g, value):
+            # the client's whole group segment, every value `value`
+            tensors = {n: np.full(ps.tensors[n].shape, value) for n in ps.names(f"adapter/group/ua0/{g}/*")}
+            return Upload(uid, tensors, 4, {"ua0": g})
+
+        # clients 0 and 1 in group 0, client 2 in group 1, nobody in group 2
+        ups = [upload(0, 0, 1.0), upload(1, 0, 3.0), upload(2, 1, 9.0)]
         out = aggregate_uploads(batch_of(ups, arch), server)
-        assert np.all(out.params.tensors[name] == 2.0)
-        assert np.all(out.params.tensors[other] == 9.0)
+        for n in ps.names("adapter/group/ua0/0/*"):
+            assert np.all(out.params.tensors[n] == 2.0), n
+        for n in ps.names("adapter/group/ua0/1/*"):
+            assert np.all(out.params.tensors[n] == 9.0), n
+        for n in ps.names("adapter/group/ua0/2/*"):
+            assert np.array_equal(out.params.tensors[n], ps.tensors[n]), n
 
     def test_permutation_invariance(self):
         _, _, arch = make_world()
@@ -363,17 +367,20 @@ class TestAggregateUploads:
         _, _, arch = make_world()
         server = make_server(arch, seed=0)
         ps = server.params
-        private = UploadBatch(np.array([4, 7]), np.array([3, 3]), np.array([[0], [1]]),
-                              {"adapter/user/0/A": np.zeros((2, *ps.tensors["adapter/user/0/A"].shape))})
+        ups = []
+        for uid, g in ((4, 0), (7, 1)):
+            client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g}, {}, {})
+            ups.append(Upload(uid, {n: ps.tensors[n] for n in upload_names(ps, client)}, 3, client.groups))
+        # rows that also hold the user adapter, which fedpa keeps private
+        user = [Upload(u.uid, {**u.tensors, **{n: ps.tensors[n] for n in ps.names("adapter/user/*")}},
+                       3, u.groups) for u in ups]
         with pytest.raises(FederationError, match="client 4 .*'adapter/user/0/A'"):
-            aggregate_uploads(private, server)
+            aggregate_uploads(batch_of(user, arch), server)
         # group 1's adapter frozen: only its member's row is at fault
         frozen = "adapter/group/ua0/1/0/A"
         server = ServerState(ParamSet(arch, ps.tensors, {**ps.tags, frozen: FROZEN}))
-        own = UploadBatch(np.array([4, 7]), np.array([3, 3]), np.array([[0], [1]]),
-                          {"adapter/group/ua0/own/0/A": np.zeros((2, *ps.tensors[frozen].shape))})
         with pytest.raises(FederationError, match=f"client 7 .*'{frozen}'"):
-            aggregate_uploads(own, server)
+            aggregate_uploads(batch_of(ups, arch), server)
 
 
 def eval_fixture():

@@ -111,6 +111,39 @@ def test_row_object_check_flags_a_row_loop(tmp_path):
     assert set(row_object_uses(mod)) == {"mod.py:8: ds.interactions", "mod.py:12: data.Interaction(0, 1, 2, 1)"}
 
 
+def tensor_name_parsing(path):
+    """`file:line: code` for every `.split("/"...)` call, which takes a
+    tensor name apart, and every definition of OWN_GROUP, the placeholder
+    group a cohort's adapters were once named under."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for node in ast.walk(tree):
+        split = (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "split"
+            and bool(node.args) and isinstance(node.args[0], ast.Constant) and node.args[0].value == "/"
+        )
+        own = isinstance(node, ast.Name) and node.id == "OWN_GROUP" and isinstance(node.ctx, ast.Store)
+        if split or own:
+            hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return hits
+
+
+def test_package_never_parses_tensor_names():
+    # a tensor's place is its layout entry; a cohort's own group adapters
+    # are a segment of the layout, not a name to rewrite and take apart
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in tensor_name_parsing(path)] == []
+
+
+def test_name_parsing_check_flags_a_mutant(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        'OWN_GROUP = "own"\n\n\n'
+        "def real(name, g):\n    parts = name.split(\"/\", 4)\n    return parts[2], g\n\n\n"
+        'def fine(path):\n    return path.split(",")\n'
+    )
+    assert tensor_name_parsing(mod) == ["mod.py:1: OWN_GROUP", "mod.py:5: name.split(\'/\', 4)"]
+
+
 def top_level_nodes(tree):
     """(name, definition node) for each top-level function, class and
     assigned constant of a module."""

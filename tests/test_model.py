@@ -29,6 +29,7 @@ from fedrec.model import (
 from fedrec.model import _embed_grads, _layer_branches, _plan
 from helpers import (
     embed_grads_reference,
+    gradient,
     embed_item,
     embed_reference,
     embed_user,
@@ -86,28 +87,36 @@ class TestEmbedding:
 
 def layer0(ps, X):
     """(Z, cache) of layer 0 of the one-layer fixture on input X."""
-    return _layer_branches(_plan(ps, {"ua": 0}).layers[0], ps.tensors, X)
+    return _layer_branches(_plan(ps, {"ua": 0}).layers[0], X)
 
 
 def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
     """A ParamSet of embedding tables only (one output layer on top) with the
     given slots frozen, the `stacked` slots carrying a leading axis of C
-    clients, and a batch of n rows (per client, with C) as UA, VA."""
+    clients (and with them every tensor of their tag's vector), and a batch
+    of n rows (per client, with C) as UA, VA."""
     us = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
     it = AttributeSchema(tuple(f"i{j}" for j in range(len(item_cards))), tuple(item_cards))
     ps = init_params(Arch(us, it, embed_dim=d, mlp_hidden=(), gate_mode="none"), seed)
     rng = np.random.default_rng(seed)
     names = [f"user_emb/{a}" for a in us.names] + [f"item_emb/{a}" for a in it.names]
-    tensors, tags = dict(ps.tensors), dict(ps.tags)
-    for s, name in enumerate(names):
-        if s in frozen:
-            tags[name] = FROZEN
-        if C and s in stacked:
-            tensors[name] = rng.normal(size=(C,) + tensors[name].shape)
+    tags = {**ps.tags, **{names[s]: FROZEN for s in frozen}}
+    ps = ParamSet(ps.arch, ps.tensors, tags)
+    if C:
+        frozen_stacked = any(s in frozen for s in stacked)
+        trained_stacked = any(s not in frozen for s in stacked)
+        ps = ParamSet.from_vectors(
+            ps.arch, ps.layout,
+            np.repeat(ps.frozen[None], C, axis=0) if frozen_stacked else ps.frozen,
+            np.repeat(ps.trained[None], C, axis=0) if trained_stacked else ps.trained,
+        )
+        for s, name in enumerate(names):
+            if s in stacked:
+                ps.tensors[name][...] = rng.normal(size=ps.tensors[name].shape)
     lead = (C, n) if C else (n,)
     UA = rng.integers(0, us.cards, size=lead + (len(us),))
     VA = rng.integers(0, it.cards, size=lead + (len(it),))
-    return ParamSet(ps.arch, tensors, tags), UA, VA
+    return ps, UA, VA
 
 
 def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
@@ -115,7 +124,8 @@ def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
     X = cache.layers[0].X
     assert np.array_equal(X, embed_reference(ps, UA, VA))
     dX = np.random.default_rng(seed).normal(size=X.shape)
-    got = _embed_grads(cache.plan.embed, cache.rows, dX)
+    _embed_grads(cache.plan.embed, cache.rows, dX)
+    got = {n: g for n, g in cache.plan.grad.items() if "_emb/" in n}
     want = embed_grads_reference(ps, UA, VA, dX)
     assert sorted(got) == sorted(want)
     for name in want:
@@ -150,7 +160,7 @@ class TestFusedEmbedding:
         ps, UA, VA = embedding_world((2, 2), (2,), 3, {1}, {0, 2}, C, 40, 7)
         plan = _plan(ps, None)
         assert isinstance(plan.embed.live, np.ndarray)
-        assert [n for n, *_ in plan.embed.grads] == ["user_emb/u0", "item_emb/i0"]
+        assert [n for n in plan.grad if "_emb/" in n] == ["user_emb/u0", "item_emb/i0"]
         assert_fused_embedding_matches_per_table(ps, UA, VA, 7)
 
     def test_out_of_range_attribute_names_the_table(self):
@@ -350,13 +360,13 @@ class TestSgdStep:
         arch = small_arch(gate_mode="none", use_user_adapter=False, group_attrs=())
         ps = init_params(arch, 0)
         ps = ps.with_tensors({"mlp/1/b": np.array([1.0, 1.0, 1.0])})
-        out = sgd_step(ps, {"mlp/1/b": np.array([0.5, 0.0, 0.0])}, 0.1)
+        out = sgd_step(ps, gradient(ps, {"mlp/1/b": np.array([0.5, 0.0, 0.0])}), 0.1)
         assert np.allclose(out.tensors["mlp/1/b"], [0.95, 1.0, 1.0])
 
     def test_untouched_tensors_bit_identical(self):
         arch = small_arch()
         ps = init_params(arch, 0)
-        out = sgd_step(ps, {"mlp/0/b": np.ones_like(ps.tensors["mlp/0/b"])}, 0.1)
+        out = sgd_step(ps, gradient(ps, {"mlp/0/b": np.ones_like(ps.tensors["mlp/0/b"])}), 0.1)
         for n in ps.tensors:
             if n != "mlp/0/b":
                 assert out.tensors[n] is ps.tensors[n] or np.array_equal(out.tensors[n], ps.tensors[n])
@@ -364,7 +374,7 @@ class TestSgdStep:
     def test_zero_gradient_noop(self):
         arch = small_arch()
         ps = init_params(arch, 0)
-        zeros = {n: np.zeros_like(t) for n, t in ps.tensors.items()}
+        zeros = gradient(ps, {})
         out = sgd_step(sgd_step(ps, zeros, 0.1), zeros, 0.1)
         for n in ps.tensors:
             assert np.array_equal(out.tensors[n], ps.tensors[n])

@@ -54,42 +54,35 @@ class TestNoiseConfig:
             NoiseConfig(intensity=-0.1, enabled=True)
 
 
-def rows(*tensors):
-    """Tensors as the single row of an upload batch."""
-    return {n: t[None] for n, t in tensors}
-
-
 class TestNoiseUpload:
     def test_disabled_returns_same_object(self):
-        up = rows(("a", np.ones((2, 2))))
+        up = np.ones((1, 4))
         out = noise_uploads(up, NoiseConfig(0.3, enabled=False), [np.random.default_rng(0)])
         assert out is up
 
     def test_enabled_perturbs_all_tensors(self):
-        up = rows(("a", np.ones((2, 2))), ("b", np.zeros(3)))
-        out = noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(0)])
-        assert not np.array_equal(out["a"], up["a"])
-        assert not np.array_equal(out["b"], up["b"])
-        assert out["a"].shape == up["a"].shape and out["b"].shape == up["b"].shape
+        up = np.ones((2, 7))
+        out = noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(c) for c in range(2)])
+        assert out.shape == up.shape and np.all(out != up)
 
     def test_original_upload_untouched(self):
-        up = rows(("a", np.ones((2, 2))))
+        up = np.ones((1, 4))
         noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(0)])
-        assert np.all(up["a"] == 1.0)
+        assert np.all(up == 1.0)
 
     def test_deterministic_given_rng_seed(self):
-        up = rows(("a", np.ones((4,))))
+        up = np.ones((1, 4))
         a = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])])
         b = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])])
-        assert np.array_equal(a["a"], b["a"])
+        assert np.array_equal(a, b)
 
     def test_mean_preserved_under_averaging(self):
-        # zero-mean noise: averaging many noised copies of the same tensor
+        # zero-mean noise: averaging many noised copies of the same vector
         # recovers it closely
         base = np.full((5,), 0.7)
         rngs = [np.random.default_rng([11, uid]) for uid in range(4000)]
-        out = noise_uploads({"a": np.tile(base, (4000, 1))}, NoiseConfig(0.2, enabled=True), rngs)
-        assert np.allclose(np.mean(out["a"], axis=0), base, atol=0.02)
+        out = noise_uploads(np.tile(base, (4000, 1)), NoiseConfig(0.2, enabled=True), rngs)
+        assert np.allclose(np.mean(out, axis=0), base, atol=0.02)
 
 
 SHAPES = st.lists(st.lists(st.integers(0, 4), max_size=3).map(tuple), max_size=6)
@@ -99,25 +92,30 @@ class TestOneDrawNoise:
     @settings(max_examples=150, deadline=None)
     @given(SHAPES, st.integers(0, 4), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.2, 1.5]))
     def test_equals_per_tensor_oracle(self, shapes, n_clients, seed, lam):
-        # row c of the batch, drawn in one go into the noise matrix, equals
-        # client c's upload noised one tensor at a time from its own stream;
-        # names out of sorted order: the draw follows the upload's order
+        # row c of the upload matrix, noised with one draw into the noise
+        # matrix, equals client c's upload noised one tensor at a time from
+        # its own stream in upload order: the tensors lie in the matrix in
+        # another order (reversed), and `order` sends each column its draw
         sizes = [math.prod(shape) for shape in shapes]
-        values = np.random.default_rng(seed).normal(size=(n_clients, sum(sizes)))
-        tensors, start = {}, 0
-        for i, (shape, size) in enumerate(zip(shapes, sizes)):
-            tensors[f"t{len(shapes) - i}"] = values[:, start : start + size].reshape((n_clients, *shape))
-            start += size
+        starts = np.cumsum([0] + sizes)
+        width = int(starts[-1])
+        uploads = np.random.default_rng(seed).normal(size=(n_clients, width))
+        # tensor i sits at columns starts[i]:starts[i + 1] and is drawn after
+        # every tensor j > i: the upload order is the reverse
+        drawn_before = np.cumsum([0] + sizes[::-1])[::-1][1:]
+        order = np.zeros(width, dtype=np.intp)
+        for i, size in enumerate(sizes):
+            order[starts[i] : starts[i + 1]] = drawn_before[i] + np.arange(size)
         cfg = NoiseConfig(lam, enabled=True)
         rngs = [np.random.default_rng([seed, c]) for c in range(n_clients)]
         refs = [np.random.default_rng([seed, c]) for c in range(n_clients)]
-        got = noise_uploads(tensors, cfg, rngs)
-        assert list(got) == list(tensors)
+        got = noise_uploads(uploads, cfg, rngs, order)
+        assert got.shape == uploads.shape
         for c in range(n_clients):
-            up = Upload(c, {n: t[c] for n, t in tensors.items()}, 4, {})
-            want = noise_upload(up, cfg, refs[c])
-            for name, t in want.tensors.items():
-                assert got[name][c].shape == t.shape
-                assert got[name][c].tobytes() == t.tobytes()
+            tensors = {f"t{i}": uploads[c, starts[i] : starts[i + 1]].reshape(shape)
+                       for i, shape in reversed(list(enumerate(shapes)))}
+            want = noise_upload(Upload(c, tensors, 4, {}), cfg, refs[c])
+            for i in range(len(shapes)):
+                assert got[c, starts[i] : starts[i + 1]].tobytes() == want.tensors[f"t{i}"].tobytes()
             # both consumed the same number of draws
             assert rngs[c].random() == refs[c].random()
