@@ -320,13 +320,15 @@ def build_clients(
     clients = []
     for j, (uid, user_attrs) in enumerate(zip(uids.tolist(), dataset.user_attrs(uids))):
         rng = np.random.default_rng([seed, uid, 1])
+        if not native_negs:  # sampled negatives avoid every item the user has in any split
+            untouched = universe[~np.isin(universe, fed.item[order[bounds[j] : bounds[j + 1]]])]
         shards = {}
         for key, a, b in zip(("train", "val", "test"), cuts[j, :-1], cuts[j, 1:]):
             if native_negs:
                 shards[key] = Shard(VA[a:b], y[a:b])
             else:
                 rows = order[a:b]
-                item, label = sample_negatives(fed.item[rows], fed.label[rows], universe, neg_ratio, rng)
+                item, label = sample_negatives(fed.item[rows], fed.label[rows], untouched, neg_ratio, rng)
                 shards[key] = Shard(dataset.item_attrs(item), label.astype(float))
         clients.append(
             ClientState(

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrec import federation
 from fedrec.data import (
+    FED_TRAIN,
+    SPLITS,
     AttributeSchema,
     SynthConfig,
     assign_groups,
@@ -29,6 +32,7 @@ from fedrec.federation import (
     select_clients,
     warm_start,
 )
+from fedrec.experiment import build_arch, prepare_dataset
 from fedrec.metrics import UndefinedMetricError
 from fedrec.model import (
     FROZEN,
@@ -170,6 +174,32 @@ class TestBuildClients:
         ds, ga, arch = make_world()
         for c in build_clients(ds, ga, arch, seed=0):
             assert c.groups == {"ua0": ds.users[c.uid][0]}
+
+
+def test_sampled_negatives_avoid_every_split_of_the_user(tmp_path, monkeypatch):
+    # a 3-column file has no native negatives, so each split's negatives are
+    # sampled; none may be an item the user has in any of its splits
+    from test_golden import file_world_cfg
+
+    cfg = file_world_cfg(tmp_path)
+    ds, _ = prepare_dataset(cfg)
+    drawn = []
+    sample = federation.sample_negatives
+
+    def recording(items, labels, universe, ratio, rng):
+        item, label = sample(items, labels, universe, ratio, rng)
+        drawn.append(item[label == 0])
+        return item, label
+
+    monkeypatch.setattr(federation, "sample_negatives", recording)
+    clients = build_clients(ds, assign_groups(ds, cfg.group_attrs), build_arch(cfg, ds), cfg.seed, cfg.neg_ratio)
+    assert len(drawn) == 3 * len(clients)  # train, val and test of each client, in order
+    fed = ds.split >= SPLITS.index(FED_TRAIN)
+    for c, negatives in zip(clients, (drawn[i : i + 3] for i in range(0, len(drawn), 3))):
+        mine = ds.item[fed & (ds.user == c.uid)]
+        assert sum(map(len, negatives)) > 0, c.uid
+        for split, negs in zip(("train", "val", "test"), negatives):
+            assert not np.isin(negs, mine).any(), (c.uid, split, sorted(set(negs) & set(mine)))
 
 
 class TestSelectClients:

@@ -226,4 +226,6 @@ PREPARED_ROWS_DIGESTS = ["99a25774905442e8ffcb4ad3960bae0431e40e45550d768e9cef31
                          "8c5914b31b5a2075587e4d8b5625f100bda44ad78df8350a880136ac18a8412e"]
 FILE_WORLD_ROWS_DIGEST = "0752edb0a5a080b2b3f1bb990b31c26543dc84f71caac1c2401b537aa9343eb5"
 FILE_WORLD_PRETRAIN_DIGEST = "17880a63c9cb91f7b2f8b0cc75d1e810d40bcb70b1cd5cd993b3cb2811507b6c"
-FILE_WORLD_SHARDS_DIGEST = "67af774654ed1c900844211dbf24c50fcc1f773c95acf6d97e38d1b94bcf4630"
+# re-recorded when each split's sampled negatives began to avoid the items of
+# the user's other splits too
+FILE_WORLD_SHARDS_DIGEST = "5a5da67e40fd0e8e8d721c82122fb543623eb42102ad7b1cbdd4f741cc3e08c3"
