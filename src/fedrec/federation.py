@@ -459,20 +459,19 @@ def local_train(
     alone.
 
     Each client starts from the global shared and frozen tensors and its own
-    private ones, trains the private and shared tensors on its train shard
+    user adapter, trains the private and shared tensors on its train shard
     with its RNG stream [seed, round, uid, 1] (a Generator of `pool`, see
-    `derive_generators`), keeps its private tensors, written back into
-    `arrays`, and uploads the shared tensors it trained. A client with an
-    empty train shard uploads nothing. Rows of the batch follow idx.
-    Raises FederationError naming the first client whose private tensors
-    are no longer finite."""
+    `derive_generators`), keeps its user adapter, written back into
+    `arrays`, and uploads its shared vector. A client with an empty train
+    shard uploads nothing. Rows of the batch follow idx. Raises
+    FederationError naming the first client whose user adapter is no longer
+    finite."""
     live = idx[arrays.shards["train"].counts[idx] > 0]
     uids = arrays.uids[live]
     if not live.size:
         return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], np.zeros((0, 0)),
                            global_ps.layout)
-    ps = _cohort(global_ps, arrays, live)
-    ps.owned = True  # a buffer of this call's own: the epochs train it in place
+    ps = _cohort(global_ps, arrays, live).own()  # this call's own buffer: its epochs train it in place
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(seed, round_index, uids, 1, pool)
     for _ in range(cfg.local_epochs):
@@ -514,8 +513,10 @@ def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
     if any(lay.entries[n] != e for n, e in common.items()):
         raise FederationError("uploads do not follow the server's layout of shared tensors")
     trained, start, n = ps.trained.copy(), lay.start(SHARED), cohort.common[SHARED]
-    trained[start : start + n] = _mean_rows(batch.shared[:, :n], [a for _, a, b, _ in common.values() if b - a == 1])
-    scalars = [a for a, b, _ in cohort.segment if b - a == 1]
+    # the columns of one-scalar tensors, in the common range and in a segment
+    ones = [a for _, a, b, _ in common.values() if b - a == 1]
+    segment_ones = [a for a, b, _ in cohort.segment if b - a == 1]
+    trained[start : start + n] = _mean_rows(batch.shared[:, :n], ones)
     for col, attr in enumerate(ps.arch.group_attrs):
         tag, at = cohort.own.get(attr, (None, 0))
         if tag != SHARED:
@@ -531,7 +532,7 @@ def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
                     f"upload from client {batch.uids[mask][0]} contains non-shared tensor {bad[0]!r}"
                 )
             first = start + lay.entries[names[0]][1]
-            trained[first : first + width] = _mean_rows(batch.shared[mask, at : at + width], scalars)
+            trained[first : first + width] = _mean_rows(batch.shared[mask, at : at + width], segment_ones)
     return ServerState(ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained), server.reports)
 
 

@@ -237,12 +237,13 @@ class ParamSet:
     """Named float64 tensors with partition tags; treated as an immutable value.
 
     `flat[tag]` is the tag's vector and `tensors[name]` a view into it; the
-    private and shared vectors are the halves of `trained`. A ParamSet that
-    `owned` marks is a copy an epoch trains: sgd_step updates its trained
-    buffer in place. Every other ParamSet's buffers are never written.
+    private and shared vectors are the halves of `trained`. A ParamSet with a
+    `plan` (see `own`) belongs to the code training it: sgd_step and sgd_epoch
+    update its trained buffer in place, through that one plan's views. Every
+    other ParamSet's buffers are never written.
     """
 
-    __slots__ = ("arch", "tags", "layout", "frozen", "trained", "flat", "tensors", "owned")
+    __slots__ = ("arch", "tags", "layout", "frozen", "trained", "flat", "tensors", "plan")
 
     def __init__(self, arch: Arch, tensors: Dict[str, np.ndarray], tags: Optional[Dict[str, str]] = None):
         tags = tags if tags is not None else {n: SHARED for n in tensors}
@@ -260,7 +261,7 @@ class ParamSet:
         return ps
 
     def _bind(self, arch: Arch, layout: Layout, frozen: np.ndarray, trained: np.ndarray):
-        self.arch, self.tags, self.layout, self.owned = arch, layout.tags, layout, False
+        self.arch, self.tags, self.layout, self.plan = arch, layout.tags, layout, None
         self.frozen, self.trained = frozen, trained
         n = layout.sizes[PRIVATE]
         self.flat = {FROZEN: frozen, PRIVATE: trained[..., :n], SHARED: trained[..., n:]}
@@ -278,6 +279,13 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         """This ParamSet over a copy of its trained buffer; frozen is shared."""
         return ParamSet.from_vectors(self.arch, self.layout, self.frozen, self.trained.copy())
+
+    def own(self, groups: Optional[Dict[str, int]] = None) -> "ParamSet":
+        """Hand this ParamSet's buffers to the caller's training, every epoch
+        of it through one layout plan with the group adapters of `groups`
+        (a cohort's own by default); returns it."""
+        self.plan = _plan(self, groups)
+        return self
 
     def with_tensors(self, updates: Dict[str, np.ndarray]) -> "ParamSet":
         unknown = set(updates) - set(self.tensors)
@@ -298,8 +306,8 @@ class ParamSet:
         """Raise ShapeError naming a tensor that holds a non-finite value."""
         for vec in self.flat.values():
             if not np.isfinite(vec).all():
-                bad = next((n for n, t in self.tensors.items() if not np.isfinite(t).all()), "a group adapter")
-                raise ShapeError(f"tensor {bad} contains non-finite values")
+                bad = [n for n, t in self.tensors.items() if not np.isfinite(t).all()] or ["of a group segment"]
+                raise ShapeError(f"tensor {bad[0]} contains non-finite values")
 
 
 def _glorot(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
@@ -487,9 +495,8 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
     live_slots = np.array(on, dtype=np.intp)
     if on and on == list(range(on[0], on[-1] + 1)):
         live_slots = slice(on[0], on[-1] + 1)  # selects a view, not a copy
-    for n in names:
-        if lay.tags[n] != FROZEN:
-            named(n)
+    for n in names:  # the trained tables' gradients by name, views into the pieces' gradients
+        named(n)
     embed = _EmbedPlan(
         names=names,
         n_user=len(arch.user_schema),
@@ -525,7 +532,8 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
         gate = None
         if adapters and arch.gate_mode == GATE_LEARNED:
             gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2"))
-        layers.append(_LayerPlan(named(f"mlp/{l}/W"), named(f"mlp/{l}/b"), tuple(adapters), gate, arch.gate_mode))
+        W, b = named(f"mlp/{l}/W"), named(f"mlp/{l}/b")
+        layers.append(_LayerPlan(W, b, tuple(adapters), gate, arch.gate_mode))
     return _Plan(embed, tuple(layers), grad)
 
 
@@ -753,7 +761,7 @@ def sgd_step(ps: ParamSet, grads: Gradient, lr: float) -> ParamSet:
     copied first, so no caller's buffer is ever written."""
     if lr <= 0:
         raise ShapeError(f"learning rate {lr} must be > 0")
-    out = ps if ps.owned else ps.copy()
+    out = ps if ps.plan is not None else ps.copy()
     out.trained -= lr * grads.flat
     return out
 
@@ -773,7 +781,8 @@ def sgd_epoch(
     """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
     cut into batches of `batch_size`, one forward/backward/update per batch.
     The epoch trains a copy of the trained buffer in place and leaves `ps`
-    as it was, unless `ps` is owned (see ParamSet): then it trains `ps`.
+    as it was, unless `ps` is owned (see ParamSet.own): then it trains `ps`
+    through its plan.
 
     Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
     only) the epoch loss is the row-weighted mean of each batch's BCE before
@@ -786,11 +795,10 @@ def sgd_epoch(
     its padding rows last, so each step trains every client on the batch it
     would get alone; a client with no valid rows left in a step is unchanged.
     """
-    owned = ps.owned
+    owned = ps.plan is not None
     if not owned:
-        ps = ps.copy()
-        ps.owned = True
-    plan = _plan(ps, groups)
+        ps = ps.copy().own(groups)
+    plan = ps.plan
     plan.embed.check(UA, VA)
     valid = None
     if counts is None:
@@ -814,7 +822,8 @@ def sgd_epoch(
         if want_loss:
             loss += bce_loss(probs, yb) * len(yb)
         ps = sgd_step(ps, backward_batch(ps, cache, yb, None if valid is None else valid[:, rows]), lr)
-    ps.owned = owned
+    if not owned:
+        ps.plan = None  # the caller gets a value, not a buffer to train
     return ps, (loss / n if want_loss else None)
 
 

@@ -16,7 +16,7 @@ own generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,18 +46,16 @@ def laplace_noise(lam: float, shape, rngs: Sequence[np.random.Generator]) -> np.
 
 
 def noise_uploads(
-    uploads: np.ndarray, config: NoiseConfig, rngs: Sequence[np.random.Generator],
-    order: Optional[np.ndarray] = None,
+    uploads: np.ndarray, config: NoiseConfig, rngs: Sequence[np.random.Generator], order: np.ndarray
 ) -> np.ndarray:
     """Independent Laplace noise on every scalar of C uploads.
 
     Row c of `uploads` (C, P) is client c's, and rngs[c] draws its noise;
-    column j takes draw order[j] of the row (draw j without `order`).
-    Returns a new matrix and leaves the input untouched; without noise
-    (disabled, or no rows) returns `uploads` itself. Uploads only ever
-    contain shared tensors, so private tensors are never noised.
+    column j takes draw order[j] of the row. Returns a new matrix and leaves
+    the input untouched; without noise (disabled, or no rows) returns
+    `uploads` itself. Uploads only ever contain shared tensors, so private
+    tensors are never noised.
     """
     if not config.enabled or not len(rngs):
         return uploads
-    noise = laplace_noise(config.intensity, uploads.shape[1], rngs)
-    return uploads + (noise if order is None else noise[:, order])
+    return uploads + laplace_noise(config.intensity, uploads.shape[1], rngs)[:, order]

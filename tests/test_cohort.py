@@ -183,6 +183,14 @@ def test_group_adapters_with_mixed_tags_rejected():
         train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
 
 
+def test_frozen_user_adapter_rejected():
+    # each client keeps its user adapter in its rows of the trained buffer
+    ps, clients = uniform_world()
+    tags = {n: FROZEN if n.startswith("adapter/user/") else t for n, t in ps.tags.items()}
+    with pytest.raises(FederationError, match="user adapter"):
+        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
+
+
 def test_stacked_forward_without_cache_equals_cached():
     ps, clients = uniform_world()
     cohort = copy.deepcopy(clients[:5])

@@ -192,7 +192,8 @@ def test_sampled_negatives_avoid_every_split_of_the_user(tmp_path, monkeypatch):
         return item, label
 
     monkeypatch.setattr(federation, "sample_negatives", recording)
-    clients = build_clients(ds, assign_groups(ds, cfg.group_attrs), build_arch(cfg, ds), cfg.seed, cfg.neg_ratio)
+    assignment = assign_groups(ds, cfg.group_attrs)
+    clients = build_clients(ds, assignment, build_arch(cfg, ds), cfg.seed, cfg.neg_ratio)
     assert len(drawn) == 3 * len(clients)  # train, val and test of each client, in order
     fed = ds.split >= SPLITS.index(FED_TRAIN)
     for c, negatives in zip(clients, (drawn[i : i + 3] for i in range(0, len(drawn), 3))):

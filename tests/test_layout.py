@@ -33,6 +33,9 @@ from helpers import randomized_params
 from test_cohort import uniform_world
 
 
+GATES = [GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE]
+
+
 @st.composite
 def archs(draw):
     """A random architecture under a random preset policy."""
@@ -49,7 +52,7 @@ def archs(draw):
         adapter_layers=draw(st.sampled_from(["all", "hidden"]), label="adapter_layers"),
         use_user_adapter=draw(st.booleans(), label="user adapter"),
         group_attrs=tuple(draw(st.sets(st.sampled_from(users.names)), label="group attrs")),
-        gate_mode=draw(st.sampled_from([GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE]), label="gate"),
+        gate_mode=draw(st.sampled_from(GATES), label="gate mode"),
     )
     policy = draw(st.sampled_from(["fedpa", "full"]), label="policy")
     seed = draw(st.integers(0, 2**16), label="seed")
@@ -122,7 +125,7 @@ class TestNoCallerBufferWritten:
         before = snapshot(lone)
         out = sgd_step(lone, grads, 0.5)
         assert snapshot(lone) == before and not np.shares_memory(out.trained, lone.trained)
-        assert not out.owned
+        assert out.plan is None
         before = snapshot(ps)
         out = ps.with_tensors({"gate/0/W1": np.zeros_like(ps.tensors["gate/0/W1"])})
         assert snapshot(ps) == before and np.any(ps.tensors["gate/0/W1"])
@@ -135,7 +138,7 @@ class TestNoCallerBufferWritten:
         before = snapshot(lone)
         out, _ = sgd_epoch(lone, np.tile(c.user_attrs, (len(shard), 1)), shard.items, shard.labels,
                            c.groups, 8, 0.3, np.random.default_rng(0))
-        assert snapshot(lone) == before and not out.owned
+        assert snapshot(lone) == before and out.plan is None
         arrays = ClientArrays.stack(clients, ps.arch, ("train",))
         rows = np.arange(len(clients))
         cohort = _cohort(ps, arrays, rows)
@@ -143,7 +146,7 @@ class TestNoCallerBufferWritten:
         before = snapshot(cohort)
         rngs = [np.random.default_rng(i) for i in rows]
         out, _ = sgd_epoch(cohort, UA, VA, y, None, 8, 0.3, rngs, counts=counts)
-        assert snapshot(cohort) == before and not out.owned
+        assert snapshot(cohort) == before and out.plan is None
         assert not np.array_equal(out.trained, cohort.trained)
 
     def test_local_train_leaves_global_and_other_clients(self):

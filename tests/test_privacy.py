@@ -57,23 +57,24 @@ class TestNoiseConfig:
 class TestNoiseUpload:
     def test_disabled_returns_same_object(self):
         up = np.ones((1, 4))
-        out = noise_uploads(up, NoiseConfig(0.3, enabled=False), [np.random.default_rng(0)])
+        out = noise_uploads(up, NoiseConfig(0.3, enabled=False), [np.random.default_rng(0)], np.arange(4))
         assert out is up
 
     def test_enabled_perturbs_all_tensors(self):
         up = np.ones((2, 7))
-        out = noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(c) for c in range(2)])
+        rngs = [np.random.default_rng(c) for c in range(2)]
+        out = noise_uploads(up, NoiseConfig(0.3, enabled=True), rngs, np.arange(7))
         assert out.shape == up.shape and np.all(out != up)
 
     def test_original_upload_untouched(self):
         up = np.ones((1, 4))
-        noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(0)])
+        noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(0)], np.arange(4))
         assert np.all(up == 1.0)
 
     def test_deterministic_given_rng_seed(self):
         up = np.ones((1, 4))
-        a = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])])
-        b = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])])
+        a = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])], np.arange(4))
+        b = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])], np.arange(4))
         assert np.array_equal(a, b)
 
     def test_mean_preserved_under_averaging(self):
@@ -81,7 +82,7 @@ class TestNoiseUpload:
         # recovers it closely
         base = np.full((5,), 0.7)
         rngs = [np.random.default_rng([11, uid]) for uid in range(4000)]
-        out = noise_uploads(np.tile(base, (4000, 1)), NoiseConfig(0.2, enabled=True), rngs)
+        out = noise_uploads(np.tile(base, (4000, 1)), NoiseConfig(0.2, enabled=True), rngs, np.arange(5))
         assert np.allclose(np.mean(out, axis=0), base, atol=0.02)
 
 
