@@ -31,7 +31,7 @@ import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -336,7 +336,7 @@ def init_user_adapter(arch: Arch, rng: np.random.Generator) -> Dict[str, np.ndar
     return _draw(user_adapter_specs(arch), rng)
 
 
-def count_params(ps: ParamSet, tags: Optional[Sequence[str]] = None, pattern: str = "*") -> int:
+def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None, pattern: str = "*") -> int:
     """Total scalar count over tensors matching the tag filter and pattern."""
     wanted = set(TAGS) if tags is None else set(tags)
     return int(
