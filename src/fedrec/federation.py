@@ -155,9 +155,9 @@ class ClientArrays:
 
     uids: np.ndarray                  # (N,)
     groups: np.ndarray                # (N, |arch.group_attrs|) group of each grouping attribute
-    private: np.ndarray               # (N, P) user adapter, its tensors end to end
-    shapes: Dict[str, Tuple[int, ...]]  # the user adapter's tensors, in that order
+    private: np.ndarray               # (N, P) user adapter, its tensors end to end in init order
     shards: Dict[str, StackedShards]  # split -> shards
+    arch: Arch
 
     @classmethod
     def stack(cls, clients: Sequence[ClientState], arch: Arch, splits: Sequence[str]) -> "ClientArrays":
@@ -176,25 +176,26 @@ class ClientArrays:
             UA = np.repeat(users[:, None, :], width, axis=1)
             shards[split] = StackedShards(UA, VA, y, counts)
         groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
-        shapes = {name: shape for name, (shape, _) in user_adapter_specs(arch).items()}
-        private = np.zeros((n, sum(math.prod(s) for s in shapes.values())))
+        names = user_adapter_specs(arch)
+        private = np.zeros((n, sum(math.prod(shape) for shape, _ in names.values())))
         for i, c in enumerate(clients):
-            if shapes:
-                private[i] = np.concatenate([c.private[name].ravel() for name in shapes])
+            if names:
+                private[i] = np.concatenate([c.private[name].ravel() for name in names])
         return cls(
             uids=np.array([c.uid for c in clients], dtype=np.int64),
             groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
             private=private,
-            shapes=shapes,
             shards=shards,
+            arch=arch,
         )
 
     def write_back(self, clients: Sequence[ClientState]):
         """Set each client's private tensors to views of its row."""
-        cuts = np.cumsum([math.prod(shape) for shape in self.shapes.values()])[:-1]
+        specs = user_adapter_specs(self.arch)
+        cuts = np.cumsum([math.prod(shape) for shape, _ in specs.values()])[:-1]
         for i, c in enumerate(clients):
             parts = np.split(self.private[i], cuts)
-            c.private = {name: t.reshape(shape) for (name, shape), t in zip(self.shapes.items(), parts)}
+            c.private = {name: t.reshape(shape) for (name, (shape, _)), t in zip(specs.items(), parts)}
 
 
 @dataclass
@@ -423,16 +424,16 @@ def _cohort(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray) -> Param
             table = global_ps.flat[tag][first : first + len(segments) * width].reshape(len(segments), width)
             start = cohort.start(tag) + at
             trained[:, start : start + width] = table[arrays.groups[idx, col]]
-    trained[:, _user_columns(cohort, arrays.shapes)] = arrays.private[idx]
+    trained[:, _user_columns(cohort, global_ps.arch)] = arrays.private[idx]
     return ParamSet.from_vectors(global_ps.arch, cohort, global_ps.frozen, trained)
 
 
-def _user_columns(lay: Layout, shapes: Dict[str, Tuple[int, ...]]) -> slice:
+def _user_columns(lay: Layout, arch: Arch) -> slice:
     """The trained buffer's columns holding the user adapter, which every
     client keeps for itself."""
-    if not shapes:
+    spans = [lay.entries[name] for name in user_adapter_specs(arch)]
+    if not spans:
         return slice(0, 0)
-    spans = [lay.entries[name] for name in shapes]
     tag = spans[0][0]
     if tag == FROZEN or any(t != tag for t, *_ in spans):
         raise FederationError("the user adapter must carry one trained partition tag")
@@ -471,13 +472,13 @@ def local_train(
     if not live.size:
         return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], np.zeros((0, 0)),
                            global_ps.layout)
-    ps = _cohort(global_ps, arrays, live).own()  # this call's own buffer: its epochs train it in place
+    ps = _cohort(global_ps, arrays, live)
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(seed, round_index, uids, 1, pool)
     for _ in range(cfg.local_epochs):
         ps, _ = sgd_epoch(ps, UA, VA, y, None, cfg.batch_size, cfg.lr, rngs, counts=counts)
 
-    private = ps.trained[:, _user_columns(ps.layout, arrays.shapes)]
+    private = ps.trained[:, _user_columns(ps.layout, ps.arch)]
     bad = _first_non_finite(private, uids)
     if bad is not None:
         raise FederationError(

@@ -177,7 +177,6 @@ class Layout:
     (tag, start): in row c, client c's own group's.
     """
 
-    tags: Dict[str, str]                                  # name -> tag of each named tensor
     entries: Dict[str, Tuple[str, int, int, Shape]]       # name -> (tag, start, stop, shape)
     sizes: Dict[str, int]                                 # tag -> vector length
     common: Dict[str, int]                                # tag -> length of its common range
@@ -195,7 +194,7 @@ class Layout:
         unless each grouping attribute's adapters carry one trained tag."""
         sizes, own = dict(self.common), {}
         for attr, segments in self.groups.items():
-            tags = {self.tags[n] for names in segments for n in names}
+            tags = {self.entries[n][0] for names in segments for n in names}
             if len(tags) != 1 or FROZEN in tags:
                 raise ShapeError(f"group adapters of {attr!r} carry different or frozen partition tags")
             tag = tags.pop()
@@ -203,7 +202,7 @@ class Layout:
             sizes[tag] += self.segment[-1][1]
         grouped = {n for segments in self.groups.values() for names in segments for n in names}
         entries = {n: e for n, e in self.entries.items() if n not in grouped}
-        return replace(self, tags={n: self.tags[n] for n in entries}, entries=entries, sizes=sizes, own=own)
+        return replace(self, entries=entries, sizes=sizes, own=own)
 
 
 def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
@@ -230,17 +229,16 @@ def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
     for shape, _ in _pair(arch, "").values():
         segment.append((at, at + math.prod(shape), shape))
         at += math.prod(shape)
-    return Layout(dict(tags), {n: placed[n] for n in specs}, sizes, common, groups, tuple(segment))
+    return Layout({n: placed[n] for n in specs}, sizes, common, groups, tuple(segment))
 
 
 class ParamSet:
     """Named float64 tensors with partition tags; treated as an immutable value.
 
     `flat[tag]` is the tag's vector and `tensors[name]` a view into it; the
-    private and shared vectors are the halves of `trained`. A ParamSet with a
-    `plan` (see `own`) belongs to the code training it: sgd_step and sgd_epoch
-    update its trained buffer in place, through that one plan's views. Every
-    other ParamSet's buffers are never written.
+    private and shared vectors are the halves of `trained`. Only the private
+    copy an sgd_epoch trains has a `plan`, and sgd_step updates only such a
+    copy in place; every other ParamSet's buffers are never written.
     """
 
     __slots__ = ("arch", "tags", "layout", "frozen", "trained", "flat", "tensors", "plan")
@@ -261,7 +259,8 @@ class ParamSet:
         return ps
 
     def _bind(self, arch: Arch, layout: Layout, frozen: np.ndarray, trained: np.ndarray):
-        self.arch, self.tags, self.layout, self.plan = arch, layout.tags, layout, None
+        self.arch, self.layout, self.plan = arch, layout, None
+        self.tags = {name: tag for name, (tag, *_) in layout.entries.items()}
         self.frozen, self.trained = frozen, trained
         n = layout.sizes[PRIVATE]
         self.flat = {FROZEN: frozen, PRIVATE: trained[..., :n], SHARED: trained[..., n:]}
@@ -280,22 +279,11 @@ class ParamSet:
         """This ParamSet over a copy of its trained buffer; frozen is shared."""
         return ParamSet.from_vectors(self.arch, self.layout, self.frozen, self.trained.copy())
 
-    def own(self, groups: Optional[Dict[str, int]] = None) -> "ParamSet":
-        """Hand this ParamSet's buffers to the caller's training, every epoch
-        of it through one layout plan with the group adapters of `groups`
-        (a cohort's own by default); returns it."""
-        self.plan = _plan(self, groups)
-        return self
-
     def with_tensors(self, updates: Dict[str, np.ndarray]) -> "ParamSet":
         unknown = set(updates) - set(self.tensors)
         if unknown:
             raise ShapeError(f"unknown tensor names {sorted(unknown)}")
-        tags = {self.tags[n] for n in updates}
-        out = ParamSet.from_vectors(
-            self.arch, self.layout, self.frozen.copy() if FROZEN in tags else self.frozen,
-            self.trained.copy() if tags - {FROZEN} else self.trained,
-        )
+        out = ParamSet.from_vectors(self.arch, self.layout, self.frozen.copy(), self.trained.copy())
         out._fill(updates)
         return out
 
@@ -306,8 +294,8 @@ class ParamSet:
         """Raise ShapeError naming a tensor that holds a non-finite value."""
         for vec in self.flat.values():
             if not np.isfinite(vec).all():
-                bad = [n for n, t in self.tensors.items() if not np.isfinite(t).all()] or ["of a group segment"]
-                raise ShapeError(f"tensor {bad[0]} contains non-finite values")
+                bad = next(n for n, t in self.tensors.items() if not np.isfinite(t).all())
+                raise ShapeError(f"tensor {bad} contains non-finite values")
 
 
 def _glorot(rng: np.random.Generator, shape: Tuple[int, int]) -> np.ndarray:
@@ -756,8 +744,8 @@ def _embed_grads(emb: _EmbedPlan, rows: np.ndarray, dX: np.ndarray):
 
 
 def sgd_step(ps: ParamSet, grads: Gradient, lr: float) -> ParamSet:
-    """theta <- theta - lr * g: one update of the trained buffer. Updates
-    `ps` in place only when an epoch owns it (see ParamSet); any other is
+    """theta <- theta - lr * g: one update of the trained buffer, in place
+    on the private copy an epoch trains (see ParamSet); any other `ps` is
     copied first, so no caller's buffer is ever written."""
     if lr <= 0:
         raise ShapeError(f"learning rate {lr} must be > 0")
@@ -780,9 +768,8 @@ def sgd_epoch(
 ) -> Tuple[ParamSet, Optional[float]]:
     """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
     cut into batches of `batch_size`, one forward/backward/update per batch.
-    The epoch trains a copy of the trained buffer in place and leaves `ps`
-    as it was, unless `ps` is owned (see ParamSet.own): then it trains `ps`
-    through its plan.
+    The epoch trains one copy of the trained buffer in place, through one
+    layout plan, and leaves `ps` as it was.
 
     Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
     only) the epoch loss is the row-weighted mean of each batch's BCE before
@@ -795,10 +782,8 @@ def sgd_epoch(
     its padding rows last, so each step trains every client on the batch it
     would get alone; a client with no valid rows left in a step is unchanged.
     """
-    owned = ps.plan is not None
-    if not owned:
-        ps = ps.copy().own(groups)
-    plan = ps.plan
+    ps = ps.copy()
+    ps.plan = plan = _plan(ps, groups)
     plan.embed.check(UA, VA)
     valid = None
     if counts is None:
@@ -822,8 +807,7 @@ def sgd_epoch(
         if want_loss:
             loss += bce_loss(probs, yb) * len(yb)
         ps = sgd_step(ps, backward_batch(ps, cache, yb, None if valid is None else valid[:, rows]), lr)
-    if not owned:
-        ps.plan = None  # the caller gets a value, not a buffer to train
+    ps.plan = None  # the caller gets a value, not a buffer to train
     return ps, (loss / n if want_loss else None)
 
 
