@@ -176,11 +176,11 @@ class ClientArrays:
             UA = np.repeat(users[:, None, :], width, axis=1)
             shards[split] = StackedShards(UA, VA, y, counts)
         groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
-        names = user_adapter_specs(arch)
-        private = np.zeros((n, sum(math.prod(shape) for shape, _ in names.values())))
+        specs = user_adapter_specs(arch)
+        private = np.zeros((n, sum(math.prod(shape) for shape, _ in specs.values())))
         for i, c in enumerate(clients):
-            if names:
-                private[i] = np.concatenate([c.private[name].ravel() for name in names])
+            if specs:
+                private[i] = np.concatenate([c.private[name].ravel() for name in specs])
         return cls(
             uids=np.array([c.uid for c in clients], dtype=np.int64),
             groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
