@@ -73,6 +73,15 @@ def cmd_pretrain(args) -> int:
 def cmd_distill(args) -> int:
     raw, cfg = _load(args)
     teacher_path = cfg_str(raw, "distill.teacher")
+    dc = DistillConfig(
+        embed_dim=cfg_int(raw, "distill.embed_dim", required=True),
+        mlp_hidden=tuple(cfg_int_list(raw, "distill.mlp_hidden", required=True)),
+        epochs=cfg_int(raw, "distill.epochs", 20, minimum=0),
+        lr=cfg_float(raw, "distill.lr", 0.1),
+        batch_size=cfg_int(raw, "distill.batch", 64, minimum=1),
+        alpha=cfg_float(raw, "distill.alpha", 0.5),
+        seed=cfg.seed,
+    )
     ds, _ = prepare_dataset(cfg)
     if teacher_path:
         teacher = load_params(teacher_path)
@@ -80,15 +89,6 @@ def cmd_distill(args) -> int:
         teacher, _ = pretrain(
             ds, build_arch(cfg, ds), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
         )
-    dc = DistillConfig(
-        embed_dim=cfg_int(raw, "distill.embed_dim", required=True),
-        mlp_hidden=tuple(cfg_int_list(raw, "distill.mlp_hidden", required=True)),
-        epochs=cfg_int(raw, "distill.epochs", 20),
-        lr=cfg_float(raw, "distill.lr", 0.1),
-        batch_size=cfg_int(raw, "distill.batch", 64),
-        alpha=cfg_float(raw, "distill.alpha", 0.5),
-        seed=cfg.seed,
-    )
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     student, history = distill(teacher, UA, VA, y if dc.alpha < 1.0 else None, dc)
     out = os.path.join(cfg.out_dir, "student.npz")

@@ -48,14 +48,20 @@ def cfg_str(cfg, key, default: Optional[str] = None, required: bool = False) -> 
     return _get(cfg, key, default, required)
 
 
-def cfg_int(cfg, key, default: Optional[int] = None, required: bool = False) -> Optional[int]:
+def cfg_int(
+    cfg, key, default: Optional[int] = None, required: bool = False, minimum: Optional[int] = None
+) -> Optional[int]:
     v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, int):
-        return v
-    try:
-        return int(v)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not an integer") from None
+    if v is None:
+        return None
+    if not isinstance(v, int):
+        try:
+            v = int(v)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: {v!r} is not an integer") from None
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"config key {key!r}: {v} is below its minimum {minimum}")
+    return v
 
 
 def cfg_float(cfg, key, default: Optional[float] = None, required: bool = False) -> Optional[float]:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import difflib
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -51,6 +52,11 @@ def _strs(raw, key, default):
     return tuple(cfg_str_list(raw, key, default))
 
 
+def _at_least(minimum: int):
+    """The integer accessor that rejects a value below `minimum`."""
+    return functools.partial(cfg_int, minimum=minimum)
+
+
 # Config-file key -> (ExperimentConfig field, accessor).
 FIELD_KEYS = {
     "data.source": ("source", cfg_str),
@@ -65,16 +71,16 @@ FIELD_KEYS = {
     "arch.adapter_rank": ("adapter_rank", cfg_int),
     "arch.gate_hidden": ("gate_hidden", cfg_int),
     "arch.adapter_layers": ("adapter_layers", cfg_str),
-    "pretrain.epochs": ("pre_epochs", cfg_int),
+    "pretrain.epochs": ("pre_epochs", _at_least(0)),
     "pretrain.lr": ("pre_lr", cfg_float),
-    "pretrain.batch": ("pre_batch", cfg_int),
+    "pretrain.batch": ("pre_batch", _at_least(1)),
     "fed.arm": ("arm", cfg_str),
     "fed.rounds": ("rounds", cfg_int),
     "fed.fraction": ("client_fraction", cfg_float),
-    "fed.local_epochs": ("local_epochs", cfg_int),
+    "fed.local_epochs": ("local_epochs", _at_least(0)),
     "fed.lr": ("fed_lr", cfg_float),
-    "fed.batch": ("fed_batch", cfg_int),
-    "fed.eval_every": ("eval_every", cfg_int),
+    "fed.batch": ("fed_batch", _at_least(1)),
+    "fed.eval_every": ("eval_every", _at_least(1)),
     "ldp.enabled": ("ldp_enabled", cfg_bool),
     "ldp.intensity": ("ldp_intensity", cfg_float),
     "seed": ("seed", cfg_int),

@@ -20,9 +20,17 @@ A ParamSet may also hold a cohort of clients: its trained buffer then has a
 row per client, (C, P), while the frozen vector stays one and broadcasts; a
 cohort's rows hold each client's own group's adapters (`Layout.cohort`).
 Forward, backward and SGD are written once over leading axes, so a single
-model runs them without a client axis. A step reads every view it needs, of
-the tensors and of their gradients, from a layout plan (`_plan`) that
-`sgd_epoch` builds once per epoch.
+model runs them without a client axis.
+
+`sgd_epoch` does once per epoch whatever does not change from step to step:
+it checks the rows, shuffles them, builds the layout plan (`_plan`) with
+every view a step reads, of the tensors and of their gradients, and turns
+the rows, in epoch order, into the source rows the embedding gather reads
+and the flat index at which the gradient scatter starts each slot's row. A
+step slices both, runs one forward pass (`_forward`, which `forward_batch`
+shares), one backward pass and one update of the trained buffer. With
+`want_loss` the steps keep their probabilities, and the epoch loss is one
+pass over them at the end.
 """
 from __future__ import annotations
 
@@ -349,9 +357,9 @@ def _sigmoid(x):
 
 
 def _softmax(a):
-    z = a - a.max(axis=-1, keepdims=True)
+    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +417,12 @@ class _EmbedPlan:
             if bad.any():
                 s = first + int(np.nonzero(bad)[-1][0])
                 raise ShapeError(f"attribute value out of range for table {self.names[s]!r}")
+
+    def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The flat source index (..., n, live slots) of column 0 of each
+        live slot's row in `rows`: where the gradient count adds the slot's
+        first element."""
+        return rows[..., self.live] * len(self.cols)
 
 
 @dataclass(frozen=True)
@@ -554,7 +568,7 @@ class _LayerCache:
 
 @dataclass
 class ForwardCache:
-    rows: np.ndarray                   # source row of each input slot (..., n, slots)
+    index: np.ndarray                  # the batch's _EmbedPlan.scatter_rows
     layers: List[_LayerCache]
     probs: np.ndarray
     plan: _Plan
@@ -587,6 +601,28 @@ def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     return Z, cache
 
 
+def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool):
+    """(probs, each layer's cache or None) of the batch whose layer-0 input
+    slots read the source rows `rows` (..., n, slots)."""
+    emb = plan.embed
+    # one gather of every slot's row from the tables stacked end to end
+    source = emb.source
+    if source is None:
+        source = np.concatenate([p.reshape(-1, len(emb.cols)) for p in emb.pieces])
+    X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
+    layers: List[_LayerCache] = []
+    top = len(plan.layers) - 1
+    for l, lp in enumerate(plan.layers):
+        Z, cache = _layer_branches(lp, X)
+        if want_cache:
+            layers.append(cache)
+        # without a cache, inference holds one layer's arrays at a time
+        del X, cache
+        X = _relu(Z) if l < top else _sigmoid(Z)
+        del Z
+    return X[..., 0], (layers if want_cache else None)
+
+
 def forward_batch(
     ps: ParamSet,
     UA: np.ndarray,
@@ -603,7 +639,7 @@ def forward_batch(
     client's batch); required iff the arch has group branches and `ps` is
     not a cohort, whose rows hold their own groups' adapters. A caller that
     passes the layout `plan` of `ps` and `groups` has checked every
-    attribute value against its table (sgd_epoch does, once per epoch).
+    attribute value against its table.
     """
     UA = np.asarray(UA)
     VA = np.asarray(VA)
@@ -612,27 +648,11 @@ def forward_batch(
     if plan is None:
         plan = _plan(ps, groups, grads=want_cache)
         plan.embed.check(UA, VA)
-    emb = plan.embed
-    # one gather of every slot's row from the tables stacked end to end
-    rows = np.concatenate((UA, VA), axis=-1) + emb.base
-    source = emb.source
-    if source is None:
-        source = np.concatenate([p.reshape(-1, len(emb.cols)) for p in emb.pieces])
-    X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
-    layers: List[_LayerCache] = []
-    top = len(plan.layers) - 1
-    for l, lp in enumerate(plan.layers):
-        Z, cache = _layer_branches(lp, X)
-        if want_cache:
-            layers.append(cache)
-        # without a cache, inference holds one layer's arrays at a time
-        del X, cache
-        X = _relu(Z) if l < top else _sigmoid(Z)
-        del Z
-    probs = X[..., 0]
+    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
+    probs, layers = _forward(plan, rows, want_cache)
     if not want_cache:
         return probs, None
-    return probs, ForwardCache(rows=rows, layers=layers, probs=probs, plan=plan)
+    return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
 
 
 def predict(
@@ -646,19 +666,6 @@ def predict(
     ps.arch.item_schema.validate_values(item_attrs, "item")
     probs, _ = forward_batch(ps, np.array([user_attrs]), np.array([item_attrs]), groups)
     return float(probs[0])
-
-
-def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy with probability clamp at EPS_CLAMP."""
-    p = np.asarray(predictions, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if p.size == 0:
-        raise ShapeError("empty batch")
-    if p.shape != y.shape:
-        raise ShapeError("predictions/labels length mismatch")
-    p = np.minimum(np.maximum(p, EPS_CLAMP), 1.0 - EPS_CLAMP)
-    # the sum np.mean takes, without its fixed cost
-    return float(-(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None) / p.size))
 
 
 def backward_batch(
@@ -681,7 +688,7 @@ def backward_batch(
     if valid is None:
         dZ = ((cache.probs - y) / y.shape[-1])[..., None]
     else:
-        n = np.maximum(valid.sum(axis=-1, keepdims=True), 1)
+        n = np.maximum(np.add.reduce(valid, axis=-1, keepdims=True), 1)
         dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
     for l in range(len(cache.layers) - 1, -1, -1):
         lp, c = cache.plan.layers[l], cache.layers[l]
@@ -695,8 +702,8 @@ def backward_batch(
             dX = np.zeros_like(X)
             if lp.gate is not None:
                 (W1, gW1), (W2, gW2) = lp.gate
-                dG = np.stack([np.sum(v * dZ, axis=-1) for v in c.V], axis=-1)
-                dA = G * (dG - np.sum(G * dG, axis=-1, keepdims=True))
+                dG = np.stack([np.add.reduce(v * dZ, axis=-1) for v in c.V], axis=-1)
+                dA = G * (dG - np.add.reduce(G * dG, axis=-1, keepdims=True))
                 if gW2 is not None:
                     np.matmul(dA.mT, c.S, out=gW2)
                 dZ1 = (dA @ W2) * (c.Z1 > 0)
@@ -717,26 +724,26 @@ def backward_batch(
         if gW is not None:
             np.matmul(dC.mT, X, out=gW)
         if gb is not None:
-            np.sum(dC, axis=-2, out=gb)
+            np.add.reduce(dC, axis=-2, out=gb)
         if l > 0:  # X = relu(previous Z), positive exactly where that Z is
             dZ = dX * (X > 0)
 
     # one scatter: dX is now the gradient of the layer-0 input
-    _embed_grads(cache.plan.embed, cache.rows, dX)
+    _embed_grads(cache.plan.embed, cache.index, dX)
     return cache.plan.grad
 
 
-def _embed_grads(emb: _EmbedPlan, rows: np.ndarray, dX: np.ndarray):
+def _embed_grads(emb: _EmbedPlan, index: np.ndarray, dX: np.ndarray):
     """Write the gradient of every trained embedding table from the layer-0
-    input gradient dX (..., n, slots * d), `rows` the source row of each
-    slot: every element's gradient added at its flat source index, in batch
-    order as a row-by-row loop would add them."""
+    input gradient dX (..., n, slots * d), `index` the batch's
+    _EmbedPlan.scatter_rows: every element's gradient added at its flat
+    source index, in batch order as a row-by-row loop would add them."""
     if not emb.grads:
         return
     d = len(emb.cols)
     flat = np.bincount(
-        ((rows[..., emb.live] * d)[..., None] + emb.cols).ravel(),
-        weights=dX.reshape(rows.shape + (d,))[..., emb.live, :].ravel(),
+        (index[..., None] + emb.cols).ravel(),
+        weights=dX.reshape(index.shape[:-1] + (-1, d))[..., emb.live, :].ravel(),
         minlength=emb.size,
     )
     for start, stop, grad in emb.grads:
@@ -769,11 +776,14 @@ def sgd_epoch(
     """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
     cut into batches of `batch_size`, one forward/backward/update per batch.
     The epoch trains one copy of the trained buffer in place, through one
-    layout plan, and leaves `ps` as it was.
+    layout plan, and leaves `ps` as it was. It checks its input once: UA, VA
+    and y must have the same rows and every attribute value must index its
+    table, else ShapeError.
 
     Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
-    only) the epoch loss is the row-weighted mean of each batch's BCE before
-    its update; otherwise it is None and bce_loss is never called.
+    only, and at least one row) the epoch loss is the row-weighted mean of
+    each batch's mean BCE before its update (see _epoch_loss); otherwise it
+    is None.
 
     A cohort of C clients (`ps` stacked on a leading client axis) passes its
     train shards padded to N rows and stacked, UA (C, N, a), VA (C, N, a') and
@@ -782,6 +792,13 @@ def sgd_epoch(
     its padding rows last, so each step trains every client on the batch it
     would get alone; a client with no valid rows left in a step is unchanged.
     """
+    UA, VA, y = np.asarray(UA), np.asarray(VA), np.asarray(y)
+    if UA.ndim != y.ndim + 1 or UA.shape[:-1] != y.shape or VA.shape[:-1] != y.shape:
+        raise ShapeError(f"UA {UA.shape}, VA {VA.shape} and y {y.shape} must have the same rows")
+    if batch_size < 1:
+        raise ShapeError(f"batch size {batch_size} must be >= 1")
+    if want_loss and (counts is not None or len(y) == 0):
+        raise ShapeError("an epoch loss needs a single model and at least one row")
     ps = ps.copy()
     ps.plan = plan = _plan(ps, groups)
     plan.embed.check(UA, VA)
@@ -796,19 +813,43 @@ def sgd_epoch(
             order[c, :n_c] = c * N + g.permutation(n_c)
         UA, VA, y = UA.reshape(C * N, -1), VA.reshape(C * N, -1), y.reshape(C * N)
         valid = np.arange(N) < counts[:, None]
-    # the epoch's rows in order; each batch is a slice
-    UA, VA, y = UA[order], VA[order], y[order]
+    # the epoch's gather rows and scatter rows in epoch order; each step
+    # slices its batch's
+    rows = np.concatenate((UA, VA), axis=-1)[order] + plan.embed.base
+    index = plan.embed.scatter_rows(rows)
+    y = y[order]
     n = order.shape[-1]
-    loss = 0.0
+    probs = np.empty(n) if want_loss else None
     for start in range(0, n, batch_size):
-        rows = slice(start, start + batch_size)
-        yb = y[..., rows]
-        probs, cache = forward_batch(ps, UA[..., rows, :], VA[..., rows, :], groups, want_cache=True, plan=plan)
+        batch = slice(start, start + batch_size)
+        p, layers = _forward(plan, rows[..., batch, :], want_cache=True)
         if want_loss:
-            loss += bce_loss(probs, yb) * len(yb)
-        ps = sgd_step(ps, backward_batch(ps, cache, yb, None if valid is None else valid[:, rows]), lr)
+            probs[batch] = p
+        cache = ForwardCache(index[..., batch, :], layers, p, plan)
+        ps = sgd_step(ps, backward_batch(ps, cache, y[..., batch], None if valid is None else valid[:, batch]), lr)
     ps.plan = None  # the caller gets a value, not a buffer to train
-    return ps, (loss / n if want_loss else None)
+    return ps, (_epoch_loss(probs, y, batch_size) if want_loss else None)
+
+
+def _epoch_loss(probs: np.ndarray, y: np.ndarray, batch_size: int) -> float:
+    """The row-weighted mean of each batch's mean BCE, probabilities clamped
+    at EPS_CLAMP, over an epoch's probabilities and labels in epoch order.
+
+    Bit for bit the per-batch sum: each batch's terms are summed with one
+    reduction of their own, as a per-batch loss would sum them, and the
+    batch losses times their sizes are added one by one in batch order.
+    """
+    p = np.minimum(np.maximum(probs, EPS_CLAMP), 1.0 - EPS_CLAMP)
+    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    n = len(terms)
+    full = n - n % batch_size
+    sums = np.add.reduce(terms[:full].reshape(-1, batch_size), axis=-1)
+    sizes = np.full(len(sums), float(batch_size))
+    if full < n:
+        sums = np.append(sums, np.add.reduce(terms[full:]))
+        sizes = np.append(sizes, float(n - full))
+    # add.accumulate adds in order; add.reduce would add pairwise
+    return float(np.add.accumulate(-(sums / sizes) * sizes)[-1] / n)
 
 
 # ---------------------------------------------------------------------------

@@ -26,20 +26,34 @@ from fedrec.federation import (
 )
 from fedrec.metrics import auc, precision
 from fedrec.model import (
+    EPS_CLAMP,
     FROZEN,
     GROUP_PREFIX,
     PRIVATE,
     SHARED,
     Gradient,
     ParamSet,
+    ShapeError,
     _layout,
     _plan,
-    bce_loss,
     forward_batch,
     init_params,
     sgd_epoch,
 )
 from fedrec.privacy import laplace_noise
+
+
+def bce_loss(predictions, labels) -> float:
+    """Mean binary cross-entropy with probability clamp at EPS_CLAMP: the
+    per-batch loss sgd_epoch's epoch loss is the row-weighted mean of."""
+    p = np.asarray(predictions, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    if p.size == 0:
+        raise ShapeError("empty batch")
+    if p.shape != y.shape:
+        raise ShapeError("predictions/labels length mismatch")
+    p = np.minimum(np.maximum(p, EPS_CLAMP), 1.0 - EPS_CLAMP)
+    return float(-(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None) / p.size))
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):

@@ -107,6 +107,42 @@ class TestConfigKeys:
         assert cfg.noise_config().intensity == 0.2
 
 
+class TestTrainingKeyBounds:
+    # a batch holds at least one row and evaluation comes every k >= 1
+    # rounds; zero epochs are valid (test_zero_epochs)
+    @pytest.mark.parametrize("key, value", [
+        ("pretrain.batch", "0"), ("pretrain.batch", "-3"), ("pretrain.epochs", "-2"),
+        ("fed.batch", "0"), ("fed.local_epochs", "-1"), ("fed.eval_every", "0"),
+    ])
+    def test_config_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: {value} is below")):
+            ExperimentConfig.from_dict({key: value})
+
+    def test_least_values_accepted(self):
+        cfg = ExperimentConfig.from_dict(
+            {"pretrain.batch": "1", "pretrain.epochs": "0", "fed.batch": "1", "fed.local_epochs": "0"}
+        )
+        assert (cfg.pre_batch, cfg.pre_epochs, cfg.fed_batch, cfg.local_epochs) == (1, 0, 1, 0)
+
+    @pytest.mark.parametrize("line", ["pretrain.batch = -3", "pretrain.epochs = -2"])
+    def test_pretrain_exits_1_without_a_checkpoint(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        key = line.split(" = ")[0]
+        cfg.write_text("\n".join(l for l in BASE_CFG.splitlines() if not l.startswith(key)) + f"\n{line}\n")
+        out = tmp_path / "out"
+        assert run("pretrain", "--config", str(cfg), "--out", str(out), "--quiet") == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (out / "pretrained.npz").exists()
+
+    @pytest.mark.parametrize("line", ["distill.batch = 0", "distill.epochs = -1"])
+    def test_distill_exits_1(self, tmp_path, capsys, line):
+        cfg = write_cfg(tmp_path, f"distill.embed_dim = 2\ndistill.mlp_hidden = 4\n{line}\n")
+        out = tmp_path / "out"
+        assert run("distill", "--config", cfg, "--out", str(out), "--quiet") == 1
+        assert repr(line.split(" = ")[0]) in capsys.readouterr().err
+        assert not (out / "student.npz").exists()
+
+
 class TestSynth:
     def test_writes_csvs(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedrec.data import AttributeSchema
@@ -16,7 +16,6 @@ from fedrec.model import (
     ParamSet,
     ShapeError,
     backward_batch,
-    bce_loss,
     count_params,
     forward_batch,
     init_params,
@@ -28,6 +27,7 @@ from fedrec.model import (
 )
 from fedrec.model import _embed_grads, _layer_branches, _plan
 from helpers import (
+    bce_loss,
     embed_grads_reference,
     gradient,
     embed_item,
@@ -124,7 +124,7 @@ def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
     X = cache.layers[0].X
     assert np.array_equal(X, embed_reference(ps, UA, VA))
     dX = np.random.default_rng(seed).normal(size=X.shape)
-    _embed_grads(cache.plan.embed, cache.rows, dX)
+    _embed_grads(cache.plan.embed, cache.index, dX)
     got = {n: g for n, g in cache.plan.grad.items() if "_emb/" in n}
     want = embed_grads_reference(ps, UA, VA, dX)
     assert sorted(got) == sorted(want)
@@ -512,6 +512,65 @@ class TestSgdEpoch:
             assert np.array_equal(got.tensors[n], want.tensors[n]), n
         _, no_loss = sgd_epoch(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5))
         assert no_loss is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        batch=st.one_of(st.integers(1, 8), st.integers(61, 80)),
+        gate_mode=st.sampled_from(["learned", "uniform", "none"]),
+        frozen_items=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=60, batch=1, gate_mode="learned", frozen_items=False, seed=0)
+    @example(n=37, batch=8, gate_mode="learned", frozen_items=True, seed=1)
+    @example(n=5, batch=64, gate_mode="none", frozen_items=False, seed=2)
+    def test_matches_per_batch_oracle(self, n, batch, gate_mode, frozen_items, seed):
+        # batch sizes up to 8 leave a partial last batch for most n and give
+        # up to 60 batches, whose losses must add in batch order; ones above
+        # 60 exceed every n; frozen item tables make the gather read a
+        # stacked copy of the tables rather than a view
+        arch = small_arch(gate_mode=gate_mode)
+        ps = randomized_params(init_params(arch, seed), seed)
+        if frozen_items:
+            ps = ParamSet(arch, ps.tensors, {**ps.tags, **{t: FROZEN for t in ps.names("item_emb/*")}})
+        UA, VA, y, groups = random_batch(arch, n, seed)
+        got, loss = sgd_epoch(ps, UA, VA, y, groups, batch, 0.1, np.random.default_rng(seed), want_loss=True)
+        order = np.random.default_rng(seed).permutation(n)
+        want, total = ps, 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            probs, cache = forward_batch(want, UA[idx], VA[idx], groups, want_cache=True)
+            total += bce_loss(probs, y[idx]) * len(idx)
+            want = sgd_step(want, backward_batch(want, cache, y[idx]), 0.1)
+        assert loss == total / n
+        assert np.array_equal(got.trained, want.trained)
+
+    @pytest.mark.parametrize("rows", [(5, 4, 4), (4, 5, 4), (4, 4, 5)])
+    def test_unequal_rows_rejected(self, rows):
+        # a 5-row UA with a 4-row y once trained on 4 rows without a word
+        arch = small_arch()
+        ps = init_params(arch, 0)
+        UA, VA, y, groups = random_batch(arch, 5, 0)
+        with pytest.raises(ShapeError, match="same rows"):
+            sgd_epoch(ps, UA[: rows[0]], VA[: rows[1]], y[: rows[2]], groups, 2, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("batch", [0, -3])
+    def test_batch_below_one_rejected(self, batch):
+        arch = small_arch()
+        UA, VA, y, groups = random_batch(arch, 5, 0)
+        with pytest.raises(ShapeError, match="batch size"):
+            sgd_epoch(init_params(arch, 0), UA, VA, y, groups, batch, 0.1, np.random.default_rng(0))
+
+    def test_empty_epoch(self):
+        arch = small_arch()
+        ps = init_params(arch, 0)
+        UA, VA, y, groups = random_batch(arch, 5, 0)
+        UA, VA, y = UA[:0], VA[:0], y[:0]
+        with pytest.raises(ShapeError, match="at least one row"):
+            sgd_epoch(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), want_loss=True)
+        # without a loss to report, an empty epoch trains nothing
+        out, loss = sgd_epoch(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0))
+        assert loss is None and np.array_equal(out.trained, ps.trained)
 
 
 class TestSerialization:
