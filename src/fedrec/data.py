@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthesis, splitting, grouping and negative sampling.
+"""Dataset ingestion, synthesis, splitting and negative sampling.
 
 All functions are pure given their inputs and an explicit RNG/seed; nothing
 touches global random state.
@@ -158,20 +158,6 @@ def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class GroupAssignment:
-    """Per grouping-attribute map from user id to group index."""
-
-    maps: Dict[str, Dict[int, int]]
-
-    @property
-    def total(self) -> int:
-        return len(self.maps)
-
-    def groups_of(self, uid: int) -> Dict[str, int]:
-        return {attr: m[uid] for attr, m in self.maps.items()}
-
-
-@dataclass
 class SplitReport:
     dropped_users: int = 0
     dropped_user_ids: List[int] = field(default_factory=list)
@@ -316,15 +302,6 @@ def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, SplitReport
     keep[order[np.repeat(dropped, n)]] = False
     report = SplitReport(int(dropped.sum()), uids[dropped].tolist())
     return replace(dataset, split=split).rows(keep), report
-
-
-def assign_groups(dataset: Dataset, grouping_attribute_names: Sequence[str]) -> GroupAssignment:
-    """Group users by attribute value: one map per grouping attribute."""
-    maps: Dict[str, Dict[int, int]] = {}
-    for name in grouping_attribute_names:
-        j = dataset.user_schema.index(name)
-        maps[name] = {uid: vals[j] for uid, vals in dataset.users.items()}
-    return GroupAssignment(maps)
 
 
 def sample_negatives(

@@ -17,17 +17,14 @@ from .config import (
 )
 from .data import (
     Dataset,
-    GroupAssignment,
     SplitReport,
     SynthConfig,
-    assign_groups,
     load_dataset,
     split_per_user_chronological,
     split_pretrain_federated,
     synth_generate,
 )
 from .federation import (
-    ClientState,
     FedConfig,
     PartitionPolicy,
     RoundReport,
@@ -57,14 +54,24 @@ def _at_least(minimum: int):
     return functools.partial(cfg_int, minimum=minimum)
 
 
+def _float_in(interval: str, inside):
+    """The float accessor that rejects a value outside `interval`, as `inside` tests it."""
+    def get(raw, key, default):
+        v = cfg_float(raw, key, default)
+        if inside(v):
+            return v
+        raise ConfigError(f"config key {key!r}: {v} is outside {interval}")
+    return get
+
+
 # Config-file key -> (ExperimentConfig field, accessor).
 FIELD_KEYS = {
     "data.source": ("source", cfg_str),
     "data.users": ("users_path", cfg_str),
     "data.items": ("items_path", cfg_str),
     "data.interactions": ("interactions_path", cfg_str),
-    "split.pretrain_fraction": ("pretrain_fraction", cfg_float),
-    "neg.ratio": ("neg_ratio", cfg_int),
+    "split.pretrain_fraction": ("pretrain_fraction", _float_in("(0, 1)", lambda v: 0 < v < 1)),
+    "neg.ratio": ("neg_ratio", _at_least(0)),
     "group.attrs": ("group_attrs", _strs),
     "arch.embed_dim": ("embed_dim", cfg_int),
     "arch.mlp_hidden": ("mlp_hidden", _ints),
@@ -75,14 +82,14 @@ FIELD_KEYS = {
     "pretrain.lr": ("pre_lr", cfg_float),
     "pretrain.batch": ("pre_batch", _at_least(1)),
     "fed.arm": ("arm", cfg_str),
-    "fed.rounds": ("rounds", cfg_int),
-    "fed.fraction": ("client_fraction", cfg_float),
+    "fed.rounds": ("rounds", _at_least(0)),
+    "fed.fraction": ("client_fraction", _float_in("(0, 1]", lambda v: 0 < v <= 1)),
     "fed.local_epochs": ("local_epochs", _at_least(0)),
     "fed.lr": ("fed_lr", cfg_float),
     "fed.batch": ("fed_batch", _at_least(1)),
     "fed.eval_every": ("eval_every", _at_least(1)),
     "ldp.enabled": ("ldp_enabled", cfg_bool),
-    "ldp.intensity": ("ldp_intensity", cfg_float),
+    "ldp.intensity": ("ldp_intensity", _float_in("[0, inf)", lambda v: v >= 0)),
     "seed": ("seed", cfg_int),
     "out": ("out_dir", cfg_str),
 }
@@ -238,7 +245,6 @@ class ArmResult:
     uploaded_per_client: int
     reports: List[RoundReport]
     server: ServerState
-    clients: List[ClientState]
 
 
 def run_arm(
@@ -260,22 +266,16 @@ def run_arm(
         ps = init_params(arch, [cfg.seed, 21])
     ps = PartitionPolicy.preset(policy_name).apply(ps)
 
-    assignment = (
-        assign_groups(dataset, arch.group_attrs) if arch.group_attrs else GroupAssignment({})
-    )
-    clients = build_clients(dataset, assignment, arch, cfg.seed, cfg.neg_ratio)
-    server, clients, reports = run_federated(
-        ps, clients, cfg.fed_config(), cfg.noise_config(), cfg.seed
-    )
-    ev = evaluate_global(server.params, clients, "test")
-    uploaded = next((rep.uploaded_per_client for rep in reports if rep.uploaded_per_client), 0)
+    arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)
+    server = run_federated(ps, arrays, cfg.fed_config(), cfg.noise_config(), cfg.seed)
+    ev = evaluate_global(server.params, arrays, "test")
+    uploaded = next((rep.uploaded_per_client for rep in server.reports if rep.uploaded_per_client), 0)
     return ArmResult(
         arm=arm,
         test_auc=ev.mean_auc,
         test_precision=ev.mean_precision,
         trainable_params=count_params(ps, tags=(SHARED, PRIVATE)),
         uploaded_per_client=uploaded,
-        reports=reports,
+        reports=server.reports,
         server=server,
-        clients=clients,
     )

@@ -23,7 +23,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .data import (
     PRETRAIN,
     SPLITS,
     Dataset,
-    GroupAssignment,
     runs,
     sample_negatives,
 )
@@ -111,24 +110,6 @@ class PartitionPolicy:
 
 
 @dataclass
-class Shard:
-    items: np.ndarray   # (n, |item attrs|) int attribute values
-    labels: np.ndarray  # (n,) float {0,1}
-
-    def __len__(self):
-        return len(self.labels)
-
-
-@dataclass
-class ClientState:
-    uid: int
-    user_attrs: np.ndarray            # (|user attrs|,)
-    groups: Dict[str, int]
-    shards: Dict[str, Shard]          # keys: "train", "val", "test"
-    private: Dict[str, np.ndarray]    # user-level adapter tensors
-
-
-@dataclass
 class StackedShards:
     """One split's shards of every client, padded to the longest and stacked:
     UA (N, L, |user attrs|), VA (N, L, |item attrs|), y (N, L), and each
@@ -149,53 +130,13 @@ class StackedShards:
 
 @dataclass
 class ClientArrays:
-    """Every client's state as arrays, row i holding client i of the list it
-    was stacked from; a run stacks its clients once and updates the private
-    rows in place."""
+    """Every client's state as arrays, row i holding the federated user of
+    the i-th smallest id; a run updates the private rows in place."""
 
     uids: np.ndarray                  # (N,)
     groups: np.ndarray                # (N, |arch.group_attrs|) group of each grouping attribute
     private: np.ndarray               # (N, P) user adapter, its tensors end to end in init order
-    shards: Dict[str, StackedShards]  # split -> shards
-    arch: Arch
-
-    @classmethod
-    def stack(cls, clients: Sequence[ClientState], arch: Arch, splits: Sequence[str]) -> "ClientArrays":
-        n = len(clients)
-        users = np.array([c.user_attrs for c in clients], dtype=np.int64).reshape(n, len(arch.user_schema))
-        shards = {}
-        for split in splits:
-            counts = np.array([len(c.shards[split]) for c in clients], dtype=np.int64)
-            width = int(counts.max(initial=0))
-            VA = np.zeros((n, width, len(arch.item_schema)), dtype=np.int64)
-            y = np.zeros((n, width))
-            for i, c in enumerate(clients):
-                shard = c.shards[split]
-                VA[i, : len(shard)] = shard.items
-                y[i, : len(shard)] = shard.labels
-            UA = np.repeat(users[:, None, :], width, axis=1)
-            shards[split] = StackedShards(UA, VA, y, counts)
-        groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
-        specs = user_adapter_specs(arch)
-        private = np.zeros((n, sum(math.prod(shape) for shape, _ in specs.values())))
-        for i, c in enumerate(clients):
-            if specs:
-                private[i] = np.concatenate([c.private[name].ravel() for name in specs])
-        return cls(
-            uids=np.array([c.uid for c in clients], dtype=np.int64),
-            groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
-            private=private,
-            shards=shards,
-            arch=arch,
-        )
-
-    def write_back(self, clients: Sequence[ClientState]):
-        """Set each client's private tensors to views of its row."""
-        specs = user_adapter_specs(self.arch)
-        cuts = np.cumsum([math.prod(shape) for shape, _ in specs.values()])[:-1]
-        for i, c in enumerate(clients):
-            parts = np.split(self.private[i], cuts)
-            c.private = {name: t.reshape(shape) for (name, (shape, _)), t in zip(specs.items(), parts)}
+    shards: Dict[str, StackedShards]  # "train", "val", "test" -> shards
 
 
 @dataclass
@@ -296,51 +237,48 @@ def pretrain_examples(dataset: Dataset, seed: int, neg_ratio: int = 4):
     return dataset.user_attrs(user), dataset.item_attrs(item), label.astype(float)
 
 
-def build_clients(
-    dataset: Dataset,
-    assignment: GroupAssignment,
-    arch: Arch,
-    seed: int,
-    neg_ratio: int = 4,
-) -> List[ClientState]:
-    """One ClientState per federated user, with per-split shards and freshly
-    initialized private adapter tensors."""
+def build_clients(dataset: Dataset, arch: Arch, seed: int, neg_ratio: int = 4) -> ClientArrays:
+    """The run's clients, one row per federated user in uid order: padded
+    train, val and test shards, the user's values of the grouping attributes,
+    and a freshly initialized user adapter from the stream [seed, uid, 2].
+
+    When the rows carry native 0-labels they are used as-is; otherwise each
+    split's positives get `neg_ratio` negatives each, drawn from the items
+    the user has in no split, in train, val, test order from the stream
+    [seed, uid, 1]."""
     codes = [SPLITS.index(tag) for tag in (FED_TRAIN, FED_VAL, FED_TEST)]
     fed = dataset.rows(dataset.split >= codes[0])
     # each user's rows, grouped by split, each group in dataset order
     order = np.lexsort((fed.split, fed.user))
     uids, bounds = runs(fed.user[order])
+    item, label = fed.item[order], fed.label[order]
     # where each user's train, val and test rows start and end in `order`
     rank = np.repeat(np.arange(len(uids)), np.diff(bounds)) * len(SPLITS) + fed.split[order]
     cuts = np.searchsorted(rank, np.arange(len(uids))[:, None] * len(SPLITS) + [*codes, len(SPLITS)])
-    native_negs = not fed.label.all()
-    if native_negs:
-        VA, y = dataset.item_attrs(fed.item[order]), fed.label[order].astype(float)
+    sampled = bool(fed.label.all())
     universe = np.array(sorted(dataset.items), dtype=np.int64)
-
-    clients = []
-    for j, (uid, user_attrs) in enumerate(zip(uids.tolist(), dataset.user_attrs(uids))):
-        rng = np.random.default_rng([seed, uid, 1])
-        if not native_negs:  # sampled negatives avoid every item the user has in any split
-            untouched = universe[~np.isin(universe, fed.item[order[bounds[j] : bounds[j + 1]]])]
-        shards = {}
-        for key, a, b in zip(("train", "val", "test"), cuts[j, :-1], cuts[j, 1:]):
-            if native_negs:
-                shards[key] = Shard(VA[a:b], y[a:b])
-            else:
-                rows = order[a:b]
-                item, label = sample_negatives(fed.item[rows], fed.label[rows], untouched, neg_ratio, rng)
-                shards[key] = Shard(dataset.item_attrs(item), label.astype(float))
-        clients.append(
-            ClientState(
-                uid=uid,
-                user_attrs=user_attrs,
-                groups=assignment.groups_of(uid) if assignment.maps else {},
-                shards=shards,
-                private=init_user_adapter(arch, np.random.default_rng([seed, uid, 2])),
-            )
-        )
-    return clients
+    private = np.zeros((len(uids), sum(math.prod(shape) for shape, _ in user_adapter_specs(arch).values())))
+    cols = []  # per user, its train, val and test (item, label) columns
+    for j, uid in enumerate(uids.tolist()):
+        private[j] = init_user_adapter(arch, np.random.default_rng([seed, uid, 2]))
+        cols.append([(item[a:b], label[a:b]) for a, b in zip(cuts[j, :-1], cuts[j, 1:])])
+        if sampled:
+            rng = np.random.default_rng([seed, uid, 1])
+            untouched = universe[~np.isin(universe, item[bounds[j] : bounds[j + 1]])]
+            cols[j] = [sample_negatives(items, labels, untouched, neg_ratio, rng) for items, labels in cols[j]]
+    users = dataset.user_attrs(uids)
+    shards = {}
+    for s, key in enumerate(("train", "val", "test")):
+        items, labels = [c[s][0] for c in cols], [c[s][1] for c in cols]
+        counts = np.array([len(x) for x in items], dtype=np.int64)
+        # a mask assignment fills row-major: client i's rows land in its first counts[i] slots
+        valid = np.arange(counts.max(initial=0)) < counts[:, None]
+        VA, y = np.zeros(valid.shape + (len(arch.item_schema),), dtype=np.int64), np.zeros(valid.shape)
+        VA[valid] = dataset.item_attrs(np.concatenate([np.zeros(0, np.int64), *items]))
+        y[valid] = np.concatenate([np.zeros(0), *labels])
+        shards[key] = StackedShards(np.repeat(users[:, None, :], valid.shape[1], axis=1), VA, y, counts)
+    groups = users[:, [arch.user_schema.index(a) for a in arch.group_attrs]]
+    return ClientArrays(uids, groups, private, shards)
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +327,13 @@ def warm_start(arch: Arch, base_ps: ParamSet, seed: int) -> ParamSet:
 # ---------------------------------------------------------------------------
 
 
-def select_clients(
-    clients: Sequence[ClientState], fraction: float, round_index: int, seed: int
-) -> np.ndarray:
-    """Positions in `clients` of the round's participants, ascending: seeded
+def select_clients(n: int, fraction: float, round_index: int, seed: int) -> np.ndarray:
+    """Rows, among n clients, of the round's participants, ascending: seeded
     sampling without replacement, deterministic given (seed, round)."""
     if not 0.0 < fraction <= 1.0:
         raise FederationError(f"client fraction {fraction} outside (0, 1]")
-    n = len(clients)
-    k = math.ceil(fraction * n)
     rng = np.random.default_rng([seed, round_index, 5])
-    return np.sort(rng.choice(n, size=k, replace=False))
+    return np.sort(rng.choice(n, size=math.ceil(fraction * n), replace=False))
 
 
 def _cohort(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray) -> ParamSet:
@@ -537,8 +471,14 @@ def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
     return ServerState(ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained), server.reports)
 
 
-def _evaluate(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
-    """evaluate_global on clients already stacked, `split` among their shards."""
+def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
+    """Per-client metrics on `split` shards, unweighted mean over clients with
+    a defined metric, in client order. Raises UndefinedMetricError if no
+    client yields a defined AUC, and FederationError naming the first client
+    with a non-finite score. All clients are scored by one forward pass and
+    one `score_rows` call on their stacked shards."""
+    if split not in arrays.shards:
+        raise ValueError(f"bad split {split!r}")
     shards = arrays.shards[split]
     scored = np.flatnonzero(shards.counts)
     aucs = precs = np.empty(0)
@@ -564,42 +504,26 @@ def _evaluate(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSumm
     )
 
 
-def evaluate_global(
-    server_ps: ParamSet, clients: Sequence[ClientState], split: str
-) -> EvalSummary:
-    """Per-client metrics on `split` shards, unweighted mean over clients with
-    a defined metric, in client order. Raises UndefinedMetricError if no
-    client yields a defined AUC, and FederationError naming the first client
-    with a non-finite score. All clients are scored by one forward pass and
-    one `score_rows` call on their stacked shards."""
-    if split not in ("train", "val", "test"):
-        raise ValueError(f"bad split {split!r}")
-    return _evaluate(server_ps, ClientArrays.stack(clients, server_ps.arch, (split,)), split)
-
-
 def run_federated(
     server_ps: ParamSet,
-    clients: List[ClientState],
+    arrays: ClientArrays,
     cfg: FedConfig,
     noise_cfg: Optional[NoiseConfig],
     seed: int,
-) -> Tuple[ServerState, List[ClientState], List[RoundReport]]:
+) -> ServerState:
     """The round loop: select -> broadcast -> local train -> (noise) ->
-    aggregate -> evaluate. Deterministic given (inputs, seed) regardless of
-    client execution order. Raises FederationError when local training
-    leaves a private tensor non-finite or aggregation a shared one.
-
-    The clients are stacked into one ClientArrays for the whole run; their
-    `private` tensors are set from it once, when the run ends."""
+    aggregate -> evaluate, training the clients' private rows in place.
+    Deterministic given (inputs, seed) regardless of client execution order.
+    Raises FederationError when local training leaves a private tensor
+    non-finite or aggregation a shared one."""
     server = ServerState(server_ps)
-    arrays = ClientArrays.stack(clients, server_ps.arch, ("train", "val"))
     pool: List[np.random.Generator] = []  # the rounds' per-client streams
     noised = noise_cfg is not None and noise_cfg.enabled
     order = _draw_order(server_ps.layout.cohort) if noised else None
 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
-        idx = select_clients(clients, cfg.client_fraction, r, seed)
+        idx = select_clients(len(arrays.uids), cfg.client_fraction, r, seed)
         # a diverging round overflows; the finiteness checks stop it with an
         # error naming the round, so numpy's warnings would only come first
         with np.errstate(over="ignore", invalid="ignore"):
@@ -626,7 +550,7 @@ def run_federated(
                 report.skipped = True
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
-                ev = _evaluate(server.params, arrays, "val")
+                ev = evaluate_global(server.params, arrays, "val")
                 report.val_auc = ev.mean_auc
                 report.val_precision = ev.mean_precision
             except UndefinedMetricError:
@@ -636,11 +560,10 @@ def run_federated(
         report.seconds = time.perf_counter() - t0
         server.reports.append(report)
 
-    arrays.write_back(clients)
     for n, tag in server_ps.tags.items():
         if tag == FROZEN and not np.array_equal(server.params.tensors[n], server_ps.tensors[n]):
             raise FederationError(f"frozen tensor {n!r} changed during the run")
-    return server, clients, server.reports
+    return server
 
 
 def _draw_order(cohort: Layout) -> np.ndarray:

@@ -326,10 +326,11 @@ def init_params(arch: Arch, seed) -> ParamSet:
     return ParamSet(arch, _draw(_specs(arch), np.random.default_rng(seed)))
 
 
-def init_user_adapter(arch: Arch, rng: np.random.Generator) -> Dict[str, np.ndarray]:
-    """The user-level adapter tensors (none without a user adapter), drawn in
-    the same order by init_params and by each client's private stream."""
-    return _draw(user_adapter_specs(arch), rng)
+def init_user_adapter(arch: Arch, rng: np.random.Generator) -> np.ndarray:
+    """The user-level adapter's tensors end to end as one row (empty without
+    a user adapter), drawn in the same order by init_params and by each
+    client's private stream."""
+    return np.concatenate([np.zeros(0), *(t.ravel() for t in _draw(user_adapter_specs(arch), rng).values())])
 
 
 def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None, pattern: str = "*") -> int:

@@ -1,7 +1,7 @@
 """Shared test utilities: independent oracles and fixtures."""
 import math
 from dataclasses import dataclass, replace
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 from scipy.stats import rankdata
@@ -15,12 +15,14 @@ from fedrec.data import (
     DataError,
     Dataset,
     SplitReport,
+    runs,
     sample_negatives,
 )
 from fedrec.federation import (
     ClientArrays,
     FederationError,
     ServerState,
+    StackedShards,
     UploadBatch,
     local_train,
 )
@@ -34,13 +36,127 @@ from fedrec.model import (
     Gradient,
     ParamSet,
     ShapeError,
+    _draw,
     _layout,
     _plan,
     forward_batch,
     init_params,
     sgd_epoch,
+    user_adapter_specs,
 )
 from fedrec.privacy import laplace_noise
+
+
+SPLIT_KEYS = ("train", "val", "test")
+
+
+@dataclass
+class Shard:
+    items: np.ndarray   # (n, |item attrs|) int attribute values
+    labels: np.ndarray  # (n,) float {0,1}
+
+    def __len__(self):
+        return len(self.labels)
+
+
+@dataclass
+class ClientState:
+    """One client as objects: the per-client view of a row of ClientArrays."""
+
+    uid: int
+    user_attrs: np.ndarray            # (|user attrs|,)
+    groups: Dict[str, int]
+    shards: Dict[str, Shard]          # keys: "train", "val", "test"
+    private: Dict[str, np.ndarray]    # user-level adapter tensors
+
+
+def stack(clients, arch, splits) -> ClientArrays:
+    """The clients as one ClientArrays, row i holding clients[i], with the
+    shards of `splits`."""
+    n = len(clients)
+    users = np.array([c.user_attrs for c in clients], dtype=np.int64).reshape(n, len(arch.user_schema))
+    shards = {}
+    for split in splits:
+        counts = np.array([len(c.shards[split]) for c in clients], dtype=np.int64)
+        width = int(counts.max(initial=0))
+        VA = np.zeros((n, width, len(arch.item_schema)), dtype=np.int64)
+        y = np.zeros((n, width))
+        for i, c in enumerate(clients):
+            shard = c.shards[split]
+            VA[i, : len(shard)] = shard.items
+            y[i, : len(shard)] = shard.labels
+        UA = np.repeat(users[:, None, :], width, axis=1)
+        shards[split] = StackedShards(UA, VA, y, counts)
+    groups = [[c.groups[a] for a in arch.group_attrs] for c in clients]
+    specs = user_adapter_specs(arch)
+    private = np.zeros((n, sum(math.prod(shape) for shape, _ in specs.values())))
+    for i, c in enumerate(clients):
+        if specs:
+            private[i] = np.concatenate([c.private[name].ravel() for name in specs])
+    return ClientArrays(
+        uids=np.array([c.uid for c in clients], dtype=np.int64),
+        groups=np.array(groups, dtype=np.int64).reshape(n, len(arch.group_attrs)),
+        private=private,
+        shards=shards,
+    )
+
+
+def _private_tensors(row, arch):
+    """A private row as its named user-adapter tensors, views of the row."""
+    specs = user_adapter_specs(arch)
+    cuts = np.cumsum([math.prod(shape) for shape, _ in specs.values()])[:-1]
+    return {name: t.reshape(shape) for (name, (shape, _)), t in zip(specs.items(), np.split(row, cuts))}
+
+
+def write_back(arrays, clients, arch):
+    """Set each client's private tensors to views of its row."""
+    for i, c in enumerate(clients):
+        c.private = _private_tensors(arrays.private[i], arch)
+
+
+def client_objects(arrays, arch, ds) -> List[ClientState]:
+    """The rows of `arrays` as ClientStates, shards cut to their counts."""
+    user_attrs = ds.user_attrs(arrays.uids)
+    return [
+        ClientState(
+            uid=uid,
+            user_attrs=user_attrs[i],
+            groups=dict(zip(arch.group_attrs, arrays.groups[i].tolist())),
+            shards={k: Shard(s.VA[i, : s.counts[i]], s.y[i, : s.counts[i]]) for k, s in arrays.shards.items()},
+            private=_private_tensors(arrays.private[i], arch),
+        )
+        for i, uid in enumerate(arrays.uids.tolist())
+    ]
+
+
+def build_clients_reference(dataset, arch, seed, neg_ratio=4) -> List[ClientState]:
+    """Per-user oracle for federation.build_clients: one ClientState per
+    federated user in uid order, each split's shard built on its own."""
+    codes = [SPLITS.index(tag) for tag in (FED_TRAIN, FED_VAL, FED_TEST)]
+    fed = dataset.rows(dataset.split >= codes[0])
+    native_negs = not fed.label.all()
+    universe = np.array(sorted(dataset.items), dtype=np.int64)
+    clients = []
+    for uid in runs(np.sort(fed.user))[0].tolist():
+        rng = np.random.default_rng([seed, uid, 1])
+        mine = fed.user == uid
+        untouched = universe[~np.isin(universe, fed.item[mine])]
+        shards = {}
+        for key, code in zip(SPLIT_KEYS, codes):
+            rows = np.flatnonzero(mine & (fed.split == code))
+            item, label = fed.item[rows], fed.label[rows]
+            if not native_negs:
+                item, label = sample_negatives(item, label, untouched, neg_ratio, rng)
+            shards[key] = Shard(dataset.item_attrs(item), label.astype(float))
+        values = dataset.users[uid]
+        clients.append(ClientState(
+            uid=uid,
+            user_attrs=np.array(values, dtype=np.int64),
+            groups={a: values[dataset.user_schema.index(a)] for a in arch.group_attrs},
+            shards=shards,
+            private=_draw(user_adapter_specs(arch), np.random.default_rng([seed, uid, 2])),
+        ))
+    return clients
 
 
 def bce_loss(predictions, labels) -> float:
@@ -319,11 +435,11 @@ def batch_of(uploads, arch):
 
 
 def train_cohort(clients, global_ps, cfg, round_index, seed):
-    """federation.local_train on all of `clients`, stacked as a run stacks
+    """federation.local_train on all of `clients`, stacked as a run holds
     them; writes their private tensors back and returns the UploadBatch."""
-    arrays = ClientArrays.stack(clients, global_ps.arch, ("train",))
+    arrays = stack(clients, global_ps.arch, ("train",))
     batch = local_train(arrays, np.arange(len(clients)), global_ps, cfg, round_index, seed, [])
-    arrays.write_back(clients)
+    write_back(arrays, clients, global_ps.arch)
     return batch
 
 

@@ -17,7 +17,6 @@ from fedrec.data import AttributeSchema
 from fedrec.distill import DistillConfig, distill
 from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset, run_arm
 from fedrec.federation import (
-    ClientState,
     PartitionPolicy,
     ServerState,
     aggregate_uploads,
@@ -37,6 +36,7 @@ from fedrec.model import (
 )
 from fedrec.privacy import laplace_noise
 from helpers import (
+    ClientState,
     Upload,
     batch_of,
     brute_force_auc,

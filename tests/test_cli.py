@@ -134,6 +134,21 @@ class TestTrainingKeyBounds:
         assert repr(key) in capsys.readouterr().err
         assert not (out / "pretrained.npz").exists()
 
+    # each of these once ran on: a negative round count or ratio, a fraction
+    # past 1 or a negative noise scale failed only after pretraining, if at all
+    @pytest.mark.parametrize("line", [
+        "fed.fraction = 1.5", "fed.rounds = -1", "neg.ratio = -1", "ldp.intensity = -0.5",
+        "split.pretrain_fraction = 1",
+    ])
+    def test_federate_exits_1_naming_an_out_of_range_key(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(l for l in BASE_CFG.splitlines() if not l.startswith(key)) + f"\n{line}\n")
+        out = tmp_path / "out"
+        assert run("federate", "--config", str(cfg), "--out", str(out), "--quiet") == 1
+        assert f"config key {key!r}: {line.split(' = ')[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["distill.batch = 0", "distill.epochs = -1"])
     def test_distill_exits_1(self, tmp_path, capsys, line):
         cfg = write_cfg(tmp_path, f"distill.embed_dim = 2\ndistill.mlp_hidden = 4\n{line}\n")

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec import model
-from fedrec.data import GroupAssignment, SynthConfig, assign_groups
+from fedrec.data import SynthConfig
 from fedrec.experiment import ExperimentConfig, arm_settings, build_arch, prepare_dataset
 from fedrec.federation import (
-    ClientArrays,
     FedConfig,
     FederationError,
     PartitionPolicy,
     ServerState,
-    Shard,
     _cohort,
     aggregate_uploads,
     build_clients,
@@ -26,10 +24,13 @@ from fedrec.federation import (
 from fedrec.metrics import UndefinedMetricError, auc
 from fedrec.model import FROZEN, ParamSet, forward_batch, init_params
 from helpers import (
+    Shard,
     aggregate,
     batch_of,
     client_local_train,
+    client_objects,
     randomized_params,
+    stack,
     train_cohort,
     uploads_of,
     user_matrix,
@@ -74,16 +75,21 @@ def ragged_cfg(tmp_path):
     )
 
 
-def world(cfg, arm="fedpa", policy=None):
+def world_arrays(cfg, arm="fedpa", policy=None):
     """Server ParamSet (every tensor perturbed off its init, so adapters and
-    gates are live) and fresh clients for one arm."""
+    gates are live), the arm's fresh ClientArrays and the prepared dataset."""
     ds, _ = prepare_dataset(cfg)
     _, arm_policy, _ = arm_settings(cfg, arm)
     arch = build_arch(cfg, ds, arm)
     ps = randomized_params(init_params(arch, SEED), SEED, scale=0.3)
     ps = PartitionPolicy.preset(policy or arm_policy).apply(ps)
-    assignment = assign_groups(ds, arch.group_attrs) if arch.group_attrs else GroupAssignment({})
-    return ps, build_clients(ds, assignment, arch, SEED)
+    return ps, build_clients(ds, arch, SEED), ds
+
+
+def world(cfg, arm="fedpa", policy=None):
+    """world_arrays with the clients as ClientStates."""
+    ps, arrays, ds = world_arrays(cfg, arm, policy)
+    return ps, client_objects(arrays, ps.arch, ds)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,7 +104,7 @@ def cohort_uploads(clients, ps, cfg=FED, round_index=0):
 
 def stacked(clients, ps, split):
     """The clients' cohort ParamSet, and their `split` shards."""
-    arrays = ClientArrays.stack(clients, ps.arch, (split,))
+    arrays = stack(clients, ps.arch, (split,))
     rows = np.arange(len(clients))
     return _cohort(ps, arrays, rows), arrays.shards[split].rows(rows)
 
@@ -170,7 +176,7 @@ class TestAgainstPerClientOracle:
                 aucs.append(auc(probs, shard.labels))
             except UndefinedMetricError:
                 pass
-        ev = evaluate_global(ps, clients, "val")
+        ev = evaluate_global(ps, stack(clients, ps.arch, ("val",)), "val")
         assert ev.n_auc_valid == len(aucs) and ev.n_clients == len(clients)
         assert abs(ev.mean_auc - float(np.mean(aucs))) <= 1e-12
 

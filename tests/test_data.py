@@ -16,10 +16,8 @@ from fedrec.data import (
     AttributeSchema,
     DataError,
     Dataset,
-    GroupAssignment,
     Interaction,
     SynthConfig,
-    assign_groups,
     load_dataset,
     split_per_user_chronological,
     split_pretrain_federated,
@@ -29,6 +27,7 @@ from fedrec.data import (
 from fedrec.federation import build_clients
 from fedrec.model import Arch
 from helpers import (
+    client_objects,
     dataset_of,
     sample_negatives_of,
     sample_negatives_rows,
@@ -124,7 +123,8 @@ class TestLoadDataset:
         ds = load_dataset(users, items, inter)
         assert [r.label for r in ds.interactions] == [1] * 6
         ds, _ = split_per_user_chronological(ds)
-        (client,) = build_clients(ds, GroupAssignment({}), Arch(ds.user_schema, ds.item_schema), seed=0)
+        arch = Arch(ds.user_schema, ds.item_schema)
+        (client,) = client_objects(build_clients(ds, arch, seed=0), arch, ds)
         labels = client.shards["train"].labels
         assert np.sum(labels == 1) == 4 and np.sum(labels == 0) == 16  # 4 sampled per positive
 
@@ -346,24 +346,28 @@ class TestSampleNegativesProperties:
 
 
 class TestAssignGroups:
+    """A client's groups are its user's values of the grouping attributes."""
+
     def test_partition_by_cardinality(self):
-        ds = ten_user_dataset()
-        ga = assign_groups(ds, ["g"])
-        assert set(ga.maps["g"].values()) <= {0, 1}
-        assert ga.total == 1
+        ds, _ = split_per_user_chronological(split_pretrain_federated(ten_user_dataset(), 0.5, seed=0))
+        arrays = build_clients(ds, Arch(ds.user_schema, ds.item_schema, group_attrs=("g",)), seed=0)
+        assert arrays.groups.shape == (len(arrays.uids), 1)
+        assert arrays.groups[:, 0].tolist() == [ds.users[u][0] for u in arrays.uids.tolist()]
+        assert set(arrays.groups[:, 0].tolist()) <= {0, 1}
 
     def test_two_attributes_two_groups_each(self):
         su = AttributeSchema(("g", "h"), (2, 3))
         si = AttributeSchema(("c",), (2,))
         users = {0: (1, 2), 1: (0, 0)}
-        ds = dataset_of(su, si, users, {0: (0,)}, []).validate()
-        ga = assign_groups(ds, ["g", "h"])
-        assert ga.groups_of(0) == {"g": 1, "h": 2}
-        assert len(ga.groups_of(0)) == 2
+        rows = [Interaction(u, 0, ts, 1, FED_TRAIN) for u in users for ts in range(2)]
+        ds = dataset_of(su, si, users, {0: (0,)}, rows).validate()
+        arrays = build_clients(ds, Arch(su, si, group_attrs=("h", "g")), seed=0)
+        assert arrays.groups.tolist() == [[2, 1], [0, 0]]
 
     def test_unknown_attribute(self):
+        ds = ten_user_dataset()
         with pytest.raises(DataError):
-            assign_groups(ten_user_dataset(), ["nope"])
+            Arch(ds.user_schema, ds.item_schema, group_attrs=("nope",))
 
 
 class TestSampleNegatives:

@@ -10,19 +10,17 @@ from fedrec.data import (
     FED_TRAIN,
     SPLITS,
     AttributeSchema,
+    Dataset,
     SynthConfig,
-    assign_groups,
     split_per_user_chronological,
     split_pretrain_federated,
     synth_generate,
 )
 from fedrec.federation import (
-    ClientState,
     FedConfig,
     FederationError,
     PartitionPolicy,
     ServerState,
-    Shard,
     aggregate_uploads,
     build_clients,
     evaluate_global,
@@ -48,7 +46,21 @@ from fedrec.model import (
     sgd_step,
 )
 from fedrec.privacy import NoiseConfig
-from helpers import Upload, aggregate, batch_of, train_cohort, upload_names, uploads_of, user_matrix
+from helpers import (
+    SPLIT_KEYS,
+    ClientState,
+    Shard,
+    Upload,
+    aggregate,
+    batch_of,
+    build_clients_reference,
+    client_objects,
+    stack,
+    train_cohort,
+    upload_names,
+    uploads_of,
+    user_matrix,
+)
 
 
 def make_world(seed=0):
@@ -57,10 +69,9 @@ def make_world(seed=0):
     ds = synth_generate(cfg, seed)
     ds = split_pretrain_federated(ds, 0.5, seed)
     ds, _ = split_per_user_chronological(ds)
-    ga = assign_groups(ds, ["ua0"])
     arch = Arch(ds.user_schema, ds.item_schema, embed_dim=4, mlp_hidden=(6,),
                 adapter_rank=2, gate_hidden=3, group_attrs=("ua0",))
-    return ds, ga, arch
+    return ds, arch
 
 
 def make_server(arch, seed=0, policy="fedpa"):
@@ -95,7 +106,7 @@ class TestPartitionPolicy:
             PartitionPolicy.preset("fedpa").tag_of("unheard/of")
 
     def test_apply_covers_every_tensor(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         ps = PartitionPolicy.preset("fedpa").apply(init_params(arch, 0))
         assert set(ps.tags) == set(ps.tensors)
         assert all(t in (FROZEN, PRIVATE, SHARED) for t in ps.tags.values())
@@ -103,13 +114,13 @@ class TestPartitionPolicy:
 
 class TestPretrain:
     def test_loss_decreases(self):
-        ds, _, arch = make_world()
+        ds, arch = make_world()
         _, losses = pretrain(ds, arch, epochs=5, lr=0.3, batch_size=16, seed=0)
         assert len(losses) == 5
         assert losses[-1] < losses[0]
 
     def test_zero_epochs_is_fresh_init(self):
-        ds, _, arch = make_world()
+        ds, arch = make_world()
         ps, losses = pretrain(ds, arch, epochs=0, lr=0.3, batch_size=16, seed=3)
         assert losses == []
         ref = init_params(arch.base(), 3)
@@ -117,7 +128,7 @@ class TestPretrain:
             assert np.array_equal(ps.tensors[n], ref.tensors[n])
 
     def test_deterministic(self):
-        ds, _, arch = make_world()
+        ds, arch = make_world()
         a, la = pretrain(ds, arch, epochs=2, lr=0.3, batch_size=16, seed=1)
         b, lb = pretrain(ds, arch, epochs=2, lr=0.3, batch_size=16, seed=1)
         assert la == lb
@@ -125,7 +136,7 @@ class TestPretrain:
             assert np.array_equal(a.tensors[n], b.tensors[n])
 
     def test_examples_use_native_labels(self):
-        ds, _, _ = make_world()
+        ds, _ = make_world()
         _, _, y = pretrain_examples(ds, seed=0)
         # synthetic data carries 0/1 exposure labels, so no sampling happens
         assert set(np.unique(y)) == {0.0, 1.0}
@@ -135,7 +146,7 @@ class TestPretrain:
 
 class TestWarmStart:
     def test_base_tensors_overlaid_bit_exact(self):
-        ds, _, arch = make_world()
+        ds, arch = make_world()
         base_ps, _ = pretrain(ds, arch, epochs=1, lr=0.3, batch_size=16, seed=0)
         ps = warm_start(arch, base_ps, seed=0)
         for n in base_ps.tensors:
@@ -144,7 +155,7 @@ class TestWarmStart:
         assert ps.names("adapter/*") and ps.names("gate/*")
 
     def test_shape_mismatch_rejected(self):
-        ds, _, arch = make_world()
+        ds, arch = make_world()
         base_ps, _ = pretrain(ds, arch, epochs=0, lr=0.1, batch_size=16, seed=0)
         other = Arch(arch.user_schema, arch.item_schema, embed_dim=8, mlp_hidden=(6,),
                      group_attrs=("ua0",))
@@ -154,26 +165,65 @@ class TestWarmStart:
 
 class TestBuildClients:
     def test_one_client_per_federated_user(self):
-        ds, ga, arch = make_world()
-        clients = build_clients(ds, ga, arch, seed=0)
+        ds, arch = make_world()
+        arrays = build_clients(ds, arch, seed=0)
         fed_users = {r.user for r in ds.interactions if r.split != "pretrain"}
-        assert {c.uid for c in clients} == fed_users
+        assert arrays.uids.tolist() == sorted(fed_users)
 
     def test_private_adapters_fresh_and_deterministic(self):
-        ds, ga, arch = make_world()
-        a = build_clients(ds, ga, arch, seed=0)
-        b = build_clients(ds, ga, arch, seed=0)
-        for ca, cb in zip(a, b):
-            assert set(ca.private) == set(cb.private)
-            for n in ca.private:
-                assert np.array_equal(ca.private[n], cb.private[n])
+        ds, arch = make_world()
+        a = build_clients(ds, arch, seed=0)
+        b = build_clients(ds, arch, seed=0)
+        assert a.private.tobytes() == b.private.tobytes()
+        for c in client_objects(a, arch, ds):
+            for n, t in c.private.items():
                 if n.endswith("/B"):
-                    assert np.all(ca.private[n] == 0.0)
+                    assert np.all(t == 0.0)
 
     def test_groups_match_assignment(self):
-        ds, ga, arch = make_world()
-        for c in build_clients(ds, ga, arch, seed=0):
-            assert c.groups == {"ua0": ds.users[c.uid][0]}
+        ds, arch = make_world()
+        arrays = build_clients(ds, arch, seed=0)
+        assert arrays.groups.tolist() == [[ds.users[uid][0]] for uid in arrays.uids.tolist()]
+
+    @pytest.mark.parametrize("world", ["native labels", "sampled negatives", "no untouched item"])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_equals_stacked_per_user_reference(self, world, data):
+        # small random worlds with ragged shard lengths: native 0/1 labels,
+        # or all positives, whose negatives are sampled; in the last world
+        # every user has every item, so no item is left to sample from
+        n_users = data.draw(st.integers(2, 6), label="users")
+        n_items = data.draw(st.integers(1, 4 if world == "no untouched item" else 8), label="items")
+        us = AttributeSchema(("ua0", "ua1"), (3, 2))
+        it = AttributeSchema(("ia0",), (2,))
+        users = {u: (u % 3, u % 2) for u in range(n_users)}
+        items = {i: (i % 2,) for i in range(n_items)}
+        user, item, label = [], [], []
+        for u in range(n_users):
+            mine = data.draw(st.lists(st.integers(0, n_items - 1), max_size=12), label=f"items of {u}")
+            if world == "no untouched item":
+                mine = list(range(n_items)) + mine
+            user += [u] * len(mine)
+            item += mine
+            label += data.draw(st.lists(st.integers(0, 1), min_size=len(mine), max_size=len(mine)),
+                               label=f"labels of {u}") if world == "native labels" else [1] * len(mine)
+        # timestamps out of row order, with ties: each split's rows are not one run of rows
+        ts = data.draw(st.lists(st.integers(0, 5), min_size=len(user), max_size=len(user)), label="ts")
+        ds = Dataset(us, it, users, items, user, item, ts, label)
+        ds, _ = split_per_user_chronological(split_pretrain_federated(ds, 0.3, seed=1))
+        arch = Arch(us, it, embed_dim=2, mlp_hidden=(3,), adapter_rank=1, gate_hidden=2,
+                    group_attrs=data.draw(st.sampled_from([(), ("ua1",), ("ua1", "ua0")]), label="groups"),
+                    use_user_adapter=data.draw(st.booleans(), label="user adapter"))
+        seed, ratio = data.draw(st.integers(0, 99), label="seed"), data.draw(st.integers(0, 3), label="ratio")
+        got = build_clients(ds, arch, seed, ratio)
+        want = stack(build_clients_reference(ds, arch, seed, ratio), arch, SPLIT_KEYS)
+        assert list(got.shards) == list(SPLIT_KEYS)
+        pairs = [("uids", got.uids, want.uids), ("groups", got.groups, want.groups),
+                 ("private", got.private, want.private)]
+        pairs += [(f"{k}.{f}", getattr(got.shards[k], f), getattr(want.shards[k], f))
+                  for k in SPLIT_KEYS for f in ("UA", "VA", "y", "counts")]
+        for name, a, b in pairs:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 def test_sampled_negatives_avoid_every_split_of_the_user(tmp_path, monkeypatch):
@@ -192,41 +242,35 @@ def test_sampled_negatives_avoid_every_split_of_the_user(tmp_path, monkeypatch):
         return item, label
 
     monkeypatch.setattr(federation, "sample_negatives", recording)
-    assignment = assign_groups(ds, cfg.group_attrs)
-    clients = build_clients(ds, assignment, build_arch(cfg, ds), cfg.seed, cfg.neg_ratio)
-    assert len(drawn) == 3 * len(clients)  # train, val and test of each client, in order
+    uids = build_clients(ds, build_arch(cfg, ds), cfg.seed, cfg.neg_ratio).uids.tolist()
+    assert len(drawn) == 3 * len(uids)  # train, val and test of each client, in order
     fed = ds.split >= SPLITS.index(FED_TRAIN)
-    for c, negatives in zip(clients, (drawn[i : i + 3] for i in range(0, len(drawn), 3))):
-        mine = ds.item[fed & (ds.user == c.uid)]
-        assert sum(map(len, negatives)) > 0, c.uid
-        for split, negs in zip(("train", "val", "test"), negatives):
-            assert not np.isin(negs, mine).any(), (c.uid, split, sorted(set(negs) & set(mine)))
+    for uid, negatives in zip(uids, (drawn[i : i + 3] for i in range(0, len(drawn), 3))):
+        mine = ds.item[fed & (ds.user == uid)]
+        assert sum(map(len, negatives)) > 0, uid
+        for split, negs in zip(SPLIT_KEYS, negatives):
+            assert not np.isin(negs, mine).any(), (uid, split, sorted(set(negs) & set(mine)))
 
 
 class TestSelectClients:
-    def fake_clients(self, n):
-        return [ClientState(i, np.zeros(1, dtype=int), {}, {}, {}) for i in range(n)]
-
     def test_full_fraction_is_everyone(self):
-        cs = self.fake_clients(7)
-        assert list(select_clients(cs, 1.0, 0, 0)) == list(range(7))
+        assert list(select_clients(7, 1.0, 0, 0)) == list(range(7))
 
     def test_half_fraction_ceil(self):
-        picked = select_clients(self.fake_clients(7), 0.5, 0, 0)
+        picked = select_clients(7, 0.5, 0, 0)
         assert len(picked) == 4
         assert list(picked) == sorted(picked)
 
     def test_deterministic_per_round(self):
-        cs = self.fake_clients(10)
-        a = list(select_clients(cs, 0.3, 2, 5))
-        b = list(select_clients(cs, 0.3, 2, 5))
-        c_ = list(select_clients(cs, 0.3, 3, 5))
+        a = list(select_clients(10, 0.3, 2, 5))
+        b = list(select_clients(10, 0.3, 2, 5))
+        c_ = list(select_clients(10, 0.3, 3, 5))
         assert a == b
         assert a != c_ or True  # different rounds may coincide, never required
 
     def test_bad_fraction(self):
         with pytest.raises(FederationError):
-            select_clients(self.fake_clients(3), 0.0, 0, 0)
+            select_clients(3, 0.0, 0, 0)
 
 
 def train_one(client, server, cfg, seed=0):
@@ -236,8 +280,8 @@ def train_one(client, server, cfg, seed=0):
 
 class TestClientLocalTrain:
     def setup_world(self):
-        ds, ga, arch = make_world()
-        clients = build_clients(ds, ga, arch, seed=0)
+        ds, arch = make_world()
+        clients = client_objects(build_clients(ds, arch, seed=0), arch, ds)
         server = make_server(arch, seed=0)
         return clients, server
 
@@ -298,7 +342,7 @@ class TestClientLocalTrain:
 
 class TestAggregate:
     def test_mean_matches_brute_force(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=0)
         client = ClientState(0, np.zeros(2, dtype=np.int64), {"ua0": 0}, {}, {})
         shared = upload_names(server.params, client)
@@ -313,7 +357,7 @@ class TestAggregate:
             assert np.max(np.abs(out.params.tensors[n] - brute)) < 1e-12
 
     def test_fixed_point(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=1)
         shared = [n for n, t in server.params.tags.items() if t == SHARED]
         uploads = [Upload(uid, {n: server.params.tensors[n].copy() for n in shared}, 4, {})
@@ -323,7 +367,7 @@ class TestAggregate:
             assert np.allclose(out.params.tensors[n], server.params.tensors[n], atol=1e-15)
 
     def test_group_adapters_average_over_members_only(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=0)
         ps = server.params
 
@@ -343,7 +387,7 @@ class TestAggregate:
             assert np.array_equal(out.params.tensors[n], ps.tensors[n]), n
 
     def test_permutation_invariance(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=2)
         shared = [n for n, t in server.params.tags.items() if t == SHARED]
         rng = np.random.default_rng(5)
@@ -355,14 +399,14 @@ class TestAggregate:
             assert np.max(np.abs(a.params.tensors[n] - b.params.tensors[n])) < 1e-12
 
     def test_non_shared_upload_rejected(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=0)
         up = Upload(0, {"mlp/0/W": np.zeros_like(server.params.tensors["mlp/0/W"])}, 4, {})
         with pytest.raises(FederationError):
             aggregate_uploads(batch_of([up], arch), server)
 
     def test_all_skipped_rejected(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=0)
         with pytest.raises(FederationError):
             aggregate_uploads(batch_of([Upload(0, {}, 0, {}, skipped=True)], arch), server)
@@ -376,7 +420,7 @@ class TestAggregateUploads:
     def test_equals_per_client_oracle(self, data):
         # two grouping attributes (3 and 2 groups); rows in any order, and
         # groups with no member keep their tensors
-        _, _, arch = make_world()
+        _, arch = make_world()
         arch = replace(arch, group_attrs=("ua0", "ua1"))
         policy = data.draw(st.sampled_from(["fedpa", "full"]), label="policy")
         server = ServerState(PartitionPolicy.preset(policy).apply(init_params(arch, 0)))
@@ -395,7 +439,7 @@ class TestAggregateUploads:
             assert got.tensors[name].tobytes() == t.tobytes(), name
 
     def test_non_shared_rows_rejected_naming_a_client(self):
-        _, _, arch = make_world()
+        _, arch = make_world()
         server = make_server(arch, seed=0)
         ps = server.params
         ups = []
@@ -442,13 +486,18 @@ def eval_fixture():
     return ps, client
 
 
+def evaluate(ps, clients, split="val"):
+    """evaluate_global on the clients stacked with all their shards."""
+    return evaluate_global(ps, stack(clients, ps.arch, SPLIT_KEYS), split)
+
+
 class TestEvaluateGlobal:
     def test_two_client_mean(self):
         ps, client = eval_fixture()
         # client 0: positive scores 0.731 > negative 0.5 -> AUC 1, precision 1
         # client 1: positive 0.5 < negative 0.731 -> AUC 0, precision 0
         clients = [client(0, [0, 1], [0, 1]), client(1, [0, 1], [1, 0])]
-        ev = evaluate_global(ps, clients, "val")
+        ev = evaluate(ps, clients)
         assert ev.mean_auc == 0.5
         assert ev.mean_precision == 0.5
         assert ev.n_clients == 2 and ev.n_auc_valid == 2 and ev.n_precision_valid == 2
@@ -456,19 +505,19 @@ class TestEvaluateGlobal:
     def test_single_class_client_excluded_from_auc(self):
         ps, client = eval_fixture()
         clients = [client(0, [0, 1], [0, 1]), client(1, [0], [1])]
-        ev = evaluate_global(ps, clients, "val")
+        ev = evaluate(ps, clients)
         assert ev.mean_auc == 1.0
         assert ev.n_auc_valid == 1 and ev.n_clients == 2
 
     def test_all_undefined_raises(self):
         ps, client = eval_fixture()
         with pytest.raises(UndefinedMetricError):
-            evaluate_global(ps, [client(0, [0], [1])], "val")
+            evaluate(ps, [client(0, [0], [1])])
 
     def test_empty_shard_client_ignored(self):
         ps, client = eval_fixture()
         empty = client(1, [], [])
-        ev = evaluate_global(ps, [client(0, [0, 1], [0, 1]), empty], "val")
+        ev = evaluate(ps, [client(0, [0, 1], [0, 1]), empty])
         assert ev.n_clients == 1
 
     def test_non_finite_score_names_the_client(self):
@@ -476,53 +525,57 @@ class TestEvaluateGlobal:
         ps = ps.with_tensors({"item_emb/v": np.array([[0.0], [np.nan]])})
         clients = [client(3, [0, 0], [0, 1]), client(7, [0, 1], [0, 1])]
         with pytest.raises(FederationError, match="client 7 .*non-finite"):
-            evaluate_global(ps, clients, "val")
+            evaluate(ps, clients)
 
     def test_bad_split(self):
         ps, client = eval_fixture()
         with pytest.raises(ValueError):
-            evaluate_global(ps, [client(0, [0], [1])], "nope")
+            evaluate(ps, [client(0, [0], [1])], "nope")
 
 
 class TestRunFederated:
     def run(self, seed=0, rounds=3, noise=None, policy="fedpa"):
-        ds, ga, arch = make_world(seed=1)
-        clients = build_clients(ds, ga, arch, seed=seed)
+        """The run's final ServerState and its clients."""
+        ds, arch = make_world(seed=1)
+        arrays = build_clients(ds, arch, seed=seed)
         server = make_server(arch, seed=seed, policy=policy)
         cfg = FedConfig(rounds=rounds, local_epochs=1, lr=0.05, batch_size=8)
-        return run_federated(server.params, clients, cfg, noise, seed=seed)
+        return run_federated(server.params, arrays, cfg, noise, seed=seed), arrays
 
     def test_zero_rounds_identity(self):
-        ds, ga, arch = make_world(seed=1)
-        clients = build_clients(ds, ga, arch, seed=0)
+        ds, arch = make_world(seed=1)
+        arrays = build_clients(ds, arch, seed=0)
+        private = arrays.private.copy()
         server = make_server(arch)
-        out, _, reports = run_federated(server.params, clients, FedConfig(rounds=0), None, 0)
-        assert reports == []
+        out = run_federated(server.params, arrays, FedConfig(rounds=0), None, 0)
+        assert out.reports == []
+        assert arrays.private.tobytes() == private.tobytes()
         for n in server.params.tensors:
             assert np.array_equal(out.params.tensors[n], server.params.tensors[n])
 
     def test_round_reports(self):
-        server, clients, reports = self.run(rounds=3)
+        server, arrays = self.run(rounds=3)
+        reports = server.reports
         assert [r.round for r in reports] == [0, 1, 2]
-        assert all(r.n_participants == len(clients) for r in reports)
+        assert all(r.n_participants == len(arrays.uids) for r in reports)
         assert all(r.val_auc is not None for r in reports)
         assert len({r.uploaded_per_client for r in reports}) == 1
 
     def test_frozen_tensors_unchanged(self):
-        ds, ga, arch = make_world(seed=1)
-        clients = build_clients(ds, ga, arch, seed=0)
+        _, arch = make_world(seed=1)
         server = make_server(arch)
         frozen = {n: server.params.tensors[n].copy()
                   for n, t in server.params.tags.items() if t == FROZEN}
-        out, _, _ = self.run(rounds=3)
+        out, _ = self.run(rounds=3)
         assert frozen  # fedpa really freezes something
         for n, t in out.params.tags.items():
             if t == FROZEN:
                 assert np.array_equal(out.params.tensors[n], server.params.tensors[n])
 
     def test_deterministic_rerun(self):
-        a, _, ra = self.run(seed=4, rounds=2)
-        b, _, rb = self.run(seed=4, rounds=2)
+        (a, pa), (b, pb) = self.run(seed=4, rounds=2), self.run(seed=4, rounds=2)
+        ra, rb = a.reports, b.reports
+        assert pa.private.tobytes() == pb.private.tobytes()
         for n in a.params.tensors:
             assert np.array_equal(a.params.tensors[n], b.params.tensors[n])
         strip = lambda r: (r.round, r.n_participants, r.uploaded_per_client,
@@ -530,16 +583,16 @@ class TestRunFederated:
         assert [strip(r) for r in ra] == [strip(r) for r in rb]
 
     def test_noise_changes_shared_only(self):
-        a, _, _ = self.run(seed=4, rounds=2)
-        b, _, _ = self.run(seed=4, rounds=2, noise=NoiseConfig(0.3, enabled=True))
+        a, _ = self.run(seed=4, rounds=2)
+        b, _ = self.run(seed=4, rounds=2, noise=NoiseConfig(0.3, enabled=True))
         changed = [n for n in a.params.tensors
                    if not np.array_equal(a.params.tensors[n], b.params.tensors[n])]
         assert changed
         assert all(a.params.tags[n] == SHARED for n in changed)
 
     def test_upload_size_below_full_policy(self):
-        fed, _, r_fed = self.run(seed=2, rounds=1)
-        full, _, r_full = self.run(seed=2, rounds=1, policy="full")
+        (fed, _), (full, _) = self.run(seed=2, rounds=1), self.run(seed=2, rounds=1, policy="full")
+        r_fed, r_full = fed.reports, full.reports
         assert 0 < r_fed[0].uploaded_per_client < r_full[0].uploaded_per_client
         # even under "full" a client only carries its own groups' adapters
         n_groups = full.params.arch.group_cards()["ua0"]
@@ -548,8 +601,8 @@ class TestRunFederated:
         assert r_full[0].uploaded_per_client == expected
 
     def test_uploaded_count_closed_form(self):
-        ds, ga, arch = make_world(seed=1)
-        _, _, reports = self.run(seed=0, rounds=1)
+        _, arch = make_world(seed=1)
+        reports = self.run(seed=0, rounds=1)[0].reports
         ps = make_server(arch).params
         shared_total = count_params(ps, tags=(SHARED,))
         # subtract the group adapters of the groups one client is not in

@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedrec.data import SynthConfig, assign_groups, synth_generate
+from fedrec.data import SynthConfig, synth_generate
 from fedrec.distill import DistillConfig, distill
 from fedrec.federation import (
     EvalSummary,
@@ -33,8 +33,8 @@ from fedrec.federation import (
 from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset
 from fedrec.model import Arch
 from fedrec.privacy import NoiseConfig
-from helpers import train_cohort, with_split
-from test_cohort import FED, SEED, ragged_cfg, world
+from helpers import client_objects, train_cohort, with_split
+from test_cohort import FED, SEED, ragged_cfg, world, world_arrays
 
 
 def digest(tensors):
@@ -116,8 +116,8 @@ def test_file_world_examples_golden(tmp_path):
     assert rows_digest(ds) == FILE_WORLD_ROWS_DIGEST
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     assert arrays_digest([("UA", UA), ("VA", VA), ("y", y)]) == FILE_WORLD_PRETRAIN_DIGEST
-    clients = build_clients(ds, assign_groups(ds, cfg.group_attrs), build_arch(cfg, ds),
-                            cfg.seed, cfg.neg_ratio)
+    arch = build_arch(cfg, ds)
+    clients = client_objects(build_clients(ds, arch, cfg.seed, cfg.neg_ratio), arch, ds)
     shards = [(f"{c.uid}/attrs", c.user_attrs) for c in clients]
     shards += [(f"{c.uid}/{c.groups}/{k}/{part}", getattr(s, part))
                for c in clients for k, s in c.shards.items() for part in ("items", "labels")]
@@ -164,16 +164,16 @@ def test_fedpa_cohort_rounds_golden(tmp_path):
 def test_fedpa_ldp_eval_golden(tmp_path):
     # three noised rounds on ragged shards, every round evaluated: pins the
     # per-client scoring of every evaluation and the upload noise draws
-    ps, clients = world(ragged_cfg(tmp_path))
+    ps, arrays, _ = world_arrays(ragged_cfg(tmp_path))
     cfg = replace(FED, rounds=3, eval_every=1)
-    server, clients, reports = run_federated(ps, clients, cfg, NoiseConfig(0.2, enabled=True), SEED)
-    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS
+    server = run_federated(ps, arrays, cfg, NoiseConfig(0.2, enabled=True), SEED)
+    assert [(r.val_auc, r.val_precision) for r in server.reports] == LDP_VAL_METRICS
     assert digest(server.params.tensors) == LDP_SERVER_DIGEST
-    assert evaluate_global(server.params, clients, "test") == LDP_TEST_SUMMARY
+    assert evaluate_global(server.params, arrays, "test") == LDP_TEST_SUMMARY
     # no score passes the 0.5 threshold above; a lifted output bias puts
     # about half the clients' precision in range
     lifted = server.params.with_tensors({"mlp/1/b": server.params.tensors["mlp/1/b"] + 0.3})
-    assert evaluate_global(lifted, clients, "train") == LDP_LIFTED_TRAIN_SUMMARY
+    assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY
 
 
 @pytest.mark.parametrize("arm", ["fedpa", "no_adapter"])
@@ -181,15 +181,16 @@ def test_partial_participation_ldp_golden(tmp_path, arm):
     # 6 of 15 clients per round, gathered from and scattered back to the
     # run's client state by index; no_adapter's `full` policy uploads and
     # averages every tensor
-    ps, clients = world(ragged_cfg(tmp_path), arm)
+    ps, arrays, ds = world_arrays(ragged_cfg(tmp_path), arm)
     cfg = replace(FED, rounds=3, client_fraction=0.4, eval_every=1)
-    server, clients, reports = run_federated(ps, clients, cfg, NoiseConfig(0.2, enabled=True), SEED)
+    server = run_federated(ps, arrays, cfg, NoiseConfig(0.2, enabled=True), SEED)
     want_reports, want_server, want_private = PARTIAL_GOLDEN[arm]
     assert [
         (r.round, r.n_participants, r.uploaded_per_client, r.val_auc, r.val_precision, r.skipped)
-        for r in reports
+        for r in server.reports
     ] == want_reports
     assert digest(server.params.tensors) == want_server
+    clients = client_objects(arrays, ps.arch, ds)
     assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private
 
 

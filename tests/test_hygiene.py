@@ -202,30 +202,32 @@ def top_level_nodes(tree):
                     yield target.id, node
 
 
-def foreign_names(tree):
-    """Names a test or benchmark module binds at top level to something of
-    its own (a definition, or an import from outside fedrec): its reads of
-    such a name are not reads of a package symbol of the same name."""
-    names = {name for name, _ in top_level_nodes(tree)}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            names |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and not (node.module or "").startswith("fedrec"):
-            names |= {a.asname or a.name for a in node.names}
-    return names
+def package_imports(tree):
+    """{local name: symbol} for each name a module imports from the package,
+    as in `from .data import runs` or `from fedrec.model import Arch as A`."""
+    return {
+        a.asname or a.name: a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "fedrec")
+        for a in node.names
+    }
 
 
-def references(tree, skip=None, foreign=frozenset()):
-    """Names a syntax tree reads, variables (except `foreign` ones) and
-    attributes, leaving out the subtree `skip`. A name spelled in a string,
-    as the benchmark's tracer spells the functions it wraps, is no read."""
+def references(tree, skip=None, imported=None):
+    """Names a syntax tree reads, leaving out the subtree `skip`: every
+    attribute, and every variable, or with `imported` (see package_imports)
+    only the variables bound to a package symbol, as that symbol's name. A
+    local variable that happens to share a symbol's name is then no read,
+    nor is a name spelled in a string, as the benchmark's tracer spells the
+    functions it wraps."""
     hidden = set() if skip is None else {id(n) for n in ast.walk(skip)}
     names = set()
     for node in ast.walk(tree):
         if id(node) in hidden:
             continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in foreign:
-            names.add(node.id)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if imported is None or node.id in imported:
+                names.add(node.id if imported is None else imported[node.id])
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
@@ -253,14 +255,12 @@ def defined_symbols(tree):
 def unused_symbols(root=ROOT):
     """`file: name` for every symbol of src/fedrec (see defined_symbols)
     that nothing in src/ or perfbench/ reads outside its own definition.
-    A method counts as read wherever an attribute of its name is."""
+    A method counts as read wherever an attribute of its name is; a bare
+    name in another module only where that module imports it from fedrec."""
     src = root / "src" / "fedrec"
     files = [p for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(), str(p)) for p in files}
-    refs = {
-        p: references(t, foreign=frozenset() if src in p.parents else foreign_names(t))
-        for p, t in trees.items()
-    }
+    refs = {p: references(t, imported=package_imports(t)) for p, t in trees.items()}
     found = []
     for path in sorted(src.glob("*.py")):
         elsewhere = set().union(*(r for q, r in refs.items() if q != path))
@@ -285,19 +285,26 @@ def test_public_api_names_live_symbols():
 
 
 def test_unused_symbol_check_flags_test_only_code(tmp_path):
-    # a function and a method that only a test reads are both reported
+    # a function and a method that only a test reads are both reported, and
+    # so are a function and a property whose names only local variables of
+    # another module share
     for d in ("src/fedrec", "perfbench", "tests"):
         (tmp_path / d).mkdir(parents=True)
     (tmp_path / "src/fedrec/mod.py").write_text(
         "def used():\n    return Box().size()\n\n\n"
         "def helper():\n    return 1\n\n\n"
-        "class Box:\n    def size(self):\n        return 2\n\n    def tiles(self):\n        return 3\n"
+        "def count():\n    return 0\n\n\n"
+        "class Box:\n    def size(self):\n        return 2\n\n    def tiles(self):\n        return 3\n\n"
+        "    @property\n    def total(self):\n        return 4\n"
     )
-    (tmp_path / "perfbench/run.py").write_text("from fedrec.mod import used\n\nused()\n")
+    (tmp_path / "perfbench/run.py").write_text(
+        "from fedrec.mod import used\n\nused()\n\n\n"
+        "def share(delta):\n    total, count = sum(delta), len(delta)\n    return total / count\n"
+    )
     (tmp_path / "tests/test_mod.py").write_text(
         "from fedrec.mod import Box, helper\n\nhelper()\nBox().tiles()\n"
     )
-    assert unused_symbols(tmp_path) == ["mod.py: helper", "mod.py: tiles"]
+    assert unused_symbols(tmp_path) == ["mod.py: helper", "mod.py: count", "mod.py: tiles", "mod.py: total"]
 
 
 def test_cli_reads_exactly_the_declared_cli_keys():

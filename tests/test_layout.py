@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec.data import AttributeSchema
-from fedrec.federation import ClientArrays, FedConfig, PartitionPolicy, _cohort, local_train
+from fedrec.federation import FedConfig, PartitionPolicy, _cohort, local_train
 from fedrec.model import (
     FROZEN,
     GATE_COMMON,
@@ -29,7 +29,7 @@ from fedrec.model import (
     sgd_epoch,
     sgd_step,
 )
-from helpers import randomized_params
+from helpers import randomized_params, stack
 from test_cohort import uniform_world
 
 
@@ -139,7 +139,7 @@ class TestNoCallerBufferWritten:
         out, _ = sgd_epoch(lone, np.tile(c.user_attrs, (len(shard), 1)), shard.items, shard.labels,
                            c.groups, 8, 0.3, np.random.default_rng(0))
         assert snapshot(lone) == before and out.plan is None
-        arrays = ClientArrays.stack(clients, ps.arch, ("train",))
+        arrays = stack(clients, ps.arch, ("train",))
         rows = np.arange(len(clients))
         cohort = _cohort(ps, arrays, rows)
         UA, VA, y, counts = arrays.shards["train"].rows(rows)
@@ -151,7 +151,7 @@ class TestNoCallerBufferWritten:
 
     def test_local_train_leaves_global_and_other_clients(self):
         ps, clients = self.world()
-        arrays = ClientArrays.stack(clients, ps.arch, ("train",))
+        arrays = stack(clients, ps.arch, ("train",))
         arrays.private += 0.1  # live user adapters
         idx = np.array([1, 4, 5])
         others = np.setdiff1d(np.arange(len(clients)), idx)
