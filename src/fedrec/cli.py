@@ -12,9 +12,9 @@ import os
 import sys
 from typing import Optional
 
-from .config import ConfigError, cfg_float, cfg_int, cfg_int_list, cfg_str, cfg_str_list, load_config
+from .config import ConfigError, load_config
 from .data import DataError, write_dataset_csvs
-from .distill import DistillConfig, distill
+from .distill import distill
 from .experiment import (
     ExperimentConfig,
     arm_settings,
@@ -28,15 +28,16 @@ from .metrics import UndefinedMetricError, auc, precision
 from .model import ShapeError, forward_batch, load_params, save_params
 
 
-def _load(args) -> tuple:
+def _load(args) -> ExperimentConfig:
+    """The config file's experiment; --seed and --out replace its `seed` and `out` keys."""
     raw = load_config(args.config)
-    cfg = ExperimentConfig.from_dict(raw)
     if args.seed is not None:
-        cfg.seed = args.seed
+        raw["seed"] = str(args.seed)
     if args.out is not None:
-        cfg.out_dir = args.out
+        raw["out"] = args.out
+    cfg = ExperimentConfig.from_dict(raw)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return raw, cfg
+    return cfg
 
 
 def _say(args, msg: str):
@@ -45,7 +46,7 @@ def _say(args, msg: str):
 
 
 def cmd_synth(args) -> int:
-    _, cfg = _load(args)
+    cfg = _load(args)
     ds = build_raw_dataset(cfg)
     paths = [os.path.join(cfg.out_dir, f) for f in ("users.csv", "items.csv", "interactions.csv")]
     write_dataset_csvs(ds, *paths)
@@ -55,7 +56,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    _, cfg = _load(args)
+    cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
     arch = build_arch(cfg, ds)
     ps, losses = pretrain(ds, arch, cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio)
@@ -71,20 +72,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    raw, cfg = _load(args)
-    teacher_path = cfg_str(raw, "distill.teacher")
-    dc = DistillConfig(
-        embed_dim=cfg_int(raw, "distill.embed_dim", required=True),
-        mlp_hidden=tuple(cfg_int_list(raw, "distill.mlp_hidden", required=True)),
-        epochs=cfg_int(raw, "distill.epochs", 20, minimum=0),
-        lr=cfg_float(raw, "distill.lr", 0.1),
-        batch_size=cfg_int(raw, "distill.batch", 64, minimum=1),
-        alpha=cfg_float(raw, "distill.alpha", 0.5),
-        seed=cfg.seed,
-    )
+    cfg = _load(args)
+    dc = cfg.distill_config()
     ds, _ = prepare_dataset(cfg)
-    if teacher_path:
-        teacher = load_params(teacher_path)
+    if cfg.distill_teacher:
+        teacher = load_params(cfg.distill_teacher)
     else:
         teacher, _ = pretrain(
             ds, build_arch(cfg, ds), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
@@ -103,10 +95,9 @@ def cmd_distill(args) -> int:
 
 
 def cmd_federate(args) -> int:
-    raw, cfg = _load(args)
+    cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
-    init_path = cfg_str(raw, "fed.init")
-    pretrained = load_params(init_path) if init_path else None
+    pretrained = load_params(cfg.fed_init) if cfg.fed_init else None
     result = run_arm(cfg, ds, cfg.arm, pretrained)
 
     rounds_path = os.path.join(cfg.out_dir, "rounds.jsonl")
@@ -136,14 +127,13 @@ def cmd_federate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    raw, cfg = _load(args)
-    arms = cfg_str_list(raw, "ablate.arms", ["fedpa", "no_adapter", "user_only", "group_only"])
-    for arm in arms:
+    cfg = _load(args)
+    for arm in cfg.ablate_arms:
         arm_settings(cfg, arm)  # rejects an unknown arm before any arm runs
     ds, _ = prepare_dataset(cfg)
     pretrained = None
     rows = []
-    for arm in arms:
+    for arm in cfg.ablate_arms:
         _, _, warm = arm_settings(cfg, arm)
         if warm and pretrained is None:
             pretrained, _ = pretrain(
@@ -169,9 +159,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    raw, cfg = _load(args)
-    ckpt = cfg_str(raw, "eval.checkpoint", required=True)
-    ps = load_params(ckpt)
+    cfg = _load(args)
+    ps = load_params(cfg.require("eval.checkpoint"))
     ds, _ = prepare_dataset(cfg)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     probs, _ = forward_batch(ps, UA, VA)

@@ -1,12 +1,12 @@
 """Flat key-value experiment config files with dotted sections.
 
-Format: one `section.key = value` per line; `#` starts a comment; values are
-plain strings, comma-separated lists, ints, floats or booleans depending on
-the accessor used. Chosen for diff-ability in experiment logs.
+Format: one `section.key = value` per line; `#` starts a comment; a value is
+a plain string, a comma-separated list, an int, a float or a boolean, as its
+key's kind in `experiment.KEYS` says. Chosen for diff-ability in experiment logs.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 
 class ConfigError(ValueError):
@@ -36,68 +36,24 @@ def load_config(path: str) -> Dict[str, str]:
         return parse_config_text(fh.read())
 
 
-def _get(cfg: Dict[str, str], key: str, default, required: bool):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"missing required config key {key!r}")
-    return default
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def cfg_str(cfg, key, default: Optional[str] = None, required: bool = False) -> Optional[str]:
-    return _get(cfg, key, default, required)
-
-
-def cfg_int(
-    cfg, key, default: Optional[int] = None, required: bool = False, minimum: Optional[int] = None
-) -> Optional[int]:
-    v = _get(cfg, key, default, required)
-    if v is None:
-        return None
-    if not isinstance(v, int):
+def parse_value(key: str, text: str, kind):
+    """`text` read as `kind`: int, float, bool or str, or a comma-separated
+    tuple of one of them when `kind` is a one-element tuple such as (int,)."""
+    if isinstance(kind, tuple):
+        return tuple(parse_value(key, x.strip(), kind[0]) for x in text.split(",") if x.strip())
+    if kind is str:
+        return text
+    if kind is bool:
+        if text.lower() in _BOOLS:
+            return _BOOLS[text.lower()]
+    else:
         try:
-            v = int(v)
+            return kind(text)
         except ValueError:
-            raise ConfigError(f"config key {key!r}: {v!r} is not an integer") from None
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"config key {key!r}: {v} is below its minimum {minimum}")
-    return v
-
-
-def cfg_float(cfg, key, default: Optional[float] = None, required: bool = False) -> Optional[float]:
-    v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, float):
-        return v
-    try:
-        return float(v)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not a number") from None
-
-
-def cfg_bool(cfg, key, default: Optional[bool] = None, required: bool = False) -> Optional[bool]:
-    v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, bool):
-        return v
-    low = v.lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"config key {key!r}: {v!r} is not a boolean")
-
-
-def cfg_int_list(cfg, key, default: Optional[Sequence[int]] = None, required: bool = False) -> Optional[List[int]]:
-    v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, (list, tuple)):
-        return None if v is None else list(v)
-    try:
-        return [int(x) for x in v.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {v!r} is not a comma-separated int list") from None
-
-
-def cfg_str_list(cfg, key, default: Optional[Sequence[str]] = None, required: bool = False) -> Optional[List[str]]:
-    v = _get(cfg, key, default, required)
-    if v is None or isinstance(v, (list, tuple)):
-        return None if v is None else list(v)
-    return [x.strip() for x in v.split(",") if x.strip()]
+            pass
+    raise ConfigError(f"config key {key!r}: {text!r} is not {_KIND_NAMES[kind]}")

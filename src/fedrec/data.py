@@ -340,6 +340,9 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     """
     if config.n_users < 1 or config.n_items < 1:
         raise DataError("synth config needs at least one user and one item")
+    for name in ("user_attrs", "item_attrs"):
+        if not getattr(config, name):
+            raise DataError(f"synth.{name} is empty; users and items need at least one attribute each")
     if not 0.0 <= config.beta <= 1.0:
         raise DataError(f"beta {config.beta} outside [0, 1]")
     rng = np.random.default_rng(seed)

@@ -2,19 +2,10 @@
 from __future__ import annotations
 
 import difflib
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .config import (
-    ConfigError,
-    cfg_bool,
-    cfg_float,
-    cfg_int,
-    cfg_int_list,
-    cfg_str,
-    cfg_str_list,
-)
+from .config import ConfigError, parse_value
 from .data import (
     Dataset,
     SplitReport,
@@ -24,6 +15,7 @@ from .data import (
     split_pretrain_federated,
     synth_generate,
 )
+from .distill import DistillConfig
 from .federation import (
     FedConfig,
     PartitionPolicy,
@@ -40,70 +32,64 @@ from .privacy import NoiseConfig
 
 ARMS = ("fedpa", "no_adapter", "user_only", "group_only", "no_warm", "no_gate_uniform")
 
-
-def _ints(raw, key, default):
-    return tuple(cfg_int_list(raw, key, default))
-
-
-def _strs(raw, key, default):
-    return tuple(cfg_str_list(raw, key, default))
-
-
-def _at_least(minimum: int):
-    """The integer accessor that rejects a value below `minimum`."""
-    return functools.partial(cfg_int, minimum=minimum)
-
-
-def _float_in(interval: str, inside):
-    """The float accessor that rejects a value outside `interval`, as `inside` tests it."""
-    def get(raw, key, default):
-        v = cfg_float(raw, key, default)
-        if inside(v):
-            return v
-        raise ConfigError(f"config key {key!r}: {v} is outside {interval}")
-    return get
-
-
-# Config-file key -> (ExperimentConfig field, accessor).
-FIELD_KEYS = {
-    "data.source": ("source", cfg_str),
-    "data.users": ("users_path", cfg_str),
-    "data.items": ("items_path", cfg_str),
-    "data.interactions": ("interactions_path", cfg_str),
-    "split.pretrain_fraction": ("pretrain_fraction", _float_in("(0, 1)", lambda v: 0 < v < 1)),
-    "neg.ratio": ("neg_ratio", _at_least(0)),
-    "group.attrs": ("group_attrs", _strs),
-    "arch.embed_dim": ("embed_dim", cfg_int),
-    "arch.mlp_hidden": ("mlp_hidden", _ints),
-    "arch.adapter_rank": ("adapter_rank", cfg_int),
-    "arch.gate_hidden": ("gate_hidden", cfg_int),
-    "arch.adapter_layers": ("adapter_layers", cfg_str),
-    "pretrain.epochs": ("pre_epochs", _at_least(0)),
-    "pretrain.lr": ("pre_lr", cfg_float),
-    "pretrain.batch": ("pre_batch", _at_least(1)),
-    "fed.arm": ("arm", cfg_str),
-    "fed.rounds": ("rounds", _at_least(0)),
-    "fed.fraction": ("client_fraction", _float_in("(0, 1]", lambda v: 0 < v <= 1)),
-    "fed.local_epochs": ("local_epochs", _at_least(0)),
-    "fed.lr": ("fed_lr", cfg_float),
-    "fed.batch": ("fed_batch", _at_least(1)),
-    "fed.eval_every": ("eval_every", _at_least(1)),
-    "ldp.enabled": ("ldp_enabled", cfg_bool),
-    "ldp.intensity": ("ldp_intensity", _float_in("[0, inf)", lambda v: v >= 0)),
-    "seed": ("seed", cfg_int),
-    "out": ("out_dir", cfg_str),
+# Config-file key -> (field, kind, interval). A `synth.` key sets that field of
+# `cfg.synth`, every other key that field of ExperimentConfig. The value is read
+# as `kind` (see config.parse_value) and must lie in `interval`, or each of its
+# elements must when `kind` is a list kind such as (int,).
+KEYS = {
+    "data.source": ("source", str, None),
+    "data.users": ("users_path", str, None),
+    "data.items": ("items_path", str, None),
+    "data.interactions": ("interactions_path", str, None),
+    "synth.n_users": ("n_users", int, "[1, inf)"),
+    "synth.n_items": ("n_items", int, "[1, inf)"),
+    "synth.user_attrs": ("user_attrs", (int,), "[1, inf)"),
+    "synth.item_attrs": ("item_attrs", (int,), "[1, inf)"),
+    "synth.beta": ("beta", float, "[0, 1]"),
+    "synth.interactions_per_user": ("interactions_per_user", int, "[1, inf)"),
+    "synth.base": ("base", float, "(-inf, inf)"),
+    "synth.pref_spread": ("pref_spread", float, "[0, inf)"),
+    "split.pretrain_fraction": ("pretrain_fraction", float, "(0, 1)"),
+    "neg.ratio": ("neg_ratio", int, "[0, inf)"),
+    "group.attrs": ("group_attrs", (str,), None),
+    "arch.embed_dim": ("embed_dim", int, "[1, inf)"),
+    "arch.mlp_hidden": ("mlp_hidden", (int,), "[1, inf)"),
+    "arch.adapter_rank": ("adapter_rank", int, "[1, inf)"),
+    "arch.gate_hidden": ("gate_hidden", int, "[1, inf)"),
+    "arch.adapter_layers": ("adapter_layers", str, None),
+    "pretrain.epochs": ("pre_epochs", int, "[0, inf)"),
+    "pretrain.lr": ("pre_lr", float, "(0, inf)"),
+    "pretrain.batch": ("pre_batch", int, "[1, inf)"),
+    "fed.arm": ("arm", str, None),
+    "fed.init": ("fed_init", str, None),
+    "fed.rounds": ("rounds", int, "[0, inf)"),
+    "fed.fraction": ("client_fraction", float, "(0, 1]"),
+    "fed.local_epochs": ("local_epochs", int, "[0, inf)"),
+    "fed.lr": ("fed_lr", float, "(0, inf)"),
+    "fed.batch": ("fed_batch", int, "[1, inf)"),
+    "fed.eval_every": ("eval_every", int, "[1, inf)"),
+    "ldp.enabled": ("ldp_enabled", bool, None),
+    "ldp.intensity": ("ldp_intensity", float, "[0, inf)"),
+    "distill.teacher": ("distill_teacher", str, None),
+    "distill.embed_dim": ("distill_embed_dim", int, "[1, inf)"),
+    "distill.mlp_hidden": ("distill_mlp_hidden", (int,), "[1, inf)"),
+    "distill.epochs": ("distill_epochs", int, "[0, inf)"),
+    "distill.lr": ("distill_lr", float, "(0, inf)"),
+    "distill.batch": ("distill_batch", int, "[1, inf)"),
+    "distill.alpha": ("distill_alpha", float, "[0, 1]"),
+    "eval.checkpoint": ("eval_checkpoint", str, None),
+    "ablate.arms": ("ablate_arms", (str,), None),
+    "seed": ("seed", int, "[0, inf)"),
+    "out": ("out_dir", str, None),
 }
-# Key `synth.<field>` -> accessor for that SynthConfig field.
-SYNTH_KEYS = {
-    "n_users": cfg_int, "n_items": cfg_int, "user_attrs": _ints, "item_attrs": _ints,
-    "beta": cfg_float, "interactions_per_user": cfg_int, "base": cfg_float, "pref_spread": cfg_float,
-}
-# Keys that only CLI commands read (cli.py).
-CLI_KEYS = (
-    "distill.teacher", "distill.embed_dim", "distill.mlp_hidden", "distill.epochs", "distill.lr",
-    "distill.batch", "distill.alpha", "eval.checkpoint", "fed.init", "ablate.arms",
-)
-CONFIG_KEYS = frozenset([*FIELD_KEYS, *(f"synth.{k}" for k in SYNTH_KEYS), *CLI_KEYS])
+
+
+def _inside(value, interval: str) -> bool:
+    """Whether `value` lies in an interval written like "(0, 1]"; NaN never does."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = value > lo if interval[0] == "(" else value >= lo
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
 
 
 @dataclass
@@ -114,10 +100,7 @@ class ExperimentConfig:
     items_path: Optional[str] = None
     interactions_path: Optional[str] = None
     synth: SynthConfig = field(
-        default_factory=lambda: SynthConfig(
-            n_users=200, n_items=100, user_attrs=(4, 3), item_attrs=(50, 10),
-            beta=1.0, interactions_per_user=30,
-        )
+        default_factory=lambda: SynthConfig(n_users=200, n_items=100, user_attrs=(4, 3), item_attrs=(50, 10))
     )
     pretrain_fraction: float = 0.5
     neg_ratio: int = 4
@@ -134,6 +117,7 @@ class ExperimentConfig:
     pre_batch: int = 64
     # federation
     arm: str = "fedpa"
+    fed_init: Optional[str] = None  # checkpoint to warm-start from instead of pretraining
     rounds: int = 20
     client_fraction: float = 1.0
     local_epochs: int = 2
@@ -143,6 +127,17 @@ class ExperimentConfig:
     # privacy
     ldp_enabled: bool = False
     ldp_intensity: float = 0.0
+    # distillation; the student's embed_dim and mlp_hidden have no default
+    distill_teacher: Optional[str] = None  # checkpoint; None pretrains a teacher
+    distill_embed_dim: Optional[int] = None
+    distill_mlp_hidden: Optional[Tuple[int, ...]] = None
+    distill_epochs: int = DistillConfig.epochs
+    distill_lr: float = DistillConfig.lr
+    distill_batch: int = DistillConfig.batch_size
+    distill_alpha: float = DistillConfig.alpha
+    # evaluation and ablation
+    eval_checkpoint: Optional[str] = None
+    ablate_arms: Tuple[str, ...] = ARMS[:4]
     # bookkeeping
     seed: int = 0
     out_dir: str = "."
@@ -155,16 +150,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, str]) -> "ExperimentConfig":
-        """Config from parsed `key = value` pairs; keys outside CONFIG_KEYS are rejected."""
-        for key in raw:
-            if key not in CONFIG_KEYS:
-                close = difflib.get_close_matches(key, sorted(CONFIG_KEYS), n=1)
+        """Config from parsed `key = value` pairs: each key must be in KEYS, and
+        its value is read as the row's kind and checked against its interval."""
+        fields: Dict[str, object] = {}
+        synth: Dict[str, object] = {}
+        for key, text in raw.items():
+            if key not in KEYS:
+                close = difflib.get_close_matches(key, sorted(KEYS), n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise ConfigError(f"unknown config key {key!r}{hint}")
-        base = cls()
-        synth = {k: get(raw, f"synth.{k}", getattr(base.synth, k)) for k, get in SYNTH_KEYS.items()}
-        fields = {f: get(raw, key, getattr(base, f)) for key, (f, get) in FIELD_KEYS.items()}
-        return cls(synth=SynthConfig(**synth), **fields)
+            name, kind, interval = KEYS[key]
+            value = parse_value(key, text, kind)
+            for x in value if isinstance(kind, tuple) else (value,):
+                if interval and not _inside(x, interval):
+                    raise ConfigError(f"config key {key!r}: {x} is outside {interval}")
+            (synth if key.startswith("synth.") else fields)[name] = value
+        cfg = cls(**fields)
+        cfg.synth = replace(cfg.synth, **synth)
+        return cfg
+
+    def require(self, key: str):
+        """The value of config key `key`, which has no default."""
+        value = getattr(self, KEYS[key][0])
+        if value is None:
+            raise ConfigError(f"missing required config key {key!r}")
+        return value
 
     def fed_config(self) -> FedConfig:
         return FedConfig(
@@ -179,15 +189,18 @@ class ExperimentConfig:
     def noise_config(self) -> NoiseConfig:
         return NoiseConfig(intensity=self.ldp_intensity, enabled=self.ldp_enabled)
 
+    def distill_config(self) -> DistillConfig:
+        return DistillConfig(
+            self.require("distill.embed_dim"), self.require("distill.mlp_hidden"), epochs=self.distill_epochs,
+            lr=self.distill_lr, batch_size=self.distill_batch, alpha=self.distill_alpha, seed=self.seed,
+        )
+
 
 def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.source == "synth":
         return synth_generate(cfg.synth, cfg.seed)
     if cfg.source == "files":
-        for key in ("users_path", "items_path", "interactions_path"):
-            if getattr(cfg, key) is None:
-                raise ConfigError(f"data.source=files requires data.{key.split('_')[0]}")
-        return load_dataset(cfg.users_path, cfg.items_path, cfg.interactions_path)
+        return load_dataset(*(cfg.require(f"data.{k}") for k in ("users", "items", "interactions")))
     raise ConfigError(f"unknown data.source {cfg.source!r}")
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec.cli import main
-from fedrec.config import ConfigError, cfg_bool, cfg_int, cfg_int_list, parse_config_text
-from fedrec.experiment import ExperimentConfig
+from fedrec.config import ConfigError, parse_config_text, parse_value
+from fedrec.experiment import KEYS, ExperimentConfig
 
 BASE_CFG = """
 # small synthetic world for CLI smoke tests
@@ -58,14 +58,14 @@ class TestConfigParser:
 
     def test_typed_accessors(self):
         cfg = parse_config_text("n = 7\nflag = yes\nxs = 1, 2,3\n")
-        assert cfg_int(cfg, "n") == 7
-        assert cfg_bool(cfg, "flag") is True
-        assert cfg_int_list(cfg, "xs") == [1, 2, 3]
-        assert cfg_int(cfg, "missing", 5) == 5
-        with pytest.raises(ConfigError):
-            cfg_int(cfg, "missing", required=True)
-        with pytest.raises(ConfigError):
-            cfg_int(cfg, "flag")
+        assert parse_value("n", cfg["n"], int) == 7
+        assert parse_value("flag", cfg["flag"], bool) is True
+        assert parse_value("xs", cfg["xs"], (int,)) == (1, 2, 3)
+        assert ExperimentConfig.from_dict({}).rounds == 20  # a missing key takes its field default
+        with pytest.raises(ConfigError, match="missing required config key 'eval.checkpoint'"):
+            ExperimentConfig.from_dict({}).require("eval.checkpoint")
+        with pytest.raises(ConfigError, match="config key 'flag': 'yes' is not an integer"):
+            parse_value("flag", cfg["flag"], int)
 
 
 CONFIG_KEY = st.from_regex(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)?", fullmatch=True)
@@ -109,20 +109,49 @@ class TestConfigKeys:
 
 class TestTrainingKeyBounds:
     # a batch holds at least one row and evaluation comes every k >= 1
-    # rounds; zero epochs are valid (test_zero_epochs)
+    # rounds; zero epochs are valid (test_zero_epochs). A width, dimension or
+    # count is at least 1, a learning rate positive and finite, and NaN lies
+    # in no interval
     @pytest.mark.parametrize("key, value", [
         ("pretrain.batch", "0"), ("pretrain.batch", "-3"), ("pretrain.epochs", "-2"),
         ("fed.batch", "0"), ("fed.local_epochs", "-1"), ("fed.eval_every", "0"),
+        ("synth.n_users", "0"), ("synth.n_items", "0"), ("synth.interactions_per_user", "-1"),
+        ("synth.user_attrs", "0"), ("synth.item_attrs", "0"), ("synth.beta", "1.5"),
+        ("synth.beta", "-0.1"), ("synth.pref_spread", "-0.5"), ("synth.base", "nan"),
+        ("arch.embed_dim", "0"), ("arch.adapter_rank", "0"), ("arch.gate_hidden", "0"),
+        ("arch.mlp_hidden", "0"),
+        ("pretrain.lr", "0.0"), ("pretrain.lr", "nan"), ("pretrain.lr", "inf"),
+        ("fed.lr", "-0.5"), ("fed.lr", "nan"), ("fed.lr", "inf"),
+        ("distill.lr", "0.0"), ("distill.lr", "nan"), ("distill.lr", "inf"),
+        ("distill.embed_dim", "0"), ("distill.mlp_hidden", "0"), ("distill.epochs", "-1"),
+        ("distill.batch", "0"), ("distill.alpha", "1.5"), ("ldp.intensity", "inf"),
+        ("seed", "-1"),
     ])
     def test_config_names_the_key(self, key, value):
-        with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: {value} is below")):
+        with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: {value} is outside")):
             ExperimentConfig.from_dict({key: value})
 
+    def test_each_list_element_is_checked(self):
+        with pytest.raises(ConfigError, match=re.escape("config key 'arch.mlp_hidden': 0 is outside [1, inf)")):
+            ExperimentConfig.from_dict({"arch.mlp_hidden": "8, 0"})
+
     def test_least_values_accepted(self):
-        cfg = ExperimentConfig.from_dict(
-            {"pretrain.batch": "1", "pretrain.epochs": "0", "fed.batch": "1", "fed.local_epochs": "0"}
-        )
-        assert (cfg.pre_batch, cfg.pre_epochs, cfg.fed_batch, cfg.local_epochs) == (1, 0, 1, 0)
+        least = {
+            "pretrain.batch": ("1", 1), "pretrain.epochs": ("0", 0), "fed.batch": ("1", 1),
+            "fed.local_epochs": ("0", 0), "synth.n_users": ("1", 1), "synth.n_items": ("1", 1),
+            "synth.interactions_per_user": ("1", 1), "synth.user_attrs": ("1", (1,)),
+            "synth.item_attrs": ("1", (1,)), "synth.beta": ("0", 0.0), "synth.pref_spread": ("0", 0.0),
+            "arch.embed_dim": ("1", 1), "arch.adapter_rank": ("1", 1), "arch.gate_hidden": ("1", 1),
+            "arch.mlp_hidden": ("1", (1,)), "pretrain.lr": ("5e-324", 5e-324), "fed.lr": ("5e-324", 5e-324),
+            "distill.lr": ("5e-324", 5e-324), "distill.embed_dim": ("1", 1), "distill.mlp_hidden": ("1", (1,)),
+            "distill.epochs": ("0", 0), "distill.batch": ("1", 1), "distill.alpha": ("0", 0.0), "seed": ("0", 0),
+        }
+        cfg = ExperimentConfig.from_dict({key: text for key, (text, _) in least.items()})
+        got = {key: getattr(cfg.synth if key.startswith("synth.") else cfg, KEYS[key][0]) for key in least}
+        assert got == {key: value for key, (_, value) in least.items()}
+        # the closed upper ends too
+        cfg = ExperimentConfig.from_dict({"synth.beta": "1", "distill.alpha": "1", "fed.fraction": "1"})
+        assert (cfg.synth.beta, cfg.distill_alpha, cfg.client_fraction) == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("line", ["pretrain.batch = -3", "pretrain.epochs = -2"])
     def test_pretrain_exits_1_without_a_checkpoint(self, tmp_path, capsys, line):
@@ -135,10 +164,14 @@ class TestTrainingKeyBounds:
         assert not (out / "pretrained.npz").exists()
 
     # each of these once ran on: a negative round count or ratio, a fraction
-    # past 1 or a negative noise scale failed only after pretraining, if at all
+    # past 1 or a negative noise scale failed only after pretraining, if at
+    # all; a negative interaction count or spread failed inside numpy, a NaN
+    # or negative learning rate as a training divergence, and a zero width
+    # trained a constant model
     @pytest.mark.parametrize("line", [
         "fed.fraction = 1.5", "fed.rounds = -1", "neg.ratio = -1", "ldp.intensity = -0.5",
-        "split.pretrain_fraction = 1",
+        "split.pretrain_fraction = 1", "synth.interactions_per_user = -1", "synth.pref_spread = -1",
+        "fed.lr = -0.5", "fed.lr = nan", "arch.mlp_hidden = 0",
     ])
     def test_federate_exits_1_naming_an_out_of_range_key(self, tmp_path, capsys, line):
         key = line.split(" = ")[0]
@@ -146,7 +179,24 @@ class TestTrainingKeyBounds:
         cfg.write_text("\n".join(l for l in BASE_CFG.splitlines() if not l.startswith(key)) + f"\n{line}\n")
         out = tmp_path / "out"
         assert run("federate", "--config", str(cfg), "--out", str(out), "--quiet") == 1
-        assert f"config key {key!r}: {line.split(' = ')[1]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config key {key!r}: {line.split(' = ')[1]}" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["synth.user_attrs", "synth.item_attrs"])
+    def test_empty_attribute_list_exits_1(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(l for l in BASE_CFG.splitlines() if not l.startswith(key)) + f"\n{key} =\n")
+        assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert key in err and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_seed_flag_is_checked_like_the_key(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert run("federate", "--config", cfg, "--seed", "-1", "--out", str(out), "--quiet") == 1
+        assert "error: config key 'seed': -1 is outside [0, inf)" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["distill.batch = 0", "distill.epochs = -1"])
@@ -320,6 +370,13 @@ class TestDistill:
         cfg = write_cfg(tmp_path)
         assert run("distill", "--config", cfg, "--quiet") == 1
         assert "distill.embed_dim" in capsys.readouterr().err
+
+
+class TestFiles:
+    def test_missing_path_is_named(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "data.source = files\ndata.users = u.csv\ndata.interactions = x.csv\n")
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert "error: missing required config key 'data.items'" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -446,6 +446,12 @@ class TestSynthGenerate:
         with pytest.raises(DataError):
             synth_generate(SynthConfig(0, 10, (2,), (2,)), seed=0)
 
+    @pytest.mark.parametrize("user_attrs, item_attrs", [((), (2,)), ((2,), ())], ids=["users", "items"])
+    def test_empty_attribute_list_rejected(self, user_attrs, item_attrs):
+        # the generator's groups and categories are the first attribute of each side
+        with pytest.raises(DataError, match="attrs is empty"):
+            synth_generate(SynthConfig(10, 10, user_attrs, item_attrs), seed=0)
+
 
 class TestCsvRoundTrip:
     def test_write_then_load(self, tmp_path):

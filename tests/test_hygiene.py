@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 import ast
+import dataclasses
 import pathlib
 import sys
 
-from fedrec.experiment import CLI_KEYS
+from fedrec.data import SynthConfig
+from fedrec.experiment import KEYS, ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fedrec"
@@ -307,14 +309,17 @@ def test_unused_symbol_check_flags_test_only_code(tmp_path):
     assert unused_symbols(tmp_path) == ["mod.py: helper", "mod.py: count", "mod.py: tiles", "mod.py: total"]
 
 
-def test_cli_reads_exactly_the_declared_cli_keys():
-    # ExperimentConfig.from_dict rejects undeclared keys, so a key that
-    # cli.py reads but CLI_KEYS lacks could never be set
-    tree = ast.parse((SRC / "cli.py").read_text())
-    read = {
-        node.args[1].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("cfg_")
-        and isinstance(node.args[1], ast.Constant)
-    }
-    assert read == set(CLI_KEYS)
+def test_every_config_field_has_exactly_one_key():
+    # each field's default lives in its dataclass and is set by one KEYS row,
+    # so a field no key sets, or two keys set, cannot slip in
+    def names(synth):
+        return sorted(name for key, (name, _, _) in KEYS.items() if key.startswith("synth.") == synth)
+
+    assert names(False) == sorted(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "synth")
+    assert names(True) == sorted(f.name for f in dataclasses.fields(SynthConfig))
+
+
+def test_every_numeric_key_has_an_interval():
+    unbounded = [key for key, (_, kind, interval) in KEYS.items()
+                 if kind in (int, float, (int,)) and interval is None]
+    assert unbounded == []
