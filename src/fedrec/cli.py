@@ -12,18 +12,20 @@ import os
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .config import ConfigError, load_config
 from .data import DataError, write_dataset_csvs
 from .distill import distill
 from .experiment import (
+    ARMS,
     ExperimentConfig,
-    arm_settings,
-    build_arch,
     build_raw_dataset,
     prepare_dataset,
+    pretrain_base,
     run_arm,
 )
-from .federation import FederationError, pretrain, pretrain_examples
+from .federation import FederationError, pretrain_examples
 from .metrics import UndefinedMetricError, auc, precision
 from .model import ShapeError, forward_batch, load_params, save_params
 
@@ -58,8 +60,7 @@ def cmd_synth(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
-    arch = build_arch(cfg, ds)
-    ps, losses = pretrain(ds, arch, cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio)
+    ps, losses = pretrain_base(cfg, ds)
     ckpt = os.path.join(cfg.out_dir, "pretrained.npz")
     save_params(ps, ckpt)
     with open(os.path.join(cfg.out_dir, "pretrain_loss.csv"), "w", newline="") as fh:
@@ -78,9 +79,7 @@ def cmd_distill(args) -> int:
     if cfg.distill_teacher:
         teacher = load_params(cfg.distill_teacher)
     else:
-        teacher, _ = pretrain(
-            ds, build_arch(cfg, ds), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
-        )
+        teacher, _ = pretrain_base(cfg, ds)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     student, history = distill(teacher, UA, VA, y if dc.alpha < 1.0 else None, dc)
     out = os.path.join(cfg.out_dir, "student.npz")
@@ -128,18 +127,13 @@ def cmd_federate(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _load(args)
-    for arm in cfg.ablate_arms:
-        arm_settings(cfg, arm)  # rejects an unknown arm before any arm runs
     ds, _ = prepare_dataset(cfg)
-    pretrained = None
+    # one pretrained base model serves every warm-started arm
+    warm = any(ARMS[arm][2] for arm in cfg.ablate_arms)
+    pretrained = pretrain_base(cfg, ds)[0] if warm else None
     rows = []
     for arm in cfg.ablate_arms:
-        _, _, warm = arm_settings(cfg, arm)
-        if warm and pretrained is None:
-            pretrained, _ = pretrain(
-                ds, build_arch(cfg, ds), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
-            )
-        result = run_arm(cfg, ds, arm, pretrained if warm else None)
+        result = run_arm(cfg, ds, arm, pretrained)
         rows.append(result)
         _say(args, f"{arm}: AUC {result.test_auc * 100:.2f}e-2")
     out = os.path.join(cfg.out_dir, "ablation.csv")
@@ -163,7 +157,13 @@ def cmd_eval(args) -> int:
     ps = load_params(cfg.require("eval.checkpoint"))
     ds, _ = prepare_dataset(cfg)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
-    probs, _ = forward_batch(ps, UA, VA)
+    # a row is scored with the group adapters of its user's groups
+    attrs = ps.arch.group_attrs
+    groups = UA[:, [ps.arch.user_schema.index(a) for a in attrs]]
+    probs = np.empty(len(y))
+    for combo in sorted(set(map(tuple, groups.tolist()))):
+        rows = (groups == combo).all(axis=1)
+        probs[rows], _ = forward_batch(ps, UA[rows], VA[rows], dict(zip(attrs, combo)))
     out = {"auc_1e2": round(auc(probs, y) * 100.0, 4)}
     try:
         out["precision_1e2"] = round(precision(probs, y) * 100.0, 4)

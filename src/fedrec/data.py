@@ -52,7 +52,7 @@ class AttributeSchema:
         try:
             return self.names.index(name)
         except ValueError:
-            raise DataError(f"unknown attribute {name!r}") from None
+            raise DataError(f"unknown attribute {name!r}; valid: {', '.join(self.names)}") from None
 
     def validate_values(self, values: Sequence[int], what: str = "record"):
         if len(values) != len(self.names):
@@ -159,7 +159,6 @@ def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class SplitReport:
-    dropped_users: int = 0
     dropped_user_ids: List[int] = field(default_factory=list)
 
 
@@ -177,32 +176,44 @@ class SynthConfig:
     pref_spread: float = 0.8
 
 
-def _read_csv(path: str, id_col: str):
-    """Read an id + integer-attribute CSV; returns (attr names, {id: values})."""
-    records = {}
+def _read_csv(path: str, first_col: str, headers: Tuple[Tuple[str, ...], ...] = ()):
+    """(header, line numbers, rows) of an all-integer CSV file, skipping blank
+    lines: each row's fields as ints, as many as the header has. The header
+    must begin with `first_col` and, when `headers` is given, be one of them."""
+    lines: List[int] = []
+    rows: List[List[int]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if not header or header[0] != id_col:
-            raise DataError(f"{path}: first column must be {id_col!r}, got {header[:1]}")
-        attr_names = tuple(header[1:])
+        if header[:1] != [first_col]:
+            raise DataError(f"{path}: first column must be {first_col!r}, got {header[:1]}")
+        if headers and tuple(header) not in headers:
+            raise DataError(f"{path}: bad header {header}")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             try:
-                values = [int(x) for x in row]
+                rows.append([int(x) for x in row])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer field in {row!r}") from None
-            if len(values) != len(attr_names) + 1:
-                raise DataError(f"{path}:{lineno}: expected {len(attr_names) + 1} fields, got {len(values)}")
-            rid = values[0]
-            if rid in records:
-                raise DataError(f"{path}:{lineno}: duplicate id {rid}")
-            records[rid] = tuple(values[1:])
-    return attr_names, records
+            lines.append(lineno)
+    return header, lines, rows
+
+
+def _read_records(path: str, id_col: str):
+    """Read an id + integer-attribute CSV; returns (attr names, {id: values})."""
+    header, lines, rows = _read_csv(path, id_col)
+    records = {}
+    for lineno, (rid, *values) in zip(lines, rows):
+        if rid in records:
+            raise DataError(f"{path}:{lineno}: duplicate id {rid}")
+        records[rid] = tuple(values)
+    return tuple(header[1:]), records
 
 
 def _infer_cards(attr_names, records) -> Tuple[int, ...]:
@@ -217,47 +228,26 @@ def load_dataset(
     users_path: str,
     items_path: str,
     interactions_path: str,
-    user_schema: Optional[AttributeSchema] = None,
-    item_schema: Optional[AttributeSchema] = None,
 ) -> Dataset:
-    """Load the three CSV files; cardinalities are inferred when no schema is given.
+    """Load the three CSV files; each attribute's cardinality is one more
+    than its largest value.
 
     The interactions file has the columns user_id,item_id,timestamp and an
     optional label; without the label column every row is a positive (1).
     """
-    u_names, users = _read_csv(users_path, "user_id")
-    i_names, items = _read_csv(items_path, "item_id")
-    if user_schema is None:
-        user_schema = AttributeSchema(u_names, _infer_cards(u_names, users))
-    if item_schema is None:
-        item_schema = AttributeSchema(i_names, _infer_cards(i_names, items))
+    u_names, users = _read_records(users_path, "user_id")
+    i_names, items = _read_records(items_path, "item_id")
+    user_schema = AttributeSchema(u_names, _infer_cards(u_names, users))
+    item_schema = AttributeSchema(i_names, _infer_cards(i_names, items))
 
-    cols: Tuple[List[int], ...] = ([], [], [], [])  # user, item, ts, label
-    lines: List[int] = []
-    with open(interactions_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{interactions_path}: empty file") from None
-        if tuple(header) not in (INTERACTION_COLUMNS, INTERACTION_COLUMNS[:3]):
-            raise DataError(f"{interactions_path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{interactions_path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                values = [int(x) for x in row]
-            except ValueError:
-                raise DataError(f"{interactions_path}:{lineno}: non-integer field in {row!r}") from None
-            for col, v in zip(cols, values + [1]):  # without a label column, a positive
-                col.append(v)
-            lines.append(lineno)
-
-    return Dataset(user_schema, item_schema, users, items, *cols).validate((interactions_path, lines))
+    header, lines, rows = _read_csv(
+        interactions_path, INTERACTION_COLUMNS[0], (INTERACTION_COLUMNS, INTERACTION_COLUMNS[:3])
+    )
+    cols = np.array(rows, dtype=np.int64).reshape(len(rows), len(header)).T.copy()
+    # without a label column, every row is a positive
+    label = cols[3] if len(header) == 4 else np.ones(len(rows), dtype=np.int64)
+    ds = Dataset(user_schema, item_schema, users, items, *cols[:3], label)
+    return ds.validate((interactions_path, lines))
 
 
 def split_pretrain_federated(dataset: Dataset, pretrain_user_fraction: float, seed: int) -> Dataset:
@@ -268,6 +258,10 @@ def split_pretrain_federated(dataset: Dataset, pretrain_user_fraction: float, se
     """
     if not 0.0 < pretrain_user_fraction < 1.0:
         raise DataError(f"pretrain_user_fraction {pretrain_user_fraction} outside (0, 1)")
+    if len(dataset.users) < 2:
+        raise DataError(
+            f"the pretrain/federated user split needs at least two users; the dataset has {len(dataset.users)}"
+        )
     uids = np.array(sorted(dataset.users), dtype=np.int64)
     order = np.random.default_rng(seed).permutation(len(uids))
     k = int(round(pretrain_user_fraction * len(uids)))
@@ -300,7 +294,7 @@ def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, SplitReport
     dropped = n < MIN_FED_INTERACTIONS
     keep = np.ones(len(dataset), dtype=bool)
     keep[order[np.repeat(dropped, n)]] = False
-    report = SplitReport(int(dropped.sum()), uids[dropped].tolist())
+    report = SplitReport(uids[dropped].tolist())
     return replace(dataset, split=split).rows(keep), report
 
 

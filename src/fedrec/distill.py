@@ -32,7 +32,6 @@ class DistillConfig:
 @dataclass
 class DistillHistory:
     train_loss: List[float]
-    holdout_mse: List[float]  # student-vs-teacher prediction MSE, if holdout given
 
 
 def distill_targets(teacher_probs: np.ndarray, labels: Optional[np.ndarray], alpha: float) -> np.ndarray:
@@ -55,7 +54,6 @@ def distill(
     VA: np.ndarray,
     labels: Optional[np.ndarray],
     config: DistillConfig,
-    holdout: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[ParamSet, DistillHistory]:
     """Train a fresh student base model against the teacher's predicted
     probabilities (optionally mixed with true labels). Returns the student
@@ -71,16 +69,11 @@ def distill(
 
     teacher_probs, _ = forward_batch(teacher, UA, VA)
     target = distill_targets(teacher_probs, labels, config.alpha)
-    history = DistillHistory([], [])
+    history = DistillHistory([])
     rng = np.random.default_rng([config.seed, 13])
     for _ in range(config.epochs):
         student, loss = sgd_epoch(
             student, UA, VA, target, None, config.batch_size, config.lr, rng, want_loss=True
         )
         history.train_loss.append(loss)
-        if holdout is not None:
-            h_ua, h_va = holdout
-            sp, _ = forward_batch(student, h_ua, h_va)
-            tp, _ = forward_batch(teacher, h_ua, h_va)
-            history.holdout_mse.append(float(np.mean((sp - tp) ** 2)))
     return student, history

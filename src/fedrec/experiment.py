@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from .config import ConfigError, parse_value
 from .data import (
+    DataError,
     Dataset,
     SplitReport,
     SynthConfig,
@@ -17,31 +18,65 @@ from .data import (
 )
 from .distill import DistillConfig
 from .federation import (
-    FedConfig,
-    PartitionPolicy,
     RoundReport,
     ServerState,
     build_clients,
     evaluate_global,
+    partition,
     pretrain,
     run_federated,
     warm_start,
 )
-from .model import GATE_LEARNED, GATE_UNIFORM, PRIVATE, SHARED, Arch, ParamSet, count_params, init_params
-from .privacy import NoiseConfig
+from .model import (
+    ADAPTER_LAYERS,
+    FROZEN,
+    GATE_NONE,
+    GATE_UNIFORM,
+    PRIVATE,
+    SHARED,
+    Arch,
+    ParamSet,
+    count_params,
+    init_params,
+)
 
-ARMS = ("fedpa", "no_adapter", "user_only", "group_only", "no_warm", "no_gate_uniform")
+# The partition rules (name pattern, tag) of the paper's method: each tensor
+# takes the tag of the one rule its name matches (federation.partition).
+FEDPA_RULES = (
+    ("item_emb/*", FROZEN),
+    ("mlp/*", FROZEN),
+    ("adapter/user/*", PRIVATE),
+    ("user_emb/*", SHARED),
+    ("adapter/group/*", SHARED),
+    ("gate/*", SHARED),
+)
 
-# Config-file key -> (field, kind, interval). A `synth.` key sets that field of
+# Ablation arm -> (Arch overrides, partition rules, warm start?). An arm's
+# Arch groups users by `group.attrs` unless its overrides say otherwise; a
+# warm-started arm overlays the pretrained base model on its fresh init.
+ARMS = {
+    "fedpa": ({}, FEDPA_RULES, True),
+    "no_adapter": (
+        {"use_user_adapter": False, "group_attrs": (), "gate_mode": GATE_NONE}, (("*", SHARED),), True
+    ),
+    "user_only": ({"group_attrs": ()}, FEDPA_RULES, True),
+    "group_only": ({"use_user_adapter": False}, FEDPA_RULES, True),
+    "no_warm": ({}, FEDPA_RULES, False),
+    "no_gate_uniform": ({"gate_mode": GATE_UNIFORM}, FEDPA_RULES, True),
+}
+
+# Config-file key -> (field, kind, bound). A `synth.` key sets that field of
 # `cfg.synth`, every other key that field of ExperimentConfig. The value is read
-# as `kind` (see config.parse_value) and must lie in `interval`, or each of its
-# elements must when `kind` is a list kind such as (int,).
+# as `kind` (see config.parse_value) and must lie in the bound, or each of its
+# elements must when `kind` is a list kind such as (int,). A bound is an
+# interval written as a string such as "(0, 1]", or a tuple of the allowed
+# values; a str key without one is a path or a free-form name.
 KEYS = {
-    "data.source": ("source", str, None),
+    "data.source": ("source", str, ("synth", "files")),
     "data.users": ("users_path", str, None),
     "data.items": ("items_path", str, None),
     "data.interactions": ("interactions_path", str, None),
-    "synth.n_users": ("n_users", int, "[1, inf)"),
+    "synth.n_users": ("n_users", int, "[2, inf)"),
     "synth.n_items": ("n_items", int, "[1, inf)"),
     "synth.user_attrs": ("user_attrs", (int,), "[1, inf)"),
     "synth.item_attrs": ("item_attrs", (int,), "[1, inf)"),
@@ -56,11 +91,11 @@ KEYS = {
     "arch.mlp_hidden": ("mlp_hidden", (int,), "[1, inf)"),
     "arch.adapter_rank": ("adapter_rank", int, "[1, inf)"),
     "arch.gate_hidden": ("gate_hidden", int, "[1, inf)"),
-    "arch.adapter_layers": ("adapter_layers", str, None),
+    "arch.adapter_layers": ("adapter_layers", str, ADAPTER_LAYERS),
     "pretrain.epochs": ("pre_epochs", int, "[0, inf)"),
     "pretrain.lr": ("pre_lr", float, "(0, inf)"),
     "pretrain.batch": ("pre_batch", int, "[1, inf)"),
-    "fed.arm": ("arm", str, None),
+    "fed.arm": ("arm", str, tuple(ARMS)),
     "fed.init": ("fed_init", str, None),
     "fed.rounds": ("rounds", int, "[0, inf)"),
     "fed.fraction": ("client_fraction", float, "(0, 1]"),
@@ -78,7 +113,7 @@ KEYS = {
     "distill.batch": ("distill_batch", int, "[1, inf)"),
     "distill.alpha": ("distill_alpha", float, "[0, 1]"),
     "eval.checkpoint": ("eval_checkpoint", str, None),
-    "ablate.arms": ("ablate_arms", (str,), None),
+    "ablate.arms": ("ablate_arms", (str,), tuple(ARMS)),
     "seed": ("seed", int, "[0, inf)"),
     "out": ("out_dir", str, None),
 }
@@ -99,9 +134,7 @@ class ExperimentConfig:
     users_path: Optional[str] = None
     items_path: Optional[str] = None
     interactions_path: Optional[str] = None
-    synth: SynthConfig = field(
-        default_factory=lambda: SynthConfig(n_users=200, n_items=100, user_attrs=(4, 3), item_attrs=(50, 10))
-    )
+    synth: SynthConfig = SynthConfig(n_users=200, n_items=100, user_attrs=(4, 3), item_attrs=(50, 10))
     pretrain_fraction: float = 0.5
     neg_ratio: int = 4
     group_attrs: Tuple[str, ...] = ("ua0", "ua1")
@@ -137,12 +170,23 @@ class ExperimentConfig:
     distill_alpha: float = DistillConfig.alpha
     # evaluation and ablation
     eval_checkpoint: Optional[str] = None
-    ablate_arms: Tuple[str, ...] = ARMS[:4]
+    ablate_arms: Tuple[str, ...] = tuple(ARMS)[:4]
     # bookkeeping
     seed: int = 0
     out_dir: str = "."
 
     def __post_init__(self):
+        # every bound is checked here, so a config built in code is held to
+        # the bounds as one loaded from a file is
+        for key, (name, kind, bound) in KEYS.items():
+            value = getattr(self.synth if key.startswith("synth.") else self, name)
+            if bound is None or value is None:
+                continue
+            for x in value if isinstance(kind, tuple) else (value,):
+                if isinstance(bound, tuple) and x not in bound:
+                    raise ConfigError(f"config key {key!r}: {x!r} is not one of {', '.join(bound)}")
+                if isinstance(bound, str) and not _inside(x, bound):
+                    raise ConfigError(f"config key {key!r}: {x} is outside {bound}")
         if self.ldp_intensity > 0 and not self.ldp_enabled:
             raise ConfigError(
                 f"ldp.intensity = {self.ldp_intensity} has no effect with ldp.enabled = false"
@@ -151,7 +195,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: Dict[str, str]) -> "ExperimentConfig":
         """Config from parsed `key = value` pairs: each key must be in KEYS, and
-        its value is read as the row's kind and checked against its interval."""
+        its value is read as the row's kind (and checked against its bound
+        when the config is constructed)."""
         fields: Dict[str, object] = {}
         synth: Dict[str, object] = {}
         for key, text in raw.items():
@@ -159,15 +204,9 @@ class ExperimentConfig:
                 close = difflib.get_close_matches(key, sorted(KEYS), n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise ConfigError(f"unknown config key {key!r}{hint}")
-            name, kind, interval = KEYS[key]
-            value = parse_value(key, text, kind)
-            for x in value if isinstance(kind, tuple) else (value,):
-                if interval and not _inside(x, interval):
-                    raise ConfigError(f"config key {key!r}: {x} is outside {interval}")
-            (synth if key.startswith("synth.") else fields)[name] = value
-        cfg = cls(**fields)
-        cfg.synth = replace(cfg.synth, **synth)
-        return cfg
+            name, kind, _ = KEYS[key]
+            (synth if key.startswith("synth.") else fields)[name] = parse_value(key, text, kind)
+        return cls(**fields, synth=replace(cls.synth, **synth))
 
     def require(self, key: str):
         """The value of config key `key`, which has no default."""
@@ -175,19 +214,6 @@ class ExperimentConfig:
         if value is None:
             raise ConfigError(f"missing required config key {key!r}")
         return value
-
-    def fed_config(self) -> FedConfig:
-        return FedConfig(
-            rounds=self.rounds,
-            client_fraction=self.client_fraction,
-            local_epochs=self.local_epochs,
-            lr=self.fed_lr,
-            batch_size=self.fed_batch,
-            eval_every=self.eval_every,
-        )
-
-    def noise_config(self) -> NoiseConfig:
-        return NoiseConfig(intensity=self.ldp_intensity, enabled=self.ldp_enabled)
 
     def distill_config(self) -> DistillConfig:
         return DistillConfig(
@@ -199,9 +225,7 @@ class ExperimentConfig:
 def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.source == "synth":
         return synth_generate(cfg.synth, cfg.seed)
-    if cfg.source == "files":
-        return load_dataset(*(cfg.require(f"data.{k}") for k in ("users", "items", "interactions")))
-    raise ConfigError(f"unknown data.source {cfg.source!r}")
+    return load_dataset(*(cfg.require(f"data.{k}") for k in ("users", "items", "interactions")))
 
 
 def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, SplitReport]:
@@ -211,41 +235,27 @@ def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, SplitReport]:
     return split_per_user_chronological(ds)
 
 
-def arm_settings(cfg: ExperimentConfig, arm: str) -> Tuple[dict, str, bool]:
-    """(arch overrides, policy name, warm start?) for one ablation arm."""
-    if arm not in ARMS:
-        raise ConfigError(f"unknown arm {arm!r}; valid: {', '.join(ARMS)}")
-    overrides = {
-        "use_user_adapter": True,
-        "group_attrs": cfg.group_attrs,
-        "gate_mode": GATE_LEARNED,
-    }
-    policy, warm = "fedpa", True
-    if arm == "no_adapter":
-        overrides = {"use_user_adapter": False, "group_attrs": (), "gate_mode": "none"}
-        policy = "full"
-    elif arm == "user_only":
-        overrides["group_attrs"] = ()
-    elif arm == "group_only":
-        overrides["use_user_adapter"] = False
-    elif arm == "no_warm":
-        warm = False
-    elif arm == "no_gate_uniform":
-        overrides["gate_mode"] = GATE_UNIFORM
-    return overrides, policy, warm
-
-
 def build_arch(cfg: ExperimentConfig, dataset: Dataset, arm: str = "fedpa") -> Arch:
-    overrides, _, _ = arm_settings(cfg, arm)
-    return Arch(
-        user_schema=dataset.user_schema,
-        item_schema=dataset.item_schema,
-        embed_dim=cfg.embed_dim,
-        mlp_hidden=cfg.mlp_hidden,
-        adapter_rank=cfg.adapter_rank,
-        gate_hidden=cfg.gate_hidden,
-        adapter_layers=cfg.adapter_layers,
-        **overrides,
+    try:
+        return Arch(
+            user_schema=dataset.user_schema,
+            item_schema=dataset.item_schema,
+            embed_dim=cfg.embed_dim,
+            mlp_hidden=cfg.mlp_hidden,
+            adapter_rank=cfg.adapter_rank,
+            gate_hidden=cfg.gate_hidden,
+            adapter_layers=cfg.adapter_layers,
+            **{"group_attrs": cfg.group_attrs, **ARMS[arm][0]},
+        )
+    except DataError as exc:  # a grouping attribute the dataset's users lack
+        raise ConfigError(f"config key 'group.attrs': {exc}") from None
+
+
+def pretrain_base(cfg: ExperimentConfig, dataset: Dataset) -> Tuple[ParamSet, List[float]]:
+    """The base model pretrained as `cfg` says on the dataset's pretrain
+    split, and its per-epoch mean loss."""
+    return pretrain(
+        dataset, build_arch(cfg, dataset), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
     )
 
 
@@ -266,21 +276,20 @@ def run_arm(
     arm: str,
     pretrained: Optional[ParamSet] = None,
 ) -> ArmResult:
-    """Run one federated arm end to end on an already-split dataset."""
-    overrides, policy_name, warm = arm_settings(cfg, arm)
+    """Run one federated arm end to end on an already-split dataset; a
+    warm-started arm pretrains its base model unless given `pretrained`."""
+    _, rules, warm = ARMS[arm]
     arch = build_arch(cfg, dataset, arm)
     if warm:
         if pretrained is None:
-            pretrained, _ = pretrain(
-                dataset, arch, cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
-            )
+            pretrained, _ = pretrain_base(cfg, dataset)
         ps = warm_start(arch, pretrained, cfg.seed)
     else:
         ps = init_params(arch, [cfg.seed, 21])
-    ps = PartitionPolicy.preset(policy_name).apply(ps)
+    ps = partition(ps, rules)
 
     arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)
-    server = run_federated(ps, arrays, cfg.fed_config(), cfg.noise_config(), cfg.seed)
+    server = run_federated(ps, arrays, cfg)
     ev = evaluate_global(server.params, arrays, "test")
     uploaded = next((rep.uploaded_per_client for rep in server.reports if rep.uploaded_per_client), 0)
     return ArmResult(

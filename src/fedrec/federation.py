@@ -2,10 +2,11 @@
 local training of a round's clients as one stacked cohort, selective
 upload/aggregation and round loop.
 
-Each user is one client. Under the `fedpa` policy the item embeddings and MLP
-stay frozen at their warm-start values, the user-level adapter is private to
-the client, and the user embeddings, group adapters and gate are shared and
-aggregated by unweighted mean.
+Each user is one client. Under the `fedpa` partition rules
+(`experiment.FEDPA_RULES`) the item embeddings and MLP stay frozen at their
+warm-start values, the user-level adapter is private to the client, and the
+user embeddings, group adapters and gate are shared and aggregated by
+unweighted mean.
 
 A run holds every client's state as arrays with a leading client axis
 (`ClientArrays`), and a round works on rows of them: it gathers its
@@ -23,7 +24,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +53,11 @@ from .model import (
     sgd_epoch,
     user_adapter_specs,
 )
-from .privacy import NoiseConfig, noise_uploads
+from .privacy import noise_uploads
 from .streams import derive_generators
+
+if TYPE_CHECKING:  # experiment imports this module
+    from .experiment import ExperimentConfig
 
 log = logging.getLogger(__name__)
 
@@ -62,46 +66,21 @@ class FederationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Partition policies
+# Parameter partition
 # ---------------------------------------------------------------------------
 
-_PRESET_RULES = {
-    "fedpa": (
-        ("item_emb/*", FROZEN),
-        ("mlp/*", FROZEN),
-        ("adapter/user/*", PRIVATE),
-        ("user_emb/*", SHARED),
-        ("adapter/group/*", SHARED),
-        ("gate/*", SHARED),
-    ),
-    "full": (("*", SHARED),),
-}
 
-
-@dataclass(frozen=True)
-class PartitionPolicy:
-    """First tensor-name pattern that matches a tensor assigns its tag;
-    every tensor must match exactly one rule."""
-
-    name: str
-    rules: Tuple[Tuple[str, str], ...]
-
-    @classmethod
-    def preset(cls, name: str) -> "PartitionPolicy":
-        if name not in _PRESET_RULES:
-            raise FederationError(f"unknown partition policy {name!r}")
-        return cls(name, _PRESET_RULES[name])
-
-    def tag_of(self, tensor_name: str) -> str:
-        hits = [tag for pat, tag in self.rules if fnmatch.fnmatchcase(tensor_name, pat)]
+def partition(ps: ParamSet, rules: Tuple[Tuple[str, str], ...]) -> ParamSet:
+    """`ps` with each tensor tagged by the one rule (name pattern, tag) whose
+    pattern its name matches; a tensor that matches no rule or more than one
+    raises FederationError."""
+    tags = {}
+    for name in ps.tensors:
+        hits = [tag for pat, tag in rules if fnmatch.fnmatchcase(name, pat)]
         if len(hits) != 1:
-            raise FederationError(
-                f"tensor {tensor_name!r} matches {len(hits)} rules of policy {self.name!r}"
-            )
-        return hits[0]
-
-    def apply(self, ps: ParamSet) -> ParamSet:
-        return ParamSet(ps.arch, ps.tensors, {n: self.tag_of(n) for n in ps.tensors})
+            raise FederationError(f"tensor {name!r} matches {len(hits)} partition rules")
+        tags[name] = hits[0]
+    return ParamSet(ps.arch, ps.tensors, tags)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +126,6 @@ class UploadBatch:
     `groups` (columns following the arch's grouping attributes)."""
 
     uids: np.ndarray                  # (C,)
-    n_examples: np.ndarray            # (C,) train rows
     groups: np.ndarray                # (C, |arch.group_attrs|)
     shared: np.ndarray                # (C, P)
     layout: Layout
@@ -185,16 +163,6 @@ class RoundReport:
 class ServerState:
     params: ParamSet
     reports: List[RoundReport] = field(default_factory=list)
-
-
-@dataclass
-class FedConfig:
-    rounds: int = 20
-    client_fraction: float = 1.0
-    local_epochs: int = 2
-    lr: float = 0.05
-    batch_size: int = 32
-    eval_every: int = 1  # evaluate on fed-val every k rounds (last round always)
 
 
 @dataclass
@@ -384,18 +352,17 @@ def local_train(
     arrays: ClientArrays,
     idx: np.ndarray,
     global_ps: ParamSet,
-    cfg: FedConfig,
+    cfg: ExperimentConfig,
     round_index: int,
-    seed: int,
     pool: List[np.random.Generator],
 ) -> UploadBatch:
-    """E local epochs of SGD for the clients at rows idx of `arrays`, trained
-    as one stacked cohort; the results are those of training each client
-    alone.
+    """`cfg.local_epochs` epochs of SGD (`cfg.fed_lr`, batches of
+    `cfg.fed_batch`) for the clients at rows idx of `arrays`, trained as one
+    stacked cohort; the results are those of training each client alone.
 
     Each client starts from the global shared and frozen tensors and its own
     user adapter, trains the private and shared tensors on its train shard
-    with its RNG stream [seed, round, uid, 1] (a Generator of `pool`, see
+    with its RNG stream [cfg.seed, round, uid, 1] (a Generator of `pool`, see
     `derive_generators`), keeps its user adapter, written back into
     `arrays`, and uploads its shared vector. A client with an empty train
     shard uploads nothing. Rows of the batch follow idx. Raises
@@ -404,13 +371,12 @@ def local_train(
     live = idx[arrays.shards["train"].counts[idx] > 0]
     uids = arrays.uids[live]
     if not live.size:
-        return UploadBatch(uids, np.zeros(0, dtype=np.int64), arrays.groups[live], np.zeros((0, 0)),
-                           global_ps.layout)
+        return UploadBatch(uids, arrays.groups[live], np.zeros((0, 0)), global_ps.layout)
     ps = _cohort(global_ps, arrays, live)
     UA, VA, y, counts = arrays.shards["train"].rows(live)
-    rngs = derive_generators(seed, round_index, uids, 1, pool)
+    rngs = derive_generators(cfg.seed, round_index, uids, 1, pool)
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, VA, y, None, cfg.batch_size, cfg.lr, rngs, counts=counts)
+        ps, _ = sgd_epoch(ps, UA, VA, y, None, cfg.fed_batch, cfg.fed_lr, rngs, counts=counts)
 
     private = ps.trained[:, _user_columns(ps.layout, ps.arch)]
     bad = _first_non_finite(private, uids)
@@ -419,7 +385,7 @@ def local_train(
             f"round {round_index}: training diverged; first client with a non-finite private adapter: {bad}"
         )
     arrays.private[live] = private
-    return UploadBatch(uids, counts, arrays.groups[live], ps.flat[SHARED], ps.layout)
+    return UploadBatch(uids, arrays.groups[live], ps.flat[SHARED], ps.layout)
 
 
 def _mean_rows(rows: np.ndarray, scalars: List[int]) -> np.ndarray:
@@ -504,34 +470,31 @@ def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> Ev
     )
 
 
-def run_federated(
-    server_ps: ParamSet,
-    arrays: ClientArrays,
-    cfg: FedConfig,
-    noise_cfg: Optional[NoiseConfig],
-    seed: int,
-) -> ServerState:
+def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConfig) -> ServerState:
     """The round loop: select -> broadcast -> local train -> (noise) ->
     aggregate -> evaluate, training the clients' private rows in place.
-    Deterministic given (inputs, seed) regardless of client execution order.
-    Raises FederationError when local training leaves a private tensor
-    non-finite or aggregation a shared one."""
+
+    Runs `cfg.rounds` rounds of a `cfg.client_fraction` of the clients,
+    evaluates on val every `cfg.eval_every` rounds and after the last, and
+    under `cfg.ldp_enabled` noises the uploads at Laplace scale
+    `cfg.ldp_intensity`. Deterministic given (inputs, cfg.seed) regardless
+    of client execution order. Raises FederationError when local training
+    leaves a private tensor non-finite or aggregation a shared one."""
     server = ServerState(server_ps)
     pool: List[np.random.Generator] = []  # the rounds' per-client streams
-    noised = noise_cfg is not None and noise_cfg.enabled
-    order = _draw_order(server_ps.layout.cohort) if noised else None
+    order = _draw_order(server_ps.layout.cohort) if cfg.ldp_enabled else None
 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
-        idx = select_clients(len(arrays.uids), cfg.client_fraction, r, seed)
+        idx = select_clients(len(arrays.uids), cfg.client_fraction, r, cfg.seed)
         # a diverging round overflows; the finiteness checks stop it with an
         # error naming the round, so numpy's warnings would only come first
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = local_train(arrays, idx, server.params, cfg, r, seed, pool)
+            batch = local_train(arrays, idx, server.params, cfg, r, pool)
             live = len(batch.uids)
-            if live and noised:
-                rngs = derive_generators(seed, r, batch.uids, 2, pool)
-                batch = replace(batch, shared=noise_uploads(batch.shared, noise_cfg, rngs, order))
+            if live and cfg.ldp_enabled:
+                rngs = derive_generators(cfg.seed, r, batch.uids, 2, pool)
+                batch = replace(batch, shared=noise_uploads(batch.shared, cfg.ldp_intensity, rngs, order))
             report = RoundReport(
                 round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0
             )

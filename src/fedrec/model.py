@@ -34,7 +34,6 @@ pass over them at the end.
 """
 from __future__ import annotations
 
-import fnmatch
 import functools
 import json
 import math
@@ -49,6 +48,7 @@ FROZEN, PRIVATE, SHARED = "frozen", "private", "shared"
 TAGS = (FROZEN, PRIVATE, SHARED)
 
 GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE = "learned", "uniform", "common", "none"
+ADAPTER_LAYERS = ("all", "hidden")  # adapters on every MLP layer, or on all but the output
 
 GROUP_PREFIX = "adapter/group/"
 
@@ -76,7 +76,7 @@ class Arch:
     mlp_hidden: Tuple[int, ...] = (32, 8)
     adapter_rank: int = 2
     gate_hidden: int = 8
-    adapter_layers: str = "all"  # "all" | "hidden"
+    adapter_layers: str = "all"  # one of ADAPTER_LAYERS
     use_user_adapter: bool = True
     group_attrs: Tuple[str, ...] = ()
     gate_mode: str = GATE_LEARNED
@@ -84,7 +84,7 @@ class Arch:
     def __post_init__(self):
         if self.embed_dim < 1:
             raise ShapeError("embed_dim must be >= 1")
-        if self.adapter_layers not in ("all", "hidden"):
+        if self.adapter_layers not in ADAPTER_LAYERS:
             raise ShapeError(f"bad adapter_layers {self.adapter_layers!r}")
         if self.gate_mode not in (GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE):
             raise ShapeError(f"bad gate_mode {self.gate_mode!r}")
@@ -295,9 +295,6 @@ class ParamSet:
         out._fill(updates)
         return out
 
-    def names(self, pattern: str = "*") -> List[str]:
-        return sorted(n for n in self.tensors if fnmatch.fnmatchcase(n, pattern))
-
     def check_finite(self):
         """Raise ShapeError naming a tensor that holds a non-finite value."""
         for vec in self.flat.values():
@@ -333,12 +330,10 @@ def init_user_adapter(arch: Arch, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([np.zeros(0), *(t.ravel() for t in _draw(user_adapter_specs(arch), rng).values())])
 
 
-def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None, pattern: str = "*") -> int:
-    """Total scalar count over tensors matching the tag filter and pattern."""
+def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None) -> int:
+    """Total scalar count over the tensors whose tag is in `tags` (default all)."""
     wanted = set(TAGS) if tags is None else set(tags)
-    return int(
-        sum(t.size for n, t in ps.tensors.items() if ps.tags[n] in wanted and fnmatch.fnmatchcase(n, pattern))
-    )
+    return int(sum(t.size for n, t in ps.tensors.items() if ps.tags[n] in wanted))
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,9 @@ own generator.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    intensity: float = 0.0  # Laplace scale; 0 is a valid no-op
-    enabled: bool = False
-
-    def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError(f"noise intensity {self.intensity} < 0")
 
 
 def laplace_noise(lam: float, shape, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -46,16 +35,13 @@ def laplace_noise(lam: float, shape, rngs: Sequence[np.random.Generator]) -> np.
 
 
 def noise_uploads(
-    uploads: np.ndarray, config: NoiseConfig, rngs: Sequence[np.random.Generator], order: np.ndarray
+    uploads: np.ndarray, scale: float, rngs: Sequence[np.random.Generator], order: np.ndarray
 ) -> np.ndarray:
-    """Independent Laplace noise on every scalar of C uploads.
+    """Independent Laplace(scale) noise on every scalar of C uploads.
 
     Row c of `uploads` (C, P) is client c's, and rngs[c] draws its noise;
     column j takes draw order[j] of the row. Returns a new matrix and leaves
-    the input untouched; without noise (disabled, or no rows) returns
-    `uploads` itself. Uploads only ever contain shared tensors, so private
-    tensors are never noised.
+    the input untouched. Uploads only ever contain shared tensors, so
+    private tensors are never noised.
     """
-    if not config.enabled or not len(rngs):
-        return uploads
-    return uploads + laplace_noise(config.intensity, uploads.shape[1], rngs)[:, order]
+    return uploads + laplace_noise(scale, uploads.shape[1], rngs)[:, order]

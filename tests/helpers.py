@@ -1,4 +1,5 @@
 """Shared test utilities: independent oracles and fixtures."""
+import fnmatch
 import math
 from dataclasses import dataclass, replace
 from typing import Dict, List
@@ -18,6 +19,7 @@ from fedrec.data import (
     runs,
     sample_negatives,
 )
+from fedrec.experiment import ARMS, FEDPA_RULES
 from fedrec.federation import (
     ClientArrays,
     FederationError,
@@ -48,6 +50,9 @@ from fedrec.privacy import laplace_noise
 
 
 SPLIT_KEYS = ("train", "val", "test")
+# partition rules under the names the tests use: the paper's method, and
+# every tensor shared
+RULES = {"fedpa": FEDPA_RULES, "full": ARMS["no_adapter"][1]}
 
 
 @dataclass
@@ -242,14 +247,29 @@ def score_rows_reference(scores, labels, counts):
     ]
 
 
-def noise_upload(upload, config, rng):
+def noise_upload(upload, scale, rng):
     """Per-client oracle for privacy.noise_uploads: one laplace_noise draw
     per tensor of one client's upload, in upload order, from its own
     Generator."""
-    if not config.enabled:
-        return upload
-    noised = {n: t + laplace_noise(config.intensity, t.shape, [rng])[0] for n, t in upload.tensors.items()}
+    noised = {n: t + laplace_noise(scale, t.shape, [rng])[0] for n, t in upload.tensors.items()}
     return replace(upload, tensors=noised)
+
+
+def tensor_names(ps, pattern="*"):
+    """The sorted names of the tensors of `ps` that match `pattern`."""
+    return sorted(n for n in ps.tensors if fnmatch.fnmatchcase(n, pattern))
+
+
+def count_matching(ps, pattern):
+    """Scalars in the tensors of `ps` whose names match `pattern`."""
+    return sum(ps.tensors[n].size for n in tensor_names(ps, pattern))
+
+
+def prediction_mse(a, b, UA, VA):
+    """Mean squared difference of two models' predicted probabilities."""
+    pa, _ = forward_batch(a, UA, VA)
+    pb, _ = forward_batch(b, UA, VA)
+    return float(np.mean((pa - pb) ** 2))
 
 
 def gradient(ps, tensors):
@@ -391,7 +411,7 @@ def uploads_of(batch, clients, arch):
         if c is None:
             out.append(Upload(client.uid, {}, 0, dict(client.groups), skipped=True))
             continue
-        out.append(Upload(client.uid, upload_tensors(batch, c, arch), int(batch.n_examples[c]),
+        out.append(Upload(client.uid, upload_tensors(batch, c, arch), len(client.shards["train"]),
                           dict(client.groups)))
     return out
 
@@ -427,18 +447,17 @@ def batch_of(uploads, arch):
                     shared[c, at + a : at + b] = u.tensors[name].ravel()
     return UploadBatch(
         uids=np.array([u.uid for u in live], dtype=np.int64),
-        n_examples=np.array([u.n_examples for u in live], dtype=np.int64),
         groups=groups,
         shared=shared,
         layout=lay,
     )
 
 
-def train_cohort(clients, global_ps, cfg, round_index, seed):
+def train_cohort(clients, global_ps, cfg, round_index):
     """federation.local_train on all of `clients`, stacked as a run holds
     them; writes their private tensors back and returns the UploadBatch."""
     arrays = stack(clients, global_ps.arch, ("train",))
-    batch = local_train(arrays, np.arange(len(clients)), global_ps, cfg, round_index, seed, [])
+    batch = local_train(arrays, np.arange(len(clients)), global_ps, cfg, round_index, [])
     write_back(arrays, clients, global_ps.arch)
     return batch
 
@@ -465,7 +484,7 @@ def compare_models(model_a, model_b, UA, VA, labels):
     return auc(pa, labels) - auc(pb, labels), precision(pa, labels) - precision(pb, labels)
 
 
-def client_local_train(client, global_ps, cfg, round_index, seed):
+def client_local_train(client, global_ps, cfg, round_index):
     """Per-client oracle for federation.local_train: overlay the client's
     private tensors on the global ones, run E local epochs of SGD on its own
     train shard, persist the private tensors, return the upload."""
@@ -476,9 +495,9 @@ def client_local_train(client, global_ps, cfg, round_index, seed):
     ps = global_ps.with_tensors({k: v.copy() for k, v in client.private.items()})
     n = len(shard)
     UA = user_matrix(client, n)
-    rng = np.random.default_rng([seed, round_index, client.uid, 1])
+    rng = np.random.default_rng([cfg.seed, round_index, client.uid, 1])
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.batch_size, cfg.lr, rng)
+        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.fed_batch, cfg.fed_lr, rng)
 
     client.private = {k: ps.tensors[k] for k in client.private}
     tensors = {n_: ps.tensors[n_] for n_ in upload_names(ps, client)}
@@ -511,7 +530,6 @@ def split_per_user_chronological_rows(rows):
     dropped = set()
     for uid, user_rows in by_user.items():
         if len(user_rows) < MIN_FED_INTERACTIONS:
-            report.dropped_users += 1
             report.dropped_user_ids.append(uid)
             dropped.add(uid)
             continue

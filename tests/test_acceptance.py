@@ -15,11 +15,18 @@ import pytest
 from fedrec.cli import main as cli_main
 from fedrec.data import AttributeSchema
 from fedrec.distill import DistillConfig, distill
-from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset, run_arm
+from fedrec.experiment import (
+    FEDPA_RULES,
+    ExperimentConfig,
+    build_arch,
+    prepare_dataset,
+    pretrain_base,
+    run_arm,
+)
 from fedrec.federation import (
-    PartitionPolicy,
     ServerState,
     aggregate_uploads,
+    partition,
     pretrain,
     pretrain_examples,
 )
@@ -72,8 +79,7 @@ def bench():
         t0 = time.perf_counter()
         cfg = bench_cfg(seed)
         ds, _ = prepare_dataset(cfg)
-        pre, _ = pretrain(ds, build_arch(cfg, ds), cfg.pre_epochs, cfg.pre_lr,
-                          cfg.pre_batch, seed, cfg.neg_ratio)
+        pre, _ = pretrain_base(cfg, ds)
         fedpa = run_arm(cfg, ds, "fedpa", pre)
         no_adapter = run_arm(cfg, ds, "no_adapter", pre)
         out["a4_seconds"] += time.perf_counter() - t0
@@ -156,7 +162,7 @@ def test_a3_aggregation_oracle():
     arch = default_grad_arch()
     worst = 0.0
     for seed in range(3):
-        ps = PartitionPolicy.preset("fedpa").apply(init_params(arch, seed))
+        ps = partition(init_params(arch, seed), FEDPA_RULES)
         server = ServerState(ps)
         rng = np.random.default_rng(seed)
         groups_of = [{"ua0": 0, "ua1": 0}, {"ua0": 0, "ua1": 1}, {"ua0": 1, "ua1": 0}]
@@ -242,7 +248,7 @@ def test_a8_communication_accounting():
     cfg = ExperimentConfig(seed=0)  # default architecture and schema
     ds, _ = prepare_dataset(cfg)
     arch = build_arch(cfg, ds)
-    ps = PartitionPolicy.preset("fedpa").apply(init_params(arch, 0))
+    ps = partition(init_params(arch, 0), FEDPA_RULES)
 
     # closed-form oracle, written out from first principles
     d = cfg.embed_dim

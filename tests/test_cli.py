@@ -6,13 +6,18 @@ import string
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedrec import cli
 from fedrec.cli import main
 from fedrec.config import ConfigError, parse_config_text, parse_value
-from fedrec.experiment import KEYS, ExperimentConfig
+from fedrec.experiment import ARMS, KEYS, ExperimentConfig, prepare_dataset
+from fedrec.federation import pretrain_examples
+from fedrec.metrics import auc
+from fedrec.model import load_params, predict
 
 BASE_CFG = """
 # small synthetic world for CLI smoke tests
@@ -104,7 +109,7 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match="ldp.enabled = false"):
             ExperimentConfig.from_dict({"ldp.intensity": "0.2"})
         cfg = ExperimentConfig.from_dict({"ldp.intensity": "0.2", "ldp.enabled": "true"})
-        assert cfg.noise_config().intensity == 0.2
+        assert (cfg.ldp_enabled, cfg.ldp_intensity) == (True, 0.2)
 
 
 class TestTrainingKeyBounds:
@@ -138,7 +143,7 @@ class TestTrainingKeyBounds:
     def test_least_values_accepted(self):
         least = {
             "pretrain.batch": ("1", 1), "pretrain.epochs": ("0", 0), "fed.batch": ("1", 1),
-            "fed.local_epochs": ("0", 0), "synth.n_users": ("1", 1), "synth.n_items": ("1", 1),
+            "fed.local_epochs": ("0", 0), "synth.n_users": ("2", 2), "synth.n_items": ("1", 1),
             "synth.interactions_per_user": ("1", 1), "synth.user_attrs": ("1", (1,)),
             "synth.item_attrs": ("1", (1,)), "synth.beta": ("0", 0.0), "synth.pref_spread": ("0", 0.0),
             "arch.embed_dim": ("1", 1), "arch.adapter_rank": ("1", 1), "arch.gate_hidden": ("1", 1),
@@ -191,6 +196,62 @@ class TestTrainingKeyBounds:
         assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
         err = capsys.readouterr().err
         assert key in err and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    # a closed set is checked when the config loads, before any data is
+    # prepared
+    @pytest.mark.parametrize("command, line, valid", [
+        ("federate", "fed.arm = bogus", ARMS),
+        ("ablate", "ablate.arms = fedpa,bogus", ARMS),
+        ("federate", "arch.adapter_layers = bogus", ("all", "hidden")),
+        ("synth", "data.source = bogus", ("synth", "files")),
+    ])
+    def test_closed_set_key_fails_at_load(self, tmp_path, capsys, monkeypatch, command, line, valid):
+        def refuse(cfg):
+            pytest.fail("data prepared before the config was checked")
+
+        monkeypatch.setattr(cli, "prepare_dataset", refuse)
+        monkeypatch.setattr(cli, "build_raw_dataset", refuse)
+        key = line.split(" = ")[0]
+        assert run(command, "--config", write_cfg(tmp_path, line + "\n"), "--out", str(tmp_path / "out"),
+                   "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r}: 'bogus' is not one of {', '.join(valid)}\n"
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"arm": "bogus"}, "config key 'fed.arm': 'bogus' is not one of fedpa, "),
+        ({"ablate_arms": ("fedpa", "bogus")}, "config key 'ablate.arms': 'bogus' is not one of fedpa, "),
+        ({"adapter_layers": "bogus"}, "config key 'arch.adapter_layers': 'bogus' is not one of all, hidden"),
+        ({"source": "bogus"}, "config key 'data.source': 'bogus' is not one of synth, files"),
+        ({"fed_lr": -1.0}, r"config key 'fed.lr': -1.0 is outside \(0, inf\)"),
+        ({"mlp_hidden": (8, 0)}, r"config key 'arch.mlp_hidden': 0 is outside \[1, inf\)"),
+    ])
+    def test_bounds_checked_on_a_config_built_in_code(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**kwargs)
+
+    def test_one_user_cannot_be_split(self, tmp_path, capsys):
+        # the pretrain and federated pools each need a user: a synthetic
+        # world fails at load, and a file world when it is split
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(BASE_CFG.replace("synth.n_users = 24", "synth.n_users = 1"))
+        assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert capsys.readouterr().err == "error: config key 'synth.n_users': 1 is outside [2, inf)\n"
+        (tmp_path / "u.csv").write_text("user_id,ua0\n0,0\n")
+        (tmp_path / "i.csv").write_text("item_id,ia0\n0,0\n1,1\n")
+        (tmp_path / "x.csv").write_text("user_id,item_id,timestamp\n0,0,1\n0,1,2\n")
+        paths = "".join(f"data.{key} = {tmp_path / name}\n"
+                        for key, name in (("users", "u.csv"), ("items", "i.csv"), ("interactions", "x.csv")))
+        files = write_cfg(tmp_path, "data.source = files\n" + paths)
+        assert run("federate", "--config", files, "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the pretrain/federated user split needs at least two users; the dataset has 1\n"
+
+    def test_unknown_group_attribute_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE_CFG.replace("group.attrs = ua0", "group.attrs = ua0,ua9"))
+        assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key 'group.attrs': unknown attribute 'ua9'; valid: ua0, ua1\n"
 
     def test_seed_flag_is_checked_like_the_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -408,6 +469,24 @@ class TestEval:
         assert run("eval", "--config", str(cfg2), "--quiet") == 0
         out = json.loads(capsys.readouterr().out)
         assert 0.0 <= out["auc_1e2"] <= 100.0
+
+
+    def test_scores_a_federated_checkpoint(self, tmp_path, capsys):
+        # the server's group adapters serve the pretrain rows of each
+        # group's users
+        cfg = write_cfg(tmp_path)
+        fed = tmp_path / "fed"
+        assert run("federate", "--config", cfg, "--out", str(fed), "--quiet") == 0
+        cfg2 = tmp_path / "eval.cfg"
+        cfg2.write_text(BASE_CFG + f"eval.checkpoint = {fed / 'server.npz'}\n")
+        assert run("eval", "--config", str(cfg2), "--quiet") == 0
+        out = json.loads(capsys.readouterr().out)
+        # each row scored on its own with its user's group
+        ps = load_params(str(fed / "server.npz"))
+        exp = ExperimentConfig.from_dict(parse_config_text(BASE_CFG))
+        UA, VA, y = pretrain_examples(prepare_dataset(exp)[0], exp.seed, exp.neg_ratio)
+        probs = [predict(ps, u, v, {"ua0": int(u[0])}) for u, v in zip(UA.tolist(), VA.tolist())]
+        assert out["auc_1e2"] == round(auc(np.array(probs), y) * 100.0, 4)
 
 
 class TestErrors:

@@ -2,6 +2,7 @@
 import copy
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,20 +11,20 @@ from hypothesis import strategies as st
 
 from fedrec import model
 from fedrec.data import SynthConfig
-from fedrec.experiment import ExperimentConfig, arm_settings, build_arch, prepare_dataset
+from fedrec.experiment import ARMS, ExperimentConfig, build_arch, prepare_dataset
 from fedrec.federation import (
-    FedConfig,
     FederationError,
-    PartitionPolicy,
     ServerState,
     _cohort,
     aggregate_uploads,
     build_clients,
     evaluate_global,
+    partition,
 )
 from fedrec.metrics import UndefinedMetricError, auc
 from fedrec.model import FROZEN, ParamSet, forward_batch, init_params
 from helpers import (
+    RULES,
     Shard,
     aggregate,
     batch_of,
@@ -38,7 +39,7 @@ from helpers import (
 
 SEED = 3
 # 18 train rows per client: batches of 8, 8 and 2
-FED = FedConfig(local_epochs=2, lr=0.3, batch_size=8)
+FED = ExperimentConfig(seed=SEED, local_epochs=2, fed_lr=0.3, fed_batch=8)
 
 
 def uniform_cfg():
@@ -79,10 +80,9 @@ def world_arrays(cfg, arm="fedpa", policy=None):
     """Server ParamSet (every tensor perturbed off its init, so adapters and
     gates are live), the arm's fresh ClientArrays and the prepared dataset."""
     ds, _ = prepare_dataset(cfg)
-    _, arm_policy, _ = arm_settings(cfg, arm)
     arch = build_arch(cfg, ds, arm)
     ps = randomized_params(init_params(arch, SEED), SEED, scale=0.3)
-    ps = PartitionPolicy.preset(policy or arm_policy).apply(ps)
+    ps = partition(ps, RULES[policy] if policy else ARMS[arm][1])
     return ps, build_clients(ds, arch, SEED), ds
 
 
@@ -99,7 +99,7 @@ def uniform_world():
 
 def cohort_uploads(clients, ps, cfg=FED, round_index=0):
     """Per-client Uploads of one cohort round of `clients`."""
-    return uploads_of(train_cohort(clients, ps, cfg, round_index, SEED), clients, ps.arch)
+    return uploads_of(train_cohort(clients, ps, cfg, round_index), clients, ps.arch)
 
 
 def stacked(clients, ps, split):
@@ -131,8 +131,8 @@ def against_oracle(ps, clients, rounds=2, atol=0.0):
     lone, cohort = copy.deepcopy(clients), copy.deepcopy(clients)
     s_lone, s_cohort = ServerState(ps), ServerState(ps)
     for r in range(rounds):
-        want = [client_local_train(c, s_lone.params, FED, r, SEED) for c in lone]
-        batch = train_cohort(cohort, s_cohort.params, FED, r, SEED)
+        want = [client_local_train(c, s_lone.params, FED, r) for c in lone]
+        batch = train_cohort(cohort, s_cohort.params, FED, r)
         got = uploads_of(batch, cohort, ps.arch)
         assert_uploads_match(got, want, atol)
         for a, b in zip(cohort, lone):
@@ -156,7 +156,7 @@ class TestAgainstPerClientOracle:
     def test_ragged_file_shards_within_1e12(self, tmp_path):
         ps, clients = world(ragged_cfg(tmp_path))
         sizes = [len(c.shards["train"]) for c in clients]
-        assert min(sizes) < FED.batch_size < max(sizes)
+        assert min(sizes) < FED.fed_batch < max(sizes)
         empty = clients[1]
         empty.shards["train"] = Shard(np.zeros((0, 1), dtype=np.int64), np.zeros(0))
         got = against_oracle(ps, clients, atol=1e-12)
@@ -186,7 +186,7 @@ def test_group_adapters_with_mixed_tags_rejected():
     ps, clients = uniform_world()
     tags = {n: FROZEN if n.startswith("adapter/group/ua0/0/") else t for n, t in ps.tags.items()}
     with pytest.raises(FederationError, match="partition tags"):
-        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
+        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0)
 
 
 def test_frozen_user_adapter_rejected():
@@ -194,7 +194,7 @@ def test_frozen_user_adapter_rejected():
     ps, clients = uniform_world()
     tags = {n: FROZEN if n.startswith("adapter/user/") else t for n, t in ps.tags.items()}
     with pytest.raises(FederationError, match="user adapter"):
-        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0, SEED)
+        train_cohort(copy.deepcopy(clients), ParamSet(ps.arch, ps.tensors, tags), FED, 0)
 
 
 def test_stacked_forward_without_cache_equals_cached():
@@ -253,11 +253,11 @@ class TestLocalStepClosedForm:
 
         monkeypatch.setattr(model, "sgd_step", counting_step)
         monkeypatch.setattr(model, "backward_batch", counting_backward)
-        cfg = FedConfig(local_epochs=3, lr=0.3, batch_size=8)
-        train_cohort(clients, ps, cfg, 0, SEED)
+        cfg = replace(FED, local_epochs=3)
+        train_cohort(clients, ps, cfg, 0)
 
         sizes = np.array([len(c.shards["train"]) for c in clients])
-        per_epoch = math.ceil(sizes.max() / cfg.batch_size)
+        per_epoch = math.ceil(sizes.max() / cfg.fed_batch)
         assert len(steps) == cfg.local_epochs * per_epoch
         for e in range(cfg.local_epochs):
             assert np.array_equal(np.sum(rows[e * per_epoch : (e + 1) * per_epoch], axis=0), sizes)

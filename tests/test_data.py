@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -136,9 +136,10 @@ class TestLoadDataset:
 
     def test_attribute_value_over_cardinality(self, csv_paths):
         users, items, inter = csv_paths
-        schema = AttributeSchema(("age",), (1,))
-        with pytest.raises(DataError):
-            load_dataset(users, items, inter, user_schema=schema)
+        # user 0's age is 1, outside a one-category schema
+        ds = replace(load_dataset(users, items, inter), user_schema=AttributeSchema(("age",), (1,)))
+        with pytest.raises(DataError, match=r"user 0: attribute 'age' value 1 outside \[0, 1\)"):
+            ds.validate()
 
 
 def ten_user_dataset():
@@ -200,7 +201,7 @@ class TestChronologicalSplit:
         counts = {tag: sum(r.split == tag for r in ds.interactions)
                   for tag in (FED_TRAIN, FED_VAL, FED_TEST)}
         assert counts == {FED_TRAIN: 6, FED_VAL: 2, FED_TEST: 2}
-        assert rep.dropped_users == 0
+        assert rep.dropped_user_ids == []
 
     def test_5_interactions_311(self):
         # ceiling rule by hand: ceil(3)=3 train, ceil(1)=1 val, 1 test
@@ -222,7 +223,7 @@ class TestChronologicalSplit:
 
     def test_too_few_interactions_drops_user(self):
         ds, rep = split_per_user_chronological(self.make(4))
-        assert rep.dropped_users == 1 and rep.dropped_user_ids == [0]
+        assert rep.dropped_user_ids == [0]
         assert ds.interactions == []
 
     def test_chronological_order_invariant(self):

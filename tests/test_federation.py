@@ -17,20 +17,19 @@ from fedrec.data import (
     synth_generate,
 )
 from fedrec.federation import (
-    FedConfig,
     FederationError,
-    PartitionPolicy,
     ServerState,
     aggregate_uploads,
     build_clients,
     evaluate_global,
+    partition,
     pretrain,
     pretrain_examples,
     run_federated,
     select_clients,
     warm_start,
 )
-from fedrec.experiment import build_arch, prepare_dataset
+from fedrec.experiment import FEDPA_RULES, ExperimentConfig, build_arch, prepare_dataset
 from fedrec.metrics import UndefinedMetricError
 from fedrec.model import (
     FROZEN,
@@ -45,8 +44,8 @@ from fedrec.model import (
     init_params,
     sgd_step,
 )
-from fedrec.privacy import NoiseConfig
 from helpers import (
+    RULES,
     SPLIT_KEYS,
     ClientState,
     Shard,
@@ -55,7 +54,9 @@ from helpers import (
     batch_of,
     build_clients_reference,
     client_objects,
+    count_matching,
     stack,
+    tensor_names,
     train_cohort,
     upload_names,
     uploads_of,
@@ -75,39 +76,39 @@ def make_world(seed=0):
 
 
 def make_server(arch, seed=0, policy="fedpa"):
-    ps = PartitionPolicy.preset(policy).apply(init_params(arch, seed))
+    ps = partition(init_params(arch, seed), RULES[policy])
     return ServerState(ps)
 
 
 class TestPartitionPolicy:
     def test_fedpa_tags(self):
-        p = PartitionPolicy.preset("fedpa")
-        assert p.tag_of("item_emb/ia0") == FROZEN
-        assert p.tag_of("mlp/0/W") == FROZEN
-        assert p.tag_of("adapter/user/0/A") == PRIVATE
-        assert p.tag_of("user_emb/ua0") == SHARED
-        assert p.tag_of("adapter/group/ua0/1/0/B") == SHARED
-        assert p.tag_of("gate/0/W1") == SHARED
+        _, arch = make_world()
+        tags = partition(init_params(arch, 0), FEDPA_RULES).tags
+        assert tags["item_emb/ia0"] == FROZEN
+        assert tags["mlp/0/W"] == FROZEN
+        assert tags["adapter/user/0/A"] == PRIVATE
+        assert tags["user_emb/ua0"] == SHARED
+        assert tags["adapter/group/ua0/1/0/B"] == SHARED
+        assert tags["gate/0/W1"] == SHARED
 
     def test_full_tags_everything_shared(self):
-        p = PartitionPolicy.preset("full")
-        for n in ("item_emb/x", "mlp/0/W", "adapter/user/0/A", "gate/0/W2"):
-            assert p.tag_of(n) == SHARED
-
-    def test_unknown_policy(self):
-        with pytest.raises(FederationError):
-            PartitionPolicy.preset("nope")
+        _, arch = make_world()
+        tags = partition(init_params(arch, 0), RULES["full"]).tags
+        for n in ("item_emb/ia0", "mlp/0/W", "adapter/user/0/A", "gate/0/W2"):
+            assert tags[n] == SHARED
 
     def test_ambiguous_or_unmatched_tensor(self):
-        p = PartitionPolicy("two", (("a/*", SHARED), ("a/b*", FROZEN)))
-        with pytest.raises(FederationError):
-            p.tag_of("a/b/c")
-        with pytest.raises(FederationError):
-            PartitionPolicy.preset("fedpa").tag_of("unheard/of")
+        _, arch = make_world()
+        ps = init_params(arch, 0)
+        with pytest.raises(FederationError, match="'mlp/0/W' matches 2 partition rules"):
+            partition(ps, RULES["full"] + (("mlp/*", FROZEN),))
+        # the fedpa rules without a rule for the gate
+        with pytest.raises(FederationError, match="'gate/0/W1' matches 0 partition rules"):
+            partition(ps, FEDPA_RULES[:-1])
 
     def test_apply_covers_every_tensor(self):
         _, arch = make_world()
-        ps = PartitionPolicy.preset("fedpa").apply(init_params(arch, 0))
+        ps = partition(init_params(arch, 0), FEDPA_RULES)
         assert set(ps.tags) == set(ps.tensors)
         assert all(t in (FROZEN, PRIVATE, SHARED) for t in ps.tags.values())
 
@@ -152,7 +153,7 @@ class TestWarmStart:
         for n in base_ps.tensors:
             assert np.array_equal(ps.tensors[n], base_ps.tensors[n])
         # adapter/gate tensors exist on top
-        assert ps.names("adapter/*") and ps.names("gate/*")
+        assert tensor_names(ps, "adapter/*") and tensor_names(ps, "gate/*")
 
     def test_shape_mismatch_rejected(self):
         ds, arch = make_world()
@@ -275,7 +276,8 @@ class TestSelectClients:
 
 def train_one(client, server, cfg, seed=0):
     """One client's upload from a cohort round of that client alone."""
-    return uploads_of(train_cohort([client], server.params, cfg, 0, seed), [client], server.params.arch)
+    cfg = replace(cfg, seed=seed)
+    return uploads_of(train_cohort([client], server.params, cfg, 0), [client], server.params.arch)
 
 
 class TestClientLocalTrain:
@@ -288,7 +290,7 @@ class TestClientLocalTrain:
     def test_upload_contains_only_own_shared_tensors(self):
         clients, server = self.setup_world()
         c = clients[0]
-        cfg = FedConfig(local_epochs=1, lr=0.05, batch_size=8)
+        cfg = ExperimentConfig(local_epochs=1, fed_lr=0.05, fed_batch=8)
         (up,) = train_one(c, server, cfg)
         names = set(up.tensors)
         assert all(server.params.tags[n] == SHARED for n in names)
@@ -305,7 +307,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         before = {k: v.copy() for k, v in c.private.items()}
-        cfg = FedConfig(local_epochs=0, lr=0.05, batch_size=8)
+        cfg = ExperimentConfig(local_epochs=0, fed_lr=0.05, fed_batch=8)
         (up,) = train_one(c, server, cfg)
         for n, t in up.tensors.items():
             assert np.array_equal(t, server.params.tensors[n])
@@ -318,7 +320,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         n = len(c.shards["train"])
-        cfg = FedConfig(local_epochs=1, lr=0.1, batch_size=max(n, 1))
+        cfg = ExperimentConfig(local_epochs=1, fed_lr=0.1, fed_batch=max(n, 1))
         ps = server.params.with_tensors({k: v.copy() for k, v in c.private.items()})
         rng = np.random.default_rng([0, 0, c.uid, 1])
         order = rng.permutation(n)
@@ -336,7 +338,7 @@ class TestClientLocalTrain:
         clients, server = self.setup_world()
         c = clients[0]
         c.shards["train"] = Shard(np.zeros((0, 1), dtype=np.int64), np.zeros(0))
-        (up,) = train_one(c, server, FedConfig())
+        (up,) = train_one(c, server, ExperimentConfig())
         assert up.skipped and up.tensors == {} and up.n_examples == 0
 
 
@@ -373,17 +375,18 @@ class TestAggregate:
 
         def upload(uid, g, value):
             # the client's whole group segment, every value `value`
-            tensors = {n: np.full(ps.tensors[n].shape, value) for n in ps.names(f"adapter/group/ua0/{g}/*")}
+            names = tensor_names(ps, f"adapter/group/ua0/{g}/*")
+            tensors = {n: np.full(ps.tensors[n].shape, value) for n in names}
             return Upload(uid, tensors, 4, {"ua0": g})
 
         # clients 0 and 1 in group 0, client 2 in group 1, nobody in group 2
         ups = [upload(0, 0, 1.0), upload(1, 0, 3.0), upload(2, 1, 9.0)]
         out = aggregate_uploads(batch_of(ups, arch), server)
-        for n in ps.names("adapter/group/ua0/0/*"):
+        for n in tensor_names(ps, "adapter/group/ua0/0/*"):
             assert np.all(out.params.tensors[n] == 2.0), n
-        for n in ps.names("adapter/group/ua0/1/*"):
+        for n in tensor_names(ps, "adapter/group/ua0/1/*"):
             assert np.all(out.params.tensors[n] == 9.0), n
-        for n in ps.names("adapter/group/ua0/2/*"):
+        for n in tensor_names(ps, "adapter/group/ua0/2/*"):
             assert np.array_equal(out.params.tensors[n], ps.tensors[n]), n
 
     def test_permutation_invariance(self):
@@ -423,7 +426,7 @@ class TestAggregateUploads:
         _, arch = make_world()
         arch = replace(arch, group_attrs=("ua0", "ua1"))
         policy = data.draw(st.sampled_from(["fedpa", "full"]), label="policy")
-        server = ServerState(PartitionPolicy.preset(policy).apply(init_params(arch, 0)))
+        server = ServerState(partition(init_params(arch, 0), RULES[policy]))
         groups = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=7),
                            label="groups")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -447,8 +450,8 @@ class TestAggregateUploads:
             client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g}, {}, {})
             ups.append(Upload(uid, {n: ps.tensors[n] for n in upload_names(ps, client)}, 3, client.groups))
         # rows that also hold the user adapter, which fedpa keeps private
-        user = [Upload(u.uid, {**u.tensors, **{n: ps.tensors[n] for n in ps.names("adapter/user/*")}},
-                       3, u.groups) for u in ups]
+        adapter = {n: ps.tensors[n] for n in tensor_names(ps, "adapter/user/*")}
+        user = [Upload(u.uid, {**u.tensors, **adapter}, 3, u.groups) for u in ups]
         with pytest.raises(FederationError, match="client 4 .*'adapter/user/0/A'"):
             aggregate_uploads(batch_of(user, arch), server)
         # group 1's adapter frozen: only its member's row is at fault
@@ -535,19 +538,21 @@ class TestEvaluateGlobal:
 
 class TestRunFederated:
     def run(self, seed=0, rounds=3, noise=None, policy="fedpa"):
-        """The run's final ServerState and its clients."""
+        """The run's final ServerState and its clients; `noise` is the
+        Laplace scale of the upload noise, None for none."""
         ds, arch = make_world(seed=1)
         arrays = build_clients(ds, arch, seed=seed)
         server = make_server(arch, seed=seed, policy=policy)
-        cfg = FedConfig(rounds=rounds, local_epochs=1, lr=0.05, batch_size=8)
-        return run_federated(server.params, arrays, cfg, noise, seed=seed), arrays
+        cfg = ExperimentConfig(rounds=rounds, local_epochs=1, fed_lr=0.05, fed_batch=8, seed=seed,
+                               ldp_enabled=noise is not None, ldp_intensity=noise or 0.0)
+        return run_federated(server.params, arrays, cfg), arrays
 
     def test_zero_rounds_identity(self):
         ds, arch = make_world(seed=1)
         arrays = build_clients(ds, arch, seed=0)
         private = arrays.private.copy()
         server = make_server(arch)
-        out = run_federated(server.params, arrays, FedConfig(rounds=0), None, 0)
+        out = run_federated(server.params, arrays, ExperimentConfig(rounds=0))
         assert out.reports == []
         assert arrays.private.tobytes() == private.tobytes()
         for n in server.params.tensors:
@@ -584,11 +589,20 @@ class TestRunFederated:
 
     def test_noise_changes_shared_only(self):
         a, _ = self.run(seed=4, rounds=2)
-        b, _ = self.run(seed=4, rounds=2, noise=NoiseConfig(0.3, enabled=True))
+        b, _ = self.run(seed=4, rounds=2, noise=0.3)
         changed = [n for n in a.params.tensors
                    if not np.array_equal(a.params.tensors[n], b.params.tensors[n])]
         assert changed
         assert all(a.params.tags[n] == SHARED for n in changed)
+
+    def test_ldp_disabled_draws_no_noise(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("upload noise drawn with ldp.enabled = false")
+
+        monkeypatch.setattr(federation, "noise_uploads", refuse)
+        with pytest.raises(AssertionError):
+            self.run(seed=4, rounds=1, noise=0.0)
+        self.run(seed=4, rounds=1)
 
     def test_upload_size_below_full_policy(self):
         (fed, _), (full, _) = self.run(seed=2, rounds=1), self.run(seed=2, rounds=1, policy="full")
@@ -596,7 +610,7 @@ class TestRunFederated:
         assert 0 < r_fed[0].uploaded_per_client < r_full[0].uploaded_per_client
         # even under "full" a client only carries its own groups' adapters
         n_groups = full.params.arch.group_cards()["ua0"]
-        per_group = count_params(full.params, pattern="adapter/group/ua0/0/*")
+        per_group = count_matching(full.params, "adapter/group/ua0/0/*")
         expected = count_params(full.params) - (n_groups - 1) * per_group
         assert r_full[0].uploaded_per_client == expected
 
@@ -607,6 +621,6 @@ class TestRunFederated:
         shared_total = count_params(ps, tags=(SHARED,))
         # subtract the group adapters of the groups one client is not in
         n_groups = arch.group_cards()["ua0"]
-        per_group = count_params(ps, pattern="adapter/group/ua0/0/*")
+        per_group = count_matching(ps, "adapter/group/ua0/0/*")
         expected = shared_total - (n_groups - 1) * per_group
         assert reports[0].uploaded_per_client == expected

@@ -32,9 +32,8 @@ from fedrec.federation import (
 )
 from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset
 from fedrec.model import Arch
-from fedrec.privacy import NoiseConfig
 from helpers import client_objects, train_cohort, with_split
-from test_cohort import FED, SEED, ragged_cfg, world, world_arrays
+from test_cohort import FED, ragged_cfg, world, world_arrays
 
 
 def digest(tensors):
@@ -155,7 +154,7 @@ def test_fedpa_cohort_rounds_golden(tmp_path):
     ps, clients = world(ragged_cfg(tmp_path))
     server = ServerState(ps)
     for r in range(2):
-        server = aggregate_uploads(train_cohort(clients, server.params, FED, r, SEED), server)
+        server = aggregate_uploads(train_cohort(clients, server.params, FED, r), server)
     assert digest(server.params.tensors) == FEDPA_SERVER_DIGEST
     private = {f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}
     assert digest(private) == FEDPA_PRIVATE_DIGEST
@@ -165,8 +164,8 @@ def test_fedpa_ldp_eval_golden(tmp_path):
     # three noised rounds on ragged shards, every round evaluated: pins the
     # per-client scoring of every evaluation and the upload noise draws
     ps, arrays, _ = world_arrays(ragged_cfg(tmp_path))
-    cfg = replace(FED, rounds=3, eval_every=1)
-    server = run_federated(ps, arrays, cfg, NoiseConfig(0.2, enabled=True), SEED)
+    cfg = replace(FED, rounds=3, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
+    server = run_federated(ps, arrays, cfg)
     assert [(r.val_auc, r.val_precision) for r in server.reports] == LDP_VAL_METRICS
     assert digest(server.params.tensors) == LDP_SERVER_DIGEST
     assert evaluate_global(server.params, arrays, "test") == LDP_TEST_SUMMARY
@@ -182,8 +181,8 @@ def test_partial_participation_ldp_golden(tmp_path, arm):
     # run's client state by index; no_adapter's `full` policy uploads and
     # averages every tensor
     ps, arrays, ds = world_arrays(ragged_cfg(tmp_path), arm)
-    cfg = replace(FED, rounds=3, client_fraction=0.4, eval_every=1)
-    server = run_federated(ps, arrays, cfg, NoiseConfig(0.2, enabled=True), SEED)
+    cfg = replace(FED, rounds=3, client_fraction=0.4, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
+    server = run_federated(ps, arrays, cfg)
     want_reports, want_server, want_private = PARTIAL_GOLDEN[arm]
     assert [
         (r.round, r.n_participants, r.uploaded_per_client, r.val_auc, r.val_precision, r.skipped)

@@ -5,7 +5,7 @@ import pathlib
 import sys
 
 from fedrec.data import SynthConfig
-from fedrec.experiment import KEYS, ExperimentConfig
+from fedrec.experiment import ARMS, KEYS, ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fedrec"
@@ -323,3 +323,20 @@ def test_every_numeric_key_has_an_interval():
     unbounded = [key for key, (_, kind, interval) in KEYS.items()
                  if kind in (int, float, (int,)) and interval is None]
     assert unbounded == []
+
+
+# str keys whose values no list can hold: file paths, and the names of the
+# grouping attributes, which come from the dataset's schema
+FREE_FORM_KEYS = frozenset({
+    "data.users", "data.items", "data.interactions", "fed.init", "distill.teacher",
+    "eval.checkpoint", "out", "group.attrs",
+})
+
+
+def test_every_str_key_lists_its_values_or_is_free_form():
+    unlisted = {key for key, (_, kind, bound) in KEYS.items() if kind in (str, (str,)) and bound is None}
+    assert unlisted == FREE_FORM_KEYS
+    listed = [key for key, (_, kind, bound) in KEYS.items() if isinstance(bound, tuple)]
+    assert all(KEYS[key][1] in (str, (str,)) for key in listed)
+    # a new arm is checked at load like every other
+    assert KEYS["fed.arm"][2] == KEYS["ablate.arms"][2] == tuple(ARMS)

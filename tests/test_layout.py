@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedrec.data import AttributeSchema
-from fedrec.federation import FedConfig, PartitionPolicy, _cohort, local_train
+from fedrec.experiment import ExperimentConfig
+from fedrec.federation import _cohort, local_train, partition
 from fedrec.model import (
     FROZEN,
     GATE_COMMON,
@@ -29,7 +30,7 @@ from fedrec.model import (
     sgd_epoch,
     sgd_step,
 )
-from helpers import randomized_params, stack
+from helpers import RULES, randomized_params, stack, tensor_names
 from test_cohort import uniform_world
 
 
@@ -38,7 +39,7 @@ GATES = [GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE]
 
 @st.composite
 def archs(draw):
-    """A random architecture under a random preset policy."""
+    """A random architecture under the fedpa or the all-shared partition rules."""
     user_cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), label="user cards")
     item_cards = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2), label="item cards")
     users = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
@@ -56,7 +57,7 @@ def archs(draw):
     )
     policy = draw(st.sampled_from(["fedpa", "full"]), label="policy")
     seed = draw(st.integers(0, 2**16), label="seed")
-    return PartitionPolicy.preset(policy).apply(randomized_params(init_params(arch, seed), seed))
+    return partition(randomized_params(init_params(arch, seed), seed), RULES[policy])
 
 
 def start_of(view, vector):
@@ -80,7 +81,7 @@ class TestLayoutProperties:
         width = lay.segment[-1][1] if lay.segment else 0
         for attr, card in arch.group_cards().items():
             for g in range(card):
-                names = ps.names(f"adapter/group/{attr}/{g}/*")
+                names = tensor_names(ps, f"adapter/group/{attr}/{g}/*")
                 assert len({ps.tags[n] for n in names}) <= 1
                 spans = sorted((lay.entries[n][1], lay.entries[n][2]) for n in names)
                 assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
@@ -156,7 +157,8 @@ class TestNoCallerBufferWritten:
         idx = np.array([1, 4, 5])
         others = np.setdiff1d(np.arange(len(clients)), idx)
         before, private = snapshot(ps), arrays.private.copy()
-        batch = local_train(arrays, idx, ps, FedConfig(local_epochs=2, lr=0.3, batch_size=8), 0, 3, [])
+        cfg = ExperimentConfig(local_epochs=2, fed_lr=0.3, fed_batch=8, seed=3)
+        batch = local_train(arrays, idx, ps, cfg, 0, [])
         assert snapshot(ps) == before
         assert arrays.private[others].tobytes() == private[others].tobytes()
         assert not np.array_equal(arrays.private[idx], private[idx])

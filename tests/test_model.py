@@ -28,6 +28,7 @@ from fedrec.model import (
 from fedrec.model import _embed_grads, _layer_branches, _plan
 from helpers import (
     bce_loss,
+    count_matching,
     embed_grads_reference,
     gradient,
     embed_item,
@@ -36,6 +37,7 @@ from helpers import (
     max_rel_error,
     numeric_grad,
     randomized_params,
+    tensor_names,
 )
 
 
@@ -334,7 +336,7 @@ class TestBackward:
         arch = small_arch()
         ps = init_params(arch, 0)
         tags = dict(ps.tags)
-        for n in ps.names("item_emb/*"):
+        for n in tensor_names(ps, "item_emb/*"):
             tags[n] = FROZEN
         ps = ParamSet(arch, ps.tensors, tags)
         UA, VA, y, groups = random_batch(arch, 4, 1)
@@ -391,7 +393,7 @@ class TestCountParams:
         it = AttributeSchema(("b",), (1,))
         arch = Arch(us, it, embed_dim=4, mlp_hidden=(), gate_mode="none")
         ps = init_params(arch, 0)
-        assert count_params(ps, pattern="user_emb/*") == 40
+        assert count_matching(ps, "user_emb/*") == 40
 
     def test_adapter_pair_size(self):
         # r (k + d) with d=8, k=4, r=2
@@ -400,7 +402,7 @@ class TestCountParams:
         arch = Arch(us, it, embed_dim=4, mlp_hidden=(4,), adapter_rank=2,
                     adapter_layers="hidden", group_attrs=())
         ps = init_params(arch, 0)
-        assert count_params(ps, pattern="adapter/user/0/*") == 2 * (4 + 8)
+        assert count_matching(ps, "adapter/user/0/*") == 2 * (4 + 8)
 
     def test_closed_form_enumeration(self):
         arch = small_arch()
@@ -422,7 +424,7 @@ class TestCountParams:
 class TestInitParams:
     def test_adapter_b_zero(self):
         ps = init_params(small_arch(), 0)
-        for n in ps.names("adapter/*/B") + ps.names("adapter/*/*/*/B"):
+        for n in tensor_names(ps, "adapter/*/B") + tensor_names(ps, "adapter/*/*/*/B"):
             assert np.all(ps.tensors[n] == 0.0)
 
     def test_gate_uniform_at_init(self):
@@ -489,7 +491,7 @@ class TestProperties:
 
     def test_uniform_gate_mode_has_no_gate_tensors(self):
         ps = init_params(small_arch(gate_mode=GATE_UNIFORM), 0)
-        assert ps.names("gate/*") == []
+        assert tensor_names(ps, "gate/*") == []
 
 
 class TestSgdEpoch:
@@ -532,7 +534,8 @@ class TestSgdEpoch:
         arch = small_arch(gate_mode=gate_mode)
         ps = randomized_params(init_params(arch, seed), seed)
         if frozen_items:
-            ps = ParamSet(arch, ps.tensors, {**ps.tags, **{t: FROZEN for t in ps.names("item_emb/*")}})
+            frozen = {t: FROZEN for t in tensor_names(ps, "item_emb/*")}
+            ps = ParamSet(arch, ps.tensors, {**ps.tags, **frozen})
         UA, VA, y, groups = random_batch(arch, n, seed)
         got, loss = sgd_epoch(ps, UA, VA, y, groups, batch, 0.1, np.random.default_rng(seed), want_loss=True)
         order = np.random.default_rng(seed).permutation(n)

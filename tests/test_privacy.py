@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec.privacy import NoiseConfig, laplace_noise, noise_uploads
+from fedrec.privacy import laplace_noise, noise_uploads
 from helpers import Upload, noise_upload
 
 
@@ -48,33 +48,26 @@ class TestLaplaceNoise:
         assert not np.array_equal(a, b)
 
 
-class TestNoiseConfig:
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(intensity=-0.1, enabled=True)
-
-
 class TestNoiseUpload:
-    def test_disabled_returns_same_object(self):
-        up = np.ones((1, 4))
-        out = noise_uploads(up, NoiseConfig(0.3, enabled=False), [np.random.default_rng(0)], np.arange(4))
-        assert out is up
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError, match="laplace scale -0.1 < 0"):
+            noise_uploads(np.ones((1, 4)), -0.1, [np.random.default_rng(0)], np.arange(4))
 
     def test_enabled_perturbs_all_tensors(self):
         up = np.ones((2, 7))
         rngs = [np.random.default_rng(c) for c in range(2)]
-        out = noise_uploads(up, NoiseConfig(0.3, enabled=True), rngs, np.arange(7))
+        out = noise_uploads(up, 0.3, rngs, np.arange(7))
         assert out.shape == up.shape and np.all(out != up)
 
     def test_original_upload_untouched(self):
         up = np.ones((1, 4))
-        noise_uploads(up, NoiseConfig(0.3, enabled=True), [np.random.default_rng(0)], np.arange(4))
+        noise_uploads(up, 0.3, [np.random.default_rng(0)], np.arange(4))
         assert np.all(up == 1.0)
 
     def test_deterministic_given_rng_seed(self):
         up = np.ones((1, 4))
-        a = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])], np.arange(4))
-        b = noise_uploads(up, NoiseConfig(0.2, enabled=True), [np.random.default_rng([9, 1])], np.arange(4))
+        a = noise_uploads(up, 0.2, [np.random.default_rng([9, 1])], np.arange(4))
+        b = noise_uploads(up, 0.2, [np.random.default_rng([9, 1])], np.arange(4))
         assert np.array_equal(a, b)
 
     def test_mean_preserved_under_averaging(self):
@@ -82,7 +75,7 @@ class TestNoiseUpload:
         # recovers it closely
         base = np.full((5,), 0.7)
         rngs = [np.random.default_rng([11, uid]) for uid in range(4000)]
-        out = noise_uploads(np.tile(base, (4000, 1)), NoiseConfig(0.2, enabled=True), rngs, np.arange(5))
+        out = noise_uploads(np.tile(base, (4000, 1)), 0.2, rngs, np.arange(5))
         assert np.allclose(np.mean(out, axis=0), base, atol=0.02)
 
 
@@ -107,15 +100,14 @@ class TestOneDrawNoise:
         order = np.zeros(width, dtype=np.intp)
         for i, size in enumerate(sizes):
             order[starts[i] : starts[i + 1]] = drawn_before[i] + np.arange(size)
-        cfg = NoiseConfig(lam, enabled=True)
         rngs = [np.random.default_rng([seed, c]) for c in range(n_clients)]
         refs = [np.random.default_rng([seed, c]) for c in range(n_clients)]
-        got = noise_uploads(uploads, cfg, rngs, order)
+        got = noise_uploads(uploads, lam, rngs, order)
         assert got.shape == uploads.shape
         for c in range(n_clients):
             tensors = {f"t{i}": uploads[c, starts[i] : starts[i + 1]].reshape(shape)
                        for i, shape in reversed(list(enumerate(shapes)))}
-            want = noise_upload(Upload(c, tensors, 4, {}), cfg, refs[c])
+            want = noise_upload(Upload(c, tensors, 4, {}), lam, refs[c])
             for i in range(len(shapes)):
                 assert got[c, starts[i] : starts[i + 1]].tobytes() == want.tensors[f"t{i}"].tobytes()
             # both consumed the same number of draws
