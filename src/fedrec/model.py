@@ -346,16 +346,46 @@ def _relu(x):
 
 
 def _sigmoid(x):
-    # exp(-|x|) never overflows; both forms below equal the logistic function
+    # exp(-|x|) never overflows; 1 / (1 + e) for x >= 0 and e / (1 + e)
+    # below both equal the logistic function
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def _row_sum(x):
+    """np.add.reduce(x, axis=-1) bit for bit, as column adds.
+
+    Over a narrow last axis numpy runs its reduction loop once per row, which
+    costs more than the adds. Its loop starts from the identity +0.0 (so a
+    row of -0.0 sums to +0.0), adds a row of fewer than 8 in column order and
+    a row of 8 as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)). A wider
+    row is left to numpy, whose reduction is then the faster.
+    """
+    k = x.shape[-1]
+    if k > 8:
+        return np.add.reduce(x, axis=-1)
+    if k < 8:
+        s = x[..., 0] + 0.0
+        for j in range(1, k):
+            s += x[..., j]
+        return s
+    s = x[..., 0] + x[..., 1]
+    s += x[..., 2] + x[..., 3]
+    t = x[..., 4] + x[..., 5]
+    t += x[..., 6] + x[..., 7]
+    s += t
+    s += 0.0
+    return s
 
 
 def _softmax(a):
-    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    """Softmax over the last axis; the max is a chain of column maxima and
+    the sum a _row_sum, bit for bit numpy's row reductions."""
+    m = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        m = np.maximum(m, a[..., j])
+    e = np.exp(a - m[..., None])
+    return e / _row_sum(e)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +714,8 @@ def backward_batch(
     if valid is None:
         dZ = ((cache.probs - y) / y.shape[-1])[..., None]
     else:
-        n = np.maximum(np.add.reduce(valid, axis=-1, keepdims=True), 1)
+        # each client's valid rows as one product, not a reduction per row
+        n = np.maximum(valid @ np.ones(valid.shape[-1]), 1.0)[..., None]
         dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
     for l in range(len(cache.layers) - 1, -1, -1):
         lp, c = cache.plan.layers[l], cache.layers[l]
@@ -698,8 +729,10 @@ def backward_batch(
             dX = np.zeros_like(X)
             if lp.gate is not None:
                 (W1, gW1), (W2, gW2) = lp.gate
-                dG = np.stack([np.add.reduce(v * dZ, axis=-1) for v in c.V], axis=-1)
-                dA = G * (dG - np.add.reduce(G * dG, axis=-1, keepdims=True))
+                dG = np.empty(G.shape)
+                for j, v in enumerate(c.V):
+                    dG[..., j] = _row_sum(v * dZ)
+                dA = G * (dG - _row_sum(G * dG)[..., None])
                 if gW2 is not None:
                     np.matmul(dA.mT, c.S, out=gW2)
                 dZ1 = (dA @ W2) * (c.Z1 > 0)
@@ -805,8 +838,8 @@ def sgd_epoch(
         C, N = y.shape
         # flat row c * N + j of the stacked shards
         order = np.arange(C * N).reshape(C, N)
-        for c, (g, n_c) in enumerate(zip(rng, counts)):
-            order[c, :n_c] = c * N + g.permutation(n_c)
+        for row, g, n_c in zip(order, rng, counts):
+            g.shuffle(row[:n_c])  # the draws and swaps of g.permutation(n_c)
         UA, VA, y = UA.reshape(C * N, -1), VA.reshape(C * N, -1), y.reshape(C * N)
         valid = np.arange(N) < counts[:, None]
     # the epoch's gather rows and scatter rows in epoch order; each step

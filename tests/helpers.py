@@ -177,6 +177,14 @@ def bce_loss(predictions, labels) -> float:
     return float(-(np.add.reduce(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=None) / p.size))
 
 
+def softmax_reference(a):
+    """Softmax over the last axis with numpy's row reductions: the oracle of
+    model._softmax, which takes the max and the sum as column operations."""
+    z = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
     """Central finite-difference gradient of the batch BCE w.r.t. one tensor,
     each element moved in place in a copy of `ps`."""

@@ -80,16 +80,16 @@ def test_no_ufunc_at_scatter():
 # 93,800 np.sum calls took 0.88 s of 7.3 s, 0.56 s of it in the wrappers. A
 # step calls np.add.reduce (np.maximum.reduce, ...) directly.
 STEP_FUNCTIONS = frozenset({
-    "_softmax", "_layer_branches", "_forward", "forward_batch", "backward_batch",
+    "_row_sum", "_softmax", "_layer_branches", "_forward", "forward_batch", "backward_batch",
     "_embed_grads", "sgd_step", "sgd_epoch", "_epoch_loss",
 })
 WRAPPED_REDUCTIONS = frozenset({"np.sum", "np.mean", "np.max", "np.min"})
 
 
-def wrapped_reductions(path, functions=STEP_FUNCTIONS):
-    """`file:line: call` for every wrapped reduction (WRAPPED_REDUCTIONS)
-    that a top-level function named in `functions` calls, and `file: name
-    undefined` for each such function the module does not define."""
+def calls_in(path, functions, hit):
+    """`file:line: call` for every call `hit` flags in a top-level function
+    named in `functions`, and `file: name undefined` for each such function
+    the module does not define."""
     tree = ast.parse(path.read_text(), str(path))
     defined = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in functions}
     hits = [f"{path.name}: {name} undefined" for name in sorted(set(functions) - set(defined))]
@@ -97,9 +97,15 @@ def wrapped_reductions(path, functions=STEP_FUNCTIONS):
         hits += [
             f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"
             for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and ast.unparse(node.func) in WRAPPED_REDUCTIONS
+            if isinstance(node, ast.Call) and hit(node)
         ]
     return hits
+
+
+def wrapped_reductions(path, functions=STEP_FUNCTIONS):
+    """Every wrapped reduction (WRAPPED_REDUCTIONS) that a step function
+    calls; see calls_in."""
+    return calls_in(path, functions, lambda call: ast.unparse(call.func) in WRAPPED_REDUCTIONS)
 
 
 def test_step_calls_ufunc_reductions_directly():
@@ -117,6 +123,63 @@ def test_wrapped_reduction_check_flags_a_mutant(tmp_path):
     line = next(i for i, text in enumerate(mod.read_text().splitlines(), 1) if "np.sum(dC" in text)
     assert wrapped_reductions(mod) == [f"model.py:{line}: np.sum"]
     assert wrapped_reductions(mod, STEP_FUNCTIONS | {"_gone"}) == ["model.py: _gone undefined", f"model.py:{line}: np.sum"]
+
+
+# The gated layer's functions. Over a narrow last axis (the gate's 3 or 4
+# branches, an 8-wide hidden layer) numpy's reduction runs its loop once per
+# row. On a4's (100, 16, 3) gate logits (2-vCPU Xeon, numpy 2.4.6)
+# np.maximum.reduce took 81 us and np.add.reduce 42 us, against 8 us for a
+# chain of column maxima and 9 us for model._row_sum; at width 8, 43 us
+# against 16 us. These functions reduce along the last axis with column
+# operations and fill arrays in place of np.stack.
+ROW_LOOP_FREE = frozenset({"_softmax", "_layer_branches", "backward_batch"})
+
+
+def is_row_loop(call):
+    """Whether `call` is np.stack or a np.<ufunc>.reduce along axis -1."""
+    func = ast.unparse(call.func)
+    parts = func.split(".")
+    axis = next((k.value for k in call.keywords if k.arg == "axis"), call.args[1] if len(call.args) > 1 else None)
+    reduce = len(parts) == 3 and parts[0] == "np" and parts[2] == "reduce"
+    return func == "np.stack" or (reduce and axis is not None and ast.unparse(axis) == "-1")
+
+
+def row_loops(path, functions=ROW_LOOP_FREE):
+    """Every np.stack and last-axis ufunc reduction a gated-layer function
+    calls; see calls_in."""
+    return calls_in(path, functions, is_row_loop)
+
+
+def test_gated_layer_runs_no_row_loops():
+    assert row_loops(SRC / "model.py") == []
+
+
+def test_row_loop_check_flags_a_mutant(tmp_path):
+    # the model with the gate's softmax max and sum and its branch gradients
+    # put back to numpy's row reductions and np.stack; such calls outside the
+    # gated layer's functions, or along another axis, are no hit
+    source = (SRC / "model.py").read_text()
+    mutations = {
+        "np.exp(a - m[..., None])": "np.exp(a - np.maximum.reduce(a, axis=-1, keepdims=True))",
+        "e / _row_sum(e)[..., None]": "e / np.add.reduce(e, -1)[..., None]",
+        "dG = np.empty(G.shape)": "dG = np.stack([np.add.reduce(v * dZ, axis=-1) for v in c.V], axis=-1)",
+    }
+    for direct, row_loop in mutations.items():
+        assert source.count(direct) == 1
+        source = source.replace(direct, row_loop)
+    mod = tmp_path / "model.py"
+    mod.write_text(source + "\n\ndef report(x):\n    return np.stack([np.add.reduce(x, axis=-1)])\n")
+    lines = mod.read_text().splitlines()
+    softmax_max, softmax_sum, branch_grads = (
+        next(i for i, text in enumerate(lines, 1) if row_loop in text) for row_loop in mutations.values()
+    )
+    assert sorted(row_loops(mod)) == sorted([
+        f"model.py:{softmax_max}: np.maximum.reduce",
+        f"model.py:{softmax_sum}: np.add.reduce",
+        f"model.py:{branch_grads}: np.stack",
+        f"model.py:{branch_grads}: np.add.reduce",
+    ])
+    assert row_loops(mod, ROW_LOOP_FREE | {"_gone"})[0] == "model.py: _gone undefined"
 
 
 def row_object_uses(path):

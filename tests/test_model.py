@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from fedrec import model
 from fedrec.data import AttributeSchema
 from fedrec.model import (
     FROZEN,
@@ -25,7 +27,7 @@ from fedrec.model import (
     sgd_epoch,
     sgd_step,
 )
-from fedrec.model import _embed_grads, _layer_branches, _plan
+from fedrec.model import _embed_grads, _layer_branches, _plan, _row_sum, _softmax
 from helpers import (
     bce_loss,
     count_matching,
@@ -37,6 +39,7 @@ from helpers import (
     max_rel_error,
     numeric_grad,
     randomized_params,
+    softmax_reference,
     tensor_names,
 )
 
@@ -564,6 +567,45 @@ class TestSgdEpoch:
         with pytest.raises(ShapeError, match="batch size"):
             sgd_epoch(init_params(arch, 0), UA, VA, y, groups, batch, 0.1, np.random.default_rng(0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(1, 9),
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cohort_order_is_each_clients_permutation(self, N, data, seed):
+        # client c's rows run in c * N + rng[c].permutation(counts[c]) order,
+        # its padding rows after them in place; the user attribute of flat
+        # row i is i, so the one step's gather rows read the epoch order
+        counts = np.array(data.draw(st.lists(st.integers(0, N), min_size=1, max_size=5), label="counts"))
+        C = len(counts)
+        arch = Arch(AttributeSchema(("ua0",), (C * N,)), AttributeSchema(("ia0",), (3,)),
+                    embed_dim=2, mlp_hidden=(3,), adapter_rank=1, gate_hidden=2)
+        ps = init_params(arch, seed)
+        cohort = ParamSet.from_vectors(arch, ps.layout.cohort, ps.frozen, np.tile(ps.trained, (C, 1)))
+        UA = np.arange(C * N).reshape(C, N, 1)
+        VA = np.zeros((C, N, 1), dtype=np.int64)
+        y = np.ones((C, N))
+        seen = []
+        forward = model._forward
+
+        def recording_forward(plan, rows, want_cache):
+            seen.append(rows - plan.embed.base)
+            return forward(plan, rows, want_cache)
+
+        rngs = [np.random.default_rng([seed, c]) for c in range(C)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "_forward", recording_forward)
+            sgd_epoch(cohort, UA, VA, y, None, N, 0.1, rngs, counts=counts)
+        twins = [np.random.default_rng([seed, c]) for c in range(C)]
+        want = np.arange(C * N).reshape(C, N)
+        for c, (g, n_c) in enumerate(zip(twins, counts)):
+            want[c, :n_c] = c * N + g.permutation(n_c)
+        (rows,) = seen
+        assert np.array_equal(rows[..., 0], want)
+        # each client's stream is left where a permutation leaves it
+        assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in twins]
+
     def test_empty_epoch(self):
         arch = small_arch()
         ps = init_params(arch, 0)
@@ -574,6 +616,43 @@ class TestSgdEpoch:
         # without a loss to report, an empty epoch trains nothing
         out, loss = sgd_epoch(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0))
         assert loss is None and np.array_equal(out.trained, ps.trained)
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+# signed zeros, magnitudes 1e-8 to 1e8 of either sign, and infinities
+SUMMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf]),
+    st.builds(lambda m, sign: sign * m, st.floats(1e-8, 1e8), st.sampled_from([1.0, -1.0])),
+)
+
+
+class TestColumnReductions:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 12))
+    def test_row_sum_is_numpys_add_reduce(self, data, k):
+        lead = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), label="leading shape")
+        x = data.draw(hnp.arrays(np.float64, lead + (k,), elements=SUMMANDS, fill=st.nothing()), label="x")
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            want = np.add.reduce(x, axis=-1)
+            got = _row_sum(x)
+        assert got.shape == want.shape and np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_row_of_negative_zeros_sums_to_positive_zero(self, k):
+        # numpy's sum starts from its identity +0.0; a bare column add
+        # would keep -0.0
+        got = _row_sum(np.full((3, 2, k), -0.0))
+        assert np.array_equal(bits(got), bits(np.zeros((3, 2))))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 8))
+    def test_softmax_is_the_reduction_oracle(self, data, k):
+        lead = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=6), label="leading shape")
+        a = data.draw(hnp.arrays(np.float64, lead + (k,), elements=st.floats(-1e3, 1e3), fill=st.nothing()), label="logits")
+        assert np.array_equal(bits(_softmax(a)), bits(softmax_reference(a)))
 
 
 class TestSerialization:
