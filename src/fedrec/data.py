@@ -5,7 +5,9 @@ touches global random state.
 """
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,6 +25,8 @@ INTERACTION_COLUMNS = ("user_id", "item_id", "timestamp", "label")
 # A user needs at least this many interactions for the 6:2:2 split to leave a
 # nonempty test shard; users below it are dropped.
 MIN_FED_INTERACTIONS = 5
+
+INT64 = np.iinfo(np.int64)  # the range of every integer field a file may hold
 
 
 class DataError(ValueError):
@@ -177,51 +181,66 @@ class SynthConfig:
 
 
 def _read_csv(path: str, first_col: str, headers: Tuple[Tuple[str, ...], ...] = ()):
-    """(header, line numbers, rows) of an all-integer CSV file, skipping blank
-    lines: each row's fields as ints, as many as the header has. The header
-    must begin with `first_col` and, when `headers` is given, be one of them."""
+    """(header, line numbers, rows) of an all-integer CSV file in UTF-8,
+    after a leading byte order mark if there is one, skipping blank lines:
+    each row's fields as ints in int64 range, as many as the header has. The
+    header must begin with `first_col` and, when `headers` is given, be one
+    of them. Every fault raises DataError naming the file, and the line
+    when a row is at fault."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start] + b"x").splitlines())  # the lines io would split
+        raise DataError(f"{path}:{line}: not UTF-8 (byte {raw[exc.start]:#04x})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     lines: List[int] = []
     rows: List[List[int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         if header[:1] != [first_col]:
             raise DataError(f"{path}: first column must be {first_col!r}, got {header[:1]}")
         if headers and tuple(header) not in headers:
             raise DataError(f"{path}: bad header {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
             try:
-                rows.append([int(x) for x in row])
+                values = [int(x) for x in row]
             except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer field in {row!r}") from None
-            lines.append(lineno)
+                raise DataError(f"{path}:{reader.line_num}: non-integer field in {row!r}") from None
+            if min(values) < INT64.min or max(values) > INT64.max:
+                raise DataError(f"{path}:{reader.line_num}: field outside the int64 range in {row!r}")
+            rows.append(values)
+            lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return header, lines, rows
 
 
-def _read_records(path: str, id_col: str):
-    """Read an id + integer-attribute CSV; returns (attr names, {id: values})."""
+def _read_records(path: str, id_col: str) -> Tuple[AttributeSchema, Dict[int, Tuple[int, ...]]]:
+    """Read an id + integer-attribute CSV; returns (schema, {id: values}),
+    each attribute's cardinality one more than its largest value."""
     header, lines, rows = _read_csv(path, id_col)
+    names = tuple(header[1:])
     records = {}
     for lineno, (rid, *values) in zip(lines, rows):
         if rid in records:
             raise DataError(f"{path}:{lineno}: duplicate id {rid}")
+        if values and min(values) < 0:
+            j = next(j for j, v in enumerate(values) if v < 0)
+            raise DataError(f"{path}:{lineno}: attribute {names[j]!r} value {values[j]} is negative")
         records[rid] = tuple(values)
-    return tuple(header[1:]), records
-
-
-def _infer_cards(attr_names, records) -> Tuple[int, ...]:
-    cards = []
-    for j, _ in enumerate(attr_names):
-        hi = max((vals[j] for vals in records.values()), default=0)
-        cards.append(hi + 1)
-    return tuple(cards)
+    cards = tuple(max((vals[j] for vals in records.values()), default=0) + 1 for j in range(len(names)))
+    try:
+        return AttributeSchema(names, cards), records
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_dataset(
@@ -235,10 +254,8 @@ def load_dataset(
     The interactions file has the columns user_id,item_id,timestamp and an
     optional label; without the label column every row is a positive (1).
     """
-    u_names, users = _read_records(users_path, "user_id")
-    i_names, items = _read_records(items_path, "item_id")
-    user_schema = AttributeSchema(u_names, _infer_cards(u_names, users))
-    item_schema = AttributeSchema(i_names, _infer_cards(i_names, items))
+    user_schema, users = _read_records(users_path, "user_id")
+    item_schema, items = _read_records(items_path, "item_id")
 
     header, lines, rows = _read_csv(
         interactions_path, INTERACTION_COLUMNS[0], (INTERACTION_COLUMNS, INTERACTION_COLUMNS[:3])

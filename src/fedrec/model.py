@@ -31,18 +31,24 @@ step slices both, runs one forward pass (`_forward`, which `forward_batch`
 shares), one backward pass and one update of the trained buffer. With
 `want_loss` the steps keep their probabilities, and the epoch loss is one
 pass over them at the end.
+
+Inference (`forward_batch` without a cache) scores its rows in blocks of
+about INFER_ROWS (`_blocks`), so its memory is bounded by a block; the
+scores are those of one pass over every row, bit for bit.
 """
 from __future__ import annotations
 
 import functools
 import json
 import math
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .data import AttributeSchema
+from .data import AttributeSchema, DataError
 
 FROZEN, PRIVATE, SHARED = "frozen", "private", "shared"
 TAGS = (FROZEN, PRIVATE, SHARED)
@@ -53,6 +59,8 @@ ADAPTER_LAYERS = ("all", "hidden")  # adapters on every MLP layer, or on all but
 GROUP_PREFIX = "adapter/group/"
 
 EPS_CLAMP = 1e-12  # BCE probability clamp
+
+INFER_ROWS = 4096  # rows an inference pass scores at a time (see _blocks)
 
 Shape = Tuple[int, ...]
 
@@ -444,6 +452,12 @@ class _EmbedPlan:
                 s = first + int(np.nonzero(bad)[-1][0])
                 raise ShapeError(f"attribute value out of range for table {self.names[s]!r}")
 
+    def stacked(self) -> np.ndarray:
+        """The (R, d) source: every piece's rows, end to end."""
+        if self.source is not None:
+            return self.source
+        return np.concatenate([p.reshape(-1, len(self.cols)) for p in self.pieces])
+
     def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
         """The flat source index (..., n, live slots) of column 0 of each
         live slot's row in `rows`: where the gradient count adds the slot's
@@ -627,14 +641,13 @@ def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     return Z, cache
 
 
-def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool):
+def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: Optional[np.ndarray] = None):
     """(probs, each layer's cache or None) of the batch whose layer-0 input
-    slots read the source rows `rows` (..., n, slots)."""
-    emb = plan.embed
-    # one gather of every slot's row from the tables stacked end to end
-    source = emb.source
+    slots read the source rows `rows` (..., n, slots) of `source`, the
+    plan's tables stacked end to end (stacked here when not given)."""
     if source is None:
-        source = np.concatenate([p.reshape(-1, len(emb.cols)) for p in emb.pieces])
+        source = plan.embed.stacked()
+    # one gather of every slot's row from the tables stacked end to end
     X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
     layers: List[_LayerCache] = []
     top = len(plan.layers) - 1
@@ -647,6 +660,48 @@ def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool):
         X = _relu(Z) if l < top else _sigmoid(Z)
         del Z
     return X[..., 0], (layers if want_cache else None)
+
+
+def _client_block(plan: _Plan, clients: slice) -> _Plan:
+    """A cohort's inference plan cut to `clients`: each per-client tensor's
+    rows `clients`, each frozen one as it is (it broadcasts)."""
+
+    def cut(p: Param, ndim: int) -> Param:
+        value = p[0]
+        return (value[clients] if value.ndim > ndim else value), None
+
+    return replace(plan, layers=tuple(
+        replace(
+            lp, W=cut(lp.W, 2), b=cut(lp.b, 1),
+            adapters=tuple((cut(a, 2), cut(b, 2)) for a, b in lp.adapters),
+            gate=lp.gate and (cut(lp.gate[0], 2), cut(lp.gate[1], 2)),
+        )
+        for lp in plan.layers
+    ))
+
+
+def _blocks(plan: _Plan, lead: Shape, cohort: bool):
+    """The inference blocks of a batch of leading shape `lead`: (index of the
+    block's probabilities in the batch's, the plan that scores it).
+
+    A single model's blocks start at multiples of INFER_ROWS and the last one
+    takes the remainder, INFER_ROWS to 2 * INFER_ROWS - 1 rows, so each row
+    sits at the same offset in its block's matrix products as in one product
+    over every row, and gets the same bits. Other splits do not keep them:
+    8,193 student rows cut into three blocks of 2,731, or 8,193 teacher rows
+    with a 1-row last block, scored some rows differently. A cohort's blocks
+    hold whole clients, at most INFER_ROWS rows (at least one client); each
+    client's products are their own gemm calls, so any such split is exact.
+    """
+    if not cohort:
+        n = lead[-1]
+        starts = range(0, n - INFER_ROWS + 1, INFER_ROWS) or range(1)
+        for a, b in zip(starts, [*starts[1:], n]):
+            yield (..., slice(a, b)), plan
+        return
+    step = max(1, INFER_ROWS // max(lead[-1], 1))
+    for c in range(0, lead[0], step):  # one block of every client needs no cut
+        yield (slice(c, c + step),), plan if step >= lead[0] else _client_block(plan, slice(c, c + step))
 
 
 def forward_batch(
@@ -665,7 +720,8 @@ def forward_batch(
     client's batch); required iff the arch has group branches and `ps` is
     not a cohort, whose rows hold their own groups' adapters. A caller that
     passes the layout `plan` of `ps` and `groups` has checked every
-    attribute value against its table.
+    attribute value against its table. Without a cache the rows are scored
+    in blocks (`_blocks`), with the bits of one pass over them all.
     """
     UA = np.asarray(UA)
     VA = np.asarray(VA)
@@ -675,10 +731,14 @@ def forward_batch(
         plan = _plan(ps, groups, grads=want_cache)
         plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    probs, layers = _forward(plan, rows, want_cache)
-    if not want_cache:
-        return probs, None
-    return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
+    if want_cache:
+        probs, layers = _forward(plan, rows, True)
+        return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
+    source = plan.embed.stacked()  # once per call, not once per block
+    probs = np.empty(rows.shape[:-1])
+    for block, block_plan in _blocks(plan, probs.shape, ps.trained.ndim > 1):
+        probs[block] = _forward(block_plan, rows[(*block, slice(None))], False, source)[0]
+    return probs, None
 
 
 def predict(
@@ -892,13 +952,22 @@ def save_params(ps: ParamSet, path: str):
 
 
 def load_params(path: str) -> ParamSet:
-    with np.load(path) as z:
-        meta = json.loads(bytes(z["__meta__"]).decode())
-        tensors = {n: z[n] for n in z.files if n != "__meta__"}
-    # JSON stored the Arch's tuples as lists and its schemas as dicts of lists
-    arch = Arch(**{
-        k: AttributeSchema(tuple(v["names"]), tuple(v["cards"])) if isinstance(v, dict)
-        else tuple(v) if isinstance(v, list) else v
-        for k, v in meta["arch"].items()
-    })
-    return ParamSet(arch, tensors, dict(meta["tags"]))
+    """The ParamSet `save_params` wrote to `path`. A file that is not such a
+    checkpoint (not a zip, truncated, a tensor renamed, missing or
+    reshaped, the metadata damaged) raises DataError naming the path."""
+    try:
+        with np.load(path) as z:
+            meta = json.loads(bytes(z["__meta__"]).decode())
+            tensors = {n: z[n] for n in z.files if n != "__meta__"}
+        # JSON stored the Arch's tuples as lists and its schemas as dicts of lists
+        arch = Arch(**{
+            k: AttributeSchema(tuple(v["names"]), tuple(v["cards"])) if isinstance(v, dict)
+            else tuple(v) if isinstance(v, list) else v
+            for k, v in meta["arch"].items()
+        })
+        return ParamSet(arch, tensors, dict(meta["tags"]))
+    # what np.load, zipfile (RuntimeError: an unsupported or encrypted
+    # member), json and the Arch and ParamSet checks raise on such a file
+    except (OSError, EOFError, RuntimeError, KeyError, TypeError, AttributeError, ValueError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise DataError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from None

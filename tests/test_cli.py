@@ -44,8 +44,35 @@ def write_cfg(tmp_path, extra="", name="exp.cfg"):
     return str(path)
 
 
+def write_files_cfg(tmp_path, users, items, interactions):
+    """The test config reading its dataset from these three CSV texts, written
+    to u.csv, i.csv and x.csv."""
+    paths = ""
+    for key, name, text in (("users", "u.csv", users), ("items", "i.csv", items), ("interactions", "x.csv", interactions)):
+        (tmp_path / name).write_text(text)
+        paths += f"data.{key} = {tmp_path / name}\n"
+    return write_cfg(tmp_path, "data.source = files\n" + paths)
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def run_fresh(*argv):
+    """`fedrec` run in a fresh interpreter, as a user runs it: the finished
+    process with its text output."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fedrec.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def assert_one_error_line(proc, *parts):
+    """The process exited 1 with one `error:` line holding each of `parts`."""
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert all(part in proc.stderr for part in parts), proc.stderr
 
 
 class TestConfigParser:
@@ -236,12 +263,9 @@ class TestTrainingKeyBounds:
         cfg.write_text(BASE_CFG.replace("synth.n_users = 24", "synth.n_users = 1"))
         assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
         assert capsys.readouterr().err == "error: config key 'synth.n_users': 1 is outside [2, inf)\n"
-        (tmp_path / "u.csv").write_text("user_id,ua0\n0,0\n")
-        (tmp_path / "i.csv").write_text("item_id,ia0\n0,0\n1,1\n")
-        (tmp_path / "x.csv").write_text("user_id,item_id,timestamp\n0,0,1\n0,1,2\n")
-        paths = "".join(f"data.{key} = {tmp_path / name}\n"
-                        for key, name in (("users", "u.csv"), ("items", "i.csv"), ("interactions", "x.csv")))
-        files = write_cfg(tmp_path, "data.source = files\n" + paths)
+        files = write_files_cfg(
+            tmp_path, "user_id,ua0\n0,0\n", "item_id,ia0\n0,0\n1,1\n", "user_id,item_id,timestamp\n0,0,1\n0,1,2\n"
+        )
         assert run("federate", "--config", files, "--out", str(tmp_path / "out"), "--quiet") == 1
         err = capsys.readouterr().err
         assert err == "error: the pretrain/federated user split needs at least two users; the dataset has 1\n"
@@ -405,13 +429,7 @@ class TestFederate:
             "arch.gate_hidden = 3\npretrain.epochs = 2\nfed.rounds = 3\n"
             "fed.batch = 8\nseed = 1\nfed.lr = 1e6\n"
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "fedrec.cli", "federate", "--config", str(cfg),
-             "--out", str(tmp_path / "out"), "--quiet"],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_fresh("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet")
         assert proc.returncode == 1
         assert "error: round 1: training diverged" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
@@ -499,3 +517,19 @@ class TestErrors:
         bad.write_text("no equals sign here\n")
         assert run("synth", "--config", str(bad), "--quiet") == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_federate_on_a_timestamp_outside_int64_exits_1(self, tmp_path):
+        cfg = write_files_cfg(
+            tmp_path, "user_id,ua0\n0,0\n1,1\n", "item_id,ia0\n0,0\n1,1\n",
+            "user_id,item_id,timestamp\n0,0,1\n1,1,99999999999999999999999\n",
+        )
+        proc = run_fresh("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, f"{tmp_path / 'x.csv'}:3: field outside the int64 range")
+
+    @pytest.mark.parametrize("blob", [b"user_id,age\n0,1\n", b"PK\x03\x04\x14\x00"])
+    def test_eval_on_a_file_that_is_no_checkpoint_exits_1(self, tmp_path, blob):
+        ckpt = tmp_path / "ckpt.npz"
+        ckpt.write_bytes(blob)
+        cfg = write_cfg(tmp_path, f"eval.checkpoint = {ckpt}\n")
+        proc = run_fresh("eval", "--config", cfg, "--quiet")
+        assert_one_error_line(proc, f"{ckpt}: not a readable checkpoint")

@@ -1,4 +1,8 @@
+import codecs
 import math
+import os
+import re
+import tempfile
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -134,12 +138,108 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=":3: expected 3 fields"):
             load_dataset(users, items, inter)
 
+    @pytest.mark.parametrize("name, text", [
+        ("users.csv", "user_id,age\n0,1\n-9223372036854775809,0\n"),
+        ("items.csv", "item_id,cat\n5,2\n6,9223372036854775808\n"),
+        ("interactions.csv", "user_id,item_id,timestamp,label\n0,5,1,1\n0,5,99999999999999999999999,1\n"),
+    ])
+    def test_field_outside_int64_names_file_and_line(self, tmp_path, csv_paths, name, text):
+        paths = [write(tmp_path / name, text) if p.endswith(name) else p for p in csv_paths]
+        with pytest.raises(DataError, match=rf"{name}:3: field outside the int64 range"):
+            load_dataset(*paths)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, csv_paths):
+        users, items, _ = csv_paths
+        inter = tmp_path / "bad.csv"
+        inter.write_bytes(b"user_id,item_id,timestamp,label\n0,5,1,1\r\n1,5,\xff2,0\n")
+        with pytest.raises(DataError, match=r"bad\.csv:3: not UTF-8 \(byte 0xff\)$"):
+            load_dataset(users, items, str(inter))
+
+    def test_leading_utf8_bom_is_accepted(self, tmp_path, csv_paths):
+        # as spreadsheet programs export CSV; a BOM anywhere else is data
+        bommed = []
+        for p in csv_paths:
+            out = tmp_path / ("bom_" + os.path.basename(p))
+            out.write_bytes(codecs.BOM_UTF8 + open(p, "rb").read())
+            bommed.append(str(out))
+        plain, with_bom = load_dataset(*csv_paths), load_dataset(*bommed)
+        assert with_bom.user_schema == plain.user_schema and with_bom.users == plain.users
+        assert with_bom.items == plain.items and np.array_equal(with_bom.ts, plain.ts)
+        users = tmp_path / "users2.csv"
+        users.write_bytes(codecs.BOM_UTF8 * 2 + b"user_id,age\n0,1\n")
+        with pytest.raises(DataError, match="first column must be 'user_id'"):
+            load_dataset(str(users), *bommed[1:])
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("users.csv", "user_id,age\n0,1\n1,-1\n", r"users\.csv:3: attribute 'age' value -1 is negative$"),
+        ("items.csv", "item_id,cat\n\n5,-2\n", r"items\.csv:3: attribute 'cat' value -2 is negative$"),
+    ])
+    def test_negative_attribute_names_file_and_line(self, tmp_path, csv_paths, name, text, message):
+        paths = [write(tmp_path / name, text) if p.endswith(name) else p for p in csv_paths]
+        with pytest.raises(DataError, match=message):
+            load_dataset(*paths)
+
+    def test_duplicate_attribute_names_name_the_file(self, tmp_path, csv_paths):
+        _, items, inter = csv_paths
+        users = write(tmp_path / "dup.csv", "user_id,age,age\n0,1,1\n1,0,0\n")
+        with pytest.raises(DataError, match=r"dup\.csv: duplicate attribute names"):
+            load_dataset(users, items, inter)
+
     def test_attribute_value_over_cardinality(self, csv_paths):
         users, items, inter = csv_paths
         # user 0's age is 1, outside a one-category schema
         ds = replace(load_dataset(users, items, inter), user_schema=AttributeSchema(("age",), (1,)))
         with pytest.raises(DataError, match=r"user 0: attribute 'age' value 1 outside \[0, 1\)"):
             ds.validate()
+
+
+# three small valid files; the property damages one of them
+VALID_FILES = {
+    "users.csv": b"user_id,age,job\n0,1,2\n1,0,1\n2,2,0\n",
+    "items.csv": b"item_id,cat\n5,2\n6,0\n",
+    "interactions.csv": b"user_id,item_id,timestamp,label\n0,5,1,1\n1,6,2,0\n2,5,3,1\n1,5,4,1\n",
+}
+# pieces that reach each check: encodings, separators, quotes, signs and
+# numbers at and past the int64 bounds
+PIECES = st.sampled_from([
+    b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x00", b",", b"\n", b"\r", b"\r\n", b'"', b" ", b"-", b"-1", b"7",
+    b"9223372036854775807", b"9223372036854775808", b"-9223372036854775809", b"1e3", b"x",
+])
+
+
+class TestLoadDatasetProperty:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(VALID_FILES)),
+        data=st.data(),
+    )
+    def test_any_bytes_give_a_dataset_or_an_error_naming_file_and_line(self, name, data):
+        # a whole file of arbitrary bytes, or a valid file with a span
+        # replaced by arbitrary bytes or by PIECES; when the damage leaves
+        # the header line whole, a row is at fault and the error names its line
+        valid = VALID_FILES[name]
+        if data.draw(st.booleans(), label="whole file"):
+            blob = data.draw(st.binary(max_size=80), label="blob")
+        else:
+            at = data.draw(st.integers(0, len(valid)), label="at")
+            cut = data.draw(st.integers(0, 6), label="cut")
+            new = data.draw(st.one_of(st.binary(max_size=8), st.lists(PIECES, max_size=4).map(b"".join)), label="new")
+            blob = valid[:at] + new + valid[at + cut :]
+        header = valid[: valid.index(b"\n") + 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, n) for n in ("users.csv", "items.csv", "interactions.csv")]
+            for p in paths:
+                with open(p, "wb") as fh:
+                    fh.write(blob if p.endswith(name) else VALID_FILES[os.path.basename(p)])
+            try:
+                ds = load_dataset(*paths)
+            except DataError as exc:
+                message = str(exc)
+                assert any(message.startswith(p + ":") for p in paths), message
+                if blob.startswith(header):
+                    assert re.match(r"^.+\.csv:\d+: ", message), message
+                return
+        assert isinstance(ds, Dataset) and len(ds) == len(ds.label)
 
 
 def ten_user_dataset():

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedrec import model
-from fedrec.data import AttributeSchema
+from fedrec.data import AttributeSchema, DataError
 from fedrec.model import (
     FROZEN,
     GATE_COMMON,
@@ -36,6 +39,7 @@ from helpers import (
     embed_item,
     embed_reference,
     embed_user,
+    forward_one_shot,
     max_rel_error,
     numeric_grad,
     randomized_params,
@@ -213,6 +217,112 @@ class TestForwardWithoutCache:
         layer = 4000 * 64 * 8  # one (n, 64) float64 activation
         assert peak(True) > 6 * layer
         assert peak(False) < 3 * layer
+
+
+# The benchmark workloads' base archs on the default synthetic schema: a4's
+# (8,) MLP, central_wide's (32, 8) teacher and its student (4-wide
+# embeddings, an (8,) MLP).
+SYNTH_USERS = AttributeSchema(("ua0", "ua1"), (4, 3))
+SYNTH_ITEMS = AttributeSchema(("ia0", "ia1"), (50, 10))
+BASE_ARCHS = {
+    "a4": dict(embed_dim=8, mlp_hidden=(8,)),
+    "teacher": dict(embed_dim=8, mlp_hidden=(32, 8)),
+    "student": dict(embed_dim=4, mlp_hidden=(8,)),
+}
+B = model.INFER_ROWS
+
+
+def synth_rows(lead, seed):
+    rng = np.random.default_rng(seed)
+    UA = rng.integers(0, SYNTH_USERS.cards, size=lead + (2,))
+    VA = rng.integers(0, SYNTH_ITEMS.cards, size=lead + (2,))
+    return UA, VA
+
+
+def scored_blocks(ps, UA, VA, groups=None):
+    """(forward_batch's probabilities, the leading shape of each block it
+    scored)."""
+    seen = []
+    forward = model._forward
+
+    def recording_forward(plan, rows, want_cache, source=None):
+        seen.append(rows.shape[:-1])
+        return forward(plan, rows, want_cache, source)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_forward", recording_forward)
+        probs, _ = forward_batch(ps, UA, VA, groups)
+    return probs, seen
+
+
+class TestBlockedInference:
+    @pytest.mark.parametrize("name", sorted(BASE_ARCHS))
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 60_000])
+    def test_single_model_matches_one_shot_bit_for_bit(self, name, n):
+        # 2 * B + 1 = 8,193 rows: an equal three-way split of the student's
+        # scored some rows differently
+        ps = randomized_params(init_params(Arch(SYNTH_USERS, SYNTH_ITEMS, **BASE_ARCHS[name]).base(), 1), 2, scale=0.5)
+        UA, VA = synth_rows((n,), n)
+        probs, blocks = scored_blocks(ps, UA, VA)
+        assert np.array_equal(bits(probs), bits(forward_one_shot(ps, UA, VA)))
+        # blocks start at multiples of B; the last takes the remainder
+        sizes = [shape[-1] for shape in blocks]
+        assert sum(sizes) == n and all(s == B for s in sizes[:-1])
+        assert sizes[-1] < 2 * B and (sizes[-1] >= B or len(sizes) == 1)
+
+    def test_gated_model_with_groups_matches_one_shot(self):
+        arch = Arch(SYNTH_USERS, SYNTH_ITEMS, embed_dim=8, mlp_hidden=(32, 8), group_attrs=("ua0", "ua1"))
+        ps = randomized_params(init_params(arch, 3), 4, scale=0.5)
+        UA, VA = synth_rows((2 * B + 1,), 5)
+        groups = {"ua0": 2, "ua1": 1}
+        probs, blocks = scored_blocks(ps, UA, VA, groups)
+        assert len(blocks) == 2
+        assert np.array_equal(bits(probs), bits(forward_one_shot(ps, UA, VA, groups)))
+
+    @pytest.mark.parametrize("frozen_base", [False, True])
+    @pytest.mark.parametrize("C, N", [(100, 12), (10, 1000), (7, B // 2), (3, B + 1)])
+    def test_cohort_blocks_hold_whole_clients(self, frozen_base, C, N):
+        # the default 4-branch arch, each client's trained vector its own;
+        # with a frozen base the embeddings and MLP weights broadcast
+        arch = Arch(SYNTH_USERS, SYNTH_ITEMS, embed_dim=8, mlp_hidden=(32, 8), group_attrs=("ua0", "ua1"))
+        ps = init_params(arch, 0)
+        if frozen_base:
+            ps = ParamSet(arch, ps.tensors, {
+                n: FROZEN if n.startswith(("user_emb/", "item_emb/", "mlp/")) else tag for n, tag in ps.tags.items()
+            })
+        lay = ps.layout.cohort
+        trained = np.random.default_rng(C).normal(0.0, 0.5, (C, lay.sizes[model.PRIVATE] + lay.sizes[model.SHARED]))
+        cohort = ParamSet.from_vectors(arch, lay, ps.frozen, trained)
+        UA, VA = synth_rows((C, N), N)
+        probs, blocks = scored_blocks(cohort, UA, VA)
+        assert np.array_equal(bits(probs), bits(forward_one_shot(cohort, UA, VA)))
+        clients = [shape[0] for shape in blocks]
+        assert sum(clients) == C and all(shape[1] == N for shape in blocks)
+        assert all(c * N <= B or c == 1 for c in clients)
+        assert len(blocks) == -(-C // max(1, B // N))
+
+    def test_memory_is_bounded_by_a_block(self):
+        # scoring 60,000 teacher rows holds one block's activations, not
+        # every row's: the transient beyond the input and output stays near
+        # that of 8,191 rows
+        ps = init_params(Arch(SYNTH_USERS, SYNTH_ITEMS, **BASE_ARCHS["teacher"]).base(), 0)
+
+        def peak(n, score):
+            UA, VA = synth_rows((n,), 0)
+            tracemalloc.start()
+            probs = score(ps, UA, VA)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            del probs
+            return top
+
+        blocked = peak(60_000, lambda *a: forward_batch(*a)[0])
+        one_shot = peak(60_000, forward_one_shot)
+        one_block = peak(2 * B - 1, lambda *a: forward_batch(*a)[0])
+        # the (n, 4) gather rows and (n,) probabilities grow with n
+        io_bytes = (60_000 - (2 * B - 1)) * (4 + 1) * 8
+        assert blocked < one_block + 1.5 * io_bytes
+        assert blocked < one_shot / 3
 
 
 class TestLayerForward:
@@ -682,3 +792,56 @@ class TestSerialization:
         assert set(back.tensors) == set(ps.tensors)
         for n in ps.tensors:
             assert np.array_equal(back.tensors[n], ps.tensors[n])
+
+    @pytest.mark.parametrize("damage", [
+        "not a zip", "empty", "truncated", "re-keyed", "reshaped", "tensor missing", "no metadata", "metadata not JSON",
+    ])
+    def test_damaged_checkpoint_raises_one_error_naming_the_path(self, tmp_path, damage):
+        path = tmp_path / "ckpt.npz"
+        save_params(randomized_params(init_params(small_arch(), 5), 5), str(path))
+        with np.load(path) as z:
+            arrays = {n: z[n] for n in z.files}
+        if damage == "not a zip":
+            path.write_text("user_id,age\n0,1\n")
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            if damage == "re-keyed":
+                arrays["mlp/0/V"] = arrays.pop("mlp/0/W")
+            elif damage == "reshaped":
+                arrays["mlp/0/W"] = arrays["mlp/0/W"].T
+            elif damage == "tensor missing":
+                del arrays["mlp/0/W"]
+            elif damage == "no metadata":
+                del arrays["__meta__"]
+            else:
+                arrays["__meta__"] = arrays["__meta__"][:-1]
+            np.savez(path, **arrays)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not a readable checkpoint"):
+            load_params(str(path))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_cut_or_changed_bytes_load_the_same_model_or_raise_data_error(self, data):
+        ps = randomized_params(init_params(small_arch(), 5), 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ckpt.npz")
+            save_params(ps, path)
+            with open(path, "rb") as fh:
+                blob = bytearray(fh.read())
+            if data.draw(st.booleans(), label="cut"):
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+            else:
+                for at in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1, max_size=3), label="at"):
+                    blob[at] = data.draw(st.integers(0, 255), label="byte")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                back = load_params(path)
+            except DataError as exc:
+                assert str(exc).startswith(f"{path}: not a readable checkpoint")
+                return
+        assert back.arch == ps.arch and back.tags == ps.tags
+        assert all(np.array_equal(bits(back.tensors[n]), bits(t)) for n, t in ps.tensors.items())
