@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import codecs
 import csv
-import io
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -180,6 +179,20 @@ class SynthConfig:
     pref_spread: float = 0.8
 
 
+def _not_utf8(path: str) -> DataError:
+    """The DataError naming the line and the first byte of `path`, after a
+    leading byte order mark, that is not UTF-8. It reads the file whole, so
+    it is only called once streaming has met such a byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start] + b"x").splitlines())  # the lines csv counts
+        return DataError(f"{path}:{line}: not UTF-8 (byte {raw[exc.start]:#04x})")
+    return DataError(f"{path}: not UTF-8")  # the file changed since it was read
+
+
 def _read_csv(path: str, first_col: str, headers: Tuple[Tuple[str, ...], ...] = ()):
     """(header, line numbers, rows) of an all-integer CSV file in UTF-8,
     after a leading byte order mark if there is one, skipping blank lines:
@@ -187,37 +200,33 @@ def _read_csv(path: str, first_col: str, headers: Tuple[Tuple[str, ...], ...] = 
     header must begin with `first_col` and, when `headers` is given, be one
     of them. Every fault raises DataError naming the file, and the line
     when a row is at fault."""
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((raw[: exc.start] + b"x").splitlines())  # the lines io would split
-        raise DataError(f"{path}:{line}: not UTF-8 (byte {raw[exc.start]:#04x})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
     lines: List[int] = []
     rows: List[List[int]] = []
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if header[:1] != [first_col]:
-            raise DataError(f"{path}: first column must be {first_col!r}, got {header[:1]}")
-        if headers and tuple(header) not in headers:
-            raise DataError(f"{path}: bad header {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
-            try:
-                values = [int(x) for x in row]
-            except ValueError:
-                raise DataError(f"{path}:{reader.line_num}: non-integer field in {row!r}") from None
-            if min(values) < INT64.min or max(values) > INT64.max:
-                raise DataError(f"{path}:{reader.line_num}: field outside the int64 range in {row!r}")
-            rows.append(values)
-            lines.append(reader.line_num)
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if header[:1] != [first_col]:
+                raise DataError(f"{path}: first column must be {first_col!r}, got {header[:1]}")
+            if headers and tuple(header) not in headers:
+                raise DataError(f"{path}: bad header {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    values = [int(x) for x in row]
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: non-integer field in {row!r}") from None
+                if min(values) < INT64.min or max(values) > INT64.max:
+                    raise DataError(f"{path}:{reader.line_num}: field outside the int64 range in {row!r}")
+                rows.append(values)
+                lines.append(reader.line_num)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return header, lines, rows

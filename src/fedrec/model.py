@@ -32,9 +32,10 @@ shares), one backward pass and one update of the trained buffer. With
 `want_loss` the steps keep their probabilities, and the epoch loss is one
 pass over them at the end.
 
-Inference (`forward_batch` without a cache) scores its rows in blocks of
-about INFER_ROWS (`_blocks`), so its memory is bounded by a block; the
-scores are those of one pass over every row, bit for bit.
+Inference (`forward_batch` without a cache) scores a single model's rows
+in blocks of about INFER_ROWS (`_blocks`), so its memory is bounded by a
+block; the scores were measured bit-equal to one pass over every row. A
+cohort's rows are scored in one pass.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -662,46 +663,20 @@ def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: Optional[n
     return X[..., 0], (layers if want_cache else None)
 
 
-def _client_block(plan: _Plan, clients: slice) -> _Plan:
-    """A cohort's inference plan cut to `clients`: each per-client tensor's
-    rows `clients`, each frozen one as it is (it broadcasts)."""
+def _blocks(n: int) -> List[slice]:
+    """A single model's inference blocks of n rows: they start at multiples
+    of INFER_ROWS and the last one takes the remainder, INFER_ROWS to
+    2 * INFER_ROWS - 1 rows (all n rows when n < 2 * INFER_ROWS).
 
-    def cut(p: Param, ndim: int) -> Param:
-        value = p[0]
-        return (value[clients] if value.ndim > ndim else value), None
-
-    return replace(plan, layers=tuple(
-        replace(
-            lp, W=cut(lp.W, 2), b=cut(lp.b, 1),
-            adapters=tuple((cut(a, 2), cut(b, 2)) for a, b in lp.adapters),
-            gate=lp.gate and (cut(lp.gate[0], 2), cut(lp.gate[1], 2)),
-        )
-        for lp in plan.layers
-    ))
-
-
-def _blocks(plan: _Plan, lead: Shape, cohort: bool):
-    """The inference blocks of a batch of leading shape `lead`: (index of the
-    block's probabilities in the batch's, the plan that scores it).
-
-    A single model's blocks start at multiples of INFER_ROWS and the last one
-    takes the remainder, INFER_ROWS to 2 * INFER_ROWS - 1 rows, so each row
-    sits at the same offset in its block's matrix products as in one product
-    over every row, and gets the same bits. Other splits do not keep them:
-    8,193 student rows cut into three blocks of 2,731, or 8,193 teacher rows
-    with a 1-row last block, scored some rows differently. A cohort's blocks
-    hold whole clients, at most INFER_ROWS rows (at least one client); each
-    client's products are their own gemm calls, so any such split is exact.
+    With these blocks every row got the bits of one pass over all rows on
+    the OpenBLAS 0.3.31 (AVX-512) build they were measured on, from 4,095 to
+    60,000 rows, with one BLAS thread and with two; TestBlockedInference guards
+    it. That is a property of the BLAS kernels, not a consequence of the
+    placement. Other splits changed bits there: 8,193 student rows cut into
+    three blocks of 2,731, and 8,193 teacher rows with a 1-row last block.
     """
-    if not cohort:
-        n = lead[-1]
-        starts = range(0, n - INFER_ROWS + 1, INFER_ROWS) or range(1)
-        for a, b in zip(starts, [*starts[1:], n]):
-            yield (..., slice(a, b)), plan
-        return
-    step = max(1, INFER_ROWS // max(lead[-1], 1))
-    for c in range(0, lead[0], step):  # one block of every client needs no cut
-        yield (slice(c, c + step),), plan if step >= lead[0] else _client_block(plan, slice(c, c + step))
+    starts = range(0, n - INFER_ROWS + 1, INFER_ROWS) or range(1)
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def forward_batch(
@@ -720,8 +695,8 @@ def forward_batch(
     client's batch); required iff the arch has group branches and `ps` is
     not a cohort, whose rows hold their own groups' adapters. A caller that
     passes the layout `plan` of `ps` and `groups` has checked every
-    attribute value against its table. Without a cache the rows are scored
-    in blocks (`_blocks`), with the bits of one pass over them all.
+    attribute value against its table. Without a cache a single model's
+    rows are scored in blocks (`_blocks`), a cohort's in one pass.
     """
     UA = np.asarray(UA)
     VA = np.asarray(VA)
@@ -734,10 +709,12 @@ def forward_batch(
     if want_cache:
         probs, layers = _forward(plan, rows, True)
         return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
+    if ps.trained.ndim > 1:  # a cohort: one pass
+        return _forward(plan, rows, False)[0], None
     source = plan.embed.stacked()  # once per call, not once per block
     probs = np.empty(rows.shape[:-1])
-    for block, block_plan in _blocks(plan, probs.shape, ps.trained.ndim > 1):
-        probs[block] = _forward(block_plan, rows[(*block, slice(None))], False, source)[0]
+    for block in _blocks(probs.shape[-1]):
+        probs[..., block] = _forward(plan, rows[..., block, :], False, source)[0]
     return probs, None
 
 
@@ -959,6 +936,9 @@ def load_params(path: str) -> ParamSet:
         with np.load(path) as z:
             meta = json.loads(bytes(z["__meta__"]).decode())
             tensors = {n: z[n] for n in z.files if n != "__meta__"}
+        if not (isinstance(meta, dict) and isinstance(meta.get("tags"), dict) and isinstance(meta.get("arch"), dict)
+                and meta["arch"].keys() == {f.name for f in fields(Arch)}):
+            raise ValueError("the metadata is not an arch's fields and a tag table")
         # JSON stored the Arch's tuples as lists and its schemas as dicts of lists
         arch = Arch(**{
             k: AttributeSchema(tuple(v["names"]), tuple(v["cards"])) if isinstance(v, dict)
@@ -967,7 +947,7 @@ def load_params(path: str) -> ParamSet:
         })
         return ParamSet(arch, tensors, dict(meta["tags"]))
     # what np.load, zipfile (RuntimeError: an unsupported or encrypted
-    # member), json and the Arch and ParamSet checks raise on such a file
-    except (OSError, EOFError, RuntimeError, KeyError, TypeError, AttributeError, ValueError,
-            zipfile.BadZipFile, zlib.error) as exc:
+    # member), json, the metadata check and the Arch and ParamSet checks
+    # raise on such a file
+    except (OSError, EOFError, RuntimeError, KeyError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from None

@@ -279,27 +279,17 @@ class TestBlockedInference:
         assert len(blocks) == 2
         assert np.array_equal(bits(probs), bits(forward_one_shot(ps, UA, VA, groups)))
 
-    @pytest.mark.parametrize("frozen_base", [False, True])
-    @pytest.mark.parametrize("C, N", [(100, 12), (10, 1000), (7, B // 2), (3, B + 1)])
-    def test_cohort_blocks_hold_whole_clients(self, frozen_base, C, N):
-        # the default 4-branch arch, each client's trained vector its own;
-        # with a frozen base the embeddings and MLP weights broadcast
+    def test_cohort_is_one_pass(self):
+        # the default 4-branch arch, each client's trained vector its own,
+        # at an evaluation's 100 clients of 12 rows
         arch = Arch(SYNTH_USERS, SYNTH_ITEMS, embed_dim=8, mlp_hidden=(32, 8), group_attrs=("ua0", "ua1"))
-        ps = init_params(arch, 0)
-        if frozen_base:
-            ps = ParamSet(arch, ps.tensors, {
-                n: FROZEN if n.startswith(("user_emb/", "item_emb/", "mlp/")) else tag for n, tag in ps.tags.items()
-            })
-        lay = ps.layout.cohort
-        trained = np.random.default_rng(C).normal(0.0, 0.5, (C, lay.sizes[model.PRIVATE] + lay.sizes[model.SHARED]))
-        cohort = ParamSet.from_vectors(arch, lay, ps.frozen, trained)
-        UA, VA = synth_rows((C, N), N)
+        lay = init_params(arch, 0).layout.cohort
+        trained = np.random.default_rng(0).normal(0.0, 0.5, (100, lay.sizes[model.PRIVATE] + lay.sizes[model.SHARED]))
+        cohort = ParamSet.from_vectors(arch, lay, init_params(arch, 0).frozen, trained)
+        UA, VA = synth_rows((100, 12), 1)
         probs, blocks = scored_blocks(cohort, UA, VA)
+        assert blocks == [(100, 12)]
         assert np.array_equal(bits(probs), bits(forward_one_shot(cohort, UA, VA)))
-        clients = [shape[0] for shape in blocks]
-        assert sum(clients) == C and all(shape[1] == N for shape in blocks)
-        assert all(c * N <= B or c == 1 for c in clients)
-        assert len(blocks) == -(-C // max(1, B // N))
 
     def test_memory_is_bounded_by_a_block(self):
         # scoring 60,000 teacher rows holds one block's activations, not
@@ -795,6 +785,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("damage", [
         "not a zip", "empty", "truncated", "re-keyed", "reshaped", "tensor missing", "no metadata", "metadata not JSON",
+        "metadata a list", "arch key missing", "arch key added", "tags a list",
     ])
     def test_damaged_checkpoint_raises_one_error_naming_the_path(self, tmp_path, damage):
         path = tmp_path / "ckpt.npz"
@@ -816,8 +807,19 @@ class TestSerialization:
                 del arrays["mlp/0/W"]
             elif damage == "no metadata":
                 del arrays["__meta__"]
-            else:
+            elif damage == "metadata not JSON":
                 arrays["__meta__"] = arrays["__meta__"][:-1]
+            else:
+                meta = json.loads(bytes(arrays["__meta__"]))
+                if damage == "metadata a list":
+                    meta = [meta]
+                elif damage == "arch key missing":
+                    del meta["arch"]["adapter_layers"]  # small_arch keeps the default: unchecked, it would load
+                elif damage == "arch key added":
+                    meta["arch"]["width"] = 8
+                else:
+                    meta["tags"] = sorted(meta["tags"].items())
+                arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
             np.savez(path, **arrays)
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not a readable checkpoint"):
             load_params(str(path))
