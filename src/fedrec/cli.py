@@ -204,6 +204,9 @@ def main(argv: Optional[list] = None) -> int:
             UndefinedMetricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,8 +14,12 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str) -> Dict[str, str]:
+    """The `key = value` pairs of a config text. Lines end at "\n" (text
+    read by open() has "\r\n" and "\r" turned into it), so a form feed or
+    another Unicode line break inside a comment or a value stays in its line
+    and every error names the line an editor shows."""
     out: Dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

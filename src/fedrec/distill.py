@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import ParamSet, count_params, forward_batch, init_params, sgd_epoch
+from .model import ParamSet, count_params, forward_batch, init_params, sgd_epochs
 
 
 class DistillError(ValueError):
@@ -69,11 +69,8 @@ def distill(
 
     teacher_probs, _ = forward_batch(teacher, UA, VA)
     target = distill_targets(teacher_probs, labels, config.alpha)
-    history = DistillHistory([])
     rng = np.random.default_rng([config.seed, 13])
-    for _ in range(config.epochs):
-        student, loss = sgd_epoch(
-            student, UA, VA, target, None, config.batch_size, config.lr, rng, want_loss=True
-        )
-        history.train_loss.append(loss)
-    return student, history
+    student, losses = sgd_epochs(
+        student, UA, VA, target, None, config.batch_size, config.lr, rng, config.epochs, want_loss=True
+    )
+    return student, DistillHistory(losses)

@@ -183,13 +183,15 @@ class ExperimentConfig:
             if bound is None or value is None:
                 continue
             for x in value if isinstance(kind, tuple) else (value,):
+                if isinstance(x, int) and not -(2**63) <= x < 2**63:  # numpy sizes and seeds are int64
+                    raise ConfigError(f"config key {key!r}: {x} is outside the int64 range")
                 if isinstance(bound, tuple) and x not in bound:
                     raise ConfigError(f"config key {key!r}: {x!r} is not one of {', '.join(bound)}")
                 if isinstance(bound, str) and not _inside(x, bound):
                     raise ConfigError(f"config key {key!r}: {x} is outside {bound}")
         if self.ldp_intensity > 0 and not self.ldp_enabled:
             raise ConfigError(
-                f"ldp.intensity = {self.ldp_intensity} has no effect with ldp.enabled = false"
+                f"config key 'ldp.intensity': {self.ldp_intensity} has no effect with ldp.enabled = false"
             )
 
     @classmethod

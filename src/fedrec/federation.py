@@ -50,7 +50,7 @@ from .model import (
     forward_batch,
     init_params,
     init_user_adapter,
-    sgd_epoch,
+    sgd_epochs,
     user_adapter_specs,
 )
 from .privacy import noise_uploads
@@ -267,13 +267,8 @@ def pretrain(
     split. Returns (trained base ParamSet, per-epoch mean loss)."""
     base = arch.base()
     UA, VA, y = pretrain_examples(dataset, seed, neg_ratio)
-    ps = init_params(base, seed)
-    losses: List[float] = []
     rng = np.random.default_rng([seed, 11])
-    for _ in range(epochs):
-        ps, loss = sgd_epoch(ps, UA, VA, y, None, batch_size, lr, rng, want_loss=True)
-        losses.append(loss)
-    return ps, losses
+    return sgd_epochs(init_params(base, seed), UA, VA, y, None, batch_size, lr, rng, epochs, want_loss=True)
 
 
 def warm_start(arch: Arch, base_ps: ParamSet, seed: int) -> ParamSet:
@@ -375,8 +370,7 @@ def local_train(
     ps = _cohort(global_ps, arrays, live)
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(cfg.seed, round_index, uids, 1, pool)
-    for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, VA, y, None, cfg.fed_batch, cfg.fed_lr, rngs, counts=counts)
+    ps, _ = sgd_epochs(ps, UA, VA, y, None, cfg.fed_batch, cfg.fed_lr, rngs, cfg.local_epochs, counts=counts)
 
     private = ps.trained[:, _user_columns(ps.layout, ps.arch)]
     bad = _first_non_finite(private, uids)

@@ -22,15 +22,17 @@ cohort's rows hold each client's own group's adapters (`Layout.cohort`).
 Forward, backward and SGD are written once over leading axes, so a single
 model runs them without a client axis.
 
-`sgd_epoch` does once per epoch whatever does not change from step to step:
-it checks the rows, shuffles them, builds the layout plan (`_plan`) with
-every view a step reads, of the tensors and of their gradients, and turns
-the rows, in epoch order, into the source rows the embedding gather reads
-and the flat index at which the gradient scatter starts each slot's row. A
-step slices both, runs one forward pass (`_forward`, which `forward_batch`
-shares), one backward pass and one update of the trained buffer. With
-`want_loss` the steps keep their probabilities, and the epoch loss is one
-pass over them at the end.
+`sgd_epochs` trains every epoch of a call through what it sets up once: it
+checks the rows, copies the trained buffer, builds the layout plan
+(`_plan`) with every view a step reads, of the tensors and of their
+gradients, and turns the rows into the source rows the embedding gather
+reads and the flat index at which the gradient scatter starts each slot's
+row. An epoch shuffles and takes both in its order; a step slices its
+batch's, runs one forward pass (`_forward`, which `forward_batch` shares),
+one backward pass and one update of the trained buffer. The backward pass
+computes the layer-0 input gradient only at the trained tables' columns.
+With `want_loss` the steps keep their probabilities, and each epoch's loss
+is one pass over them at its end.
 
 Inference (`forward_batch` without a cache) scores a single model's rows
 in blocks of about INFER_ROWS (`_blocks`), so its memory is bounded by a
@@ -254,8 +256,8 @@ class ParamSet:
 
     `flat[tag]` is the tag's vector and `tensors[name]` a view into it; the
     private and shared vectors are the halves of `trained`. Only the private
-    copy an sgd_epoch trains has a `plan`, and sgd_step updates only such a
-    copy in place; every other ParamSet's buffers are never written.
+    copy an sgd_epochs call trains has a `plan`, and sgd_step updates only
+    such a copy in place; every other ParamSet's buffers are never written.
     """
 
     __slots__ = ("arch", "tags", "layout", "frozen", "trained", "flat", "tensors", "plan")
@@ -429,6 +431,16 @@ class _EmbedPlan:
     source index (source row * d + column) of each live slot element; the
     count's [start, stop) range of each trained piece is the piece's
     gradient, `grads` (start, stop, gradient view).
+
+    A backward pass computes the layer-0 input gradient only at `span`, the
+    live slots' columns widened to multiples of 8, and the scatter reads the
+    live ones among them (`span_live`). A product over such a span had the
+    bits of the full-width product at its columns on the OpenBLAS 0.3.31
+    build it was measured on, over 36,936 shapes; TestLayerZeroColumnCut
+    guards it. Narrower spans did not always keep them: a cut to 1 to 4
+    columns of every 8 changed bits, and so did a single column, which numpy
+    hands to BLAS's dot or gemv in place of gemm, even when aligned; a
+    one-column span therefore widens to every column.
     """
 
     names: Tuple[str, ...]
@@ -439,6 +451,8 @@ class _EmbedPlan:
     base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
     cols: np.ndarray                   # arange(d)
     live: Union[slice, np.ndarray]     # slots whose table takes a gradient
+    span: slice                        # the layer-0 input columns its gradient is computed at
+    span_live: Union[slice, np.ndarray]  # the live slots' columns within span
     grads: Tuple[Tuple[int, int, np.ndarray], ...]
     size: int                          # flat length the gradient count covers
 
@@ -459,11 +473,19 @@ class _EmbedPlan:
             return self.source
         return np.concatenate([p.reshape(-1, len(self.cols)) for p in self.pieces])
 
-    def scatter_rows(self, rows: np.ndarray) -> np.ndarray:
+    def restack(self, source: np.ndarray):
+        """Write the trained tables' current rows into `source`, a copy that
+        stacked() returned; a view needs nothing."""
+        if self.source is None:
+            flat = source.reshape(-1)
+            for piece, (start, stop, _) in zip(self.pieces, self.grads):  # the trained pieces lead
+                flat[start:stop].reshape(piece.shape)[...] = piece
+
+    def scatter_rows(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The flat source index (..., n, live slots) of column 0 of each
         live slot's row in `rows`: where the gradient count adds the slot's
         first element."""
-        return rows[..., self.live] * len(self.cols)
+        return np.multiply(rows[..., self.live], len(self.cols), out=out)
 
 
 @dataclass(frozen=True)
@@ -488,6 +510,12 @@ class _Plan:
     embed: _EmbedPlan
     layers: Tuple[_LayerPlan, ...]
     grad: Gradient                     # filled by each backward pass
+
+
+def _index(ix: List[int]) -> Union[slice, np.ndarray]:
+    """`ix` as an index of the last axis: a slice when it is a run, which
+    selects a view rather than a copy."""
+    return slice(ix[0], ix[-1] + 1) if ix and ix == list(range(ix[0], ix[-1] + 1)) else np.array(ix, dtype=np.intp)
 
 
 def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) -> _Plan:
@@ -535,9 +563,10 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
         clients = next(p.shape[0] for p in pieces if p.ndim > 1)
         base = base + np.arange(clients)[:, None, None] * per_client
     on = [s for s, (t, _, _, _) in enumerate(slots) if t != FROZEN]
-    live_slots = np.array(on, dtype=np.intp)
-    if on and on == list(range(on[0], on[-1] + 1)):
-        live_slots = slice(on[0], on[-1] + 1)  # selects a view, not a copy
+    cols = [s * d + j for s in on for j in range(d)]  # the live slots' layer-0 input columns
+    lo, hi = (cols[0] // 8 * 8, min(arch.input_dim, -(-(cols[-1] + 1) // 8) * 8)) if cols else (0, 0)
+    if hi - lo == 1:
+        lo, hi = 0, arch.input_dim
     for n in names:  # the trained tables' gradients by name, views into the pieces' gradients
         named(n)
     embed = _EmbedPlan(
@@ -548,7 +577,9 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
         source=pieces[0].reshape(-1, d) if len(pieces) == 1 and pieces[0].ndim == 1 else None,
         base=base,
         cols=np.arange(d),
-        live=live_slots,
+        live=_index(on),
+        span=slice(lo, hi),
+        span_live=_index([c - lo for c in cols]),
         grads=tuple(piece_grads),
         size=piece_grads[-1][1] if piece_grads else 0,
     )
@@ -585,7 +616,7 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _LayerCache:
     """Forward intermediates of one layer.
 
@@ -607,7 +638,7 @@ class _LayerCache:
         return self.G is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardCache:
     index: np.ndarray                  # the batch's _EmbedPlan.scatter_rows
     layers: List[_LayerCache]
@@ -642,12 +673,10 @@ def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     return Z, cache
 
 
-def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: Optional[np.ndarray] = None):
+def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: np.ndarray):
     """(probs, each layer's cache or None) of the batch whose layer-0 input
     slots read the source rows `rows` (..., n, slots) of `source`, the
-    plan's tables stacked end to end (stacked here when not given)."""
-    if source is None:
-        source = plan.embed.stacked()
+    plan's tables stacked end to end (`_EmbedPlan.stacked`)."""
     # one gather of every slot's row from the tables stacked end to end
     X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
     layers: List[_LayerCache] = []
@@ -706,12 +735,12 @@ def forward_batch(
         plan = _plan(ps, groups, grads=want_cache)
         plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
+    source = plan.embed.stacked()  # once per call, not once per block
     if want_cache:
-        probs, layers = _forward(plan, rows, True)
+        probs, layers = _forward(plan, rows, True, source)
         return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
     if ps.trained.ndim > 1:  # a cohort: one pass
-        return _forward(plan, rows, False)[0], None
-    source = plan.embed.stacked()  # once per call, not once per block
+        return _forward(plan, rows, False, source)[0], None
     probs = np.empty(rows.shape[:-1])
     for block in _blocks(probs.shape[-1]):
         probs[..., block] = _forward(plan, rows[..., block, :], False, source)[0]
@@ -742,6 +771,10 @@ def backward_batch(
     which is returned), so the next backward pass of the same plan
     overwrites them.
 
+    The layer-0 input gradient feeds only the trained embedding tables, so
+    it is computed at their columns alone (`_EmbedPlan.span`), and not at
+    all without a trained table.
+
     A cohort's batch passes `valid` (C, n): its padding rows are False, and
     each client's mean runs over its own valid rows, so a client without any
     gets exactly zero gradients.
@@ -754,16 +787,16 @@ def backward_batch(
         # each client's valid rows as one product, not a reduction per row
         n = np.maximum(valid @ np.ones(valid.shape[-1]), 1.0)[..., None]
         dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
+    emb = cache.plan.embed
     for l in range(len(cache.layers) - 1, -1, -1):
         lp, c = cache.plan.layers[l], cache.layers[l]
         X = c.X
         (W, gW), (_, gb) = lp.W, lp.b
+        terms = []  # (output gradient, weight) of each product of X, in the order dX adds them
         if not c.gated:
             dC = dZ
-            dX = dC @ W
         else:
             G = c.G
-            dX = np.zeros_like(X)
             if lp.gate is not None:
                 (W1, gW1), (W2, gW2) = lp.gate
                 dG = np.empty(G.shape)
@@ -775,7 +808,7 @@ def backward_batch(
                 dZ1 = (dA @ W2) * (c.Z1 > 0)
                 if gW1 is not None:
                     np.matmul(dZ1.mT, X, out=gW1)
-                dX += dZ1 @ W1
+                terms.append((dZ1, W1))
             dC = G[..., :1] * dZ
             for j, (T, ((A, gA), (B, gB))) in enumerate(zip(c.T, lp.adapters), start=1):
                 dV = G[..., j : j + 1] * dZ
@@ -784,34 +817,41 @@ def backward_batch(
                 dT = dV @ A
                 if gB is not None:
                     np.matmul(dT.mT, X, out=gB)
-                dX += dT @ B
-            dX += dC @ W
-
+                terms.append((dT, B))
+        terms.append((dC, W))
         if gW is not None:
             np.matmul(dC.mT, X, out=gW)
         if gb is not None:
             np.add.reduce(dC, axis=-2, out=gb)
         if l > 0:  # X = relu(previous Z), positive exactly where that Z is
-            dZ = dX * (X > 0)
-
-    # one scatter: dX is now the gradient of the layer-0 input
-    _embed_grads(cache.plan.embed, cache.index, dX)
+            dZ = _input_grad(terms)
+            dZ *= X > 0
+        elif emb.grads:  # one scatter of the layer-0 input gradient
+            _embed_grads(emb, cache.index, _input_grad(terms, emb.span)[..., emb.span_live])
     return cache.plan.grad
+
+
+def _input_grad(terms, cols: Optional[slice] = None):
+    """The gradient of a layer's input at columns `cols` (all without): the
+    products of each output gradient with its weight's columns, added in
+    `terms` order. An ungated layer's one product stands alone; a gated
+    layer's sum starts from +0.0 (0.0 + p and p + 0.0 are the same bits)."""
+    g, M = terms[0]
+    dX = g @ (M if cols is None else M[..., cols])
+    if len(terms) > 1:
+        dX += 0.0
+        for g, M in terms[1:]:
+            dX += g @ (M if cols is None else M[..., cols])
+    return dX
 
 
 def _embed_grads(emb: _EmbedPlan, index: np.ndarray, dX: np.ndarray):
     """Write the gradient of every trained embedding table from the layer-0
-    input gradient dX (..., n, slots * d), `index` the batch's
-    _EmbedPlan.scatter_rows: every element's gradient added at its flat
-    source index, in batch order as a row-by-row loop would add them."""
-    if not emb.grads:
-        return
-    d = len(emb.cols)
-    flat = np.bincount(
-        (index[..., None] + emb.cols).ravel(),
-        weights=dX.reshape(index.shape[:-1] + (-1, d))[..., emb.live, :].ravel(),
-        minlength=emb.size,
-    )
+    input gradient at the live slots' columns, dX (..., n, live slots * d),
+    `index` the batch's _EmbedPlan.scatter_rows: every element's gradient
+    added at its flat source index, in batch order as a row-by-row loop
+    would add them."""
+    flat = np.bincount((index[..., None] + emb.cols).ravel(), weights=dX.ravel(), minlength=emb.size)
     for start, stop, grad in emb.grads:
         grad[...] = flat[start:stop].reshape(grad.shape)
 
@@ -827,7 +867,7 @@ def sgd_step(ps: ParamSet, grads: Gradient, lr: float) -> ParamSet:
     return out
 
 
-def sgd_epoch(
+def sgd_epochs(
     ps: ParamSet,
     UA: np.ndarray,
     VA: np.ndarray,
@@ -836,20 +876,22 @@ def sgd_epoch(
     batch_size: int,
     lr: float,
     rng: Union[np.random.Generator, Sequence[np.random.Generator]],
+    epochs: int,
     want_loss: bool = False,
     counts: Optional[np.ndarray] = None,
-) -> Tuple[ParamSet, Optional[float]]:
-    """One epoch of minibatch SGD: the rows in one `rng.permutation` order,
-    cut into batches of `batch_size`, one forward/backward/update per batch.
-    The epoch trains one copy of the trained buffer in place, through one
-    layout plan, and leaves `ps` as it was. It checks its input once: UA, VA
-    and y must have the same rows and every attribute value must index its
-    table, else ShapeError.
+) -> Tuple[ParamSet, Optional[List[float]]]:
+    """`epochs` epochs of minibatch SGD. Each epoch takes the rows in one
+    `rng.permutation` order, cut into batches of `batch_size`, with one
+    forward/backward/update per batch. The call trains one copy of the
+    trained buffer in place, through one layout plan, and leaves `ps` as it
+    was. It checks its input once: UA, VA and y must have the same rows,
+    every attribute value must index its table and `epochs` must be >= 0,
+    else ShapeError.
 
-    Returns (updated ParamSet, epoch loss). With `want_loss` (a single model
-    only, and at least one row) the epoch loss is the row-weighted mean of
-    each batch's mean BCE before its update (see _epoch_loss); otherwise it
-    is None.
+    Returns (updated ParamSet, epoch losses). With `want_loss` (a single
+    model only, and at least one row) each epoch's loss is the row-weighted
+    mean of each batch's mean BCE before its update (see _epoch_loss);
+    otherwise the losses are None.
 
     A cohort of C clients (`ps` stacked on a leading client axis) passes its
     train shards padded to N rows and stacked, UA (C, N, a), VA (C, N, a') and
@@ -863,38 +905,52 @@ def sgd_epoch(
         raise ShapeError(f"UA {UA.shape}, VA {VA.shape} and y {y.shape} must have the same rows")
     if batch_size < 1:
         raise ShapeError(f"batch size {batch_size} must be >= 1")
-    if want_loss and (counts is not None or len(y) == 0):
+    if epochs < 0:
+        raise ShapeError(f"epochs {epochs} must be >= 0")
+    if want_loss and epochs and (counts is not None or len(y) == 0):
         raise ShapeError("an epoch loss needs a single model and at least one row")
     ps = ps.copy()
     ps.plan = plan = _plan(ps, groups)
     plan.embed.check(UA, VA)
+    # the gather rows of every row; each epoch takes them, and the labels, in
+    # its order into the same arrays and turns them into scatter rows, and
+    # each step slices its batch's
+    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     valid = None
-    if counts is None:
-        order = rng.permutation(len(y))
-    else:
+    if counts is not None:
         C, N = y.shape
         # flat row c * N + j of the stacked shards
-        order = np.arange(C * N).reshape(C, N)
-        for row, g, n_c in zip(order, rng, counts):
-            g.shuffle(row[:n_c])  # the draws and swaps of g.permutation(n_c)
-        UA, VA, y = UA.reshape(C * N, -1), VA.reshape(C * N, -1), y.reshape(C * N)
+        rows, y = rows.reshape(C * N, -1), y.reshape(C * N)
         valid = np.arange(N) < counts[:, None]
-    # the epoch's gather rows and scatter rows in epoch order; each step
-    # slices its batch's
-    rows = np.concatenate((UA, VA), axis=-1)[order] + plan.embed.base
-    index = plan.embed.scatter_rows(rows)
-    y = y[order]
-    n = order.shape[-1]
-    probs = np.empty(n) if want_loss else None
-    for start in range(0, n, batch_size):
-        batch = slice(start, start + batch_size)
-        p, layers = _forward(plan, rows[..., batch, :], want_cache=True)
+    source = plan.embed.stacked()  # restacked in place before each step
+    losses = [] if want_loss else None
+    epoch_rows = epoch_index = epoch_y = None
+    for _ in range(epochs):
+        if counts is None:
+            order = rng.permutation(len(y))
+        else:
+            order = np.arange(C * N).reshape(C, N)
+            for row, g, n_c in zip(order, rng, counts):
+                g.shuffle(row[:n_c])  # the draws and swaps of g.permutation(n_c)
+        # mode="clip" (every index is in range) lets take write into out unbuffered
+        epoch_rows = np.take(rows, order, axis=0, out=epoch_rows, mode="clip")
+        epoch_index = plan.embed.scatter_rows(epoch_rows, out=epoch_index)
+        epoch_y = np.take(y, order, out=epoch_y, mode="clip")
+        n = order.shape[-1]
+        probs = np.empty(n) if want_loss else None
+        for start in range(0, n, batch_size):
+            batch = slice(start, start + batch_size)
+            plan.embed.restack(source)
+            p, layers = _forward(plan, epoch_rows[..., batch, :], True, source)
+            if want_loss:
+                probs[batch] = p
+            cache = ForwardCache(epoch_index[..., batch, :], layers, p, plan)
+            mask = None if valid is None else valid[:, batch]
+            ps = sgd_step(ps, backward_batch(ps, cache, epoch_y[..., batch], mask), lr)
         if want_loss:
-            probs[batch] = p
-        cache = ForwardCache(index[..., batch, :], layers, p, plan)
-        ps = sgd_step(ps, backward_batch(ps, cache, y[..., batch], None if valid is None else valid[:, batch]), lr)
+            losses.append(_epoch_loss(probs, epoch_y, batch_size))
     ps.plan = None  # the caller gets a value, not a buffer to train
-    return ps, (_epoch_loss(probs, y, batch_size) if want_loss else None)
+    return ps, losses
 
 
 def _epoch_loss(probs: np.ndarray, y: np.ndarray, batch_size: int) -> float:

@@ -44,7 +44,7 @@ from fedrec.model import (
     _plan,
     forward_batch,
     init_params,
-    sgd_epoch,
+    sgd_epochs,
     user_adapter_specs,
 )
 from fedrec.privacy import laplace_noise
@@ -167,7 +167,7 @@ def build_clients_reference(dataset, arch, seed, neg_ratio=4) -> List[ClientStat
 
 def bce_loss(predictions, labels) -> float:
     """Mean binary cross-entropy with probability clamp at EPS_CLAMP: the
-    per-batch loss sgd_epoch's epoch loss is the row-weighted mean of."""
+    per-batch loss sgd_epochs' epoch loss is the row-weighted mean of."""
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(labels, dtype=float)
     if p.size == 0:
@@ -298,7 +298,7 @@ def forward_one_shot(ps, UA, VA, groups=None):
     once: the oracle that blocked inference matches bit for bit."""
     plan = _plan(ps, groups, grads=False)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    return _forward(plan, rows, want_cache=False)[0]
+    return _forward(plan, rows, False, plan.embed.stacked())[0]
 
 
 def randomized_params(ps, seed, scale=0.05):
@@ -346,6 +346,68 @@ def embed_grads_reference(ps, UA, VA, dX):
             np.add.at(table, flat, dX[..., j * d : (j + 1) * d])
             grads[key] = gtab
     return grads
+
+
+def backward_full_width(cache, labels, valid=None):
+    """Oracle for model.backward_batch: the same analytic gradients with the
+    layer-0 input gradient taken over every input column, then cut to the
+    trained tables' slots for the scatter. Returns a copy of the gradient
+    vector; it writes the plan's gradient views as backward_batch does."""
+    y = np.asarray(labels, dtype=float)
+    if valid is None:
+        dZ = ((cache.probs - y) / y.shape[-1])[..., None]
+    else:
+        n = np.maximum(valid @ np.ones(valid.shape[-1]), 1.0)[..., None]
+        dZ = np.where(valid, (cache.probs - y) / n, 0.0)[..., None]
+    for l in range(len(cache.layers) - 1, -1, -1):
+        lp, c = cache.plan.layers[l], cache.layers[l]
+        X = c.X
+        (W, gW), (_, gb) = lp.W, lp.b
+        if not c.gated:
+            dC = dZ
+            dX = dC @ W
+        else:
+            G = c.G
+            dX = np.zeros_like(X)
+            if lp.gate is not None:
+                (W1, gW1), (W2, gW2) = lp.gate
+                dG = np.empty(G.shape)
+                for j, v in enumerate(c.V):
+                    dG[..., j] = np.add.reduce(v * dZ, axis=-1)
+                dA = G * (dG - np.add.reduce(G * dG, axis=-1)[..., None])
+                if gW2 is not None:
+                    np.matmul(dA.mT, c.S, out=gW2)
+                dZ1 = (dA @ W2) * (c.Z1 > 0)
+                if gW1 is not None:
+                    np.matmul(dZ1.mT, X, out=gW1)
+                dX += dZ1 @ W1
+            dC = G[..., :1] * dZ
+            for j, (T, ((A, gA), (B, gB))) in enumerate(zip(c.T, lp.adapters), start=1):
+                dV = G[..., j : j + 1] * dZ
+                if gA is not None:
+                    np.matmul(dV.mT, T, out=gA)
+                dT = dV @ A
+                if gB is not None:
+                    np.matmul(dT.mT, X, out=gB)
+                dX += dT @ B
+            dX += dC @ W
+        if gW is not None:
+            np.matmul(dC.mT, X, out=gW)
+        if gb is not None:
+            np.add.reduce(dC, axis=-2, out=gb)
+        if l > 0:
+            dZ = dX * (X > 0)
+    emb = cache.plan.embed
+    if emb.grads:
+        d = len(emb.cols)
+        flat = np.bincount(
+            (cache.index[..., None] + emb.cols).ravel(),
+            weights=dX.reshape(cache.index.shape[:-1] + (-1, d))[..., emb.live, :].ravel(),
+            minlength=emb.size,
+        )
+        for start, stop, grad in emb.grads:
+            grad[...] = flat[start:stop].reshape(grad.shape)
+    return cache.plan.grad.flat.copy()
 
 
 @dataclass
@@ -514,7 +576,7 @@ def client_local_train(client, global_ps, cfg, round_index):
     UA = user_matrix(client, n)
     rng = np.random.default_rng([cfg.seed, round_index, client.uid, 1])
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epoch(ps, UA, shard.items, shard.labels, client.groups, cfg.fed_batch, cfg.fed_lr, rng)
+        ps, _ = sgd_epochs(ps, UA, shard.items, shard.labels, client.groups, cfg.fed_batch, cfg.fed_lr, rng, 1)
 
     client.private = {k: ps.tensors[k] for k in client.private}
     tensors = {n_: ps.tensors[n_] for n_ in upload_names(ps, client)}

@@ -54,6 +54,15 @@ def write_files_cfg(tmp_path, users, items, interactions):
     return write_cfg(tmp_path, "data.source = files\n" + paths)
 
 
+def write_cfg_setting(tmp_path, key, value):
+    """The test config with `key` set to `value`, in place of its own line
+    if it has one."""
+    kept = [line for line in BASE_CFG.splitlines() if line.split("=", 1)[0].strip() != key]
+    path = tmp_path / "exp.cfg"
+    path.write_text("\n".join(kept + [f"{key} = {value}"]) + "\n")
+    return str(path)
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -98,6 +107,56 @@ class TestConfigParser:
             ExperimentConfig.from_dict({}).require("eval.checkpoint")
         with pytest.raises(ConfigError, match="config key 'flag': 'yes' is not an integer"):
             parse_value("flag", cfg["flag"], int)
+
+
+# a config line: a known key with a value that may not fit its kind or
+# bound, or any text at all
+KEY_LINE = st.tuples(
+    st.sampled_from(sorted(KEYS)),
+    st.one_of(
+        st.text(max_size=10),
+        st.sampled_from(["0", "-1", "1", "2", "0.5", "1e3", "nan", "inf", "1_0", "yes", "off", "", ",", "1,2",
+                         "1,,2", "99999999999999999999", "synth", "files", "fedpa", "all", "hidden", "ua0"]),
+    ),
+).map(lambda kv: f"{kv[0]} = {kv[1]}")
+ANY_LINE = st.one_of(KEY_LINE, st.text(max_size=20)).map(lambda line: line.replace("\n", " "))
+
+
+class TestConfigProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(lines=st.lists(ANY_LINE, max_size=6), newline=st.sampled_from(["\n", "\r\n"]))
+    def test_any_text_gives_a_config_or_an_error_naming_its_key_or_line(self, lines, newline):
+        text = newline.join(lines)
+        try:
+            raw = parse_config_text(text)
+        except ConfigError as exc:
+            at = re.match(r"line (\d+): ", str(exc))
+            assert at and 1 <= int(at[1]) <= len(lines), str(exc)
+            bad = lines[int(at[1]) - 1].split("#", 1)[0]
+            # the line has no '=', no key, or a key an earlier line has
+            key = bad.split("=", 1)[0].strip()
+            assert "=" not in bad or not key or any(
+                line.split("#", 1)[0].split("=", 1)[0].strip() == key for line in lines[: int(at[1]) - 1]
+            ), (str(exc), lines)
+            return
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError as exc:
+            named = re.search(r"config key '([^']*)'", str(exc))
+            assert named and named[1] in raw, str(exc)
+            return
+        for key, text_value in raw.items():  # each key set to its value read as its kind
+            field, kind, _ = KEYS[key]
+            got = getattr(cfg.synth if key.startswith("synth.") else cfg, field)
+            assert got == parse_value(key, text_value, kind), key
+
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_line_break_characters_other_than_newline_stay_in_their_line(self, brk):
+        # str.splitlines ends a line at these too: a form feed in a comment
+        # made its rest a line of its own, "line 2: expected key=value"
+        assert parse_config_text(f"# page{brk}two\nseed = 3\n") == {"seed": "3"}
+        with pytest.raises(ConfigError, match="^line 3: expected key=value"):
+            parse_config_text(f"seed = 3{brk}\n\nno value here\n")
 
 
 CONFIG_KEY = st.from_regex(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)?", fullmatch=True)
@@ -162,6 +221,18 @@ class TestTrainingKeyBounds:
     def test_config_names_the_key(self, key, value):
         with pytest.raises(ConfigError, match=re.escape(f"config key {key!r}: {value} is outside")):
             ExperimentConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("key, value", [
+        ("synth.n_users", "9223372036854775808"), ("arch.embed_dim", "99999999999999999999"),
+        ("synth.user_attrs", "3, 99999999999999999999"), ("seed", "18446744073709551616"),
+    ])
+    def test_int_keys_are_int64(self, key, value):
+        # beyond int64 numpy failed later, naming no key ("high is out of
+        # bounds for int64", "Maximum allowed dimension exceeded")
+        message = f"config key {key!r}: {value.split(', ')[-1]} is outside the int64 range"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ExperimentConfig.from_dict({key: value})
+        assert ExperimentConfig.from_dict({"seed": str(2**63 - 1)}).seed == 2**63 - 1
 
     def test_each_list_element_is_checked(self):
         with pytest.raises(ConfigError, match=re.escape("config key 'arch.mlp_hidden': 0 is outside [1, inf)")):
@@ -525,6 +596,32 @@ class TestErrors:
         )
         proc = run_fresh("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
         assert_one_error_line(proc, f"{tmp_path / 'x.csv'}:3: field outside the int64 range")
+
+    def test_synth_on_an_attribute_cardinality_outside_int64_exits_1(self, tmp_path):
+        # numpy used to fail with "high is out of bounds for int64", naming no key
+        cfg = write_cfg_setting(tmp_path, "synth.item_attrs", "4, 99999999999999999999")
+        proc = run_fresh("synth", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, "config key 'synth.item_attrs': 99999999999999999999 is outside the int64 range")
+
+    def test_pretrain_on_a_model_too_large_to_allocate_exits_1(self, tmp_path):
+        # a MemoryError used to end the run with a traceback; 3 x 10^15
+        # float64s exceed any address space, so no memory is taken
+        cfg = write_cfg_setting(tmp_path, "arch.embed_dim", "1000000000000000")
+        proc = run_fresh("pretrain", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, "error: out of memory: Unable to allocate")
+
+    def test_distill_from_a_teacher_that_is_no_checkpoint_exits_1(self, tmp_path):
+        teacher = tmp_path / "teacher.npz"
+        teacher.write_bytes(b"PK\x03\x04\x14\x00")
+        cfg = write_cfg(tmp_path, f"distill.teacher = {teacher}\ndistill.embed_dim = 2\ndistill.mlp_hidden = 4\n")
+        proc = run_fresh("distill", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, f"{teacher}: not a readable checkpoint")
+
+    def test_ablate_on_a_users_file_that_is_not_utf8_exits_1(self, tmp_path):
+        cfg = write_files_cfg(tmp_path, "", "item_id,ia0\n0,0\n1,1\n", "user_id,item_id,timestamp\n0,0,1\n")
+        (tmp_path / "u.csv").write_bytes(b"user_id,ua0\n0,0\n1,\xff\n")
+        proc = run_fresh("ablate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, f"{tmp_path / 'u.csv'}:3: not UTF-8 (byte 0xff)")
 
     @pytest.mark.parametrize("blob", [b"user_id,age\n0,1\n", b"PK\x03\x04\x14\x00"])
     def test_eval_on_a_file_that_is_no_checkpoint_exits_1(self, tmp_path, blob):

@@ -1,3 +1,6 @@
+import inspect
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec import federation
+from fedrec import federation, model
 from fedrec.data import (
     FED_TRAIN,
     SPLITS,
@@ -135,6 +138,38 @@ class TestPretrain:
         assert la == lb
         for n in a.tensors:
             assert np.array_equal(a.tensors[n], b.tensors[n])
+
+    @pytest.mark.parametrize("epochs, batch", [(3, 16), (2, 7), (1, 1000)])
+    def test_each_step_calls_sgd_step_and_backward_batch_through_the_module(self, monkeypatch, epochs, batch):
+        # the benchmark's trace run wraps model.sgd_step and model.backward_batch
+        # at every place a fedrec module holds them (perfbench/tracer.py);
+        # check_closed_forms (perfbench/run.py) counts the sgd_step calls inside
+        # federation.pretrain against epochs * ceil(rows / batch), and
+        # Tracer._after_backward_batch reads backward_batch's `labels` by name
+        ds, arch = make_world()
+        n = len(pretrain_examples(ds, seed=0)[2])
+        calls = {"sgd_step": 0, "backward_batch": 0}
+        rows = []
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "backward_batch":
+                    rows.append(len(inspect.signature(fn).bind(*args, **kwargs).arguments["labels"]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            original = getattr(model, name)
+            wrapper = wrap(name, original)
+            for mod in [m for key, m in sys.modules.items() if key == "fedrec" or key.startswith("fedrec.")]:
+                for key, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, key, wrapper)
+        pretrain(ds, arch, epochs=epochs, lr=0.3, batch_size=batch, seed=0)
+        steps = epochs * math.ceil(n / batch)
+        assert calls == {"sgd_step": steps, "backward_batch": steps}
+        assert sum(rows) == epochs * n
 
     def test_examples_use_native_labels(self):
         ds, _ = make_world()

@@ -81,7 +81,7 @@ def test_no_ufunc_at_scatter():
 # step calls np.add.reduce (np.maximum.reduce, ...) directly.
 STEP_FUNCTIONS = frozenset({
     "_row_sum", "_softmax", "_layer_branches", "_forward", "forward_batch", "backward_batch",
-    "_embed_grads", "sgd_step", "sgd_epoch", "_epoch_loss",
+    "_input_grad", "_embed_grads", "sgd_step", "sgd_epochs", "_epoch_loss",
 })
 WRAPPED_REDUCTIONS = frozenset({"np.sum", "np.mean", "np.max", "np.min"})
 

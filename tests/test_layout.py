@@ -27,7 +27,7 @@ from fedrec.model import (
     init_params,
     load_params,
     save_params,
-    sgd_epoch,
+    sgd_epochs,
     sgd_step,
 )
 from helpers import RULES, randomized_params, stack, tensor_names
@@ -137,8 +137,8 @@ class TestNoCallerBufferWritten:
         lone = ps.with_tensors(c.private)
         shard = c.shards["train"]
         before = snapshot(lone)
-        out, _ = sgd_epoch(lone, np.tile(c.user_attrs, (len(shard), 1)), shard.items, shard.labels,
-                           c.groups, 8, 0.3, np.random.default_rng(0))
+        out, _ = sgd_epochs(lone, np.tile(c.user_attrs, (len(shard), 1)), shard.items, shard.labels,
+                            c.groups, 8, 0.3, np.random.default_rng(0), 1)
         assert snapshot(lone) == before and out.plan is None
         arrays = stack(clients, ps.arch, ("train",))
         rows = np.arange(len(clients))
@@ -146,7 +146,7 @@ class TestNoCallerBufferWritten:
         UA, VA, y, counts = arrays.shards["train"].rows(rows)
         before = snapshot(cohort)
         rngs = [np.random.default_rng(i) for i in rows]
-        out, _ = sgd_epoch(cohort, UA, VA, y, None, 8, 0.3, rngs, counts=counts)
+        out, _ = sgd_epochs(cohort, UA, VA, y, None, 8, 0.3, rngs, 1, counts=counts)
         assert snapshot(cohort) == before and out.plan is None
         assert not np.array_equal(out.trained, cohort.trained)
 

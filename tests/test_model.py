@@ -14,9 +14,12 @@ from hypothesis.extra import numpy as hnp
 from fedrec import model
 from fedrec.data import AttributeSchema, DataError
 from fedrec.model import (
+    ADAPTER_LAYERS,
     FROZEN,
     GATE_COMMON,
     GATE_UNIFORM,
+    PRIVATE,
+    SHARED,
     Arch,
     ParamSet,
     ShapeError,
@@ -27,11 +30,12 @@ from fedrec.model import (
     load_params,
     predict,
     save_params,
-    sgd_epoch,
+    sgd_epochs,
     sgd_step,
 )
 from fedrec.model import _embed_grads, _layer_branches, _plan, _row_sum, _softmax
 from helpers import (
+    backward_full_width,
     bce_loss,
     count_matching,
     embed_grads_reference,
@@ -133,7 +137,8 @@ def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
     X = cache.layers[0].X
     assert np.array_equal(X, embed_reference(ps, UA, VA))
     dX = np.random.default_rng(seed).normal(size=X.shape)
-    _embed_grads(cache.plan.embed, cache.index, dX)
+    emb = cache.plan.embed
+    _embed_grads(emb, cache.index, dX[..., emb.span][..., emb.span_live])
     got = {n: g for n, g in cache.plan.grad.items() if "_emb/" in n}
     want = embed_grads_reference(ps, UA, VA, dX)
     assert sorted(got) == sorted(want)
@@ -179,7 +184,7 @@ class TestFusedEmbedding:
             with pytest.raises(ShapeError, match="user_emb/u1"):
                 forward_batch(ps, UA, VA)
             with pytest.raises(ShapeError, match="user_emb/u1"):
-                sgd_epoch(ps, UA, VA, np.zeros(5), None, 2, 0.1, np.random.default_rng(0))
+                sgd_epochs(ps, UA, VA, np.zeros(5), None, 2, 0.1, np.random.default_rng(0), 1)
 
     def test_wrong_column_count_rejected(self):
         ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
@@ -245,7 +250,7 @@ def scored_blocks(ps, UA, VA, groups=None):
     seen = []
     forward = model._forward
 
-    def recording_forward(plan, rows, want_cache, source=None):
+    def recording_forward(plan, rows, want_cache, source):
         seen.append(rows.shape[:-1])
         return forward(plan, rows, want_cache, source)
 
@@ -546,6 +551,108 @@ class TestInitParams:
             assert np.array_equal(a.tensors[n], b.tensors[n])
 
 
+def column_cut_world(data):
+    """A random arch (1-3 layers, gated or not) whose trained embedding
+    tables sit at drawn slots, randomized parameters, and a batch: a single
+    model's (groups, valid None) or a ragged cohort's (valid (C, N)).
+    Returns (ps, UA, VA, y, groups, valid, trained slots)."""
+    user_cards = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="user cards")
+    item_cards = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="item cards")
+    S = len(user_cards) + len(item_cards)
+    kind = data.draw(st.sampled_from(["contiguous", "split", "none", "all"]), label="trained slots")
+    if kind == "split":  # a frozen slot between trained ones
+        S = max(S, 3)
+        item_cards += [2] * (S - len(user_cards) - len(item_cards))
+        lo = data.draw(st.integers(0, S - 3), label="first")
+        hi = data.draw(st.integers(lo + 2, S - 1), label="last")
+        gap = data.draw(st.integers(lo + 1, hi - 1), label="gap")
+        live = {lo, hi} | set(data.draw(st.sets(st.sampled_from(range(lo + 1, hi))), label="more")) - {gap}
+    elif kind == "contiguous":
+        lo = data.draw(st.integers(0, S - 1), label="first")
+        live = set(range(lo, data.draw(st.integers(lo + 1, S), label="stop")))
+    else:
+        live = set(range(S)) if kind == "all" else set()
+    us = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
+    it = AttributeSchema(tuple(f"i{j}" for j in range(len(item_cards))), tuple(item_cards))
+    arch = Arch(
+        us, it,
+        embed_dim=data.draw(st.integers(1, 4), label="d"),
+        mlp_hidden=tuple(data.draw(st.lists(st.integers(1, 6), max_size=2), label="hidden")),
+        adapter_rank=data.draw(st.integers(1, 2), label="rank"),
+        gate_hidden=data.draw(st.integers(1, 3), label="gate hidden"),
+        adapter_layers=data.draw(st.sampled_from(ADAPTER_LAYERS), label="adapter layers"),
+        use_user_adapter=data.draw(st.booleans(), label="user adapter"),
+        group_attrs=data.draw(st.sampled_from([(), ("u0",)]), label="groups"),
+        gate_mode=data.draw(st.sampled_from(["learned", "uniform", "common", "none"]), label="gate"),
+    )
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    ps = init_params(arch, seed)
+    names = [f"user_emb/{a}" for a in us.names] + [f"item_emb/{a}" for a in it.names]
+    mlp = data.draw(st.sampled_from([FROZEN, SHARED]), label="mlp tag")
+    tags = {n: mlp if n.startswith("mlp/") else PRIVATE if n.startswith("adapter/user/") else SHARED for n in ps.tags}
+    for s, name in enumerate(names):
+        tags[name] = data.draw(st.sampled_from([PRIVATE, SHARED]), label=name) if s in live else FROZEN
+    ps = randomized_params(ParamSet(arch, ps.tensors, tags), seed, scale=0.5)
+    rng = np.random.default_rng(seed)
+    C = data.draw(st.sampled_from([0, 3]), label="clients")
+    N = data.draw(st.integers(1, 9), label="rows")
+    lead = (C, N) if C else (N,)
+    UA = rng.integers(0, us.cards, size=lead + (len(us),))
+    VA = rng.integers(0, it.cards, size=lead + (len(it),))
+    y = rng.integers(0, 2, size=lead).astype(float)
+    if not C:
+        return ps, UA, VA, y, {a: int(UA[0, 0]) for a in arch.group_attrs} or None, None, live
+    counts = np.array(data.draw(st.lists(st.integers(0, N), min_size=C, max_size=C), label="counts"))
+    cohort = ps.layout.cohort
+    trained = rng.normal(0.0, 0.5, size=(C, cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
+    ps = ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
+    return ps, UA, VA, y, None, np.arange(N) < counts[:, None], live
+
+
+class TestLayerZeroColumnCut:
+    """backward_batch computes the layer-0 input gradient only at the
+    trained tables' columns; every gradient must equal the full-width
+    oracle's (helpers.backward_full_width) bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_full_width_oracle(self, data):
+        ps, UA, VA, y, groups, valid, live = column_cut_world(data)
+        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        emb = cache.plan.embed
+        d = ps.arch.embed_dim
+        # the span starts at a multiple of 8 and its scatter columns are the live slots'
+        assert emb.span.start % 8 == 0
+        cols = np.arange(ps.arch.input_dim)[emb.span][emb.span_live]
+        assert np.array_equal(cols, [s * d + j for s in sorted(live) for j in range(d)])
+        contiguous = bool(live) and max(live) - min(live) + 1 == len(live)
+        assert isinstance(emb.span_live, slice) == contiguous
+        want = backward_full_width(cache, y, valid)
+        got = backward_batch(ps, cache, y, valid)
+        assert np.array_equal(bits(got.flat), bits(want))
+
+    def test_no_trained_table_computes_no_layer0_input_gradient(self, monkeypatch):
+        arch = small_arch(mlp_hidden=(3,))
+        ps = init_params(arch, 0)
+        frozen = {n: FROZEN for n in tensor_names(ps, "*_emb/*")}
+        ps = randomized_params(ParamSet(arch, ps.tensors, {**ps.tags, **frozen}), 1)
+        UA, VA, y, groups = random_batch(arch, 6, 2)
+        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        widths = []
+        input_grad = model._input_grad
+
+        def recording(terms, cols=None):
+            out = input_grad(terms, cols)
+            widths.append(out.shape[-1])
+            return out
+
+        monkeypatch.setattr(model, "_input_grad", recording)
+        want = backward_full_width(cache, y)
+        got = backward_batch(ps, cache, y)
+        assert widths == [3]  # layer 1's input only
+        assert np.array_equal(bits(got.flat), bits(want))
+
+
 class TestProperties:
     def test_gate_weights_sum_to_one(self):
         arch = small_arch()
@@ -604,7 +711,7 @@ class TestSgdEpoch:
         arch = small_arch()
         ps = randomized_params(init_params(arch, 1), 1)
         UA, VA, y, groups = random_batch(arch, 37, 1)
-        got, loss = sgd_epoch(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), want_loss=True)
+        got, (loss,) = sgd_epochs(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), 1, want_loss=True)
         order = np.random.default_rng(5).permutation(37)
         want, total = ps, 0.0
         for start in range(0, 37, 8):
@@ -615,7 +722,7 @@ class TestSgdEpoch:
         assert loss == total / 37
         for n in want.tensors:
             assert np.array_equal(got.tensors[n], want.tensors[n]), n
-        _, no_loss = sgd_epoch(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5))
+        _, no_loss = sgd_epochs(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), 1)
         assert no_loss is None
 
     @settings(max_examples=60, deadline=None)
@@ -640,7 +747,7 @@ class TestSgdEpoch:
             frozen = {t: FROZEN for t in tensor_names(ps, "item_emb/*")}
             ps = ParamSet(arch, ps.tensors, {**ps.tags, **frozen})
         UA, VA, y, groups = random_batch(arch, n, seed)
-        got, loss = sgd_epoch(ps, UA, VA, y, groups, batch, 0.1, np.random.default_rng(seed), want_loss=True)
+        got, (loss,) = sgd_epochs(ps, UA, VA, y, groups, batch, 0.1, np.random.default_rng(seed), 1, want_loss=True)
         order = np.random.default_rng(seed).permutation(n)
         want, total = ps, 0.0
         for start in range(0, n, batch):
@@ -658,14 +765,14 @@ class TestSgdEpoch:
         ps = init_params(arch, 0)
         UA, VA, y, groups = random_batch(arch, 5, 0)
         with pytest.raises(ShapeError, match="same rows"):
-            sgd_epoch(ps, UA[: rows[0]], VA[: rows[1]], y[: rows[2]], groups, 2, 0.1, np.random.default_rng(0))
+            sgd_epochs(ps, UA[: rows[0]], VA[: rows[1]], y[: rows[2]], groups, 2, 0.1, np.random.default_rng(0), 1)
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_batch_below_one_rejected(self, batch):
         arch = small_arch()
         UA, VA, y, groups = random_batch(arch, 5, 0)
         with pytest.raises(ShapeError, match="batch size"):
-            sgd_epoch(init_params(arch, 0), UA, VA, y, groups, batch, 0.1, np.random.default_rng(0))
+            sgd_epochs(init_params(arch, 0), UA, VA, y, groups, batch, 0.1, np.random.default_rng(0), 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -689,14 +796,14 @@ class TestSgdEpoch:
         seen = []
         forward = model._forward
 
-        def recording_forward(plan, rows, want_cache):
+        def recording_forward(plan, rows, want_cache, source):
             seen.append(rows - plan.embed.base)
-            return forward(plan, rows, want_cache)
+            return forward(plan, rows, want_cache, source)
 
         rngs = [np.random.default_rng([seed, c]) for c in range(C)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_forward", recording_forward)
-            sgd_epoch(cohort, UA, VA, y, None, N, 0.1, rngs, counts=counts)
+            sgd_epochs(cohort, UA, VA, y, None, N, 0.1, rngs, 1, counts=counts)
         twins = [np.random.default_rng([seed, c]) for c in range(C)]
         want = np.arange(C * N).reshape(C, N)
         for c, (g, n_c) in enumerate(zip(twins, counts)):
@@ -706,15 +813,67 @@ class TestSgdEpoch:
         # each client's stream is left where a permutation leaves it
         assert [g.integers(2**62) for g in rngs] == [g.integers(2**62) for g in twins]
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        epochs=st.integers(0, 3),
+        batch=st.integers(1, 7),
+        counts=st.lists(st.integers(0, 9), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    @example(epochs=0, batch=3, counts=[4, 0, 9], seed=1)
+    def test_one_call_equals_chained_one_epoch_calls(self, epochs, batch, counts, seed):
+        # the same trained bits and epoch losses, and every Generator left
+        # where the chained calls leave it; zero epochs return the input's
+        # values and draw nothing
+        arch = small_arch()
+        ps = randomized_params(init_params(arch, seed), seed)
+        n = sum(counts) or 1
+        UA, VA, y, groups = random_batch(arch, n, seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, losses = sgd_epochs(ps, UA, VA, y, groups, batch, 0.1, rng, epochs, want_loss=True)
+        want, want_losses = ps, []
+        for _ in range(epochs):
+            want, (loss,) = sgd_epochs(want, UA, VA, y, groups, batch, 0.1, twin, 1, want_loss=True)
+            want_losses.append(loss)
+        assert losses == want_losses and np.array_equal(bits(got.trained), bits(want.trained))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert epochs or rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+        # a cohort with ragged counts: client c's rows, padded to the widest
+        counts = np.array(counts)
+        C, N = len(counts), max(counts.max(), 1)
+        cohort = ParamSet.from_vectors(arch, ps.layout.cohort, ps.frozen, np.tile(ps.trained, (C, 1)))
+        cohort.trained[...] += np.random.default_rng(seed).normal(0.0, 0.1, cohort.trained.shape)
+        UA, VA, y, _ = random_batch(arch, C * N, seed + 1, single_user=False)
+        UA, VA, y = UA.reshape(C, N, -1), VA.reshape(C, N, -1), y.reshape(C, N)
+        rngs = [np.random.default_rng([seed, c]) for c in range(C)]
+        twins = [np.random.default_rng([seed, c]) for c in range(C)]
+        got, no_loss = sgd_epochs(cohort, UA, VA, y, None, batch, 0.1, rngs, epochs, counts=counts)
+        want = cohort
+        for _ in range(epochs):
+            want, _ = sgd_epochs(want, UA, VA, y, None, batch, 0.1, twins, 1, counts=counts)
+        assert no_loss is None and np.array_equal(bits(got.trained), bits(want.trained))
+        assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in twins]
+        if not epochs:
+            assert np.array_equal(bits(got.trained), bits(cohort.trained))
+            fresh = [np.random.default_rng([seed, c]) for c in range(C)]
+            assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in fresh]
+
+    def test_negative_epochs_rejected(self):
+        arch = small_arch()
+        UA, VA, y, groups = random_batch(arch, 5, 0)
+        with pytest.raises(ShapeError, match="epochs"):
+            sgd_epochs(init_params(arch, 0), UA, VA, y, groups, 2, 0.1, np.random.default_rng(0), -1)
+
     def test_empty_epoch(self):
         arch = small_arch()
         ps = init_params(arch, 0)
         UA, VA, y, groups = random_batch(arch, 5, 0)
         UA, VA, y = UA[:0], VA[:0], y[:0]
         with pytest.raises(ShapeError, match="at least one row"):
-            sgd_epoch(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), want_loss=True)
+            sgd_epochs(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), 1, want_loss=True)
         # without a loss to report, an empty epoch trains nothing
-        out, loss = sgd_epoch(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0))
+        out, loss = sgd_epochs(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), 1)
         assert loss is None and np.array_equal(out.trained, ps.trained)
 
 
