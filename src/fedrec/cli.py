@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .federation import FederationError, pretrain_examples
 from .metrics import UndefinedMetricError, auc, precision
-from .model import ShapeError, forward_batch, load_params, save_params
+from .model import ShapeError, forward_batch, load_params, save_params, scoring_cohort
 
 
 def _load(args) -> ExperimentConfig:
@@ -157,13 +157,13 @@ def cmd_eval(args) -> int:
     ps = load_params(cfg.require("eval.checkpoint"))
     ds, _ = prepare_dataset(cfg)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
-    # a row is scored with the group adapters of its user's groups
-    attrs = ps.arch.group_attrs
-    groups = UA[:, [ps.arch.user_schema.index(a) for a in attrs]]
+    # a row is scored with the group adapters of its user's groups: the
+    # rows of each combination of groups as one cohort of one
+    groups = UA[:, [ps.arch.user_schema.index(a) for a in ps.arch.group_attrs]]
     probs = np.empty(len(y))
     for combo in sorted(set(map(tuple, groups.tolist()))):
         rows = (groups == combo).all(axis=1)
-        probs[rows], _ = forward_batch(ps, UA[rows], VA[rows], dict(zip(attrs, combo)))
+        probs[rows] = forward_batch(scoring_cohort(ps, [combo]), UA[rows][None], VA[rows][None])[0][0]
     out = {"auc_1e2": round(auc(probs, y) * 100.0, 4)}
     try:
         out["precision_1e2"] = round(precision(probs, y) * 100.0, 4)

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .model import ParamSet, count_params, forward_batch, init_params, sgd_epochs
+from .model import ParamSet, count_params, forward_batch, init_params, train_plain
 
 
 class DistillError(ValueError):
@@ -57,7 +57,8 @@ def distill(
 ) -> Tuple[ParamSet, DistillHistory]:
     """Train a fresh student base model against the teacher's predicted
     probabilities (optionally mixed with true labels). Returns the student
-    ParamSet, ready to warm-start a federated run."""
+    ParamSet, ready to warm-start a federated run. The student trains as a
+    cohort of one (`model.train_plain`)."""
     student_arch = replace(
         teacher.arch.base(), embed_dim=config.embed_dim, mlp_hidden=tuple(config.mlp_hidden)
     )
@@ -70,7 +71,5 @@ def distill(
     teacher_probs, _ = forward_batch(teacher, UA, VA)
     target = distill_targets(teacher_probs, labels, config.alpha)
     rng = np.random.default_rng([config.seed, 13])
-    student, losses = sgd_epochs(
-        student, UA, VA, target, None, config.batch_size, config.lr, rng, config.epochs, want_loss=True
-    )
+    student, losses = train_plain(student, UA, VA, target, config.batch_size, config.lr, rng, config.epochs)
     return student, DistillHistory(losses)

@@ -10,7 +10,7 @@ unweighted mean.
 
 A run holds every client's state as arrays with a leading client axis
 (`ClientArrays`), and a round works on rows of them: it gathers its
-participants by index into one cohort ParamSet (`model.Layout.cohort`),
+participants by index into one cohort ParamSet (`model.cohort_of`),
 trains it, writes their user adapters back by index, and uploads the
 cohort's shared matrix as one `UploadBatch`: noise adds one matrix to it, and
 aggregation is one row mean over its common range plus one per group segment
@@ -41,17 +41,19 @@ from .data import (
 from .metrics import NonFiniteScoreError, UndefinedMetricError, score_rows
 from .model import (
     FROZEN,
-    PRIVATE,
     SHARED,
     Arch,
     Layout,
     ParamSet,
     ShapeError,
+    cohort_of,
     forward_batch,
     init_params,
     init_user_adapter,
     sgd_epochs,
+    train_plain,
     user_adapter_specs,
+    user_columns,
 )
 from .privacy import noise_uploads
 from .streams import derive_generators
@@ -264,11 +266,11 @@ def pretrain(
     neg_ratio: int = 4,
 ) -> Tuple[ParamSet, List[float]]:
     """Centralized minibatch SGD on the plain base model over the pretrain
-    split. Returns (trained base ParamSet, per-epoch mean loss)."""
-    base = arch.base()
+    split, as a cohort of one. Returns (trained base ParamSet, per-epoch
+    mean loss)."""
     UA, VA, y = pretrain_examples(dataset, seed, neg_ratio)
     rng = np.random.default_rng([seed, 11])
-    return sgd_epochs(init_params(base, seed), UA, VA, y, None, batch_size, lr, rng, epochs, want_loss=True)
+    return train_plain(init_params(arch.base(), seed), UA, VA, y, batch_size, lr, rng, epochs)
 
 
 def warm_start(arch: Arch, base_ps: ParamSet, seed: int) -> ParamSet:
@@ -300,41 +302,11 @@ def select_clients(n: int, fraction: float, round_index: int, seed: int) -> np.n
 
 
 def _cohort(global_ps: ParamSet, arrays: ClientArrays, idx: np.ndarray) -> ParamSet:
-    """The models of the clients at rows idx of `arrays` as one cohort
-    ParamSet: a row per client of the global trained vectors, with the
-    client's user adapter from its private row and, per grouping attribute,
-    its own group's adapter segment; frozen stays the global vector."""
-    lay = global_ps.layout
+    """The clients at rows idx of `arrays` as one cohort (`model.cohort_of`)."""
     try:
-        cohort = lay.cohort
+        return cohort_of(global_ps, arrays.groups[idx], arrays.private[idx])
     except ShapeError as exc:
         raise FederationError(str(exc)) from None
-    trained = np.empty((len(idx), cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
-    for tag in (PRIVATE, SHARED):
-        start, stop = cohort.start(tag), cohort.start(tag) + cohort.common[tag]
-        trained[:, start:stop] = global_ps.flat[tag][: cohort.common[tag]]
-    for col, attr in enumerate(global_ps.arch.group_attrs):
-        if attr in cohort.own:
-            tag, at = cohort.own[attr]
-            segments = lay.groups[attr]
-            width, first = cohort.segment[-1][1], lay.entries[segments[0][0]][1]
-            table = global_ps.flat[tag][first : first + len(segments) * width].reshape(len(segments), width)
-            start = cohort.start(tag) + at
-            trained[:, start : start + width] = table[arrays.groups[idx, col]]
-    trained[:, _user_columns(cohort, global_ps.arch)] = arrays.private[idx]
-    return ParamSet.from_vectors(global_ps.arch, cohort, global_ps.frozen, trained)
-
-
-def _user_columns(lay: Layout, arch: Arch) -> slice:
-    """The trained buffer's columns holding the user adapter, which every
-    client keeps for itself."""
-    spans = [lay.entries[name] for name in user_adapter_specs(arch)]
-    if not spans:
-        return slice(0, 0)
-    tag = spans[0][0]
-    if tag == FROZEN or any(t != tag for t, *_ in spans):
-        raise FederationError("the user adapter must carry one trained partition tag")
-    return slice(lay.start(tag) + spans[0][1], lay.start(tag) + spans[-1][2])
 
 
 def _first_non_finite(rows: np.ndarray, uids: np.ndarray):
@@ -370,9 +342,9 @@ def local_train(
     ps = _cohort(global_ps, arrays, live)
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(cfg.seed, round_index, uids, 1, pool)
-    ps, _ = sgd_epochs(ps, UA, VA, y, None, cfg.fed_batch, cfg.fed_lr, rngs, cfg.local_epochs, counts=counts)
+    ps, _ = sgd_epochs(ps, UA, VA, y, counts, cfg.fed_batch, cfg.fed_lr, rngs, cfg.local_epochs)
 
-    private = ps.trained[:, _user_columns(ps.layout, ps.arch)]
+    private = ps.trained[:, user_columns(ps.layout, ps.arch)]
     bad = _first_non_finite(private, uids)
     if bad is not None:
         raise FederationError(

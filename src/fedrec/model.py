@@ -16,28 +16,28 @@ Each tag's tensors lie end to end in one float64 vector, in the order a
 The private and shared vectors are the two halves of one buffer, `trained`,
 so an SGD step is one update of that buffer.
 
-A ParamSet may also hold a cohort of clients: its trained buffer then has a
-row per client, (C, P), while the frozen vector stays one and broadcasts; a
-cohort's rows hold each client's own group's adapters (`Layout.cohort`).
-Forward, backward and SGD are written once over leading axes, so a single
-model runs them without a client axis.
+Forward, backward and SGD see only a cohort of clients: a ParamSet whose
+trained buffer has a row per client, (C, P), while the frozen vector stays
+one and broadcasts; a cohort's rows hold each client's own group's adapters
+(`Layout.cohort`). `cohort_of` lifts a model into one, and a plain model
+trains and scores as a cohort of one.
 
 `sgd_epochs` trains every epoch of a call through what it sets up once: it
 checks the rows, copies the trained buffer, builds the layout plan
 (`_plan`) with every view a step reads, of the tensors and of their
 gradients, and turns the rows into the source rows the embedding gather
 reads and the flat index at which the gradient scatter starts each slot's
-row. An epoch shuffles and takes both in its order; a step slices its
-batch's, runs one forward pass (`_forward`, which `forward_batch` shares),
-one backward pass and one update of the trained buffer. The backward pass
-computes the layer-0 input gradient only at the trained tables' columns.
-With `want_loss` the steps keep their probabilities, and each epoch's loss
-is one pass over them at its end.
+row. An epoch shuffles each client's rows and takes both in its order; a
+step slices its batch's, runs one forward pass (`_forward`, which
+`forward_batch` shares), one backward pass and one update of the trained
+buffer. The backward pass computes the layer-0 input gradient only at the
+trained tables' columns. With `want_loss` the steps keep their
+probabilities, and each epoch's loss is one pass over them at its end.
 
-Inference (`forward_batch` without a cache) scores a single model's rows
-in blocks of about INFER_ROWS (`_blocks`), so its memory is bounded by a
-block; the scores were measured bit-equal to one pass over every row. A
-cohort's rows are scored in one pass.
+Inference (`forward_batch` without a cache) scores a cohort's rows in
+blocks of about INFER_ROWS along its row axis (`_blocks`), so its memory is
+bounded by a block; the scores were measured bit-equal to one pass over
+every row.
 """
 from __future__ import annotations
 
@@ -347,6 +347,55 @@ def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None) -> int:
     return int(sum(t.size for n, t in ps.tensors.items() if ps.tags[n] in wanted))
 
 
+def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> ParamSet:
+    """Model `ps` as a cohort of len(groups) clients (`Layout.cohort`): row
+    c of the trained buffer holds the model's trained vectors with, per
+    grouping attribute j, group groups[c][j]'s adapters and, with `private`,
+    the user adapter private[c]; frozen stays the model's vector. Raises
+    ShapeError unless each row names a group of each grouping attribute, and
+    unless those groups' adapters (and a user adapter that `private` sets)
+    carry one trained tag."""
+    arch, lay = ps.arch, ps.layout
+    groups, cards = np.asarray(groups, dtype=np.intp), np.array(list(arch.group_cards().values()), dtype=np.intp)
+    if groups.ndim != 2 or groups.shape[1] != len(cards) or ((groups < 0) | (groups >= cards)).any():
+        raise ShapeError(f"each client needs a group index of each grouping attribute {arch.group_cards()}")
+    cohort = lay.cohort
+    trained = np.empty((len(groups), cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
+    for tag in (PRIVATE, SHARED):
+        start = cohort.start(tag)
+        trained[:, start : start + cohort.common[tag]] = ps.flat[tag][: cohort.common[tag]]
+    for col, attr in enumerate(arch.group_attrs):
+        if attr in cohort.own:  # each client's own group's adapter segment
+            tag, at = cohort.own[attr]
+            segments = lay.groups[attr]
+            width, first = cohort.segment[-1][1], lay.entries[segments[0][0]][1]
+            table = ps.flat[tag][first : first + len(segments) * width].reshape(len(segments), width)
+            start = cohort.start(tag) + at
+            trained[:, start : start + width] = table[groups[:, col]]
+    if private is not None:
+        trained[:, user_columns(cohort, arch)] = private
+    return ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
+
+
+def scoring_cohort(ps: ParamSet, groups) -> ParamSet:
+    """cohort_of(ps, groups) to score: scoring reads no partition tag, so the
+    cohort is lifted from `ps` with every tensor shared, which lifts
+    whatever tags `ps` carries."""
+    return cohort_of(ParamSet(ps.arch, ps.tensors), groups)
+
+
+def user_columns(lay: Layout, arch: Arch) -> slice:
+    """The trained buffer's columns holding the user adapter, which every
+    client keeps for itself."""
+    spans = [lay.entries[name] for name in user_adapter_specs(arch)]
+    if not spans:
+        return slice(0, 0)
+    tag = spans[0][0]
+    if tag == FROZEN or any(t != tag for t, *_ in spans):
+        raise ShapeError("the user adapter must carry one trained partition tag")
+    return slice(lay.start(tag) + spans[0][1], lay.start(tag) + spans[-1][2])
+
+
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -404,14 +453,6 @@ def _softmax(a):
 # ---------------------------------------------------------------------------
 
 
-class Gradient(dict):
-    """The gradients of one backward pass by tensor name, as views into
-    `flat`, one vector (or a cohort's (C, P) matrix) laid out as the
-    trained buffer. Trained tensors the pass does not use read zero there."""
-
-    __slots__ = ("flat",)
-
-
 # a tensor as the plan holds it: (view of its value, view of its gradient,
 # None for a frozen tensor)
 Param = Tuple[np.ndarray, Optional[np.ndarray]]
@@ -425,8 +466,8 @@ class _EmbedPlan:
     table names[s]. Each tag's tables are the start of its vector, a
     `piece`; the pieces' rows, stacked end to end with the trained tags'
     first, form one (R, d) source, where row r of slot s is source row
-    base[..., s] + r. A cohort's stacked (C, E) piece holds client c's
-    copy of its tables c * E / d rows later, so base is then (C, 1, slots).
+    base[..., s] + r. A stacked (C, E) piece holds client c's copy of its
+    tables c * E / d rows later, so base is then (C, 1, slots).
     The gradient of the trained tables is one np.bincount over the flat
     source index (source row * d + column) of each live slot element; the
     count's [start, stop) range of each trained piece is the piece's
@@ -447,7 +488,7 @@ class _EmbedPlan:
     n_user: int                        # user attribute slots, the first ones
     cards: np.ndarray                  # rows of each slot's table
     pieces: Tuple[np.ndarray, ...]
-    source: Optional[np.ndarray]       # the source as a view, when one unstacked piece holds every table
+    source: Optional[np.ndarray]       # the source as a view, when one piece of one client holds every table
     base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
     cols: np.ndarray                   # arange(d)
     live: Union[slice, np.ndarray]     # slots whose table takes a gradient
@@ -499,7 +540,7 @@ class _LayerPlan:
     """
 
     W: Param
-    b: Param
+    b: Param                               # its value (..., 1, k) broadcasts over the rows
     adapters: Tuple[Tuple[Param, Param], ...]
     gate: Optional[Tuple[Param, Param]]    # (W1, W2) of a learned gate
     gate_mode: str
@@ -509,7 +550,7 @@ class _LayerPlan:
 class _Plan:
     embed: _EmbedPlan
     layers: Tuple[_LayerPlan, ...]
-    grad: Gradient                     # filled by each backward pass
+    grad: np.ndarray                   # laid out as the trained buffer; filled by each backward pass
 
 
 def _index(ix: List[int]) -> Union[slice, np.ndarray]:
@@ -518,27 +559,23 @@ def _index(ix: List[int]) -> Union[slice, np.ndarray]:
     return slice(ix[0], ix[-1] + 1) if ix and ix == list(range(ix[0], ix[-1] + 1)) else np.array(ix, dtype=np.intp)
 
 
-def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) -> _Plan:
-    """The layout plan of `ps` with the group adapters of `groups` (of each
-    row's own groups, for a cohort); without `grads`, an inference plan
-    that holds no gradient."""
+def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
+    """The layout plan of cohort `ps`, each row with its own groups'
+    adapters; without `grads`, an inference plan that holds no gradient.
+    Trained tensors a backward pass does not use read zero gradient."""
     arch, lay = ps.arch, ps.layout
     lead = ps.trained.shape[:-1]
-    grad = Gradient()
-    grad.flat = np.zeros(ps.trained.shape if grads else 0)
+    grad = np.zeros(ps.trained.shape if grads else 0)
 
-    def param(tag: str, a: int, b: int, shape: Shape, name: Optional[str] = None) -> Param:
-        value = ps.tensors[name] if name else ps.flat[tag][..., a:b].reshape(ps.flat[tag].shape[:-1] + shape)
+    def param(tag: str, a: int, b: int, shape: Shape) -> Param:
+        value = ps.flat[tag][..., a:b].reshape(ps.flat[tag].shape[:-1] + shape)
         if tag == FROZEN or not grads:
             return value, None
         s = lay.start(tag)
-        g = grad.flat[..., s + a : s + b].reshape(lead + shape)
-        if name is not None:
-            grad[name] = g
-        return value, g
+        return value, grad[..., s + a : s + b].reshape(lead + shape)
 
     def named(name: str) -> Param:
-        return param(*lay.entries[name], name=name)
+        return param(*lay.entries[name])
 
     d = arch.embed_dim
     names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
@@ -554,7 +591,7 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
         rows_of[tag] = (row, width // d if piece.ndim > 1 else 0)
         if tag != FROZEN and grads:
             s = lay.start(tag)
-            piece_grads.append((row * d, row * d + piece.size, grad.flat[..., s : s + width]))
+            piece_grads.append((row * d, row * d + piece.size, grad[..., s : s + width]))
         pieces.append(piece)
         row += piece.size // d
     base = np.array([rows_of[t][0] + a // d for t, a, _, _ in slots])
@@ -567,14 +604,13 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
     lo, hi = (cols[0] // 8 * 8, min(arch.input_dim, -(-(cols[-1] + 1) // 8) * 8)) if cols else (0, 0)
     if hi - lo == 1:
         lo, hi = 0, arch.input_dim
-    for n in names:  # the trained tables' gradients by name, views into the pieces' gradients
-        named(n)
     embed = _EmbedPlan(
         names=names,
         n_user=len(arch.user_schema),
         cards=np.array([shape[0] for _, _, _, shape in slots]),
         pieces=tuple(pieces),
-        source=pieces[0].reshape(-1, d) if len(pieces) == 1 and pieces[0].ndim == 1 else None,
+        # one client's one piece, as a cohort of one's, is read in place
+        source=pieces[0].reshape(-1, d) if len(pieces) == 1 and math.prod(pieces[0].shape[:-1]) == 1 else None,
         base=base,
         cols=np.arange(d),
         live=_index(on),
@@ -590,24 +626,15 @@ def _plan(ps: ParamSet, groups: Optional[Dict[str, int]], grads: bool = True) ->
         if l in arch.adapter_layer_ids:
             if arch.use_user_adapter:
                 adapters.append((named(f"adapter/user/{l}/A"), named(f"adapter/user/{l}/B")))
-            for attr in arch.group_attrs:
-                if attr in lay.own:  # a cohort: each row's own group's segment
-                    tag, at = lay.own[attr]
-                    j = 2 * arch.adapter_layer_ids.index(l)
-                    a, b = [param(tag, at + lo, at + hi, shape) for lo, hi, shape in lay.segment[j : j + 2]]
-                elif groups is None or attr not in groups:
-                    raise ShapeError(f"group index for attribute {attr!r} required")
-                else:
-                    prefix = f"{GROUP_PREFIX}{attr}/{groups[attr]}/{l}"
-                    if prefix + "/A" not in lay.entries:
-                        raise ShapeError(f"no group {groups[attr]} of attribute {attr!r}")
-                    a, b = named(prefix + "/A"), named(prefix + "/B")
-                adapters.append((a, b))
+            j = 2 * arch.adapter_layer_ids.index(l)
+            for attr in arch.group_attrs:  # each row's own group's segment
+                tag, at = lay.own[attr]
+                adapters.append(tuple(param(tag, at + lo, at + hi, shape) for lo, hi, shape in lay.segment[j : j + 2]))
         gate = None
         if adapters and arch.gate_mode == GATE_LEARNED:
             gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2"))
-        W, b = named(f"mlp/{l}/W"), named(f"mlp/{l}/b")
-        layers.append(_LayerPlan(W, b, tuple(adapters), gate, arch.gate_mode))
+        (b, gb) = named(f"mlp/{l}/b")
+        layers.append(_LayerPlan(named(f"mlp/{l}/W"), (b[..., None, :], gb), tuple(adapters), gate, arch.gate_mode))
     return _Plan(embed, tuple(layers), grad)
 
 
@@ -649,9 +676,8 @@ class ForwardCache:
 def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     """(fused pre-activation Z, intermediates) of one layer on input X."""
     (W, _), (b, _) = lp.W, lp.b
-    # a cohort's (C, k) bias broadcasts over each client's rows
     C = X @ W.mT
-    C += b if b.ndim == 1 else b[:, None, :]
+    C += b
     if not lp.adapters:
         return C, _LayerCache(X, [C])
     T = [X @ B.mT for _, (B, _) in lp.adapters]
@@ -693,7 +719,7 @@ def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: np.ndarray
 
 
 def _blocks(n: int) -> List[slice]:
-    """A single model's inference blocks of n rows: they start at multiples
+    """The inference blocks of a cohort's n rows per client: they start at multiples
     of INFER_ROWS and the last one takes the remainder, INFER_ROWS to
     2 * INFER_ROWS - 1 rows (all n rows when n < 2 * INFER_ROWS).
 
@@ -708,43 +734,32 @@ def _blocks(n: int) -> List[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
-def forward_batch(
-    ps: ParamSet,
-    UA: np.ndarray,
-    VA: np.ndarray,
-    groups: Optional[Dict[str, int]] = None,
-    want_cache: bool = False,
-    plan: Optional[_Plan] = None,
-):
+def forward_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray, want_cache: bool = False):
     """Full forward pass on a batch; returns (probs, cache).
 
-    UA (..., n, |user attrs|) and VA (..., n, |item attrs|) are integer
-    attribute value matrices; a cohort's batch has a leading client axis.
-    `groups` names the group adapter each attribute's branch reads (one
-    client's batch); required iff the arch has group branches and `ps` is
-    not a cohort, whose rows hold their own groups' adapters. A caller that
-    passes the layout `plan` of `ps` and `groups` has checked every
-    attribute value against its table. Without a cache a single model's
-    rows are scored in blocks (`_blocks`), a cohort's in one pass.
+    UA (C, n, |user attrs|) and VA (C, n, |item attrs|) are integer
+    attribute value matrices, row c for client c of cohort `ps`. A plain
+    model without group adapters, with UA (n, ...) and VA (n, ...), is
+    scored as a cohort of one (`scoring_cohort`): no cache, probs (n,).
+    Without a cache the rows are scored in blocks (`_blocks`).
     """
-    UA = np.asarray(UA)
-    VA = np.asarray(VA)
-    if UA.ndim < 2 or UA.shape[:-1] != VA.shape[:-1]:
-        raise ShapeError("UA/VA must be (..., n, attrs) with equal leading shapes")
-    if plan is None:
-        plan = _plan(ps, groups, grads=want_cache)
-        plan.embed.check(UA, VA)
+    UA, VA = np.asarray(UA), np.asarray(VA)
+    plain = ps.trained.ndim == 1
+    if plain:
+        ps, UA, VA, want_cache = scoring_cohort(ps, [()]), UA[None], VA[None], False
+    if UA.ndim != 3 or UA.shape[:-1] != VA.shape[:-1] or len(UA) != len(ps.trained):
+        raise ShapeError("UA/VA must be (C, n, attrs) with equal leading shapes, C the cohort's clients")
+    plan = _plan(ps, grads=want_cache)
+    plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     source = plan.embed.stacked()  # once per call, not once per block
     if want_cache:
         probs, layers = _forward(plan, rows, True, source)
         return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
-    if ps.trained.ndim > 1:  # a cohort: one pass
-        return _forward(plan, rows, False, source)[0], None
     probs = np.empty(rows.shape[:-1])
     for block in _blocks(probs.shape[-1]):
-        probs[..., block] = _forward(plan, rows[..., block, :], False, source)[0]
-    return probs, None
+        probs[:, block] = _forward(plan, rows[:, block], False, source)[0]
+    return (probs[0] if plain else probs), None
 
 
 def predict(
@@ -753,31 +768,35 @@ def predict(
     item_attrs: Sequence[int],
     groups: Optional[Dict[str, int]] = None,
 ) -> float:
-    """Interaction probability for one (user, item) pair."""
+    """Interaction probability for one (user, item) pair under plain model
+    `ps`, with the adapters of group groups[attr] of each grouping attribute."""
     ps.arch.user_schema.validate_values(user_attrs, "user")
     ps.arch.item_schema.validate_values(item_attrs, "item")
-    probs, _ = forward_batch(ps, np.array([user_attrs]), np.array([item_attrs]), groups)
-    return float(probs[0])
+    row = [(groups or {}).get(a) for a in ps.arch.group_attrs]
+    if None in row:
+        raise ShapeError(f"group index for attribute {ps.arch.group_attrs[row.index(None)]!r} required")
+    probs, _ = forward_batch(scoring_cohort(ps, [row]), np.array([[user_attrs]]), np.array([[item_attrs]]))
+    return float(probs[0, 0])
 
 
 def backward_batch(
     ps: ParamSet, cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None
-) -> Gradient:
+) -> np.ndarray:
     """Analytic gradients of mean BCE w.r.t. every non-frozen tensor used in
     the forward pass. Frozen tensors still propagate but get no gradient.
     Labels may be soft targets in [0, 1].
 
-    The gradients go into the plan's one gradient vector (`cache.plan.grad`,
-    which is returned), so the next backward pass of the same plan
-    overwrites them.
+    The gradients go into the plan's one gradient buffer (`cache.plan.grad`,
+    (C, P) as the trained buffer, which is returned), so the next backward
+    pass of the same plan overwrites them.
 
     The layer-0 input gradient feeds only the trained embedding tables, so
     it is computed at their columns alone (`_EmbedPlan.span`), and not at
     all without a trained table.
 
-    A cohort's batch passes `valid` (C, n): its padding rows are False, and
-    each client's mean runs over its own valid rows, so a client without any
-    gets exactly zero gradients.
+    A batch with padding rows passes `valid` (C, n), False at those rows:
+    each client's mean then runs over its own valid rows, so a client
+    without any gets exactly zero gradients.
     """
     y = np.asarray(labels, dtype=float)
     # sigmoid + BCE at the top: dL/dz_last = (p - y) / n
@@ -856,14 +875,14 @@ def _embed_grads(emb: _EmbedPlan, index: np.ndarray, dX: np.ndarray):
         grad[...] = flat[start:stop].reshape(grad.shape)
 
 
-def sgd_step(ps: ParamSet, grads: Gradient, lr: float) -> ParamSet:
+def sgd_step(ps: ParamSet, grads: np.ndarray, lr: float) -> ParamSet:
     """theta <- theta - lr * g: one update of the trained buffer, in place
     on the private copy an epoch trains (see ParamSet); any other `ps` is
     copied first, so no caller's buffer is ever written."""
     if lr <= 0:
         raise ShapeError(f"learning rate {lr} must be > 0")
     out = ps if ps.plan is not None else ps.copy()
-    out.trained -= lr * grads.flat
+    out.trained -= lr * grads
     return out
 
 
@@ -872,85 +891,88 @@ def sgd_epochs(
     UA: np.ndarray,
     VA: np.ndarray,
     y: np.ndarray,
-    groups: Optional[Dict[str, int]],
+    counts: Sequence[int],
     batch_size: int,
     lr: float,
-    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
+    rngs: Sequence[np.random.Generator],
     epochs: int,
     want_loss: bool = False,
-    counts: Optional[np.ndarray] = None,
-) -> Tuple[ParamSet, Optional[List[float]]]:
-    """`epochs` epochs of minibatch SGD. Each epoch takes the rows in one
-    `rng.permutation` order, cut into batches of `batch_size`, with one
-    forward/backward/update per batch. The call trains one copy of the
-    trained buffer in place, through one layout plan, and leaves `ps` as it
-    was. It checks its input once: UA, VA and y must have the same rows,
-    every attribute value must index its table and `epochs` must be >= 0,
-    else ShapeError.
+) -> Tuple[ParamSet, Optional[np.ndarray]]:
+    """`epochs` epochs of minibatch SGD for cohort `ps` of C clients.
 
-    Returns (updated ParamSet, epoch losses). With `want_loss` (a single
-    model only, and at least one row) each epoch's loss is the row-weighted
-    mean of each batch's mean BCE before its update (see _epoch_loss);
-    otherwise the losses are None.
+    Client c trains on row c of UA (C, N, a), VA (C, N, a') and y (C, N),
+    whose first counts[c] rows are valid, in `rngs[c].permutation(counts[c])`
+    order, its padding rows last, so each step trains every client on the
+    batch it would get alone; a client with no valid rows left in a step is
+    unchanged. One forward/backward/update per batch of `batch_size` trains
+    one copy of the trained buffer in place, through one layout plan, and
+    leaves `ps` as it was. The input is checked once (rows, attribute values,
+    batch size, epochs), else ShapeError.
 
-    A cohort of C clients (`ps` stacked on a leading client axis) passes its
-    train shards padded to N rows and stacked, UA (C, N, a), VA (C, N, a') and
-    y (C, N), with `counts` (C,) valid rows per client and `rng` one Generator
-    per client. Client c's rows run in `rng[c].permutation(counts[c])` order,
-    its padding rows last, so each step trains every client on the batch it
-    would get alone; a client with no valid rows left in a step is unchanged.
+    Returns (updated ParamSet, epoch losses): with `want_loss` (each client
+    with a row) an (epochs, C) array of each client's row-weighted mean of
+    its batches' mean BCE before their updates (see _epoch_loss), else None.
     """
-    UA, VA, y = np.asarray(UA), np.asarray(VA), np.asarray(y)
+    UA, VA, y, counts = np.asarray(UA), np.asarray(VA), np.asarray(y), np.asarray(counts)
     if UA.ndim != y.ndim + 1 or UA.shape[:-1] != y.shape or VA.shape[:-1] != y.shape:
         raise ShapeError(f"UA {UA.shape}, VA {VA.shape} and y {y.shape} must have the same rows")
+    C = len(ps.trained)
+    if y.ndim != 2 or ps.trained.ndim != 2 or len(y) != C or counts.shape != (C,) or len(rngs) != C:
+        raise ShapeError("a cohort of C clients (trained buffer (C, P)) trains on y (C, N), C counts and C Generators")
     if batch_size < 1:
         raise ShapeError(f"batch size {batch_size} must be >= 1")
     if epochs < 0:
         raise ShapeError(f"epochs {epochs} must be >= 0")
-    if want_loss and epochs and (counts is not None or len(y) == 0):
-        raise ShapeError("an epoch loss needs a single model and at least one row")
+    if want_loss and epochs and not counts.all():
+        raise ShapeError("an epoch loss needs at least one row of every client")
     ps = ps.copy()
-    ps.plan = plan = _plan(ps, groups)
+    ps.plan = plan = _plan(ps)
     plan.embed.check(UA, VA)
-    # the gather rows of every row; each epoch takes them, and the labels, in
-    # its order into the same arrays and turns them into scatter rows, and
-    # each step slices its batch's
-    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    valid = None
-    if counts is not None:
-        C, N = y.shape
-        # flat row c * N + j of the stacked shards
-        rows, y = rows.reshape(C * N, -1), y.reshape(C * N)
-        valid = np.arange(N) < counts[:, None]
+    # the gather rows of every row, flat row c * N + j of the stacked shards;
+    # each epoch takes them, and the labels, in its order into the same
+    # arrays and turns them into scatter rows; each step slices its batch's
+    N = y.shape[1]
+    rows = (np.concatenate((UA, VA), axis=-1) + plan.embed.base).reshape(C * N, len(plan.embed.names))
+    y = y.reshape(C * N)
+    valid = None if (counts == N).all() else np.arange(N) < counts[:, None]  # no mask without padding
     source = plan.embed.stacked()  # restacked in place before each step
-    losses = [] if want_loss else None
+    losses = np.empty((epochs, C)) if want_loss else None
     epoch_rows = epoch_index = epoch_y = None
-    for _ in range(epochs):
-        if counts is None:
-            order = rng.permutation(len(y))
-        else:
-            order = np.arange(C * N).reshape(C, N)
-            for row, g, n_c in zip(order, rng, counts):
-                g.shuffle(row[:n_c])  # the draws and swaps of g.permutation(n_c)
+    for e in range(epochs):
+        order = np.arange(C * N).reshape(C, N)
+        for row, g, n_c in zip(order, rngs, counts):
+            g.shuffle(row[:n_c])  # the draws and swaps of g.permutation(n_c)
         # mode="clip" (every index is in range) lets take write into out unbuffered
         epoch_rows = np.take(rows, order, axis=0, out=epoch_rows, mode="clip")
         epoch_index = plan.embed.scatter_rows(epoch_rows, out=epoch_index)
         epoch_y = np.take(y, order, out=epoch_y, mode="clip")
-        n = order.shape[-1]
-        probs = np.empty(n) if want_loss else None
-        for start in range(0, n, batch_size):
+        probs = np.empty((C, N)) if want_loss else None
+        for start in range(0, N, batch_size):
             batch = slice(start, start + batch_size)
             plan.embed.restack(source)
-            p, layers = _forward(plan, epoch_rows[..., batch, :], True, source)
+            p, layers = _forward(plan, epoch_rows[:, batch], True, source)
             if want_loss:
-                probs[batch] = p
-            cache = ForwardCache(epoch_index[..., batch, :], layers, p, plan)
+                probs[:, batch] = p
+            cache = ForwardCache(epoch_index[:, batch], layers, p, plan)
             mask = None if valid is None else valid[:, batch]
-            ps = sgd_step(ps, backward_batch(ps, cache, epoch_y[..., batch], mask), lr)
+            ps = sgd_step(ps, backward_batch(ps, cache, epoch_y[:, batch], mask), lr)
         if want_loss:
-            losses.append(_epoch_loss(probs, epoch_y, batch_size))
+            losses[e] = [_epoch_loss(p[:n], t[:n], batch_size) for p, t, n in zip(probs, epoch_y, counts)]
     ps.plan = None  # the caller gets a value, not a buffer to train
     return ps, losses
+
+
+def train_plain(
+    ps: ParamSet, UA: np.ndarray, VA: np.ndarray, y: np.ndarray, batch_size: int, lr: float,
+    rng: np.random.Generator, epochs: int,
+) -> Tuple[ParamSet, List[float]]:
+    """sgd_epochs on plain model `ps` without group adapters, over rows
+    UA (n, a), VA (n, a') and y (n,), trained as a cohort of one with
+    Generator `rng`. Returns (trained model, each epoch's loss)."""
+    lone = cohort_of(ps, [()])
+    out, losses = sgd_epochs(lone, UA[None], VA[None], y[None], [len(y)], batch_size, lr, [rng], epochs, True)
+    # without group segments, a cohort row is laid out as the model's vector
+    return ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen, out.trained[0]), losses[:, 0].tolist()
 
 
 def _epoch_loss(probs: np.ndarray, y: np.ndarray, batch_size: int) -> float:

@@ -29,22 +29,29 @@ from fedrec.federation import (
     local_train,
 )
 from fedrec.metrics import auc, precision
+from fedrec import model
 from fedrec.model import (
     EPS_CLAMP,
     FROZEN,
+    GATE_LEARNED,
     GROUP_PREFIX,
     PRIVATE,
     SHARED,
-    Gradient,
+    ForwardCache,
     ParamSet,
     ShapeError,
     _draw,
+    _EmbedPlan,
+    _epoch_loss,
     _forward,
+    _index,
+    _LayerPlan,
     _layout,
     _plan,
+    _Plan,
+    cohort_of,
     forward_batch,
     init_params,
-    sgd_epochs,
     user_adapter_specs,
 )
 from fedrec.privacy import laplace_noise
@@ -187,19 +194,20 @@ def softmax_reference(a):
 
 
 def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
-    """Central finite-difference gradient of the batch BCE w.r.t. one tensor,
-    each element moved in place in a copy of `ps`."""
+    """Central finite-difference gradient of the batch BCE w.r.t. one tensor
+    of plain model `ps`, each element moved in place in a copy of `ps`."""
     work = ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen.copy(), ps.trained.copy())
-    plan = _plan(work, groups, grads=False)
+    plan = single_plan(work, groups, grads=False)
     plan.embed.check(UA, VA)
+    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     t = work.tensors[name]
     num = np.zeros_like(t)
     for idx in np.ndindex(t.shape):
         value = t[idx]
         t[idx] = value + step
-        lp = bce_loss(forward_batch(work, UA, VA, groups, plan=plan)[0], y)
+        lp = bce_loss(_forward(plan, rows, False, plan.embed.stacked())[0], y)
         t[idx] = value - step
-        lm = bce_loss(forward_batch(work, UA, VA, groups, plan=plan)[0], y)
+        lm = bce_loss(_forward(plan, rows, False, plan.embed.stacked())[0], y)
         t[idx] = value
         num[idx] = (lp - lm) / (2.0 * step)
     return num
@@ -282,23 +290,143 @@ def prediction_mse(a, b, UA, VA):
 
 
 def gradient(ps, tensors):
-    """A Gradient for `ps` holding `tensors` (name -> array) and zero
+    """A gradient buffer for `ps` holding `tensors` (name -> array) and zero
     everywhere else of its trained buffer."""
-    g = Gradient()
-    g.flat = np.zeros(ps.trained.shape)
+    g = np.zeros(ps.trained.shape)
     for name, t in tensors.items():
         tag, a, b, _ = ps.layout.entries[name]
         start = ps.layout.start(tag)
-        g.flat[..., start + a : start + b] = np.reshape(t, ps.trained.shape[:-1] + (-1,))
+        g[..., start + a : start + b] = np.reshape(t, ps.trained.shape[:-1] + (-1,))
     return g
+
+
+def trained_by_name(ps, buf, groups=None):
+    """The trained tensors of `ps` in `buf` (its trained buffer, or a
+    gradient laid out as it), by tensor name as views. With `groups`
+    (attribute -> group, a cohort of one) a cohort's own group segments are
+    named too, under the names of those groups."""
+    lay, lead = ps.layout, ps.trained.shape[:-1]
+    spans = [(n, tag, a, b, shape) for n, (tag, a, b, shape) in lay.entries.items()]
+    for attr, (tag, at) in lay.own.items() if groups else ():
+        names = lay.groups[attr][groups[attr]]
+        spans += [(n, tag, at + a, at + b, shape) for n, (a, b, shape) in zip(names, lay.segment)]
+    return {
+        n: buf[..., lay.start(tag) + a : lay.start(tag) + b].reshape(lead + shape)
+        for n, tag, a, b, shape in spans
+        if tag != FROZEN
+    }
+
+
+def lift(ps, groups=None):
+    """Plain model `ps` as a cohort of one client of the groups in `groups`
+    (attribute -> group)."""
+    return cohort_of(ps, [[groups[a] for a in ps.arch.group_attrs] if groups else []])
 
 
 def forward_one_shot(ps, UA, VA, groups=None):
     """forward_batch's probabilities from one forward pass over every row at
-    once: the oracle that blocked inference matches bit for bit."""
-    plan = _plan(ps, groups, grads=False)
+    once: the oracle that blocked inference matches bit for bit. A plain
+    model's rows (n, attrs) run through single_plan."""
+    plan = _plan(ps, grads=False) if ps.trained.ndim > 1 else single_plan(ps, groups, grads=False)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     return _forward(plan, rows, False, plan.embed.stacked())[0]
+
+
+def single_plan(ps, groups, grads=True):
+    """The layout plan of plain model `ps` (trained buffer (P,)) with the
+    group adapters of `groups` (attribute -> group) looked up by name: the
+    single-model plan that model._plan's cohort plan replaced, kept as an
+    oracle. Without `grads`, an inference plan that holds no gradient."""
+    arch, lay = ps.arch, ps.layout
+    grad = np.zeros(ps.trained.shape if grads else 0)
+
+    def named(name):
+        tag, a, b, shape = lay.entries[name]
+        if tag == FROZEN or not grads:
+            return ps.tensors[name], None
+        return ps.tensors[name], grad[lay.start(tag) + a : lay.start(tag) + b].reshape(shape)
+
+    d = arch.embed_dim
+    names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
+        f"item_emb/{a}" for a in arch.item_schema.names
+    )
+    slots = [lay.entries[n] for n in names]
+    pieces, row, first, piece_grads = [], 0, {}, []
+    for tag in (PRIVATE, SHARED, FROZEN):
+        width = max((b for t, _, b, _ in slots if t == tag), default=0)  # tables lead the vector
+        if not width:
+            continue
+        first[tag] = row
+        if tag != FROZEN and grads:
+            s = lay.start(tag)
+            piece_grads.append((row * d, row * d + width, grad[s : s + width]))
+        pieces.append(ps.flat[tag][:width])
+        row += width // d
+    on = [s for s, (t, _, _, _) in enumerate(slots) if t != FROZEN]
+    cols = [s * d + j for s in on for j in range(d)]
+    lo, hi = (cols[0] // 8 * 8, min(arch.input_dim, -(-(cols[-1] + 1) // 8) * 8)) if cols else (0, 0)
+    if hi - lo == 1:
+        lo, hi = 0, arch.input_dim
+    embed = _EmbedPlan(
+        names=names,
+        n_user=len(arch.user_schema),
+        cards=np.array([shape[0] for _, _, _, shape in slots]),
+        pieces=tuple(pieces),
+        source=pieces[0].reshape(-1, d) if len(pieces) == 1 else None,
+        base=np.array([first[t] + a // d for t, a, _, _ in slots]),
+        cols=np.arange(d),
+        live=_index(on),
+        span=slice(lo, hi),
+        span_live=_index([c - lo for c in cols]),
+        grads=tuple(piece_grads),
+        size=piece_grads[-1][1] if piece_grads else 0,
+    )
+    layers = []
+    for l in range(arch.n_layers):
+        adapters = []
+        if l in arch.adapter_layer_ids:
+            if arch.use_user_adapter:
+                adapters.append((named(f"adapter/user/{l}/A"), named(f"adapter/user/{l}/B")))
+            for attr in arch.group_attrs:
+                if groups is None or attr not in groups:
+                    raise ShapeError(f"group index for attribute {attr!r} required")
+                prefix = f"{GROUP_PREFIX}{attr}/{groups[attr]}/{l}"
+                adapters.append((named(prefix + "/A"), named(prefix + "/B")))
+        gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2")) if adapters and arch.gate_mode == GATE_LEARNED else None
+        layers.append(_LayerPlan(named(f"mlp/{l}/W"), named(f"mlp/{l}/b"), tuple(adapters), gate, arch.gate_mode))
+    return _Plan(embed, tuple(layers), grad)
+
+
+def sgd_epochs_single(ps, UA, VA, y, groups, batch_size, lr, rng, epochs, want_loss=False):
+    """Oracle for a cohort of one in model.sgd_epochs: the single-model loop
+    it replaced. Plain model `ps` trains on rows UA (n, a), VA (n, a') and
+    y (n,) through single_plan, each epoch in one `rng.permutation(n)`
+    order, each batch's mean BCE gradient over its own rows
+    (model.backward_batch without a mask divides by the batch's rows).
+    Returns (trained model, each epoch's loss, or None without
+    `want_loss`)."""
+    ps = ps.copy()
+    ps.plan = plan = single_plan(ps, groups)
+    plan.embed.check(UA, VA)
+    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
+    source = plan.embed.stacked()
+    losses = [] if want_loss else None
+    for _ in range(epochs):
+        order = rng.permutation(len(y))
+        epoch_rows, epoch_y = rows[order], y[order]
+        epoch_index = plan.embed.scatter_rows(epoch_rows)
+        probs = np.empty(len(y))
+        for start in range(0, len(y), batch_size):
+            batch = slice(start, start + batch_size)
+            plan.embed.restack(source)
+            p, layers = _forward(plan, epoch_rows[batch], True, source)
+            probs[batch] = p
+            cache = ForwardCache(epoch_index[batch], layers, p, plan)
+            ps = model.sgd_step(ps, model.backward_batch(ps, cache, epoch_y[batch]), lr)
+        if want_loss:
+            losses.append(_epoch_loss(probs, epoch_y, batch_size))
+    ps.plan = None
+    return ps, losses
 
 
 def randomized_params(ps, seed, scale=0.05):
@@ -352,7 +480,7 @@ def backward_full_width(cache, labels, valid=None):
     """Oracle for model.backward_batch: the same analytic gradients with the
     layer-0 input gradient taken over every input column, then cut to the
     trained tables' slots for the scatter. Returns a copy of the gradient
-    vector; it writes the plan's gradient views as backward_batch does."""
+    buffer; it writes the plan's gradient views as backward_batch does."""
     y = np.asarray(labels, dtype=float)
     if valid is None:
         dZ = ((cache.probs - y) / y.shape[-1])[..., None]
@@ -407,7 +535,7 @@ def backward_full_width(cache, labels, valid=None):
         )
         for start, stop, grad in emb.grads:
             grad[...] = flat[start:stop].reshape(grad.shape)
-    return cache.plan.grad.flat.copy()
+    return cache.plan.grad.copy()
 
 
 @dataclass
@@ -576,7 +704,7 @@ def client_local_train(client, global_ps, cfg, round_index):
     UA = user_matrix(client, n)
     rng = np.random.default_rng([cfg.seed, round_index, client.uid, 1])
     for _ in range(cfg.local_epochs):
-        ps, _ = sgd_epochs(ps, UA, shard.items, shard.labels, client.groups, cfg.fed_batch, cfg.fed_lr, rng, 1)
+        ps, _ = sgd_epochs_single(ps, UA, shard.items, shard.labels, client.groups, cfg.fed_batch, cfg.fed_lr, rng, 1)
 
     client.private = {k: ps.tensors[k] for k in client.private}
     tensors = {n_: ps.tensors[n_] for n_ in upload_names(ps, client)}

@@ -47,9 +47,11 @@ from helpers import (
     Upload,
     batch_of,
     brute_force_auc,
+    lift,
     max_rel_error,
     numeric_grad,
     randomized_params,
+    trained_by_name,
     upload_names,
 )
 
@@ -116,8 +118,9 @@ def test_a1_gradient_correctness():
         VA = rng.integers(0, arch.item_schema.cards, size=(n, 2))
         y = rng.integers(0, 2, size=n).astype(float)
         groups = {"ua0": int(UA[0, 0]), "ua1": int(UA[0, 1])}
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
-        grads = backward_batch(ps, cache, y)
+        lone = lift(ps, groups)
+        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
+        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
         for name, g in grads.items():
             worst = max(worst, max_rel_error(g, numeric_grad(ps, name, UA, VA, groups, y)))
     dt = time.perf_counter() - t0
@@ -136,10 +139,10 @@ def test_a2_gate_adapter_algebra():
         UA = np.tile(rng.integers(0, arch.user_schema.cards, size=(1, 2)), (n, 1))
         VA = rng.integers(0, arch.item_schema.cards, size=(n, 2))
         groups = {"ua0": int(UA[0, 0]), "ua1": int(UA[0, 1])}
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
         for layer in cache.layers:
             if layer.gated:
-                worst_sum = max(worst_sum, float(np.max(np.abs(layer.G.sum(axis=1) - 1.0))))
+                worst_sum = max(worst_sum, float(np.max(np.abs(layer.G.sum(axis=-1) - 1.0))))
 
     # zero-init adapters + one-hot common gate == base model, bit for bit
     carch = dataclasses.replace(arch, gate_mode=GATE_COMMON)

@@ -1,4 +1,5 @@
 import csv
+import fnmatch
 import json
 import os
 import re
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 from fedrec import cli
 from fedrec.cli import main
 from fedrec.config import ConfigError, parse_config_text, parse_value
-from fedrec.experiment import ARMS, KEYS, ExperimentConfig, prepare_dataset
+from fedrec.experiment import ARMS, KEYS, ExperimentConfig, build_arch, prepare_dataset
 from fedrec.federation import pretrain_examples
 from fedrec.metrics import auc
-from fedrec.model import load_params, predict
+from fedrec.model import FROZEN, ParamSet, ShapeError, init_params, load_params, predict, save_params
+from helpers import forward_one_shot, randomized_params
 
 BASE_CFG = """
 # small synthetic world for CLI smoke tests
@@ -333,7 +335,7 @@ class TestTrainingKeyBounds:
         cfg = tmp_path / "one.cfg"
         cfg.write_text(BASE_CFG.replace("synth.n_users = 24", "synth.n_users = 1"))
         assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
-        assert capsys.readouterr().err == "error: config key 'synth.n_users': 1 is outside [2, inf)\n"
+        assert capsys.readouterr().err == "error: config key 'synth.n_users': 1 is outside [2, 100000]\n"
         files = write_files_cfg(
             tmp_path, "user_id,ua0\n0,0\n", "item_id,ia0\n0,0\n1,1\n", "user_id,item_id,timestamp\n0,0,1\n0,1,2\n"
         )
@@ -578,6 +580,33 @@ class TestEval:
         assert out["auc_1e2"] == round(auc(np.array(probs), y) * 100.0, 4)
 
 
+    @pytest.mark.parametrize("frozen", ["adapter/group/*", "adapter/group/ua0/0/*"])
+    def test_scores_a_checkpoint_whose_group_adapters_are_frozen_or_mixed(self, tmp_path, capsys, frozen):
+        # no cohort trains such group adapters (Layout.cohort refuses them),
+        # but scoring reads no tag: eval and predict give the scores of the
+        # named-group plan they replaced (helpers.single_plan), bit for bit
+        exp = ExperimentConfig.from_dict(parse_config_text(BASE_CFG))
+        ds = prepare_dataset(exp)[0]
+        ps = randomized_params(init_params(build_arch(exp, ds, "fedpa"), 1), 2, scale=0.5)
+        ps = ParamSet(ps.arch, ps.tensors, {n: FROZEN if fnmatch.fnmatch(n, frozen) else t for n, t in ps.tags.items()})
+        with pytest.raises(ShapeError, match="partition tags"):
+            ps.layout.cohort
+        save_params(ps, str(tmp_path / "ckpt.npz"))
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(BASE_CFG + f"eval.checkpoint = {tmp_path / 'ckpt.npz'}\n")
+        assert run("eval", "--config", str(cfg), "--quiet") == 0
+        out = json.loads(capsys.readouterr().out)
+        UA, VA, y = pretrain_examples(ds, exp.seed, exp.neg_ratio)
+        probs = np.empty(len(y))
+        for g in np.unique(UA[:, 0]):  # each group's rows in one pass, as eval scored them
+            rows = UA[:, 0] == g
+            probs[rows] = forward_one_shot(ps, UA[rows], VA[rows], {"ua0": int(g)})
+        assert out["auc_1e2"] == round(auc(probs, y) * 100.0, 4)
+        for u, v in zip(UA[:20].tolist(), VA[:20].tolist()):
+            want = forward_one_shot(ps, np.array([u]), np.array([v]), {"ua0": u[0]})[0]
+            assert predict(ps, u, v, {"ua0": u[0]}) == want
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("synth", "--config", str(tmp_path / "nope.cfg"), "--quiet") == 1
@@ -602,6 +631,15 @@ class TestErrors:
         cfg = write_cfg_setting(tmp_path, "synth.item_attrs", "4, 99999999999999999999")
         proc = run_fresh("synth", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
         assert_one_error_line(proc, "config key 'synth.item_attrs': 99999999999999999999 is outside the int64 range")
+
+    @pytest.mark.parametrize("key", ["synth.n_users", "synth.n_items"])
+    def test_synth_on_a_world_beyond_the_size_bound_exits_1(self, key, tmp_path):
+        # 10^12 users or items lie inside int64; synth then built its users
+        # and items one dict entry at a time until memory ran out
+        cfg = write_cfg_setting(tmp_path, key, "1000000000000")
+        proc = run_fresh("synth", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(proc, f"config key {key!r}: 1000000000000 is outside [")
+        assert not (tmp_path / "out").exists()
 
     def test_pretrain_on_a_model_too_large_to_allocate_exits_1(self, tmp_path):
         # a MemoryError used to end the run with a traceback; 3 x 10^15

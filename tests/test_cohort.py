@@ -30,9 +30,11 @@ from helpers import (
     batch_of,
     client_local_train,
     client_objects,
+    lift,
     randomized_params,
     stack,
     train_cohort,
+    trained_by_name,
     uploads_of,
     user_matrix,
 )
@@ -170,8 +172,8 @@ class TestAgainstPerClientOracle:
         aucs = []
         for c in clients:
             shard = c.shards["val"]
-            lone = ps.with_tensors(c.private)
-            probs, _ = forward_batch(lone, user_matrix(c, len(shard)), shard.items, c.groups)
+            lone = lift(ps.with_tensors(c.private), c.groups)
+            probs = forward_batch(lone, user_matrix(c, len(shard))[None], shard.items[None])[0][0]
             try:
                 aucs.append(auc(probs, shard.labels))
             except UndefinedMetricError:
@@ -179,6 +181,26 @@ class TestAgainstPerClientOracle:
         ev = evaluate_global(ps, stack(clients, ps.arch, ("val",)), "val")
         assert ev.n_auc_valid == len(aucs) and ev.n_clients == len(clients)
         assert abs(ev.mean_auc - float(np.mean(aucs))) <= 1e-12
+
+
+def test_equal_counts_train_without_a_mask_as_the_per_client_oracle(monkeypatch):
+    # every client holds as many train rows, so no row is padding: the
+    # cohort steps pass no mask, and each client trains as it would alone
+    ps, clients = uniform_world()
+    n = len(clients[0].shards["train"])
+    masks = []
+    backward = model.backward_batch
+
+    def recording(ps, cache, labels, valid=None):
+        masks.append(valid)
+        return backward(ps, cache, labels, valid)
+
+    monkeypatch.setattr(model, "backward_batch", recording)
+    got = cohort_uploads(copy.deepcopy(clients), ps)
+    steps = len(masks)
+    lone = copy.deepcopy(clients)
+    assert_uploads_match(got, [client_local_train(c, ps, FED, 0) for c in lone], 0.0)
+    assert steps == FED.local_epochs * math.ceil(n / FED.fed_batch) and all(m is None for m in masks[:steps])
 
 
 def test_group_adapters_with_mixed_tags_rejected():
@@ -274,13 +296,14 @@ class TestLocalStepClosedForm:
         grads = model.backward_batch(cohort_ps, cache, y, valid)
         # one row per client of the trained buffer, named tensors as views
         # into it; the own group segments are its last columns
-        assert grads and grads.flat.shape == cohort_ps.trained.shape
-        assert not np.any(grads.flat[1])
-        for name, g in grads.items():
+        named = trained_by_name(cohort_ps, grads)
+        assert named and grads.shape == cohort_ps.trained.shape
+        assert not np.any(grads[1])
+        for name, g in named.items():
             assert g.shape == cohort_ps.tensors[name].shape and g.shape[0] == 3, name
-            assert np.shares_memory(g, grads.flat), name
+            assert np.shares_memory(g, grads), name
             assert np.any(g[0]) or np.any(g[2]), name
         (tag, at), = cohort_ps.layout.own.values()
         start = cohort_ps.layout.start(tag) + at
-        own = grads.flat[:, start : start + cohort_ps.layout.segment[-1][1]]
+        own = grads[:, start : start + cohort_ps.layout.segment[-1][1]]
         assert np.any(own[0]) and np.any(own[2])

@@ -58,9 +58,11 @@ from helpers import (
     build_clients_reference,
     client_objects,
     count_matching,
+    lift,
     stack,
     tensor_names,
     train_cohort,
+    trained_by_name,
     upload_names,
     uploads_of,
     user_matrix,
@@ -146,16 +148,22 @@ class TestPretrain:
         # check_closed_forms (perfbench/run.py) counts the sgd_step calls inside
         # federation.pretrain against epochs * ceil(rows / batch), and
         # Tracer._after_backward_batch reads backward_batch's `labels` by name
+        # and adds their len(): a cohort of one's (1, b) labels count 1; and
+        # perfbench/workloads.py scores the trained model with
+        # model.forward_batch(ps, UA, VA) on 2-D attribute rows
         ds, arch = make_world()
-        n = len(pretrain_examples(ds, seed=0)[2])
+        UA, VA, y = pretrain_examples(ds, seed=0)
+        n = len(y)
         calls = {"sgd_step": 0, "backward_batch": 0}
-        rows = []
+        rows, lens = [], []
 
         def wrap(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 if name == "backward_batch":
-                    rows.append(len(inspect.signature(fn).bind(*args, **kwargs).arguments["labels"]))
+                    labels = inspect.signature(fn).bind(*args, **kwargs).arguments["labels"]
+                    rows.append(np.size(labels))
+                    lens.append(len(labels))
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -166,10 +174,13 @@ class TestPretrain:
                 for key, val in list(vars(mod).items()):
                     if val is original:
                         monkeypatch.setattr(mod, key, wrapper)
-        pretrain(ds, arch, epochs=epochs, lr=0.3, batch_size=batch, seed=0)
+        ps, _ = pretrain(ds, arch, epochs=epochs, lr=0.3, batch_size=batch, seed=0)
         steps = epochs * math.ceil(n / batch)
         assert calls == {"sgd_step": steps, "backward_batch": steps}
         assert sum(rows) == epochs * n
+        assert set(lens) == {1}
+        probs, _ = model.forward_batch(ps, UA, VA)
+        assert probs.shape == (n,) and np.all((probs > 0) & (probs < 1))
 
     def test_examples_use_native_labels(self):
         ds, _ = make_world()
@@ -356,18 +367,18 @@ class TestClientLocalTrain:
         c = clients[0]
         n = len(c.shards["train"])
         cfg = ExperimentConfig(local_epochs=1, fed_lr=0.1, fed_batch=max(n, 1))
-        ps = server.params.with_tensors({k: v.copy() for k, v in c.private.items()})
+        ps = lift(server.params.with_tensors({k: v.copy() for k, v in c.private.items()}), c.groups)
         rng = np.random.default_rng([0, 0, c.uid, 1])
         order = rng.permutation(n)
         UA = user_matrix(c, n)
-        probs, cache = forward_batch(ps, UA[order], c.shards["train"].items[order],
-                                     c.groups, want_cache=True)
-        expected = sgd_step(ps, backward_batch(ps, cache, c.shards["train"].labels[order]), 0.1)
+        probs, cache = forward_batch(ps, UA[order][None], c.shards["train"].items[order][None], want_cache=True)
+        expected = sgd_step(ps, backward_batch(ps, cache, c.shards["train"].labels[order][None]), 0.1)
+        expected = trained_by_name(expected, expected.trained, c.groups)  # the own group's adapters too
         (up,) = train_one(c, server, cfg)
         for name, t in up.tensors.items():
-            assert np.allclose(t, expected.tensors[name], atol=1e-14), name
+            assert np.allclose(t, expected[name], atol=1e-14), name
         for name, t in c.private.items():
-            assert np.allclose(t, expected.tensors[name], atol=1e-14), name
+            assert np.allclose(t, expected[name], atol=1e-14), name
 
     def test_empty_train_shard_skipped(self):
         clients, server = self.setup_world()

@@ -30,7 +30,7 @@ from fedrec.model import (
     sgd_epochs,
     sgd_step,
 )
-from helpers import RULES, randomized_params, stack, tensor_names
+from helpers import RULES, lift, randomized_params, stack, tensor_names
 from test_cohort import uniform_world
 
 
@@ -119,10 +119,10 @@ class TestNoCallerBufferWritten:
     def test_sgd_step_and_with_tensors(self):
         ps, clients = self.world()
         c = clients[0]
-        lone = ps.with_tensors(c.private)
+        lone = lift(ps.with_tensors(c.private), c.groups)
         UA = np.tile(c.user_attrs, (len(c.shards["train"]), 1))
-        _, cache = forward_batch(lone, UA, c.shards["train"].items, c.groups, want_cache=True)
-        grads = backward_batch(lone, cache, c.shards["train"].labels)
+        _, cache = forward_batch(lone, UA[None], c.shards["train"].items[None], want_cache=True)
+        grads = backward_batch(lone, cache, c.shards["train"].labels[None])
         before = snapshot(lone)
         out = sgd_step(lone, grads, 0.5)
         assert snapshot(lone) == before and not np.shares_memory(out.trained, lone.trained)
@@ -134,11 +134,11 @@ class TestNoCallerBufferWritten:
     def test_sgd_epoch_single_and_cohort(self):
         ps, clients = self.world()
         c = clients[0]
-        lone = ps.with_tensors(c.private)
+        lone = lift(ps.with_tensors(c.private), c.groups)
         shard = c.shards["train"]
         before = snapshot(lone)
-        out, _ = sgd_epochs(lone, np.tile(c.user_attrs, (len(shard), 1)), shard.items, shard.labels,
-                            c.groups, 8, 0.3, np.random.default_rng(0), 1)
+        out, _ = sgd_epochs(lone, np.tile(c.user_attrs, (1, len(shard), 1)), shard.items[None], shard.labels[None],
+                            [len(shard)], 8, 0.3, [np.random.default_rng(0)], 1)
         assert snapshot(lone) == before and out.plan is None
         arrays = stack(clients, ps.arch, ("train",))
         rows = np.arange(len(clients))
@@ -146,7 +146,7 @@ class TestNoCallerBufferWritten:
         UA, VA, y, counts = arrays.shards["train"].rows(rows)
         before = snapshot(cohort)
         rngs = [np.random.default_rng(i) for i in rows]
-        out, _ = sgd_epochs(cohort, UA, VA, y, None, 8, 0.3, rngs, 1, counts=counts)
+        out, _ = sgd_epochs(cohort, UA, VA, y, counts, 8, 0.3, rngs, 1)
         assert snapshot(cohort) == before and out.plan is None
         assert not np.array_equal(out.trained, cohort.trained)
 

@@ -40,13 +40,17 @@ from helpers import (
     count_matching,
     embed_grads_reference,
     gradient,
+    trained_by_name,
     embed_item,
     embed_reference,
     embed_user,
     forward_one_shot,
+    lift,
     max_rel_error,
     numeric_grad,
     randomized_params,
+    sgd_epochs_single,
+    single_plan,
     softmax_reference,
     tensor_names,
 )
@@ -100,14 +104,15 @@ class TestEmbedding:
 
 def layer0(ps, X):
     """(Z, cache) of layer 0 of the one-layer fixture on input X."""
-    return _layer_branches(_plan(ps, {"ua": 0}).layers[0], X)
+    return _layer_branches(single_plan(ps, {"ua": 0}).layers[0], X)
 
 
 def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
     """A ParamSet of embedding tables only (one output layer on top) with the
     given slots frozen, the `stacked` slots carrying a leading axis of C
-    clients (and with them every tensor of their tag's vector), and a batch
-    of n rows (per client, with C) as UA, VA."""
+    clients (and with them every tensor of their tag's vector; the trained
+    vectors are stacked, as in any cohort), and a batch of n rows (per
+    client, with C) as UA, VA."""
     us = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
     it = AttributeSchema(tuple(f"i{j}" for j in range(len(item_cards))), tuple(item_cards))
     ps = init_params(Arch(us, it, embed_dim=d, mlp_hidden=(), gate_mode="none"), seed)
@@ -117,11 +122,10 @@ def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
     ps = ParamSet(ps.arch, ps.tensors, tags)
     if C:
         frozen_stacked = any(s in frozen for s in stacked)
-        trained_stacked = any(s not in frozen for s in stacked)
         ps = ParamSet.from_vectors(
             ps.arch, ps.layout,
             np.repeat(ps.frozen[None], C, axis=0) if frozen_stacked else ps.frozen,
-            np.repeat(ps.trained[None], C, axis=0) if trained_stacked else ps.trained,
+            np.repeat(ps.trained[None], C, axis=0),
         )
         for s, name in enumerate(names):
             if s in stacked:
@@ -133,13 +137,15 @@ def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
 
 
 def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
+    if ps.trained.ndim == 1:  # a plain model, as the cohort of one it trains as
+        ps, UA, VA = lift(ps), UA[None], VA[None]
     _, cache = forward_batch(ps, UA, VA, want_cache=True)
     X = cache.layers[0].X
     assert np.array_equal(X, embed_reference(ps, UA, VA))
     dX = np.random.default_rng(seed).normal(size=X.shape)
     emb = cache.plan.embed
     _embed_grads(emb, cache.index, dX[..., emb.span][..., emb.span_live])
-    got = {n: g for n, g in cache.plan.grad.items() if "_emb/" in n}
+    got = {n: g for n, g in trained_by_name(ps, cache.plan.grad).items() if "_emb/" in n}
     want = embed_grads_reference(ps, UA, VA, dX)
     assert sorted(got) == sorted(want)
     for name in want:
@@ -172,9 +178,9 @@ class TestFusedEmbedding:
         # tables repeat every row many times; a cohort stacks the live
         # tables and broadcasts the frozen one
         ps, UA, VA = embedding_world((2, 2), (2,), 3, {1}, {0, 2}, C, 40, 7)
-        plan = _plan(ps, None)
+        plan = _plan(ps if C else lift(ps))
         assert isinstance(plan.embed.live, np.ndarray)
-        assert [n for n in plan.grad if "_emb/" in n] == ["user_emb/u0", "item_emb/i0"]
+        assert [n for n in trained_by_name(ps, plan.grad) if "_emb/" in n] == ["user_emb/u0", "item_emb/i0"]
         assert_fused_embedding_matches_per_table(ps, UA, VA, 7)
 
     def test_out_of_range_attribute_names_the_table(self):
@@ -184,7 +190,7 @@ class TestFusedEmbedding:
             with pytest.raises(ShapeError, match="user_emb/u1"):
                 forward_batch(ps, UA, VA)
             with pytest.raises(ShapeError, match="user_emb/u1"):
-                sgd_epochs(ps, UA, VA, np.zeros(5), None, 2, 0.1, np.random.default_rng(0), 1)
+                sgd_epochs(lift(ps), UA[None], VA[None], np.zeros((1, 5)), [5], 2, 0.1, [np.random.default_rng(0)], 1)
 
     def test_wrong_column_count_rejected(self):
         ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
@@ -198,8 +204,9 @@ class TestForwardWithoutCache:
         arch = small_arch(gate_mode=gate_mode)
         ps = randomized_params(init_params(arch, 2), 3, scale=0.5)
         UA, VA, _, groups = random_batch(arch, 30, 4)
-        cached, _ = forward_batch(ps, UA, VA, groups, want_cache=True)
-        probs, cache = forward_batch(ps, UA, VA, groups)
+        ps, UA, VA = lift(ps, groups), UA[None], VA[None]
+        cached, _ = forward_batch(ps, UA, VA, want_cache=True)
+        probs, cache = forward_batch(ps, UA, VA)
         assert cache is None
         assert np.array_equal(probs, cached)
 
@@ -208,8 +215,9 @@ class TestForwardWithoutCache:
         # about one layer's input and output, not at every layer's
         arch = small_arch(mlp_hidden=(64, 64, 64), group_attrs=(), use_user_adapter=False,
                           gate_mode="none")
-        ps = init_params(arch, 0)
+        ps = lift(init_params(arch, 0))
         UA, VA, _, _ = random_batch(arch, 4000, 1, single_user=False)
+        UA, VA = UA[None], VA[None]
 
         def peak(want_cache):
             tracemalloc.start()
@@ -246,7 +254,7 @@ def synth_rows(lead, seed):
 
 def scored_blocks(ps, UA, VA, groups=None):
     """(forward_batch's probabilities, the leading shape of each block it
-    scored)."""
+    scored); a plain model with `groups` is scored as their cohort of one."""
     seen = []
     forward = model._forward
 
@@ -256,7 +264,10 @@ def scored_blocks(ps, UA, VA, groups=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_forward", recording_forward)
-        probs, _ = forward_batch(ps, UA, VA, groups)
+        if groups:
+            probs = forward_batch(lift(ps, groups), UA[None], VA[None])[0][0]
+        else:
+            probs, _ = forward_batch(ps, UA, VA)
     return probs, seen
 
 
@@ -394,7 +405,7 @@ class TestPredict:
         arch = small_arch()
         ps = randomized_params(init_params(arch, 0), 7, scale=0.5)
         UA, VA, _, groups = random_batch(arch, 50, 3)
-        probs, _ = forward_batch(ps, UA, VA, groups)
+        probs, _ = forward_batch(lift(ps, groups), UA[None], VA[None])
         assert np.all((probs > 0) & (probs < 1))
 
     def test_monotone_in_positive_path_weight(self):
@@ -434,8 +445,9 @@ class TestBackward:
         for seed in (0, 1, 2):
             ps = randomized_params(init_params(arch, seed), seed + 10)
             UA, VA, y, groups = random_batch(arch, 5, seed)
-            probs, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
-            grads = backward_batch(ps, cache, y)
+            lone = lift(ps, groups)
+            probs, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
+            grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
             for name, g in grads.items():
                 num = numeric_grad(ps, name, UA, VA, groups, y)
                 assert max_rel_error(g, num) < 1e-4, name
@@ -448,8 +460,9 @@ class TestBackward:
             tags[n] = FROZEN
         ps = ParamSet(arch, ps.tensors, tags)
         UA, VA, y, groups = random_batch(arch, 4, 1)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
-        grads = backward_batch(ps, cache, y)
+        lone = lift(ps, groups)
+        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
+        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
         assert not any(n.startswith("item_emb/") for n in grads)
         assert any(n.startswith("user_emb/") for n in grads)
 
@@ -459,8 +472,9 @@ class TestBackward:
         arch = small_arch()
         ps = init_params(arch, 3)  # W_b is zero at init
         UA, VA, y, groups = random_batch(arch, 4, 2)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
-        grads = backward_batch(ps, cache, y)
+        lone = lift(ps, groups)
+        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
+        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
         assert np.allclose(grads["adapter/user/0/A"], 0.0)
         assert np.any(grads["adapter/user/0/B"] != 0.0)
 
@@ -539,7 +553,7 @@ class TestInitParams:
         arch = small_arch()
         ps = init_params(arch, 0)
         UA, VA, _, groups = random_batch(arch, 8, 5)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
         for layer in cache.layers:
             if layer.gated:
                 assert np.allclose(layer.G, 1.0 / arch.n_branches, atol=1e-15)
@@ -553,9 +567,9 @@ class TestInitParams:
 
 def column_cut_world(data):
     """A random arch (1-3 layers, gated or not) whose trained embedding
-    tables sit at drawn slots, randomized parameters, and a batch: a single
-    model's (groups, valid None) or a ragged cohort's (valid (C, N)).
-    Returns (ps, UA, VA, y, groups, valid, trained slots)."""
+    tables sit at drawn slots, randomized parameters, and a batch: a plain
+    model's as its cohort of one (valid None) or a ragged cohort's
+    (valid (C, N)). Returns (ps, UA, VA, y, valid, trained slots)."""
     user_cards = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="user cards")
     item_cards = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3), label="item cards")
     S = len(user_cards) + len(item_cards)
@@ -601,12 +615,12 @@ def column_cut_world(data):
     VA = rng.integers(0, it.cards, size=lead + (len(it),))
     y = rng.integers(0, 2, size=lead).astype(float)
     if not C:
-        return ps, UA, VA, y, {a: int(UA[0, 0]) for a in arch.group_attrs} or None, None, live
+        return lift(ps, {a: int(UA[0, 0]) for a in arch.group_attrs}), UA[None], VA[None], y[None], None, live
     counts = np.array(data.draw(st.lists(st.integers(0, N), min_size=C, max_size=C), label="counts"))
     cohort = ps.layout.cohort
     trained = rng.normal(0.0, 0.5, size=(C, cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
     ps = ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
-    return ps, UA, VA, y, None, np.arange(N) < counts[:, None], live
+    return ps, UA, VA, y, np.arange(N) < counts[:, None], live
 
 
 class TestLayerZeroColumnCut:
@@ -617,8 +631,8 @@ class TestLayerZeroColumnCut:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_matches_full_width_oracle(self, data):
-        ps, UA, VA, y, groups, valid, live = column_cut_world(data)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        ps, UA, VA, y, valid, live = column_cut_world(data)
+        _, cache = forward_batch(ps, UA, VA, want_cache=True)
         emb = cache.plan.embed
         d = ps.arch.embed_dim
         # the span starts at a multiple of 8 and its scatter columns are the live slots'
@@ -629,7 +643,7 @@ class TestLayerZeroColumnCut:
         assert isinstance(emb.span_live, slice) == contiguous
         want = backward_full_width(cache, y, valid)
         got = backward_batch(ps, cache, y, valid)
-        assert np.array_equal(bits(got.flat), bits(want))
+        assert np.array_equal(bits(got), bits(want))
 
     def test_no_trained_table_computes_no_layer0_input_gradient(self, monkeypatch):
         arch = small_arch(mlp_hidden=(3,))
@@ -637,7 +651,8 @@ class TestLayerZeroColumnCut:
         frozen = {n: FROZEN for n in tensor_names(ps, "*_emb/*")}
         ps = randomized_params(ParamSet(arch, ps.tensors, {**ps.tags, **frozen}), 1)
         UA, VA, y, groups = random_batch(arch, 6, 2)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        ps, UA, VA, y = lift(ps, groups), UA[None], VA[None], y[None]
+        _, cache = forward_batch(ps, UA, VA, want_cache=True)
         widths = []
         input_grad = model._input_grad
 
@@ -650,7 +665,7 @@ class TestLayerZeroColumnCut:
         want = backward_full_width(cache, y)
         got = backward_batch(ps, cache, y)
         assert widths == [3]  # layer 1's input only
-        assert np.array_equal(bits(got.flat), bits(want))
+        assert np.array_equal(bits(got), bits(want))
 
 
 class TestProperties:
@@ -658,11 +673,11 @@ class TestProperties:
         arch = small_arch()
         ps = randomized_params(init_params(arch, 0), 8, scale=0.8)
         UA, VA, _, groups = random_batch(arch, 1000, 6)
-        _, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
         for layer in cache.layers:
             if layer.gated:
                 assert np.all(layer.G >= 0.0) and np.all(layer.G <= 1.0)
-                assert np.max(np.abs(layer.G.sum(axis=1) - 1.0)) < 1e-12
+                assert np.max(np.abs(layer.G.sum(axis=-1) - 1.0)) < 1e-12
 
     def test_zero_adapter_one_hot_gate_equals_base(self):
         # zero-init adapters + forced common gate reproduce the plain model
@@ -673,17 +688,17 @@ class TestProperties:
         shared = {n: ps.tensors[n] for n in base.tensors}
         base = base.with_tensors(shared)
         UA, VA, _, groups = random_batch(arch, 100, 9)
-        full_probs, _ = forward_batch(ps, UA, VA, groups)
-        base_probs, _ = forward_batch(base, UA, VA)
+        full_probs, _ = forward_batch(lift(ps, groups), UA[None], VA[None])
+        base_probs, _ = forward_batch(lift(base), UA[None], VA[None])
         assert np.array_equal(full_probs, base_probs)
 
     def test_loss_decreases_under_sgd(self):
         arch = small_arch()
-        ps = init_params(arch, 4)
         UA, VA, y, groups = random_batch(arch, 20, 4)
+        ps, UA, VA, y = lift(init_params(arch, 4), groups), UA[None], VA[None], y[None]
         losses = []
         for _ in range(100):
-            probs, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+            probs, cache = forward_batch(ps, UA, VA, want_cache=True)
             losses.append(bce_loss(probs, y))
             grads = backward_batch(ps, cache, y)
             ps = sgd_step(ps, grads, 0.1)
@@ -692,10 +707,10 @@ class TestProperties:
 
     def test_finite_after_training(self):
         arch = small_arch()
-        ps = init_params(arch, 4)
         UA, VA, y, groups = random_batch(arch, 20, 4)
+        ps, UA, VA, y = lift(init_params(arch, 4), groups), UA[None], VA[None], y[None]
         for _ in range(50):
-            probs, cache = forward_batch(ps, UA, VA, groups, want_cache=True)
+            probs, cache = forward_batch(ps, UA, VA, want_cache=True)
             ps = sgd_step(ps, backward_batch(ps, cache, y), 0.2)
         ps.check_finite()
 
@@ -707,22 +722,23 @@ class TestProperties:
 class TestSgdEpoch:
     def test_matches_per_batch_loop(self):
         # the per-batch loop that pretrain, distill and client training
-        # each used to inline, kept as the oracle
+        # each used to inline, kept as the oracle; a plain model trains as
+        # its cohort of one
         arch = small_arch()
-        ps = randomized_params(init_params(arch, 1), 1)
         UA, VA, y, groups = random_batch(arch, 37, 1)
-        got, (loss,) = sgd_epochs(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), 1, want_loss=True)
+        ps = lift(randomized_params(init_params(arch, 1), 1), groups)
+        got, losses = sgd_epochs(ps, UA[None], VA[None], y[None], [37], 8, 0.1, [np.random.default_rng(5)], 1, True)
+        (loss,) = losses[:, 0]
         order = np.random.default_rng(5).permutation(37)
         want, total = ps, 0.0
         for start in range(0, 37, 8):
             idx = order[start : start + 8]
-            probs, cache = forward_batch(want, UA[idx], VA[idx], groups, want_cache=True)
-            total += bce_loss(probs, y[idx]) * len(idx)
-            want = sgd_step(want, backward_batch(want, cache, y[idx]), 0.1)
+            probs, cache = forward_batch(want, UA[idx][None], VA[idx][None], want_cache=True)
+            total += bce_loss(probs[0], y[idx]) * len(idx)
+            want = sgd_step(want, backward_batch(want, cache, y[idx][None]), 0.1)
         assert loss == total / 37
-        for n in want.tensors:
-            assert np.array_equal(got.tensors[n], want.tensors[n]), n
-        _, no_loss = sgd_epochs(ps, UA, VA, y, groups, 8, 0.1, np.random.default_rng(5), 1)
+        assert np.array_equal(got.trained, want.trained)
+        _, no_loss = sgd_epochs(ps, UA[None], VA[None], y[None], [37], 8, 0.1, [np.random.default_rng(5)], 1)
         assert no_loss is None
 
     @settings(max_examples=60, deadline=None)
@@ -747,14 +763,16 @@ class TestSgdEpoch:
             frozen = {t: FROZEN for t in tensor_names(ps, "item_emb/*")}
             ps = ParamSet(arch, ps.tensors, {**ps.tags, **frozen})
         UA, VA, y, groups = random_batch(arch, n, seed)
-        got, (loss,) = sgd_epochs(ps, UA, VA, y, groups, batch, 0.1, np.random.default_rng(seed), 1, want_loss=True)
+        ps = lift(ps, groups)
+        got, losses = sgd_epochs(ps, UA[None], VA[None], y[None], [n], batch, 0.1, [np.random.default_rng(seed)], 1, True)
+        (loss,) = losses[:, 0]
         order = np.random.default_rng(seed).permutation(n)
         want, total = ps, 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            probs, cache = forward_batch(want, UA[idx], VA[idx], groups, want_cache=True)
-            total += bce_loss(probs, y[idx]) * len(idx)
-            want = sgd_step(want, backward_batch(want, cache, y[idx]), 0.1)
+            probs, cache = forward_batch(want, UA[idx][None], VA[idx][None], want_cache=True)
+            total += bce_loss(probs[0], y[idx]) * len(idx)
+            want = sgd_step(want, backward_batch(want, cache, y[idx][None]), 0.1)
         assert loss == total / n
         assert np.array_equal(got.trained, want.trained)
 
@@ -762,17 +780,19 @@ class TestSgdEpoch:
     def test_unequal_rows_rejected(self, rows):
         # a 5-row UA with a 4-row y once trained on 4 rows without a word
         arch = small_arch()
-        ps = init_params(arch, 0)
         UA, VA, y, groups = random_batch(arch, 5, 0)
+        ps = lift(init_params(arch, 0), groups)
         with pytest.raises(ShapeError, match="same rows"):
-            sgd_epochs(ps, UA[: rows[0]], VA[: rows[1]], y[: rows[2]], groups, 2, 0.1, np.random.default_rng(0), 1)
+            sgd_epochs(ps, UA[None, : rows[0]], VA[None, : rows[1]], y[None, : rows[2]], [rows[2]], 2, 0.1,
+                       [np.random.default_rng(0)], 1)
 
     @pytest.mark.parametrize("batch", [0, -3])
     def test_batch_below_one_rejected(self, batch):
         arch = small_arch()
         UA, VA, y, groups = random_batch(arch, 5, 0)
         with pytest.raises(ShapeError, match="batch size"):
-            sgd_epochs(init_params(arch, 0), UA, VA, y, groups, batch, 0.1, np.random.default_rng(0), 1)
+            sgd_epochs(lift(init_params(arch, 0), groups), UA[None], VA[None], y[None], [5], batch, 0.1,
+                       [np.random.default_rng(0)], 1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -803,7 +823,7 @@ class TestSgdEpoch:
         rngs = [np.random.default_rng([seed, c]) for c in range(C)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "_forward", recording_forward)
-            sgd_epochs(cohort, UA, VA, y, None, N, 0.1, rngs, 1, counts=counts)
+            sgd_epochs(cohort, UA, VA, y, counts, N, 0.1, rngs, 1)
         twins = [np.random.default_rng([seed, c]) for c in range(C)]
         want = np.arange(C * N).reshape(C, N)
         for c, (g, n_c) in enumerate(zip(twins, counts)):
@@ -829,13 +849,14 @@ class TestSgdEpoch:
         ps = randomized_params(init_params(arch, seed), seed)
         n = sum(counts) or 1
         UA, VA, y, groups = random_batch(arch, n, seed)
+        lone, rows = lift(ps, groups), (UA[None], VA[None], y[None], [n])
         rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, losses = sgd_epochs(ps, UA, VA, y, groups, batch, 0.1, rng, epochs, want_loss=True)
-        want, want_losses = ps, []
+        got, losses = sgd_epochs(lone, *rows, batch, 0.1, [rng], epochs, want_loss=True)
+        want, want_losses = lone, []
         for _ in range(epochs):
-            want, (loss,) = sgd_epochs(want, UA, VA, y, groups, batch, 0.1, twin, 1, want_loss=True)
-            want_losses.append(loss)
-        assert losses == want_losses and np.array_equal(bits(got.trained), bits(want.trained))
+            want, loss = sgd_epochs(want, *rows, batch, 0.1, [twin], 1, want_loss=True)
+            want_losses.append(loss[0, 0])
+        assert losses[:, 0].tolist() == want_losses and np.array_equal(bits(got.trained), bits(want.trained))
         assert rng.bit_generator.state == twin.bit_generator.state
         assert epochs or rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
@@ -848,10 +869,10 @@ class TestSgdEpoch:
         UA, VA, y = UA.reshape(C, N, -1), VA.reshape(C, N, -1), y.reshape(C, N)
         rngs = [np.random.default_rng([seed, c]) for c in range(C)]
         twins = [np.random.default_rng([seed, c]) for c in range(C)]
-        got, no_loss = sgd_epochs(cohort, UA, VA, y, None, batch, 0.1, rngs, epochs, counts=counts)
+        got, no_loss = sgd_epochs(cohort, UA, VA, y, counts, batch, 0.1, rngs, epochs)
         want = cohort
         for _ in range(epochs):
-            want, _ = sgd_epochs(want, UA, VA, y, None, batch, 0.1, twins, 1, counts=counts)
+            want, _ = sgd_epochs(want, UA, VA, y, counts, batch, 0.1, twins, 1)
         assert no_loss is None and np.array_equal(bits(got.trained), bits(want.trained))
         assert [g.bit_generator.state for g in rngs] == [g.bit_generator.state for g in twins]
         if not epochs:
@@ -863,18 +884,62 @@ class TestSgdEpoch:
         arch = small_arch()
         UA, VA, y, groups = random_batch(arch, 5, 0)
         with pytest.raises(ShapeError, match="epochs"):
-            sgd_epochs(init_params(arch, 0), UA, VA, y, groups, 2, 0.1, np.random.default_rng(0), -1)
+            sgd_epochs(lift(init_params(arch, 0), groups), UA[None], VA[None], y[None], [5], 2, 0.1,
+                       [np.random.default_rng(0)], -1)
 
     def test_empty_epoch(self):
         arch = small_arch()
-        ps = init_params(arch, 0)
         UA, VA, y, groups = random_batch(arch, 5, 0)
-        UA, VA, y = UA[:0], VA[:0], y[:0]
+        ps = lift(init_params(arch, 0), groups)
+        UA, VA, y = UA[None, :0], VA[None, :0], y[None, :0]
         with pytest.raises(ShapeError, match="at least one row"):
-            sgd_epochs(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), 1, want_loss=True)
+            sgd_epochs(ps, UA, VA, y, [0], 4, 0.1, [np.random.default_rng(0)], 1, want_loss=True)
         # without a loss to report, an empty epoch trains nothing
-        out, loss = sgd_epochs(ps, UA, VA, y, groups, 4, 0.1, np.random.default_rng(0), 1)
+        out, loss = sgd_epochs(ps, UA, VA, y, [0], 4, 0.1, [np.random.default_rng(0)], 1)
         assert loss is None and np.array_equal(out.trained, ps.trained)
+
+    def test_rows_of_another_cohort_size_rejected(self):
+        # a plain model trains only once lifted, and a cohort on one shard
+        # (and count and Generator) per client
+        arch = small_arch()
+        UA, VA, y, groups = random_batch(arch, 5, 0)
+        ps = init_params(arch, 0)
+        rng = np.random.default_rng(0)
+        for model_, rows in ((ps, (UA, VA, y, [5])), (lift(ps, groups), (UA[None], VA[None], y[None], [5, 5]))):
+            with pytest.raises(ShapeError, match="a cohort of"):
+                sgd_epochs(model_, *rows, 2, 0.1, [rng], 1)
+
+
+class TestCohortOfOne:
+    """A plain model trains as a cohort of one (model.cohort_of); the
+    single-model loop it replaced (helpers.sgd_epochs_single) is the oracle,
+    bit for bit: trained vector, epoch losses and Generator state."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_single_model_oracle(self, data):
+        kind = data.draw(st.sampled_from(["base", "learned", "uniform"]), label="arch")
+        n_groups = data.draw(st.integers(1, 2), label="group attributes")
+        arch = small_arch(
+            group_attrs=("ua0", "ua1")[:n_groups], gate_mode=GATE_UNIFORM if kind == "uniform" else "learned",
+            use_user_adapter=data.draw(st.booleans(), label="user adapter"),
+        )
+        arch = arch.base() if kind == "base" else arch
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        n = data.draw(st.integers(1, 40), label="rows")
+        batch = data.draw(st.integers(1, 9), label="batch")  # most row counts leave a partial last batch
+        epochs = data.draw(st.integers(0, 2), label="epochs")
+        want_loss = data.draw(st.booleans(), label="want_loss")
+        ps = randomized_params(init_params(arch, seed), seed)
+        if data.draw(st.booleans(), label="frozen item tables"):  # the gather then reads a copy
+            ps = ParamSet(arch, ps.tensors, {**ps.tags, **{t: FROZEN for t in tensor_names(ps, "item_emb/*")}})
+        UA, VA, y, groups = random_batch(arch, n, seed)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, losses = sgd_epochs(lift(ps, groups), UA[None], VA[None], y[None], [n], batch, 0.1, [rng], epochs, want_loss)
+        want, want_losses = sgd_epochs_single(ps, UA, VA, y, groups, batch, 0.1, twin, epochs, want_loss)
+        assert np.array_equal(bits(got.trained), bits(lift(want, groups).trained))
+        assert (losses[:, 0].tolist() if want_loss else losses) == want_losses
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def bits(x):
