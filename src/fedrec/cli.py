@@ -119,7 +119,7 @@ def cmd_federate(args) -> int:
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
-    save_params(result.server.params, os.path.join(cfg.out_dir, "server.npz"))
+    save_params(result.params, os.path.join(cfg.out_dir, "server.npz"))
     _say(args, f"{result.arm}: test AUC {result.test_auc * 100:.2f}e-2, "
                f"precision {0.0 if result.test_precision is None else result.test_precision * 100:.2f}e-2")
     return 0

@@ -19,7 +19,6 @@ from .data import (
 from .distill import DistillConfig
 from .federation import (
     RoundReport,
-    ServerState,
     build_clients,
     evaluate_global,
     partition,
@@ -270,7 +269,7 @@ class ArmResult:
     trainable_params: int
     uploaded_per_client: int
     reports: List[RoundReport]
-    server: ServerState
+    params: ParamSet                  # the server's after the last round
 
 
 def run_arm(
@@ -292,15 +291,15 @@ def run_arm(
     ps = partition(ps, rules)
 
     arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)
-    server = run_federated(ps, arrays, cfg)
-    ev = evaluate_global(server.params, arrays, "test")
-    uploaded = next((rep.uploaded_per_client for rep in server.reports if rep.uploaded_per_client), 0)
+    server, reports = run_federated(ps, arrays, cfg)
+    ev = evaluate_global(server, arrays, "test")
+    uploaded = next((rep.uploaded_per_client for rep in reports if rep.uploaded_per_client), 0)
     return ArmResult(
         arm=arm,
         test_auc=ev.mean_auc,
         test_precision=ev.mean_precision,
         trainable_params=count_params(ps, tags=(SHARED, PRIVATE)),
         uploaded_per_client=uploaded,
-        reports=server.reports,
-        server=server,
+        reports=reports,
+        params=server,
     )

@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,7 +40,6 @@ from .data import (
 )
 from .metrics import NonFiniteScoreError, UndefinedMetricError, score_rows
 from .model import (
-    FROZEN,
     SHARED,
     Arch,
     Layout,
@@ -159,12 +158,6 @@ class RoundReport:
             "seconds": round(self.seconds, 6),
         }
         return json.dumps(rec, sort_keys=True, allow_nan=False)
-
-
-@dataclass
-class ServerState:
-    params: ParamSet
-    reports: List[RoundReport] = field(default_factory=list)
 
 
 @dataclass
@@ -364,16 +357,18 @@ def _mean_rows(rows: np.ndarray, scalars: List[int]) -> np.ndarray:
     return out
 
 
-def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
-    """Unweighted element-wise mean of the uploads over the batch's rows in
-    batch order: one mean over the common range, and one per group segment
-    over the rows of that group's members. Group adapters nobody uploaded
-    are untouched. Raises FederationError on an empty batch, or naming a
-    client whose upload holds a tensor the server does not tag shared."""
+def aggregate_uploads(batch: UploadBatch, ps: ParamSet) -> ParamSet:
+    """The server's ParamSet `ps` with each shared tensor the unweighted
+    element-wise mean of the uploads over the batch's rows in batch order:
+    one mean over the common range, and one per group segment over the rows
+    of that group's members. Group adapters nobody uploaded are untouched.
+    Raises FederationError on an empty batch, or naming a client whose
+    upload holds a tensor the server does not tag shared."""
     if not len(batch.uids):
         raise FederationError("no usable uploads this round")
-    ps, lay, cohort = server.params, server.params.layout, batch.layout
-    common = {n: e for n, e in cohort.entries.items() if e[0] == SHARED}
+    lay, cohort = ps.layout, batch.layout
+    own = {n for segments in cohort.groups.values() for names in segments for n in names}
+    common = {n: e for n, e in cohort.entries.items() if e[0] == SHARED and n not in own}
     bad = [n for n in common if ps.tags.get(n) != SHARED]
     if bad:
         raise FederationError(f"upload from client {batch.uids[0]} contains non-shared tensor {bad[0]!r}")
@@ -382,25 +377,24 @@ def aggregate_uploads(batch: UploadBatch, server: ServerState) -> ServerState:
     trained, start, n = ps.trained.copy(), lay.start(SHARED), cohort.common[SHARED]
     # the columns of one-scalar tensors, in the common range and in a segment
     ones = [a for _, a, b, _ in common.values() if b - a == 1]
-    segment_ones = [a for a, b, _ in cohort.segment if b - a == 1]
     trained[start : start + n] = _mean_rows(batch.shared[:, :n], ones)
-    for col, attr in enumerate(ps.arch.group_attrs):
-        tag, at = cohort.own.get(attr, (None, 0))
+    for attr, (names,) in cohort.groups.items():
+        tag, at, stop = cohort.span(attr, 0)
         if tag != SHARED:
             continue
-        width, groups = cohort.segment[-1][1], batch.groups[:, col]
+        segment_ones = [a - at for _, a, b, _ in (cohort.entries[n] for n in names) if b - a == 1]
+        groups = batch.groups[:, ps.arch.group_attrs.index(attr)]
         # np.bincount, not np.unique, which would import numpy.ma (~1.7 MB)
         for g in np.flatnonzero(np.bincount(groups)):
             mask = groups == g
-            names = lay.groups[attr][g]
-            bad = [name for name in names if ps.tags[name] != SHARED]
+            bad = [name for name in lay.groups[attr][g] if ps.tags[name] != SHARED]
             if bad:
                 raise FederationError(
                     f"upload from client {batch.uids[mask][0]} contains non-shared tensor {bad[0]!r}"
                 )
-            first = start + lay.entries[names[0]][1]
-            trained[first : first + width] = _mean_rows(batch.shared[mask, at : at + width], segment_ones)
-    return ServerState(ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained), server.reports)
+            _, first, last = lay.span(attr, g)
+            trained[start + first : start + last] = _mean_rows(batch.shared[mask, at:stop], segment_ones)
+    return ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained)
 
 
 def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
@@ -436,9 +430,10 @@ def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> Ev
     )
 
 
-def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConfig) -> ServerState:
+def run_federated(ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConfig) -> Tuple[ParamSet, List[RoundReport]]:
     """The round loop: select -> broadcast -> local train -> (noise) ->
     aggregate -> evaluate, training the clients' private rows in place.
+    Returns the server's final ParamSet and each round's report.
 
     Runs `cfg.rounds` rounds of a `cfg.client_fraction` of the clients,
     evaluates on val every `cfg.eval_every` rounds and after the last, and
@@ -446,9 +441,9 @@ def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConf
     `cfg.ldp_intensity`. Deterministic given (inputs, cfg.seed) regardless
     of client execution order. Raises FederationError when local training
     leaves a private tensor non-finite or aggregation a shared one."""
-    server = ServerState(server_ps)
+    reports: List[RoundReport] = []
     pool: List[np.random.Generator] = []  # the rounds' per-client streams
-    order = _draw_order(server_ps.layout.cohort) if cfg.ldp_enabled else None
+    order = _draw_order(ps.layout.cohort) if cfg.ldp_enabled else None
 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
@@ -456,7 +451,7 @@ def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConf
         # a diverging round overflows; the finiteness checks stop it with an
         # error naming the round, so numpy's warnings would only come first
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = local_train(arrays, idx, server.params, cfg, r, pool)
+            batch = local_train(arrays, idx, ps, cfg, r, pool)
             live = len(batch.uids)
             if live and cfg.ldp_enabled:
                 rngs = derive_generators(cfg.seed, r, batch.uids, 2, pool)
@@ -465,9 +460,9 @@ def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConf
                 round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0
             )
             if live:
-                server = aggregate_uploads(batch, server)
+                ps = aggregate_uploads(batch, ps)
                 try:
-                    server.params.check_finite()
+                    ps.check_finite()
                 except ShapeError as exc:
                     who = _first_non_finite(batch.shared, batch.uids)
                     raise FederationError(
@@ -479,7 +474,7 @@ def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConf
                 report.skipped = True
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
-                ev = evaluate_global(server.params, arrays, "val")
+                ev = evaluate_global(ps, arrays, "val")
                 report.val_auc = ev.mean_auc
                 report.val_precision = ev.mean_precision
             except UndefinedMetricError:
@@ -487,25 +482,18 @@ def run_federated(server_ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConf
             except FederationError as exc:  # a score that overflowed
                 raise FederationError(f"round {r}: training diverged; {exc}") from None
         report.seconds = time.perf_counter() - t0
-        server.reports.append(report)
-
-    for n, tag in server_ps.tags.items():
-        if tag == FROZEN and not np.array_equal(server.params.tensors[n], server_ps.tensors[n]):
-            raise FederationError(f"frozen tensor {n!r} changed during the run")
-    return server
+        reports.append(report)
+    return ps, reports
 
 
 def _draw_order(cohort: Layout) -> np.ndarray:
     """The noise draw each column of a cohort's upload takes: the draws run
     through the shared tensors in sorted name order, as when each tensor
-    was noised on its own, a group segment's tensors under group 0's names
-    (each group's names sort alike)."""
-    spans = [(n, a, b) for n, (tag, a, b, _) in cohort.entries.items() if tag == SHARED]
-    for attr, (tag, at) in cohort.own.items():
-        if tag == SHARED:
-            spans += [(n, at + a, at + b) for n, (a, b, _) in zip(cohort.groups[attr][0], cohort.segment)]
+    was noised on its own; a client's own group's adapters go under group
+    0's names, which sort as every group's do."""
     order, drawn = np.empty(cohort.sizes[SHARED], dtype=np.intp), 0
-    for _, a, b in sorted(spans):
-        order[a:b] = np.arange(drawn, drawn + b - a)
-        drawn += b - a
+    for _, (tag, a, b, _) in sorted(cohort.entries.items()):
+        if tag == SHARED:
+            order[a:b] = np.arange(drawn, drawn + b - a)
+            drawn += b - a
     return order

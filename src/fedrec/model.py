@@ -18,9 +18,10 @@ so an SGD step is one update of that buffer.
 
 Forward, backward and SGD see only a cohort of clients: a ParamSet whose
 trained buffer has a row per client, (C, P), while the frozen vector stays
-one and broadcasts; a cohort's rows hold each client's own group's adapters
-(`Layout.cohort`). `cohort_of` lifts a model into one, and a plain model
-trains and scores as a cohort of one.
+one and broadcasts. A cohort is laid out as the model with one group per
+grouping attribute (`Layout.cohort`): row c holds client c's own group's
+adapters under group 0's names. `cohort_of` lifts a model into one, and a
+plain model trains and scores as a cohort of one.
 
 `sgd_epochs` trains every epoch of a call through what it sets up once: it
 checks the rows, copies the trained buffer, builds the layout plan
@@ -34,10 +35,9 @@ buffer. The backward pass computes the layer-0 input gradient only at the
 trained tables' columns. With `want_loss` the steps keep their
 probabilities, and each epoch's loss is one pass over them at its end.
 
-Inference (`forward_batch` without a cache) scores a cohort's rows in
-blocks of about INFER_ROWS along its row axis (`_blocks`), so its memory is
-bounded by a block; the scores were measured bit-equal to one pass over
-every row.
+Inference (`forward_batch`) scores a cohort's rows in blocks of about
+INFER_ROWS along its row axis (`_blocks`), so its memory is bounded by a
+block; the scores were measured bit-equal to one pass over every row.
 """
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ import json
 import math
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -191,21 +191,25 @@ class Layout:
     slot order, each layer's W and b, the user adapter and the gate, which
     make up the tag's `common` range, then every grouping attribute's groups
     in order, a group's adapter pairs (layer by layer, A then B) being one
-    `segment`. A cohort's layout (`cohort`) keeps the common ranges and
-    holds, per grouping attribute, one unnamed segment at `own[attr]` =
-    (tag, start): in row c, client c's own group's.
+    segment (`span`). A cohort's layout (`cohort`) is this model's layout
+    with one group per grouping attribute, group 0, whose adapters row c of
+    a cohort holds client c's own group's.
     """
 
     entries: Dict[str, Tuple[str, int, int, Shape]]       # name -> (tag, start, stop, shape)
     sizes: Dict[str, int]                                 # tag -> vector length
     common: Dict[str, int]                                # tag -> length of its common range
     groups: Dict[str, Tuple[Tuple[str, ...], ...]]        # attribute -> names in each group's segment
-    segment: Tuple[Tuple[int, int, Shape], ...]           # (start, stop, shape) in a segment
-    own: Dict[str, Tuple[str, int]] = field(default_factory=dict)
 
     def start(self, tag: str) -> int:
         """Where the tag's vector starts in the trained buffer."""
         return self.sizes[PRIVATE] if tag == SHARED else 0
+
+    def span(self, attr: str, g: int) -> Tuple[str, int, int]:
+        """(tag, start, stop) of group g's segment of `attr` in its tag's
+        vector; its tensors must carry one tag."""
+        first, last = self.entries[self.groups[attr][g][0]], self.entries[self.groups[attr][g][-1]]
+        return first[0], first[1], last[2]
 
     @functools.cached_property
     def cohort(self) -> "Layout":
@@ -216,12 +220,14 @@ class Layout:
             tags = {self.entries[n][0] for names in segments for n in names}
             if len(tags) != 1 or FROZEN in tags:
                 raise ShapeError(f"group adapters of {attr!r} carry different or frozen partition tags")
-            tag = tags.pop()
-            own[attr] = (tag, sizes[tag])
-            sizes[tag] += self.segment[-1][1]
-        grouped = {n for segments in self.groups.values() for names in segments for n in names}
-        entries = {n: e for n, e in self.entries.items() if n not in grouped}
-        return replace(self, entries=entries, sizes=sizes, own=own)
+            tag, start, stop = self.span(attr, 0)
+            for n in segments[0]:  # after the common range, attribute by attribute
+                _, a, b, shape = self.entries[n]
+                own[n] = (tag, sizes[tag] + a - start, sizes[tag] + b - start, shape)
+            sizes[tag] += stop - start
+        others = {n for segments in self.groups.values() for names in segments[1:] for n in names}
+        entries = {n: own.get(n, e) for n, e in self.entries.items() if n not in others}
+        return replace(self, entries=entries, sizes=sizes, groups={a: s[:1] for a, s in self.groups.items()})
 
 
 def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
@@ -244,11 +250,22 @@ def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
             tag, shape = tags[name], specs[name][0]
             placed[name] = (tag, sizes[tag], sizes[tag] + math.prod(shape), shape)
             sizes[tag] = placed[name][2]
-    segment, at = [], 0
-    for shape, _ in _pair(arch, "").values():
-        segment.append((at, at + math.prod(shape), shape))
-        at += math.prod(shape)
-    return Layout({n: placed[n] for n in specs}, sizes, common, groups, tuple(segment))
+    return Layout({n: placed[n] for n in specs}, sizes, common, groups)
+
+
+def _views(layout: Layout, trained: np.ndarray, frozen: Optional[np.ndarray] = None):
+    """(vectors, tensors) of a buffer laid out as the trained buffer of
+    `layout`, and of a frozen vector if given: each tag's vector (..., size)
+    and each of those tags' tensors as a view into its vector."""
+    n = layout.sizes[PRIVATE]
+    flat = {PRIVATE: trained[..., :n], SHARED: trained[..., n:]}
+    if frozen is not None:
+        flat[FROZEN] = frozen
+    return flat, {
+        name: flat[tag][..., a:b].reshape(flat[tag].shape[:-1] + shape)
+        for name, (tag, a, b, shape) in layout.entries.items()
+        if tag in flat
+    }
 
 
 class ParamSet:
@@ -281,18 +298,17 @@ class ParamSet:
         self.arch, self.layout, self.plan = arch, layout, None
         self.tags = {name: tag for name, (tag, *_) in layout.entries.items()}
         self.frozen, self.trained = frozen, trained
-        n = layout.sizes[PRIVATE]
-        self.flat = {FROZEN: frozen, PRIVATE: trained[..., :n], SHARED: trained[..., n:]}
-        self.tensors = {
-            name: self.flat[tag][..., a:b].reshape(self.flat[tag].shape[:-1] + shape)
-            for name, (tag, a, b, shape) in layout.entries.items()
-        }
+        self.flat, self.tensors = _views(layout, trained, frozen)
 
     def _fill(self, tensors: Dict[str, np.ndarray]):
+        """Write `tensors` into this ParamSet's fresh buffers; the frozen
+        vector, which copies and cohorts share, is read-only after."""
         for name, t in tensors.items():
             if np.shape(t) != self.tensors[name].shape:
                 raise ShapeError(f"tensor {name!r} has shape {np.shape(t)}, not {self.tensors[name].shape}")
             self.tensors[name][...] = t
+        self.frozen.flags.writeable = False
+        self.flat, self.tensors = _views(self.layout, self.trained, self.frozen)  # read-only views of it
 
     def copy(self) -> "ParamSet":
         """This ParamSet over a copy of its trained buffer; frozen is shared."""
@@ -364,14 +380,11 @@ def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> Par
     for tag in (PRIVATE, SHARED):
         start = cohort.start(tag)
         trained[:, start : start + cohort.common[tag]] = ps.flat[tag][: cohort.common[tag]]
-    for col, attr in enumerate(arch.group_attrs):
-        if attr in cohort.own:  # each client's own group's adapter segment
-            tag, at = cohort.own[attr]
-            segments = lay.groups[attr]
-            width, first = cohort.segment[-1][1], lay.entries[segments[0][0]][1]
-            table = ps.flat[tag][first : first + len(segments) * width].reshape(len(segments), width)
-            start = cohort.start(tag) + at
-            trained[:, start : start + width] = table[groups[:, col]]
+    for attr, segments in lay.groups.items():  # each client's own group's adapters, under group 0's names
+        tag, a, b = cohort.span(attr, 0)
+        first = lay.span(attr, 0)[1]
+        table = ps.flat[tag][first : first + len(segments) * (b - a)].reshape(-1, b - a)
+        trained[:, cohort.start(tag) + a : cohort.start(tag) + b] = table[groups[:, arch.group_attrs.index(attr)]]
     if private is not None:
         trained[:, user_columns(cohort, arch)] = private
     return ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
@@ -564,18 +577,9 @@ def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
     adapters; without `grads`, an inference plan that holds no gradient.
     Trained tensors a backward pass does not use read zero gradient."""
     arch, lay = ps.arch, ps.layout
-    lead = ps.trained.shape[:-1]
     grad = np.zeros(ps.trained.shape if grads else 0)
-
-    def param(tag: str, a: int, b: int, shape: Shape) -> Param:
-        value = ps.flat[tag][..., a:b].reshape(ps.flat[tag].shape[:-1] + shape)
-        if tag == FROZEN or not grads:
-            return value, None
-        s = lay.start(tag)
-        return value, grad[..., s + a : s + b].reshape(lead + shape)
-
-    def named(name: str) -> Param:
-        return param(*lay.entries[name])
+    gflat, gtensors = _views(lay, grad) if grads else ({}, {})
+    params = {name: (t, gtensors.get(name)) for name, t in ps.tensors.items()}
 
     d = arch.embed_dim
     names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
@@ -589,9 +593,8 @@ def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
             continue
         piece = ps.flat[tag][..., :width]
         rows_of[tag] = (row, width // d if piece.ndim > 1 else 0)
-        if tag != FROZEN and grads:
-            s = lay.start(tag)
-            piece_grads.append((row * d, row * d + piece.size, grad[..., s : s + width]))
+        if tag in gflat:
+            piece_grads.append((row * d, row * d + piece.size, gflat[tag][..., :width]))
         pieces.append(piece)
         row += piece.size // d
     base = np.array([rows_of[t][0] + a // d for t, a, _, _ in slots])
@@ -624,17 +627,15 @@ def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
     for l in range(arch.n_layers):
         adapters = []
         if l in arch.adapter_layer_ids:
-            if arch.use_user_adapter:
-                adapters.append((named(f"adapter/user/{l}/A"), named(f"adapter/user/{l}/B")))
-            j = 2 * arch.adapter_layer_ids.index(l)
-            for attr in arch.group_attrs:  # each row's own group's segment
-                tag, at = lay.own[attr]
-                adapters.append(tuple(param(tag, at + lo, at + hi, shape) for lo, hi, shape in lay.segment[j : j + 2]))
+            branches = (["adapter/user"] if arch.use_user_adapter else []) + [
+                f"{GROUP_PREFIX}{attr}/0" for attr in arch.group_attrs  # each row's own group's
+            ]
+            adapters = [(params[f"{p}/{l}/A"], params[f"{p}/{l}/B"]) for p in branches]
         gate = None
         if adapters and arch.gate_mode == GATE_LEARNED:
-            gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2"))
-        (b, gb) = named(f"mlp/{l}/b")
-        layers.append(_LayerPlan(named(f"mlp/{l}/W"), (b[..., None, :], gb), tuple(adapters), gate, arch.gate_mode))
+            gate = (params[f"gate/{l}/W1"], params[f"gate/{l}/W2"])
+        b, gb = params[f"mlp/{l}/b"]
+        layers.append(_LayerPlan(params[f"mlp/{l}/W"], (b[..., None, :], gb), tuple(adapters), gate, arch.gate_mode))
     return _Plan(embed, tuple(layers), grad)
 
 
@@ -734,28 +735,25 @@ def _blocks(n: int) -> List[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
-def forward_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray, want_cache: bool = False):
-    """Full forward pass on a batch; returns (probs, cache).
+def forward_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray):
+    """Inference on a batch; returns (probs, None).
 
     UA (C, n, |user attrs|) and VA (C, n, |item attrs|) are integer
     attribute value matrices, row c for client c of cohort `ps`. A plain
     model without group adapters, with UA (n, ...) and VA (n, ...), is
-    scored as a cohort of one (`scoring_cohort`): no cache, probs (n,).
-    Without a cache the rows are scored in blocks (`_blocks`).
+    scored as a cohort of one (`scoring_cohort`): probs (n,). The rows are
+    scored in blocks (`_blocks`).
     """
     UA, VA = np.asarray(UA), np.asarray(VA)
     plain = ps.trained.ndim == 1
     if plain:
-        ps, UA, VA, want_cache = scoring_cohort(ps, [()]), UA[None], VA[None], False
+        ps, UA, VA = scoring_cohort(ps, [()]), UA[None], VA[None]
     if UA.ndim != 3 or UA.shape[:-1] != VA.shape[:-1] or len(UA) != len(ps.trained):
         raise ShapeError("UA/VA must be (C, n, attrs) with equal leading shapes, C the cohort's clients")
-    plan = _plan(ps, grads=want_cache)
+    plan = _plan(ps, grads=False)
     plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     source = plan.embed.stacked()  # once per call, not once per block
-    if want_cache:
-        probs, layers = _forward(plan, rows, True, source)
-        return probs, ForwardCache(index=plan.embed.scatter_rows(rows), layers=layers, probs=probs, plan=plan)
     probs = np.empty(rows.shape[:-1])
     for block in _blocks(probs.shape[-1]):
         probs[:, block] = _forward(plan, rows[:, block], False, source)[0]
@@ -779,9 +777,7 @@ def predict(
     return float(probs[0, 0])
 
 
-def backward_batch(
-    ps: ParamSet, cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None
-) -> np.ndarray:
+def backward_batch(cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
     """Analytic gradients of mean BCE w.r.t. every non-frozen tensor used in
     the forward pass. Frozen tensors still propagate but get no gradient.
     Labels may be soft targets in [0, 1].
@@ -955,7 +951,7 @@ def sgd_epochs(
                 probs[:, batch] = p
             cache = ForwardCache(epoch_index[:, batch], layers, p, plan)
             mask = None if valid is None else valid[:, batch]
-            ps = sgd_step(ps, backward_batch(ps, cache, epoch_y[:, batch], mask), lr)
+            ps = sgd_step(ps, backward_batch(cache, epoch_y[:, batch], mask), lr)
         if want_loss:
             losses[e] = [_epoch_loss(p[:n], t[:n], batch_size) for p, t, n in zip(probs, epoch_y, counts)]
     ps.plan = None  # the caller gets a value, not a buffer to train

@@ -23,7 +23,6 @@ from fedrec.experiment import ARMS, FEDPA_RULES
 from fedrec.federation import (
     ClientArrays,
     FederationError,
-    ServerState,
     StackedShards,
     UploadBatch,
     local_train,
@@ -47,6 +46,7 @@ from fedrec.model import (
     _index,
     _LayerPlan,
     _layout,
+    _pair,
     _plan,
     _Plan,
     cohort_of,
@@ -300,21 +300,22 @@ def gradient(ps, tensors):
     return g
 
 
+def own_group_name(name, groups):
+    """A cohort tensor's name as one client's: group 0's adapters renamed to
+    those of the client's group of that attribute, groups[attr]."""
+    if not name.startswith(GROUP_PREFIX):
+        return name
+    attr, _, rest = name[len(GROUP_PREFIX):].split("/", 2)
+    return f"{GROUP_PREFIX}{attr}/{groups[attr]}/{rest}"
+
+
 def trained_by_name(ps, buf, groups=None):
     """The trained tensors of `ps` in `buf` (its trained buffer, or a
     gradient laid out as it), by tensor name as views. With `groups`
-    (attribute -> group, a cohort of one) a cohort's own group segments are
-    named too, under the names of those groups."""
-    lay, lead = ps.layout, ps.trained.shape[:-1]
-    spans = [(n, tag, a, b, shape) for n, (tag, a, b, shape) in lay.entries.items()]
-    for attr, (tag, at) in lay.own.items() if groups else ():
-        names = lay.groups[attr][groups[attr]]
-        spans += [(n, tag, at + a, at + b, shape) for n, (a, b, shape) in zip(names, lay.segment)]
-    return {
-        n: buf[..., lay.start(tag) + a : lay.start(tag) + b].reshape(lead + shape)
-        for n, tag, a, b, shape in spans
-        if tag != FROZEN
-    }
+    (attribute -> group, a cohort of one) group 0's adapters go under the
+    names of those groups."""
+    _, views = model._views(ps.layout, buf)
+    return {own_group_name(n, groups) if groups else n: t for n, t in views.items()}
 
 
 def lift(ps, groups=None):
@@ -330,6 +331,42 @@ def forward_one_shot(ps, UA, VA, groups=None):
     plan = _plan(ps, grads=False) if ps.trained.ndim > 1 else single_plan(ps, groups, grads=False)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     return _forward(plan, rows, False, plan.embed.stacked())[0]
+
+
+def forward_cached(ps, UA, VA):
+    """The training forward pass of cohort `ps` over UA (C, n, a) and VA
+    (C, n, a'), as model.sgd_epochs runs a step: (probs, ForwardCache)
+    through a plan that holds a gradient buffer, for backward_batch."""
+    plan = _plan(ps)
+    plan.embed.check(UA, VA)
+    rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
+    probs, layers = _forward(plan, rows, True, plan.embed.stacked())
+    return probs, ForwardCache(plan.embed.scatter_rows(rows), layers, probs, plan)
+
+
+def draw_order_reference(lay, arch):
+    """Oracle for federation._draw_order(lay.cohort), as it was written over
+    a cohort's unnamed own-group segments: the model's common shared tensors
+    keep their columns, and each grouping attribute whose adapters are shared
+    holds one segment after them, in attribute order, its tensors in
+    model._pair order under group 0's names. The draws run through the
+    tensors in sorted name order."""
+    segment, width = [], 0
+    for shape, _ in _pair(arch, "").values():
+        segment.append((width, width + math.prod(shape)))
+        width += math.prod(shape)
+    grouped = {n for segments in lay.groups.values() for names in segments for n in names}
+    spans = [(n, a, b) for n, (tag, a, b, _) in lay.entries.items() if tag == SHARED and n not in grouped]
+    at = lay.common[SHARED]
+    for segments in lay.groups.values():
+        if lay.entries[segments[0][0]][0] == SHARED:
+            spans += [(n, at + a, at + b) for n, (a, b) in zip(segments[0], segment)]
+            at += width
+    order, drawn = np.empty(at, dtype=np.intp), 0
+    for _, a, b in sorted(spans):
+        order[a:b] = np.arange(drawn, drawn + b - a)
+        drawn += b - a
+    return order
 
 
 def single_plan(ps, groups, grads=True):
@@ -422,7 +459,7 @@ def sgd_epochs_single(ps, UA, VA, y, groups, batch_size, lr, rng, epochs, want_l
             p, layers = _forward(plan, epoch_rows[batch], True, source)
             probs[batch] = p
             cache = ForwardCache(epoch_index[batch], layers, p, plan)
-            ps = model.sgd_step(ps, model.backward_batch(ps, cache, epoch_y[batch]), lr)
+            ps = model.sgd_step(ps, model.backward_batch(cache, epoch_y[batch]), lr)
         if want_loss:
             losses.append(_epoch_loss(probs, epoch_y, batch_size))
     ps.plan = None
@@ -575,37 +612,36 @@ def user_matrix(client, n):
 
 
 def aggregate(uploads, server):
-    """Per-client oracle for federation.aggregate_uploads: unweighted
-    element-wise mean of each shared tensor over the uploads containing it;
-    group adapters therefore average over group members only."""
+    """Per-client oracle for federation.aggregate_uploads: the server's
+    ParamSet with the unweighted element-wise mean of each shared tensor
+    over the uploads containing it; group adapters therefore average over
+    group members only."""
     live = [u for u in uploads if not u.skipped]
     if not live:
         raise FederationError("no usable uploads this round")
     for u in live:
-        bad = [n for n in u.tensors if server.params.tags.get(n) != SHARED]
+        bad = [n for n in u.tensors if server.tags.get(n) != SHARED]
         if bad:
             raise FederationError(f"upload from client {u.uid} contains non-shared tensors {bad}")
     updates = {}
-    for name, tag in server.params.tags.items():
+    for name, tag in server.tags.items():
         if tag != SHARED:
             continue
         vals = [u.tensors[name] for u in live if name in u.tensors]
         if vals:
             updates[name] = np.mean(np.stack(vals), axis=0)
-    return ServerState(server.params.with_tensors(updates), server.reports)
+    return server.with_tensors(updates)
 
 
 def upload_tensors(batch, c, arch):
     """Row c of the batch as one client's upload, name -> tensor, in name
-    order: a group segment's tensors under the names of the client's group."""
-    lay, row = batch.layout, batch.shared[c]
-    tensors = {n: row[a:b].reshape(shape) for n, (tag, a, b, shape) in lay.entries.items() if tag == SHARED}
-    for col, attr in enumerate(arch.group_attrs):
-        tag, at = lay.own.get(attr, (None, 0))
-        if tag == SHARED:
-            for name, (a, b, shape) in zip(lay.groups[attr][batch.groups[c, col]], lay.segment):
-                tensors[name] = row[at + a : at + b].reshape(shape)
-    return dict(sorted(tensors.items()))
+    order: group 0's adapters under the names of the client's group."""
+    groups = dict(zip(arch.group_attrs, batch.groups[c].tolist()))
+    return dict(sorted(
+        (own_group_name(n, groups), batch.shared[c, a:b].reshape(shape))
+        for n, (tag, a, b, shape) in batch.layout.entries.items()
+        if tag == SHARED
+    ))
 
 
 def uploads_of(batch, clients, arch):
@@ -644,14 +680,10 @@ def batch_of(uploads, arch):
     lay = _layout(arch, tags).cohort
     shared = np.zeros((len(live), lay.sizes[SHARED]))
     for c, u in enumerate(live):
+        own = dict(zip(arch.group_attrs, groups[c].tolist()))
         for name, (tag, a, b, _) in lay.entries.items():
             if tag == SHARED:
-                shared[c, a:b] = u.tensors[name].ravel()
-        for col, attr in enumerate(arch.group_attrs):
-            tag, at = lay.own.get(attr, (None, 0))
-            if tag == SHARED:
-                for name, (a, b, _) in zip(lay.groups[attr][groups[c, col]], lay.segment):
-                    shared[c, at + a : at + b] = u.tensors[name].ravel()
+                shared[c, a:b] = u.tensors[own_group_name(name, own)].ravel()
     return UploadBatch(
         uids=np.array([u.uid for u in live], dtype=np.int64),
         groups=groups,

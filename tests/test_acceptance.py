@@ -24,7 +24,6 @@ from fedrec.experiment import (
     run_arm,
 )
 from fedrec.federation import (
-    ServerState,
     aggregate_uploads,
     partition,
     pretrain,
@@ -47,6 +46,7 @@ from helpers import (
     Upload,
     batch_of,
     brute_force_auc,
+    forward_cached,
     lift,
     max_rel_error,
     numeric_grad,
@@ -119,8 +119,8 @@ def test_a1_gradient_correctness():
         y = rng.integers(0, 2, size=n).astype(float)
         groups = {"ua0": int(UA[0, 0]), "ua1": int(UA[0, 1])}
         lone = lift(ps, groups)
-        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
-        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
+        _, cache = forward_cached(lone, UA[None], VA[None])
+        grads = trained_by_name(lone, backward_batch(cache, y[None]), groups)
         for name, g in grads.items():
             worst = max(worst, max_rel_error(g, numeric_grad(ps, name, UA, VA, groups, y)))
     dt = time.perf_counter() - t0
@@ -139,7 +139,7 @@ def test_a2_gate_adapter_algebra():
         UA = np.tile(rng.integers(0, arch.user_schema.cards, size=(1, 2)), (n, 1))
         VA = rng.integers(0, arch.item_schema.cards, size=(n, 2))
         groups = {"ua0": int(UA[0, 0]), "ua1": int(UA[0, 1])}
-        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
+        _, cache = forward_cached(lift(ps, groups), UA[None], VA[None])
         for layer in cache.layers:
             if layer.gated:
                 worst_sum = max(worst_sum, float(np.max(np.abs(layer.G.sum(axis=-1) - 1.0))))
@@ -166,7 +166,6 @@ def test_a3_aggregation_oracle():
     worst = 0.0
     for seed in range(3):
         ps = partition(init_params(arch, seed), FEDPA_RULES)
-        server = ServerState(ps)
         rng = np.random.default_rng(seed)
         groups_of = [{"ua0": 0, "ua1": 0}, {"ua0": 0, "ua1": 1}, {"ua0": 1, "ua1": 0}]
         uploads = []
@@ -175,16 +174,16 @@ def test_a3_aggregation_oracle():
             tensors = {n: rng.normal(size=ps.tensors[n].shape)
                        for n in upload_names(ps, client)}
             uploads.append(Upload(uid, tensors, 4, groups))
-        out = aggregate_uploads(batch_of(uploads, arch), server)
-        perm = aggregate_uploads(batch_of([uploads[2], uploads[0], uploads[1]], arch), server)
+        out = aggregate_uploads(batch_of(uploads, arch), ps)
+        perm = aggregate_uploads(batch_of([uploads[2], uploads[0], uploads[1]], arch), ps)
         for name, tag in ps.tags.items():
             if tag != SHARED:
                 continue
             vals = [u.tensors[name] for u in uploads if name in u.tensors]
             brute = sum(vals) / len(vals) if vals else ps.tensors[name]
-            worst = max(worst, float(np.max(np.abs(out.params.tensors[name] - brute))))
+            worst = max(worst, float(np.max(np.abs(out.tensors[name] - brute))))
             worst = max(worst, float(np.max(np.abs(
-                perm.params.tensors[name] - out.params.tensors[name]))))
+                perm.tensors[name] - out.tensors[name]))))
     verdict("A3", worst < 1e-12,
             f"max deviation from brute-force mean / permutation {worst:.2e} (< 1e-12), "
             "3-client fixtures with group routing")

@@ -14,7 +14,6 @@ from fedrec.data import SynthConfig
 from fedrec.experiment import ARMS, ExperimentConfig, build_arch, prepare_dataset
 from fedrec.federation import (
     FederationError,
-    ServerState,
     _cohort,
     aggregate_uploads,
     build_clients,
@@ -30,6 +29,7 @@ from helpers import (
     batch_of,
     client_local_train,
     client_objects,
+    forward_cached,
     lift,
     randomized_params,
     stack,
@@ -131,10 +131,10 @@ def against_oracle(ps, clients, rounds=2, atol=0.0):
     """Train the same clients per client (oracle) and as one cohort for a few
     aggregated rounds; uploads and private tensors must agree."""
     lone, cohort = copy.deepcopy(clients), copy.deepcopy(clients)
-    s_lone, s_cohort = ServerState(ps), ServerState(ps)
+    s_lone = s_cohort = ps
     for r in range(rounds):
-        want = [client_local_train(c, s_lone.params, FED, r) for c in lone]
-        batch = train_cohort(cohort, s_cohort.params, FED, r)
+        want = [client_local_train(c, s_lone, FED, r) for c in lone]
+        batch = train_cohort(cohort, s_cohort, FED, r)
         got = uploads_of(batch, cohort, ps.arch)
         assert_uploads_match(got, want, atol)
         for a, b in zip(cohort, lone):
@@ -191,9 +191,9 @@ def test_equal_counts_train_without_a_mask_as_the_per_client_oracle(monkeypatch)
     masks = []
     backward = model.backward_batch
 
-    def recording(ps, cache, labels, valid=None):
+    def recording(cache, labels, valid=None):
         masks.append(valid)
-        return backward(ps, cache, labels, valid)
+        return backward(cache, labels, valid)
 
     monkeypatch.setattr(model, "backward_batch", recording)
     got = cohort_uploads(copy.deepcopy(clients), ps)
@@ -225,7 +225,7 @@ def test_stacked_forward_without_cache_equals_cached():
     for c in cohort:  # distinct, live user adapters
         c.private = {n: t + 0.1 * (c.uid + 1) for n, t in c.private.items()}
     cohort_ps, (UA, VA, _, _) = stacked(cohort, ps, "val")
-    cached, _ = forward_batch(cohort_ps, UA, VA, want_cache=True)
+    cached, _ = forward_cached(cohort_ps, UA, VA)
     probs, cache = forward_batch(cohort_ps, UA, VA)
     assert cache is None and probs.shape == UA.shape[:2]
     assert np.array_equal(probs, cached)
@@ -251,8 +251,8 @@ class TestCohortProperties:
         ps, clients = uniform_world()
         uploads = cohort_uploads(copy.deepcopy(clients), ps)
         perm = data.draw(st.permutations(range(len(uploads))))
-        a = aggregate_uploads(batch_of(uploads, ps.arch), ServerState(ps)).params
-        b = aggregate_uploads(batch_of([uploads[i] for i in perm], ps.arch), ServerState(ps)).params
+        a = aggregate_uploads(batch_of(uploads, ps.arch), ps)
+        b = aggregate_uploads(batch_of([uploads[i] for i in perm], ps.arch), ps)
         for n in a.tensors:
             close(a.tensors[n], b.tensors[n], 1e-12, n)
 
@@ -269,9 +269,9 @@ class TestLocalStepClosedForm:
             steps.append(1)
             return sgd_step(*args, **kwargs)
 
-        def counting_backward(ps, cache, labels, valid=None):
+        def counting_backward(cache, labels, valid=None):
             rows.append(valid.sum(axis=-1))
-            return backward_batch(ps, cache, labels, valid)
+            return backward_batch(cache, labels, valid)
 
         monkeypatch.setattr(model, "sgd_step", counting_step)
         monkeypatch.setattr(model, "backward_batch", counting_backward)
@@ -292,10 +292,10 @@ class TestLocalStepClosedForm:
         cohort_ps, (UA, VA, y, _) = stacked(cohort, ps, "train")
         valid = np.ones(y.shape, dtype=bool)
         valid[1] = False
-        probs, cache = forward_batch(cohort_ps, UA, VA, want_cache=True)
-        grads = model.backward_batch(cohort_ps, cache, y, valid)
+        probs, cache = forward_cached(cohort_ps, UA, VA)
+        grads = model.backward_batch(cache, y, valid)
         # one row per client of the trained buffer, named tensors as views
-        # into it; the own group segments are its last columns
+        # into it; each row's own groups' adapters go under group 0's names
         named = trained_by_name(cohort_ps, grads)
         assert named and grads.shape == cohort_ps.trained.shape
         assert not np.any(grads[1])
@@ -303,7 +303,5 @@ class TestLocalStepClosedForm:
             assert g.shape == cohort_ps.tensors[name].shape and g.shape[0] == 3, name
             assert np.shares_memory(g, grads), name
             assert np.any(g[0]) or np.any(g[2]), name
-        (tag, at), = cohort_ps.layout.own.values()
-        start = cohort_ps.layout.start(tag) + at
-        own = grads[:, start : start + cohort_ps.layout.segment[-1][1]]
+        own = np.concatenate([g.reshape(3, -1) for n, g in named.items() if n.startswith("adapter/group/")], axis=1)
         assert np.any(own[0]) and np.any(own[2])

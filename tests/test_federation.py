@@ -21,7 +21,6 @@ from fedrec.data import (
 )
 from fedrec.federation import (
     FederationError,
-    ServerState,
     aggregate_uploads,
     build_clients,
     evaluate_global,
@@ -58,6 +57,7 @@ from helpers import (
     build_clients_reference,
     client_objects,
     count_matching,
+    forward_cached,
     lift,
     stack,
     tensor_names,
@@ -81,8 +81,7 @@ def make_world(seed=0):
 
 
 def make_server(arch, seed=0, policy="fedpa"):
-    ps = partition(init_params(arch, seed), RULES[policy])
-    return ServerState(ps)
+    return partition(init_params(arch, seed), RULES[policy])
 
 
 class TestPartitionPolicy:
@@ -323,7 +322,7 @@ class TestSelectClients:
 def train_one(client, server, cfg, seed=0):
     """One client's upload from a cohort round of that client alone."""
     cfg = replace(cfg, seed=seed)
-    return uploads_of(train_cohort([client], server.params, cfg, 0), [client], server.params.arch)
+    return uploads_of(train_cohort([client], server, cfg, 0), [client], server.arch)
 
 
 class TestClientLocalTrain:
@@ -339,7 +338,7 @@ class TestClientLocalTrain:
         cfg = ExperimentConfig(local_epochs=1, fed_lr=0.05, fed_batch=8)
         (up,) = train_one(c, server, cfg)
         names = set(up.tensors)
-        assert all(server.params.tags[n] == SHARED for n in names)
+        assert all(server.tags[n] == SHARED for n in names)
         for n in names:
             if n.startswith("adapter/group/"):
                 _, _, attr, g, _ = n.split("/", 4)
@@ -356,7 +355,7 @@ class TestClientLocalTrain:
         cfg = ExperimentConfig(local_epochs=0, fed_lr=0.05, fed_batch=8)
         (up,) = train_one(c, server, cfg)
         for n, t in up.tensors.items():
-            assert np.array_equal(t, server.params.tensors[n])
+            assert np.array_equal(t, server.tensors[n])
         for n in before:
             assert np.array_equal(c.private[n], before[n])
 
@@ -367,12 +366,12 @@ class TestClientLocalTrain:
         c = clients[0]
         n = len(c.shards["train"])
         cfg = ExperimentConfig(local_epochs=1, fed_lr=0.1, fed_batch=max(n, 1))
-        ps = lift(server.params.with_tensors({k: v.copy() for k, v in c.private.items()}), c.groups)
+        ps = lift(server.with_tensors({k: v.copy() for k, v in c.private.items()}), c.groups)
         rng = np.random.default_rng([0, 0, c.uid, 1])
         order = rng.permutation(n)
         UA = user_matrix(c, n)
-        probs, cache = forward_batch(ps, UA[order][None], c.shards["train"].items[order][None], want_cache=True)
-        expected = sgd_step(ps, backward_batch(ps, cache, c.shards["train"].labels[order][None]), 0.1)
+        probs, cache = forward_cached(ps, UA[order][None], c.shards["train"].items[order][None])
+        expected = sgd_step(ps, backward_batch(cache, c.shards["train"].labels[order][None]), 0.1)
         expected = trained_by_name(expected, expected.trained, c.groups)  # the own group's adapters too
         (up,) = train_one(c, server, cfg)
         for name, t in up.tensors.items():
@@ -393,31 +392,30 @@ class TestAggregate:
         _, arch = make_world()
         server = make_server(arch, seed=0)
         client = ClientState(0, np.zeros(2, dtype=np.int64), {"ua0": 0}, {}, {})
-        shared = upload_names(server.params, client)
+        shared = upload_names(server, client)
         rng = np.random.default_rng(0)
         uploads = []
         for uid in range(3):
-            tensors = {n: rng.normal(size=server.params.tensors[n].shape) for n in shared}
+            tensors = {n: rng.normal(size=server.tensors[n].shape) for n in shared}
             uploads.append(Upload(uid, tensors, 4, {"ua0": 0}))
         out = aggregate_uploads(batch_of(uploads, arch), server)
         for n in shared:
             brute = sum(u.tensors[n] for u in uploads) / 3.0
-            assert np.max(np.abs(out.params.tensors[n] - brute)) < 1e-12
+            assert np.max(np.abs(out.tensors[n] - brute)) < 1e-12
 
     def test_fixed_point(self):
         _, arch = make_world()
         server = make_server(arch, seed=1)
-        shared = [n for n, t in server.params.tags.items() if t == SHARED]
-        uploads = [Upload(uid, {n: server.params.tensors[n].copy() for n in shared}, 4, {})
+        shared = [n for n, t in server.tags.items() if t == SHARED]
+        uploads = [Upload(uid, {n: server.tensors[n].copy() for n in shared}, 4, {})
                    for uid in range(3)]
         out = aggregate_uploads(batch_of(uploads, arch), server)
-        for n in server.params.tensors:
-            assert np.allclose(out.params.tensors[n], server.params.tensors[n], atol=1e-15)
+        for n in server.tensors:
+            assert np.allclose(out.tensors[n], server.tensors[n], atol=1e-15)
 
     def test_group_adapters_average_over_members_only(self):
         _, arch = make_world()
-        server = make_server(arch, seed=0)
-        ps = server.params
+        ps = make_server(arch, seed=0)
 
         def upload(uid, g, value):
             # the client's whole group segment, every value `value`
@@ -427,30 +425,30 @@ class TestAggregate:
 
         # clients 0 and 1 in group 0, client 2 in group 1, nobody in group 2
         ups = [upload(0, 0, 1.0), upload(1, 0, 3.0), upload(2, 1, 9.0)]
-        out = aggregate_uploads(batch_of(ups, arch), server)
+        out = aggregate_uploads(batch_of(ups, arch), ps)
         for n in tensor_names(ps, "adapter/group/ua0/0/*"):
-            assert np.all(out.params.tensors[n] == 2.0), n
+            assert np.all(out.tensors[n] == 2.0), n
         for n in tensor_names(ps, "adapter/group/ua0/1/*"):
-            assert np.all(out.params.tensors[n] == 9.0), n
+            assert np.all(out.tensors[n] == 9.0), n
         for n in tensor_names(ps, "adapter/group/ua0/2/*"):
-            assert np.array_equal(out.params.tensors[n], ps.tensors[n]), n
+            assert np.array_equal(out.tensors[n], ps.tensors[n]), n
 
     def test_permutation_invariance(self):
         _, arch = make_world()
         server = make_server(arch, seed=2)
-        shared = [n for n, t in server.params.tags.items() if t == SHARED]
+        shared = [n for n, t in server.tags.items() if t == SHARED]
         rng = np.random.default_rng(5)
-        uploads = [Upload(uid, {n: rng.normal(size=server.params.tensors[n].shape)
+        uploads = [Upload(uid, {n: rng.normal(size=server.tensors[n].shape)
                                 for n in shared}, 4, {}) for uid in range(5)]
         a = aggregate_uploads(batch_of(uploads, arch), server)
         b = aggregate_uploads(batch_of(list(reversed(uploads)), arch), server)
         for n in shared:
-            assert np.max(np.abs(a.params.tensors[n] - b.params.tensors[n])) < 1e-12
+            assert np.max(np.abs(a.tensors[n] - b.tensors[n])) < 1e-12
 
     def test_non_shared_upload_rejected(self):
         _, arch = make_world()
         server = make_server(arch, seed=0)
-        up = Upload(0, {"mlp/0/W": np.zeros_like(server.params.tensors["mlp/0/W"])}, 4, {})
+        up = Upload(0, {"mlp/0/W": np.zeros_like(server.tensors["mlp/0/W"])}, 4, {})
         with pytest.raises(FederationError):
             aggregate_uploads(batch_of([up], arch), server)
 
@@ -472,25 +470,24 @@ class TestAggregateUploads:
         _, arch = make_world()
         arch = replace(arch, group_attrs=("ua0", "ua1"))
         policy = data.draw(st.sampled_from(["fedpa", "full"]), label="policy")
-        server = ServerState(partition(init_params(arch, 0), RULES[policy]))
+        server = partition(init_params(arch, 0), RULES[policy])
         groups = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=7),
                            label="groups")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         uploads = []
         for uid, (g0, g1) in enumerate(groups):
             client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g0, "ua1": g1}, {}, {})
-            tensors = {n: rng.normal(size=server.params.tensors[n].shape)
-                       for n in upload_names(server.params, client)}
+            tensors = {n: rng.normal(size=server.tensors[n].shape)
+                       for n in upload_names(server, client)}
             uploads.append(Upload(uid, tensors, 4, client.groups))
-        got = aggregate_uploads(batch_of(uploads, arch), server).params
-        want = aggregate(uploads, server).params
+        got = aggregate_uploads(batch_of(uploads, arch), server)
+        want = aggregate(uploads, server)
         for name, t in want.tensors.items():
             assert got.tensors[name].tobytes() == t.tobytes(), name
 
     def test_non_shared_rows_rejected_naming_a_client(self):
         _, arch = make_world()
-        server = make_server(arch, seed=0)
-        ps = server.params
+        ps = make_server(arch, seed=0)
         ups = []
         for uid, g in ((4, 0), (7, 1)):
             client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g}, {}, {})
@@ -499,10 +496,10 @@ class TestAggregateUploads:
         adapter = {n: ps.tensors[n] for n in tensor_names(ps, "adapter/user/*")}
         user = [Upload(u.uid, {**u.tensors, **adapter}, 3, u.groups) for u in ups]
         with pytest.raises(FederationError, match="client 4 .*'adapter/user/0/A'"):
-            aggregate_uploads(batch_of(user, arch), server)
+            aggregate_uploads(batch_of(user, arch), ps)
         # group 1's adapter frozen: only its member's row is at fault
         frozen = "adapter/group/ua0/1/0/A"
-        server = ServerState(ParamSet(arch, ps.tensors, {**ps.tags, frozen: FROZEN}))
+        server = ParamSet(arch, ps.tensors, {**ps.tags, frozen: FROZEN})
         with pytest.raises(FederationError, match=f"client 7 .*'{frozen}'"):
             aggregate_uploads(batch_of(ups, arch), server)
 
@@ -584,29 +581,29 @@ class TestEvaluateGlobal:
 
 class TestRunFederated:
     def run(self, seed=0, rounds=3, noise=None, policy="fedpa"):
-        """The run's final ServerState and its clients; `noise` is the
-        Laplace scale of the upload noise, None for none."""
+        """The run's final server ParamSet, its round reports and its
+        clients; `noise` is the Laplace scale of the upload noise, None for
+        none."""
         ds, arch = make_world(seed=1)
         arrays = build_clients(ds, arch, seed=seed)
         server = make_server(arch, seed=seed, policy=policy)
         cfg = ExperimentConfig(rounds=rounds, local_epochs=1, fed_lr=0.05, fed_batch=8, seed=seed,
                                ldp_enabled=noise is not None, ldp_intensity=noise or 0.0)
-        return run_federated(server.params, arrays, cfg), arrays
+        return (*run_federated(server, arrays, cfg), arrays)
 
     def test_zero_rounds_identity(self):
         ds, arch = make_world(seed=1)
         arrays = build_clients(ds, arch, seed=0)
         private = arrays.private.copy()
         server = make_server(arch)
-        out = run_federated(server.params, arrays, ExperimentConfig(rounds=0))
-        assert out.reports == []
+        out, reports = run_federated(server, arrays, ExperimentConfig(rounds=0))
+        assert reports == []
         assert arrays.private.tobytes() == private.tobytes()
-        for n in server.params.tensors:
-            assert np.array_equal(out.params.tensors[n], server.params.tensors[n])
+        for n in server.tensors:
+            assert np.array_equal(out.tensors[n], server.tensors[n])
 
     def test_round_reports(self):
-        server, arrays = self.run(rounds=3)
-        reports = server.reports
+        _, reports, arrays = self.run(rounds=3)
         assert [r.round for r in reports] == [0, 1, 2]
         assert all(r.n_participants == len(arrays.uids) for r in reports)
         assert all(r.val_auc is not None for r in reports)
@@ -615,31 +612,29 @@ class TestRunFederated:
     def test_frozen_tensors_unchanged(self):
         _, arch = make_world(seed=1)
         server = make_server(arch)
-        frozen = {n: server.params.tensors[n].copy()
-                  for n, t in server.params.tags.items() if t == FROZEN}
-        out, _ = self.run(rounds=3)
+        frozen = {n: server.tensors[n].copy()
+                  for n, t in server.tags.items() if t == FROZEN}
+        out, _, _ = self.run(rounds=3)
         assert frozen  # fedpa really freezes something
-        for n, t in out.params.tags.items():
+        for n, t in out.tags.items():
             if t == FROZEN:
-                assert np.array_equal(out.params.tensors[n], server.params.tensors[n])
+                assert np.array_equal(out.tensors[n], server.tensors[n])
 
     def test_deterministic_rerun(self):
-        (a, pa), (b, pb) = self.run(seed=4, rounds=2), self.run(seed=4, rounds=2)
-        ra, rb = a.reports, b.reports
+        (a, ra, pa), (b, rb, pb) = self.run(seed=4, rounds=2), self.run(seed=4, rounds=2)
         assert pa.private.tobytes() == pb.private.tobytes()
-        for n in a.params.tensors:
-            assert np.array_equal(a.params.tensors[n], b.params.tensors[n])
+        for n in a.tensors:
+            assert np.array_equal(a.tensors[n], b.tensors[n])
         strip = lambda r: (r.round, r.n_participants, r.uploaded_per_client,
                            r.val_auc, r.val_precision, r.skipped)
         assert [strip(r) for r in ra] == [strip(r) for r in rb]
 
     def test_noise_changes_shared_only(self):
-        a, _ = self.run(seed=4, rounds=2)
-        b, _ = self.run(seed=4, rounds=2, noise=0.3)
-        changed = [n for n in a.params.tensors
-                   if not np.array_equal(a.params.tensors[n], b.params.tensors[n])]
+        a, _, _ = self.run(seed=4, rounds=2)
+        b, _, _ = self.run(seed=4, rounds=2, noise=0.3)
+        changed = [n for n in a.tensors if not np.array_equal(a.tensors[n], b.tensors[n])]
         assert changed
-        assert all(a.params.tags[n] == SHARED for n in changed)
+        assert all(a.tags[n] == SHARED for n in changed)
 
     def test_ldp_disabled_draws_no_noise(self, monkeypatch):
         def refuse(*args):
@@ -651,19 +646,18 @@ class TestRunFederated:
         self.run(seed=4, rounds=1)
 
     def test_upload_size_below_full_policy(self):
-        (fed, _), (full, _) = self.run(seed=2, rounds=1), self.run(seed=2, rounds=1, policy="full")
-        r_fed, r_full = fed.reports, full.reports
+        (_, r_fed, _), (full, r_full, _) = self.run(seed=2, rounds=1), self.run(seed=2, rounds=1, policy="full")
         assert 0 < r_fed[0].uploaded_per_client < r_full[0].uploaded_per_client
         # even under "full" a client only carries its own groups' adapters
-        n_groups = full.params.arch.group_cards()["ua0"]
-        per_group = count_matching(full.params, "adapter/group/ua0/0/*")
-        expected = count_params(full.params) - (n_groups - 1) * per_group
+        n_groups = full.arch.group_cards()["ua0"]
+        per_group = count_matching(full, "adapter/group/ua0/0/*")
+        expected = count_params(full) - (n_groups - 1) * per_group
         assert r_full[0].uploaded_per_client == expected
 
     def test_uploaded_count_closed_form(self):
         _, arch = make_world(seed=1)
-        reports = self.run(seed=0, rounds=1)[0].reports
-        ps = make_server(arch).params
+        reports = self.run(seed=0, rounds=1)[1]
+        ps = make_server(arch)
         shared_total = count_params(ps, tags=(SHARED,))
         # subtract the group adapters of the groups one client is not in
         n_groups = arch.group_cards()["ua0"]

@@ -22,7 +22,6 @@ from fedrec.data import SynthConfig, synth_generate
 from fedrec.distill import DistillConfig, distill
 from fedrec.federation import (
     EvalSummary,
-    ServerState,
     aggregate_uploads,
     build_clients,
     evaluate_global,
@@ -152,10 +151,9 @@ def test_distill_golden():
 def test_fedpa_cohort_rounds_golden(tmp_path):
     # two aggregated rounds of every client on ragged file-data shards
     ps, clients = world(ragged_cfg(tmp_path))
-    server = ServerState(ps)
     for r in range(2):
-        server = aggregate_uploads(train_cohort(clients, server.params, FED, r), server)
-    assert digest(server.params.tensors) == FEDPA_SERVER_DIGEST
+        ps = aggregate_uploads(train_cohort(clients, ps, FED, r), ps)
+    assert digest(ps.tensors) == FEDPA_SERVER_DIGEST
     private = {f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}
     assert digest(private) == FEDPA_PRIVATE_DIGEST
 
@@ -165,13 +163,13 @@ def test_fedpa_ldp_eval_golden(tmp_path):
     # per-client scoring of every evaluation and the upload noise draws
     ps, arrays, _ = world_arrays(ragged_cfg(tmp_path))
     cfg = replace(FED, rounds=3, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
-    server = run_federated(ps, arrays, cfg)
-    assert [(r.val_auc, r.val_precision) for r in server.reports] == LDP_VAL_METRICS
-    assert digest(server.params.tensors) == LDP_SERVER_DIGEST
-    assert evaluate_global(server.params, arrays, "test") == LDP_TEST_SUMMARY
+    server, reports = run_federated(ps, arrays, cfg)
+    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS
+    assert digest(server.tensors) == LDP_SERVER_DIGEST
+    assert evaluate_global(server, arrays, "test") == LDP_TEST_SUMMARY
     # no score passes the 0.5 threshold above; a lifted output bias puts
     # about half the clients' precision in range
-    lifted = server.params.with_tensors({"mlp/1/b": server.params.tensors["mlp/1/b"] + 0.3})
+    lifted = server.with_tensors({"mlp/1/b": server.tensors["mlp/1/b"] + 0.3})
     assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY
 
 
@@ -182,13 +180,13 @@ def test_partial_participation_ldp_golden(tmp_path, arm):
     # averages every tensor
     ps, arrays, ds = world_arrays(ragged_cfg(tmp_path), arm)
     cfg = replace(FED, rounds=3, client_fraction=0.4, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
-    server = run_federated(ps, arrays, cfg)
+    server, reports = run_federated(ps, arrays, cfg)
     want_reports, want_server, want_private = PARTIAL_GOLDEN[arm]
     assert [
         (r.round, r.n_participants, r.uploaded_per_client, r.val_auc, r.val_precision, r.skipped)
-        for r in server.reports
+        for r in reports
     ] == want_reports
-    assert digest(server.params.tensors) == want_server
+    assert digest(server.tensors) == want_server
     clients = client_objects(arrays, ps.arch, ds)
     assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private
 

@@ -372,6 +372,45 @@ def test_unused_symbol_check_flags_test_only_code(tmp_path):
     assert unused_symbols(tmp_path) == ["mod.py: helper", "mod.py: count", "mod.py: tiles", "mod.py: total"]
 
 
+def unread_parameters(path):
+    """`file:line: function(parameter)` for every parameter of a function or
+    method of the module that its body, nested functions included, never
+    reads; `self` and `cls` aside."""
+    tree = ast.parse(path.read_text(), str(path))
+    hits = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+        read = {
+            n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unread = [p for p in params if p not in read and p not in ("self", "cls")]
+        hits += [f"{path.name}:{fn.lineno}: {fn.name}({p})" for p in unread]
+    return hits
+
+
+def test_every_parameter_is_read():
+    # a parameter the body ignores still makes every caller build and pass it
+    assert [hit for path in sorted(SRC.glob("*.py")) for hit in unread_parameters(path)] == []
+
+
+def test_unread_parameter_check_flags_a_mutant(tmp_path):
+    # an ignored positional, keyword-only and starred parameter are reported;
+    # one read only by a nested function is read, and an unread `self` is
+    # no hit
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "def step(ps, cache, labels, *, lr=0.1, **extra):\n    return cache, labels\n\n\n"
+        "def outer(x, y):\n    def inner():\n        return x + 1\n    return inner, y\n\n\n"
+        "class Box:\n    def size(self, *dims):\n        return 2\n"
+    )
+    assert unread_parameters(mod) == [
+        "mod.py:1: step(ps)", "mod.py:1: step(lr)", "mod.py:1: step(extra)", "mod.py:12: size(dims)",
+    ]
+
+
 def test_every_config_field_has_exactly_one_key():
     # each field's default lives in its dataclass and is set by one KEYS row,
     # so a field no key sets, or two keys set, cannot slip in

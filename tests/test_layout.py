@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedrec.data import AttributeSchema
 from fedrec.experiment import ExperimentConfig
-from fedrec.federation import _cohort, local_train, partition
+from fedrec.federation import _cohort, _draw_order, local_train, partition
 from fedrec.model import (
     FROZEN,
     GATE_COMMON,
@@ -22,15 +22,15 @@ from fedrec.model import (
     Arch,
     ShapeError,
     backward_batch,
+    cohort_of,
     count_params,
-    forward_batch,
     init_params,
     load_params,
     save_params,
     sgd_epochs,
     sgd_step,
 )
-from helpers import RULES, lift, randomized_params, stack, tensor_names
+from helpers import RULES, draw_order_reference, forward_cached, lift, randomized_params, stack, tensor_names
 from test_cohort import uniform_world
 
 
@@ -78,14 +78,18 @@ class TestLayoutProperties:
             assert start_of(t, vec) == a and t.base is not None
             assert np.array_equal(vec[a:b], t.ravel()), name
         # each group's adapter pairs lie end to end: one contiguous segment
-        width = lay.segment[-1][1] if lay.segment else 0
+        # (Layout.span), as wide as each other group's of its attribute
         for attr, card in arch.group_cards().items():
+            widths = set()
             for g in range(card):
                 names = tensor_names(ps, f"adapter/group/{attr}/{g}/*")
                 assert len({ps.tags[n] for n in names}) <= 1
                 spans = sorted((lay.entries[n][1], lay.entries[n][2]) for n in names)
                 assert all(stop == start for (_, stop), (start, _) in zip(spans, spans[1:]))
-                assert sum(b - a for a, b in spans) == width
+                widths.add(sum(b - a for a, b in spans))
+                if names:
+                    assert lay.span(attr, g) == (ps.tags[names[0]], spans[0][0], spans[-1][1])
+            assert len(widths) == 1
         for tag in TAGS:
             assert count_params(ps, tags=[tag]) == ps.flat[tag].size
         assert count_params(ps) == ps.frozen.size + ps.trained.size
@@ -107,6 +111,36 @@ class TestLayoutProperties:
         ps.check_finite()
 
 
+class TestNamedCohort:
+    """A cohort is laid out as the model with one group per grouping
+    attribute: row c holds client c's own group's adapters under group 0's
+    names, and every other tensor where the model holds it."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(ps=archs(), data=st.data())
+    def test_against_the_model_and_the_own_segment_oracle(self, ps, data):
+        arch, lay = ps.arch, ps.layout
+        groups = data.draw(st.lists(st.tuples(*(st.integers(0, c - 1) for c in arch.group_cards().values())),
+                                    min_size=1, max_size=4), label="group rows")
+        cohort = cohort_of(ps, groups)
+        own = {}  # group 0's names -> the model's name of that tensor in each row's group
+        for attr, segments in lay.groups.items():
+            col = arch.group_attrs.index(attr)
+            for k, name in enumerate(segments[0]):
+                own[name] = [segments[row[col]][k] for row in groups]
+        others = {n for segments in lay.groups.values() for names in segments[1:] for n in names}
+        assert set(cohort.layout.entries) == set(lay.entries) - others
+        for name, (tag, *_) in cohort.layout.entries.items():
+            t = cohort.tensors[name]
+            if name in own:
+                assert [t[c].tobytes() for c in range(len(groups))] == [ps.tensors[n].tobytes() for n in own[name]]
+            else:
+                assert cohort.layout.entries[name] == lay.entries[name]
+                rows = [t] if tag == FROZEN else list(t)
+                assert all(r.tobytes() == ps.tensors[name].tobytes() for r in rows), name
+        assert np.array_equal(_draw_order(cohort.layout), draw_order_reference(lay, arch))
+
+
 def snapshot(ps):
     return ps.frozen.tobytes(), ps.trained.tobytes()
 
@@ -121,8 +155,8 @@ class TestNoCallerBufferWritten:
         c = clients[0]
         lone = lift(ps.with_tensors(c.private), c.groups)
         UA = np.tile(c.user_attrs, (len(c.shards["train"]), 1))
-        _, cache = forward_batch(lone, UA[None], c.shards["train"].items[None], want_cache=True)
-        grads = backward_batch(lone, cache, c.shards["train"].labels[None])
+        _, cache = forward_cached(lone, UA[None], c.shards["train"].items[None])
+        grads = backward_batch(cache, c.shards["train"].labels[None])
         before = snapshot(lone)
         out = sgd_step(lone, grads, 0.5)
         assert snapshot(lone) == before and not np.shares_memory(out.trained, lone.trained)
@@ -149,6 +183,21 @@ class TestNoCallerBufferWritten:
         out, _ = sgd_epochs(cohort, UA, VA, y, counts, 8, 0.3, rngs, 1)
         assert snapshot(cohort) == before and out.plan is None
         assert not np.array_equal(out.trained, cohort.trained)
+
+    def test_frozen_vector_cannot_be_written(self):
+        # every cohort and every aggregate shares the model's frozen vector
+        ps, clients = self.world()
+        assert ps.tags["mlp/0/W"] == FROZEN
+        before = ps.tensors["mlp/0/W"].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            ps.tensors["mlp/0/W"][0, 0] = 1.0
+        arrays = stack(clients, ps.arch, ("train",))
+        rows = np.arange(len(clients))
+        cohort = _cohort(ps, arrays, rows)
+        UA, VA, y, counts = arrays.shards["train"].rows(rows)
+        out, _ = sgd_epochs(cohort, UA, VA, y, counts, 8, 0.3, [np.random.default_rng(i) for i in rows], 2)
+        assert np.shares_memory(out.frozen, ps.frozen) and not np.array_equal(out.trained, cohort.trained)
+        assert out.tensors["mlp/0/W"].tobytes() == ps.tensors["mlp/0/W"].tobytes() == before
 
     def test_local_train_leaves_global_and_other_clients(self):
         ps, clients = self.world()

@@ -44,6 +44,7 @@ from helpers import (
     embed_item,
     embed_reference,
     embed_user,
+    forward_cached,
     forward_one_shot,
     lift,
     max_rel_error,
@@ -139,7 +140,7 @@ def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
 def assert_fused_embedding_matches_per_table(ps, UA, VA, seed):
     if ps.trained.ndim == 1:  # a plain model, as the cohort of one it trains as
         ps, UA, VA = lift(ps), UA[None], VA[None]
-    _, cache = forward_batch(ps, UA, VA, want_cache=True)
+    _, cache = forward_cached(ps, UA, VA)
     X = cache.layers[0].X
     assert np.array_equal(X, embed_reference(ps, UA, VA))
     dX = np.random.default_rng(seed).normal(size=X.shape)
@@ -205,7 +206,7 @@ class TestForwardWithoutCache:
         ps = randomized_params(init_params(arch, 2), 3, scale=0.5)
         UA, VA, _, groups = random_batch(arch, 30, 4)
         ps, UA, VA = lift(ps, groups), UA[None], VA[None]
-        cached, _ = forward_batch(ps, UA, VA, want_cache=True)
+        cached, _ = forward_cached(ps, UA, VA)
         probs, cache = forward_batch(ps, UA, VA)
         assert cache is None
         assert np.array_equal(probs, cached)
@@ -219,17 +220,17 @@ class TestForwardWithoutCache:
         UA, VA, _, _ = random_batch(arch, 4000, 1, single_user=False)
         UA, VA = UA[None], VA[None]
 
-        def peak(want_cache):
+        def peak(forward):
             tracemalloc.start()
-            result = forward_batch(ps, UA, VA, want_cache=want_cache)
+            result = forward(ps, UA, VA)
             top = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             del result
             return top
 
         layer = 4000 * 64 * 8  # one (n, 64) float64 activation
-        assert peak(True) > 6 * layer
-        assert peak(False) < 3 * layer
+        assert peak(forward_cached) > 6 * layer
+        assert peak(forward_batch) < 3 * layer
 
 
 # The benchmark workloads' base archs on the default synthetic schema: a4's
@@ -446,8 +447,8 @@ class TestBackward:
             ps = randomized_params(init_params(arch, seed), seed + 10)
             UA, VA, y, groups = random_batch(arch, 5, seed)
             lone = lift(ps, groups)
-            probs, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
-            grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
+            probs, cache = forward_cached(lone, UA[None], VA[None])
+            grads = trained_by_name(lone, backward_batch(cache, y[None]), groups)
             for name, g in grads.items():
                 num = numeric_grad(ps, name, UA, VA, groups, y)
                 assert max_rel_error(g, num) < 1e-4, name
@@ -461,8 +462,8 @@ class TestBackward:
         ps = ParamSet(arch, ps.tensors, tags)
         UA, VA, y, groups = random_batch(arch, 4, 1)
         lone = lift(ps, groups)
-        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
-        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
+        _, cache = forward_cached(lone, UA[None], VA[None])
+        grads = trained_by_name(lone, backward_batch(cache, y[None]), groups)
         assert not any(n.startswith("item_emb/") for n in grads)
         assert any(n.startswith("user_emb/") for n in grads)
 
@@ -473,8 +474,8 @@ class TestBackward:
         ps = init_params(arch, 3)  # W_b is zero at init
         UA, VA, y, groups = random_batch(arch, 4, 2)
         lone = lift(ps, groups)
-        _, cache = forward_batch(lone, UA[None], VA[None], want_cache=True)
-        grads = trained_by_name(lone, backward_batch(lone, cache, y[None]), groups)
+        _, cache = forward_cached(lone, UA[None], VA[None])
+        grads = trained_by_name(lone, backward_batch(cache, y[None]), groups)
         assert np.allclose(grads["adapter/user/0/A"], 0.0)
         assert np.any(grads["adapter/user/0/B"] != 0.0)
 
@@ -553,7 +554,7 @@ class TestInitParams:
         arch = small_arch()
         ps = init_params(arch, 0)
         UA, VA, _, groups = random_batch(arch, 8, 5)
-        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
+        _, cache = forward_cached(lift(ps, groups), UA[None], VA[None])
         for layer in cache.layers:
             if layer.gated:
                 assert np.allclose(layer.G, 1.0 / arch.n_branches, atol=1e-15)
@@ -632,7 +633,7 @@ class TestLayerZeroColumnCut:
     @given(data=st.data())
     def test_matches_full_width_oracle(self, data):
         ps, UA, VA, y, valid, live = column_cut_world(data)
-        _, cache = forward_batch(ps, UA, VA, want_cache=True)
+        _, cache = forward_cached(ps, UA, VA)
         emb = cache.plan.embed
         d = ps.arch.embed_dim
         # the span starts at a multiple of 8 and its scatter columns are the live slots'
@@ -642,7 +643,7 @@ class TestLayerZeroColumnCut:
         contiguous = bool(live) and max(live) - min(live) + 1 == len(live)
         assert isinstance(emb.span_live, slice) == contiguous
         want = backward_full_width(cache, y, valid)
-        got = backward_batch(ps, cache, y, valid)
+        got = backward_batch(cache, y, valid)
         assert np.array_equal(bits(got), bits(want))
 
     def test_no_trained_table_computes_no_layer0_input_gradient(self, monkeypatch):
@@ -652,7 +653,7 @@ class TestLayerZeroColumnCut:
         ps = randomized_params(ParamSet(arch, ps.tensors, {**ps.tags, **frozen}), 1)
         UA, VA, y, groups = random_batch(arch, 6, 2)
         ps, UA, VA, y = lift(ps, groups), UA[None], VA[None], y[None]
-        _, cache = forward_batch(ps, UA, VA, want_cache=True)
+        _, cache = forward_cached(ps, UA, VA)
         widths = []
         input_grad = model._input_grad
 
@@ -663,7 +664,7 @@ class TestLayerZeroColumnCut:
 
         monkeypatch.setattr(model, "_input_grad", recording)
         want = backward_full_width(cache, y)
-        got = backward_batch(ps, cache, y)
+        got = backward_batch(cache, y)
         assert widths == [3]  # layer 1's input only
         assert np.array_equal(bits(got), bits(want))
 
@@ -673,7 +674,7 @@ class TestProperties:
         arch = small_arch()
         ps = randomized_params(init_params(arch, 0), 8, scale=0.8)
         UA, VA, _, groups = random_batch(arch, 1000, 6)
-        _, cache = forward_batch(lift(ps, groups), UA[None], VA[None], want_cache=True)
+        _, cache = forward_cached(lift(ps, groups), UA[None], VA[None])
         for layer in cache.layers:
             if layer.gated:
                 assert np.all(layer.G >= 0.0) and np.all(layer.G <= 1.0)
@@ -698,9 +699,9 @@ class TestProperties:
         ps, UA, VA, y = lift(init_params(arch, 4), groups), UA[None], VA[None], y[None]
         losses = []
         for _ in range(100):
-            probs, cache = forward_batch(ps, UA, VA, want_cache=True)
+            probs, cache = forward_cached(ps, UA, VA)
             losses.append(bce_loss(probs, y))
-            grads = backward_batch(ps, cache, y)
+            grads = backward_batch(cache, y)
             ps = sgd_step(ps, grads, 0.1)
         decreasing = sum(b < a for a, b in zip(losses, losses[1:]))
         assert decreasing >= 95
@@ -710,8 +711,8 @@ class TestProperties:
         UA, VA, y, groups = random_batch(arch, 20, 4)
         ps, UA, VA, y = lift(init_params(arch, 4), groups), UA[None], VA[None], y[None]
         for _ in range(50):
-            probs, cache = forward_batch(ps, UA, VA, want_cache=True)
-            ps = sgd_step(ps, backward_batch(ps, cache, y), 0.2)
+            probs, cache = forward_cached(ps, UA, VA)
+            ps = sgd_step(ps, backward_batch(cache, y), 0.2)
         ps.check_finite()
 
     def test_uniform_gate_mode_has_no_gate_tensors(self):
@@ -733,9 +734,9 @@ class TestSgdEpoch:
         want, total = ps, 0.0
         for start in range(0, 37, 8):
             idx = order[start : start + 8]
-            probs, cache = forward_batch(want, UA[idx][None], VA[idx][None], want_cache=True)
+            probs, cache = forward_cached(want, UA[idx][None], VA[idx][None])
             total += bce_loss(probs[0], y[idx]) * len(idx)
-            want = sgd_step(want, backward_batch(want, cache, y[idx][None]), 0.1)
+            want = sgd_step(want, backward_batch(cache, y[idx][None]), 0.1)
         assert loss == total / 37
         assert np.array_equal(got.trained, want.trained)
         _, no_loss = sgd_epochs(ps, UA[None], VA[None], y[None], [37], 8, 0.1, [np.random.default_rng(5)], 1)
@@ -770,9 +771,9 @@ class TestSgdEpoch:
         want, total = ps, 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            probs, cache = forward_batch(want, UA[idx][None], VA[idx][None], want_cache=True)
+            probs, cache = forward_cached(want, UA[idx][None], VA[idx][None])
             total += bce_loss(probs[0], y[idx]) * len(idx)
-            want = sgd_step(want, backward_batch(want, cache, y[idx][None]), 0.1)
+            want = sgd_step(want, backward_batch(cache, y[idx][None]), 0.1)
         assert loss == total / n
         assert np.array_equal(got.trained, want.trained)
 
