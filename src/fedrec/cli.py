@@ -27,7 +27,7 @@ from .experiment import (
 )
 from .federation import FederationError, pretrain_examples
 from .metrics import UndefinedMetricError, auc, precision
-from .model import ShapeError, forward_batch, load_params, save_params, scoring_cohort
+from .model import ParamSet, ShapeError, cohort_of, forward_batch, load_params, save_params
 
 
 def _load(args) -> ExperimentConfig:
@@ -155,6 +155,8 @@ def cmd_ablate(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load(args)
     ps = load_params(cfg.require("eval.checkpoint"))
+    # scoring reads no partition tag, so the checkpoint is lifted re-tagged all shared
+    ps = ParamSet(ps.arch, ps.tensors)
     ds, _ = prepare_dataset(cfg)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     # a row is scored with the group adapters of its user's groups: the
@@ -163,7 +165,7 @@ def cmd_eval(args) -> int:
     probs = np.empty(len(y))
     for combo in sorted(set(map(tuple, groups.tolist()))):
         rows = (groups == combo).all(axis=1)
-        probs[rows] = forward_batch(scoring_cohort(ps, [combo]), UA[rows][None], VA[rows][None])[0][0]
+        probs[rows] = forward_batch(cohort_of(ps, [combo]), UA[rows][None], VA[rows][None])[0][0]
     out = {"auc_1e2": round(auc(probs, y) * 100.0, 4)}
     try:
         out["precision_1e2"] = round(precision(probs, y) * 100.0, 4)

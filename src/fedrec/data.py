@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import codecs
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -160,11 +160,6 @@ def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return sorted_keys[starts], np.append(starts, len(sorted_keys))
 
 
-@dataclass
-class SplitReport:
-    dropped_user_ids: List[int] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     n_users: int
@@ -296,14 +291,15 @@ def split_pretrain_federated(dataset: Dataset, pretrain_user_fraction: float, se
     return replace(dataset, split=np.where(pretrain, SPLITS.index(PRETRAIN), 0).astype(np.int8))
 
 
-def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, SplitReport]:
+def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, List[int]]:
     """6:2:2 per-user split by timestamp (ties broken by item id ascending,
     then by row order).
 
     First ceil(0.6 n) interactions go to fed-train, the next ceil(0.2 n) to
     fed-val, the remainder to fed-test. Users with fewer than
-    MIN_FED_INTERACTIONS interactions are dropped and counted in the report.
-    Only unassigned rows are split; rows keep their order.
+    MIN_FED_INTERACTIONS interactions are dropped. Only unassigned rows are
+    split; rows keep their order. Returns (split dataset, the dropped users'
+    ids in ascending order).
     """
     free = np.flatnonzero(dataset.split == 0)
     order = free[np.lexsort((dataset.item[free], dataset.ts[free], dataset.user[free]))]
@@ -320,8 +316,7 @@ def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, SplitReport
     dropped = n < MIN_FED_INTERACTIONS
     keep = np.ones(len(dataset), dtype=bool)
     keep[order[np.repeat(dropped, n)]] = False
-    report = SplitReport(uids[dropped].tolist())
-    return replace(dataset, split=split).rows(keep), report
+    return replace(dataset, split=split).rows(keep), uids[dropped].tolist()
 
 
 def sample_negatives(

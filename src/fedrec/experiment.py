@@ -9,7 +9,6 @@ from .config import ConfigError, parse_value
 from .data import (
     DataError,
     Dataset,
-    SplitReport,
     SynthConfig,
     load_dataset,
     split_per_user_chronological,
@@ -230,8 +229,9 @@ def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
     return load_dataset(*(cfg.require(f"data.{k}") for k in ("users", "items", "interactions")))
 
 
-def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, SplitReport]:
-    """Raw dataset -> pretrain/federated user partition -> per-user 6:2:2 split."""
+def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, List[int]]:
+    """Raw dataset -> pretrain/federated user partition -> per-user 6:2:2
+    split; returns (dataset, the ids of the users the split dropped)."""
     ds = build_raw_dataset(cfg)
     ds = split_pretrain_federated(ds, cfg.pretrain_fraction, cfg.seed)
     return split_per_user_chronological(ds)

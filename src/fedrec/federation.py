@@ -166,7 +166,6 @@ class EvalSummary:
     mean_precision: Optional[float]
     n_clients: int
     n_auc_valid: int
-    n_precision_valid: int
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,6 @@ def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> Ev
         mean_precision=float(np.mean(precs)) if precs.size else None,
         n_clients=len(scored),
         n_auc_valid=len(aucs),
-        n_precision_valid=len(precs),
     )
 
 

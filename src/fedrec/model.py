@@ -390,13 +390,6 @@ def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> Par
     return ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
 
 
-def scoring_cohort(ps: ParamSet, groups) -> ParamSet:
-    """cohort_of(ps, groups) to score: scoring reads no partition tag, so the
-    cohort is lifted from `ps` with every tensor shared, which lifts
-    whatever tags `ps` carries."""
-    return cohort_of(ParamSet(ps.arch, ps.tensors), groups)
-
-
 def user_columns(lay: Layout, arch: Arch) -> slice:
     """The trained buffer's columns holding the user adapter, which every
     client keeps for itself."""
@@ -476,7 +469,7 @@ class _EmbedPlan:
     """Where the d-wide slots of a layer-0 input row read.
 
     Slot s (user attributes in schema order, then item attributes) reads
-    table names[s]. Each tag's tables are the start of its vector, a
+    its attribute's table. Each tag's tables are the start of its vector, a
     `piece`; the pieces' rows, stacked end to end with the trained tags'
     first, form one (R, d) source, where row r of slot s is source row
     base[..., s] + r. A stacked (C, E) piece holds client c's copy of its
@@ -497,9 +490,6 @@ class _EmbedPlan:
     one-column span therefore widens to every column.
     """
 
-    names: Tuple[str, ...]
-    n_user: int                        # user attribute slots, the first ones
-    cards: np.ndarray                  # rows of each slot's table
     pieces: Tuple[np.ndarray, ...]
     source: Optional[np.ndarray]       # the source as a view, when one piece of one client holds every table
     base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
@@ -509,17 +499,6 @@ class _EmbedPlan:
     span_live: Union[slice, np.ndarray]  # the live slots' columns within span
     grads: Tuple[Tuple[int, int, np.ndarray], ...]
     size: int                          # flat length the gradient count covers
-
-    def check(self, UA: np.ndarray, VA: np.ndarray):
-        """Raise unless UA and VA have one column per user and item slot and
-        every attribute value indexes a row of its slot's table."""
-        if UA.shape[-1] != self.n_user or UA.shape[-1] + VA.shape[-1] != len(self.names):
-            raise ShapeError("UA/VA must have one column per user/item attribute")
-        for first, A in ((0, UA), (self.n_user, VA)):
-            bad = (A < 0) | (A >= self.cards[first : first + A.shape[-1]])
-            if bad.any():
-                s = first + int(np.nonzero(bad)[-1][0])
-                raise ShapeError(f"attribute value out of range for table {self.names[s]!r}")
 
     def stacked(self) -> np.ndarray:
         """The (R, d) source: every piece's rows, end to end."""
@@ -608,9 +587,6 @@ def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
     if hi - lo == 1:
         lo, hi = 0, arch.input_dim
     embed = _EmbedPlan(
-        names=names,
-        n_user=len(arch.user_schema),
-        cards=np.array([shape[0] for _, _, _, shape in slots]),
         pieces=tuple(pieces),
         # one client's one piece, as a cohort of one's, is read in place
         source=pieces[0].reshape(-1, d) if len(pieces) == 1 and math.prod(pieces[0].shape[:-1]) == 1 else None,
@@ -735,46 +711,43 @@ def _blocks(n: int) -> List[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
+def _check_rows(arch: Arch, UA: np.ndarray, VA: np.ndarray):
+    """Raise ShapeError unless UA and VA have one column per user and item
+    attribute and every attribute value indexes a row of its table."""
+    sides = (("user", arch.user_schema, UA), ("item", arch.item_schema, VA))
+    if any(A.shape[-1] != len(schema) for _, schema, A in sides):
+        raise ShapeError("UA/VA must have one column per user/item attribute")
+    for side, schema, A in sides:
+        bad = (A < 0) | (A >= np.array(schema.cards))
+        if bad.any():
+            table = f"{side}_emb/{schema.names[int(np.nonzero(bad)[-1][0])]}"
+            raise ShapeError(f"attribute value out of range for table {table!r}")
+
+
 def forward_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray):
     """Inference on a batch; returns (probs, None).
 
     UA (C, n, |user attrs|) and VA (C, n, |item attrs|) are integer
-    attribute value matrices, row c for client c of cohort `ps`. A plain
-    model without group adapters, with UA (n, ...) and VA (n, ...), is
-    scored as a cohort of one (`scoring_cohort`): probs (n,). The rows are
-    scored in blocks (`_blocks`).
+    attribute value matrices, row c for client c of cohort `ps`, which
+    `cohort_of` lifts from a model with each client's groups. A plain model
+    without grouping attributes, with UA (n, ...) and VA (n, ...), is scored
+    as `cohort_of(ps, [()])`, a cohort of one, whatever its partition tags:
+    probs (n,). The rows are scored in blocks (`_blocks`).
     """
     UA, VA = np.asarray(UA), np.asarray(VA)
     plain = ps.trained.ndim == 1
     if plain:
-        ps, UA, VA = scoring_cohort(ps, [()]), UA[None], VA[None]
+        ps, UA, VA = cohort_of(ps, [()]), UA[None], VA[None]
     if UA.ndim != 3 or UA.shape[:-1] != VA.shape[:-1] or len(UA) != len(ps.trained):
         raise ShapeError("UA/VA must be (C, n, attrs) with equal leading shapes, C the cohort's clients")
+    _check_rows(ps.arch, UA, VA)
     plan = _plan(ps, grads=False)
-    plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     source = plan.embed.stacked()  # once per call, not once per block
     probs = np.empty(rows.shape[:-1])
     for block in _blocks(probs.shape[-1]):
         probs[:, block] = _forward(plan, rows[:, block], False, source)[0]
     return (probs[0] if plain else probs), None
-
-
-def predict(
-    ps: ParamSet,
-    user_attrs: Sequence[int],
-    item_attrs: Sequence[int],
-    groups: Optional[Dict[str, int]] = None,
-) -> float:
-    """Interaction probability for one (user, item) pair under plain model
-    `ps`, with the adapters of group groups[attr] of each grouping attribute."""
-    ps.arch.user_schema.validate_values(user_attrs, "user")
-    ps.arch.item_schema.validate_values(item_attrs, "item")
-    row = [(groups or {}).get(a) for a in ps.arch.group_attrs]
-    if None in row:
-        raise ShapeError(f"group index for attribute {ps.arch.group_attrs[row.index(None)]!r} required")
-    probs, _ = forward_batch(scoring_cohort(ps, [row]), np.array([[user_attrs]]), np.array([[item_attrs]]))
-    return float(probs[0, 0])
 
 
 def backward_batch(cache: ForwardCache, labels: np.ndarray, valid: Optional[np.ndarray] = None) -> np.ndarray:
@@ -921,14 +894,14 @@ def sgd_epochs(
         raise ShapeError(f"epochs {epochs} must be >= 0")
     if want_loss and epochs and not counts.all():
         raise ShapeError("an epoch loss needs at least one row of every client")
+    _check_rows(ps.arch, UA, VA)
     ps = ps.copy()
     ps.plan = plan = _plan(ps)
-    plan.embed.check(UA, VA)
     # the gather rows of every row, flat row c * N + j of the stacked shards;
     # each epoch takes them, and the labels, in its order into the same
     # arrays and turns them into scatter rows; each step slices its batch's
     N = y.shape[1]
-    rows = (np.concatenate((UA, VA), axis=-1) + plan.embed.base).reshape(C * N, len(plan.embed.names))
+    rows = (np.concatenate((UA, VA), axis=-1) + plan.embed.base).reshape(C * N, plan.embed.base.shape[-1])
     y = y.reshape(C * N)
     valid = None if (counts == N).all() else np.arange(N) < counts[:, None]  # no mask without padding
     source = plan.embed.stacked()  # restacked in place before each step

@@ -15,7 +15,6 @@ from fedrec.data import (
     SPLITS,
     DataError,
     Dataset,
-    SplitReport,
     runs,
     sample_negatives,
 )
@@ -40,6 +39,7 @@ from fedrec.model import (
     ParamSet,
     ShapeError,
     _draw,
+    _check_rows,
     _EmbedPlan,
     _epoch_loss,
     _forward,
@@ -197,8 +197,8 @@ def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
     """Central finite-difference gradient of the batch BCE w.r.t. one tensor
     of plain model `ps`, each element moved in place in a copy of `ps`."""
     work = ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen.copy(), ps.trained.copy())
+    _check_rows(ps.arch, UA, VA)
     plan = single_plan(work, groups, grads=False)
-    plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     t = work.tensors[name]
     num = np.zeros_like(t)
@@ -337,8 +337,8 @@ def forward_cached(ps, UA, VA):
     """The training forward pass of cohort `ps` over UA (C, n, a) and VA
     (C, n, a'), as model.sgd_epochs runs a step: (probs, ForwardCache)
     through a plan that holds a gradient buffer, for backward_batch."""
+    _check_rows(ps.arch, UA, VA)
     plan = _plan(ps)
-    plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     probs, layers = _forward(plan, rows, True, plan.embed.stacked())
     return probs, ForwardCache(plan.embed.scatter_rows(rows), layers, probs, plan)
@@ -405,9 +405,6 @@ def single_plan(ps, groups, grads=True):
     if hi - lo == 1:
         lo, hi = 0, arch.input_dim
     embed = _EmbedPlan(
-        names=names,
-        n_user=len(arch.user_schema),
-        cards=np.array([shape[0] for _, _, _, shape in slots]),
         pieces=tuple(pieces),
         source=pieces[0].reshape(-1, d) if len(pieces) == 1 else None,
         base=np.array([first[t] + a // d for t, a, _, _ in slots]),
@@ -442,9 +439,9 @@ def sgd_epochs_single(ps, UA, VA, y, groups, batch_size, lr, rng, epochs, want_l
     (model.backward_batch without a mask divides by the batch's rows).
     Returns (trained model, each epoch's loss, or None without
     `want_loss`)."""
+    _check_rows(ps.arch, UA, VA)
     ps = ps.copy()
     ps.plan = plan = single_plan(ps, groups)
-    plan.embed.check(UA, VA)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
     source = plan.embed.stacked()
     losses = [] if want_loss else None
@@ -758,18 +755,16 @@ def with_split(ds, tag):
 def split_per_user_chronological_rows(rows):
     """Row-object oracle for data.split_per_user_chronological: the split
     Interaction rows (assigned rows as they were, dropped users' rows gone)
-    and the report."""
+    and the dropped users' ids in ascending order."""
     by_user = {}
     for r in rows:
         if r.split is None:
             by_user.setdefault(r.user, []).append(r)
 
-    report = SplitReport()
     tagged = {}  # id(interaction) -> tag
     dropped = set()
     for uid, user_rows in by_user.items():
         if len(user_rows) < MIN_FED_INTERACTIONS:
-            report.dropped_user_ids.append(uid)
             dropped.add(uid)
             continue
         user_rows = sorted(user_rows, key=lambda r: (r.ts, r.item))
@@ -785,8 +780,7 @@ def split_per_user_chronological_rows(rows):
             out.append(r)
         elif r.user not in dropped:
             out.append(replace(r, split=tagged[id(r)]))
-    report.dropped_user_ids.sort()
-    return out, report
+    return out, sorted(dropped)
 
 
 def sample_negatives_rows(train_rows, item_universe, ratio, rng):

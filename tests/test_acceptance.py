@@ -38,7 +38,6 @@ from fedrec.model import (
     count_params,
     forward_batch,
     init_params,
-    predict,
 )
 from fedrec.privacy import laplace_noise
 from helpers import (
@@ -154,7 +153,9 @@ def test_a2_gate_adapter_algebra():
         ua = rng.integers(0, arch.user_schema.cards).tolist()
         va = rng.integers(0, arch.item_schema.cards).tolist()
         groups = {"ua0": ua[0], "ua1": ua[1]}
-        if predict(cps, ua, va, groups) != predict(base, ua, va):
+        adapted, _ = forward_batch(lift(cps, groups), [[ua]], [[va]])
+        plain, _ = forward_batch(lift(base), [[ua]], [[va]])
+        if adapted[0, 0] != plain[0, 0]:
             exact = False
     verdict("A2", worst_sum < 1e-12 and exact,
             f"gate sum error {worst_sum:.2e} (< 1e-12) on 1000 inputs; "

@@ -18,8 +18,8 @@ from fedrec.config import ConfigError, parse_config_text, parse_value
 from fedrec.experiment import ARMS, KEYS, ExperimentConfig, build_arch, prepare_dataset
 from fedrec.federation import pretrain_examples
 from fedrec.metrics import auc
-from fedrec.model import FROZEN, ParamSet, ShapeError, init_params, load_params, predict, save_params
-from helpers import forward_one_shot, randomized_params
+from fedrec.model import FROZEN, ParamSet, ShapeError, forward_batch, init_params, load_params, save_params
+from helpers import forward_one_shot, lift, randomized_params
 
 BASE_CFG = """
 # small synthetic world for CLI smoke tests
@@ -576,15 +576,18 @@ class TestEval:
         ps = load_params(str(fed / "server.npz"))
         exp = ExperimentConfig.from_dict(parse_config_text(BASE_CFG))
         UA, VA, y = pretrain_examples(prepare_dataset(exp)[0], exp.seed, exp.neg_ratio)
-        probs = [predict(ps, u, v, {"ua0": int(u[0])}) for u, v in zip(UA.tolist(), VA.tolist())]
+        probs = [
+            forward_batch(lift(ps, {"ua0": int(u[0])}), [[u]], [[v]])[0][0, 0] for u, v in zip(UA.tolist(), VA.tolist())
+        ]
         assert out["auc_1e2"] == round(auc(np.array(probs), y) * 100.0, 4)
 
 
     @pytest.mark.parametrize("frozen", ["adapter/group/*", "adapter/group/ua0/0/*"])
     def test_scores_a_checkpoint_whose_group_adapters_are_frozen_or_mixed(self, tmp_path, capsys, frozen):
         # no cohort trains such group adapters (Layout.cohort refuses them),
-        # but scoring reads no tag: eval and predict give the scores of the
-        # named-group plan they replaced (helpers.single_plan), bit for bit
+        # but scoring reads no tag: eval, and forward_batch of the checkpoint
+        # re-tagged all shared, give the scores of the named-group plan they
+        # replaced (helpers.single_plan), bit for bit
         exp = ExperimentConfig.from_dict(parse_config_text(BASE_CFG))
         ds = prepare_dataset(exp)[0]
         ps = randomized_params(init_params(build_arch(exp, ds, "fedpa"), 1), 2, scale=0.5)
@@ -602,9 +605,10 @@ class TestEval:
             rows = UA[:, 0] == g
             probs[rows] = forward_one_shot(ps, UA[rows], VA[rows], {"ua0": int(g)})
         assert out["auc_1e2"] == round(auc(probs, y) * 100.0, 4)
+        shared = ParamSet(ps.arch, ps.tensors)  # as eval re-tags the checkpoint
         for u, v in zip(UA[:20].tolist(), VA[:20].tolist()):
             want = forward_one_shot(ps, np.array([u]), np.array([v]), {"ua0": u[0]})[0]
-            assert predict(ps, u, v, {"ua0": u[0]}) == want
+            assert forward_batch(lift(shared, {"ua0": u[0]}), [[u]], [[v]])[0][0, 0] == want
 
 
 class TestErrors:

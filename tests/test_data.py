@@ -297,11 +297,11 @@ class TestChronologicalSplit:
         return dataset_of(su, si, users, items, inter).validate()
 
     def test_10_interactions_622(self):
-        ds, rep = split_per_user_chronological(self.make(10))
+        ds, dropped = split_per_user_chronological(self.make(10))
         counts = {tag: sum(r.split == tag for r in ds.interactions)
                   for tag in (FED_TRAIN, FED_VAL, FED_TEST)}
         assert counts == {FED_TRAIN: 6, FED_VAL: 2, FED_TEST: 2}
-        assert rep.dropped_user_ids == []
+        assert dropped == []
 
     def test_5_interactions_311(self):
         # ceiling rule by hand: ceil(3)=3 train, ceil(1)=1 val, 1 test
@@ -322,8 +322,8 @@ class TestChronologicalSplit:
         assert test_items == [3]
 
     def test_too_few_interactions_drops_user(self):
-        ds, rep = split_per_user_chronological(self.make(4))
-        assert rep.dropped_user_ids == [0]
+        ds, dropped = split_per_user_chronological(self.make(4))
+        assert dropped == [0]
         assert ds.interactions == []
 
     def test_chronological_order_invariant(self):
@@ -358,7 +358,7 @@ class TestSplitProperties:
         ]
         users = {u: (0,) for u in range(len(per_user))}
         ds = dataset_of(su, si, users, {i: (0,) for i in range(6)}, inter).validate()
-        out, report = split_per_user_chronological(ds)
+        out, dropped = split_per_user_chronological(ds)
 
         def key(r):
             return (r.user, r.item, r.ts, r.label)
@@ -366,7 +366,7 @@ class TestSplitProperties:
         fed = {u for u in users if u not in pretrain_users}
         # a user without federated interactions has nothing to drop
         short = {u for u in fed if 0 < len(per_user[u]) < MIN_FED_INTERACTIONS}
-        assert report.dropped_user_ids == sorted(short)
+        assert dropped == sorted(short)
         # every row kept exactly once, unless its federated user was dropped
         assert sorted(map(key, out.interactions)) == sorted(key(r) for r in inter if r.user not in short)
         assert all(r.split == PRETRAIN for r in out.interactions if r.user in pretrain_users)
@@ -407,10 +407,10 @@ class TestColumnarEqualsRowOracle:
     def test_chronological_split(self, rows):
         su, si = AttributeSchema(("g",), (1,)), AttributeSchema(("c",), (1,))
         ds = dataset_of(su, si, {u: (0,) for u in range(8)}, {i: (0,) for i in range(4)}, rows)
-        out, report = split_per_user_chronological(ds)
-        want_rows, want_report = split_per_user_chronological_rows(rows)
+        out, dropped = split_per_user_chronological(ds)
+        want_rows, want_dropped = split_per_user_chronological_rows(rows)
         assert out.interactions == want_rows
-        assert report == want_report
+        assert dropped == want_dropped
 
     @settings(max_examples=150, deadline=None)
     @given(

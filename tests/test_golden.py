@@ -109,8 +109,8 @@ def test_file_world_examples_golden(tmp_path):
     # prepared rows, pretrain examples with sampled negatives, and every
     # client's shards, whose train negatives are sampled per positive
     cfg = file_world_cfg(tmp_path)
-    ds, report = prepare_dataset(cfg)
-    assert report.dropped_user_ids == [43]
+    ds, dropped = prepare_dataset(cfg)
+    assert dropped == [43]
     assert rows_digest(ds) == FILE_WORLD_ROWS_DIGEST
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     assert arrays_digest([("UA", UA), ("VA", VA), ("y", y)]) == FILE_WORLD_PRETRAIN_DIGEST
@@ -200,9 +200,9 @@ FEDPA_PRIVATE_DIGEST = "8a5c5710921dd6d348f75c19ad4cb8c569de900d828050d9a9cf8c38
 LDP_VAL_METRICS = [(0.6495726495726496, None)] * 3
 LDP_SERVER_DIGEST = "14f983d71f4c21598c2f31e6e04fad8131a98d6b33c3ff6667e9c7674508ade4"
 LDP_TEST_SUMMARY = EvalSummary(mean_auc=0.5238095238095238, mean_precision=None, n_clients=15,
-                               n_auc_valid=7, n_precision_valid=0)
+                               n_auc_valid=7)
 LDP_LIFTED_TRAIN_SUMMARY = EvalSummary(mean_auc=0.4651917526917527, mean_precision=0.2738095238095238,
-                                       n_clients=15, n_auc_valid=13, n_precision_valid=7)
+                                       n_clients=15, n_auc_valid=13)
 PARTIAL_GOLDEN = {
     "fedpa": (
         [(0, 6, 135, 0.641025641025641, None, False),

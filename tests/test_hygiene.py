@@ -298,13 +298,6 @@ def references(tree, skip=None, imported=None):
     return names
 
 
-# Symbols the package offers its users without reading them itself. Every
-# other top-level symbol, method and property of src/fedrec must be read from
-# src/ or perfbench/: one that only tests read is test code, and belongs in
-# tests/helpers.py.
-PUBLIC_API = frozenset({"model.py: predict"})
-
-
 def defined_symbols(tree):
     """(name, definition node) for each top-level symbol of a module and
     each method and property of its top-level classes, dunders aside."""
@@ -336,17 +329,10 @@ def unused_symbols(root=ROOT):
 
 
 def test_no_unused_top_level_symbols():
-    assert sorted(set(unused_symbols()) - PUBLIC_API) == []
-
-
-def test_public_api_names_live_symbols():
-    # a name on the list that the package no longer defines is a stale entry
-    defined = {
-        f"{path.name}: {name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name, _ in defined_symbols(ast.parse(path.read_text()))
-    }
-    assert PUBLIC_API <= defined
+    # every top-level symbol, method and property of src/fedrec is read from
+    # src/ or perfbench/: one that only tests read is test code, and belongs
+    # in tests/helpers.py
+    assert unused_symbols() == []
 
 
 def test_unused_symbol_check_flags_test_only_code(tmp_path):
@@ -370,6 +356,66 @@ def test_unused_symbol_check_flags_test_only_code(tmp_path):
         "from fedrec.mod import Box, helper\n\nhelper()\nBox().tiles()\n"
     )
     assert unused_symbols(tmp_path) == ["mod.py: helper", "mod.py: count", "mod.py: tiles", "mod.py: total"]
+
+
+def record_fields(tree):
+    """(class, field) for each field of a module's top-level dataclasses
+    and NamedTuples."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = {ast.unparse(d.func if isinstance(d, ast.Call) else d) for d in cls.decorator_list}
+        bases = {ast.unparse(b) for b in cls.bases}
+        if decorators & {"dataclass", "dataclasses.dataclass"} or bases & {"NamedTuple", "typing.NamedTuple"}:
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id
+
+
+def unread_fields(root=ROOT):
+    """`file: Class.field` for every field of a src/fedrec dataclass or
+    NamedTuple whose name no attribute and no string constant in src/ or
+    perfbench/ spells. A string counts because KEYS names the
+    ExperimentConfig fields its keys set; a keyword argument does not, so a
+    field only ever built is reported."""
+    files = [p for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    spelled = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                spelled.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                spelled.add(node.value)
+    return [
+        f"{path.name}: {cls}.{name}"
+        for path in sorted((root / "src" / "fedrec").glob("*.py"))
+        for cls, name in record_fields(ast.parse(path.read_text(), str(path)))
+        if name not in spelled
+    ]
+
+
+def test_every_record_field_is_read():
+    # a field that nothing reads still makes every constructor fill it
+    assert unread_fields() == []
+
+
+def test_unread_field_check_flags_build_only_fields(tmp_path):
+    # a field only a constructor keyword sets, or only a test reads, is
+    # reported; one read as an attribute in perfbench/ or spelled in a
+    # string is not, and neither is an annotated name of a plain class
+    for d in ("src/fedrec", "perfbench", "tests"):
+        (tmp_path / d).mkdir(parents=True)
+    (tmp_path / "src/fedrec/mod.py").write_text(
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
+        "@dataclass(frozen=True)\nclass Summary:\n    mean: float\n    n_valid: int\n    n_seen: int = 0\n\n\n"
+        "class Scores(NamedTuple):\n    auc: float\n    kept: bool\n\n\n"
+        "class Plain:\n    note: str\n\n\n"
+        "KEYS = {'score.kept': 'kept'}\n\n\n"
+        "def build(x):\n    return Summary(mean=x, n_valid=1), Scores(x, True).auc\n"
+    )
+    (tmp_path / "perfbench/run.py").write_text("from fedrec.mod import build\n\nprint(build(0.5)[0].mean)\n")
+    (tmp_path / "tests/test_mod.py").write_text("from fedrec.mod import build\n\nassert build(1.0)[0].n_seen == 0\n")
+    assert unread_fields(tmp_path) == ["mod.py: Summary.n_valid", "mod.py: Summary.n_seen"]
 
 
 def unread_parameters(path):

@@ -28,7 +28,6 @@ from fedrec.model import (
     forward_batch,
     init_params,
     load_params,
-    predict,
     save_params,
     sgd_epochs,
     sgd_step,
@@ -185,13 +184,16 @@ class TestFusedEmbedding:
         assert_fused_embedding_matches_per_table(ps, UA, VA, 7)
 
     def test_out_of_range_attribute_names_the_table(self):
-        ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
-        for bad in (3, -1):
-            UA[2, 1] = bad
-            with pytest.raises(ShapeError, match="user_emb/u1"):
-                forward_batch(ps, UA, VA)
-            with pytest.raises(ShapeError, match="user_emb/u1"):
-                sgd_epochs(lift(ps), UA[None], VA[None], np.zeros((1, 5)), [5], 2, 0.1, [np.random.default_rng(0)], 1)
+        ps, UA, VA = embedding_world((2, 3), (4, 3), 2, set(), set(), 0, 5, 1)
+        for side, table in ((0, "user_emb/u1"), (1, "item_emb/i1")):
+            for bad in (3, -1):
+                rows = [UA.copy(), VA.copy()]
+                rows[side][2, 1] = bad
+                with pytest.raises(ShapeError, match=table):
+                    forward_batch(ps, *rows)
+                with pytest.raises(ShapeError, match=table):
+                    sgd_epochs(lift(ps), rows[0][None], rows[1][None], np.zeros((1, 5)), [5], 2, 0.1,
+                               [np.random.default_rng(0)], 1)
 
     def test_wrong_column_count_rejected(self):
         ps, UA, VA = embedding_world((2, 3), (4,), 2, set(), set(), 0, 5, 1)
@@ -295,6 +297,22 @@ class TestBlockedInference:
         probs, blocks = scored_blocks(ps, UA, VA, groups)
         assert len(blocks) == 2
         assert np.array_equal(bits(probs), bits(forward_one_shot(ps, UA, VA, groups)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_plain_model_scores_the_same_under_any_tags(self, data):
+        # a plain model lifts into its cohort of one as it is tagged, with no
+        # re-tag: under any partition tags it scores the bits of its tensors
+        # re-tagged all shared, in one block or in several
+        gate_mode = data.draw(st.sampled_from(["learned", "uniform", "none"]), label="gate")
+        arch = Arch(SYNTH_USERS, SYNTH_ITEMS, embed_dim=8, mlp_hidden=(8,), gate_mode=gate_mode)
+        ps = randomized_params(init_params(arch, 1), 2, scale=0.5)
+        tags = {name: data.draw(st.sampled_from(model.TAGS), label=name) for name in sorted(ps.tags)}
+        n = data.draw(st.sampled_from([1, 37, 2 * B + 3]), label="rows")
+        UA, VA = synth_rows((n,), data.draw(st.integers(0, 2**16), label="seed"))
+        tagged, _ = forward_batch(ParamSet(arch, ps.tensors, tags), UA, VA)
+        shared, _ = forward_batch(ParamSet(arch, ps.tensors), UA, VA)
+        assert np.array_equal(bits(tagged), bits(shared))
 
     def test_cohort_is_one_pass(self):
         # the default 4-branch arch, each client's trained vector its own,
@@ -400,7 +418,7 @@ class TestPredict:
         arch = small_arch(gate_mode="none", use_user_adapter=False, group_attrs=())
         ps = init_params(arch, 0)
         ps = ps.with_tensors({n: np.zeros_like(t) for n, t in ps.tensors.items()})
-        assert predict(ps, [0, 0], [0, 0]) == 0.5
+        assert forward_batch(lift(ps), [[[0, 0]]], [[[0, 0]]])[0][0, 0] == 0.5
 
     def test_output_in_unit_interval(self):
         arch = small_arch()
@@ -418,8 +436,8 @@ class TestPredict:
         ps = ps.with_tensors({"user_emb/a": np.array([[1.0]]),
                               "item_emb/b": np.array([[1.0]]),
                               "mlp/0/W": np.array([[0.5, 0.5]])})
-        lo = predict(ps, [0], [0])
-        hi = predict(ps.with_tensors({"mlp/0/W": np.array([[1.5, 0.5]])}), [0], [0])
+        lo, _ = forward_batch(lift(ps), [[[0]]], [[[0]]])
+        hi, _ = forward_batch(lift(ps.with_tensors({"mlp/0/W": np.array([[1.5, 0.5]])})), [[[0]]], [[[0]]])
         assert hi > lo
 
 
