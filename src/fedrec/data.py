@@ -126,10 +126,8 @@ class Dataset:
         """Check attribute values and every row; the first bad row raises.
         `origin` is (path, line of each row) for rows read from a file, and
         makes the error name the line."""
-        for uid, vals in self.users.items():
-            self.user_schema.validate_values(vals, f"user {uid}")
-        for iid, vals in self.items.items():
-            self.item_schema.validate_values(vals, f"item {iid}")
+        _check_records(self.user_schema, self.users, "user")
+        _check_records(self.item_schema, self.items, "item")
         unknown_user = ~np.isin(self.user, np.fromiter(self.users, np.int64, len(self.users)))
         unknown_item = ~np.isin(self.item, np.fromiter(self.items, np.int64, len(self.items)))
         bad = unknown_user | unknown_item | (self.label != 0) & (self.label != 1)
@@ -144,11 +142,39 @@ class Dataset:
         return self
 
 
+def _check_records(schema: AttributeSchema, records: Dict[int, Tuple[int, ...]], what: str):
+    """Raise the first bad record's `validate_values` error, in dict order.
+    One length check and one range comparison pick the records to recheck;
+    the comparison flags every bad record and may flag a good one, such as a
+    value past int64 under a cardinality past 2**63."""
+    keys, values = list(records), list(records.values())
+    wrong_length = np.flatnonzero(np.fromiter(map(len, values), np.int64, len(values)) != len(schema))
+    n = int(wrong_length[0]) if len(wrong_length) else len(values)  # the records before it form a table
+    table = np.array(values[:n])
+    if table.dtype != np.int64:  # values past int64, or not integers: compare them exactly
+        table = np.array(values[:n], dtype=object)
+    table = table.reshape(n, len(schema))
+    top = np.array([min(p - 1, INT64.max) for p in schema.cards], dtype=np.int64)
+    bad = ~((table >= 0) & (table <= top)).all(axis=1)
+    for j in np.flatnonzero(bad).tolist() + wrong_length[:1].tolist():
+        schema.validate_values(values[j], f"{what} {keys[j]}")
+
+
 def _attribute_rows(records: Dict[int, Tuple[int, ...]], width: int, ids: np.ndarray) -> np.ndarray:
     """Attribute rows of known ids, through one lookup in the sorted ids."""
     keys = np.array(sorted(records), dtype=np.int64)
     table = np.array([records[k] for k in keys.tolist()], dtype=np.int64).reshape(len(keys), width)
     return table[np.searchsorted(keys, ids)]
+
+
+def narrow_key(a: np.ndarray) -> np.ndarray:
+    """A sort key that orders like `a`: `a` shifted to start at 0 and cast
+    to uint16 when its range fits, where numpy's stable sort is a radix
+    sort, else `a` itself. The range is taken in Python ints, so it cannot
+    overflow."""
+    if len(a) and int(a.max()) - int(a.min()) <= np.iinfo(np.uint16).max:
+        return (a - a.min()).astype(np.uint16)
+    return a
 
 
 def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -302,7 +328,8 @@ def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, List[int]]:
     ids in ascending order).
     """
     free = np.flatnonzero(dataset.split == 0)
-    order = free[np.lexsort((dataset.item[free], dataset.ts[free], dataset.user[free]))]
+    keys = (dataset.item[free], dataset.ts[free], dataset.user[free])
+    order = free[np.lexsort([narrow_key(k) for k in keys])]
     uids, bounds = runs(dataset.user[order])
     n = np.diff(bounds)
     n_train = np.ceil(0.6 * n).astype(np.int64)
@@ -344,6 +371,15 @@ def sample_negatives(
     return out.ravel(), np.tile(np.r_[1, np.zeros(ratio, dtype=np.int64)], len(positives))
 
 
+def draw_attributes(rng: np.random.Generator, cards: Sequence[int], n: int) -> np.ndarray:
+    """(n, len(cards)) attribute values in one call, with the stream of one
+    `rng.integers(0, card)` per attribute, record by record. Its inclusive
+    bounds card - 1 are exact int64s; given a card of 2**63, exclusive
+    bounds would become a uint64 array, which draws other values near
+    2**63."""
+    return rng.integers(0, [p - 1 for p in cards], size=(n, len(cards)), endpoint=True)
+
+
 def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     """Generate a desk-scale implicit-feedback dataset from a latent model.
 
@@ -352,6 +388,11 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     where rho_u (taste alignment) and tau_u (activity offset) are per-user
     draws. Group = first user attribute, category = first item attribute.
     Labels come out as native 0/1 exposure outcomes.
+
+    The stream order is fixed: the users' attributes, user by user, then the
+    items', then affinity, rho and tau, then per user its items and one
+    uniform per drawn item. Each user draws min(interactions_per_user,
+    n_items) distinct items; past n_items, it draws n_items with replacement.
     """
     if config.n_users < 1 or config.n_items < 1:
         raise DataError("synth config needs at least one user and one item")
@@ -368,14 +409,8 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     item_schema = AttributeSchema(
         tuple(f"ia{j}" for j in range(len(config.item_attrs))), tuple(config.item_attrs)
     )
-    users = {
-        uid: tuple(int(rng.integers(0, p)) for p in user_schema.cards)
-        for uid in range(config.n_users)
-    }
-    items = {
-        iid: tuple(int(rng.integers(0, p)) for p in item_schema.cards)
-        for iid in range(config.n_items)
-    }
+    user_attrs = draw_attributes(rng, user_schema.cards, config.n_users)
+    item_attrs = draw_attributes(rng, item_schema.cards, config.n_items)
 
     n_groups, n_cats = user_schema.cards[0], item_schema.cards[0]
     affinity = rng.normal(0.0, 1.2, size=(n_groups, n_cats))
@@ -387,16 +422,15 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     k = min(config.interactions_per_user, config.n_items)
     chosen = np.empty((config.n_users, k), dtype=np.int64)
     uniform = np.empty((config.n_users, k))
-    item_ids = np.arange(config.n_items)
     for uid in range(config.n_users):
-        chosen[uid] = rng.choice(item_ids, size=k, replace=config.interactions_per_user > config.n_items)
+        chosen[uid] = rng.choice(config.n_items, size=k, replace=config.interactions_per_user > config.n_items)
         uniform[uid] = rng.random(k)
-    g = np.array([users[uid][0] for uid in range(config.n_users)])[:, None]
-    c = np.array([items[iid][0] for iid in range(config.n_items)])[chosen]
+    g, c = user_attrs[:, :1], item_attrs[chosen, 0]
     logit = config.base + config.beta * ((1.0 + rho[:, None]) * affinity[g, c] + tau[:, None])
     label = uniform < 1.0 / (1.0 + np.exp(-logit))
     user = np.repeat(np.arange(config.n_users), k)
     ts = np.tile(np.arange(k), config.n_users)
+    users, items = (dict(enumerate(map(tuple, a.tolist()))) for a in (user_attrs, item_attrs))
     return Dataset(user_schema, item_schema, users, items, user, chosen.ravel(), ts, label.ravel()).validate()
 
 

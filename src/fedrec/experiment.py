@@ -69,7 +69,7 @@ ARMS = {
 # elements must when `kind` is a list kind such as (int,). A bound is an
 # interval written as a string such as "(0, 1]", or a tuple of the allowed
 # values; a str key without one is a path or a free-form name. `fedrec synth`
-# finished within 8 s and 0.5 GB at 100,000 users and 100,000 items (2-vCPU Xeon).
+# finished within 5 s and 0.5 GB at 100,000 users and 100,000 items (2-vCPU Xeon).
 KEYS = {
     "data.source": ("source", str, ("synth", "files")),
     "data.users": ("users_path", str, None),

@@ -35,6 +35,7 @@ from .data import (
     PRETRAIN,
     SPLITS,
     Dataset,
+    narrow_key,
     runs,
     sample_negatives,
 )
@@ -211,7 +212,7 @@ def build_clients(dataset: Dataset, arch: Arch, seed: int, neg_ratio: int = 4) -
     codes = [SPLITS.index(tag) for tag in (FED_TRAIN, FED_VAL, FED_TEST)]
     fed = dataset.rows(dataset.split >= codes[0])
     # each user's rows, grouped by split, each group in dataset order
-    order = np.lexsort((fed.split, fed.user))
+    order = np.lexsort((narrow_key(fed.split), narrow_key(fed.user)))
     uids, bounds = runs(fed.user[order])
     item, label = fed.item[order], fed.label[order]
     # where each user's train, val and test rows start and end in `order`

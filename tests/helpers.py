@@ -13,6 +13,7 @@ from fedrec.data import (
     FED_VAL,
     MIN_FED_INTERACTIONS,
     SPLITS,
+    AttributeSchema,
     DataError,
     Dataset,
     runs,
@@ -750,6 +751,49 @@ def dataset_of(user_schema, item_schema, users, items, rows):
 def with_split(ds, tag):
     """`ds` with every row in split `tag`."""
     return replace(ds, split=np.full(len(ds), SPLITS.index(tag), dtype=np.int8))
+
+
+def attribute_draws_reference(rng, cards, n):
+    """Scalar-draw oracle for synth_generate's attribute draw of one side:
+    one `rng.integers(0, card)` per attribute, record after record."""
+    return [tuple(int(rng.integers(0, p)) for p in cards) for _ in range(n)]
+
+
+def synth_generate_reference(config, seed):
+    """Scalar-draw oracle for data.synth_generate: each side's attributes
+    drawn one value at a time into the records, and each user's items drawn
+    from the array of item ids."""
+    rng = np.random.default_rng(seed)
+    user_schema = AttributeSchema(tuple(f"ua{j}" for j in range(len(config.user_attrs))), config.user_attrs)
+    item_schema = AttributeSchema(tuple(f"ia{j}" for j in range(len(config.item_attrs))), config.item_attrs)
+    users = dict(enumerate(attribute_draws_reference(rng, user_schema.cards, config.n_users)))
+    items = dict(enumerate(attribute_draws_reference(rng, item_schema.cards, config.n_items)))
+    affinity = rng.normal(0.0, 1.2, size=(user_schema.cards[0], item_schema.cards[0]))
+    rho = rng.normal(0.0, config.pref_spread, size=config.n_users)
+    tau = rng.normal(0.0, 0.2, size=config.n_users)
+    k = min(config.interactions_per_user, config.n_items)
+    item_ids = np.arange(config.n_items)
+    draws = [
+        (rng.choice(item_ids, size=k, replace=config.interactions_per_user > config.n_items), rng.random(k))
+        for _ in range(config.n_users)
+    ]
+    chosen, uniform = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+    g = np.array([users[uid][0] for uid in range(config.n_users)])[:, None]
+    c = np.array([items[iid][0] for iid in range(config.n_items)])[chosen]
+    logit = config.base + config.beta * ((1.0 + rho[:, None]) * affinity[g, c] + tau[:, None])
+    label = uniform < 1.0 / (1.0 + np.exp(-logit))
+    user, ts = np.repeat(np.arange(config.n_users), k), np.tile(np.arange(k), config.n_users)
+    return Dataset(user_schema, item_schema, users, items, user, chosen.ravel(), ts, label.ravel())
+
+
+def validate_records_reference(ds):
+    """Per-record oracle for Dataset.validate's attribute checks: each
+    user's values, then each item's, in dict order; the first bad record
+    raises its schema's `validate_values` error."""
+    for uid, vals in ds.users.items():
+        ds.user_schema.validate_values(vals, f"user {uid}")
+    for iid, vals in ds.items.items():
+        ds.item_schema.validate_values(vals, f"item {iid}")
 
 
 def split_per_user_chronological_rows(rows):

@@ -18,11 +18,14 @@ from fedrec.data import (
     MIN_FED_INTERACTIONS,
     PRETRAIN,
     AttributeSchema,
+    INT64,
     DataError,
     Dataset,
     Interaction,
     SynthConfig,
+    draw_attributes,
     load_dataset,
+    narrow_key,
     split_per_user_chronological,
     split_pretrain_federated,
     synth_generate,
@@ -31,11 +34,14 @@ from fedrec.data import (
 from fedrec.federation import build_clients
 from fedrec.model import Arch
 from helpers import (
+    attribute_draws_reference,
     client_objects,
     dataset_of,
     sample_negatives_of,
     sample_negatives_rows,
     split_per_user_chronological_rows,
+    synth_generate_reference,
+    validate_records_reference,
 )
 
 
@@ -338,6 +344,9 @@ class TestChronologicalSplit:
         assert all(r.split in (PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST) for r in ds.interactions)
 
 
+# attribute cardinalities at and around the 32-bit and int64 bounds of numpy's bounded draws
+CARDS = st.sampled_from([1, 2, 7, 2**32 - 1, 2**32, 2**33, 2**63 - 1, 2**63])
+
 # one user's interactions: (item, timestamp, label), few values so ties are common
 INTERACTIONS = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 1)), max_size=14
@@ -388,25 +397,34 @@ class TestSplitProperties:
 
 @st.composite
 def interleaved_rows(draw):
-    """Rows of up to 8 users, up to 12 each, in a drawn order, with every row
-    of a drawn set of users already tagged pretrain. Few items and timestamps,
-    so (ts, item) ties, fully tied rows and short users are common."""
-    per_user = draw(st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
-                                      max_size=12), max_size=8))
-    pretrain_users = draw(st.sets(st.integers(0, 7)))
+    """(user ids, item ids, rows): rows of up to 8 users, up to 12 each, in a
+    drawn order, with every row of a drawn set of users already tagged
+    pretrain. Four items and four timestamps, so (ts, item) ties, fully
+    tied rows and short users are common. User ids, items and timestamps
+    each sit at a drawn offset (past uint16, at Unix seconds or below zero)
+    plus 0, 1, 2 or a span of 65,535 or 65,536: the widest range a uint16
+    sort key holds, and one more."""
+    span = draw(st.sampled_from([0xFFFF, 0x10000]))
+    u0, i0 = draw(st.sampled_from([0, 65536, 2**40])), draw(st.sampled_from([0, 65536]))
+    t0 = draw(st.sampled_from([0, 1_700_000_000, -(2**40), -5]))
+    offset = st.sampled_from([0, 1, 2, span])
+    per_user = draw(st.lists(st.lists(st.tuples(offset, offset, st.integers(0, 1)), max_size=12), max_size=8))
+    uids = [u0 + d for d in (0, span, 1, 2, 3, 4, 5, 6)]
+    pretrain_users = draw(st.sets(st.sampled_from(uids)))
     rows = [
-        Interaction(u, item, ts, label, PRETRAIN if u in pretrain_users else None)
-        for u, user_rows in enumerate(per_user) for item, ts, label in user_rows
+        Interaction(u, i0 + item, t0 + ts, label, PRETRAIN if u in pretrain_users else None)
+        for u, user_rows in zip(uids, per_user) for item, ts, label in user_rows
     ]
-    return draw(st.permutations(rows))
+    return uids, [i0 + d for d in (0, 1, 2, span)], draw(st.permutations(rows))
 
 
 class TestColumnarEqualsRowOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(rows=interleaved_rows())
     def test_chronological_split(self, rows):
+        uids, iids, rows = rows
         su, si = AttributeSchema(("g",), (1,)), AttributeSchema(("c",), (1,))
-        ds = dataset_of(su, si, {u: (0,) for u in range(8)}, {i: (0,) for i in range(4)}, rows)
+        ds = dataset_of(su, si, {u: (0,) for u in uids}, {i: (0,) for i in iids}, rows).validate()
         out, dropped = split_per_user_chronological(ds)
         want_rows, want_dropped = split_per_user_chronological_rows(rows)
         assert out.interactions == want_rows
@@ -425,6 +443,100 @@ class TestColumnarEqualsRowOracle:
         got = sample_negatives_of(train, range(universe), ratio, np.random.default_rng(seed))
         want = sample_negatives_rows(train, range(universe), ratio, np.random.default_rng(seed))
         assert got == want
+
+
+class TestNarrowKey:
+    @pytest.mark.parametrize("lo", [0, -(2**40), 1_700_000_000, INT64.max - 0xFFFF])
+    def test_a_range_up_to_65535_becomes_uint16_from_0(self, lo):
+        a = lo + np.array([0xFFFF, 0, 7], dtype=np.int64)
+        assert narrow_key(a).dtype == np.uint16 and narrow_key(a).tolist() == [0xFFFF, 0, 7]
+
+    @pytest.mark.parametrize("a", [[0x10000, 0, 7], [INT64.max, INT64.min, 0], []], ids=["65536", "int64", "empty"])
+    def test_a_wider_range_is_kept(self, a):
+        # the int64 range is taken in Python ints, where it cannot overflow
+        a = np.array(a, dtype=np.int64)
+        assert narrow_key(a) is a
+
+
+class TestArrayPassesEqualScalarOracles:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(cards=st.lists(CARDS, min_size=1, max_size=4), n=st.integers(0, 12), seed=st.integers(0, 2**16))
+    def test_one_attribute_draw_is_the_scalar_stream(self, cards, n, seed):
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = draw_attributes(rng, cards, n)
+        assert list(map(tuple, got.tolist())) == attribute_draws_reference(want_rng, cards, n)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("cards", [(10**20,), (2, 10**20)])
+    def test_a_cardinality_past_int64_raises_the_scalar_error(self, cards):
+        with pytest.raises(ValueError) as want:
+            attribute_draws_reference(np.random.default_rng(0), cards, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            synth_generate(SynthConfig(4, 3, cards, (2,)), seed=0)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        n_users=st.integers(1, 8),
+        n_items=st.integers(1, 8),
+        per_user=st.integers(0, 12),  # past n_items, choice draws with replacement
+        user_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(CARDS, max_size=2)),
+        item_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(CARDS, max_size=2)),
+        beta=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_synth_generate(self, n_users, n_items, per_user, user_attrs, item_attrs, beta, seed):
+        cfg = SynthConfig(n_users, n_items, user_attrs, item_attrs, beta=beta, interactions_per_user=per_user)
+        got, want = synth_generate(cfg, seed), synth_generate_reference(cfg, seed)
+        assert got.users == want.users and got.items == want.items
+        for name in ("user", "item", "ts", "label"):
+            assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    @pytest.mark.parametrize("card, records, bad", [
+        (2**63, {0: (5,), 1: (2**63,)}, 1),
+        (2**63 - 1, {0: (2**63,), 1: (INT64.max,)}, 0),
+        (2**63 - 1, {0: (5,), 1: (INT64.max,)}, 1),
+        (2**64, {0: (2**63,), 1: (2**64 - 1,)}, None),
+    ], ids=["past-int64", "past-int64-first", "int64-max", "card-past-2**63"])
+    def test_validate_compares_values_at_and_past_int64_exactly(self, card, records, bad):
+        # a value past int64 beside an int64 one would round both through float64
+        schema = AttributeSchema(("u0",), (card,))
+        ds = Dataset(schema, schema, records, {0: (0,)}, [], [], [], [])
+        if bad is None:
+            ds.validate()
+        else:
+            message = f"user {bad}: attribute 'u0' value {records[bad][0]} outside [0, {card})"
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                ds.validate()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_validate_raises_the_first_bad_record_error(self, data):
+        def side(what):
+            cards = tuple(data.draw(st.lists(CARDS, min_size=1, max_size=3), label=f"{what} cards"))
+            ids = data.draw(st.lists(st.integers(-5, INT64.max), min_size=1, max_size=6, unique=True))
+            records = {i: tuple(data.draw(st.integers(0, min(p - 1, INT64.max))) for p in cards) for i in ids}
+            # fault a few records: a value outside its range or past int64, or a record of the wrong length
+            for i in data.draw(st.lists(st.sampled_from(ids), max_size=2, unique=True), label=f"faulted {what}s"):
+                vals = list(records[i])
+                if data.draw(st.booleans(), label="wrong length"):
+                    vals = vals[1:] if data.draw(st.booleans(), label="shorter") else vals + [0]
+                else:
+                    j = data.draw(st.integers(0, len(vals) - 1))
+                    vals[j] = data.draw(st.sampled_from([-1, cards[j], INT64.max, 2**63, INT64.min]))
+                records[i] = tuple(vals)
+            return AttributeSchema(tuple(f"{what}{j}" for j in range(len(cards))), cards), records
+
+        (su, users), (si, items) = side("u"), side("i")
+        ds = Dataset(su, si, users, items, [], [], [], [])
+
+        def error(check):
+            try:
+                check()
+            except DataError as exc:
+                return str(exc)
+            return None
+
+        assert error(ds.validate) == error(lambda: validate_records_reference(ds))
 
 
 class TestSampleNegativesProperties:

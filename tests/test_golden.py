@@ -8,11 +8,21 @@ held for the whole run; they pin those rewrites, and any later one, to the
 same floating-point results bit for bit. The prepared-dataset digests
 were recorded while the dataset was a list of row objects, before it became
 columns; they pin the columnar split, synthesis and example assembly to the
-same rows, arrays and negative samples. They hold for numpy 2.4 with OpenBLAS 0.3.31 on x86-64; another
-BLAS build may change the last bits of a matrix product, and with them every
-digest.
+same rows, arrays and negative samples.
+
+The training values were recorded with numpy 2.4's bundled OpenBLAS 0.3.31
+on x86-64, running its SkylakeX kernel core. That library picks its kernel
+core when it loads. Its Haswell or Sandybridge kernels, which a host
+without AVX-512 or OPENBLAS_CORETYPE=Haswell selects, change the last bits
+of some matrix products, and all six training tests below fail under them.
+The prepared-dataset digests involve no matrix product and hold. Another
+BLAS build may change the training values too. Each training check names
+the core it ran on when it fails.
 """
+import ctypes
+import glob
 import hashlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +43,24 @@ from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset
 from fedrec.model import Arch
 from helpers import client_objects, train_cohort, with_split
 from test_cohort import FED, ragged_cfg, world, world_arrays
+
+
+def kernel_core():
+    """The kernel core of numpy's bundled OpenBLAS, e.g. "SkylakeX", or
+    "unknown" when the library or its symbol is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+# the message of every check whose values depend on the BLAS kernels
+CORE = f"recorded on OpenBLAS's SkylakeX kernel core; this run used {kernel_core()}"
 
 
 def digest(tensors):
@@ -135,8 +163,8 @@ def base_world():
 
 def test_pretrain_golden():
     _, ps, losses = base_world()
-    assert losses == PRETRAIN_LOSSES
-    assert digest(ps.tensors) == PRETRAIN_DIGEST
+    assert losses == PRETRAIN_LOSSES, CORE
+    assert digest(ps.tensors) == PRETRAIN_DIGEST, CORE
 
 
 def test_distill_golden():
@@ -144,8 +172,8 @@ def test_distill_golden():
     UA, VA, y = pretrain_examples(ds, 1)
     cfg = DistillConfig(embed_dim=4, mlp_hidden=(8,), epochs=3, lr=0.3, batch_size=32)
     student, history = distill(teacher, UA, VA, y, cfg)
-    assert history.train_loss == DISTILL_LOSSES
-    assert digest(student.tensors) == DISTILL_DIGEST
+    assert history.train_loss == DISTILL_LOSSES, CORE
+    assert digest(student.tensors) == DISTILL_DIGEST, CORE
 
 
 def test_fedpa_cohort_rounds_golden(tmp_path):
@@ -153,9 +181,9 @@ def test_fedpa_cohort_rounds_golden(tmp_path):
     ps, clients = world(ragged_cfg(tmp_path))
     for r in range(2):
         ps = aggregate_uploads(train_cohort(clients, ps, FED, r), ps)
-    assert digest(ps.tensors) == FEDPA_SERVER_DIGEST
+    assert digest(ps.tensors) == FEDPA_SERVER_DIGEST, CORE
     private = {f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}
-    assert digest(private) == FEDPA_PRIVATE_DIGEST
+    assert digest(private) == FEDPA_PRIVATE_DIGEST, CORE
 
 
 def test_fedpa_ldp_eval_golden(tmp_path):
@@ -164,13 +192,13 @@ def test_fedpa_ldp_eval_golden(tmp_path):
     ps, arrays, _ = world_arrays(ragged_cfg(tmp_path))
     cfg = replace(FED, rounds=3, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
     server, reports = run_federated(ps, arrays, cfg)
-    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS
-    assert digest(server.tensors) == LDP_SERVER_DIGEST
-    assert evaluate_global(server, arrays, "test") == LDP_TEST_SUMMARY
+    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS, CORE
+    assert digest(server.tensors) == LDP_SERVER_DIGEST, CORE
+    assert evaluate_global(server, arrays, "test") == LDP_TEST_SUMMARY, CORE
     # no score passes the 0.5 threshold above; a lifted output bias puts
     # about half the clients' precision in range
     lifted = server.with_tensors({"mlp/1/b": server.tensors["mlp/1/b"] + 0.3})
-    assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY
+    assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY, CORE
 
 
 @pytest.mark.parametrize("arm", ["fedpa", "no_adapter"])
@@ -185,10 +213,10 @@ def test_partial_participation_ldp_golden(tmp_path, arm):
     assert [
         (r.round, r.n_participants, r.uploaded_per_client, r.val_auc, r.val_precision, r.skipped)
         for r in reports
-    ] == want_reports
-    assert digest(server.tensors) == want_server
+    ] == want_reports, CORE
+    assert digest(server.tensors) == want_server, CORE
     clients = client_objects(arrays, ps.arch, ds)
-    assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private
+    assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private, CORE
 
 
 PRETRAIN_LOSSES = [0.7058724290246511, 0.6832571777896967, 0.6692057217700406, 0.6567113062756279]
