@@ -6,7 +6,6 @@ same (config, seed) the output bytes are identical up to wall-clock fields.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -15,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, load_config
-from .data import DataError, write_dataset_csvs
+from .data import DataError, write_csv, write_dataset_csvs
 from .distill import distill
 from .experiment import (
     ARMS,
@@ -47,6 +46,10 @@ def _say(args, msg: str):
         print(msg)
 
 
+def _write_losses(path: str, losses):
+    write_csv(path, ["epoch", "loss"], ([e, f"{loss:.10f}"] for e, loss in enumerate(losses)))
+
+
 def cmd_synth(args) -> int:
     cfg = _load(args)
     ds = build_raw_dataset(cfg)
@@ -63,11 +66,7 @@ def cmd_pretrain(args) -> int:
     ps, losses = pretrain_base(cfg, ds)
     ckpt = os.path.join(cfg.out_dir, "pretrained.npz")
     save_params(ps, ckpt)
-    with open(os.path.join(cfg.out_dir, "pretrain_loss.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for e, loss in enumerate(losses):
-            w.writerow([e, f"{loss:.10f}"])
+    _write_losses(os.path.join(cfg.out_dir, "pretrain_loss.csv"), losses)
     _say(args, f"pretrained {cfg.pre_epochs} epochs -> {ckpt}")
     return 0
 
@@ -84,11 +83,7 @@ def cmd_distill(args) -> int:
     student, history = distill(teacher, UA, VA, y if dc.alpha < 1.0 else None, dc)
     out = os.path.join(cfg.out_dir, "student.npz")
     save_params(student, out)
-    with open(os.path.join(cfg.out_dir, "distill_loss.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "loss"])
-        for e, loss in enumerate(history.train_loss):
-            w.writerow([e, f"{loss:.10f}"])
+    _write_losses(os.path.join(cfg.out_dir, "distill_loss.csv"), history.train_loss)
     _say(args, f"distilled student {dc.embed_dim}-{tuple(dc.mlp_hidden) + (1,)} -> {out}")
     return 0
 
@@ -137,17 +132,11 @@ def cmd_ablate(args) -> int:
         rows.append(result)
         _say(args, f"{arm}: AUC {result.test_auc * 100:.2f}e-2")
     out = os.path.join(cfg.out_dir, "ablation.csv")
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["arm", "auc", "precision", "trainable_params", "uploaded_scalars_per_round"])
-        for r in rows:
-            w.writerow([
-                r.arm,
-                f"{r.test_auc:.6f}",
-                "" if r.test_precision is None else f"{r.test_precision:.6f}",
-                r.trainable_params,
-                r.uploaded_per_client,
-            ])
+    write_csv(out, ["arm", "auc", "precision", "trainable_params", "uploaded_scalars_per_round"], (
+        [r.arm, f"{r.test_auc:.6f}", "" if r.test_precision is None else f"{r.test_precision:.6f}",
+         r.trainable_params, r.uploaded_per_client]
+        for r in rows
+    ))
     _say(args, f"wrote {out}")
     return 0
 

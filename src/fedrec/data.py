@@ -8,7 +8,7 @@ from __future__ import annotations
 import codecs
 import csv
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -434,19 +434,18 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     return Dataset(user_schema, item_schema, users, items, user, chosen.ravel(), ts, label.ravel()).validate()
 
 
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
+    """Write a CSV file: the header row, then `rows`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_dataset_csvs(dataset: Dataset, users_path: str, items_path: str, interactions_path: str):
     """Write the three CSV files in the load_dataset format."""
-    with open(users_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", *dataset.user_schema.names])
-        for uid in sorted(dataset.users):
-            w.writerow([uid, *dataset.users[uid]])
-    with open(items_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["item_id", *dataset.item_schema.names])
-        for iid in sorted(dataset.items):
-            w.writerow([iid, *dataset.items[iid]])
-    with open(interactions_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(INTERACTION_COLUMNS)
-        w.writerows(zip(*(getattr(dataset, name).tolist() for name in COLUMNS[:4])))
+    write_csv(users_path, ["user_id", *dataset.user_schema.names],
+              ([u, *dataset.users[u]] for u in sorted(dataset.users)))
+    write_csv(items_path, ["item_id", *dataset.item_schema.names],
+              ([i, *dataset.items[i]] for i in sorted(dataset.items)))
+    write_csv(interactions_path, INTERACTION_COLUMNS, zip(*(getattr(dataset, name).tolist() for name in COLUMNS[:4])))

@@ -34,6 +34,7 @@ from .model import (
     SHARED,
     Arch,
     ParamSet,
+    ShapeError,
     count_params,
     init_params,
 )
@@ -249,7 +250,7 @@ def build_arch(cfg: ExperimentConfig, dataset: Dataset, arm: str = "fedpa") -> A
             adapter_layers=cfg.adapter_layers,
             **{"group_attrs": cfg.group_attrs, **ARMS[arm][0]},
         )
-    except DataError as exc:  # a grouping attribute the dataset's users lack
+    except (DataError, ShapeError) as exc:  # an unknown or a repeated grouping attribute
         raise ConfigError(f"config key 'group.attrs': {exc}") from None
 
 

@@ -12,9 +12,9 @@ A run holds every client's state as arrays with a leading client axis
 (`ClientArrays`), and a round works on rows of them: it gathers its
 participants by index into one cohort ParamSet (`model.cohort_of`),
 trains it, writes their user adapters back by index, and uploads the
-cohort's shared matrix as one `UploadBatch`: noise adds one matrix to it, and
-aggregation is one row mean over its common range plus one per group segment
-over that group's members.
+cohort's shared matrix as one `UploadBatch`, an upload being a row of the
+server's cohort: noise adds one matrix to it, and aggregation is
+`model.cohort_mean`, the inverse of `cohort_of`.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .data import (
     FED_TEST,
     FED_TRAIN,
     FED_VAL,
+    MIN_FED_INTERACTIONS,
     PRETRAIN,
     SPLITS,
     Dataset,
@@ -46,6 +47,7 @@ from .model import (
     Layout,
     ParamSet,
     ShapeError,
+    cohort_mean,
     cohort_of,
     forward_batch,
     init_params,
@@ -123,14 +125,13 @@ class ClientArrays:
 @dataclass
 class UploadBatch:
     """A round's uploads, row c of every array belonging to client uids[c]:
-    row c of `shared` is client c's shared vector in the cohort `layout`,
-    whose group segments hold the adapters of the groups in row c of
-    `groups` (columns following the arch's grouping attributes)."""
+    row c of `shared` is client c's shared vector as a row of the server's
+    cohort (`Layout.cohort`), whose group segments hold the adapters of the
+    groups in row c of `groups` (columns follow the grouping attributes)."""
 
     uids: np.ndarray                  # (C,)
     groups: np.ndarray                # (C, |arch.group_attrs|)
     shared: np.ndarray                # (C, P)
-    layout: Layout
 
     @property
     def n_scalars(self) -> int:
@@ -208,9 +209,11 @@ def build_clients(dataset: Dataset, arch: Arch, seed: int, neg_ratio: int = 4) -
     When the rows carry native 0-labels they are used as-is; otherwise each
     split's positives get `neg_ratio` negatives each, drawn from the items
     the user has in no split, in train, val, test order from the stream
-    [seed, uid, 1]."""
+    [seed, uid, 1]. Raises FederationError when no federated user is left."""
     codes = [SPLITS.index(tag) for tag in (FED_TRAIN, FED_VAL, FED_TEST)]
     fed = dataset.rows(dataset.split >= codes[0])
+    if not len(fed):
+        raise FederationError(f"no federated user has at least {MIN_FED_INTERACTIONS} interactions")
     # each user's rows, grouped by split, each group in dataset order
     order = np.lexsort((narrow_key(fed.split), narrow_key(fed.user)))
     uids, bounds = runs(fed.user[order])
@@ -268,16 +271,12 @@ def pretrain(
 
 def warm_start(arch: Arch, base_ps: ParamSet, seed: int) -> ParamSet:
     """Initialize a full (adapter + gate) model, overlaying the base tensors
-    from a pretrained or distilled model."""
-    ps = init_params(arch, seed)
-    updates = {}
-    for name in base_ps.tensors:
-        if name not in ps.tensors:
-            raise ShapeError(f"warm-start source tensor {name!r} absent from target arch")
-        if base_ps.tensors[name].shape != ps.tensors[name].shape:
-            raise ShapeError(f"warm-start shape mismatch on {name!r}")
-        updates[name] = base_ps.tensors[name].copy()
-    return ps.with_tensors(updates)
+    from a pretrained or distilled model. Raises ShapeError naming a base
+    tensor the arch lacks or shapes differently."""
+    try:
+        return init_params(arch, seed).with_tensors(base_ps.tensors)
+    except ShapeError as exc:
+        raise ShapeError(f"warm start: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def local_train(
     live = idx[arrays.shards["train"].counts[idx] > 0]
     uids = arrays.uids[live]
     if not live.size:
-        return UploadBatch(uids, arrays.groups[live], np.zeros((0, 0)), global_ps.layout)
+        return UploadBatch(uids, arrays.groups[live], np.zeros((0, 0)))
     ps = _cohort(global_ps, arrays, live)
     UA, VA, y, counts = arrays.shards["train"].rows(live)
     rngs = derive_generators(cfg.seed, round_index, uids, 1, pool)
@@ -344,57 +343,19 @@ def local_train(
             f"round {round_index}: training diverged; first client with a non-finite private adapter: {bad}"
         )
     arrays.private[live] = private
-    return UploadBatch(uids, arrays.groups[live], ps.flat[SHARED], ps.layout)
-
-
-def _mean_rows(rows: np.ndarray, scalars: List[int]) -> np.ndarray:
-    """The mean of `rows` (m, P) over its rows, bit for bit as numpy averages
-    each tensor on its own: row by row, except that a one-scalar tensor's
-    column, at `scalars`, is one contiguous reduction (summed pairwise)."""
-    out = np.mean(rows, axis=0)
-    if scalars:
-        out[scalars] = np.mean(np.ascontiguousarray(rows[:, scalars].T), axis=1)
-    return out
+    return UploadBatch(uids, arrays.groups[live], ps.flat[SHARED])
 
 
 def aggregate_uploads(batch: UploadBatch, ps: ParamSet) -> ParamSet:
-    """The server's ParamSet `ps` with each shared tensor the unweighted
-    element-wise mean of the uploads over the batch's rows in batch order:
-    one mean over the common range, and one per group segment over the rows
-    of that group's members. Group adapters nobody uploaded are untouched.
-    Raises FederationError on an empty batch, or naming a client whose
-    upload holds a tensor the server does not tag shared."""
+    """The server's ParamSet `ps` with the batch's uploads averaged into its
+    shared tensors (`model.cohort_mean`). Raises FederationError on an empty
+    batch, and where cohort_mean raises ShapeError."""
     if not len(batch.uids):
         raise FederationError("no usable uploads this round")
-    lay, cohort = ps.layout, batch.layout
-    own = {n for segments in cohort.groups.values() for names in segments for n in names}
-    common = {n: e for n, e in cohort.entries.items() if e[0] == SHARED and n not in own}
-    bad = [n for n in common if ps.tags.get(n) != SHARED]
-    if bad:
-        raise FederationError(f"upload from client {batch.uids[0]} contains non-shared tensor {bad[0]!r}")
-    if any(lay.entries[n] != e for n, e in common.items()):
-        raise FederationError("uploads do not follow the server's layout of shared tensors")
-    trained, start, n = ps.trained.copy(), lay.start(SHARED), cohort.common[SHARED]
-    # the columns of one-scalar tensors, in the common range and in a segment
-    ones = [a for _, a, b, _ in common.values() if b - a == 1]
-    trained[start : start + n] = _mean_rows(batch.shared[:, :n], ones)
-    for attr, (names,) in cohort.groups.items():
-        tag, at, stop = cohort.span(attr, 0)
-        if tag != SHARED:
-            continue
-        segment_ones = [a - at for _, a, b, _ in (cohort.entries[n] for n in names) if b - a == 1]
-        groups = batch.groups[:, ps.arch.group_attrs.index(attr)]
-        # np.bincount, not np.unique, which would import numpy.ma (~1.7 MB)
-        for g in np.flatnonzero(np.bincount(groups)):
-            mask = groups == g
-            bad = [name for name in lay.groups[attr][g] if ps.tags[name] != SHARED]
-            if bad:
-                raise FederationError(
-                    f"upload from client {batch.uids[mask][0]} contains non-shared tensor {bad[0]!r}"
-                )
-            _, first, last = lay.span(attr, g)
-            trained[start + first : start + last] = _mean_rows(batch.shared[mask, at:stop], segment_ones)
-    return ParamSet.from_vectors(ps.arch, lay, ps.frozen, trained)
+    try:
+        return cohort_mean(ps, batch.groups, batch.shared)
+    except ShapeError as exc:
+        raise FederationError(str(exc)) from None
 
 
 def evaluate_global(server_ps: ParamSet, arrays: ClientArrays, split: str) -> EvalSummary:
@@ -490,9 +451,6 @@ def _draw_order(cohort: Layout) -> np.ndarray:
     through the shared tensors in sorted name order, as when each tensor
     was noised on its own; a client's own group's adapters go under group
     0's names, which sort as every group's do."""
-    order, drawn = np.empty(cohort.sizes[SHARED], dtype=np.intp), 0
-    for _, (tag, a, b, _) in sorted(cohort.entries.items()):
-        if tag == SHARED:
-            order[a:b] = np.arange(drawn, drawn + b - a)
-            drawn += b - a
-    return order
+    drawn = [np.arange(a, b) for _, (tag, a, b, _) in sorted(cohort.entries.items()) if tag == SHARED]
+    # the columns in draw order, inverted: each column's draw
+    return np.argsort(np.concatenate([np.zeros(0, dtype=np.intp), *drawn]))

@@ -20,8 +20,9 @@ Forward, backward and SGD see only a cohort of clients: a ParamSet whose
 trained buffer has a row per client, (C, P), while the frozen vector stays
 one and broadcasts. A cohort is laid out as the model with one group per
 grouping attribute (`Layout.cohort`): row c holds client c's own group's
-adapters under group 0's names. `cohort_of` lifts a model into one, and a
-plain model trains and scores as a cohort of one.
+adapters under group 0's names. `cohort_of` lifts a model into one, and
+`cohort_mean` averages a cohort's shared rows back into it; a plain model
+trains and scores as a cohort of one.
 
 `sgd_epochs` trains every epoch of a call through what it sets up once: it
 checks the rows, copies the trained buffer, builds the layout plan
@@ -99,8 +100,10 @@ class Arch:
             raise ShapeError(f"bad adapter_layers {self.adapter_layers!r}")
         if self.gate_mode not in (GATE_LEARNED, GATE_UNIFORM, GATE_COMMON, GATE_NONE):
             raise ShapeError(f"bad gate_mode {self.gate_mode!r}")
-        for a in self.group_attrs:
+        for j, a in enumerate(self.group_attrs):
             self.user_schema.index(a)
+            if a in self.group_attrs[:j]:
+                raise ShapeError(f"duplicate attribute {a!r}")
         if self.n_branches > 1 and self.adapter_rank < 1:
             raise ShapeError("adapter_rank must be >= 1")
 
@@ -363,6 +366,14 @@ def count_params(ps: ParamSet, tags: Optional[Iterable[str]] = None) -> int:
     return int(sum(t.size for n, t in ps.tensors.items() if ps.tags[n] in wanted))
 
 
+def _group_rows(arch: Arch, groups) -> np.ndarray:
+    """`groups` as a (C, |group attrs|) index array; ShapeError unless each row names a group of each."""
+    groups, cards = np.asarray(groups, dtype=np.intp), np.array(list(arch.group_cards().values()), dtype=np.intp)
+    if groups.ndim != 2 or groups.shape[1] != len(cards) or ((groups < 0) | (groups >= cards)).any():
+        raise ShapeError(f"each client needs a group index of each grouping attribute {arch.group_cards()}")
+    return groups
+
+
 def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> ParamSet:
     """Model `ps` as a cohort of len(groups) clients (`Layout.cohort`): row
     c of the trained buffer holds the model's trained vectors with, per
@@ -372,9 +383,7 @@ def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> Par
     unless those groups' adapters (and a user adapter that `private` sets)
     carry one trained tag."""
     arch, lay = ps.arch, ps.layout
-    groups, cards = np.asarray(groups, dtype=np.intp), np.array(list(arch.group_cards().values()), dtype=np.intp)
-    if groups.ndim != 2 or groups.shape[1] != len(cards) or ((groups < 0) | (groups >= cards)).any():
-        raise ShapeError(f"each client needs a group index of each grouping attribute {arch.group_cards()}")
+    groups = _group_rows(arch, groups)
     cohort = lay.cohort
     trained = np.empty((len(groups), cohort.sizes[PRIVATE] + cohort.sizes[SHARED]))
     for tag in (PRIVATE, SHARED):
@@ -388,6 +397,45 @@ def cohort_of(ps: ParamSet, groups, private: Optional[np.ndarray] = None) -> Par
     if private is not None:
         trained[:, user_columns(cohort, arch)] = private
     return ParamSet.from_vectors(arch, cohort, ps.frozen, trained)
+
+
+def _mean_rows(rows: np.ndarray, scalars: List[int]) -> np.ndarray:
+    """The mean of `rows` (m, P) over its rows, bit for bit as numpy averages
+    each tensor on its own: row by row, except that a one-scalar tensor's
+    column, at `scalars`, is one contiguous reduction (summed pairwise)."""
+    out = np.mean(rows, axis=0)
+    if scalars:
+        out[scalars] = np.mean(np.ascontiguousarray(rows[:, scalars].T), axis=1)
+    return out
+
+
+def cohort_mean(ps: ParamSet, groups, shared: np.ndarray) -> ParamSet:
+    """`cohort_of`'s inverse for the shared tensors: model `ps` with the
+    mean, in row order, of the rows of `shared` (C, P), each the shared
+    vector of `cohort_of(ps, groups)`'s row: one mean over the common range,
+    and one per group over its members' rows. The adapters of groups without
+    a row, and frozen and private tensors, keep their values. Raises
+    ShapeError unless there is a row per client, P wide, and as cohort_of
+    does on the groups and tags."""
+    arch, lay = ps.arch, ps.layout
+    groups, cohort = _group_rows(arch, groups), lay.cohort
+    if not len(groups) or np.shape(shared) != (len(groups), cohort.sizes[SHARED]):
+        raise ShapeError(f"uploads {np.shape(shared)} are not {len(groups)} rows of {cohort.sizes[SHARED]} scalars")
+    trained, start, n = ps.trained.copy(), lay.start(SHARED), cohort.common[SHARED]
+    # the columns of one-scalar tensors, in the common range and in the segments
+    ones = [a for tag, a, b, _ in cohort.entries.values() if tag == SHARED and b - a == 1]
+    trained[start : start + n] = _mean_rows(shared[:, :n], [a for a in ones if a < n])
+    for attr in cohort.groups:
+        tag, at, stop = cohort.span(attr, 0)
+        if tag != SHARED:
+            continue
+        segment_ones = [a - at for a in ones if at <= a < stop]
+        column = groups[:, arch.group_attrs.index(attr)]
+        # np.bincount, not np.unique, which would import numpy.ma (~1.7 MB)
+        for g in np.flatnonzero(np.bincount(column)):
+            _, first, last = lay.span(attr, g)
+            trained[start + first : start + last] = _mean_rows(shared[column == g, at:stop], segment_ones)
+    return ParamSet.from_vectors(arch, lay, ps.frozen, trained)
 
 
 def user_columns(lay: Layout, arch: Arch) -> slice:

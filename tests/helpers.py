@@ -46,13 +46,11 @@ from fedrec.model import (
     _forward,
     _index,
     _LayerPlan,
-    _layout,
     _pair,
     _plan,
     _Plan,
     cohort_of,
     forward_batch,
-    init_params,
     user_adapter_specs,
 )
 from fedrec.privacy import laplace_noise
@@ -631,18 +629,20 @@ def aggregate(uploads, server):
     return server.with_tensors(updates)
 
 
-def upload_tensors(batch, c, arch):
-    """Row c of the batch as one client's upload, name -> tensor, in name
-    order: group 0's adapters under the names of the client's group."""
+def upload_tensors(batch, c, server):
+    """Row c of the batch, laid out as the shared vector of the server's
+    cohort, as one client's upload, name -> tensor, in name order: group 0's
+    adapters under the names of the client's group."""
+    arch = server.arch
     groups = dict(zip(arch.group_attrs, batch.groups[c].tolist()))
     return dict(sorted(
         (own_group_name(n, groups), batch.shared[c, a:b].reshape(shape))
-        for n, (tag, a, b, shape) in batch.layout.entries.items()
+        for n, (tag, a, b, shape) in server.layout.cohort.entries.items()
         if tag == SHARED
     ))
 
 
-def uploads_of(batch, clients, arch):
+def uploads_of(batch, clients, server):
     """The batch as per-client Uploads in `clients` order; a client without
     a row gets a skipped upload."""
     rows = {int(uid): c for c, uid in enumerate(batch.uids)}
@@ -652,42 +652,33 @@ def uploads_of(batch, clients, arch):
         if c is None:
             out.append(Upload(client.uid, {}, 0, dict(client.groups), skipped=True))
             continue
-        out.append(Upload(client.uid, upload_tensors(batch, c, arch), len(client.shards["train"]),
+        out.append(Upload(client.uid, upload_tensors(batch, c, server), len(client.shards["train"]),
                           dict(client.groups)))
     return out
 
 
-def batch_of(uploads, arch):
-    """The live uploads as one UploadBatch in upload order. Each must carry
-    the same tensors, as a client's upload does: whole adapter segments of
-    its own group of an attribute, and any other tensor under its own name.
-    The batch's layout shares exactly those tensors (every group's segment
-    of an uploaded attribute). An upload without a group of an attribute
-    sits in group 0 of it."""
+def batch_of(uploads, server):
+    """The live uploads as one UploadBatch in upload order, each a row laid
+    out as the shared vector of the server's cohort (`model.cohort_of`): an
+    attribute's group 0 adapters hold those of the upload's group of it
+    (group 0 when the upload names none), and a tensor the upload leaves out
+    holds the server's value. Adapters of groups other than the upload's
+    own have no place in its row and are left out; an upload of a tensor
+    the server does not share raises ValueError."""
+    arch = server.arch
     live = [u for u in uploads if not u.skipped]
     groups = np.array([[u.groups.get(a, 0) for a in arch.group_attrs] for u in live], dtype=np.int64)
     groups = groups.reshape(len(live), len(arch.group_attrs))
-    sent = set(live[0].tensors) if live else set()
-    tags = {}
-    for name in init_params(arch, 0).tensors:
-        own = name
-        if name.startswith(GROUP_PREFIX):
-            _, _, attr, _, rest = name.split("/", 4)
-            own = f"{GROUP_PREFIX}{attr}/{live[0].groups.get(attr, 0) if live else 0}/{rest}"
-        tags[name] = SHARED if own in sent else PRIVATE
-    lay = _layout(arch, tags).cohort
-    shared = np.zeros((len(live), lay.sizes[SHARED]))
+    cohort = cohort_of(server, groups)
+    shared = cohort.flat[SHARED].copy()
     for c, u in enumerate(live):
         own = dict(zip(arch.group_attrs, groups[c].tolist()))
-        for name, (tag, a, b, _) in lay.entries.items():
-            if tag == SHARED:
+        if any(server.tags[n] != SHARED for n in u.tensors):
+            raise ValueError(f"upload from client {u.uid} holds a tensor the server does not share")
+        for name, (tag, a, b, _) in cohort.layout.entries.items():
+            if tag == SHARED and own_group_name(name, own) in u.tensors:
                 shared[c, a:b] = u.tensors[own_group_name(name, own)].ravel()
-    return UploadBatch(
-        uids=np.array([u.uid for u in live], dtype=np.int64),
-        groups=groups,
-        shared=shared,
-        layout=lay,
-    )
+    return UploadBatch(uids=np.array([u.uid for u in live], dtype=np.int64), groups=groups, shared=shared)
 
 
 def train_cohort(clients, global_ps, cfg, round_index):

@@ -175,8 +175,8 @@ def test_a3_aggregation_oracle():
             tensors = {n: rng.normal(size=ps.tensors[n].shape)
                        for n in upload_names(ps, client)}
             uploads.append(Upload(uid, tensors, 4, groups))
-        out = aggregate_uploads(batch_of(uploads, arch), ps)
-        perm = aggregate_uploads(batch_of([uploads[2], uploads[0], uploads[1]], arch), ps)
+        out = aggregate_uploads(batch_of(uploads, ps), ps)
+        perm = aggregate_uploads(batch_of([uploads[2], uploads[0], uploads[1]], ps), ps)
         for name, tag in ps.tags.items():
             if tag != SHARED:
                 continue

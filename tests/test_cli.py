@@ -343,12 +343,23 @@ class TestTrainingKeyBounds:
         err = capsys.readouterr().err
         assert err == "error: the pretrain/federated user split needs at least two users; the dataset has 1\n"
 
-    def test_unknown_group_attribute_names_the_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("attrs,why", [
+        ("ua0,ua9", "unknown attribute 'ua9'; valid: ua0, ua1"),
+        ("ua0, ua0", "duplicate attribute 'ua0'"),
+    ], ids=["unknown", "duplicate"])
+    def test_bad_group_attribute_names_the_key(self, tmp_path, capsys, attrs, why):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE_CFG.replace("group.attrs = ua0", "group.attrs = ua0,ua9"))
+        cfg.write_text(BASE_CFG.replace("group.attrs = ua0", f"group.attrs = {attrs}"))
         assert run("federate", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet") == 1
         err = capsys.readouterr().err
-        assert err == "error: config key 'group.attrs': unknown attribute 'ua9'; valid: ua0, ua1\n"
+        assert err == f"error: config key 'group.attrs': {why}\n"
+
+    def test_no_federated_client_names_the_minimum(self, tmp_path, capsys):
+        # 3 interactions per user: the 6:2:2 split drops every federated user
+        cfg = write_cfg_setting(tmp_path, "synth.interactions_per_user", 3)
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: no federated user has at least 5 interactions\n"
 
     def test_seed_flag_is_checked_like_the_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

@@ -101,7 +101,7 @@ def uniform_world():
 
 def cohort_uploads(clients, ps, cfg=FED, round_index=0):
     """Per-client Uploads of one cohort round of `clients`."""
-    return uploads_of(train_cohort(clients, ps, cfg, round_index), clients, ps.arch)
+    return uploads_of(train_cohort(clients, ps, cfg, round_index), clients, ps)
 
 
 def stacked(clients, ps, split):
@@ -135,7 +135,7 @@ def against_oracle(ps, clients, rounds=2, atol=0.0):
     for r in range(rounds):
         want = [client_local_train(c, s_lone, FED, r) for c in lone]
         batch = train_cohort(cohort, s_cohort, FED, r)
-        got = uploads_of(batch, cohort, ps.arch)
+        got = uploads_of(batch, cohort, s_cohort)
         assert_uploads_match(got, want, atol)
         for a, b in zip(cohort, lone):
             for n in a.private:
@@ -251,8 +251,8 @@ class TestCohortProperties:
         ps, clients = uniform_world()
         uploads = cohort_uploads(copy.deepcopy(clients), ps)
         perm = data.draw(st.permutations(range(len(uploads))))
-        a = aggregate_uploads(batch_of(uploads, ps.arch), ps)
-        b = aggregate_uploads(batch_of([uploads[i] for i in perm], ps.arch), ps)
+        a = aggregate_uploads(batch_of(uploads, ps), ps)
+        b = aggregate_uploads(batch_of([uploads[i] for i in perm], ps), ps)
         for n in a.tensors:
             close(a.tensors[n], b.tensors[n], 1e-12, n)
 

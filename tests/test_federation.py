@@ -261,8 +261,13 @@ class TestBuildClients:
                     group_attrs=data.draw(st.sampled_from([(), ("ua1",), ("ua1", "ua0")]), label="groups"),
                     use_user_adapter=data.draw(st.booleans(), label="user adapter"))
         seed, ratio = data.draw(st.integers(0, 99), label="seed"), data.draw(st.integers(0, 3), label="ratio")
+        reference = build_clients_reference(ds, arch, seed, ratio)
+        if not reference:  # the split dropped every federated user
+            with pytest.raises(FederationError, match="no federated user has at least"):
+                build_clients(ds, arch, seed, ratio)
+            return
         got = build_clients(ds, arch, seed, ratio)
-        want = stack(build_clients_reference(ds, arch, seed, ratio), arch, SPLIT_KEYS)
+        want = stack(reference, arch, SPLIT_KEYS)
         assert list(got.shards) == list(SPLIT_KEYS)
         pairs = [("uids", got.uids, want.uids), ("groups", got.groups, want.groups),
                  ("private", got.private, want.private)]
@@ -322,7 +327,7 @@ class TestSelectClients:
 def train_one(client, server, cfg, seed=0):
     """One client's upload from a cohort round of that client alone."""
     cfg = replace(cfg, seed=seed)
-    return uploads_of(train_cohort([client], server, cfg, 0), [client], server.arch)
+    return uploads_of(train_cohort([client], server, cfg, 0), [client], server)
 
 
 class TestClientLocalTrain:
@@ -398,7 +403,7 @@ class TestAggregate:
         for uid in range(3):
             tensors = {n: rng.normal(size=server.tensors[n].shape) for n in shared}
             uploads.append(Upload(uid, tensors, 4, {"ua0": 0}))
-        out = aggregate_uploads(batch_of(uploads, arch), server)
+        out = aggregate_uploads(batch_of(uploads, server), server)
         for n in shared:
             brute = sum(u.tensors[n] for u in uploads) / 3.0
             assert np.max(np.abs(out.tensors[n] - brute)) < 1e-12
@@ -409,7 +414,7 @@ class TestAggregate:
         shared = [n for n, t in server.tags.items() if t == SHARED]
         uploads = [Upload(uid, {n: server.tensors[n].copy() for n in shared}, 4, {})
                    for uid in range(3)]
-        out = aggregate_uploads(batch_of(uploads, arch), server)
+        out = aggregate_uploads(batch_of(uploads, server), server)
         for n in server.tensors:
             assert np.allclose(out.tensors[n], server.tensors[n], atol=1e-15)
 
@@ -425,7 +430,7 @@ class TestAggregate:
 
         # clients 0 and 1 in group 0, client 2 in group 1, nobody in group 2
         ups = [upload(0, 0, 1.0), upload(1, 0, 3.0), upload(2, 1, 9.0)]
-        out = aggregate_uploads(batch_of(ups, arch), ps)
+        out = aggregate_uploads(batch_of(ups, ps), ps)
         for n in tensor_names(ps, "adapter/group/ua0/0/*"):
             assert np.all(out.tensors[n] == 2.0), n
         for n in tensor_names(ps, "adapter/group/ua0/1/*"):
@@ -440,23 +445,16 @@ class TestAggregate:
         rng = np.random.default_rng(5)
         uploads = [Upload(uid, {n: rng.normal(size=server.tensors[n].shape)
                                 for n in shared}, 4, {}) for uid in range(5)]
-        a = aggregate_uploads(batch_of(uploads, arch), server)
-        b = aggregate_uploads(batch_of(list(reversed(uploads)), arch), server)
+        a = aggregate_uploads(batch_of(uploads, server), server)
+        b = aggregate_uploads(batch_of(list(reversed(uploads)), server), server)
         for n in shared:
             assert np.max(np.abs(a.tensors[n] - b.tensors[n])) < 1e-12
-
-    def test_non_shared_upload_rejected(self):
-        _, arch = make_world()
-        server = make_server(arch, seed=0)
-        up = Upload(0, {"mlp/0/W": np.zeros_like(server.tensors["mlp/0/W"])}, 4, {})
-        with pytest.raises(FederationError):
-            aggregate_uploads(batch_of([up], arch), server)
 
     def test_all_skipped_rejected(self):
         _, arch = make_world()
         server = make_server(arch, seed=0)
         with pytest.raises(FederationError):
-            aggregate_uploads(batch_of([Upload(0, {}, 0, {}, skipped=True)], arch), server)
+            aggregate_uploads(batch_of([Upload(0, {}, 0, {}, skipped=True)], server), server)
 
 
 class TestAggregateUploads:
@@ -480,28 +478,32 @@ class TestAggregateUploads:
             tensors = {n: rng.normal(size=server.tensors[n].shape)
                        for n in upload_names(server, client)}
             uploads.append(Upload(uid, tensors, 4, client.groups))
-        got = aggregate_uploads(batch_of(uploads, arch), server)
+        got = aggregate_uploads(batch_of(uploads, server), server)
         want = aggregate(uploads, server)
         for name, t in want.tensors.items():
             assert got.tensors[name].tobytes() == t.tobytes(), name
 
-    def test_non_shared_rows_rejected_naming_a_client(self):
+    def test_frozen_group_adapters_rejected(self):
+        # rows laid out as the cohort of a server that shares the group
+        # adapters, aggregated into one whose group 1 adapter is frozen
         _, arch = make_world()
         ps = make_server(arch, seed=0)
         ups = []
         for uid, g in ((4, 0), (7, 1)):
             client = ClientState(uid, np.zeros(2, dtype=np.int64), {"ua0": g}, {}, {})
             ups.append(Upload(uid, {n: ps.tensors[n] for n in upload_names(ps, client)}, 3, client.groups))
-        # rows that also hold the user adapter, which fedpa keeps private
-        adapter = {n: ps.tensors[n] for n in tensor_names(ps, "adapter/user/*")}
-        user = [Upload(u.uid, {**u.tensors, **adapter}, 3, u.groups) for u in ups]
-        with pytest.raises(FederationError, match="client 4 .*'adapter/user/0/A'"):
-            aggregate_uploads(batch_of(user, arch), ps)
-        # group 1's adapter frozen: only its member's row is at fault
-        frozen = "adapter/group/ua0/1/0/A"
-        server = ParamSet(arch, ps.tensors, {**ps.tags, frozen: FROZEN})
-        with pytest.raises(FederationError, match=f"client 7 .*'{frozen}'"):
-            aggregate_uploads(batch_of(ups, arch), server)
+        server = ParamSet(arch, ps.tensors, {**ps.tags, "adapter/group/ua0/1/0/A": FROZEN})
+        with pytest.raises(FederationError, match="group adapters of 'ua0' carry different or frozen partition tags"):
+            aggregate_uploads(batch_of(ups, ps), server)
+
+    def test_rows_not_of_the_server_cohort_rejected(self):
+        _, arch = make_world()
+        ps = make_server(arch, seed=0)
+        batch = batch_of([Upload(0, {}, 4, {}), Upload(1, {}, 4, {})], ps)
+        with pytest.raises(FederationError, match=r"are not 2 rows of \d+ scalars"):
+            aggregate_uploads(replace(batch, shared=batch.shared[:, 1:]), ps)
+        with pytest.raises(FederationError, match=r"are not 2 rows of \d+ scalars"):
+            aggregate_uploads(replace(batch, shared=batch.shared[:1]), ps)
 
 
 def eval_fixture():

@@ -18,10 +18,12 @@ from fedrec.model import (
     GATE_LEARNED,
     GATE_NONE,
     GATE_UNIFORM,
+    SHARED,
     TAGS,
     Arch,
     ShapeError,
     backward_batch,
+    cohort_mean,
     cohort_of,
     count_params,
     init_params,
@@ -139,6 +141,32 @@ class TestNamedCohort:
                 rows = [t] if tag == FROZEN else list(t)
                 assert all(r.tobytes() == ps.tensors[name].tobytes() for r in rows), name
         assert np.array_equal(_draw_order(cohort.layout), draw_order_reference(lay, arch))
+
+
+class TestCohortMean:
+    """`cohort_mean` is `cohort_of`'s inverse for the shared tensors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(ps=archs(), data=st.data())
+    def test_inverts_cohort_of_one_row_per_group(self, ps, data):
+        # rows of another model's cohort, one per group present; at most two
+        # rows, whose mean of equal values is exact in the common range too
+        arch, lay = ps.arch, ps.layout
+        other = randomized_params(ps, data.draw(st.integers(0, 2**16), label="other seed"))
+        n = data.draw(st.integers(1, min([2, *arch.group_cards().values()])), label="rows")
+        columns = [data.draw(st.permutations(range(card)), label=attr)[:n] for attr, card in arch.group_cards().items()]
+        groups = np.array(columns, dtype=np.intp).T.reshape(n, len(columns))
+        out = cohort_mean(ps, groups, cohort_of(other, groups).flat[SHARED])
+        absent = {
+            name
+            for attr, segments in lay.groups.items()
+            for g, names in enumerate(segments)
+            if g not in groups[:, arch.group_attrs.index(attr)]
+            for name in names
+        }
+        for name, tag in ps.tags.items():
+            want = other if tag == SHARED and name not in absent else ps
+            assert out.tensors[name].tobytes() == want.tensors[name].tobytes(), name
 
 
 def snapshot(ps):
