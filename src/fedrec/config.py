@@ -1,16 +1,28 @@
 """Flat key-value experiment config files with dotted sections.
 
 Format: one `section.key = value` per line; `#` starts a comment; a value is
-a plain string, a comma-separated list, an int, a float or a boolean, as its
-key's kind in `experiment.KEYS` says. Chosen for diff-ability in experiment logs.
+a plain string, a comma-separated list, an int, a float or a boolean, as the
+kind its `setting` declares says. Chosen for diff-ability in experiment logs.
 """
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import MISSING, field
+from typing import Dict, Optional
 
 
 class ConfigError(ValueError):
     pass
+
+
+def setting(key: Optional[str], kind, bound=None, default=MISSING):
+    """A dataclass field that config key `key` sets (None for a SynthConfig
+    field, whose key is `synth.<field>`); `experiment.KEYS` is read off these
+    fields. The value is read as `kind` (see parse_value) and must lie in
+    `bound`, or each of its elements must when `kind` is a list kind such as
+    (int,). A bound is an interval written as a string such as "(0, 1]", or a
+    tuple of the allowed values; a str key without one is a path or a
+    free-form name. A field without `default` must be given."""
+    return field(default=default, metadata={"key": key, "kind": kind, "bound": bound})
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Tuple
 
-from .config import ConfigError, parse_value
+from .config import ConfigError, parse_value, setting
 from .data import (
     DataError,
     Dataset,
@@ -64,60 +64,6 @@ ARMS = {
     "no_gate_uniform": ({"gate_mode": GATE_UNIFORM}, FEDPA_RULES, True),
 }
 
-# Config-file key -> (field, kind, bound). A `synth.` key sets that field of
-# `cfg.synth`, every other key that field of ExperimentConfig. The value is read
-# as `kind` (see config.parse_value) and must lie in the bound, or each of its
-# elements must when `kind` is a list kind such as (int,). A bound is an
-# interval written as a string such as "(0, 1]", or a tuple of the allowed
-# values; a str key without one is a path or a free-form name. `fedrec synth`
-# finished within 5 s and 0.5 GB at 100,000 users and 100,000 items (2-vCPU Xeon).
-KEYS = {
-    "data.source": ("source", str, ("synth", "files")),
-    "data.users": ("users_path", str, None),
-    "data.items": ("items_path", str, None),
-    "data.interactions": ("interactions_path", str, None),
-    "synth.n_users": ("n_users", int, "[2, 100000]"),
-    "synth.n_items": ("n_items", int, "[1, 100000]"),
-    "synth.user_attrs": ("user_attrs", (int,), "[1, inf)"),
-    "synth.item_attrs": ("item_attrs", (int,), "[1, inf)"),
-    "synth.beta": ("beta", float, "[0, 1]"),
-    "synth.interactions_per_user": ("interactions_per_user", int, "[1, inf)"),
-    "synth.base": ("base", float, "(-inf, inf)"),
-    "synth.pref_spread": ("pref_spread", float, "[0, inf)"),
-    "split.pretrain_fraction": ("pretrain_fraction", float, "(0, 1)"),
-    "neg.ratio": ("neg_ratio", int, "[0, inf)"),
-    "group.attrs": ("group_attrs", (str,), None),
-    "arch.embed_dim": ("embed_dim", int, "[1, inf)"),
-    "arch.mlp_hidden": ("mlp_hidden", (int,), "[1, inf)"),
-    "arch.adapter_rank": ("adapter_rank", int, "[1, inf)"),
-    "arch.gate_hidden": ("gate_hidden", int, "[1, inf)"),
-    "arch.adapter_layers": ("adapter_layers", str, ADAPTER_LAYERS),
-    "pretrain.epochs": ("pre_epochs", int, "[0, inf)"),
-    "pretrain.lr": ("pre_lr", float, "(0, inf)"),
-    "pretrain.batch": ("pre_batch", int, "[1, inf)"),
-    "fed.arm": ("arm", str, tuple(ARMS)),
-    "fed.init": ("fed_init", str, None),
-    "fed.rounds": ("rounds", int, "[0, inf)"),
-    "fed.fraction": ("client_fraction", float, "(0, 1]"),
-    "fed.local_epochs": ("local_epochs", int, "[0, inf)"),
-    "fed.lr": ("fed_lr", float, "(0, inf)"),
-    "fed.batch": ("fed_batch", int, "[1, inf)"),
-    "fed.eval_every": ("eval_every", int, "[1, inf)"),
-    "ldp.enabled": ("ldp_enabled", bool, None),
-    "ldp.intensity": ("ldp_intensity", float, "[0, inf)"),
-    "distill.teacher": ("distill_teacher", str, None),
-    "distill.embed_dim": ("distill_embed_dim", int, "[1, inf)"),
-    "distill.mlp_hidden": ("distill_mlp_hidden", (int,), "[1, inf)"),
-    "distill.epochs": ("distill_epochs", int, "[0, inf)"),
-    "distill.lr": ("distill_lr", float, "(0, inf)"),
-    "distill.batch": ("distill_batch", int, "[1, inf)"),
-    "distill.alpha": ("distill_alpha", float, "[0, 1]"),
-    "eval.checkpoint": ("eval_checkpoint", str, None),
-    "ablate.arms": ("ablate_arms", (str,), tuple(ARMS)),
-    "seed": ("seed", int, "[0, inf)"),
-    "out": ("out_dir", str, None),
-}
-
 
 def _inside(value, interval: str) -> bool:
     """Whether `value` lies in an interval written like "(0, 1]"; NaN never does."""
@@ -129,51 +75,44 @@ def _inside(value, interval: str) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    # data
-    source: str = "synth"  # "synth" | "files"
-    users_path: Optional[str] = None
-    items_path: Optional[str] = None
-    interactions_path: Optional[str] = None
+    source: str = setting("data.source", str, ("synth", "files"), "synth")
+    users_path: Optional[str] = setting("data.users", str, None, None)
+    items_path: Optional[str] = setting("data.items", str, None, None)
+    interactions_path: Optional[str] = setting("data.interactions", str, None, None)
     synth: SynthConfig = SynthConfig(n_users=200, n_items=100, user_attrs=(4, 3), item_attrs=(50, 10))
-    pretrain_fraction: float = 0.5
-    neg_ratio: int = 4
-    group_attrs: Tuple[str, ...] = ("ua0", "ua1")
-    # architecture
-    embed_dim: int = 8
-    mlp_hidden: Tuple[int, ...] = (32, 8)
-    adapter_rank: int = 2
-    gate_hidden: int = 8
-    adapter_layers: str = "all"
-    # pretraining
-    pre_epochs: int = 20
-    pre_lr: float = 0.3
-    pre_batch: int = 64
-    # federation
-    arm: str = "fedpa"
-    fed_init: Optional[str] = None  # checkpoint to warm-start from instead of pretraining
-    rounds: int = 20
-    client_fraction: float = 1.0
-    local_epochs: int = 2
-    fed_lr: float = 0.05
-    fed_batch: int = 32
-    eval_every: int = 1
-    # privacy
-    ldp_enabled: bool = False
-    ldp_intensity: float = 0.0
-    # distillation; the student's embed_dim and mlp_hidden have no default
-    distill_teacher: Optional[str] = None  # checkpoint; None pretrains a teacher
-    distill_embed_dim: Optional[int] = None
-    distill_mlp_hidden: Optional[Tuple[int, ...]] = None
-    distill_epochs: int = DistillConfig.epochs
-    distill_lr: float = DistillConfig.lr
-    distill_batch: int = DistillConfig.batch_size
-    distill_alpha: float = DistillConfig.alpha
-    # evaluation and ablation
-    eval_checkpoint: Optional[str] = None
-    ablate_arms: Tuple[str, ...] = tuple(ARMS)[:4]
-    # bookkeeping
-    seed: int = 0
-    out_dir: str = "."
+    pretrain_fraction: float = setting("split.pretrain_fraction", float, "(0, 1)", 0.5)
+    neg_ratio: int = setting("neg.ratio", int, "[0, inf)", 4)
+    group_attrs: Tuple[str, ...] = setting("group.attrs", (str,), None, ("ua0", "ua1"))
+    embed_dim: int = setting("arch.embed_dim", int, "[1, inf)", 8)
+    mlp_hidden: Tuple[int, ...] = setting("arch.mlp_hidden", (int,), "[1, inf)", (32, 8))
+    adapter_rank: int = setting("arch.adapter_rank", int, "[1, inf)", 2)
+    gate_hidden: int = setting("arch.gate_hidden", int, "[1, inf)", 8)
+    adapter_layers: str = setting("arch.adapter_layers", str, ADAPTER_LAYERS, "all")
+    pre_epochs: int = setting("pretrain.epochs", int, "[0, inf)", 20)
+    pre_lr: float = setting("pretrain.lr", float, "(0, inf)", 0.3)
+    pre_batch: int = setting("pretrain.batch", int, "[1, inf)", 64)
+    arm: str = setting("fed.arm", str, tuple(ARMS), "fedpa")
+    fed_init: Optional[str] = setting("fed.init", str, None, None)  # checkpoint to warm-start from; None pretrains
+    rounds: int = setting("fed.rounds", int, "[0, inf)", 20)
+    client_fraction: float = setting("fed.fraction", float, "(0, 1]", 1.0)
+    local_epochs: int = setting("fed.local_epochs", int, "[0, inf)", 2)
+    fed_lr: float = setting("fed.lr", float, "(0, inf)", 0.05)
+    fed_batch: int = setting("fed.batch", int, "[1, inf)", 32)
+    eval_every: int = setting("fed.eval_every", int, "[1, inf)", 1)
+    ldp_enabled: bool = setting("ldp.enabled", bool, None, False)
+    ldp_intensity: float = setting("ldp.intensity", float, "[0, inf)", 0.0)
+    distill_teacher: Optional[str] = setting("distill.teacher", str, None, None)  # checkpoint; None pretrains a teacher
+    # the student's embed_dim and mlp_hidden have no default
+    distill_embed_dim: Optional[int] = setting("distill.embed_dim", int, "[1, inf)", None)
+    distill_mlp_hidden: Optional[Tuple[int, ...]] = setting("distill.mlp_hidden", (int,), "[1, inf)", None)
+    distill_epochs: int = setting("distill.epochs", int, "[0, inf)", DistillConfig.epochs)
+    distill_lr: float = setting("distill.lr", float, "(0, inf)", DistillConfig.lr)
+    distill_batch: int = setting("distill.batch", int, "[1, inf)", DistillConfig.batch_size)
+    distill_alpha: float = setting("distill.alpha", float, "[0, 1]", DistillConfig.alpha)
+    eval_checkpoint: Optional[str] = setting("eval.checkpoint", str, None, None)
+    ablate_arms: Tuple[str, ...] = setting("ablate.arms", (str,), tuple(ARMS), tuple(ARMS)[:4])
+    seed: int = setting("seed", int, "[0, inf)", 0)
+    out_dir: str = setting("out", str, None, ".")
 
     def __post_init__(self):
         # every bound is checked here, so a config built in code is held to
@@ -197,9 +136,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: Dict[str, str]) -> "ExperimentConfig":
         """Config from parsed `key = value` pairs: each key must be in KEYS, and
-        its value is read as the row's kind (and checked against its bound
+        its value is read as its field's kind (and checked against its bound
         when the config is constructed)."""
-        fields: Dict[str, object] = {}
+        values: Dict[str, object] = {}
         synth: Dict[str, object] = {}
         for key, text in raw.items():
             if key not in KEYS:
@@ -207,8 +146,8 @@ class ExperimentConfig:
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise ConfigError(f"unknown config key {key!r}{hint}")
             name, kind, _ = KEYS[key]
-            (synth if key.startswith("synth.") else fields)[name] = parse_value(key, text, kind)
-        return cls(**fields, synth=replace(cls.synth, **synth))
+            (synth if key.startswith("synth.") else values)[name] = parse_value(key, text, kind)
+        return cls(**values, synth=replace(cls.synth, **synth))
 
     def require(self, key: str):
         """The value of config key `key`, which has no default."""
@@ -222,6 +161,16 @@ class ExperimentConfig:
             self.require("distill.embed_dim"), self.require("distill.mlp_hidden"), epochs=self.distill_epochs,
             lr=self.distill_lr, batch_size=self.distill_batch, alpha=self.distill_alpha, seed=self.seed,
         )
+
+
+# Config key -> (field, kind, bound) of each `setting` field in field order,
+# SynthConfig's in the place of `synth`. A `synth.` key sets that field of
+# `cfg.synth`, every other key that field of ExperimentConfig.
+KEYS = {
+    g.metadata["key"] or f"synth.{g.name}": (g.name, g.metadata["kind"], g.metadata["bound"])
+    for f in fields(ExperimentConfig)
+    for g in (fields(SynthConfig) if f.name == "synth" else (f,))
+}
 
 
 def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -283,6 +232,7 @@ def run_arm(
     warm-started arm pretrains its base model unless given `pretrained`."""
     _, rules, warm = ARMS[arm]
     arch = build_arch(cfg, dataset, arm)
+    arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)  # first: a split with no client fails at once
     if warm:
         if pretrained is None:
             pretrained, _ = pretrain_base(cfg, dataset)
@@ -290,8 +240,6 @@ def run_arm(
     else:
         ps = init_params(arch, [cfg.seed, 21])
     ps = partition(ps, rules)
-
-    arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)
     server, reports = run_federated(ps, arrays, cfg)
     ev = evaluate_global(server, arrays, "test")
     uploaded = next((rep.uploaded_per_client for rep in reports if rep.uploaded_per_client), 0)

@@ -682,8 +682,7 @@ class _LayerCache:
     V: List[np.ndarray]                # branch outputs, common first
     T: Sequence[np.ndarray] = ()       # adapter bottlenecks
     G: Optional[np.ndarray] = None     # branch weights (..., n, B)
-    Z1: Optional[np.ndarray] = None    # gate hidden pre-activation (..., n, h)
-    S: Optional[np.ndarray] = None     # relu(Z1)
+    S: Optional[np.ndarray] = None     # gate hidden activation relu(X @ W1.T) (..., n, h)
 
     @property
     def gated(self) -> bool:
@@ -710,8 +709,7 @@ def _layer_branches(lp: _LayerPlan, X: np.ndarray):
     n_branches = len(cache.V)
     if lp.gate is not None:
         (W1, _), (W2, _) = lp.gate
-        cache.Z1 = X @ W1.mT
-        cache.S = _relu(cache.Z1)
+        cache.S = _relu(X @ W1.mT)
         cache.G = _softmax(cache.S @ W2.mT)
     elif lp.gate_mode == GATE_UNIFORM:
         cache.G = np.full(X.shape[:-1] + (n_branches,), 1.0 / n_branches)
@@ -841,7 +839,7 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray, valid: Optional[np.n
                 dA = G * (dG - _row_sum(G * dG)[..., None])
                 if gW2 is not None:
                     np.matmul(dA.mT, c.S, out=gW2)
-                dZ1 = (dA @ W2) * (c.Z1 > 0)
+                dZ1 = (dA @ W2) * (c.S > 0)  # relu(z) > 0 exactly where z > 0
                 if gW1 is not None:
                     np.matmul(dZ1.mT, X, out=gW1)
                 terms.append((dZ1, W1))

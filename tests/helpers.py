@@ -538,7 +538,7 @@ def backward_full_width(cache, labels, valid=None):
                 dA = G * (dG - np.add.reduce(G * dG, axis=-1)[..., None])
                 if gW2 is not None:
                     np.matmul(dA.mT, c.S, out=gW2)
-                dZ1 = (dA @ W2) * (c.Z1 > 0)
+                dZ1 = (dA @ W2) * (c.S > 0)
                 if gW1 is not None:
                     np.matmul(dZ1.mT, X, out=gW1)
                 dX += dZ1 @ W1
@@ -742,6 +742,14 @@ def dataset_of(user_schema, item_schema, users, items, rows):
 def with_split(ds, tag):
     """`ds` with every row in split `tag`."""
     return replace(ds, split=np.full(len(ds), SPLITS.index(tag), dtype=np.int8))
+
+
+def attribute_rows_reference(records, width, ids):
+    """Per-call oracle for Dataset.user_attrs / item_attrs: the sorted ids
+    and the whole attribute table rebuilt, then one lookup in the ids."""
+    keys = np.array(sorted(records), dtype=np.int64)
+    table = np.array([records[k] for k in keys.tolist()], dtype=np.int64).reshape(len(keys), width)
+    return table[np.searchsorted(keys, ids)]
 
 
 def attribute_draws_reference(rng, cards, n):

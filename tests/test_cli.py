@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedrec import cli
+from fedrec import cli, experiment, federation
 from fedrec.cli import main
 from fedrec.config import ConfigError, parse_config_text, parse_value
 from fedrec.experiment import ARMS, KEYS, ExperimentConfig, build_arch, prepare_dataset
@@ -354,8 +354,15 @@ class TestTrainingKeyBounds:
         err = capsys.readouterr().err
         assert err == f"error: config key 'group.attrs': {why}\n"
 
-    def test_no_federated_client_names_the_minimum(self, tmp_path, capsys):
-        # 3 interactions per user: the 6:2:2 split drops every federated user
+    def test_no_federated_client_names_the_minimum(self, tmp_path, capsys, monkeypatch):
+        # 3 interactions per user: the 6:2:2 split drops every federated user.
+        # The clients are built before the base model is pretrained, so the
+        # run fails without entering pretraining.
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("pretraining entered")
+
+        monkeypatch.setattr(experiment, "pretrain", no_pretrain)
+        monkeypatch.setattr(federation, "pretrain", no_pretrain)
         cfg = write_cfg_setting(tmp_path, "synth.interactions_per_user", 3)
         assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
         err = capsys.readouterr().err

@@ -33,8 +33,10 @@ from fedrec.data import (
 )
 from fedrec.federation import build_clients
 from fedrec.model import Arch
+from fedrec import data as data_module
 from helpers import (
     attribute_draws_reference,
+    attribute_rows_reference,
     client_objects,
     dataset_of,
     sample_negatives_of,
@@ -490,6 +492,45 @@ class TestArrayPassesEqualScalarOracles:
         assert got.users == want.users and got.items == want.items
         for name in ("user", "item", "ts", "label"):
             assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_attribute_lookup_is_the_per_call_table(self, data):
+        def side(what):
+            width = data.draw(st.integers(1, 3), label=f"{what} width")
+            ids = data.draw(st.lists(st.integers(INT64.min, INT64.max), max_size=8, unique=True))
+            records = {i: tuple(data.draw(st.lists(st.integers(0, 9), min_size=width, max_size=width))) for i in ids}
+            asked = st.lists(st.sampled_from(ids), max_size=10) if ids else st.just([])
+            return (AttributeSchema(tuple(f"{what}{j}" for j in range(width)), (10,) * width), records,
+                    data.draw(asked, label=f"{what}s asked"))
+
+        (su, users, uids), (si, items, iids) = side("u"), side("i")
+        ds = Dataset(su, si, users, items, [], [], [], [])
+        for _ in range(2):  # the second call reads the table the first built
+            got = ds.user_attrs(np.array(uids, dtype=np.int64))
+            want = attribute_rows_reference(users, len(su), np.array(uids, dtype=np.int64))
+            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+            got = ds.item_attrs(np.array(iids, dtype=np.int64))
+            want = attribute_rows_reference(items, len(si), np.array(iids, dtype=np.int64))
+            assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
+
+    def test_attribute_tables_are_built_once(self, monkeypatch):
+        built = []
+        build = data_module._attribute_lookup
+
+        def counted(records, width):
+            built.append(width)
+            return build(records, width)
+
+        monkeypatch.setattr(data_module, "_attribute_lookup", counted)
+        ds = ten_user_dataset()
+        for _ in range(3):
+            assert ds.user_attrs(np.array([3, 0])).tolist() == [list(ds.users[3]), list(ds.users[0])]
+            assert ds.item_attrs(np.array([0])).tolist() == [list(ds.items[0])]
+        assert built == [len(ds.user_schema), len(ds.item_schema)]
+        # a dataset cut to some rows keeps the records, and builds its own tables
+        ds.rows(np.arange(2)).user_attrs(np.array([1]))
+        assert built == [len(ds.user_schema), len(ds.item_schema), len(ds.user_schema)]
 
     @pytest.mark.parametrize("card, records, bad", [
         (2**63, {0: (5,), 1: (2**63,)}, 1),

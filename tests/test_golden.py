@@ -11,13 +11,18 @@ columns; they pin the columnar split, synthesis and example assembly to the
 same rows, arrays and negative samples.
 
 The training values were recorded with numpy 2.4's bundled OpenBLAS 0.3.31
-on x86-64, running its SkylakeX kernel core. That library picks its kernel
-core when it loads. Its Haswell or Sandybridge kernels, which a host
-without AVX-512 or OPENBLAS_CORETYPE=Haswell selects, change the last bits
-of some matrix products, and all six training tests below fail under them.
-The prepared-dataset digests involve no matrix product and hold. Another
-BLAS build may change the training values too. Each training check names
-the core it ran on when it fails.
+on x86-64. That library picks its kernel core when it loads, from the CPU
+or from OPENBLAS_CORETYPE, and its SkylakeX, Haswell and Sandybridge cores
+differ in the last bits of some matrix products. So the losses and tensor
+digests of the six training tests are recorded once per core, all three
+from one commit whose SkylakeX values are the ones recorded before, and
+each run checks the set of the core it loaded. A core with no recorded set
+fails its training checks and names the core. The validation metrics and
+summaries read the same on all three cores and are recorded once. The
+prepared-dataset digests involve no matrix product and hold on every core.
+Another BLAS build may change the training values too. A code change that
+moves a value must move it on every core: `tools/golden_cores.py` runs
+these tests under each of the three cores.
 """
 import ctypes
 import glob
@@ -59,8 +64,17 @@ def kernel_core():
     return "unknown"
 
 
-# the message of every check whose values depend on the BLAS kernels
-CORE = f"recorded on OpenBLAS's SkylakeX kernel core; this run used {kernel_core()}"
+CORE = kernel_core()
+# the message of every training check
+ON = f"on OpenBLAS kernel core {CORE}"
+
+
+def recorded(name):
+    """The training value `name` recorded on this run's kernel core."""
+    if CORE not in BY_CORE:
+        pytest.fail(f"no golden training values recorded for OpenBLAS kernel core {CORE}; "
+                    f"recorded: {', '.join(BY_CORE)}")
+    return BY_CORE[CORE][name]
 
 
 def digest(tensors):
@@ -163,8 +177,8 @@ def base_world():
 
 def test_pretrain_golden():
     _, ps, losses = base_world()
-    assert losses == PRETRAIN_LOSSES, CORE
-    assert digest(ps.tensors) == PRETRAIN_DIGEST, CORE
+    assert losses == recorded("pretrain_losses"), ON
+    assert digest(ps.tensors) == recorded("pretrain"), ON
 
 
 def test_distill_golden():
@@ -172,8 +186,8 @@ def test_distill_golden():
     UA, VA, y = pretrain_examples(ds, 1)
     cfg = DistillConfig(embed_dim=4, mlp_hidden=(8,), epochs=3, lr=0.3, batch_size=32)
     student, history = distill(teacher, UA, VA, y, cfg)
-    assert history.train_loss == DISTILL_LOSSES, CORE
-    assert digest(student.tensors) == DISTILL_DIGEST, CORE
+    assert history.train_loss == recorded("distill_losses"), ON
+    assert digest(student.tensors) == recorded("distill"), ON
 
 
 def test_fedpa_cohort_rounds_golden(tmp_path):
@@ -181,9 +195,9 @@ def test_fedpa_cohort_rounds_golden(tmp_path):
     ps, clients = world(ragged_cfg(tmp_path))
     for r in range(2):
         ps = aggregate_uploads(train_cohort(clients, ps, FED, r), ps)
-    assert digest(ps.tensors) == FEDPA_SERVER_DIGEST, CORE
+    assert digest(ps.tensors) == recorded("fedpa_server"), ON
     private = {f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}
-    assert digest(private) == FEDPA_PRIVATE_DIGEST, CORE
+    assert digest(private) == recorded("fedpa_private"), ON
 
 
 def test_fedpa_ldp_eval_golden(tmp_path):
@@ -192,13 +206,13 @@ def test_fedpa_ldp_eval_golden(tmp_path):
     ps, arrays, _ = world_arrays(ragged_cfg(tmp_path))
     cfg = replace(FED, rounds=3, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
     server, reports = run_federated(ps, arrays, cfg)
-    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS, CORE
-    assert digest(server.tensors) == LDP_SERVER_DIGEST, CORE
-    assert evaluate_global(server, arrays, "test") == LDP_TEST_SUMMARY, CORE
+    assert digest(server.tensors) == recorded("ldp_server"), ON
+    assert [(r.val_auc, r.val_precision) for r in reports] == LDP_VAL_METRICS, ON
+    assert evaluate_global(server, arrays, "test") == LDP_TEST_SUMMARY, ON
     # no score passes the 0.5 threshold above; a lifted output bias puts
     # about half the clients' precision in range
     lifted = server.with_tensors({"mlp/1/b": server.tensors["mlp/1/b"] + 0.3})
-    assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY, CORE
+    assert evaluate_global(lifted, arrays, "train") == LDP_LIFTED_TRAIN_SUMMARY, ON
 
 
 @pytest.mark.parametrize("arm", ["fedpa", "no_adapter"])
@@ -209,44 +223,73 @@ def test_partial_participation_ldp_golden(tmp_path, arm):
     ps, arrays, ds = world_arrays(ragged_cfg(tmp_path), arm)
     cfg = replace(FED, rounds=3, client_fraction=0.4, eval_every=1, ldp_enabled=True, ldp_intensity=0.2)
     server, reports = run_federated(ps, arrays, cfg)
-    want_reports, want_server, want_private = PARTIAL_GOLDEN[arm]
+    want_server, want_private = recorded(f"partial_{arm}")
     assert [
         (r.round, r.n_participants, r.uploaded_per_client, r.val_auc, r.val_precision, r.skipped)
         for r in reports
-    ] == want_reports, CORE
-    assert digest(server.tensors) == want_server, CORE
+    ] == PARTIAL_REPORTS[arm], ON
+    assert digest(server.tensors) == want_server, ON
     clients = client_objects(arrays, ps.arch, ds)
-    assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private, CORE
+    assert digest({f"{c.uid}/{n}": t for c in clients for n, t in c.private.items()}) == want_private, ON
 
 
-PRETRAIN_LOSSES = [0.7058724290246511, 0.6832571777896967, 0.6692057217700406, 0.6567113062756279]
-PRETRAIN_DIGEST = "0e6d9efb36d52f1486b2bfed7c2e59ded855486ad2a4662b3c089c7c5fd5fd6d"
-DISTILL_LOSSES = [0.706158900452155, 0.6707082257580533, 0.6611393982414562]
-DISTILL_DIGEST = "08085ceea5984530c593651b08dbec1d5525654c69c8221acf1cb2af10582ddc"
-FEDPA_SERVER_DIGEST = "1a7d0b8d8f34858a7f6edeb3c7561e1392f716af3f5ae98f537c3e498990695f"
-FEDPA_PRIVATE_DIGEST = "8a5c5710921dd6d348f75c19ad4cb8c569de900d828050d9a9cf8c38f03090b9"
+# The training losses and digests of each OpenBLAS kernel core. A
+# `partial_<arm>` entry is (server digest, private digest); no_adapter has
+# no private tensors, and its private digest is the digest of nothing.
+BY_CORE = {
+    "SkylakeX": {
+        "pretrain_losses": [0.7058724290246511, 0.6832571777896967, 0.6692057217700406, 0.6567113062756279],
+        "pretrain": "0e6d9efb36d52f1486b2bfed7c2e59ded855486ad2a4662b3c089c7c5fd5fd6d",
+        "distill_losses": [0.706158900452155, 0.6707082257580533, 0.6611393982414562],
+        "distill": "08085ceea5984530c593651b08dbec1d5525654c69c8221acf1cb2af10582ddc",
+        "fedpa_server": "1a7d0b8d8f34858a7f6edeb3c7561e1392f716af3f5ae98f537c3e498990695f",
+        "fedpa_private": "8a5c5710921dd6d348f75c19ad4cb8c569de900d828050d9a9cf8c38f03090b9",
+        "ldp_server": "14f983d71f4c21598c2f31e6e04fad8131a98d6b33c3ff6667e9c7674508ade4",
+        "partial_fedpa": ("cde9c3cc26ea25f4f473bde1563c982f15aa853838cc6f243891d1fad82cfb13",
+                          "8d76739cd5efa57ab0ee4a3467e7aa1c028ce1c2efb0455120ff2287dae8784f"),
+        "partial_no_adapter": ("9130ae4b7e921736d0f08a7b9415c00330e2574d817ed4cd118546a90dd05295",
+                               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "Haswell": {
+        "pretrain_losses": [0.7058724290246511, 0.6832571777896967, 0.6692057217700405, 0.6567113062756279],
+        "pretrain": "b191cb0f4ba3323f06f9aa32311f6db92aeea8cbbdc479adcfee3966ecd82270",
+        "distill_losses": [0.706158900452155, 0.6707082257580533, 0.6611393982414562],
+        "distill": "1e6e72913cc2e0983529a9c2596d09074111aeaaaf540ac90b061861c0bc7b60",
+        "fedpa_server": "1a7d0b8d8f34858a7f6edeb3c7561e1392f716af3f5ae98f537c3e498990695f",
+        "fedpa_private": "91e09c1bfce1bf817e90e423351381ae063657c35231e0c6274f37d9fdfcbbb1",
+        "ldp_server": "6f90478df0d330b71aab066d505dd9772a7f4a63a121a1e3d0c70180fa9c7d18",
+        "partial_fedpa": ("2bc4530e8380b46737ad41a52c66ca1a2e1dc44459f06ca947bf9e85fb44858e",
+                          "b1692a95eadbc4d9343a936df5b1e941afd2e7ea158d61517429c931d7e0a72b"),
+        "partial_no_adapter": ("da3ab541ded200cd3dddc9791076bdcf7150363bec3233c128217db244309158",
+                               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+    "Sandybridge": {
+        "pretrain_losses": [0.7058724290246511, 0.6832571777896967, 0.6692057217700406, 0.6567113062756279],
+        "pretrain": "289c03c1c04d25af62f06f194436eee498c9469cde0d5f9433e664416732ea21",
+        "distill_losses": [0.7061589004521551, 0.6707082257580533, 0.6611393982414562],
+        "distill": "75c10748d97b5bc3e5182a8feb6036c74d19afed6e8bc1d7e52851ef684b9864",
+        "fedpa_server": "dcdff24375986063c6b1625613807245d8e8352568eb309333eea437e4e2db13",
+        "fedpa_private": "daf6cbf634012efc7ca62482d2e3ada3e947270208c2255410209bb8319ceed0",
+        "ldp_server": "bebdbbfdf0e2ecdf8c4a78aaf9271860d8cca05639e1847d7b8497a9546ab820",
+        "partial_fedpa": ("e8f1088d4485911e29790c479d8b73e8e22fc74b7327fc821bdb0d34436d6566",
+                          "9d741bf77c7c990181d6893fa38eda758f18a1f025570c32d00cde3417f23227"),
+        "partial_no_adapter": ("e9d98cdfec11c613a971c8f3cfe1701c2399732f987cd1519c1574062739cbd8",
+                               "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    },
+}
+# the validation metrics and summaries, the same on every core above
 LDP_VAL_METRICS = [(0.6495726495726496, None)] * 3
-LDP_SERVER_DIGEST = "14f983d71f4c21598c2f31e6e04fad8131a98d6b33c3ff6667e9c7674508ade4"
 LDP_TEST_SUMMARY = EvalSummary(mean_auc=0.5238095238095238, mean_precision=None, n_clients=15,
                                n_auc_valid=7)
 LDP_LIFTED_TRAIN_SUMMARY = EvalSummary(mean_auc=0.4651917526917527, mean_precision=0.2738095238095238,
                                        n_clients=15, n_auc_valid=13)
-PARTIAL_GOLDEN = {
-    "fedpa": (
-        [(0, 6, 135, 0.641025641025641, None, False),
-         (1, 6, 135, 0.6196581196581197, None, False),
-         (2, 6, 135, 0.6495726495726496, None, False)],
-        "cde9c3cc26ea25f4f473bde1563c982f15aa853838cc6f243891d1fad82cfb13",
-        "8d76739cd5efa57ab0ee4a3467e7aa1c028ce1c2efb0455120ff2287dae8784f",
-    ),
-    "no_adapter": (
-        [(0, 6, 121, 0.6837606837606838, 0.3333333333333333, False),
-         (1, 6, 121, 0.5555555555555556, 0.32424242424242417, False),
-         (2, 6, 121, 0.5726495726495726, 0.4222222222222222, False)],
-        "9130ae4b7e921736d0f08a7b9415c00330e2574d817ed4cd118546a90dd05295",
-        # no private tensors: the digest of nothing
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ),
+PARTIAL_REPORTS = {
+    "fedpa": [(0, 6, 135, 0.641025641025641, None, False),
+              (1, 6, 135, 0.6196581196581197, None, False),
+              (2, 6, 135, 0.6495726495726496, None, False)],
+    "no_adapter": [(0, 6, 121, 0.6837606837606838, 0.3333333333333333, False),
+                   (1, 6, 121, 0.5555555555555556, 0.32424242424242417, False),
+                   (2, 6, 121, 0.5726495726495726, 0.4222222222222222, False)],
 }
 PREPARED_ROWS_DIGESTS = ["99a25774905442e8ffcb4ad3960bae0431e40e45550d768e9cef318e0611f9f3",
                          "8c5914b31b5a2075587e4d8b5625f100bda44ad78df8350a880136ac18a8412e"]

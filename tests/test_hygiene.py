@@ -360,7 +360,9 @@ def test_unused_symbol_check_flags_test_only_code(tmp_path):
 
 def record_fields(tree):
     """(class, field) for each field of a module's top-level dataclasses
-    and NamedTuples."""
+    and NamedTuples, except a config field that a `setting(...)` call
+    declares: KEYS reads it by name, as the config's checks and `require`
+    do."""
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -368,16 +370,17 @@ def record_fields(tree):
         bases = {ast.unparse(b) for b in cls.bases}
         if decorators & {"dataclass", "dataclasses.dataclass"} or bases & {"NamedTuple", "typing.NamedTuple"}:
             for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+                    continue
+                if not (isinstance(node.value, ast.Call) and ast.unparse(node.value.func) == "setting"):
                     yield cls.name, node.target.id
 
 
 def unread_fields(root=ROOT):
     """`file: Class.field` for every field of a src/fedrec dataclass or
     NamedTuple whose name no attribute and no string constant in src/ or
-    perfbench/ spells. A string counts because KEYS names the
-    ExperimentConfig fields its keys set; a keyword argument does not, so a
-    field only ever built is reported."""
+    perfbench/ spells. A string counts because a field may be read by name;
+    a keyword argument does not, so a field only ever built is reported."""
     files = [p for d in ("src", "perfbench") for p in sorted((root / d).rglob("*.py"))]
     spelled = set()
     for path in files:
@@ -401,13 +404,15 @@ def test_every_record_field_is_read():
 
 def test_unread_field_check_flags_build_only_fields(tmp_path):
     # a field only a constructor keyword sets, or only a test reads, is
-    # reported; one read as an attribute in perfbench/ or spelled in a
-    # string is not, and neither is an annotated name of a plain class
+    # reported; one read as an attribute in perfbench/, spelled in a string
+    # or declared by `setting` is not, and neither is an annotated name of a
+    # plain class
     for d in ("src/fedrec", "perfbench", "tests"):
         (tmp_path / d).mkdir(parents=True)
     (tmp_path / "src/fedrec/mod.py").write_text(
         "from dataclasses import dataclass\nfrom typing import NamedTuple\n\n\n"
-        "@dataclass(frozen=True)\nclass Summary:\n    mean: float\n    n_valid: int\n    n_seen: int = 0\n\n\n"
+        "@dataclass(frozen=True)\nclass Summary:\n    mean: float\n    n_valid: int\n    n_seen: int = 0\n"
+        "    label: str = setting('score.label', str)\n\n\n"
         "class Scores(NamedTuple):\n    auc: float\n    kept: bool\n\n\n"
         "class Plain:\n    note: str\n\n\n"
         "KEYS = {'score.kept': 'kept'}\n\n\n"

@@ -1,12 +1,14 @@
-"""Run the golden tests under each x86-64 kernel core of numpy's OpenBLAS.
+"""Run the kernel-dependent tests under each x86-64 kernel core of numpy's OpenBLAS.
 
 numpy's bundled OpenBLAS picks its kernel core when it loads, and
-OPENBLAS_CORETYPE overrides the pick. The training values in
-tests/test_golden.py were recorded on the SkylakeX core; this script shows
-whether they hold on the others. It runs tests/test_golden.py once under the
-default core and once under each override, one process at a time, and
-prints per run the core that loaded (read through ctypes, as the tests read
-it) and the pass and fail counts. It exits 0 only if every run passes.
+OPENBLAS_CORETYPE overrides the pick. tests/test_golden.py holds one set of
+training values per core; this script shows that each core's set holds, and
+that the properties comparing two paths on the same kernels (blocked
+inference, the layer-0 column cut, `_row_sum`) hold on every core. It runs
+those tests once under the default core and once under each override, one
+process at a time, and prints per run the core that loaded (read through
+ctypes, as the tests read it) and the pass and fail counts. It exits 0 only
+if every run passes.
 
     python tools/golden_cores.py
 """
@@ -17,12 +19,19 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OVERRIDES = (None, "Haswell", "Sandybridge")  # None: the core OpenBLAS picks itself
+TESTS = (
+    "tests/test_golden.py",
+    "tests/test_model.py::TestBlockedInference",
+    "tests/test_model.py::TestLayerZeroColumnCut",
+    "tests/test_model.py::TestColumnReductions::test_row_sum_is_numpys_add_reduce",
+    "tests/test_model.py::TestColumnReductions::test_row_of_negative_zeros_sums_to_positive_zero",
+)
 CORE = "import sys; sys.path[:0] = ['tests', 'src']; from test_golden import kernel_core; print(kernel_core())"
 
 
 def run(override):
-    """(core name, passed, failed, exit code) of one pytest run of the golden
-    tests with OPENBLAS_CORETYPE set to `override` (unset for None)."""
+    """(core name, passed, failed, exit code) of one pytest run of TESTS
+    with OPENBLAS_CORETYPE set to `override` (unset for None)."""
     env = dict(os.environ)
     env.pop("OPENBLAS_CORETYPE", None)
     if override:
@@ -30,7 +39,7 @@ def run(override):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
     core = subprocess.run([sys.executable, "-c", CORE], cwd=ROOT, env=env, capture_output=True, text=True)
     tests = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_golden.py"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *TESTS],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     summary = tests.stdout.strip().splitlines()[-1] if tests.stdout.strip() else ""
