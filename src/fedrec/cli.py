@@ -9,12 +9,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import ConfigError, load_config
-from .data import DataError, write_csv, write_dataset_csvs
+from .data import DataError, Dataset, write_csv, write_dataset_csvs
 from .distill import distill
 from .experiment import (
     ARMS,
@@ -50,6 +51,34 @@ def _write_losses(path: str, losses):
     write_csv(path, ["epoch", "loss"], ([e, f"{loss:.10f}"] for e, loss in enumerate(losses)))
 
 
+def _schemas(x) -> str:
+    """The user and item attributes of a Dataset or an Arch, with their cardinalities."""
+    return "; ".join(
+        f"{side} attributes " + ", ".join(f"{n}={c}" for n, c in zip(schema.names, schema.cards))
+        for side, schema in (("user", x.user_schema), ("item", x.item_schema))
+    )
+
+
+def _checkpoint(key: str, path: str, ds: Dataset) -> ParamSet:
+    """The checkpoint at `path`, which config key `key` names; it must have
+    been trained on the dataset's attribute schemas."""
+    ps = load_params(path)
+    if (ps.arch.user_schema, ps.arch.item_schema) != (ds.user_schema, ds.item_schema):
+        raise ConfigError(
+            f"config key {key!r}: checkpoint {path} has {_schemas(ps.arch)}, "
+            f"but the dataset has {_schemas(ds)}"
+        )
+    return ps
+
+
+def _fed_init(cfg: ExperimentConfig, ds: Dataset, arms_key: str, arms: Sequence[str]) -> Optional[ParamSet]:
+    """fed.init's checkpoint, from which the warm-started arms among `arms`
+    (config key `arms_key`) start; None when fed.init is unset or empty."""
+    if cfg.fed_init and not any(ARMS[arm][2] for arm in arms):
+        raise ConfigError(f"config key 'fed.init': no arm of {arms_key} = {', '.join(arms)} warm-starts")
+    return _checkpoint("fed.init", cfg.fed_init, ds) if cfg.fed_init else None
+
+
 def cmd_synth(args) -> int:
     cfg = _load(args)
     ds = build_raw_dataset(cfg)
@@ -73,14 +102,15 @@ def cmd_pretrain(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = _load(args)
-    dc = cfg.distill_config()
+    dc = replace(cfg.distill, embed_dim=cfg.require("distill.embed_dim"),
+                 mlp_hidden=cfg.require("distill.mlp_hidden"), seed=cfg.seed)
     ds, _ = prepare_dataset(cfg)
-    if cfg.distill_teacher:
-        teacher = load_params(cfg.distill_teacher)
+    if dc.teacher:
+        teacher = _checkpoint("distill.teacher", dc.teacher, ds)
     else:
         teacher, _ = pretrain_base(cfg, ds)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
-    student, history = distill(teacher, UA, VA, y if dc.alpha < 1.0 else None, dc)
+    student, history = distill(teacher, UA, VA, y, dc)
     out = os.path.join(cfg.out_dir, "student.npz")
     save_params(student, out)
     _write_losses(os.path.join(cfg.out_dir, "distill_loss.csv"), history.train_loss)
@@ -91,8 +121,7 @@ def cmd_distill(args) -> int:
 def cmd_federate(args) -> int:
     cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
-    pretrained = load_params(cfg.fed_init) if cfg.fed_init else None
-    result = run_arm(cfg, ds, cfg.arm, pretrained)
+    result = run_arm(cfg, ds, cfg.arm, _fed_init(cfg, ds, "fed.arm", (cfg.arm,)))
 
     rounds_path = os.path.join(cfg.out_dir, "rounds.jsonl")
     with open(rounds_path, "w") as fh:
@@ -123,9 +152,10 @@ def cmd_federate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
-    # one pretrained base model serves every warm-started arm
-    warm = any(ARMS[arm][2] for arm in cfg.ablate_arms)
-    pretrained = pretrain_base(cfg, ds)[0] if warm else None
+    # one base model, fed.init's or pretrained, serves every warm-started arm
+    pretrained = _fed_init(cfg, ds, "ablate.arms", cfg.ablate_arms)
+    if pretrained is None and any(ARMS[arm][2] for arm in cfg.ablate_arms):
+        pretrained = pretrain_base(cfg, ds)[0]
     rows = []
     for arm in cfg.ablate_arms:
         result = run_arm(cfg, ds, arm, pretrained)
@@ -143,10 +173,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load(args)
-    ps = load_params(cfg.require("eval.checkpoint"))
+    path = cfg.require("eval.checkpoint")
+    ds, _ = prepare_dataset(cfg)
+    ps = _checkpoint("eval.checkpoint", path, ds)
     # scoring reads no partition tag, so the checkpoint is lifted re-tagged all shared
     ps = ParamSet(ps.arch, ps.tensors)
-    ds, _ = prepare_dataset(cfg)
     UA, VA, y = pretrain_examples(ds, cfg.seed, cfg.neg_ratio)
     # a row is scored with the group adapters of its user's groups: the
     # rows of each combination of groups as one cohort of one

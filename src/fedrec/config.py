@@ -6,23 +6,50 @@ kind its `setting` declares says. Chosen for diff-ability in experiment logs.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, field
-from typing import Dict, Optional
+from dataclasses import MISSING, field, fields
+from typing import Dict
 
 
 class ConfigError(ValueError):
     pass
 
 
-def setting(key: Optional[str], kind, bound=None, default=MISSING):
-    """A dataclass field that config key `key` sets (None for a SynthConfig
-    field, whose key is `synth.<field>`); `experiment.KEYS` is read off these
-    fields. The value is read as `kind` (see parse_value) and must lie in
-    `bound`, or each of its elements must when `kind` is a list kind such as
-    (int,). A bound is an interval written as a string such as "(0, 1]", or a
-    tuple of the allowed values; a str key without one is a path or a
-    free-form name. A field without `default` must be given."""
+def setting(key: str, kind, bound=None, default=MISSING):
+    """A dataclass field that config key `key` sets; `experiment.KEYS` is
+    read off these fields. The value is read as `kind` (see parse_value) and
+    must lie in `bound`, or each of its elements must when `kind` is a list
+    kind such as (int,). A bound is an interval written as a string such as
+    "(0, 1]", or a tuple of the allowed values; a str key without one is a
+    path or a free-form name. A field without `default` must be given."""
     return field(default=default, metadata={"key": key, "kind": kind, "bound": bound})
+
+
+def _inside(value, interval: str) -> bool:
+    """Whether `value` lies in an interval written like "(0, 1]"; NaN never does."""
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = value > lo if interval[0] == "(" else value >= lo
+    below = value < hi if interval[-1] == ")" else value <= hi
+    return above and below
+
+
+def check_bounds(section):
+    """Raise ConfigError naming the key of the first `setting` field of the
+    dataclass `section` whose value (None: unset) lies outside its bound.
+    Each config dataclass calls it from __post_init__, so a config built in
+    code, or by dataclasses.replace, is held to the bounds as one loaded
+    from a file is."""
+    for f in fields(section):
+        value, bound = getattr(section, f.name), f.metadata.get("bound")
+        if bound is None or value is None:
+            continue
+        key = f.metadata["key"]
+        for x in value if isinstance(f.metadata["kind"], tuple) else (value,):
+            if isinstance(x, int) and not -(2**63) <= x < 2**63:  # numpy sizes and seeds are int64
+                raise ConfigError(f"config key {key!r}: {x} is outside the int64 range")
+            if isinstance(bound, tuple) and x not in bound:
+                raise ConfigError(f"config key {key!r}: {x!r} is not one of {', '.join(bound)}")
+            if isinstance(bound, str) and not _inside(x, bound):
+                raise ConfigError(f"config key {key!r}: {x} is outside {bound}")
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

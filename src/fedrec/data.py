@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import setting
+from .config import check_bounds, setting
 
 PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST = "pretrain", "fed-train", "fed-val", "fed-test"
 # A Dataset's split column holds indexes into SPLITS; 0 marks a row not yet
@@ -196,16 +196,19 @@ def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 class SynthConfig:
     # `fedrec synth` finished within 5 s and 0.5 GB at 100,000 users and
     # 100,000 items (2-vCPU Xeon)
-    n_users: int = setting(None, int, "[2, 100000]")
-    n_items: int = setting(None, int, "[1, 100000]")
-    user_attrs: Tuple[int, ...] = setting(None, (int,), "[1, inf)")
-    item_attrs: Tuple[int, ...] = setting(None, (int,), "[1, inf)")
-    beta: float = setting(None, float, "[0, 1]", 1.0)
-    interactions_per_user: int = setting(None, int, "[1, inf)", 30)
-    base: float = setting(None, float, "(-inf, inf)", 0.0)
+    n_users: int = setting("synth.n_users", int, "[2, 100000]")
+    n_items: int = setting("synth.n_items", int, "[1, 100000]")
+    user_attrs: Tuple[int, ...] = setting("synth.user_attrs", (int,), "[1, inf)")
+    item_attrs: Tuple[int, ...] = setting("synth.item_attrs", (int,), "[1, inf)")
+    beta: float = setting("synth.beta", float, "[0, 1]", 1.0)
+    interactions_per_user: int = setting("synth.interactions_per_user", int, "[1, inf)", 30)
+    base: float = setting("synth.base", float, "(-inf, inf)", 0.0)
     # Spread of the per-user deviation from the group taste (scale of the
     # per-user multiplier on the group/category affinity).
-    pref_spread: float = setting(None, float, "[0, inf)", 0.8)
+    pref_spread: float = setting("synth.pref_spread", float, "[0, inf)", 0.8)
+
+    def __post_init__(self):
+        check_bounds(self)
 
 
 def _not_utf8(path: str) -> DataError:
@@ -402,13 +405,9 @@ def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     uniform per drawn item. Each user draws min(interactions_per_user,
     n_items) distinct items; past n_items, it draws n_items with replacement.
     """
-    if config.n_users < 1 or config.n_items < 1:
-        raise DataError("synth config needs at least one user and one item")
     for name in ("user_attrs", "item_attrs"):
         if not getattr(config, name):
             raise DataError(f"synth.{name} is empty; users and items need at least one attribute each")
-    if not 0.0 <= config.beta <= 1.0:
-        raise DataError(f"beta {config.beta} outside [0, 1]")
     rng = np.random.default_rng(seed)
 
     user_schema = AttributeSchema(

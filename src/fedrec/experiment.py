@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .config import ConfigError, parse_value, setting
+from .config import ConfigError, check_bounds, parse_value, setting
 from .data import (
     DataError,
     Dataset,
@@ -65,14 +66,6 @@ ARMS = {
 }
 
 
-def _inside(value, interval: str) -> bool:
-    """Whether `value` lies in an interval written like "(0, 1]"; NaN never does."""
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    above = value > lo if interval[0] == "(" else value >= lo
-    below = value < hi if interval[-1] == ")" else value <= hi
-    return above and below
-
-
 @dataclass
 class ExperimentConfig:
     source: str = setting("data.source", str, ("synth", "files"), "synth")
@@ -101,33 +94,14 @@ class ExperimentConfig:
     eval_every: int = setting("fed.eval_every", int, "[1, inf)", 1)
     ldp_enabled: bool = setting("ldp.enabled", bool, None, False)
     ldp_intensity: float = setting("ldp.intensity", float, "[0, inf)", 0.0)
-    distill_teacher: Optional[str] = setting("distill.teacher", str, None, None)  # checkpoint; None pretrains a teacher
-    # the student's embed_dim and mlp_hidden have no default
-    distill_embed_dim: Optional[int] = setting("distill.embed_dim", int, "[1, inf)", None)
-    distill_mlp_hidden: Optional[Tuple[int, ...]] = setting("distill.mlp_hidden", (int,), "[1, inf)", None)
-    distill_epochs: int = setting("distill.epochs", int, "[0, inf)", DistillConfig.epochs)
-    distill_lr: float = setting("distill.lr", float, "(0, inf)", DistillConfig.lr)
-    distill_batch: int = setting("distill.batch", int, "[1, inf)", DistillConfig.batch_size)
-    distill_alpha: float = setting("distill.alpha", float, "[0, 1]", DistillConfig.alpha)
+    distill: DistillConfig = DistillConfig(None, None)  # `fedrec distill` sets its seed from `seed`
     eval_checkpoint: Optional[str] = setting("eval.checkpoint", str, None, None)
     ablate_arms: Tuple[str, ...] = setting("ablate.arms", (str,), tuple(ARMS), tuple(ARMS)[:4])
     seed: int = setting("seed", int, "[0, inf)", 0)
     out_dir: str = setting("out", str, None, ".")
 
     def __post_init__(self):
-        # every bound is checked here, so a config built in code is held to
-        # the bounds as one loaded from a file is
-        for key, (name, kind, bound) in KEYS.items():
-            value = getattr(self.synth if key.startswith("synth.") else self, name)
-            if bound is None or value is None:
-                continue
-            for x in value if isinstance(kind, tuple) else (value,):
-                if isinstance(x, int) and not -(2**63) <= x < 2**63:  # numpy sizes and seeds are int64
-                    raise ConfigError(f"config key {key!r}: {x} is outside the int64 range")
-                if isinstance(bound, tuple) and x not in bound:
-                    raise ConfigError(f"config key {key!r}: {x!r} is not one of {', '.join(bound)}")
-                if isinstance(bound, str) and not _inside(x, bound):
-                    raise ConfigError(f"config key {key!r}: {x} is outside {bound}")
+        check_bounds(self)  # `synth` and `distill` checked theirs when they were built
         if self.ldp_intensity > 0 and not self.ldp_enabled:
             raise ConfigError(
                 f"config key 'ldp.intensity': {self.ldp_intensity} has no effect with ldp.enabled = false"
@@ -137,39 +111,36 @@ class ExperimentConfig:
     def from_dict(cls, raw: Dict[str, str]) -> "ExperimentConfig":
         """Config from parsed `key = value` pairs: each key must be in KEYS, and
         its value is read as its field's kind (and checked against its bound
-        when the config is constructed)."""
+        when the section holding the field is constructed)."""
         values: Dict[str, object] = {}
-        synth: Dict[str, object] = {}
+        sections: Dict[str, Dict[str, object]] = {}  # section field -> the values of its fields
         for key, text in raw.items():
             if key not in KEYS:
                 close = difflib.get_close_matches(key, sorted(KEYS), n=1)
                 hint = f"; did you mean {close[0]!r}?" if close else ""
                 raise ConfigError(f"unknown config key {key!r}{hint}")
-            name, kind, _ = KEYS[key]
-            (synth if key.startswith("synth.") else values)[name] = parse_value(key, text, kind)
-        return cls(**values, synth=replace(cls.synth, **synth))
+            path, kind, _ = KEYS[key]
+            section, _, name = path.rpartition(".")
+            (sections.setdefault(section, {}) if section else values)[name] = parse_value(key, text, kind)
+        return cls(**values, **{name: replace(getattr(cls, name), **given) for name, given in sections.items()})
 
     def require(self, key: str):
         """The value of config key `key`, which has no default."""
-        value = getattr(self, KEYS[key][0])
+        value = attrgetter(KEYS[key][0])(self)
         if value is None:
             raise ConfigError(f"missing required config key {key!r}")
         return value
 
-    def distill_config(self) -> DistillConfig:
-        return DistillConfig(
-            self.require("distill.embed_dim"), self.require("distill.mlp_hidden"), epochs=self.distill_epochs,
-            lr=self.distill_lr, batch_size=self.distill_batch, alpha=self.distill_alpha, seed=self.seed,
-        )
 
-
-# Config key -> (field, kind, bound) of each `setting` field in field order,
-# SynthConfig's in the place of `synth`. A `synth.` key sets that field of
-# `cfg.synth`, every other key that field of ExperimentConfig.
+# Config key -> (attribute path, kind, bound) of each `setting` field in field
+# order, a section's (SynthConfig's, DistillConfig's) in the place of the
+# field that holds it. A key sets the attribute of ExperimentConfig at its
+# path: `seed`, or `synth.n_users` for a field of `cfg.synth`.
 KEYS = {
-    g.metadata["key"] or f"synth.{g.name}": (g.name, g.metadata["kind"], g.metadata["bound"])
+    g.metadata["key"]: (f"{f.name}.{g.name}" if g is not f else f.name, g.metadata["kind"], g.metadata["bound"])
     for f in fields(ExperimentConfig)
-    for g in (fields(SynthConfig) if f.name == "synth" else (f,))
+    for g in (fields(f.default) if is_dataclass(f.default) else (f,))
+    if "key" in g.metadata
 }
 
 

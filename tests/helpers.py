@@ -1,6 +1,10 @@
 """Shared test utilities: independent oracles and fixtures."""
+import contextlib
+import ctypes
 import fnmatch
+import glob
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
@@ -854,3 +858,48 @@ def sample_negatives_of(rows, item_universe, ratio, rng):
     item, label = sample_negatives(items, labels, universe, ratio, rng)
     user = rows[0].user if rows else 0
     return [(user, i, l) for i, l in zip(item.tolist(), label.tolist())]
+
+
+def openblas():
+    """numpy's bundled OpenBLAS library, loaded through ctypes (the library
+    numpy itself calls), or None when it is absent."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def kernel_core():
+    """The kernel core of numpy's bundled OpenBLAS, e.g. "SkylakeX", or
+    "unknown" when the library or its symbol is absent."""
+    corename = getattr(openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+@contextlib.contextmanager
+def one_blas_thread_off_skylakex():
+    """Run the body with one OpenBLAS thread on any kernel core but
+    SkylakeX, and restore the thread count after. On the Haswell kernels
+    with two threads, the rows of a product depend on where each thread's
+    share begins: an 8,193-row `X @ W.T` differs in the last bit at rows
+    2,048 and 5,120 from its 4,096 + 4,097-row blocks. With one thread, and
+    on SkylakeX either way, no row differs."""
+    lib = openblas()
+    if lib is None or kernel_core() == "SkylakeX":
+        yield
+        return
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)

@@ -1,11 +1,14 @@
 import csv
 import fnmatch
 import json
+import math
 import os
 import re
 import string
 import subprocess
 import sys
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -148,8 +151,8 @@ class TestConfigProperties:
             assert named and named[1] in raw, str(exc)
             return
         for key, text_value in raw.items():  # each key set to its value read as its kind
-            field, kind, _ = KEYS[key]
-            got = getattr(cfg.synth if key.startswith("synth.") else cfg, field)
+            path, kind, _ = KEYS[key]
+            got = attrgetter(path)(cfg)
             assert got == parse_value(key, text_value, kind), key
 
     @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"])
@@ -198,6 +201,88 @@ class TestConfigKeys:
             ExperimentConfig.from_dict({"ldp.intensity": "0.2"})
         cfg = ExperimentConfig.from_dict({"ldp.intensity": "0.2", "ldp.enabled": "true"})
         assert (cfg.ldp_enabled, cfg.ldp_intensity) == (True, 0.2)
+
+
+def bound_ends(bound):
+    """(lo, hi, lo closed?, hi closed?) of an interval written like "(0, 1]"."""
+    lo, hi = (float(x) for x in bound[1:-1].split(","))
+    return lo, hi, bound[0] == "[", bound[-1] == "]"
+
+
+def inside(kind, bound):
+    """A value of one element of `kind` that lies in `bound`."""
+    if isinstance(bound, tuple):
+        return st.sampled_from(bound)
+    lo, hi, lo_closed, hi_closed = bound_ends(bound)
+    if kind is int:
+        return st.integers(int(lo) + (not lo_closed), 2**63 - 1 if hi == math.inf else int(hi) - (not hi_closed))
+    return st.floats(lo, hi, exclude_min=not lo_closed, exclude_max=not hi_closed, allow_nan=False,
+                     allow_infinity=False)
+
+
+def outside(kind, bound):
+    """A value of one element of `kind` just outside `bound`: past an
+    interval end (NaN for a float), not one of the listed values, or an int
+    past int64."""
+    if isinstance(bound, tuple):
+        return st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8).filter(lambda x: x not in bound)
+    lo, hi, lo_closed, hi_closed = bound_ends(bound)
+    if kind is int:
+        ends = [st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1)]
+        if lo > -math.inf:
+            ends.append(st.integers(-(2**63), int(lo) - lo_closed))
+        if hi < math.inf:
+            ends.append(st.integers(int(hi) + hi_closed, 2**63 - 1))
+        return st.one_of(ends)
+    ends = [st.just(math.nan)]
+    ends.append(st.floats(max_value=lo, exclude_max=lo_closed) if lo > -math.inf else st.just(-math.inf))
+    ends.append(st.floats(min_value=hi, exclude_min=hi_closed) if hi < math.inf else st.just(math.inf))
+    return st.one_of(ends)
+
+
+def as_text(value):
+    """A config file's text for `value`, a list's elements comma-joined."""
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+BOUNDED = sorted(key for key, (_, _, bound) in KEYS.items() if bound is not None)
+
+
+class TestBoundsWhereverBuilt:
+    @pytest.mark.parametrize("key", BOUNDED)
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_value_outside_the_bound_fails_naming_the_key(self, key, data):
+        # the dataclass that owns the key refuses the value when it is built
+        # directly, by dataclasses.replace or from a config file, with one
+        # message; an in-bound value passes all three ways
+        path, kind, bound = KEYS[key]
+        section, _, name = path.rpartition(".")
+        experiment = ExperimentConfig(ldp_enabled=True)  # so that a positive ldp.intensity is in bound
+        owner = getattr(experiment, section) if section else experiment
+        if isinstance(kind, tuple):  # one element outside, among elements inside
+            good = data.draw(st.lists(inside(kind[0], bound), min_size=1, max_size=3), label="good")
+            at = data.draw(st.integers(0, len(good)), label="at")
+            bad = tuple(good[:at]) + (data.draw(outside(kind[0], bound), label="bad"),) + tuple(good[at:])
+            good = tuple(good)
+        else:
+            good, bad = data.draw(inside(kind, bound), label="good"), data.draw(outside(kind, bound), label="bad")
+
+        def builds(value):
+            given = {f.name: getattr(owner, f.name) for f in fields(owner)}
+            yield lambda: type(owner)(**{**given, name: value})
+            yield lambda: replace(owner, **{name: value})
+            yield lambda: ExperimentConfig.from_dict({"ldp.enabled": "true", key: as_text(value)})
+
+        messages = []
+        for build in builds(bad):
+            with pytest.raises(ConfigError) as caught:
+                build()
+            messages.append(str(caught.value))
+        assert messages[0].startswith(f"config key {key!r}: ") and len(set(messages)) == 1, messages
+        for build in builds(good):
+            built = build()
+            assert attrgetter(path if isinstance(built, ExperimentConfig) else name)(built) == good
 
 
 class TestTrainingKeyBounds:
@@ -252,11 +337,11 @@ class TestTrainingKeyBounds:
             "distill.epochs": ("0", 0), "distill.batch": ("1", 1), "distill.alpha": ("0", 0.0), "seed": ("0", 0),
         }
         cfg = ExperimentConfig.from_dict({key: text for key, (text, _) in least.items()})
-        got = {key: getattr(cfg.synth if key.startswith("synth.") else cfg, KEYS[key][0]) for key in least}
+        got = {key: attrgetter(KEYS[key][0])(cfg) for key in least}
         assert got == {key: value for key, (_, value) in least.items()}
         # the closed upper ends too
         cfg = ExperimentConfig.from_dict({"synth.beta": "1", "distill.alpha": "1", "fed.fraction": "1"})
-        assert (cfg.synth.beta, cfg.distill_alpha, cfg.client_fraction) == (1.0, 1.0, 1.0)
+        assert (cfg.synth.beta, cfg.distill.alpha, cfg.client_fraction) == (1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("line", ["pretrain.batch = -3", "pretrain.epochs = -2"])
     def test_pretrain_exits_1_without_a_checkpoint(self, tmp_path, capsys, line):
@@ -477,6 +562,17 @@ class TestFederate:
         out = str(tmp_path / "out")
         assert run("federate", "--config", str(cfg2), "--out", out, "--quiet") == 0
 
+    def test_init_under_an_arm_without_warm_start_fails(self, tmp_path, capsys):
+        # no_warm starts from a fresh init: a fed.init it would drop is refused
+        pre = tmp_path / "pre"
+        assert run("pretrain", "--config", write_cfg(tmp_path), "--out", str(pre), "--quiet") == 0
+        cfg = write_cfg(tmp_path, f"fed.init = {pre / 'pretrained.npz'}\nfed.arm = no_warm\n")
+        out = tmp_path / "out"
+        assert run("federate", "--config", cfg, "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key 'fed.init': no arm of fed.arm = no_warm warm-starts\n"
+        assert not (out / "summary.json").exists()
+
     def test_unknown_arm_fails(self, tmp_path, capsys):
         cfg2 = tmp_path / "bad.cfg"
         cfg2.write_text(BASE_CFG + "fed.arm = bogus\n")
@@ -560,6 +656,31 @@ class TestAblate:
                            "uploaded_scalars_per_round"]
         assert len(rows) == 2 and rows[1][0] == "no_adapter"
         assert 0.0 <= float(rows[1][1]) <= 1.0
+
+    def test_warm_arms_start_from_fed_init(self, tmp_path, monkeypatch):
+        # with fed.init set, ablate pretrains nothing, and its fedpa row is
+        # federate's run from the same checkpoint
+        pre = tmp_path / "pre"
+        assert run("pretrain", "--config", write_cfg(tmp_path), "--out", str(pre), "--quiet") == 0
+
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("pretraining entered")
+
+        monkeypatch.setattr(experiment, "pretrain", no_pretrain)
+        monkeypatch.setattr(federation, "pretrain", no_pretrain)
+        cfg = write_cfg(tmp_path, f"fed.init = {pre / 'pretrained.npz'}\nablate.arms = fedpa, no_adapter\n")
+        assert run("ablate", "--config", cfg, "--out", str(tmp_path / "abl"), "--quiet") == 0
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "fed"), "--quiet") == 0
+        with open(tmp_path / "abl" / "ablation.csv") as fh:
+            rows = {row["arm"]: row for row in csv.DictReader(fh)}
+        summary = json.load(open(tmp_path / "fed" / "summary.json"))
+        assert rows["fedpa"] == {
+            "arm": "fedpa", "auc": f"{summary['test_auc']:.6f}",
+            "precision": "" if summary["test_precision"] is None else f"{summary['test_precision']:.6f}",
+            "trainable_params": str(summary["trainable_params"]),
+            "uploaded_scalars_per_round": str(summary["uploaded_scalars_per_client"]),
+        }
+        assert list(rows) == ["fedpa", "no_adapter"]
 
     def test_unknown_arm_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ablate.arms = nope\n")
@@ -676,6 +797,24 @@ class TestErrors:
         cfg = write_cfg(tmp_path, f"distill.teacher = {teacher}\ndistill.embed_dim = 2\ndistill.mlp_hidden = 4\n")
         proc = run_fresh("distill", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
         assert_one_error_line(proc, f"{teacher}: not a readable checkpoint")
+
+    @pytest.mark.parametrize("command, key", [
+        ("eval", "eval.checkpoint"), ("distill", "distill.teacher"), ("federate", "fed.init"),
+    ])
+    def test_a_checkpoint_of_another_schema_exits_1(self, tmp_path, command, key):
+        # a checkpoint trained with synth.user_attrs = 3, 4, used on the
+        # test config's 3, 2 world, used to fail deep in scoring or warm
+        # start, naming neither the key nor the file
+        pre = tmp_path / "pre"
+        assert run("pretrain", "--config", write_cfg_setting(tmp_path, "synth.user_attrs", "3, 4"),
+                   "--out", str(pre), "--quiet") == 0
+        ckpt = pre / "pretrained.npz"
+        cfg = write_cfg(tmp_path, f"{key} = {ckpt}\ndistill.embed_dim = 2\ndistill.mlp_hidden = 4\n")
+        proc = run_fresh(command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet")
+        assert_one_error_line(
+            proc, f"error: config key {key!r}: checkpoint {ckpt} has user attributes ua0=3, ua1=4; "
+            "item attributes ia0=4, but the dataset has user attributes ua0=3, ua1=2; item attributes ia0=4",
+        )
 
     def test_ablate_on_a_users_file_that_is_not_utf8_exits_1(self, tmp_path):
         cfg = write_files_cfg(tmp_path, "", "item_id,ia0\n0,0\n1,1\n", "user_id,item_id,timestamp\n0,0,1\n")

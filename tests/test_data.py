@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+from fedrec.config import ConfigError
 from fedrec.data import (
     FED_TEST,
     FED_TRAIN,
@@ -348,6 +349,7 @@ class TestChronologicalSplit:
 
 # attribute cardinalities at and around the 32-bit and int64 bounds of numpy's bounded draws
 CARDS = st.sampled_from([1, 2, 7, 2**32 - 1, 2**32, 2**33, 2**63 - 1, 2**63])
+INT64_CARDS = CARDS.filter(lambda p: p < 2**63)  # a synth config's cardinalities are int64s
 
 # one user's interactions: (item, timestamp, label), few values so ties are common
 INTERACTIONS = st.lists(
@@ -474,15 +476,18 @@ class TestArrayPassesEqualScalarOracles:
         with pytest.raises(ValueError) as want:
             attribute_draws_reference(np.random.default_rng(0), cards, 3)
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            synth_generate(SynthConfig(4, 3, cards, (2,)), seed=0)
+            draw_attributes(np.random.default_rng(0), cards, 3)
+        # a synth config refuses such a cardinality before anything is drawn
+        with pytest.raises(ConfigError, match=f"^config key 'synth.user_attrs': {10**20} is outside the int64"):
+            SynthConfig(4, 3, cards, (2,))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
-        n_users=st.integers(1, 8),
+        n_users=st.integers(2, 8),  # the least values that synth.* bounds allow
         n_items=st.integers(1, 8),
-        per_user=st.integers(0, 12),  # past n_items, choice draws with replacement
-        user_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(CARDS, max_size=2)),
-        item_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(CARDS, max_size=2)),
+        per_user=st.integers(1, 12),  # past n_items, choice draws with replacement
+        user_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(INT64_CARDS, max_size=2)),
+        item_attrs=st.builds(lambda a, rest: (a, *rest), st.integers(1, 3), st.lists(INT64_CARDS, max_size=2)),
         beta=st.sampled_from([0.0, 0.5, 1.0]),
         seed=st.integers(0, 2**16),
     )
@@ -697,8 +702,8 @@ class TestSynthGenerate:
         assert p < 1e-4
 
     def test_zero_users_rejected(self):
-        with pytest.raises(DataError):
-            synth_generate(SynthConfig(0, 10, (2,), (2,)), seed=0)
+        with pytest.raises(ConfigError, match=r"^config key 'synth.n_users': 0 is outside \[2, 100000\]$"):
+            SynthConfig(0, 10, (2,), (2,))
 
     @pytest.mark.parametrize("user_attrs, item_attrs", [((), (2,)), ((2,), ())], ids=["users", "items"])
     def test_empty_attribute_list_rejected(self, user_attrs, item_attrs):

@@ -24,10 +24,7 @@ Another BLAS build may change the training values too. A code change that
 moves a value must move it on every core: `tools/golden_cores.py` runs
 these tests under each of the three cores.
 """
-import ctypes
-import glob
 import hashlib
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -46,22 +43,8 @@ from fedrec.federation import (
 )
 from fedrec.experiment import ExperimentConfig, build_arch, prepare_dataset
 from fedrec.model import Arch
-from helpers import client_objects, train_cohort, with_split
+from helpers import client_objects, kernel_core, train_cohort, with_split
 from test_cohort import FED, ragged_cfg, world, world_arrays
-
-
-def kernel_core():
-    """The kernel core of numpy's bundled OpenBLAS, e.g. "SkylakeX", or
-    "unknown" when the library or its symbol is absent."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        try:
-            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 CORE = kernel_core()

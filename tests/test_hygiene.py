@@ -5,6 +5,7 @@ import pathlib
 import sys
 
 from fedrec.data import SynthConfig
+from fedrec.distill import DistillConfig
 from fedrec.experiment import ARMS, KEYS, ExperimentConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -464,12 +465,14 @@ def test_unread_parameter_check_flags_a_mutant(tmp_path):
 
 def test_every_config_field_has_exactly_one_key():
     # each field's default lives in its dataclass and is set by one KEYS row,
-    # so a field no key sets, or two keys set, cannot slip in
-    def names(synth):
-        return sorted(name for key, (name, _, _) in KEYS.items() if key.startswith("synth.") == synth)
-
-    assert names(False) == sorted(f.name for f in dataclasses.fields(ExperimentConfig) if f.name != "synth")
-    assert names(True) == sorted(f.name for f in dataclasses.fields(SynthConfig))
+    # so a field no key sets, or two keys set, cannot slip in. A section's
+    # fields are set at `<section>.<field>`; DistillConfig's seed is the
+    # experiment's `seed`
+    sections = {"synth": SynthConfig, "distill": DistillConfig}
+    want = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in sections]
+    want += [f"{name}.{f.name}" for name, section in sections.items() for f in dataclasses.fields(section)]
+    want.remove("distill.seed")
+    assert sorted(path for path, _, _ in KEYS.values()) == sorted(want)
 
 
 def test_every_numeric_key_has_an_interval():

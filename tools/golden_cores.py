@@ -26,7 +26,7 @@ TESTS = (
     "tests/test_model.py::TestColumnReductions::test_row_sum_is_numpys_add_reduce",
     "tests/test_model.py::TestColumnReductions::test_row_of_negative_zeros_sums_to_positive_zero",
 )
-CORE = "import sys; sys.path[:0] = ['tests', 'src']; from test_golden import kernel_core; print(kernel_core())"
+CORE = "import sys; sys.path[:0] = ['tests', 'src']; from helpers import kernel_core; print(kernel_core())"
 
 
 def run(override):
