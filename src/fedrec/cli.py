@@ -152,13 +152,14 @@ def cmd_federate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load(args)
     ds, _ = prepare_dataset(cfg)
-    # one base model, fed.init's or pretrained, serves every warm-started arm
-    pretrained = _fed_init(cfg, ds, "ablate.arms", cfg.ablate_arms)
-    if pretrained is None and any(ARMS[arm][2] for arm in cfg.ablate_arms):
-        pretrained = pretrain_base(cfg, ds)[0]
+    # one base model, fed.init's or the one the first warm-started arm
+    # pretrains after building its clients, serves every warm-started arm
+    base = _fed_init(cfg, ds, "ablate.arms", cfg.ablate_arms)
     rows = []
     for arm in cfg.ablate_arms:
-        result = run_arm(cfg, ds, arm, pretrained)
+        result = run_arm(cfg, ds, arm, base)
+        if base is None:
+            base = result.base
         rows.append(result)
         _say(args, f"{arm}: AUC {result.test_auc * 100:.2f}e-2")
     out = os.path.join(cfg.out_dir, "ablation.csv")

@@ -8,7 +8,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import check_bounds, setting
-from .model import ParamSet, count_params, forward_batch, init_params, train_plain
+from .model import DivergenceError, ParamSet, count_params, forward_batch, init_params, train_plain
 
 
 class DistillError(ValueError):
@@ -57,7 +57,8 @@ def distill(
     """Train a fresh student base model against the teacher's predicted
     probabilities mixed with the true labels as `config.alpha` says. Returns
     the student ParamSet, ready to warm-start a federated run. The student
-    trains as a cohort of one (`model.train_plain`)."""
+    trains as a cohort of one (`model.train_plain`); a divergence raises
+    DivergenceError naming the epoch and `distill.lr`."""
     student_arch = replace(
         teacher.arch.base(), embed_dim=config.embed_dim, mlp_hidden=tuple(config.mlp_hidden)
     )
@@ -70,5 +71,8 @@ def distill(
     teacher_probs, _ = forward_batch(teacher, UA, VA)
     target = distill_targets(teacher_probs, labels, config.alpha)
     rng = np.random.default_rng([config.seed, 13])
-    student, losses = train_plain(student, UA, VA, target, config.batch_size, config.lr, rng, config.epochs)
+    try:
+        student, losses = train_plain(student, UA, VA, target, config.batch_size, config.lr, rng, config.epochs)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.epoch, f"distill {exc}; config key 'distill.lr' is {config.lr:g}") from None
     return student, DistillHistory(losses)

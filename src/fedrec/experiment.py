@@ -34,6 +34,7 @@ from .model import (
     PRIVATE,
     SHARED,
     Arch,
+    DivergenceError,
     ParamSet,
     ShapeError,
     count_params,
@@ -176,10 +177,14 @@ def build_arch(cfg: ExperimentConfig, dataset: Dataset, arm: str = "fedpa") -> A
 
 def pretrain_base(cfg: ExperimentConfig, dataset: Dataset) -> Tuple[ParamSet, List[float]]:
     """The base model pretrained as `cfg` says on the dataset's pretrain
-    split, and its per-epoch mean loss."""
-    return pretrain(
-        dataset, build_arch(cfg, dataset), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
-    )
+    split, and its per-epoch mean loss. Raises DivergenceError naming the
+    epoch and `pretrain.lr` when training diverges."""
+    try:
+        return pretrain(
+            dataset, build_arch(cfg, dataset), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
+        )
+    except DivergenceError as exc:
+        raise DivergenceError(exc.epoch, f"pretrain {exc}; config key 'pretrain.lr' is {cfg.pre_lr:g}") from None
 
 
 @dataclass
@@ -191,6 +196,7 @@ class ArmResult:
     uploaded_per_client: int
     reports: List[RoundReport]
     params: ParamSet                  # the server's after the last round
+    base: Optional[ParamSet]          # the base model a warm-started arm started from
 
 
 def run_arm(
@@ -200,7 +206,8 @@ def run_arm(
     pretrained: Optional[ParamSet] = None,
 ) -> ArmResult:
     """Run one federated arm end to end on an already-split dataset; a
-    warm-started arm pretrains its base model unless given `pretrained`."""
+    warm-started arm pretrains its base model, after building its clients,
+    unless given `pretrained`."""
     _, rules, warm = ARMS[arm]
     arch = build_arch(cfg, dataset, arm)
     arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)  # first: a split with no client fails at once
@@ -222,4 +229,5 @@ def run_arm(
         uploaded_per_client=uploaded,
         reports=reports,
         params=server,
+        base=pretrained if warm else None,
     )

@@ -73,6 +73,14 @@ class ShapeError(ValueError):
     """Inconsistent tensor shapes or architecture description."""
 
 
+class DivergenceError(ValueError):
+    """Training ended epoch `epoch` with a non-finite loss or parameter."""
+
+    def __init__(self, epoch: int, message: str = ""):
+        super().__init__(message or f"epoch {epoch}: training diverged to a non-finite loss or parameter")
+        self.epoch = epoch
+
+
 @dataclass(frozen=True)
 class Arch:
     """Architecture description of one model instance.
@@ -927,6 +935,8 @@ def sgd_epochs(
     Returns (updated ParamSet, epoch losses): with `want_loss` (each client
     with a row) an (epochs, C) array of each client's row-weighted mean of
     its batches' mean BCE before their updates (see _epoch_loss), else None.
+    With `want_loss`, the first epoch to end with a non-finite loss or
+    parameter raises DivergenceError.
     """
     UA, VA, y, counts = np.asarray(UA), np.asarray(VA), np.asarray(y), np.asarray(counts)
     if UA.ndim != y.ndim + 1 or UA.shape[:-1] != y.shape or VA.shape[:-1] != y.shape:
@@ -973,6 +983,8 @@ def sgd_epochs(
             ps = sgd_step(ps, backward_batch(cache, epoch_y[:, batch], mask), lr)
         if want_loss:
             losses[e] = [_epoch_loss(p[:n], t[:n], batch_size) for p, t, n in zip(probs, epoch_y, counts)]
+            if not (np.isfinite(losses[e]).all() and np.isfinite(ps.trained).all()):
+                raise DivergenceError(e)
     ps.plan = None  # the caller gets a value, not a buffer to train
     return ps, losses
 
@@ -983,9 +995,13 @@ def train_plain(
 ) -> Tuple[ParamSet, List[float]]:
     """sgd_epochs on plain model `ps` without group adapters, over rows
     UA (n, a), VA (n, a') and y (n,), trained as a cohort of one with
-    Generator `rng`. Returns (trained model, each epoch's loss)."""
+    Generator `rng`. Returns (trained model, each epoch's loss). Raises
+    DivergenceError at the first epoch that ends non-finite."""
     lone = cohort_of(ps, [()])
-    out, losses = sgd_epochs(lone, UA[None], VA[None], y[None], [len(y)], batch_size, lr, [rng], epochs, True)
+    # a diverging run overflows; DivergenceError stops it, naming the
+    # epoch, so numpy's warnings would only come first
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, losses = sgd_epochs(lone, UA[None], VA[None], y[None], [len(y)], batch_size, lr, [rng], epochs, True)
     # without group segments, a cohort row is laid out as the model's vector
     return ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen, out.trained[0]), losses[:, 0].tolist()
 

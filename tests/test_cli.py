@@ -622,6 +622,31 @@ class TestFederate:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestTrainingDivergence:
+    # a learning rate of 1e300 sends the first steps' parameters past the
+    # float range; the run stops at that epoch with one error line, and
+    # warnings, turned into errors here, would fail the test
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command,key,out_file", [
+        ("pretrain", "pretrain.lr", "pretrained.npz"),
+        ("federate", "pretrain.lr", "summary.json"),
+        ("ablate", "pretrain.lr", "ablation.csv"),
+        ("distill", "pretrain.lr", "student.npz"),
+        ("distill", "distill.lr", "student.npz"),
+    ])
+    def test_one_error_line_names_stage_epoch_and_key(self, tmp_path, capsys, command, key, out_file):
+        stage = key.split(".")[0]
+        cfg = write_cfg(tmp_path, f"distill.embed_dim = 2\ndistill.mlp_hidden = 4\n{key} = 1e300\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {stage} epoch 0: training diverged to a non-finite loss or parameter; "
+            f"config key {key!r} is 1e+300\n"
+        )
+        assert not (out / out_file).exists()
+
+
 class TestDistill:
     def test_student_checkpoint(self, tmp_path):
         extra = "distill.embed_dim = 2\ndistill.mlp_hidden = 4\ndistill.epochs = 2\n"
@@ -681,6 +706,39 @@ class TestAblate:
             "uploaded_scalars_per_round": str(summary["uploaded_scalars_per_client"]),
         }
         assert list(rows) == ["fedpa", "no_adapter"]
+
+    def count_pretraining(self, monkeypatch):
+        """A list that gets one entry per pretraining run."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pretrain(*args, **kwargs)
+
+        pretrain = experiment.pretrain
+        monkeypatch.setattr(experiment, "pretrain", counted)
+        return calls
+
+    def test_no_federated_client_fails_before_pretraining(self, tmp_path, capsys, monkeypatch):
+        # 3 interactions per user: the 6:2:2 split drops every federated
+        # user, so the first arm's clients fail before any base model trains
+        calls = self.count_pretraining(monkeypatch)
+        cfg = write_cfg_setting(tmp_path, "synth.interactions_per_user", 3)
+        assert run("ablate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert capsys.readouterr().err == "error: no federated user has at least 5 interactions\n"
+        assert calls == []
+
+    def test_warm_arms_share_one_pretraining(self, tmp_path, monkeypatch):
+        calls = self.count_pretraining(monkeypatch)
+        cfg = write_cfg(tmp_path, "ablate.arms = no_warm, no_adapter, user_only\n")
+        assert run("ablate", "--config", cfg, "--out", str(tmp_path / "abl"), "--quiet") == 0
+        assert calls == [1]
+        # the shared base model is the one federate pretrains for its arm
+        cfg = write_cfg(tmp_path, "fed.arm = user_only\n", name="fed.cfg")
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "fed"), "--quiet") == 0
+        with open(tmp_path / "abl" / "ablation.csv") as fh:
+            row = next(r for r in csv.DictReader(fh) if r["arm"] == "user_only")
+        assert row["auc"] == f"{json.load(open(tmp_path / 'fed' / 'summary.json'))['test_auc']:.6f}"
 
     def test_unknown_arm_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ablate.arms = nope\n")

@@ -701,6 +701,26 @@ class TestSynthGenerate:
         _, p, _, _ = chi2_contingency(self.contingency(ds) + 1)
         assert p < 1e-4
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("base", [0.0, 1e308, -1e308])
+    @pytest.mark.parametrize("beta", [1.0, 0.5])
+    def test_an_overflowing_preference_labels_at_the_limit_without_warnings(self, beta, base):
+        # pref_spread 1e308 makes (1 + rho) * affinity overflow to +-inf,
+        # whose sigmoid is the exact limit 0 or 1: the labels are those of
+        # the formula as written, and numpy warns of nothing
+        cfg = SynthConfig(40, 30, (3,), (4,), beta=beta, base=base, pref_spread=1e308)
+        got = synth_generate(cfg, seed=4)
+        with np.errstate(over="ignore"):
+            want = synth_generate_reference(cfg, seed=4)
+        assert got.label.tolist() == want.label.tolist() and 0 < got.label.sum() < len(got)
+
+    @pytest.mark.filterwarnings("error")
+    def test_beta_zero_labels_do_not_read_the_preference(self):
+        # at beta = 0 every pair clicks with probability sigmoid(base),
+        # however large the preference: 0 * inf would be NaN, labelled 0
+        at = lambda spread: synth_generate(replace(self.cfg(0.0), base=0.3, pref_spread=spread), seed=6)
+        assert at(1e308).label.tolist() == at(0.8).label.tolist()
+
     def test_zero_users_rejected(self):
         with pytest.raises(ConfigError, match=r"^config key 'synth.n_users': 0 is outside \[2, 100000\]$"):
             SynthConfig(0, 10, (2,), (2,))
