@@ -222,7 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # a diverging run overflows until a finiteness check stops it with
+        # an error line; numpy's warnings would only come before that line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.handler(args)
     except (ConfigError, DataError, FederationError, ShapeError,
             UndefinedMetricError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,6 +31,10 @@ MIN_FED_INTERACTIONS = 5
 
 INT64 = np.iinfo(np.int64)  # the range of every integer field a file may hold
 
+# write_dataset_csvs turns this many interaction rows into Python ints at a
+# time: a whole column as objects took 185 MB at the 100,000-user bound
+WRITE_SLICE_ROWS = 65536
+
 
 class DataError(ValueError):
     """Malformed input file or violated dataset invariant."""
@@ -195,7 +199,7 @@ def runs(sorted_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    # `fedrec synth` finished in 3.7 s at 481 MB peak RSS at 100,000 users
+    # `fedrec synth` finished in 3.7 s at 303 MB peak RSS at 100,000 users
     # and 100,000 items (tools/bound_run.py, 2-vCPU Xeon)
     n_users: int = setting("synth.n_users", int, "[2, 100000]")
     n_items: int = setting("synth.n_items", int, "[1, 100000]")
@@ -359,28 +363,30 @@ def split_per_user_chronological(dataset: Dataset) -> Tuple[Dataset, List[int]]:
 
 
 def sample_negatives(
-    items: np.ndarray,
-    labels: np.ndarray,
+    positives: Sequence[np.ndarray],
     item_universe: np.ndarray,
     ratio: int,
     rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Draw `ratio` negatives per positive from items the user never touched.
 
-    `items` and `labels` are one user's rows and `item_universe` the sorted
-    item ids. Returns (item, label) columns: each positive, then its
-    negatives. Each positive draws its negatives without replacement; when
-    the non-interacted pool is smaller than `ratio`, with replacement.
+    `positives` holds one user's positive items, an array per split in
+    order, and `item_universe` the sorted item ids. Returns each array's
+    (item, label) columns: each positive, then its negatives, drawn without
+    replacement from the items of no array, or with replacement when fewer
+    than `ratio` are left.
     """
     if ratio < 0:
         raise DataError(f"negative ratio {ratio} < 0")
-    positives = items[labels == 1]
-    pool = item_universe[~np.isin(item_universe, items)]
+    pool = item_universe[~np.isin(item_universe, np.concatenate(positives))]
     if ratio == 0 or len(pool) == 0:
-        return positives, np.ones(len(positives), dtype=np.int64)
-    negs = [rng.choice(pool, size=ratio, replace=len(pool) < ratio) for _ in range(len(positives))]
-    out = np.column_stack([positives, np.reshape(negs, (len(positives), ratio))])
-    return out.ravel(), np.tile(np.r_[1, np.zeros(ratio, dtype=np.int64)], len(positives))
+        return [(items, np.ones(len(items), dtype=np.int64)) for items in positives]
+    out = []
+    for items in positives:
+        negs = [rng.choice(pool, size=ratio, replace=len(pool) < ratio) for _ in range(len(items))]
+        cols = np.column_stack([items, np.reshape(negs, (len(items), ratio))])
+        out.append((cols.ravel(), np.tile(np.r_[1, np.zeros(ratio, dtype=np.int64)], len(items))))
+    return out
 
 
 def draw_attributes(rng: np.random.Generator, cards: Sequence[int], n: int) -> np.ndarray:
@@ -450,9 +456,15 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]):
 
 
 def write_dataset_csvs(dataset: Dataset, users_path: str, items_path: str, interactions_path: str):
-    """Write the three CSV files in the load_dataset format."""
+    """Write the three CSV files in the load_dataset format, the
+    interactions WRITE_SLICE_ROWS rows at a time."""
     write_csv(users_path, ["user_id", *dataset.user_schema.names],
               ([u, *dataset.users[u]] for u in sorted(dataset.users)))
     write_csv(items_path, ["item_id", *dataset.item_schema.names],
               ([i, *dataset.items[i]] for i in sorted(dataset.items)))
-    write_csv(interactions_path, INTERACTION_COLUMNS, zip(*(getattr(dataset, name).tolist() for name in COLUMNS[:4])))
+    cols = [getattr(dataset, name) for name in COLUMNS[:4]]
+    write_csv(interactions_path, INTERACTION_COLUMNS, (
+        row
+        for start in range(0, len(dataset), WRITE_SLICE_ROWS)
+        for row in zip(*(c[start : start + WRITE_SLICE_ROWS].tolist() for c in cols))
+    ))

@@ -153,8 +153,19 @@ def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
 
 def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, List[int]]:
     """Raw dataset -> pretrain/federated user partition -> per-user 6:2:2
-    split; returns (dataset, the ids of the users the split dropped)."""
+    split; returns (dataset, the ids of the users the split dropped). A
+    world that can hold only one label class, no row labelled 1, or every
+    row labelled 1 with no negatives sampled, raises ConfigError or
+    DataError naming its cause."""
     ds = build_raw_dataset(cfg)
+    if not ds.label.any():
+        if cfg.source == "synth":
+            s = cfg.synth
+            raise ConfigError(f"config key 'synth.base': {s.base} labels every interaction 0 "
+                              f"at synth.beta = {s.beta} and synth.pref_spread = {s.pref_spread}")
+        raise DataError(f"{cfg.interactions_path}: no interaction is labelled 1")
+    if cfg.neg_ratio == 0 and ds.label.all():
+        raise ConfigError("config key 'neg.ratio': 0 samples no negative, and every interaction is labelled 1")
     ds = split_pretrain_federated(ds, cfg.pretrain_fraction, cfg.seed)
     return split_per_user_chronological(ds)
 

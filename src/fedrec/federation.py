@@ -191,8 +191,7 @@ def pretrain_examples(dataset: Dataset, seed: int, neg_ratio: int = 4):
         order = np.argsort(pre.user, kind="stable")
         uids, bounds = runs(pre.user[order])
         parts = [
-            sample_negatives(pre.item[order[a:b]], pre.label[order[a:b]], universe, neg_ratio,
-                             np.random.default_rng([seed, uid, 3]))
+            sample_negatives([pre.item[order[a:b]]], universe, neg_ratio, np.random.default_rng([seed, uid, 3]))[0]
             for uid, a, b in zip(uids.tolist(), bounds[:-1], bounds[1:])
         ]
         user = np.repeat(uids, [len(items) for items, _ in parts])
@@ -229,9 +228,8 @@ def build_clients(dataset: Dataset, arch: Arch, seed: int, neg_ratio: int = 4) -
         private[j] = init_user_adapter(arch, np.random.default_rng([seed, uid, 2]))
         cols.append([(item[a:b], label[a:b]) for a, b in zip(cuts[j, :-1], cuts[j, 1:])])
         if sampled:
-            rng = np.random.default_rng([seed, uid, 1])
-            untouched = universe[~np.isin(universe, item[bounds[j] : bounds[j + 1]])]
-            cols[j] = [sample_negatives(items, labels, untouched, neg_ratio, rng) for items, labels in cols[j]]
+            cols[j] = sample_negatives([items for items, _ in cols[j]], universe, neg_ratio,
+                                       np.random.default_rng([seed, uid, 1]))
     users = dataset.user_attrs(uids)
     shards = {}
     for s, key in enumerate(("train", "val", "test")):
@@ -408,30 +406,25 @@ def run_federated(ps: ParamSet, arrays: ClientArrays, cfg: ExperimentConfig) -> 
     for r in range(cfg.rounds):
         t0 = time.perf_counter()
         idx = select_clients(len(arrays.uids), cfg.client_fraction, r, cfg.seed)
-        # a diverging round overflows; the finiteness checks stop it with an
-        # error naming the round, so numpy's warnings would only come first
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = local_train(arrays, idx, ps, cfg, r, pool)
-            live = len(batch.uids)
-            if live and cfg.ldp_enabled:
-                rngs = derive_generators(cfg.seed, r, batch.uids, 2, pool)
-                batch = replace(batch, shared=noise_uploads(batch.shared, cfg.ldp_intensity, rngs, order))
-            report = RoundReport(
-                round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0
-            )
-            if live:
-                ps = aggregate_uploads(batch, ps)
-                try:
-                    ps.check_finite()
-                except ShapeError as exc:
-                    who = _first_non_finite(batch.shared, batch.uids)
-                    raise FederationError(
-                        f"round {r}: training diverged after aggregation ({exc}); "
-                        f"first client with a non-finite upload: {who}"
-                    ) from None
-            else:
-                log.warning("round %d: no usable uploads, skipping aggregation", r)
-                report.skipped = True
+        batch = local_train(arrays, idx, ps, cfg, r, pool)
+        live = len(batch.uids)
+        if live and cfg.ldp_enabled:
+            rngs = derive_generators(cfg.seed, r, batch.uids, 2, pool)
+            batch = replace(batch, shared=noise_uploads(batch.shared, cfg.ldp_intensity, rngs, order))
+        report = RoundReport(round=r, n_participants=live, uploaded_per_client=batch.n_scalars, seconds=0.0)
+        if live:
+            ps = aggregate_uploads(batch, ps)
+            try:
+                ps.check_finite()
+            except ShapeError as exc:
+                who = _first_non_finite(batch.shared, batch.uids)
+                raise FederationError(
+                    f"round {r}: training diverged after aggregation ({exc}); "
+                    f"first client with a non-finite upload: {who}"
+                ) from None
+        else:
+            log.warning("round %d: no usable uploads, skipping aggregation", r)
+            report.skipped = True
         if (r + 1) % cfg.eval_every == 0 or r == cfg.rounds - 1:
             try:
                 ev = evaluate_global(ps, arrays, "val")

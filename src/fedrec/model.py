@@ -998,10 +998,7 @@ def train_plain(
     Generator `rng`. Returns (trained model, each epoch's loss). Raises
     DivergenceError at the first epoch that ends non-finite."""
     lone = cohort_of(ps, [()])
-    # a diverging run overflows; DivergenceError stops it, naming the
-    # epoch, so numpy's warnings would only come first
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, losses = sgd_epochs(lone, UA[None], VA[None], y[None], [len(y)], batch_size, lr, [rng], epochs, True)
+    out, losses = sgd_epochs(lone, UA[None], VA[None], y[None], [len(y)], batch_size, lr, [rng], epochs, True)
     # without group segments, a cohort row is laid out as the model's vector
     return ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen, out.trained[0]), losses[:, 0].tolist()
 

@@ -17,11 +17,14 @@ from fedrec.data import (
     FED_VAL,
     MIN_FED_INTERACTIONS,
     SPLITS,
+    COLUMNS,
+    INTERACTION_COLUMNS,
     AttributeSchema,
     DataError,
     Dataset,
     runs,
     sample_negatives,
+    write_csv,
 )
 from fedrec.experiment import ARMS, FEDPA_RULES
 from fedrec.federation import (
@@ -162,7 +165,7 @@ def build_clients_reference(dataset, arch, seed, neg_ratio=4) -> List[ClientStat
             rows = np.flatnonzero(mine & (fed.split == code))
             item, label = fed.item[rows], fed.label[rows]
             if not native_negs:
-                item, label = sample_negatives(item, label, untouched, neg_ratio, rng)
+                item, label = sample_negatives([item], untouched, neg_ratio, rng)[0]
             shards[key] = Shard(dataset.item_attrs(item), label.astype(float))
         values = dataset.users[uid]
         clients.append(ClientState(
@@ -830,34 +833,48 @@ def split_per_user_chronological_rows(rows):
     return out, sorted(dropped)
 
 
-def sample_negatives_rows(train_rows, item_universe, ratio, rng):
-    """Row-object oracle for data.sample_negatives: (user, item, label)
-    samples, each positive followed by its negatives."""
+def sample_negatives_rows(splits, item_universe, ratio, rng):
+    """Row-object oracle for data.sample_negatives: for each split's
+    positive rows, in order, its (user, item, label) samples, each positive
+    followed by its negatives, drawn from the items of no split."""
     if ratio < 0:
         raise DataError(f"negative ratio {ratio} < 0")
-    positives = [r for r in train_rows if r.label == 1]
-    interacted = {r.item for r in train_rows}
+    interacted = {r.item for rows in splits for r in rows}
     pool = np.array(sorted(set(item_universe) - interacted), dtype=np.int64)
 
-    samples = []
-    for r in positives:
-        samples.append((r.user, r.item, 1))
-        if ratio == 0 or len(pool) == 0:
-            continue
-        negs = rng.choice(pool, size=ratio, replace=len(pool) < ratio)
-        for iid in negs:
-            samples.append((r.user, int(iid), 0))
-    return samples
+    out = []
+    for rows in splits:
+        samples = []
+        for r in rows:
+            samples.append((r.user, r.item, 1))
+            if ratio == 0 or len(pool) == 0:
+                continue
+            negs = rng.choice(pool, size=ratio, replace=len(pool) < ratio)
+            for iid in negs:
+                samples.append((r.user, int(iid), 0))
+        out.append(samples)
+    return out
 
 
-def sample_negatives_of(rows, item_universe, ratio, rng):
-    """data.sample_negatives on Interaction rows, as (user, item, label) triples."""
-    items = np.array([r.item for r in rows], dtype=np.int64)
-    labels = np.array([r.label for r in rows], dtype=np.int64)
+def sample_negatives_of(splits, item_universe, ratio, rng):
+    """data.sample_negatives on each split's positive Interaction rows, as
+    lists of (user, item, label) triples."""
     universe = np.array(sorted(item_universe), dtype=np.int64)
-    item, label = sample_negatives(items, labels, universe, ratio, rng)
-    user = rows[0].user if rows else 0
-    return [(user, i, l) for i, l in zip(item.tolist(), label.tolist())]
+    items = [np.array([r.item for r in rows], dtype=np.int64) for rows in splits]
+    return [
+        [(rows[0].user if rows else 0, i, l) for i, l in zip(item.tolist(), label.tolist())]
+        for rows, (item, label) in zip(splits, sample_negatives(items, universe, ratio, rng))
+    ]
+
+
+def write_dataset_csvs_one_shot(dataset, users_path, items_path, interactions_path):
+    """Oracle for data.write_dataset_csvs: the interactions' four columns
+    turned into Python lists whole, then written."""
+    write_csv(users_path, ["user_id", *dataset.user_schema.names],
+              ([u, *dataset.users[u]] for u in sorted(dataset.users)))
+    write_csv(items_path, ["item_id", *dataset.item_schema.names],
+              ([i, *dataset.items[i]] for i in sorted(dataset.items)))
+    write_csv(interactions_path, INTERACTION_COLUMNS, zip(*(getattr(dataset, name).tolist() for name in COLUMNS[:4])))
 
 
 def openblas():

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import fnmatch
+import io
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import re
 import string
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import fields, replace
 from operator import attrgetter
 
@@ -469,6 +473,121 @@ class TestTrainingKeyBounds:
         assert not (out / "student.npz").exists()
 
 
+# Caps that bound one example of TestEveryInBoundConfig near 1 s: the run
+# time grows with users, items, rows and passes, and memory with widths and
+# cardinalities. A capped key still reaches 2**63 - 1, which no array can
+# hold, unless it is a count of users, items or passes (REPEATS).
+CAPS = {
+    "synth.n_users": 60, "synth.n_items": 60, "synth.interactions_per_user": 40, "synth.user_attrs": 6,
+    "synth.item_attrs": 6, "neg.ratio": 6, "arch.embed_dim": 8, "arch.mlp_hidden": 16, "arch.adapter_rank": 4,
+    "arch.gate_hidden": 8, "distill.embed_dim": 8, "distill.mlp_hidden": 16, "pretrain.epochs": 3,
+    "distill.epochs": 3, "fed.rounds": 3, "fed.local_epochs": 2,
+}
+REPEATS = {"synth.n_users", "synth.n_items", "pretrain.epochs", "distill.epochs", "fed.rounds", "fed.local_epochs"}
+# keys that name files, and data.source, which chooses them, keep their defaults
+FILE_KEYS = {"data.source", "data.users", "data.items", "data.interactions", "fed.init", "distill.teacher",
+             "eval.checkpoint", "out"}
+STUDENT_SIZES = ("distill.embed_dim", "distill.mlp_hidden")  # required by distill
+EXTREMES = [0.0, 1e-300, 0.5, 1.0, 1e300, 1e308, -1e-300, -1e308]
+
+
+def in_bound(key):
+    """A value of config key `key` inside its bound and its cap, extremes
+    drawn often."""
+    _, kind, bound = KEYS[key]
+    element = kind[0] if isinstance(kind, tuple) else kind
+    if element is bool:
+        one = st.booleans()
+    elif element is str:
+        one = inside(str, bound)
+    elif element is float:
+        lo, hi, lo_closed, hi_closed = bound_ends(bound)
+        ends = [x for x in EXTREMES if (lo <= x if lo_closed else lo < x) and (x <= hi if hi_closed else x < hi)]
+        one = st.sampled_from(ends) | inside(float, bound)
+    elif key in CAPS:
+        sizes = st.integers(int(bound_ends(bound)[0]), CAPS[key])
+        # 2**63 - 1 one time in four, so that most worlds can be built
+        one = sizes if key in REPEATS else st.one_of(sizes, sizes, sizes, st.just(2**63 - 1))
+    else:
+        one = st.sampled_from([int(bound_ends(bound)[0]), 2**63 - 1]) | inside(int, bound)
+    if isinstance(kind, tuple):  # a world needs an attribute on each side
+        return st.lists(one, min_size=key.startswith("synth."), max_size=3).map(tuple)
+    return one
+
+
+@st.composite
+def in_bound_configs(draw):
+    """A config file's text: each key but FILE_KEYS left out or drawn by
+    `in_bound`, but a student's sizes always drawn, ldp.enabled set under a
+    positive ldp.intensity and group.attrs drawn from the world's user
+    attributes, so that most configs load."""
+    values = {}
+    for key in sorted(KEYS.keys() - FILE_KEYS - {"group.attrs"}):
+        value = draw(in_bound(key) if key in STUDENT_SIZES else st.none() | in_bound(key), label=key)
+        if value is not None:
+            values[key] = value
+    if values.get("ldp.intensity"):
+        values["ldp.enabled"] = True
+    names = [f"ua{j}" for j in range(len(values.get("synth.user_attrs", ExperimentConfig().synth.user_attrs)))]
+    values["group.attrs"] = tuple(draw(st.permutations(names), label="group.attrs")[: draw(st.integers(0, 2))])
+    return "".join(f"{key} = {as_text(value)}\n" for key, value in values.items())
+
+
+def finite_numbers(path):
+    """Whether every number in an output file is finite: each CSV field
+    that reads as a float, each JSON number and each checkpoint tensor."""
+    if path.endswith(".npz"):
+        with np.load(path) as z:
+            return all(np.isfinite(z[name]).all() for name in z.files)
+    with open(path) as fh:
+        if path.endswith(".csv"):
+            numbers = (_number(x) for row in csv.reader(fh) for x in row)
+            return all(math.isfinite(x) for x in numbers if x is not None)
+        lines = fh if path.endswith(".jsonl") else [fh.read()]
+        return all(_finite_json(json.loads(line, parse_constant=float)) for line in lines)
+
+
+def _number(text):
+    """`text` read as a float ("nan" and "inf" included), or None."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _finite_json(value):
+    if isinstance(value, dict):
+        return all(map(_finite_json, value.values()))
+    if isinstance(value, list):
+        return all(map(_finite_json, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+class TestEveryInBoundConfig:
+    # a command on any in-bound config ends in finite outputs, with no
+    # warning and nothing on stderr, or in one error line. CAPS bounds the
+    # run time only.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=in_bound_configs())
+    def test_finite_outputs_or_one_error_line(self, text):
+        for command in ("pretrain", "distill", "federate", "ablate"):
+            with tempfile.TemporaryDirectory() as tmp:
+                cfg, out = os.path.join(tmp, "exp.cfg"), os.path.join(tmp, "out")
+                with open(cfg, "w") as fh:
+                    fh.write(text)
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    code = main([command, "--config", cfg, "--out", out, "--quiet"])
+                err = err.getvalue()
+                if code == 0:
+                    assert err == ""
+                    for name in os.listdir(out):
+                        assert finite_numbers(os.path.join(out, name)), (command, name)
+                else:
+                    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (command, err)
+
+
 class TestSynth:
     def test_writes_csvs(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -645,6 +764,52 @@ class TestTrainingDivergence:
             f"config key {key!r} is 1e+300\n"
         )
         assert not (out / out_file).exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_round_that_diverges_in_evaluation_warns_of_nothing(self, tmp_path, capsys):
+        # one local step at fed.lr = 1e300 leaves every parameter finite but
+        # huge, so round 0's evaluation is the first to overflow
+        cfg = write_cfg_setting(tmp_path, "fed.batch", 64)
+        with open(cfg, "a") as fh:
+            fh.write("fed.lr = 1e300\nfed.local_epochs = 1\n")
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: round 0: training diverged") and err.count("\n") == 1, err
+
+
+class TestOneLabelClass:
+    # a world whose rows can hold only one label class used to end in "AUC
+    # undefined for every client", or pretrain on it and exit 0
+    @pytest.mark.parametrize("command", ["pretrain", "distill", "federate", "ablate"])
+    @pytest.mark.parametrize("lines, message", [
+        ("synth.base = -1e308\n",
+         "config key 'synth.base': -1e+308 labels every interaction 0 at synth.beta = 1.0 and synth.pref_spread = 0.8"),
+        ("synth.base = 1e308\nneg.ratio = 0\n",
+         "config key 'neg.ratio': 0 samples no negative, and every interaction is labelled 1"),
+    ], ids=["no-positive", "no-negative"])
+    def test_a_synthetic_world_exits_1_naming_the_key(self, tmp_path, capsys, command, lines, message):
+        cfg = write_cfg(tmp_path, "distill.embed_dim = 2\ndistill.mlp_hidden = 4\n" + lines)
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("label, message", [
+        ("0", "{interactions}: no interaction is labelled 1"),
+        ("1", "config key 'neg.ratio': 0 samples no negative, and every interaction is labelled 1"),
+    ])
+    def test_a_file_world_exits_1_naming_its_cause(self, tmp_path, capsys, label, message):
+        rows = "".join(f"{u},{i},{t},{label}\n" for t, (u, i) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0)]))
+        cfg = write_files_cfg(tmp_path, "user_id,ua0\n0,0\n1,1\n", "item_id,ia0\n0,0\n1,1\n",
+                              "user_id,item_id,timestamp,label\n" + rows)
+        with open(cfg, "a") as fh:
+            fh.write("neg.ratio = 0\n")
+        assert run("pretrain", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert capsys.readouterr().err == f"error: {message.format(interactions=tmp_path / 'x.csv')}\n"
+
+    def test_every_label_1_samples_negatives(self, tmp_path):
+        cfg = write_cfg(tmp_path, "synth.base = 1e308\n")
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
 
 
 class TestDistill:

@@ -45,6 +45,7 @@ from helpers import (
     split_per_user_chronological_rows,
     synth_generate_reference,
     validate_records_reference,
+    write_dataset_csvs_one_shot,
 )
 
 
@@ -436,16 +437,17 @@ class TestColumnarEqualsRowOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        rows=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4), st.integers(0, 1)), max_size=12),
+        splits=st.lists(st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=3),
         universe=st.integers(1, 9),
         ratio=st.integers(0, 5),
         seed=st.integers(0, 2**16),
     )
-    def test_sample_negatives(self, rows, universe, ratio, seed):
-        # pools from 0 to 9 items, often smaller than the ratio
-        train = [Interaction(3, item, ts, label) for item, ts, label in rows]
-        got = sample_negatives_of(train, range(universe), ratio, np.random.default_rng(seed))
-        want = sample_negatives_rows(train, range(universe), ratio, np.random.default_rng(seed))
+    def test_sample_negatives(self, splits, universe, ratio, seed):
+        # one user's positives in up to three splits; pools from 0 to 9
+        # items, often smaller than the ratio
+        rows = [[Interaction(3, item, ts, 1) for ts, item in enumerate(items)] for items in splits]
+        got = sample_negatives_of(rows, range(universe), ratio, np.random.default_rng(seed))
+        want = sample_negatives_rows(rows, range(universe), ratio, np.random.default_rng(seed))
         assert got == want
 
 
@@ -594,14 +596,14 @@ class TestSampleNegativesProperties:
         seed=st.integers(0, 2**16),
     )
     def test_negatives_avoid_every_interacted_item(self, rows, universe, ratio, seed):
-        train = [Interaction(0, item, ts, label) for item, ts, label in rows]
-        samples = sample_negatives_of(train, range(universe), ratio, np.random.default_rng(seed))
+        train = [Interaction(0, item, ts, 1) for item, ts, _ in rows]
+        [samples] = sample_negatives_of([train], range(universe), ratio, np.random.default_rng(seed))
         interacted = {r.item for r in train}
         negatives = [i for _, i, label in samples if label == 0]
         assert all(0 <= i < universe and i not in interacted for i in negatives)
-        assert [i for _, i, label in samples if label == 1] == [r.item for r in train if r.label == 1]
+        assert [i for _, i, label in samples if label == 1] == [r.item for r in train]
         pool = set(range(universe)) - interacted
-        assert len(negatives) == (ratio * sum(r.label for r in train) if pool else 0)
+        assert len(negatives) == (ratio * len(train) if pool else 0)
 
 
 class TestAssignGroups:
@@ -645,7 +647,7 @@ class TestSampleNegatives:
         return groups
 
     def test_ratio_4(self):
-        samples = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(0))
+        samples = sample_negatives_of([self.positives()], range(20), 4, np.random.default_rng(0))[0]
         assert len(samples) == 2 + 8
         assert sum(1 for _, _, l in samples if l == 1) == 2
         # a large pool: each positive's negatives are drawn without replacement
@@ -654,17 +656,17 @@ class TestSampleNegatives:
         assert all(i not in interacted for _, i, l in samples if l == 0)
 
     def test_ratio_0(self):
-        samples = sample_negatives_of(self.positives(), range(20), 0, np.random.default_rng(0))
+        samples = sample_negatives_of([self.positives()], range(20), 0, np.random.default_rng(0))[0]
         assert [l for _, _, l in samples] == [1, 1]
 
     def test_deterministic(self):
-        a = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(3))
-        b = sample_negatives_of(self.positives(), range(20), 4, np.random.default_rng(3))
+        a = sample_negatives_of([self.positives()], range(20), 4, np.random.default_rng(3))[0]
+        b = sample_negatives_of([self.positives()], range(20), 4, np.random.default_rng(3))[0]
         assert a == b
 
     def test_insufficient_pool_draws_with_replacement(self):
         # two non-interacted items for four negatives per positive
-        samples = sample_negatives_of(self.positives(), range(4), 4, np.random.default_rng(0))
+        samples = sample_negatives_of([self.positives()], range(4), 4, np.random.default_rng(0))[0]
         assert len(samples) == 2 + 8
         negs = self.negatives_per_positive(samples)
         assert all(set(n) <= {2, 3} for n in negs)
@@ -733,6 +735,15 @@ class TestSynthGenerate:
 
 
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize("rows_per_slice", [1, 7, 60, 64])
+    def test_sliced_write_is_the_one_shot_write_byte_for_byte(self, tmp_path, monkeypatch, rows_per_slice):
+        ds = synth_generate(SynthConfig(10, 10, (3, 2), (4,), interactions_per_user=6), 1)  # 60 rows
+        monkeypatch.setattr(data_module, "WRITE_SLICE_ROWS", rows_per_slice)
+        got, want = ([tmp_path / f"{side}.{f}" for f in ("u.csv", "i.csv", "x.csv")] for side in ("got", "want"))
+        write_dataset_csvs(ds, *got)
+        write_dataset_csvs_one_shot(ds, *want)
+        assert [p.read_bytes() for p in got] == [p.read_bytes() for p in want]
+
     def test_write_then_load(self, tmp_path):
         ds = synth_generate(SynthConfig(10, 10, (3, 2), (4,), beta=1.0, interactions_per_user=6), 1)
         paths = [str(tmp_path / f) for f in ("u.csv", "i.csv", "x.csv")]

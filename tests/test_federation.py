@@ -287,10 +287,10 @@ def test_sampled_negatives_avoid_every_split_of_the_user(tmp_path, monkeypatch):
     drawn = []
     sample = federation.sample_negatives
 
-    def recording(items, labels, universe, ratio, rng):
-        item, label = sample(items, labels, universe, ratio, rng)
-        drawn.append(item[label == 0])
-        return item, label
+    def recording(positives, universe, ratio, rng):
+        cols = sample(positives, universe, ratio, rng)
+        drawn.extend(item[label == 0] for item, label in cols)
+        return cols
 
     monkeypatch.setattr(federation, "sample_negatives", recording)
     uids = build_clients(ds, build_arch(cfg, ds), cfg.seed, cfg.neg_ratio).uids.tolist()
