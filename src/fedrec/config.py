@@ -6,8 +6,13 @@ kind its `setting` declares says. Chosen for diff-ability in experiment logs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, field, fields
-from typing import Dict
+from typing import Dict, Sequence
+
+# values one array of 8-byte elements can hold: numpy needs its byte count
+# in an int64
+MAX_VALUES = (2**63 - 1) // 8
 
 
 class ConfigError(ValueError):
@@ -50,6 +55,18 @@ def check_bounds(section):
                 raise ConfigError(f"config key {key!r}: {x!r} is not one of {', '.join(bound)}")
             if isinstance(bound, str) and not _inside(x, bound):
                 raise ConfigError(f"config key {key!r}: {x} is outside {bound}")
+
+
+def check_size(what: str, shape: Sequence[int], keys: Sequence[Sequence[str]]):
+    """Raise ConfigError when `what`, an array of `shape`, would hold more
+    than MAX_VALUES values, naming keys[j] of each dimension j past the
+    square root of that bound (the largest always is). Counted in Python
+    ints, so before anything is allocated."""
+    count = math.prod(shape)
+    if count > MAX_VALUES:
+        named = list(dict.fromkeys(k for n, ks in zip(shape, keys) if n * n > MAX_VALUES for k in ks))
+        raise ConfigError(f"config key{'s' * (len(named) > 1)} {', '.join(map(repr, named))}: {what} would hold "
+                          f"{count} values, more than numpy can address ({MAX_VALUES})")
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import check_bounds, setting
+from .config import check_bounds, check_size, setting
 from .streams import choice_rows
 
 PRETRAIN, FED_TRAIN, FED_VAL, FED_TEST = "pretrain", "fed-train", "fed-val", "fed-test"
@@ -214,6 +214,9 @@ class SynthConfig:
 
     def __post_init__(self):
         check_bounds(self)
+        if self.user_attrs and self.item_attrs:
+            check_size("the affinity table (first user attribute by first item attribute)",
+                       (self.user_attrs[0], self.item_attrs[0]), (("synth.user_attrs",), ("synth.item_attrs",)))
 
 
 def _not_utf8(path: str) -> DataError:

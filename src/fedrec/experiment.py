@@ -6,7 +6,9 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
-from .config import ConfigError, check_bounds, parse_value, setting
+import numpy as np
+
+from .config import ConfigError, check_bounds, check_size, parse_value, setting
 from .data import (
     DataError,
     Dataset,
@@ -39,6 +41,7 @@ from .model import (
     ShapeError,
     count_params,
     init_params,
+    tensor_shapes,
 )
 
 # The partition rules (name pattern, tag) of the paper's method: each tensor
@@ -154,12 +157,14 @@ def build_raw_dataset(cfg: ExperimentConfig) -> Dataset:
 def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, List[int]]:
     """Raw dataset -> pretrain/federated user partition -> per-user 6:2:2
     split; returns (dataset, the ids of the users the split dropped). A
-    world that can hold only one label class, no row labelled 1, or every
-    row labelled 1 with no negatives sampled, raises ConfigError or
-    DataError naming its cause."""
+    world that can hold only one label class (no row labelled 1, or every
+    row labelled 1 and no negative to sample: neg.ratio = 0, or each user
+    touched every item), or that would sample more examples than numpy can
+    address, raises ConfigError or DataError naming its cause."""
     ds = build_raw_dataset(cfg)
+    synth = cfg.source == "synth"
     if not ds.label.any():
-        if cfg.source == "synth":
+        if synth:
             s = cfg.synth
             raise ConfigError(f"config key 'synth.base': {s.base} labels every interaction 0 "
                               f"at synth.beta = {s.beta} and synth.pref_spread = {s.pref_spread}")
@@ -167,6 +172,14 @@ def prepare_dataset(cfg: ExperimentConfig) -> Tuple[Dataset, List[int]]:
     if cfg.neg_ratio == 0 and ds.label.all():
         raise ConfigError("config key 'neg.ratio': 0 samples no negative, and every interaction is labelled 1")
     ds = split_pretrain_federated(ds, cfg.pretrain_fraction, cfg.seed)
+    if ds.label.all():  # each positive gets neg.ratio negatives from the items its user never touched
+        if len(np.unique(np.stack((ds.user, ds.item), axis=1), axis=0)) == len(np.unique(ds.user)) * len(ds.items):
+            if synth:
+                raise ConfigError(f"config keys 'synth.interactions_per_user', 'synth.n_items': each user touches all "
+                                  f"{len(ds.items)} items, every one labelled 1, so no negative can be drawn")
+            raise DataError(f"{cfg.interactions_path}: each user has every item, every one labelled 1, "
+                            "so no negative can be drawn")
+        check_size("the sampled examples", (1 + cfg.neg_ratio, len(ds)), (("neg.ratio",), ()))
     return split_per_user_chronological(ds)
 
 
@@ -186,14 +199,29 @@ def build_arch(cfg: ExperimentConfig, dataset: Dataset, arm: str = "fedpa") -> A
         raise ConfigError(f"config key 'group.attrs': {exc}") from None
 
 
+def check_sizes(cfg: ExperimentConfig, arch: Arch) -> Arch:
+    """`arch`, unless one of its tensors (`model.tensor_shapes`) would hold
+    more values than numpy can address: then ConfigError naming the config
+    keys that set that tensor's largest dimensions (`config.check_size`)."""
+    cards = "synth.{}_attrs" if cfg.source == "synth" else "data.{}s"  # the file a cardinality is read from
+    keys: Dict[int, List[str]] = {}  # a dimension -> the config keys that set it
+    for key, sizes in (("arch.embed_dim", (arch.embed_dim, arch.input_dim)), ("arch.mlp_hidden", arch.mlp_hidden),
+                       ("arch.gate_hidden", (arch.gate_hidden,)), (cards.format("user"), arch.user_schema.cards),
+                       (cards.format("item"), arch.item_schema.cards)):
+        for n in sizes:
+            keys.setdefault(n, []).append(key)
+    for name, shape in tensor_shapes(arch).items():
+        check_size(f"tensor {name}", shape, [keys.get(n, ()) for n in shape])
+    return arch
+
+
 def pretrain_base(cfg: ExperimentConfig, dataset: Dataset) -> Tuple[ParamSet, List[float]]:
     """The base model pretrained as `cfg` says on the dataset's pretrain
     split, and its per-epoch mean loss. Raises DivergenceError naming the
     epoch and `pretrain.lr` when training diverges."""
     try:
-        return pretrain(
-            dataset, build_arch(cfg, dataset), cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio
-        )
+        arch = check_sizes(cfg, build_arch(cfg, dataset).base())
+        return pretrain(dataset, arch, cfg.pre_epochs, cfg.pre_lr, cfg.pre_batch, cfg.seed, cfg.neg_ratio)
     except DivergenceError as exc:
         raise DivergenceError(exc.epoch, f"pretrain {exc}; config key 'pretrain.lr' is {cfg.pre_lr:g}") from None
 
@@ -220,7 +248,7 @@ def run_arm(
     warm-started arm pretrains its base model, after building its clients,
     unless given `pretrained`."""
     _, rules, warm = ARMS[arm]
-    arch = build_arch(cfg, dataset, arm)
+    arch = check_sizes(cfg, build_arch(cfg, dataset, arm))
     arrays = build_clients(dataset, arch, cfg.seed, cfg.neg_ratio)  # first: a split with no client fails at once
     if warm:
         if pretrained is None:

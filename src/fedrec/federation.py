@@ -315,7 +315,12 @@ def local_train(
 ) -> UploadBatch:
     """`cfg.local_epochs` epochs of SGD (`cfg.fed_lr`, batches of
     `cfg.fed_batch`) for the clients at rows idx of `arrays`, trained as one
-    stacked cohort; the results are those of training each client alone.
+    stacked cohort; the results are those of training each client alone,
+    bit for bit when every train shard has the same length. Ragged shards
+    are not: a client's last partial batch runs as wide as the cohort's
+    padding, which moved results by up to 3.9e-12 relative on a heavy-tailed
+    world of 1,500 clients, and the tests hold a small ragged world only to
+    within 1e-12.
 
     Each client starts from the global shared and frozen tensors and its own
     user adapter, trains the private and shared tensors on its train shard

@@ -172,11 +172,12 @@ def user_adapter_specs(arch: Arch) -> Dict[str, Tuple[Shape, str]]:
     return _pair(arch, "adapter/user") if arch.use_user_adapter else {}
 
 
-def _specs(arch: Arch) -> Dict[str, Tuple[Shape, str]]:
+def _specs(arch: Arch, groups: bool = True) -> Dict[str, Tuple[Shape, str]]:
     """Every tensor's shape and initializer, in the order init_params draws
-    them. Embeddings and MLP weights are Glorot-uniform, biases zero; every
-    adapter branch starts as the zero map, and gate W_2 is zero so the gate
-    starts uniform over branches."""
+    them (without `groups`, but the group adapters). Embeddings and MLP
+    weights are Glorot-uniform, biases zero; every adapter branch starts as
+    the zero map, and gate W_2 is zero so the gate starts uniform over
+    branches."""
     d, dims = arch.embed_dim, arch.layer_dims
     out: Dict[str, Tuple[Shape, str]] = {}
     for side, schema in (("user", arch.user_schema), ("item", arch.item_schema)):
@@ -185,7 +186,7 @@ def _specs(arch: Arch) -> Dict[str, Tuple[Shape, str]]:
     for l in range(arch.n_layers):
         out[f"mlp/{l}/W"], out[f"mlp/{l}/b"] = ((dims[l + 1], dims[l]), GLOROT), ((dims[l + 1],), ZERO)
     out.update(user_adapter_specs(arch))
-    for attr, card in arch.group_cards().items():
+    for attr, card in arch.group_cards().items() if groups else ():
         for g in range(card):
             out.update(_pair(arch, f"{GROUP_PREFIX}{attr}/{g}"))
     for l in arch.adapter_layer_ids if arch.gate_mode == GATE_LEARNED else ():
@@ -239,6 +240,13 @@ class Layout:
         others = {n for segments in self.groups.values() for names in segments[1:] for n in names}
         entries = {n: own.get(n, e) for n, e in self.entries.items() if n not in others}
         return replace(self, entries=entries, sizes=sizes, groups={a: s[:1] for a, s in self.groups.items()})
+
+
+def tensor_shapes(arch: Arch) -> Dict[str, Shape]:
+    """Each tensor's shape, in Python ints and with nothing allocated, but
+    the group adapters': a pair is no larger than its layer's W, and listing
+    every group's would loop over the attribute's cardinality."""
+    return {name: shape for name, (shape, _) in _specs(arch, groups=False).items()}
 
 
 def _layout(arch: Arch, tags: Dict[str, str]) -> Layout:
@@ -300,7 +308,10 @@ class ParamSet:
 
     @classmethod
     def from_vectors(cls, arch: Arch, layout: Layout, frozen: np.ndarray, trained: np.ndarray) -> "ParamSet":
-        """The ParamSet over these buffers, which the caller hands over."""
+        """The ParamSet over these buffers, which the caller hands over; a
+        cohort's clients share its one frozen vector, else ShapeError."""
+        if np.ndim(frozen) != 1:
+            raise ShapeError(f"the frozen vector must be one vector, not {np.shape(frozen)}")
         ps = cls.__new__(cls)
         ps._bind(arch, layout, frozen, trained)
         return ps
@@ -526,14 +537,14 @@ class _EmbedPlan:
 
     Slot s (user attributes in schema order, then item attributes) reads
     its attribute's table. Each tag's tables are the start of its vector, a
-    `piece`; the pieces' rows, stacked end to end with the trained tags'
-    first, form one (R, d) source, where row r of slot s is source row
-    base[..., s] + r. A stacked (C, E) piece holds client c's copy of its
-    tables c * E / d rows later, so base is then (C, 1, slots).
-    The gradient of the trained tables is one np.bincount over the flat
-    source index (source row * d + column) of each live slot element; the
-    count's [start, stop) range of each trained piece is the piece's
-    gradient, `grads` (start, stop, gradient view).
+    piece, (C, E) for a trained tag and (E,) for the frozen one. The pieces'
+    rows, the trained tags' first, form one (R, d) `source`, where row r of
+    slot s for client c is source row base[c, 0, s] + r: a view of the one
+    piece when a cohort of one's tables sit in one vector, else a copy that
+    `restack` refreshes. The gradient of the trained tables is one
+    np.bincount over the flat source index (source row * d + column) of
+    each live slot element; a trained piece's [start, stop) of the count is
+    its gradient.
 
     A backward pass computes the layer-0 input gradient only at `span`, the
     live slots' columns widened to multiples of 8, and the scatter reads the
@@ -546,28 +557,21 @@ class _EmbedPlan:
     one-column span therefore widens to every column.
     """
 
-    pieces: Tuple[np.ndarray, ...]
-    source: Optional[np.ndarray]       # the source as a view, when one piece of one client holds every table
-    base: np.ndarray                   # source row of row 0: (slots,) or (C, 1, slots)
+    source: np.ndarray                 # (R, d): every piece's rows, end to end
+    base: np.ndarray                   # source row of row 0: (C, 1, slots)
     cols: np.ndarray                   # arange(d)
     live: Union[slice, np.ndarray]     # slots whose table takes a gradient
     span: slice                        # the layer-0 input columns its gradient is computed at
     span_live: Union[slice, np.ndarray]  # the live slots' columns within span
-    grads: Tuple[Tuple[int, int, np.ndarray], ...]
-    size: int                          # flat length the gradient count covers
+    trained: Tuple[tuple, ...]         # (piece, start, stop, gradient view or None) per trained tag
 
-    def stacked(self) -> np.ndarray:
-        """The (R, d) source: every piece's rows, end to end."""
-        if self.source is not None:
-            return self.source
-        return np.concatenate([p.reshape(-1, len(self.cols)) for p in self.pieces])
-
-    def restack(self, source: np.ndarray):
-        """Write the trained tables' current rows into `source`, a copy that
-        stacked() returned; a view needs nothing."""
-        if self.source is None:
-            flat = source.reshape(-1)
-            for piece, (start, stop, _) in zip(self.pieces, self.grads):  # the trained pieces lead
+    def restack(self):
+        """Write the trained tables' current rows into the source when it is
+        the copy np.concatenate made, which owns its data; a view needs
+        nothing."""
+        if self.source.flags.owndata:
+            flat = self.source.reshape(-1)
+            for piece, start, stop, _ in self.trained:
                 flat[start:stop].reshape(piece.shape)[...] = piece
 
     def scatter_rows(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -591,7 +595,7 @@ class _LayerPlan:
     b: Param                               # its value (..., 1, k) broadcasts over the rows
     adapters: Tuple[Tuple[Param, Param], ...]
     gate: Optional[Tuple[Param, Param]]    # (W1, W2) of a learned gate
-    gate_mode: str
+    weights: Optional[np.ndarray]          # (B,) branch weights of a fixed gate
 
 
 @dataclass(frozen=True)
@@ -608,66 +612,60 @@ def _index(ix: List[int]) -> Union[slice, np.ndarray]:
 
 
 def _plan(ps: ParamSet, grads: bool = True) -> _Plan:
-    """The layout plan of cohort `ps`, each row with its own groups'
-    adapters; without `grads`, an inference plan that holds no gradient.
-    Trained tensors a backward pass does not use read zero gradient."""
+    """The layout plan of cohort `ps` (trained buffer (C, P), frozen vector
+    (F,)), each row with its own groups' adapters; without `grads`, an
+    inference plan that holds no gradient. Trained tensors a backward pass
+    does not use read zero gradient."""
     arch, lay = ps.arch, ps.layout
     grad = np.zeros(ps.trained.shape if grads else 0)
     gflat, gtensors = _views(lay, grad) if grads else ({}, {})
     params = {name: (t, gtensors.get(name)) for name, t in ps.tensors.items()}
 
-    d = arch.embed_dim
-    names = tuple(f"user_emb/{a}" for a in arch.user_schema.names) + tuple(
-        f"item_emb/{a}" for a in arch.item_schema.names
-    )
-    slots = [lay.entries[n] for n in names]
-    pieces, row, rows_of, piece_grads = [], 0, {}, []
+    d, C = arch.embed_dim, len(ps.trained)
+    sides = (("user", arch.user_schema), ("item", arch.item_schema))
+    slots = [lay.entries[f"{side}_emb/{a}"] for side, schema in sides for a in schema.names]
+    pieces, trained, at, row = [], [], {}, 0
     for tag in (PRIVATE, SHARED, FROZEN):
         width = max((b for t, _, b, _ in slots if t == tag), default=0)  # tables lead the vector
         if not width:
             continue
         piece = ps.flat[tag][..., :width]
-        rows_of[tag] = (row, width // d if piece.ndim > 1 else 0)
-        if tag in gflat:
-            piece_grads.append((row * d, row * d + piece.size, gflat[tag][..., :width]))
+        at[tag] = (row, 0 if tag == FROZEN else width // d)  # (first source row, rows per client)
+        if tag != FROZEN:
+            trained.append((piece, row * d, row * d + piece.size, gflat[tag][:, :width] if grads else None))
         pieces.append(piece)
         row += piece.size // d
-    base = np.array([rows_of[t][0] + a // d for t, a, _, _ in slots])
-    per_client = np.array([rows_of[t][1] for t, _, _, _ in slots])
-    if per_client.any():  # client c's copy of a stacked piece starts c * E / d rows later
-        clients = next(p.shape[0] for p in pieces if p.ndim > 1)
-        base = base + np.arange(clients)[:, None, None] * per_client
+    first, step = np.array([(at[t][0] + a // d, at[t][1]) for t, a, _, _ in slots]).T
+    base = first + np.arange(C)[:, None, None] * step  # client c's trained tables start c * E / d rows on
     on = [s for s, (t, _, _, _) in enumerate(slots) if t != FROZEN]
     cols = [s * d + j for s in on for j in range(d)]  # the live slots' layer-0 input columns
     lo, hi = (cols[0] // 8 * 8, min(arch.input_dim, -(-(cols[-1] + 1) // 8) * 8)) if cols else (0, 0)
     if hi - lo == 1:
         lo, hi = 0, arch.input_dim
     embed = _EmbedPlan(
-        pieces=tuple(pieces),
-        # one client's one piece, as a cohort of one's, is read in place
-        source=pieces[0].reshape(-1, d) if len(pieces) == 1 and math.prod(pieces[0].shape[:-1]) == 1 else None,
+        # a cohort of one's one piece, or the frozen vector alone, is read in place
+        source=pieces[0].reshape(-1, d) if len(pieces) == 1 and (C == 1 or not trained)
+        else np.concatenate([p.reshape(-1, d) for p in pieces]),
         base=base,
         cols=np.arange(d),
         live=_index(on),
         span=slice(lo, hi),
         span_live=_index([c - lo for c in cols]),
-        grads=tuple(piece_grads),
-        size=piece_grads[-1][1] if piece_grads else 0,
+        trained=tuple(trained),
     )
 
+    # the adapter branches in gate-column order, a group's each row's own
+    branches = (["adapter/user"] if arch.use_user_adapter else []) + [f"{GROUP_PREFIX}{a}/0" for a in arch.group_attrs]
+    B = arch.n_branches  # a uniform gate weighs each branch 1/B, a common gate branch 0 alone
+    fixed = {GATE_UNIFORM: np.full(B, 1.0 / B), GATE_COMMON: np.eye(B)[0]}.get(arch.gate_mode)
     layers = []
     for l in range(arch.n_layers):
-        adapters = []
-        if l in arch.adapter_layer_ids:
-            branches = (["adapter/user"] if arch.use_user_adapter else []) + [
-                f"{GROUP_PREFIX}{attr}/0" for attr in arch.group_attrs  # each row's own group's
-            ]
-            adapters = [(params[f"{p}/{l}/A"], params[f"{p}/{l}/B"]) for p in branches]
-        gate = None
-        if adapters and arch.gate_mode == GATE_LEARNED:
-            gate = (params[f"gate/{l}/W1"], params[f"gate/{l}/W2"])
+        adapted = l in arch.adapter_layer_ids
+        adapters = tuple((params[f"{p}/{l}/A"], params[f"{p}/{l}/B"]) for p in branches) if adapted else ()
+        gate = (params[f"gate/{l}/W1"], params[f"gate/{l}/W2"]) if adapted and fixed is None else None
         b, gb = params[f"mlp/{l}/b"]
-        layers.append(_LayerPlan(params[f"mlp/{l}/W"], (b[..., None, :], gb), tuple(adapters), gate, arch.gate_mode))
+        layers.append(_LayerPlan(params[f"mlp/{l}/W"], (b[..., None, :], gb), adapters, gate,
+                                 fixed if adapted else None))
     return _Plan(embed, tuple(layers), grad)
 
 
@@ -714,28 +712,23 @@ def _layer_branches(lp: _LayerPlan, X: np.ndarray):
         return C, _LayerCache(X, [C])
     T = [X @ B.mT for _, (B, _) in lp.adapters]
     cache = _LayerCache(X, [C] + [h @ A.mT for h, ((A, _), _) in zip(T, lp.adapters)], T)
-    n_branches = len(cache.V)
     if lp.gate is not None:
         (W1, _), (W2, _) = lp.gate
         cache.S = _relu(X @ W1.mT)
         cache.G = _softmax(cache.S @ W2.mT)
-    elif lp.gate_mode == GATE_UNIFORM:
-        cache.G = np.full(X.shape[:-1] + (n_branches,), 1.0 / n_branches)
-    else:  # GATE_COMMON: one-hot on the common branch
-        cache.G = np.zeros(X.shape[:-1] + (n_branches,))
-        cache.G[..., 0] = 1.0
+    else:  # a fixed gate's row, read-only on every row
+        cache.G = np.broadcast_to(lp.weights, X.shape[:-1] + lp.weights.shape)
     Z = np.zeros_like(C)
     for j, v in enumerate(cache.V):
         Z += cache.G[..., j : j + 1] * v
     return Z, cache
 
 
-def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool, source: np.ndarray):
+def _forward(plan: _Plan, rows: np.ndarray, want_cache: bool):
     """(probs, each layer's cache or None) of the batch whose layer-0 input
-    slots read the source rows `rows` (..., n, slots) of `source`, the
-    plan's tables stacked end to end (`_EmbedPlan.stacked`)."""
-    # one gather of every slot's row from the tables stacked end to end
-    X = source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
+    slots read the rows `rows` (..., n, slots) of the plan's source."""
+    # one gather of every slot's row from the tables end to end
+    X = plan.embed.source.take(rows, axis=0).reshape(rows.shape[:-1] + (-1,))
     layers: List[_LayerCache] = []
     top = len(plan.layers) - 1
     for l, lp in enumerate(plan.layers):
@@ -797,10 +790,9 @@ def forward_batch(ps: ParamSet, UA: np.ndarray, VA: np.ndarray):
     _check_rows(ps.arch, UA, VA)
     plan = _plan(ps, grads=False)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    source = plan.embed.stacked()  # once per call, not once per block
     probs = np.empty(rows.shape[:-1])
     for block in _blocks(probs.shape[-1]):
-        probs[:, block] = _forward(plan, rows[:, block], False, source)[0]
+        probs[:, block] = _forward(plan, rows[:, block], False)[0]
     return (probs[0] if plain else probs), None
 
 
@@ -868,7 +860,7 @@ def backward_batch(cache: ForwardCache, labels: np.ndarray, valid: Optional[np.n
         if l > 0:  # X = relu(previous Z), positive exactly where that Z is
             dZ = _input_grad(terms)
             dZ *= X > 0
-        elif emb.grads:  # one scatter of the layer-0 input gradient
+        elif emb.trained:  # one scatter of the layer-0 input gradient
             _embed_grads(emb, cache.index, _input_grad(terms, emb.span)[..., emb.span_live])
     return cache.plan.grad
 
@@ -893,8 +885,9 @@ def _embed_grads(emb: _EmbedPlan, index: np.ndarray, dX: np.ndarray):
     `index` the batch's _EmbedPlan.scatter_rows: every element's gradient
     added at its flat source index, in batch order as a row-by-row loop
     would add them."""
-    flat = np.bincount((index[..., None] + emb.cols).ravel(), weights=dX.ravel(), minlength=emb.size)
-    for start, stop, grad in emb.grads:
+    size = emb.trained[-1][2] if emb.trained else 0  # the trained pieces lead the source
+    flat = np.bincount((index[..., None] + emb.cols).ravel(), weights=dX.ravel(), minlength=size)
+    for _, start, stop, grad in emb.trained:
         grad[...] = flat[start:stop].reshape(grad.shape)
 
 
@@ -960,7 +953,6 @@ def sgd_epochs(
     rows = (np.concatenate((UA, VA), axis=-1) + plan.embed.base).reshape(C * N, plan.embed.base.shape[-1])
     y = y.reshape(C * N)
     valid = None if (counts == N).all() else np.arange(N) < counts[:, None]  # no mask without padding
-    source = plan.embed.stacked()  # restacked in place before each step
     losses = np.empty((epochs, C)) if want_loss else None
     epoch_rows = epoch_index = epoch_y = None
     for e in range(epochs):
@@ -974,8 +966,8 @@ def sgd_epochs(
         probs = np.empty((C, N)) if want_loss else None
         for start in range(0, N, batch_size):
             batch = slice(start, start + batch_size)
-            plan.embed.restack(source)
-            p, layers = _forward(plan, epoch_rows[:, batch], True, source)
+            plan.embed.restack()
+            p, layers = _forward(plan, epoch_rows[:, batch], True)
             if want_loss:
                 probs[:, batch] = p
             cache = ForwardCache(epoch_index[:, batch], layers, p, plan)
@@ -1015,7 +1007,8 @@ def _epoch_loss(probs: np.ndarray, y: np.ndarray, batch_size: int) -> float:
     terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     n = len(terms)
     full = n - n % batch_size
-    sums = np.add.reduce(terms[:full].reshape(-1, batch_size), axis=-1)
+    # without a full batch, no (0, batch_size) shape, whose byte count can pass int64
+    sums = np.add.reduce(terms[:full].reshape(-1, batch_size), axis=-1) if full else np.zeros(0)
     sizes = np.full(len(sums), float(batch_size))
     if full < n:
         sums = np.append(sums, np.add.reduce(terms[full:]))

@@ -39,7 +39,9 @@ from fedrec import model
 from fedrec.model import (
     EPS_CLAMP,
     FROZEN,
+    GATE_COMMON,
     GATE_LEARNED,
+    GATE_UNIFORM,
     GROUP_PREFIX,
     PRIVATE,
     SHARED,
@@ -211,9 +213,11 @@ def numeric_grad(ps, name, UA, VA, groups, y, step=1e-5):
     for idx in np.ndindex(t.shape):
         value = t[idx]
         t[idx] = value + step
-        lp = bce_loss(_forward(plan, rows, False, plan.embed.stacked())[0], y)
+        plan.embed.restack()
+        lp = bce_loss(_forward(plan, rows, False)[0], y)
         t[idx] = value - step
-        lm = bce_loss(_forward(plan, rows, False, plan.embed.stacked())[0], y)
+        plan.embed.restack()
+        lm = bce_loss(_forward(plan, rows, False)[0], y)
         t[idx] = value
         num[idx] = (lp - lm) / (2.0 * step)
     return num
@@ -336,7 +340,7 @@ def forward_one_shot(ps, UA, VA, groups=None):
     model's rows (n, attrs) run through single_plan."""
     plan = _plan(ps, grads=False) if ps.trained.ndim > 1 else single_plan(ps, groups, grads=False)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    return _forward(plan, rows, False, plan.embed.stacked())[0]
+    return _forward(plan, rows, False)[0]
 
 
 def forward_cached(ps, UA, VA):
@@ -346,7 +350,7 @@ def forward_cached(ps, UA, VA):
     _check_rows(ps.arch, UA, VA)
     plan = _plan(ps)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    probs, layers = _forward(plan, rows, True, plan.embed.stacked())
+    probs, layers = _forward(plan, rows, True)
     return probs, ForwardCache(plan.embed.scatter_rows(rows), layers, probs, plan)
 
 
@@ -394,15 +398,15 @@ def single_plan(ps, groups, grads=True):
         f"item_emb/{a}" for a in arch.item_schema.names
     )
     slots = [lay.entries[n] for n in names]
-    pieces, row, first, piece_grads = [], 0, {}, []
+    pieces, row, first, trained = [], 0, {}, []
     for tag in (PRIVATE, SHARED, FROZEN):
         width = max((b for t, _, b, _ in slots if t == tag), default=0)  # tables lead the vector
         if not width:
             continue
         first[tag] = row
-        if tag != FROZEN and grads:
+        if tag != FROZEN:
             s = lay.start(tag)
-            piece_grads.append((row * d, row * d + width, grad[s : s + width]))
+            trained.append((ps.flat[tag][:width], row * d, row * d + width, grad[s : s + width] if grads else None))
         pieces.append(ps.flat[tag][:width])
         row += width // d
     on = [s for s, (t, _, _, _) in enumerate(slots) if t != FROZEN]
@@ -411,15 +415,13 @@ def single_plan(ps, groups, grads=True):
     if hi - lo == 1:
         lo, hi = 0, arch.input_dim
     embed = _EmbedPlan(
-        pieces=tuple(pieces),
-        source=pieces[0].reshape(-1, d) if len(pieces) == 1 else None,
+        source=pieces[0].reshape(-1, d) if len(pieces) == 1 else np.concatenate([p.reshape(-1, d) for p in pieces]),
         base=np.array([first[t] + a // d for t, a, _, _ in slots]),
         cols=np.arange(d),
         live=_index(on),
         span=slice(lo, hi),
         span_live=_index([c - lo for c in cols]),
-        grads=tuple(piece_grads),
-        size=piece_grads[-1][1] if piece_grads else 0,
+        trained=tuple(trained),
     )
     layers = []
     for l in range(arch.n_layers):
@@ -432,8 +434,15 @@ def single_plan(ps, groups, grads=True):
                     raise ShapeError(f"group index for attribute {attr!r} required")
                 prefix = f"{GROUP_PREFIX}{attr}/{groups[attr]}/{l}"
                 adapters.append((named(prefix + "/A"), named(prefix + "/B")))
-        gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2")) if adapters and arch.gate_mode == GATE_LEARNED else None
-        layers.append(_LayerPlan(named(f"mlp/{l}/W"), named(f"mlp/{l}/b"), tuple(adapters), gate, arch.gate_mode))
+        gate = weights = None
+        if adapters and arch.gate_mode == GATE_LEARNED:
+            gate = (named(f"gate/{l}/W1"), named(f"gate/{l}/W2"))
+        elif adapters:  # a fixed gate: 1/B on each branch, or all on the common one
+            branches = len(adapters) + 1
+            weights = np.full(branches, 1.0 / branches) if arch.gate_mode == GATE_UNIFORM else np.zeros(branches)
+            if arch.gate_mode == GATE_COMMON:
+                weights[0] = 1.0
+        layers.append(_LayerPlan(named(f"mlp/{l}/W"), named(f"mlp/{l}/b"), tuple(adapters), gate, weights))
     return _Plan(embed, tuple(layers), grad)
 
 
@@ -449,7 +458,6 @@ def sgd_epochs_single(ps, UA, VA, y, groups, batch_size, lr, rng, epochs, want_l
     ps = ps.copy()
     ps.plan = plan = single_plan(ps, groups)
     rows = np.concatenate((UA, VA), axis=-1) + plan.embed.base
-    source = plan.embed.stacked()
     losses = [] if want_loss else None
     for _ in range(epochs):
         order = rng.permutation(len(y))
@@ -458,8 +466,8 @@ def sgd_epochs_single(ps, UA, VA, y, groups, batch_size, lr, rng, epochs, want_l
         probs = np.empty(len(y))
         for start in range(0, len(y), batch_size):
             batch = slice(start, start + batch_size)
-            plan.embed.restack(source)
-            p, layers = _forward(plan, epoch_rows[batch], True, source)
+            plan.embed.restack()
+            p, layers = _forward(plan, epoch_rows[batch], True)
             probs[batch] = p
             cache = ForwardCache(epoch_index[batch], layers, p, plan)
             ps = model.sgd_step(ps, model.backward_batch(cache, epoch_y[batch]), lr)
@@ -566,14 +574,14 @@ def backward_full_width(cache, labels, valid=None):
         if l > 0:
             dZ = dX * (X > 0)
     emb = cache.plan.embed
-    if emb.grads:
+    if emb.trained:
         d = len(emb.cols)
         flat = np.bincount(
             (cache.index[..., None] + emb.cols).ravel(),
             weights=dX.reshape(cache.index.shape[:-1] + (-1, d))[..., emb.live, :].ravel(),
-            minlength=emb.size,
+            minlength=emb.trained[-1][2],
         )
-        for start, stop, grad in emb.grads:
+        for _, start, stop, grad in emb.trained:
             grad[...] = flat[start:stop].reshape(grad.shape)
     return cache.plan.grad.copy()
 

@@ -811,6 +811,86 @@ class TestOneLabelClass:
         cfg = write_cfg(tmp_path, "synth.base = 1e308\n")
         assert run("federate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 0
 
+    # a positive-only world in which each user touched every item leaves no
+    # item to draw a negative from: pretrain used to train on positives
+    # alone and exit 0, and federate to end with "AUC undefined for every
+    # client"
+    @pytest.mark.parametrize("command", ["pretrain", "distill", "federate", "ablate"])
+    def test_a_synthetic_world_with_no_negative_to_draw_names_the_keys(self, tmp_path, capsys, command):
+        cfg = write_cfg_setting(tmp_path, "synth.interactions_per_user", 20)  # synth.n_items
+        with open(cfg, "a") as fh:
+            fh.write("distill.embed_dim = 2\ndistill.mlp_hidden = 4\nsynth.base = 1e308\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 1
+        assert capsys.readouterr().err == (
+            "error: config keys 'synth.interactions_per_user', 'synth.n_items': each user touches all 20 items, "
+            "every one labelled 1, so no negative can be drawn\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_a_file_world_with_no_negative_to_draw_names_the_file(self, tmp_path, capsys):
+        # each user has both items, and no label column makes every row a 1
+        rows = "".join(f"{u},{i},{t}\n" for t, (u, i) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0)]))
+        cfg = write_files_cfg(tmp_path, "user_id,ua0\n0,0\n1,1\n", "item_id,ia0\n0,0\n1,1\n",
+                              "user_id,item_id,timestamp\n" + rows)
+        assert run("pretrain", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'x.csv'}: each user has every item, every one labelled 1, so no negative can be drawn\n"
+        )
+
+
+class TestSizesNumpyCannotHold:
+    # a size inside its key's bound whose array numpy cannot represent used
+    # to end in "array is too big" or "Maximum allowed dimension exceeded",
+    # naming no key; the count is checked before anything is allocated
+    @pytest.mark.parametrize("command", ["pretrain", "federate"])
+    @pytest.mark.parametrize("key, value", [
+        ("arch.embed_dim", 2**63 - 1),
+        ("arch.mlp_hidden", f"6,{2**63 - 1}"),
+        ("synth.item_attrs", f"4,{2**63 - 1}"),
+        ("synth.user_attrs", f"{2**63 - 1},2"),  # the first, which the synthetic affinity table reads
+        ("neg.ratio", 2**63 - 1),  # on a positive-only world whose users each left items untouched
+    ])
+    def test_one_error_line_names_the_key(self, tmp_path, capsys, command, key, value):
+        cfg = write_cfg_setting(tmp_path, key, value)
+        with open(cfg, "a") as fh:
+            fh.write("synth.base = 1e308\n" if key == "neg.ratio" else "")
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key!r}: ") and "more than numpy can address" in err, err
+        assert err.count("\n") == 1 and not list(out.glob("*"))
+
+    def test_a_gate_too_wide_fails_the_arm_that_builds_it(self, tmp_path, capsys):
+        # pretraining builds no gate, so only the adapted arms fail
+        cfg = write_cfg_setting(tmp_path, "arch.gate_hidden", 2**63 - 1)
+        assert run("pretrain", "--config", cfg, "--out", str(tmp_path / "pre"), "--quiet") == 0
+        assert run("federate", "--config", cfg, "--out", str(tmp_path / "fed"), "--quiet") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'arch.gate_hidden': tensor gate/0/W1 would hold "), err
+
+    def test_a_file_cardinality_names_the_file_key(self, tmp_path, capsys):
+        rows = "".join(f"{u},{i},{t},{(u + i) % 2}\n" for t, (u, i) in enumerate([(0, 0), (0, 1), (1, 1), (1, 0)] * 3))
+        cfg = write_files_cfg(tmp_path, "user_id,ua0\n0,0\n1,1\n", f"item_id,ia0\n0,0\n1,{2**63 - 2}\n",
+                              "user_id,item_id,timestamp,label\n" + rows)
+        assert run("pretrain", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet") == 1
+        assert capsys.readouterr().err.startswith("error: config key 'data.items': tensor item_emb/ia0 would hold ")
+
+
+class TestBatchWiderThanAnyShard:
+    # a batch of 2**63 - 1 rows holds every row in one batch; the epoch loss
+    # used to ask numpy for a (0, batch) shape and end in "array is too big"
+    @pytest.mark.parametrize("command, key", [("pretrain", "pretrain.batch"), ("distill", "distill.batch")])
+    def test_trains_as_one_batch_and_exits_0(self, tmp_path, command, key):
+        cfg = write_cfg_setting(tmp_path, key, 2**63 - 1)
+        with open(cfg, "a") as fh:
+            fh.write("distill.embed_dim = 2\ndistill.mlp_hidden = 4\ndistill.epochs = 2\n")
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", str(out), "--quiet") == 0
+        with open(out / f"{command}_loss.csv") as fh:
+            assert len(list(csv.reader(fh))) == 3  # the header and two finite epoch losses
+        assert finite_numbers(str(out / f"{command}_loss.csv"))
+
 
 class TestDistill:
     def test_student_checkpoint(self, tmp_path):

@@ -110,10 +110,10 @@ def layer0(ps, X):
 
 def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
     """A ParamSet of embedding tables only (one output layer on top) with the
-    given slots frozen, the `stacked` slots carrying a leading axis of C
-    clients (and with them every tensor of their tag's vector; the trained
-    vectors are stacked, as in any cohort), and a batch of n rows (per
-    client, with C) as UA, VA."""
+    given slots frozen and a batch of n rows (per client, with C) as UA, VA.
+    With C, the trained vectors are stacked, as in any cohort, and each
+    trained slot among `stacked` holds other values in each client's row;
+    the frozen vector stays the one every client shares."""
     us = AttributeSchema(tuple(f"u{j}" for j in range(len(user_cards))), tuple(user_cards))
     it = AttributeSchema(tuple(f"i{j}" for j in range(len(item_cards))), tuple(item_cards))
     ps = init_params(Arch(us, it, embed_dim=d, mlp_hidden=(), gate_mode="none"), seed)
@@ -122,14 +122,9 @@ def embedding_world(user_cards, item_cards, d, frozen, stacked, C, n, seed):
     tags = {**ps.tags, **{names[s]: FROZEN for s in frozen}}
     ps = ParamSet(ps.arch, ps.tensors, tags)
     if C:
-        frozen_stacked = any(s in frozen for s in stacked)
-        ps = ParamSet.from_vectors(
-            ps.arch, ps.layout,
-            np.repeat(ps.frozen[None], C, axis=0) if frozen_stacked else ps.frozen,
-            np.repeat(ps.trained[None], C, axis=0),
-        )
+        ps = ParamSet.from_vectors(ps.arch, ps.layout, ps.frozen, np.repeat(ps.trained[None], C, axis=0))
         for s, name in enumerate(names):
-            if s in stacked:
+            if s in stacked and s not in frozen:
                 ps.tensors[name][...] = rng.normal(size=ps.tensors[name].shape)
     lead = (C, n) if C else (n,)
     UA = rng.integers(0, us.cards, size=lead + (len(us),))
@@ -183,6 +178,13 @@ class TestFusedEmbedding:
         assert isinstance(plan.embed.live, np.ndarray)
         assert [n for n in trained_by_name(ps, plan.grad) if "_emb/" in n] == ["user_emb/u0", "item_emb/i0"]
         assert_fused_embedding_matches_per_table(ps, UA, VA, 7)
+
+    def test_frozen_vector_with_a_client_axis_is_refused(self):
+        # every client shares the one frozen vector; a plan over per-client
+        # copies of it would read client 0's frozen tables for every client
+        ps, _, _ = embedding_world((2, 2), (2,), 3, {1}, set(), 3, 4, 7)
+        with pytest.raises(ShapeError, match="frozen vector"):
+            ParamSet.from_vectors(ps.arch, ps.layout, np.repeat(ps.frozen[None], 3, axis=0), ps.trained)
 
     def test_out_of_range_attribute_names_the_table(self):
         ps, UA, VA = embedding_world((2, 3), (4, 3), 2, set(), set(), 0, 5, 1)
@@ -266,9 +268,9 @@ def scored_blocks(ps, UA, VA, groups=None):
     seen = []
     forward = model._forward
 
-    def recording_forward(plan, rows, want_cache, source):
+    def recording_forward(plan, rows, want_cache):
         seen.append(rows.shape[:-1])
-        return forward(plan, rows, want_cache, source)
+        return forward(plan, rows, want_cache)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_forward", recording_forward)
@@ -668,8 +670,20 @@ class TestLayerZeroColumnCut:
         contiguous = bool(live) and max(live) - min(live) + 1 == len(live)
         assert isinstance(emb.span_live, slice) == contiguous
         want = backward_full_width(cache, y, valid)
-        got = backward_batch(cache, y, valid)
+        got = backward_batch(forward_cached(ps, UA, VA)[1], y, valid)  # a plan whose gradient the oracle never wrote
         assert np.array_equal(bits(got), bits(want))
+
+    def test_a_one_column_span_widens_to_every_column(self):
+        # nine one-wide slots, the last one alone trained: a one-column
+        # product goes to BLAS's dot or gemv, not gemm, so the span is all 9
+        ps, UA, VA = embedding_world((2,) * 5, (2,) * 4, 1, set(range(8)), set(), 0, 6, 3)
+        ps, UA, VA = lift(ps), UA[None], VA[None]
+        _, cache = forward_cached(ps, UA, VA)
+        emb = cache.plan.embed
+        assert emb.span == slice(0, 9) and np.arange(9)[emb.span][emb.span_live].tolist() == [8]
+        y = np.random.default_rng(3).integers(0, 2, size=(1, 6)).astype(float)
+        want = backward_full_width(cache, y)
+        assert np.array_equal(bits(backward_batch(forward_cached(ps, UA, VA)[1], y)), bits(want))
 
     def test_no_trained_table_computes_no_layer0_input_gradient(self, monkeypatch):
         arch = small_arch(mlp_hidden=(3,))
@@ -689,7 +703,7 @@ class TestLayerZeroColumnCut:
 
         monkeypatch.setattr(model, "_input_grad", recording)
         want = backward_full_width(cache, y)
-        got = backward_batch(cache, y)
+        got = backward_batch(forward_cached(ps, UA, VA)[1], y)
         assert widths == [3]  # layer 1's input only
         assert np.array_equal(bits(got), bits(want))
 
@@ -842,9 +856,9 @@ class TestSgdEpoch:
         seen = []
         forward = model._forward
 
-        def recording_forward(plan, rows, want_cache, source):
+        def recording_forward(plan, rows, want_cache):
             seen.append(rows - plan.embed.base)
-            return forward(plan, rows, want_cache, source)
+            return forward(plan, rows, want_cache)
 
         rngs = [np.random.default_rng([seed, c]) for c in range(C)]
         with pytest.MonkeyPatch.context() as mp:
